@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import click
 
 from .cover_poset import cover_from_dict, degree as cover_degree, validate_cover
-from .exact_linalg import RationalMatrix, rref
+from .exact_linalg import rank_of_int_rows
 from .fan_core import (
     BUNDLED_FANS,
     FanError,
@@ -44,9 +44,18 @@ from .monodromy import (
     build_cover,
     canonical_class,
     count_assignments,
+    ray_value_rows,
     spanning_tree,
 )
-from .pl_group import group_triviality, is_trivial_function, multisets, ray_value_system, solve
+from .pl_group import (
+    TrivialityVerdict,
+    group_triviality,
+    is_trivial_function,
+    multisets,
+    pl_dimension,
+    ray_value_system,
+    solve,
+)
 
 
 def _resolve_fan(source: str):
@@ -98,25 +107,26 @@ class SweepRecord:
 
 
 def evaluate_assignment(fan, tree, d: int, index: int) -> SweepRecord:
-    """Build the cover of one assignment, solve, and decide triviality."""
+    """One sweep record, rank first.
+
+    The values-at-rays system is read straight off the monodromy
+    (`ray_value_rows`), which also gives the profile and the branch rays.
+    Its corank is the PL dimension; at 3, the pullbacks-only record needs
+    no cover, no kernel and no lift.  Only a larger dimension builds the
+    cover and runs `group_triviality` on it.
+    """
     started = time.perf_counter()
     a = assignment_at(fan, d, index, tree)
-    cover = build_cover(fan, a, tree)
-    profile = []
-    branch = []
-    for ray in range(len(fan.rays)):
-        base = fan.cone_id((ray,))
-        weights = sorted(
-            (cover.cells[i].weight for i in cover.cells_over(base)), reverse=True
-        )
-        profile.append(weights)
-        if any(w > 1 for w in weights):
-            branch.append(ray)
-    verdict = group_triviality(cover)
+    system = ray_value_rows(fan, a, tree)
+    dim = pl_dimension(fan, system.rows, system.ncols)
+    if dim == 3:
+        verdict = TrivialityVerdict(True, "pullbacks-only", None, None, dim)
+    else:
+        verdict = group_triviality(build_cover(fan, a, tree))
     return SweepRecord(
         index=index,
-        branch_rays=branch,
-        profile=profile,
+        branch_rays=system.branch_rays,
+        profile=system.profile,
         dim_pl=verdict.dim,
         verdict="AllTrivial" if verdict.all_trivial else "Nontrivial",
         cert=verdict.tag,
@@ -158,26 +168,37 @@ class SweepSummary:
         return "\n".join(lines)
 
 
-def _read_cache_prefix(path: str, total: int) -> list[str]:
-    """Existing cache lines; refuses anything but a clean index prefix."""
+def _read_cache_prefix(path: str, total: int, echo=None) -> list[str]:
+    """Existing cache lines; refuses anything but a clean index prefix.
+
+    An unterminated last line is what a kill mid-write leaves behind: it is
+    dropped, and once the rest has passed, the file is truncated to its last
+    newline so that the resumed sweep appends after whole records only.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    whole = data.rfind(b"\n") + 1
     lines = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            try:
-                rec = json.loads(raw)
-                idx = rec["index"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                raise click.ClickException(
-                    f"cache corruption at line {lineno + 1}; refusing to resume"
-                )
-            if idx != len(lines) or idx >= total:
-                raise click.ClickException(
-                    f"cache is not a clean index prefix at line {lineno + 1}; refusing to resume"
-                )
-            lines.append(raw)
+    for lineno, raw in enumerate(data[:whole].decode(errors="replace").split("\n")):
+        if not raw:
+            continue
+        try:
+            rec = json.loads(raw)
+            idx = rec["index"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            raise click.ClickException(
+                f"cache corruption at line {lineno + 1}; refusing to resume"
+            )
+        if idx != len(lines) or idx >= total:
+            raise click.ClickException(
+                f"cache is not a clean index prefix at line {lineno + 1}; refusing to resume"
+            )
+        lines.append(raw)
+    if whole < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(whole)
+        if echo:
+            echo(f"dropped an unterminated last line of {len(data) - whole} bytes")
     return lines
 
 
@@ -188,7 +209,7 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
     total = count_assignments(fan, d)
     done: list[str] = []
     if cache_path and resume and os.path.exists(cache_path):
-        done = _read_cache_prefix(cache_path, total)
+        done = _read_cache_prefix(cache_path, total, echo)
         if echo:
             echo(f"resuming: {len(done)} records already cached")
     elif cache_path and not resume and os.path.exists(cache_path):
@@ -402,8 +423,8 @@ def pl_solve(source, cover_file, branch):
     basis = solve(cover)
     verdict = group_triviality(cover, basis)
     rows, zvars = ray_value_system(cover)
-    m = RationalMatrix(rows) if rows else None
-    rank_str = f", system {len(rows)}x{len(zvars)} of rank {rref(m)[1]}" if m else ""
+    rank = rank_of_int_rows(rows, len(zvars))
+    rank_str = f", system {len(rows)}x{len(zvars)} of rank {rank}" if rows else ""
     click.echo(f"degree {cover_degree(cover)} cover{rank_str}")
     click.echo(f"dim PL = {basis.dim} (pullbacks span 3)")
     if verdict.all_trivial:
@@ -538,7 +559,7 @@ def _reproduce_fulton_deg2(diff: _Diff, jobs: int):
     rows, zvars = ray_value_system(cover)
     diff.check("matrix rows", expected["matrix_rows"], len(rows))
     diff.check("matrix cols", expected["matrix_cols"], len(zvars))
-    diff.check("matrix rank", expected["matrix_rank"], rref(RationalMatrix(rows))[1])
+    diff.check("matrix rank", expected["matrix_rank"], rank_of_int_rows(rows, len(zvars)))
     diff.check("type-C PL dimension", expected["type_c_pl_dim"], solve(cover).dim)
     census = branch_census(f)
     diff.check(

@@ -191,6 +191,11 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
     return rows[:r], pivots
 
 
+def rank_of_int_rows(rows: list[list[int]], ncols: int) -> int:
+    """Rank over Q of an integer matrix, with no `Fraction` arithmetic."""
+    return len(_int_echelon([r[:] for r in rows], ncols)[1])
+
+
 def nullspace_of_int_rows(rows: list[list[int]], ncols: int) -> list[IntVector]:
     """Kernel basis over Q of an integer matrix, primitive and sign-normalized.
 

@@ -16,7 +16,7 @@ from itertools import permutations as iter_permutations
 from math import factorial
 
 from .cover_poset import CoverCell, CoverPoset
-from .fan_core import Fan, FanError, is_complete, ray_link
+from .fan_core import Fan, FanError, is_complete, ray_link, wall_relation
 
 
 class Permutation:
@@ -259,6 +259,27 @@ def _ray_transports(fan: Fan, trans: _Transitions, ray: int):
     return inv_transport, t  # t is now the full loop = ray monodromy
 
 
+def _ray_orbits(fan: Fan, trans: _Transitions, ray: int):
+    """(transports as in `_ray_transports`, orbit lengths, orbit per sheet).
+
+    The orbits of the ray monodromy are numbered by their minimal sheet at
+    the reference cone; they are the cells over the ray.
+    """
+    inv_tr, loop = _ray_transports(fan, trans, ray)
+    lookup = [-1] * len(loop)
+    lengths: list[int] = []
+    for start in range(len(loop)):
+        if lookup[start] < 0:
+            k = len(lengths)
+            lookup[start] = k
+            n, nxt = 1, loop[start]
+            while nxt != start:
+                lookup[nxt] = k
+                n, nxt = n + 1, loop[nxt]
+            lengths.append(n)
+    return inv_tr, lengths, lookup
+
+
 def ray_monodromy(fan: Fan, assignment: MonodromyAssignment, ray: int,
                   tree: DualSpanningTree | None = None) -> Permutation:
     """Product of wall transitions around the ray's link cycle."""
@@ -310,29 +331,11 @@ def build_cover(fan: Fan, assignment: MonodromyAssignment,
     orbit_of: dict[int, list[int]] = {}
     inv_transports = {}
     for ray in range(len(fan.rays)):
-        inv_tr, loop = _ray_transports(fan, trans, ray)
-        inv_transports[ray] = inv_tr
-        seen = [False] * d
-        orbits = []
-        for start in range(d):
-            if seen[start]:
-                continue
-            orb = [start]
-            seen[start] = True
-            nxt = loop[start]
-            while nxt != start:
-                orb.append(nxt)
-                seen[nxt] = True
-                nxt = loop[nxt]
-            orbits.append(orb)
+        inv_transports[ray], lengths, orbit_of[ray] = _ray_orbits(fan, trans, ray)
         base = fan.cone_id((ray,))
-        lookup = [0] * d
-        for k, orb in enumerate(orbits):
-            for s in orb:
-                lookup[s] = k
+        for k, length in enumerate(lengths):
             ray_cell_id[(ray, k)] = len(cells)
-            cells.append(CoverCell(base, k, len(orb)))
-        orbit_of[ray] = lookup
+            cells.append(CoverCell(base, k, length))
 
     def ray_cell_at(ray: int, cone_pos: int, sheet: int) -> int:
         ref_sheet = inv_transports[ray][cone_pos][sheet]
@@ -363,6 +366,62 @@ def build_cover(fan: Fan, assignment: MonodromyAssignment,
         pairs.append((0, rid))
 
     return CoverPoset(fan, cells, pairs, _closed=True)
+
+
+@dataclass(frozen=True)
+class RayValueSystem:
+    """The values-at-rays system of an assignment's cover, built without it."""
+
+    rows: list[list[int]]
+    ncols: int
+    profile: list[list[int]]  # per ray, its orbit lengths in descending order
+    branch_rays: list[int]
+
+
+def ray_value_rows(fan: Fan, assignment: MonodromyAssignment,
+                   tree: DualSpanningTree | None = None) -> RayValueSystem:
+    """The system of `pl_group.ray_value_system` on `build_cover`'s cover,
+    read straight off the monodromy.
+
+    The columns are the ray cells in the cover's order: ray by ray, the
+    orbits of its monodromy.  The rows are each maximal cone's wall
+    relations, one copy per sheet, with every ray of the cone sent to the
+    cell holding that sheet.  Rows follow the cover's maximal cells (base
+    cone id, then sheet), so the matrix is the cover's entry for entry.
+    """
+    tree = tree or spanning_tree(fan)
+    d = assignment.degree
+    trans = _Transitions(fan, tree, assignment)
+    first_col, transports, orbit_of = [], [], []
+    profile: list[list[int]] = []
+    branch: list[int] = []
+    ncols = 0
+    for ray in range(len(fan.rays)):
+        inv_tr, lengths, lookup = _ray_orbits(fan, trans, ray)
+        first_col.append(ncols)
+        transports.append(inv_tr)
+        orbit_of.append(lookup)
+        ncols += len(lengths)
+        profile.append(sorted(lengths, reverse=True))
+        if len(lengths) < d:
+            branch.append(ray)
+    rows: list[list[int]] = []
+    by_cell = sorted(range(len(fan.max_cones)),
+                     key=lambda pos: fan.cone_id(fan.max_cones[pos].ray_indices))
+    for pos in by_cell:
+        cone = fan.max_cones[pos]
+        rels = wall_relation(fan, pos)
+        for s in range(d):
+            cols = [
+                first_col[ray] + orbit_of[ray][transports[ray][pos][s]]
+                for ray in cone.ray_indices
+            ]
+            for rel in rels:
+                row = [0] * ncols
+                for coeff, col in zip(rel, cols):
+                    row[col] = coeff
+                rows.append(row)
+    return RayValueSystem(rows, ncols, profile, branch)
 
 
 def sheet_components(assignment: MonodromyAssignment) -> list[set[int]]:

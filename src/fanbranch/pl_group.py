@@ -27,6 +27,7 @@ from .exact_linalg import (
     RationalMatrix,
     integer_kernel,
     nullspace_of_int_rows,
+    rank_of_int_rows,
     solve_linear,
 )
 from .fan_core import cone_contains_point, is_complete, wall_relation
@@ -286,6 +287,40 @@ def ray_value_system(cover: CoverPoset) -> tuple[list[list[int]], list[int]]:
     return rows, list(zvars)
 
 
+def _check_pullbacks(fan) -> None:
+    """Check, once per fan, that the pullbacks of the coordinate functionals
+    are independent solutions of every values-at-rays system over it.
+
+    A row is one relation `rel` of a maximal cone with the cone's rays sent
+    to distinct ray cells, and pullback j takes the value v_j at every cell
+    over ray v; so row . z_j = (rel . V)_j, a fact about the fan alone.  The
+    pullbacks' values are the rays' coordinates, repeated over their cells,
+    so they are independent iff the rays span Q^rank.
+    """
+    cache = _fan_cache(fan)
+    if "pullbacks" in cache:
+        return
+    for pos, cone in enumerate(fan.max_cones):
+        for rel in wall_relation(fan, pos):
+            for j in range(fan.rank):
+                if sum(c * fan.rays[r][j] for c, r in zip(rel, cone.ray_indices)):
+                    raise RuntimeError("pullback fails the ray-value system")
+    if rank_of_int_rows([list(v) for v in fan.rays], fan.rank) != fan.rank:
+        raise RuntimeError("pullback functionals are not independent")
+    cache["pullbacks"] = True
+
+
+def pl_dimension(fan, rows: list[list[int]], ncols: int) -> int:
+    """Dimension of the PL group: the corank of its values-at-rays system.
+
+    The pullbacks lie in the kernel and are independent (`_check_pullbacks`),
+    so the result is at least the rank of the fan, and equal to it exactly
+    when the pullbacks are the only PL functions.
+    """
+    _check_pullbacks(fan)
+    return ncols - rank_of_int_rows(rows, ncols)
+
+
 def per_cell_system(cover: CoverPoset) -> RationalMatrix:
     """The incidence form: variables are all per-cell functionals plus one
     value per ray cell, constraints <u_c, v_ray> = z_ray per incidence."""
@@ -471,12 +506,7 @@ def _summand_dim(cover: CoverPoset, summand: set[int]) -> int:
             for coeff, rc in zip(rel, rcells):
                 row[zindex[rc]] += coeff
             rows.append(row)
-    if not rows:
-        return len(zvars)
-    from .exact_linalg import _int_echelon
-
-    _, pivots = _int_echelon(rows, len(zvars))
-    return len(zvars) - len(pivots)
+    return len(zvars) - rank_of_int_rows(rows, len(zvars))
 
 
 @dataclass
@@ -537,40 +567,32 @@ def _combine(basis: list[PLFunction], t: int) -> PLFunction:
 def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> TrivialityVerdict:
     """Decide whether every PL function on the cover is trivial.
 
-    Decision ladder: (1) dimension 3 means pullbacks only; (2) a wedge all
-    of whose summands have dimension 3 carries only summand-wise pullbacks;
-    (3) otherwise a deterministic generic element either witnesses
-    nontriviality or realizes a matching pattern that is verified against
-    the whole solution space.
+    One decision ladder, each rung run once on the dimension d of the PL
+    group: the corank of the values-at-rays system (`pl_dimension`, no
+    kernel) when no basis is supplied, else `basis.dim`.
 
-    When no basis is supplied, the first two rungs run on the ray-value
-    system alone (no functional lifting), which is what makes exhaustive
-    sweeps cheap; the same checks on pullback containment still run.
+    1. d = 3 means the pullbacks only.
+    2. A wedge all of whose summands have dimension 3 carries only
+       summand-wise pullbacks.
+    3. Otherwise the basis (solved here: the only kernel computed) gives a
+       deterministic generic element, which either witnesses nontriviality
+       or realizes a matching pattern that every basis function shares.
+
+    The sweep's records settle rung 1 on the system read off the monodromy
+    and call this only for d > 3.
+
+    The last check of rung 3 cannot fail.  For two cells and a coordinate,
+    sum_i (b_i(c1) - b_i(c2))_j x^i is either zero or has all its roots
+    below its Cauchy bound, and `_generic_parameter` puts t above the
+    smallest such bound of each pair.  So the candidate separates two cells
+    exactly when some basis function does, and its pattern is the common
+    pattern of the basis.  A failure raises RuntimeError.
     """
     if basis is None:
         rows, zvars = ray_value_system(cover)
-        kernel = nullspace_of_int_rows(rows, len(zvars))
-        d = len(kernel)
-        pull_z = [_pullback_z(cover, j) for j in range(cover.fan.rank)]
-        for z in pull_z:
-            for row in rows:
-                if sum(a * b for a, b in zip(row, z)) != 0:
-                    raise RuntimeError("pullback fails the ray-value system")
-        if len(_independent_span(pull_z, len(zvars))) != cover.fan.rank:
-            raise RuntimeError("pullback functionals are not independent")
-        if d == 3:
-            return TrivialityVerdict(True, "pullbacks-only", None, None, d)
-        summands = wedge_summands(cover)
-        if len(summands) > 1:
-            dims = [_summand_dim(cover, set(s)) for s in summands]
-            if sum(dims) != d:
-                raise RuntimeError("wedge decomposition does not add up")
-            if all(x == 3 for x in dims):
-                return TrivialityVerdict(True, "wedge-of-pullbacks", None, None, d)
-        pl = solve(cover)
+        d = pl_dimension(cover.fan, rows, len(zvars))
     else:
-        pl = basis
-    d = pl.dim
+        d = basis.dim
     if d == 3:
         return TrivialityVerdict(True, "pullbacks-only", None, None, d)
     summands = wedge_summands(cover)
@@ -581,30 +603,14 @@ def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> Trivial
         if all(x == 3 for x in dims):
             return TrivialityVerdict(True, "wedge-of-pullbacks", None, None, d)
 
-    maxcells = cover.max_cells
-    t = _generic_parameter(pl.functions, maxcells)
-    for _ in range(6):
-        candidate = _combine(pl.functions, t)
-        if not is_trivial_function(candidate):
-            return TrivialityVerdict(False, None, candidate, None, d)
-        pattern = _functional_pattern(candidate)
-        violators = []
-        for b in pl.functions:
-            ok = True
-            for group in pattern:
-                first = b.cell_values[group[0]]
-                if any(b.cell_values[m] != first for m in group[1:]):
-                    ok = False
-                    break
-            if not ok:
-                violators.append(b)
-        if not violators:
-            return TrivialityVerdict(True, "matched-pattern", None, pattern, d)
-        # defensive pencil search; unreachable when t is generic
-        for b in violators:
-            for s in range(1, 2 * d + 10):
-                probe = candidate + b.scale(s)
-                if not is_trivial_function(probe):
-                    return TrivialityVerdict(False, None, probe, None, d)
-        t = 2 * t + 1
-    raise RuntimeError("triviality decision did not stabilize")
+    pl = basis if basis is not None else solve(cover)
+    if pl.dim != d:
+        raise RuntimeError("basis size differs from the system's corank")
+    candidate = _combine(pl.functions, _generic_parameter(pl.functions, cover.max_cells))
+    if not is_trivial_function(candidate):
+        return TrivialityVerdict(False, None, candidate, None, d)
+    pattern = _functional_pattern(candidate)
+    for b in pl.functions:
+        if any(b.cell_values[m] != b.cell_values[g[0]] for g in pattern for m in g[1:]):
+            raise RuntimeError("a basis function breaks the generic element's pattern")
+    return TrivialityVerdict(True, "matched-pattern", None, pattern, d)

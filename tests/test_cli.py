@@ -158,6 +158,36 @@ class TestSweep:
         assert result.exit_code != 0
         assert "corrupt" in result.output
 
+    @pytest.mark.parametrize("keep_lines", [50, 127])
+    def test_resume_from_torn_last_line(self, fulton, tmp_path, runner, keep_lines):
+        full = tmp_path / "full.jsonl"
+        run_sweep(fulton, 2, jobs=1, cache_path=str(full))
+        data = full.read_bytes()
+        whole = sum(len(x) + 1 for x in data.split(b"\n")[:keep_lines])
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(data[: whole + 17])  # a kill 17 bytes into a record
+        result = runner.invoke(
+            main,
+            ["pl", "sweep", "fulton", "-d", "2", "--jobs", "1",
+             "--cache", str(torn), "--resume"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "dropped an unterminated last line of 17 bytes" in result.output
+        assert f"resuming: {keep_lines} records already cached" in result.output
+        assert torn.read_bytes() == data
+
+    def test_torn_line_after_corruption_refused_untouched(self, tmp_path, runner):
+        bad = tmp_path / "bad.jsonl"
+        content = b'{"index": 0}\nnot json at all\n{"index": 2, "ver'
+        bad.write_bytes(content)
+        result = runner.invoke(
+            main,
+            ["pl", "sweep", "fulton", "-d", "2", "--cache", str(bad), "--resume"],
+        )
+        assert result.exit_code != 0
+        assert "cache corruption at line 2" in result.output
+        assert bad.read_bytes() == content
+
     def test_non_prefix_cache_refused(self, fulton, tmp_path, runner):
         bad = tmp_path / "gap.jsonl"
         rec = evaluate_assignment(fulton, spanning_tree(fulton), 2, 5).to_json()

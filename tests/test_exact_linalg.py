@@ -15,8 +15,10 @@ from fanbranch.exact_linalg import (
     integer_solve,
     intersect,
     left_nullspace,
+    nullspace_of_int_rows,
     primitive,
     rank,
+    rank_of_int_rows,
     right_nullspace,
     rref,
     solve_linear,
@@ -285,3 +287,19 @@ class TestSolvers:
         h1 = hermite_normal_form([[2, 4], [2, 2]])
         h2 = hermite_normal_form([[4, 6], [2, 2]])
         assert h1 == h2 == [(2, 0), (0, 2)]
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=8),
+            st.just(n),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_rank_of_int_rows_is_columns_minus_nullity(case):
+    rows, ncols = case
+    before = [r[:] for r in rows]
+    assert rank_of_int_rows(rows, ncols) == ncols - len(nullspace_of_int_rows(rows, ncols))
+    assert rows == before

@@ -1,0 +1,119 @@
+"""The rank-first sweep record against the reference path.
+
+`evaluate_assignment` settles dimension-3 records from the values-at-rays
+system read off the monodromy; the reference path builds the cover and runs
+`group_triviality` on it.  The digests pin the record bytes that the
+cover-first sweep wrote before the rank-first one replaced it.
+"""
+
+import hashlib
+import json
+from collections import Counter
+from functools import lru_cache
+
+import pytest
+
+from fanbranch.cli import SweepRecord, evaluate_assignment, run_sweep
+from fanbranch.exact_linalg import rank_of_int_rows
+from fanbranch.fan_core import load_fan
+from fanbranch.monodromy import (
+    assignment_at,
+    build_cover,
+    count_assignments,
+    ray_value_rows,
+    spanning_tree,
+)
+from fanbranch.pl_group import _pullback_z, group_triviality, ray_value_system
+
+FULTON_DEG2_CACHE_SHA256 = "00a001fde95114f980c5b978f9f16d5b65d52a2b3bd864417dd79b09116087d9"
+EIKELBERG_DEG3_STRIDE8_SHA256 = "b8e414ae30a18902d845331fdd0ea92c1f96e3efffe8c5bfcbdd595c34043a59"
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("".join(x + "\n" for x in lines).encode()).hexdigest()
+
+
+def reference_record(fan, tree, d, index) -> str:
+    """The record from the cover: profile from its ray cells, verdict from
+    `group_triviality`."""
+    a = assignment_at(fan, d, index, tree)
+    cover = build_cover(fan, a, tree)
+    profile = [
+        sorted((cover.cells[i].weight for i in cover.cells_over(fan.cone_id((ray,)))),
+               reverse=True)
+        for ray in range(len(fan.rays))
+    ]
+    v = group_triviality(cover)
+    return SweepRecord(
+        index=index,
+        branch_rays=[ray for ray, weights in enumerate(profile) if weights[0] > 1],
+        profile=profile,
+        dim_pl=v.dim,
+        verdict="AllTrivial" if v.all_trivial else "Nontrivial",
+        cert=v.tag,
+    ).to_json()
+
+
+CASES = {
+    "fulton-2-all": ("fulton", 2, 1),
+    "eikelberg-3-every-8th": ("eikelberg", 3, 8),
+}
+
+
+@lru_cache(maxsize=None)
+def sweep_case(case):
+    """(fan, tree, degree, indices, rank-first record lines) of a case."""
+    name, d, step = CASES[case]
+    fan = load_fan(name)
+    tree = spanning_tree(fan)
+    indices = range(0, count_assignments(fan, d), step)
+    return fan, tree, d, indices, [evaluate_assignment(fan, tree, d, i).to_json() for i in indices]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rank_first_records_equal_reference(case):
+    fan, tree, d, indices, fast = sweep_case(case)
+    assert fast == [reference_record(fan, tree, d, i) for i in indices]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_system_is_the_covers_entry_for_entry(case):
+    fan, tree, d, indices, _ = sweep_case(case)
+    for i in indices:
+        a = assignment_at(fan, d, i, tree)
+        system = ray_value_rows(fan, a, tree)
+        rows, zvars = ray_value_system(build_cover(fan, a, tree))
+        assert (system.rows, system.ncols) == (rows, len(zvars))
+
+
+def test_eikelberg_stride_digest_and_rungs():
+    *_, fast = sweep_case("eikelberg-3-every-8th")
+    assert len(fast) == 972
+    assert _digest(fast) == EIKELBERG_DEG3_STRIDE8_SHA256
+    # the stride reaches every rung, dimension above 3 included
+    certs = [json.loads(line)["cert"] for line in fast]
+    assert Counter(certs) == {
+        "pullbacks-only": 728,
+        "matched-pattern": 173,
+        "nontrivial": 64,
+        "wedge-of-pullbacks": 7,
+    }
+
+
+def test_fulton_degree2_cache_digest(tmp_path):
+    cache = tmp_path / "fulton2.jsonl"
+    run_sweep(load_fan("fulton"), 2, jobs=1, cache_path=str(cache))
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == FULTON_DEG2_CACHE_SHA256
+
+
+@pytest.mark.parametrize("name", ["fulton", "eikelberg"])
+def test_pullbacks_solve_every_degree2_system(name):
+    """The per-assignment form of the once-per-fan pullback check."""
+    fan = load_fan(name)
+    tree = spanning_tree(fan)
+    for i in range(count_assignments(fan, 2)):
+        cover = build_cover(fan, assignment_at(fan, 2, i, tree), tree)
+        rows, zvars = ray_value_system(cover)
+        pull = [_pullback_z(cover, j) for j in range(fan.rank)]
+        assert all(sum(a * b for a, b in zip(row, z)) == 0 for row in rows for z in pull)
+        assert rank_of_int_rows([list(z) for z in pull], len(zvars)) == fan.rank

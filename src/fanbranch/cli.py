@@ -71,9 +71,11 @@ def _resolve_fan(source: str):
 
 def _default_jobs() -> int:
     env = os.environ.get("FANBRANCH_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise click.ClickException(f"FANBRANCH_JOBS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 # ---------------------------------------------------------------------------
@@ -227,28 +229,25 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
             bounds = [
                 (lo, min(lo + chunk, total)) for lo in range(start, total, chunk)
             ]
-            if jobs <= 1:
-                _WORKER_STATE.update(fan=fan, tree=tree, degree=d)
-                chunks = map(_sweep_chunk, bounds)
-            else:
-                _WORKER_STATE.update(fan=fan, tree=tree, degree=d)
-                ctx = multiprocessing.get_context("fork")
-                pool = ctx.Pool(jobs)
-                chunks = pool.imap(_sweep_chunk, bounds)
-            emitted = start
-            for lines in chunks:
-                for line in lines:
+
+            def emit(chunks):
+                for lines in chunks:
+                    for line in lines:
+                        if out:
+                            out.write(line + "\n")
+                        new_lines.append(line)
                     if out:
-                        out.write(line + "\n")
-                    new_lines.append(line)
-                    emitted += 1
-                if out:
-                    out.flush()
-                if echo and (emitted % 25000 < chunk):
-                    echo(f"  ... {emitted}/{total}")
-            if jobs > 1:
-                pool.close()
-                pool.join()
+                        out.flush()
+                    emitted = start + len(new_lines)
+                    if echo and (emitted % 25000 < chunk):
+                        echo(f"  ... {emitted}/{total}")
+
+            _WORKER_STATE.update(fan=fan, tree=tree, degree=d)
+            if jobs <= 1:
+                emit(map(_sweep_chunk, bounds))
+            else:
+                with multiprocessing.get_context("fork").Pool(jobs) as pool:
+                    emit(pool.imap(_sweep_chunk, bounds))
     finally:
         if out:
             out.close()
@@ -379,7 +378,8 @@ def pl():
 @pl.command("sweep")
 @click.argument("source")
 @click.option("--degree", "-d", type=int, required=True)
-@click.option("--jobs", "-j", type=int, default=None, help="worker processes")
+@click.option("--jobs", "-j", type=click.IntRange(min=1), default=None,
+              help="worker processes")
 @click.option("--cache", type=click.Path(), default=None, help="record file")
 @click.option("--resume", is_flag=True, help="skip indices already cached")
 @click.option("--expect-trivial", is_flag=True,
@@ -406,15 +406,24 @@ def pl_solve(source, cover_file, branch):
     if (cover_file is None) == (branch is None):
         raise click.ClickException("pass exactly one of --cover or --branch-rays")
     if branch is not None:
-        rays = [int(x) for x in branch.split(",") if x.strip() != ""]
-        assignment = assignment_for_branch_set(f, rays)
-        cover = build_cover(f, assignment)
+        try:
+            rays = [int(x) for x in branch.split(",") if x.strip() != ""]
+        except ValueError:
+            raise click.ClickException(
+                f"--branch-rays takes comma-separated ray indices, got {branch!r}"
+            )
+        try:
+            cover = build_cover(f, assignment_for_branch_set(f, rays))
+        except ValueError as exc:
+            raise click.ClickException(f"branch rays {rays}: {exc}")
     else:
         with open(cover_file) as fh:
             data = json.load(fh)
         if "monodromy" in data:
-            assignment = MonodromyAssignment.from_dict(data["monodromy"])
-            cover = build_cover(f, assignment)
+            try:
+                cover = build_cover(f, MonodromyAssignment.from_dict(data["monodromy"]))
+            except ValueError as exc:
+                raise click.ClickException(f"invalid monodromy in {cover_file}: {exc}")
         else:
             cover = cover_from_dict(f, data)
             report = validate_cover(cover)
@@ -625,7 +634,7 @@ def paper_group():
         ["eikelberg", "fulton-deg2", "fulton-rank3", "sigma-prime-deg3", "p2-tangent"]
     ),
 )
-@click.option("--jobs", "-j", type=int, default=None)
+@click.option("--jobs", "-j", type=click.IntRange(min=1), default=None)
 def paper_reproduce(name, jobs):
     """Re-run a known computation and diff against bundled expected values."""
     jobs = jobs or _default_jobs()

@@ -6,6 +6,19 @@ anywhere.  This module provides the shared substrate: dense matrices over Q,
 deterministic row reduction, rational and integer kernels, primitive integer
 vectors, and canonical subspace algebra.
 
+Which routine answers which question:
+
+* rank, kernel and independence questions go through one fraction-free
+  elimination, `_int_echelon`, whose row step is `_cancel`:
+  `rank_of_int_rows`, `nullspace_of_int_rows` and `independent_rows` on
+  integer rows, and `rank` and `right_nullspace` on rational matrices after
+  each row is cleared of denominators (which keeps the row space);
+* `Fraction` Gauss-Jordan (`_rref_rows`) runs only where the reduced form is
+  itself the result: `rref`, the canonical `SubspaceBasis`, and
+  `solve_linear`.  `annihilator` reads its kernel straight off that form;
+* Hermite reduction (`_row_hnf_transform`) answers the lattice questions:
+  `hermite_normal_form`, `integer_kernel` and `integer_solve`.
+
 Determinism conventions, fixed once for the whole package:
 
 * row reduction always picks the leftmost nonzero pivot column and the
@@ -21,7 +34,7 @@ Determinism conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -119,10 +132,6 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, int]:
     return RationalMatrix(rows), len(pivots)
 
 
-def rank(m: RationalMatrix) -> int:
-    return rref(m)[1]
-
-
 def primitive(v) -> IntVector:
     """Scale a nonzero rational vector to a primitive integer vector.
 
@@ -150,11 +159,25 @@ def _sign_normalize(v: IntVector) -> IntVector:
     return v
 
 
+def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
+    """`row` with its column-c entry cancelled against `prow` (whose entry
+    there is nonzero): cross-multiplied, then divided by the gcd of its
+    entries to control coefficient growth."""
+    a, b = prow[c], row[c]
+    new = [a * x - b * y for x, y in zip(row, prow)]
+    g = 0
+    for x in new:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                break
+    return [x // g for x in new] if g > 1 else new
+
+
 def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form over Z (forward elimination only).
 
-    Rows are combined by cross-multiplication and divided by their gcd to
-    control coefficient growth.  Returns (echelon rows, pivot columns).
+    Returns (echelon rows, pivot columns).
     """
     pivots: list[int] = []
     r = 0
@@ -169,21 +192,9 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
-        a = prow[c]
         for i in range(r + 1, nrows):
-            b = rows[i][c]
-            if b:
-                ri = rows[i]
-                new = [a * x - b * y for x, y in zip(ri, prow)]
-                g = 0
-                for x in new:
-                    if x:
-                        g = gcd(g, x)
-                        if g == 1:
-                            break
-                if g > 1:
-                    new = [x // g for x in new]
-                rows[i] = new
+            if rows[i][c]:
+                rows[i] = _cancel(rows[i], prow, c)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -196,12 +207,33 @@ def rank_of_int_rows(rows: list[list[int]], ncols: int) -> int:
     return len(_int_echelon([r[:] for r in rows], ncols)[1])
 
 
-def nullspace_of_int_rows(rows: list[list[int]], ncols: int) -> list[IntVector]:
-    """Kernel basis over Q of an integer matrix, primitive and sign-normalized.
+def independent_rows(vectors, ncols: int) -> list[int]:
+    """Indices of the first-come independent subset of integer vectors:
+    exactly those that raise the rank of the vectors before them.
 
-    Fast path used by the sweep; semantics identical to `right_nullspace` on
-    the same matrix.
+    Each kept row is reduced against the earlier ones, so it vanishes at
+    their leading columns; a new vector reduced against all of them is zero
+    exactly when it lies in their span.
     """
+    echelon: list[tuple[int, list[int]]] = []  # (leading column, row)
+    picked: list[int] = []
+    for idx, vec in enumerate(vectors):
+        v = list(vec)
+        for lead, row in echelon:
+            if v[lead]:
+                v = _cancel(v, row, lead)
+        lead = next((k for k, x in enumerate(v) if x), None)
+        if lead is not None:
+            echelon.append((lead, v))
+            picked.append(idx)
+            if len(picked) == ncols:
+                break
+    return picked
+
+
+def nullspace_of_int_rows(rows: list[list[int]], ncols: int) -> list[IntVector]:
+    """Kernel basis over Q of an integer matrix, primitive and sign-normalized,
+    one vector per free column."""
     ech, pivots = _int_echelon([r[:] for r in rows], ncols)
     pivset = set(pivots)
     basis: list[IntVector] = []
@@ -220,25 +252,22 @@ def nullspace_of_int_rows(rows: list[list[int]], ncols: int) -> list[IntVector]:
     return basis
 
 
+def _cleared_rows(m: RationalMatrix) -> list[list[int]]:
+    """Each row of m times the lcm of its denominators: same row space."""
+    out = []
+    for row in m.entries:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def rank(m: RationalMatrix) -> int:
+    return rank_of_int_rows(_cleared_rows(m), m.cols)
+
+
 def right_nullspace(m: RationalMatrix) -> list[IntVector]:
     """Basis of {x : m.x = 0}, one primitive integer vector per free column."""
-    if m.cols == 0:
-        return []
-    if all(x.denominator == 1 for row in m.entries for x in row):
-        return nullspace_of_int_rows([[int(x) for x in row] for row in m.entries], m.cols)
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref_rows(rows, m.cols)
-    pivset = set(pivots)
-    basis: list[IntVector] = []
-    for free in range(m.cols):
-        if free in pivset:
-            continue
-        x = [Fraction(0)] * m.cols
-        x[free] = Fraction(1)
-        for j, p in enumerate(pivots):
-            x[p] = -rows[j][free]
-        basis.append(_sign_normalize(primitive(x)))
-    return basis
+    return nullspace_of_int_rows(_cleared_rows(m), m.cols)
 
 
 def left_nullspace(m: RationalMatrix) -> list[IntVector]:
@@ -436,10 +465,22 @@ def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
 
 
 def annihilator(a: SubspaceBasis) -> SubspaceBasis:
-    """The subspace {u : u.v = 0 for all v in a} under the standard pairing."""
-    if not a.basis:
-        return SubspaceBasis(a.ambient_dim, RationalMatrix.identity(a.ambient_dim).entries)
-    return SubspaceBasis(a.ambient_dim, right_nullspace(RationalMatrix(a.basis)))
+    """The subspace {u : u.v = 0 for all v in a} under the standard pairing.
+
+    Read off the reduced basis: one vector per non-pivot column `free`, with
+    1 there and -row[free] at each row's pivot.
+    """
+    pivots = [next(k for k, x in enumerate(row) if x) for row in a.basis]
+    vectors = []
+    for free in range(a.ambient_dim):
+        if free in pivots:
+            continue
+        x = [0] * a.ambient_dim
+        x[free] = 1
+        for p, row in zip(pivots, a.basis):
+            x[p] = -row[free]
+        vectors.append(x)
+    return SubspaceBasis(a.ambient_dim, vectors)
 
 
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:

@@ -210,6 +210,11 @@ class _Transitions:
     """Wall-crossing sheet maps for one assignment, as raw image tuples."""
 
     def __init__(self, fan: Fan, tree: DualSpanningTree, assignment: MonodromyAssignment):
+        if len(assignment.perms) != tree.generators:
+            raise ValueError(
+                f"assignment has {len(assignment.perms)} permutations, but the fan's"
+                f" spanning tree has {tree.generators} generators"
+            )
         self.fan = fan
         self.tree = tree
         self.assignment = assignment

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cover_poset import CoverPoset
 from .exact_linalg import (
     RationalMatrix,
+    independent_rows,
     integer_kernel,
     nullspace_of_int_rows,
     rank_of_int_rows,
@@ -46,48 +48,25 @@ def _fan_cache(fan) -> dict:
 
 
 def _lift_data(fan, max_pos: int):
-    """(local positions of 3 independent rays, inverse of their matrix)."""
+    """(local positions of 3 independent rays, the inverse of their matrix
+    as an integer matrix over one common denominator, that denominator)."""
     cache = _fan_cache(fan)
     key = ("lift", max_pos)
     if key not in cache:
         cone = fan.max_cones[max_pos]
         gens = [fan.rays[i] for i in cone.ray_indices]
-        chosen: list[int] = []
-        rowspace: list[list[Fraction]] = []
-        for i, g in enumerate(gens):
-            vec = [Fraction(x) for x in g]
-            for r in rowspace:
-                p = next(k for k, x in enumerate(r) if x == 1)
-                if vec[p]:
-                    f = vec[p]
-                    vec = [a - f * b for a, b in zip(vec, r)]
-            if any(vec):
-                lead = next(k for k, x in enumerate(vec) if x)
-                vec = [x / vec[lead] for x in vec]
-                # re-reduce previous rows for a clean echelon
-                rowspace = [
-                    [a - r[lead] * b for a, b in zip(r, vec)] if r[lead] else r
-                    for r in rowspace
-                ]
-                rowspace.append(vec)
-                rowspace.sort(key=lambda r: next(k for k, x in enumerate(r) if x))
-                chosen.append(i)
-            if len(chosen) == fan.rank:
-                break
+        chosen = independent_rows(gens, fan.rank)
         if len(chosen) != fan.rank:
             raise PLError("maximal cone is not full-dimensional")
         v = [gens[i] for i in chosen]
         n = fan.rank
-        inverse_cols = []
-        for j in range(n):
-            e = [Fraction(1) if k == j else Fraction(0) for k in range(n)]
-            col = solve_linear(v, e)
-            inverse_cols.append(col)
-        # inverse[i][j]: solves V.u = z via u = inverse . z
-        inverse = tuple(
-            tuple(inverse_cols[j][i] for j in range(n)) for i in range(n)
+        inverse_cols = [solve_linear(v, [int(k == j) for k in range(n)]) for j in range(n)]
+        den = lcm(*(x.denominator for col in inverse_cols for x in col))
+        # u = scaled . z / den solves V.u = z
+        scaled = tuple(
+            tuple(int(inverse_cols[j][i] * den) for j in range(n)) for i in range(n)
         )
-        cache[key] = (tuple(chosen), inverse)
+        cache[key] = (tuple(chosen), scaled, den)
     return cache[key]
 
 
@@ -292,8 +271,9 @@ def _check_pullbacks(fan) -> None:
     are independent solutions of every values-at-rays system over it.
 
     A row is one relation `rel` of a maximal cone with the cone's rays sent
-    to distinct ray cells, and pullback j takes the value v_j at every cell
-    over ray v; so row . z_j = (rel . V)_j, a fact about the fan alone.  The
+    to distinct ray cells over them (what `_max_cell_geometry` checks of
+    every cover), and pullback j takes the value v_j at every cell over
+    ray v; so row . z_j = (rel . V)_j, a fact about the fan alone.  The
     pullbacks' values are the rays' coordinates, repeated over their cells,
     so they are independent iff the rays span Q^rank.
     """
@@ -351,32 +331,16 @@ def _pullback_z(cover: CoverPoset, coordinate: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _pullback_function(cover: CoverPoset, coordinate: int) -> PLFunction:
-    """The pullback of an ambient coordinate functional (constant on cells)."""
-    fan = cover.fan
-    u = tuple(Fraction(1 if k == coordinate else 0) for k in range(fan.rank))
-    ray_values = {}
-    for r in cover.ray_cells:
-        ray = fan.cones[cover.cells[r].base].ray_indices[0]
-        ray_values[r] = Fraction(fan.rays[ray][coordinate])
-    return PLFunction(
-        cover,
-        {m: u for m in cover.max_cells},
-        check=False,
-        _ray_values=ray_values,
-    )
-
-
 def _lift_z_to_function(cover: CoverPoset, z, check: bool = False) -> PLFunction:
     """Recover per-cell functionals from consistent ray-cell values."""
     fan = cover.fan
     zindex = {r: i for i, r in enumerate(cover.ray_cells)}
     values = {}
     for m, pos, rcells in _max_cell_geometry(cover):
-        chosen, inverse = _lift_data(fan, pos)
-        rhs = [Fraction(z[zindex[rcells[i]]]) for i in chosen]
+        chosen, scaled, den = _lift_data(fan, pos)
+        rhs = [z[zindex[rcells[i]]] for i in chosen]
         values[m] = tuple(
-            sum(a * b for a, b in zip(row, rhs)) for row in inverse
+            Fraction(sum(a * b for a, b in zip(row, rhs)), den) for row in scaled
         )
     if check:
         return PLFunction(cover, values, check=True)
@@ -399,23 +363,6 @@ class PLBasis:
         return len(self.functions)
 
 
-def _independent_span(vectors, width: int):
-    """Incremental elimination; returns indices of an independent subset."""
-    rows: list[list[Fraction]] = []
-    picked = []
-    for idx, vec in enumerate(vectors):
-        v = [Fraction(x) for x in vec]
-        for r in rows:
-            p = next(k for k, x in enumerate(r) if x)
-            if v[p]:
-                f = v[p] / r[p]
-                v = [a - f * b for a, b in zip(v, r)]
-        if any(v):
-            rows.append(v)
-            picked.append(idx)
-    return picked
-
-
 def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
     """Basis of the group of piecewise-linear functions on the cover.
 
@@ -432,17 +379,14 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
         raise PLError("the solver requires a complete base fan")
     n = fan.rank
     pullback_z = [_pullback_z(cover, j) for j in range(n)]
-    pullbacks = tuple(_pullback_function(cover, j) for j in range(n))
+    pullbacks = tuple(_lift_z_to_function(cover, z) for z in pullback_z)
 
     if mode == "rational":
+        _check_pullbacks(fan)
         rows, zvars = ray_value_system(cover)
         kernel = nullspace_of_int_rows(rows, len(zvars))
-        for z in pullback_z:
-            for row in rows:
-                if sum(a * b for a, b in zip(row, z)) != 0:
-                    raise RuntimeError("pullback fails the ray-value system")
-        ordered = list(pullback_z) + [list(v) for v in kernel]
-        picked = _independent_span(ordered, len(zvars))
+        ordered = pullback_z + kernel
+        picked = independent_rows(ordered, len(zvars))
         if picked[:n] != list(range(n)):
             raise RuntimeError("pullback functionals are not independent")
         functions = list(pullbacks)
@@ -493,20 +437,10 @@ def wedge_summands(cover: CoverPoset) -> list[list[int]]:
     return sorted(groups.values(), key=min)
 
 
-def _summand_dim(cover: CoverPoset, summand: set[int]) -> int:
-    fan = cover.fan
-    zvars = [r for r in cover.ray_cells if r in summand]
-    zindex = {r: i for i, r in enumerate(zvars)}
-    rows = []
-    for m, pos, rcells in _max_cell_geometry(cover):
-        if m not in summand:
-            continue
-        for rel in wall_relation(fan, pos):
-            row = [0] * len(zvars)
-            for coeff, rc in zip(rel, rcells):
-                row[zindex[rc]] += coeff
-            rows.append(row)
-    return len(zvars) - rank_of_int_rows(rows, len(zvars))
+def _summand_dim(rows: list[list[int]], cols: list[int]) -> int:
+    """Corank of a cover's values-at-rays system on one wedge summand's
+    columns: the summand's own rows, since every other row is zero there."""
+    return len(cols) - rank_of_int_rows([[row[c] for c in cols] for row in rows], len(cols))
 
 
 @dataclass
@@ -588,16 +522,21 @@ def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> Trivial
     exactly when some basis function does, and its pattern is the common
     pattern of the basis.  A failure raises RuntimeError.
     """
+    system = None
     if basis is None:
-        rows, zvars = ray_value_system(cover)
-        d = pl_dimension(cover.fan, rows, len(zvars))
+        system = ray_value_system(cover)
+        d = pl_dimension(cover.fan, system[0], len(system[1]))
     else:
         d = basis.dim
     if d == 3:
         return TrivialityVerdict(True, "pullbacks-only", None, None, d)
     summands = wedge_summands(cover)
     if len(summands) > 1:
-        dims = [_summand_dim(cover, set(s)) for s in summands]
+        rows, zvars = system or ray_value_system(cover)
+        dims = [
+            _summand_dim(rows, [i for i, r in enumerate(zvars) if r in s])
+            for s in map(set, summands)
+        ]
         if sum(dims) != d:
             raise RuntimeError("wedge decomposition does not add up")
         if all(x == 3 for x in dims):

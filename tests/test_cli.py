@@ -120,6 +120,53 @@ class TestSolveCommand:
         assert "AllTrivial(pullbacks-only)" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, perms, message",
+    [
+        (["--branch-rays", "a"], None, "--branch-rays takes comma-separated ray indices, got 'a'"),
+        (["--branch-rays", "99"], None, "branch rays [99]: branch ray index out of range"),
+        (["--branch-rays", "0"], None, "branch rays [0]: no degree-2 cover has that branch set"),
+        ([], [[1, 0]] + [[0, 0]] * 6, "(0, 0) is not a permutation"),
+        ([], [[1, 0]] * 9, "9 permutations, but the fan's spanning tree has 7 generators"),
+        ([], [[1, 0]], "1 permutations, but the fan's spanning tree has 7 generators"),
+    ],
+    ids=["letter", "out-of-range", "parity", "non-permutation", "nine-perms", "one-perm"],
+)
+def test_solve_input_refused_in_one_line(runner, tmp_path, args, perms, message):
+    if perms is not None:
+        p = tmp_path / "cover.json"
+        p.write_text(json.dumps({"fan": "fulton", "monodromy": {"degree": 2, "perms": perms}}))
+        args = ["--cover", str(p)]
+    result = runner.invoke(main, ["pl", "solve", "fulton", *args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.count("\n") == 1
+    assert result.output.startswith("Error: ") and message in result.output
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["pl", "sweep", "fulton", "-d", "2"], ["paper", "reproduce", "p2-tangent"]],
+)
+class TestJobCounts:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_option_below_one_refused(self, runner, command, jobs):
+        result = runner.invoke(main, [*command, "--jobs", jobs])
+        assert result.exit_code == 2
+        assert "Invalid value for '--jobs'" in result.output
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
+    def test_bad_environment_value_refused(self, runner, command, env):
+        result = runner.invoke(main, command, env={"FANBRANCH_JOBS": env})
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: FANBRANCH_JOBS must be a positive integer, got '{env}'" in result.output
+
+    def test_environment_value_used(self, runner, command):
+        result = runner.invoke(main, command, env={"FANBRANCH_JOBS": "1"})
+        assert result.exit_code == 0, result.output
+
+
 class TestSweep:
     def test_jobs_do_not_change_cache(self, fulton, tmp_path):
         c1 = tmp_path / "one.jsonl"

@@ -11,6 +11,7 @@ from fanbranch.exact_linalg import (
     RationalMatrix,
     annihilator,
     hermite_normal_form,
+    independent_rows,
     integer_kernel,
     integer_solve,
     intersect,
@@ -303,3 +304,68 @@ def test_rank_of_int_rows_is_columns_minus_nullity(case):
     before = [r[:] for r in rows]
     assert rank_of_int_rows(rows, ncols) == ncols - len(nullspace_of_int_rows(rows, ncols))
     assert rows == before
+
+
+rational_matrices = st.integers(1, 7).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=1,
+        max_size=7,
+    )
+).map(RationalMatrix)
+
+
+def kernel_off_rref(m: RationalMatrix) -> list[tuple[int, ...]]:
+    """Kernel read off the reduced form: for each free column, 1 there and
+    minus that column's entry of each row at the row's pivot; primitive,
+    first nonzero entry positive."""
+    red, r = rref(m)
+    pivots = [next(k for k, x in enumerate(row) if x) for row in red.entries[:r]]
+    out = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * m.cols
+        x[free] = Fraction(1)
+        for p, row in zip(pivots, red.entries):
+            x[p] = -row[free]
+        v = primitive(x)
+        out.append(v if next(c for c in v if c) > 0 else tuple(-c for c in v))
+    return out
+
+
+@given(rational_matrices)
+@settings(max_examples=200, deadline=None)
+def test_right_nullspace_and_rank_read_off_rref(m):
+    assert right_nullspace(m) == kernel_off_rref(m)
+    assert rank(m) == rref(m)[1]
+
+
+@given(rational_matrices)
+@settings(max_examples=200, deadline=None)
+def test_annihilator_read_off_rref(m):
+    a = span(m.entries, m.cols)
+    assert annihilator(a) == span(kernel_off_rref(m), m.cols)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=9),
+            st.just(n),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_independent_rows_raise_the_rank_of_their_prefix(case):
+    vectors, ncols = case
+
+    def prefix_rank(k):
+        return rref(RationalMatrix(vectors[:k]))[1] if k else 0
+
+    raising = [i for i in range(len(vectors)) if prefix_rank(i + 1) > prefix_rank(i)]
+    assert independent_rows(vectors, ncols) == raising

@@ -24,6 +24,7 @@ from fanbranch.monodromy import (
     count_assignments,
     enumerate_assignments,
     ray_monodromy,
+    ray_value_rows,
     sheet_components,
     spanning_tree,
 )
@@ -154,6 +155,14 @@ class TestBuildCover:
                 for r in range(8)
             )
             assert chi == 2 * 3 - defect
+
+    @pytest.mark.parametrize("count", [0, 1, 6, 8, 9])
+    @pytest.mark.parametrize("build", [build_cover, ray_value_rows, branch_rays])
+    def test_wrong_permutation_count_refused(self, fulton, build, count):
+        # fulton's spanning tree has 7 generators
+        a = MonodromyAssignment(2, (Permutation((1, 0)),) * count)
+        with pytest.raises(ValueError, match=f"{count} permutations, but .* 7 generators"):
+            build(fulton, a)
 
     def test_fiber_sizes_match_monodromy_orbits(self, fulton):
         a = assignment_for_branch_set(fulton, [0, 2, 5, 7])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -152,6 +154,43 @@ class TestSolve:
             for f in integral.functions:
                 for u in f.cell_values.values():
                     assert all(x.denominator == 1 for x in u)
+
+
+# sha256 of one JSON line per cover: the `solve` basis, and the tag, pattern
+# and witness of `group_triviality` on it; pinned before `solve` moved to the
+# shared fraction-free elimination.
+BASIS_AND_VERDICT_SHA256 = {
+    ("fulton", 2, 1): "b8441165132262e32d22a4651e09c4f9e6f30be6e9247e95f80c272d7e2bc11e",
+    ("eikelberg", 2, 1): "04a18690f5f6afe4a7f2595464239adb2639f7660be6f2975ac2bdcc02895eda",
+    ("eikelberg", 3, 7): "ebd774f0cc9fd685da9c563f2f7dd02df6a0ec2e5535a6168bad8f29a8d1c27d",
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(BASIS_AND_VERDICT_SHA256), ids=lambda c: f"{c[0]}-{c[1]}-every-{c[2]}"
+)
+def test_bases_and_witnesses_pinned(case):
+    name, d, step = case
+    fan = load_fan(name)
+    tree = spanning_tree(fan)
+    lines = []
+    for i in range(0, count_assignments(fan, d), step):
+        cover = build_cover(fan, assignment_at(fan, d, i, tree), tree)
+        basis = solve(cover)
+        v = group_triviality(cover, basis)
+        lines.append(json.dumps(
+            {
+                "index": i,
+                "basis": [f.to_dict() for f in basis.functions],
+                "tag": v.tag,
+                "pattern": v.pattern,
+                "witness": v.witness.to_dict() if v.witness else None,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ))
+    digest = hashlib.sha256("".join(x + "\n" for x in lines).encode()).hexdigest()
+    assert digest == BASIS_AND_VERDICT_SHA256[case]
 
 
 class TestMultisets:

@@ -8,11 +8,13 @@ cover-first sweep wrote before the rank-first one replaced it.
 
 import hashlib
 import json
+import multiprocessing
 from collections import Counter
 from functools import lru_cache
 
 import pytest
 
+from fanbranch import cli
 from fanbranch.cli import SweepRecord, evaluate_assignment, run_sweep
 from fanbranch.exact_linalg import rank_of_int_rows
 from fanbranch.fan_core import load_fan
@@ -103,6 +105,30 @@ def test_eikelberg_stride_digest_and_rungs():
 def test_fulton_degree2_cache_digest(tmp_path):
     cache = tmp_path / "fulton2.jsonl"
     run_sweep(load_fan("fulton"), 2, jobs=1, cache_path=str(cache))
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == FULTON_DEG2_CACHE_SHA256
+
+
+def test_worker_error_leaves_clean_prefix_and_closed_pool(tmp_path, monkeypatch):
+    """A record that raises in a worker stops the sweep: the error reaches
+    the caller, the pool is gone, the cache holds whole records in index
+    order, and a resume finishes it to the pinned bytes."""
+
+    def fail_at_100(fan, tree, d, index):
+        if index == 100:
+            raise RuntimeError("record 100 failed")
+        return evaluate_assignment(fan, tree, d, index)
+
+    fan = load_fan("fulton")
+    cache = tmp_path / "fulton2.jsonl"
+    monkeypatch.setattr(cli, "evaluate_assignment", fail_at_100)
+    with pytest.raises(RuntimeError, match="record 100 failed"):
+        run_sweep(fan, 2, jobs=2, cache_path=str(cache))
+    assert not multiprocessing.active_children()
+    lines = cache.read_text().splitlines()
+    assert [json.loads(x)["index"] for x in lines] == list(range(len(lines)))
+    assert len(lines) <= 100
+    monkeypatch.undo()
+    run_sweep(fan, 2, jobs=2, cache_path=str(cache), resume=True)
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == FULTON_DEG2_CACHE_SHA256
 
 

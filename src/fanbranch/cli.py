@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import click
 
-from .cover_poset import cover_from_dict, degree as cover_degree, validate_cover
+from .cover_poset import CoverError, cover_from_dict, degree as cover_degree, validate_cover
 from .exact_linalg import rank_of_int_rows
 from .fan_core import (
     BUNDLED_FANS,
@@ -48,7 +48,6 @@ from .monodromy import (
     spanning_tree,
 )
 from .pl_group import (
-    TrivialityVerdict,
     group_triviality,
     is_trivial_function,
     multisets,
@@ -108,7 +107,15 @@ class SweepRecord:
         )
 
 
-def evaluate_assignment(fan, tree, d: int, index: int) -> SweepRecord:
+def _settle(fan, a, tree) -> tuple[bool, str, int]:
+    """(all trivial, certificate tag, dim) of the cover of `a`, from
+    `group_triviality`."""
+    verdict = group_triviality(build_cover(fan, a, tree))
+    return verdict.all_trivial, verdict.tag, verdict.dim
+
+
+def evaluate_assignment(fan, tree, d: int, index: int,
+                        classes: dict | None = None) -> SweepRecord:
     """One sweep record, rank first.
 
     The values-at-rays system is read straight off the monodromy
@@ -116,50 +123,95 @@ def evaluate_assignment(fan, tree, d: int, index: int) -> SweepRecord:
     Its corank is the PL dimension; at 3, the pullbacks-only record needs
     no cover, no kernel and no lift.  Only a larger dimension builds the
     cover and runs `group_triviality` on it.
+
+    `classes` is a sweep's memo of those dim > 3 verdicts, keyed by the
+    assignment's conjugacy class (`canonical_class`, as permutation images)
+    and holding only (all trivial, certificate tag, dim).  A record whose
+    class is in it takes the stored verdict instead of solving; the stored
+    dim must equal the record's own corank, or RuntimeError is raised.
+    Without `classes` every dim > 3 record is solved.
+
+    Why a class shares its verdict: conjugating every permutation by one
+    g in S_d relabels the sheets, sheet s becoming g(s), so the covers of
+    a and a^g are isomorphic over the fan, cell for cell with the same base
+    cone and weight.  The isomorphism carries PL functions to PL functions
+    with the same functional on corresponding cells, hence the same
+    multiset over every cone.  It therefore preserves the PL dimension,
+    the wedge summands with their dimensions, and whether every PL function
+    is trivial, which are what the ladder's rungs decide on (see
+    `group_triviality`): the verdict and its tag are invariants.  So are
+    the branch rays and the profile, the orbit lengths of each ray's
+    monodromy, and thus every record field except `index`; the record
+    still reads those off its own system.
     """
     started = time.perf_counter()
     a = assignment_at(fan, d, index, tree)
     system = ray_value_rows(fan, a, tree)
     dim = pl_dimension(fan, system.rows, system.ncols)
     if dim == 3:
-        verdict = TrivialityVerdict(True, "pullbacks-only", None, None, dim)
+        settled = (True, "pullbacks-only", dim)
+    elif classes is None:
+        settled = _settle(fan, a, tree)
     else:
-        verdict = group_triviality(build_cover(fan, a, tree))
+        key = tuple(p.images for p in canonical_class(a).perms)
+        settled = classes.get(key)
+        if settled is None:
+            settled = classes[key] = _settle(fan, a, tree)
+        elif settled[2] != dim:
+            raise RuntimeError(
+                f"assignment {index}: dim {dim}, but its class was settled at dim {settled[2]}"
+            )
+    all_trivial, cert, dim_pl = settled
     return SweepRecord(
         index=index,
         branch_rays=system.branch_rays,
         profile=system.profile,
-        dim_pl=verdict.dim,
-        verdict="AllTrivial" if verdict.all_trivial else "Nontrivial",
-        cert=verdict.tag,
+        dim_pl=dim_pl,
+        verdict="AllTrivial" if all_trivial else "Nontrivial",
+        cert=cert,
         duration_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 
+# One sweep's fan, tree, degree and class memo; a forked worker inherits
+# the memo empty and fills its own copy.
 _WORKER_STATE: dict = {}
 
 
-def _sweep_chunk(bounds) -> list[str]:
+def _sweep_chunk(bounds) -> tuple[list[str], int]:
+    """The record lines of indices [lo, hi), and how many of them ran
+    `group_triviality` (each such record adds its class to the memo)."""
     fan = _WORKER_STATE["fan"]
     tree = _WORKER_STATE["tree"]
     d = _WORKER_STATE["degree"]
+    classes = _WORKER_STATE["classes"]
     lo, hi = bounds
-    return [evaluate_assignment(fan, tree, d, i).to_json() for i in range(lo, hi)]
+    known = len(classes)
+    lines = [evaluate_assignment(fan, tree, d, i, classes).to_json() for i in range(lo, hi)]
+    return lines, len(classes) - known
 
 
 @dataclass
 class SweepSummary:
+    """Verdict counts over the whole cache; `high_dim` (records of dim > 3)
+    and `solved` (of those, the ones that ran `group_triviality`) count
+    only the records this run computed."""
+
     total: int
     processed: int
     verdicts: dict
     nontrivial: list
     seconds: float
+    high_dim: int
+    solved: int
 
     def describe(self) -> str:
         lines = [
             f"assignments processed: {self.processed} / {self.total}",
             f"verdicts: "
             + ", ".join(f"{k}: {v}" for k, v in sorted(self.verdicts.items())),
+            f"dim > 3 records: {self.high_dim}, solved: {self.solved}, "
+            f"reused: {self.high_dim - self.solved}",
             f"nontrivial findings: {len(self.nontrivial)}",
         ]
         for rec in self.nontrivial:
@@ -223,6 +275,7 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
     t0 = time.perf_counter()
     out = open(cache_path, "a") if cache_path else None
     new_lines: list[str] = []
+    solved = 0
     try:
         if start < total:
             chunk = max(64, min(4096, (total - start) // max(1, jobs * 8) or 64))
@@ -231,24 +284,27 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
             ]
 
             def emit(chunks):
-                for lines in chunks:
+                nonlocal solved
+                for lines, fresh in chunks:
                     for line in lines:
                         if out:
                             out.write(line + "\n")
                         new_lines.append(line)
                     if out:
                         out.flush()
+                    solved += fresh
                     emitted = start + len(new_lines)
                     if echo and (emitted % 25000 < chunk):
                         echo(f"  ... {emitted}/{total}")
 
-            _WORKER_STATE.update(fan=fan, tree=tree, degree=d)
+            _WORKER_STATE.update(fan=fan, tree=tree, degree=d, classes={})
             if jobs <= 1:
                 emit(map(_sweep_chunk, bounds))
             else:
                 with multiprocessing.get_context("fork").Pool(jobs) as pool:
                     emit(pool.imap(_sweep_chunk, bounds))
     finally:
+        _WORKER_STATE.clear()
         if out:
             out.close()
 
@@ -260,7 +316,9 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
         verdicts[tag] = verdicts.get(tag, 0) + 1
         if rec["verdict"] == "Nontrivial":
             nontrivial.append(rec)
-    return SweepSummary(total, len(records), verdicts, nontrivial, time.perf_counter() - t0)
+    high_dim = sum(rec["dim_pl"] > 3 for rec in records[start:])
+    return SweepSummary(total, len(records), verdicts, nontrivial,
+                        time.perf_counter() - t0, high_dim, solved)
 
 
 def branch_census(fan) -> dict:
@@ -418,14 +476,22 @@ def pl_solve(source, cover_file, branch):
             raise click.ClickException(f"branch rays {rays}: {exc}")
     else:
         with open(cover_file) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise click.ClickException(f"{cover_file} is not JSON: {exc}")
+        if not isinstance(data, dict):
+            raise click.ClickException(f"{cover_file} does not hold a JSON object")
         if "monodromy" in data:
             try:
                 cover = build_cover(f, MonodromyAssignment.from_dict(data["monodromy"]))
             except ValueError as exc:
                 raise click.ClickException(f"invalid monodromy in {cover_file}: {exc}")
         else:
-            cover = cover_from_dict(f, data)
+            try:
+                cover = cover_from_dict(f, data)
+            except CoverError as exc:
+                raise click.ClickException(f"invalid cover in {cover_file}: {exc}")
             report = validate_cover(cover)
             if not report.ok:
                 raise click.ClickException(f"cover invalid: {report.describe()}")

@@ -70,8 +70,11 @@ class CoverPoset:
         self.cells: tuple[CoverCell, ...] = tuple(cells[i] for i in order)
         n = len(self.cells)
         below = [set() for _ in range(n)]
-        for lo, hi in strict_pairs:
-            below[remap[hi]].add(remap[lo])
+        try:
+            for lo, hi in strict_pairs:
+                below[remap[hi]].add(remap[lo])
+        except (KeyError, TypeError, ValueError):
+            raise CoverError("each face is a pair [lower, upper] of cell positions")
         if not _closed:
             below = _transitive_closure(below)
         self.below: tuple[frozenset, ...] = tuple(frozenset(b) for b in below)
@@ -467,8 +470,13 @@ def cover_to_dict(cover: CoverPoset) -> dict:
 
 
 def cover_from_dict(fan: Fan, data: dict) -> CoverPoset:
-    cells = [
-        CoverCell(d["base"], d["copy"], d["weight"]) for d in data["cells"]
-    ]
-    pairs = [tuple(p) for p in data.get("faces", ())]
-    return CoverPoset(fan, cells, pairs)
+    try:
+        cells = [
+            CoverCell(d["base"], d["copy"], d["weight"]) for d in data["cells"]
+        ]
+    except (KeyError, TypeError):
+        raise CoverError("a cover needs 'cells', each an object with 'base', 'copy' and 'weight'")
+    bad = [c.base for c in cells if c.base not in range(len(fan.cones))]
+    if bad:
+        raise CoverError(f"cell base {bad[0]!r} is not a cone id of the fan")
+    return CoverPoset(fan, cells, data.get("faces", ()))

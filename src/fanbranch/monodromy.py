@@ -161,7 +161,12 @@ class MonodromyAssignment:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonodromyAssignment":
-        return cls(data["degree"], tuple(Permutation(p) for p in data["perms"]))
+        try:
+            return cls(data["degree"], tuple(Permutation(p) for p in data["perms"]))
+        except (KeyError, TypeError):
+            raise ValueError(
+                "a monodromy is an object with 'degree' and 'perms', a list of permutation images"
+            )
 
 
 def count_assignments(fan: Fan, d: int) -> int:

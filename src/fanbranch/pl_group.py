@@ -105,17 +105,13 @@ def _max_cell_geometry(cover: CoverPoset):
 class PLFunction:
     """A piecewise-linear function: one ambient functional per maximal cell."""
 
-    def __init__(self, cover: CoverPoset, cell_values, check: bool = True,
-                 _ray_values=None):
+    def __init__(self, cover: CoverPoset, cell_values, check: bool = True):
         self.cover = cover
         self.cell_values = {
             m: tuple(Fraction(x) for x in u) for m, u in cell_values.items()
         }
         if set(self.cell_values) != set(cover.max_cells):
             raise PLError("need exactly one functional per maximal cell")
-        if _ray_values is not None and not check:
-            self.ray_values = _ray_values
-            return
         self.ray_values: dict[int, Fraction] = {}
         fan = cover.fan
         for m, pos, rcells in _max_cell_geometry(cover):
@@ -130,31 +126,37 @@ class PLFunction:
                         )
                 self.ray_values[rc] = val
 
+    @classmethod
+    def _exact(cls, cover: CoverPoset, cell_values: dict, ray_values: dict) -> "PLFunction":
+        """A function from `Fraction` tuples on every maximal cell and the
+        ray-cell values they take, used as given: no coercion, no check."""
+        plf = cls.__new__(cls)
+        plf.cover = cover
+        plf.cell_values = cell_values
+        plf.ray_values = ray_values
+        return plf
+
     def z_vector(self) -> tuple[Fraction, ...]:
         return tuple(self.ray_values[r] for r in self.cover.ray_cells)
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
         if other.cover is not self.cover:
             raise PLError("cannot add functions on different covers")
-        return PLFunction(
+        return PLFunction._exact(
             self.cover,
             {
                 m: tuple(a + b for a, b in zip(self.cell_values[m], other.cell_values[m]))
                 for m in self.cell_values
             },
-            check=False,
-            _ray_values={
-                r: a + other.ray_values[r] for r, a in self.ray_values.items()
-            },
+            {r: a + other.ray_values[r] for r, a in self.ray_values.items()},
         )
 
     def scale(self, c) -> "PLFunction":
         c = Fraction(c)
-        return PLFunction(
+        return PLFunction._exact(
             self.cover,
             {m: tuple(c * x for x in u) for m, u in self.cell_values.items()},
-            check=False,
-            _ray_values={r: c * a for r, a in self.ray_values.items()},
+            {r: c * a for r, a in self.ray_values.items()},
         )
 
     def to_dict(self) -> dict:
@@ -331,7 +333,7 @@ def _pullback_z(cover: CoverPoset, coordinate: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _lift_z_to_function(cover: CoverPoset, z, check: bool = False) -> PLFunction:
+def _lift_z_to_function(cover: CoverPoset, z) -> PLFunction:
     """Recover per-cell functionals from consistent ray-cell values."""
     fan = cover.fan
     zindex = {r: i for i, r in enumerate(cover.ray_cells)}
@@ -342,10 +344,8 @@ def _lift_z_to_function(cover: CoverPoset, z, check: bool = False) -> PLFunction
         values[m] = tuple(
             Fraction(sum(a * b for a, b in zip(row, rhs)), den) for row in scaled
         )
-    if check:
-        return PLFunction(cover, values, check=True)
     ray_values = {r: Fraction(z[i]) for i, r in enumerate(cover.ray_cells)}
-    return PLFunction(cover, values, check=False, _ray_values=ray_values)
+    return PLFunction._exact(cover, values, ray_values)
 
 
 @dataclass

@@ -1,0 +1,134 @@
+"""Sweep records reused across a conjugacy class of assignments.
+
+Within one sweep, a dim > 3 record takes the verdict of an earlier record of
+its class (simultaneous conjugates give isomorphic covers).  The digest pins
+the full eikelberg degree-3 cache as the sweep wrote it when every record
+was solved.
+"""
+
+import hashlib
+import json
+from functools import lru_cache
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from fanbranch import cli
+from fanbranch.cli import evaluate_assignment, main
+from fanbranch.fan_core import load_fan
+from fanbranch.monodromy import (
+    MonodromyAssignment,
+    Permutation,
+    all_permutations,
+    assignment_at,
+    canonical_class,
+    count_assignments,
+    spanning_tree,
+)
+
+EIKELBERG_DEG3_CACHE_SHA256 = "536b3f7efd36972ef2b49d3f278a06b97fa13243777a84e8287e434ca25d7779"
+EIKELBERG_DEG3_HIGH_DIM = 1840
+
+
+@lru_cache(maxsize=None)
+def _fan(name):
+    fan = load_fan(name)
+    return fan, spanning_tree(fan)
+
+
+def _sweep(cache, jobs, *extra):
+    result = CliRunner().invoke(
+        main,
+        ["pl", "sweep", "eikelberg", "-d", "3", "--jobs", str(jobs), "--cache", str(cache),
+         *extra],
+    )
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+def _class_line(output) -> tuple[int, int, int]:
+    line = next(x for x in output.splitlines() if x.startswith("dim > 3 records: "))
+    fields = dict(part.split(": ") for part in line.split(", "))
+    return (int(fields["dim > 3 records"]), int(fields["solved"]), int(fields["reused"]))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_eikelberg_degree3_cache_pinned(tmp_path, jobs):
+    """The reused records leave the cache byte for byte as it was; each
+    worker solves each class of its dim > 3 records once, and the counts
+    reach stdout only."""
+    cache = tmp_path / "eik3.jsonl"
+    output = _sweep(cache, jobs)
+    data = cache.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == EIKELBERG_DEG3_CACHE_SHA256
+    assert b"solved" not in data and b"reused" not in data
+    assert not cli._WORKER_STATE
+    fan, tree = _fan("eikelberg")
+    classes = {
+        tuple(p.images for p in canonical_class(assignment_at(fan, 3, rec["index"], tree)).perms)
+        for rec in map(json.loads, data.decode().splitlines())
+        if rec["dim_pl"] > 3
+    }
+    high_dim, solved, reused = _class_line(output)
+    assert high_dim == EIKELBERG_DEG3_HIGH_DIM and solved + reused == high_dim
+    if jobs == 1:
+        assert solved == len(classes)
+    else:
+        assert len(classes) <= solved <= jobs * len(classes)
+
+
+def test_resume_starts_a_fresh_memo(tmp_path):
+    """A resumed sweep counts only its own records and writes the same bytes."""
+    cache = tmp_path / "eik3.jsonl"
+    _sweep(cache, 2)
+    data = cache.read_bytes()
+    lines = data.split(b"\n")
+    cut = sum(len(x) + 1 for x in lines[:5000])
+    cache.write_bytes(data[:cut])
+    high_dim_left = sum(json.loads(x)["dim_pl"] > 3 for x in lines[5000:] if x)
+    output = _sweep(cache, 2, "--resume")
+    assert cache.read_bytes() == data
+    assert _class_line(output)[0] == high_dim_left
+
+
+def test_memo_dimension_mismatch_raises():
+    fan, tree = _fan("eikelberg")
+    classes: dict = {}
+    index = next(
+        i for i in range(count_assignments(fan, 3))
+        if evaluate_assignment(fan, tree, 3, i, classes).dim_pl > 3
+    )
+    (key, (all_trivial, cert, dim)), = classes.items()
+    classes[key] = (all_trivial, cert, dim + 1)
+    with pytest.raises(RuntimeError, match="its class was settled at dim"):
+        evaluate_assignment(fan, tree, 3, index, classes)
+
+
+def _index_of(a: MonodromyAssignment) -> int:
+    position = {p.images: k for k, p in enumerate(all_permutations(a.degree))}
+    index = 0
+    for p in a.perms:
+        index = index * len(position) + position[p.images]
+    return index
+
+
+@pytest.mark.parametrize("name, d", [("fulton", 2), ("eikelberg", 3)])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_conjugate_records_agree_but_for_index(name, d, data):
+    """Without a memo, the records of a and of a^g agree on every field but
+    `index`: the invariance the memo rests on."""
+    fan, tree = _fan(name)
+    index = data.draw(st.integers(0, count_assignments(fan, d) - 1), label="index")
+    g = Permutation(data.draw(st.permutations(range(d)), label="g"))
+    a = assignment_at(fan, d, index, tree)
+    conjugate = MonodromyAssignment(d, tuple(p.conjugate(g) for p in a.perms))
+    other = _index_of(conjugate)
+    assert assignment_at(fan, d, other, tree) == conjugate
+    mine = json.loads(evaluate_assignment(fan, tree, d, index).to_json())
+    theirs = json.loads(evaluate_assignment(fan, tree, d, other).to_json())
+    event(f"dim {mine['dim_pl']}")
+    assert mine.pop("index") == index and theirs.pop("index") == other
+    assert mine == theirs

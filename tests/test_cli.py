@@ -145,6 +145,38 @@ def test_solve_input_refused_in_one_line(runner, tmp_path, args, perms, message)
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"fan": "fulton", "monodromy": {"degree": 2}}',
+         "invalid monodromy in cover.json: a monodromy is an object with 'degree' and 'perms'"),
+        ('{"fan": "fulton", "monodromy": {"perms": [[1, 0]]}}',
+         "invalid monodromy in cover.json: a monodromy is an object with 'degree' and 'perms'"),
+        ('{"fan": "fulton", "cells": [{"base": 0, "weight": 1}]}',
+         "invalid cover in cover.json: a cover needs 'cells', each an object with 'base', 'copy'"),
+        ('{"fan": "fulton", "cells": [{"base": 999, "copy": 0, "weight": 1}]}',
+         "invalid cover in cover.json: cell base 999 is not a cone id of the fan"),
+        ('{"fan": "fulton", "cells": [{"base": 0, "copy": 0, "weight": 1}], "faces": [[0, 5]]}',
+         "invalid cover in cover.json: each face is a pair [lower, upper] of cell positions"),
+        ('{"fan": "fulton", "cells": [{"base": 0, "copy": 0, "weight": 1}], "faces": [5]}',
+         "invalid cover in cover.json: each face is a pair [lower, upper] of cell positions"),
+        ("not json {", "cover.json is not JSON: Expecting value: line 1 column 1"),
+        ("[1, 2]", "cover.json does not hold a JSON object"),
+    ],
+    ids=["no-perms", "no-degree", "no-copy", "base-out-of-range", "face-out-of-range",
+         "face-not-a-pair", "not-json", "not-an-object"],
+)
+def test_malformed_cover_file_refused_in_one_line(runner, tmp_path, monkeypatch,
+                                                  content, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cover.json").write_text(content)
+    result = runner.invoke(main, ["pl", "solve", "fulton", "--cover", "cover.json"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.count("\n") == 1
+    assert result.output.startswith("Error: ") and message in result.output
+
+
+@pytest.mark.parametrize(
     "command",
     [["pl", "sweep", "fulton", "-d", "2"], ["paper", "reproduce", "p2-tangent"]],
 )

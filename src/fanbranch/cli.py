@@ -17,7 +17,8 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain
 
 import click
 
@@ -42,7 +43,7 @@ from .monodromy import (
     assignment_at,
     assignment_for_branch_set,
     build_cover,
-    canonical_class,
+    class_representatives,
     count_assignments,
     ray_value_rows,
     spanning_tree,
@@ -90,7 +91,6 @@ class SweepRecord:
     dim_pl: int
     verdict: str
     cert: str
-    duration_ms: float = 0.0  # in-memory only, never serialized
 
     def to_json(self) -> str:
         return json.dumps(
@@ -107,15 +107,7 @@ class SweepRecord:
         )
 
 
-def _settle(fan, a, tree) -> tuple[bool, str, int]:
-    """(all trivial, certificate tag, dim) of the cover of `a`, from
-    `group_triviality`."""
-    verdict = group_triviality(build_cover(fan, a, tree))
-    return verdict.all_trivial, verdict.tag, verdict.dim
-
-
-def evaluate_assignment(fan, tree, d: int, index: int,
-                        classes: dict | None = None) -> SweepRecord:
+def evaluate_assignment(fan, tree, d: int, index: int) -> SweepRecord:
     """One sweep record, rank first.
 
     The values-at-rays system is read straight off the monodromy
@@ -123,79 +115,58 @@ def evaluate_assignment(fan, tree, d: int, index: int,
     Its corank is the PL dimension; at 3, the pullbacks-only record needs
     no cover, no kernel and no lift.  Only a larger dimension builds the
     cover and runs `group_triviality` on it.
-
-    `classes` is a sweep's memo of those dim > 3 verdicts, keyed by the
-    assignment's conjugacy class (`canonical_class`, as permutation images)
-    and holding only (all trivial, certificate tag, dim).  A record whose
-    class is in it takes the stored verdict instead of solving; the stored
-    dim must equal the record's own corank, or RuntimeError is raised.
-    Without `classes` every dim > 3 record is solved.
-
-    Why a class shares its verdict: conjugating every permutation by one
-    g in S_d relabels the sheets, sheet s becoming g(s), so the covers of
-    a and a^g are isomorphic over the fan, cell for cell with the same base
-    cone and weight.  The isomorphism carries PL functions to PL functions
-    with the same functional on corresponding cells, hence the same
-    multiset over every cone.  It therefore preserves the PL dimension,
-    the wedge summands with their dimensions, and whether every PL function
-    is trivial, which are what the ladder's rungs decide on (see
-    `group_triviality`): the verdict and its tag are invariants.  So are
-    the branch rays and the profile, the orbit lengths of each ray's
-    monodromy, and thus every record field except `index`; the record
-    still reads those off its own system.
     """
-    started = time.perf_counter()
     a = assignment_at(fan, d, index, tree)
     system = ray_value_rows(fan, a, tree)
     dim = pl_dimension(fan, system.rows, system.ncols)
     if dim == 3:
-        settled = (True, "pullbacks-only", dim)
-    elif classes is None:
-        settled = _settle(fan, a, tree)
+        all_trivial, cert = True, "pullbacks-only"
     else:
-        key = tuple(p.images for p in canonical_class(a).perms)
-        settled = classes.get(key)
-        if settled is None:
-            settled = classes[key] = _settle(fan, a, tree)
-        elif settled[2] != dim:
-            raise RuntimeError(
-                f"assignment {index}: dim {dim}, but its class was settled at dim {settled[2]}"
-            )
-    all_trivial, cert, dim_pl = settled
+        verdict = group_triviality(build_cover(fan, a, tree))
+        all_trivial, cert, dim = verdict.all_trivial, verdict.tag, verdict.dim
     return SweepRecord(
         index=index,
         branch_rays=system.branch_rays,
         profile=system.profile,
-        dim_pl=dim_pl,
+        dim_pl=dim,
         verdict="AllTrivial" if all_trivial else "Nontrivial",
         cert=cert,
-        duration_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 
-# One sweep's fan, tree, degree and class memo; a forked worker inherits
-# the memo empty and fills its own copy.
+def _summary_tag(verdict: str, cert: str) -> str:
+    """The key a record is counted under in the summary's verdicts line."""
+    return f"{verdict}({cert})" if verdict == "AllTrivial" else verdict
+
+
+# One sweep's fan, tree and degree; forked workers inherit them.
 _WORKER_STATE: dict = {}
 
+_INDEX_KEY = '"index":'
 
-def _sweep_chunk(bounds) -> tuple[list[str], int]:
-    """The record lines of indices [lo, hi), and how many of them ran
-    `group_triviality` (each such record adds its class to the memo)."""
+
+def _sweep_chunk(reps: list[int]) -> list[tuple[str, str, str, bool]]:
+    """For each class representative, its record line cut around the index
+    value (the line of any index of the class is head + index + tail), its
+    summary tag, and whether its dimension exceeds 3."""
     fan = _WORKER_STATE["fan"]
     tree = _WORKER_STATE["tree"]
     d = _WORKER_STATE["degree"]
-    classes = _WORKER_STATE["classes"]
-    lo, hi = bounds
-    known = len(classes)
-    lines = [evaluate_assignment(fan, tree, d, i, classes).to_json() for i in range(lo, hi)]
-    return lines, len(classes) - known
+    out = []
+    for r in reps:
+        rec = evaluate_assignment(fan, tree, d, r)
+        line = rec.to_json()
+        cut = line.index(_INDEX_KEY) + len(_INDEX_KEY)
+        out.append((line[:cut], line[cut + len(str(r)):] + "\n",
+                    _summary_tag(rec.verdict, rec.cert), rec.dim_pl > 3))
+    return out
 
 
 @dataclass
 class SweepSummary:
-    """Verdict counts over the whole cache; `high_dim` (records of dim > 3)
-    and `solved` (of those, the ones that ran `group_triviality`) count
-    only the records this run computed."""
+    """Verdict counts over the whole cache; `high_dim` counts the records of
+    dim > 3 that this run wrote, `solved` the classes of dim > 3 that it
+    evaluated."""
 
     total: int
     processed: int
@@ -222,17 +193,26 @@ class SweepSummary:
         return "\n".join(lines)
 
 
-def _read_cache_prefix(path: str, total: int, echo=None) -> list[str]:
-    """Existing cache lines; refuses anything but a clean index prefix.
+_RECORD_FIELDS = {f.name for f in fields(SweepRecord)}
+
+
+def _read_cache_prefix(path: str, total: int, echo=None) -> tuple[int, dict, list]:
+    """(records, verdict counts, nontrivial records) of an existing cache;
+    refuses anything but a clean index prefix of whole records.
 
     An unterminated last line is what a kill mid-write leaves behind: it is
     dropped, and once the rest has passed, the file is truncated to its last
-    newline so that the resumed sweep appends after whole records only.
+    newline so that the resumed sweep appends after whole records only.  A
+    record missing a field is refused once every line has passed the index
+    checks.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     whole = data.rfind(b"\n") + 1
-    lines = []
+    count = 0
+    verdicts: dict = {}
+    nontrivial = []
+    incomplete = None
     for lineno, raw in enumerate(data[:whole].decode(errors="replace").split("\n")):
         if not raw:
             continue
@@ -243,81 +223,118 @@ def _read_cache_prefix(path: str, total: int, echo=None) -> list[str]:
             raise click.ClickException(
                 f"cache corruption at line {lineno + 1}; refusing to resume"
             )
-        if idx != len(lines) or idx >= total:
+        if idx != count or idx >= total:
             raise click.ClickException(
                 f"cache is not a clean index prefix at line {lineno + 1}; refusing to resume"
             )
-        lines.append(raw)
+        count += 1
+        if not _RECORD_FIELDS <= rec.keys():
+            incomplete = incomplete or lineno + 1
+            continue
+        tag = _summary_tag(rec["verdict"], rec["cert"])
+        verdicts[tag] = verdicts.get(tag, 0) + 1
+        if rec["verdict"] == "Nontrivial":
+            nontrivial.append(rec)
+    if incomplete:
+        raise click.ClickException(
+            f"cache corruption at line {incomplete}; refusing to resume"
+        )
     if whole < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(whole)
         if echo:
             echo(f"dropped an unterminated last line of {len(data) - whole} bytes")
-    return lines
+    return count, verdicts, nontrivial
+
+
+_FLUSH_EVERY = 4096
 
 
 def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
               resume: bool = False, echo=None) -> SweepSummary:
-    """Sweep every assignment; returns the summary recomputed from records."""
+    """Sweep every assignment, evaluating one record per conjugacy class.
+
+    Why a class shares its record: conjugating every permutation by one
+    g in S_d relabels the sheets, sheet s becoming g(s), so the covers of
+    a and a^g are isomorphic over the fan, cell for cell with the same base
+    cone and weight.  The isomorphism carries PL functions to PL functions
+    with the same functional on corresponding cells, hence the same
+    multiset over every cone.  It therefore preserves the PL dimension,
+    the wedge summands with their dimensions, and whether every PL function
+    is trivial, which are what the ladder's rungs decide on (see
+    `group_triviality`): the verdict and its tag are invariants.  So are
+    the branch rays and the profile, the orbit lengths of each ray's
+    monodromy, and thus every record field except `index`.
+
+    `class_representatives` gives each index the smallest index of its
+    class.  The workers evaluate the representatives the run needs in
+    increasing order; the parent walks the indices upward and writes each
+    one's record from its representative's, with the index filled in.  A
+    representative is never larger than the indices of its class, so
+    without a resume point each one is evaluated by the time its class is
+    first met.  Representatives below a resume point are evaluated again,
+    not read from the cache.
+    """
     tree = spanning_tree(fan)
     total = count_assignments(fan, d)
-    done: list[str] = []
+    start, verdicts, nontrivial = 0, {}, []
     if cache_path and resume and os.path.exists(cache_path):
-        done = _read_cache_prefix(cache_path, total, echo)
+        start, verdicts, nontrivial = _read_cache_prefix(cache_path, total, echo)
         if echo:
-            echo(f"resuming: {len(done)} records already cached")
+            echo(f"resuming: {start} records already cached")
     elif cache_path and not resume and os.path.exists(cache_path):
         raise click.ClickException(
             f"cache file {cache_path} exists; pass --resume to continue it"
         )
 
-    start = len(done)
     t0 = time.perf_counter()
     out = open(cache_path, "a") if cache_path else None
-    new_lines: list[str] = []
-    solved = 0
+    high_dim = solved = 0
     try:
         if start < total:
-            chunk = max(64, min(4096, (total - start) // max(1, jobs * 8) or 64))
-            bounds = [
-                (lo, min(lo + chunk, total)) for lo in range(start, total, chunk)
-            ]
+            rep = class_representatives(d, tree.generators)
+            needed = sorted(set(rep[start:]))
+            chunk = max(64, min(4096, len(needed) // (jobs * 8) or 64))
+            chunks = [needed[k:k + chunk] for k in range(0, len(needed), chunk)]
 
-            def emit(chunks):
-                nonlocal solved
-                for lines, fresh in chunks:
-                    for line in lines:
-                        if out:
-                            out.write(line + "\n")
-                        new_lines.append(line)
+            def walk(chunk_results):
+                nonlocal high_dim, solved
+                pending = zip(needed, chain.from_iterable(chunk_results))
+                settled: dict = {}
+                for index in range(start, total):
+                    r = rep[index]
+                    if r not in settled:
+                        for got, entry in pending:
+                            settled[got] = entry
+                            solved += entry[3]
+                            if got == r:
+                                break
+                    head, tail, tag, high = settled[r]
+                    line = head + str(index) + tail
                     if out:
+                        out.write(line)
+                    verdicts[tag] = verdicts.get(tag, 0) + 1
+                    high_dim += high
+                    if tag == "Nontrivial":
+                        nontrivial.append(json.loads(line))
+                    emitted = index + 1
+                    if out and emitted % _FLUSH_EVERY == 0:
                         out.flush()
-                    solved += fresh
-                    emitted = start + len(new_lines)
-                    if echo and (emitted % 25000 < chunk):
+                    if echo and emitted % 25000 == 0:
                         echo(f"  ... {emitted}/{total}")
 
-            _WORKER_STATE.update(fan=fan, tree=tree, degree=d, classes={})
+            _WORKER_STATE.update(fan=fan, tree=tree, degree=d)
             if jobs <= 1:
-                emit(map(_sweep_chunk, bounds))
+                walk(map(_sweep_chunk, chunks))
             else:
                 with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                    emit(pool.imap(_sweep_chunk, bounds))
+                    walk(pool.imap(_sweep_chunk, chunks))
     finally:
         _WORKER_STATE.clear()
         if out:
             out.close()
 
-    records = [json.loads(x) for x in done + new_lines]
-    verdicts: dict = {}
-    nontrivial = []
-    for rec in records:
-        tag = f"{rec['verdict']}({rec['cert']})" if rec["verdict"] == "AllTrivial" else rec["verdict"]
-        verdicts[tag] = verdicts.get(tag, 0) + 1
-        if rec["verdict"] == "Nontrivial":
-            nontrivial.append(rec)
-    high_dim = sum(rec["dim_pl"] > 3 for rec in records[start:])
-    return SweepSummary(total, len(records), verdicts, nontrivial,
+    return SweepSummary(total, total, verdicts, nontrivial,
                         time.perf_counter() - t0, high_dim, solved)
 
 
@@ -407,12 +424,8 @@ def covers_enumerate(source, degree, classes, branch_report):
     total = count_assignments(f, degree)
     click.echo(f"assignments: {total}")
     if classes:
-        tree = spanning_tree(f)
-        seen = set()
-        for i in range(total):
-            a = assignment_at(f, degree, i, tree)
-            seen.add(tuple(p.images for p in canonical_class(a).perms))
-        click.echo(f"conjugacy classes: {len(seen)}")
+        reps = class_representatives(degree, spanning_tree(f).generators)
+        click.echo(f"conjugacy classes: {sum(r == i for i, r in enumerate(reps))}")
     if branch_report:
         if degree != 2:
             raise click.ClickException("--branch-report is defined for degree 2")

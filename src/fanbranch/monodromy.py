@@ -10,6 +10,7 @@ canonicalizes assignments under conjugation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as iter_permutations
@@ -465,6 +466,38 @@ def canonical_class(assignment: MonodromyAssignment) -> MonodromyAssignment:
         if best is None or candidate < best:
             best = candidate
     return MonodromyAssignment(d, tuple(Permutation(p) for p in best or ()))
+
+
+def class_representatives(d: int, generators: int) -> array:
+    """For each assignment index (as in `assignment_at`, for a tree with
+    `generators` generators), the smallest index of its conjugacy class.
+
+    Conjugation acts digit by digit on the mixed-radix index, and the digits
+    are ranks in `all_permutations(d)`, which is lexicographic; so the
+    assignment at the smallest index of a class is its `canonical_class`.
+    The table is filled by walking the indices upward: each one not yet
+    marked is the smallest of its class and marks its d! conjugates.
+    """
+    perms = all_permutations(d)
+    rank = {p.images: k for k, p in enumerate(perms)}
+    conjugation = [[rank[p.conjugate(g).images] for p in perms] for g in perms]
+    base = len(perms)
+    rep = array("q", [-1]) * base ** generators
+    for index in range(len(rep)):
+        if rep[index] >= 0:
+            continue
+        digits = []
+        rest = index
+        for _ in range(generators):
+            rest, r = divmod(rest, base)
+            digits.append(r)
+        digits.reverse()
+        for row in conjugation:
+            other = 0
+            for r in digits:
+                other = other * base + row[r]
+            rep[other] = index
+    return rep
 
 
 def assignment_for_branch_set(fan: Fan, rays: list[int],

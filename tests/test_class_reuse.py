@@ -1,13 +1,14 @@
-"""Sweep records reused across a conjugacy class of assignments.
+"""Sweep records shared across a conjugacy class of assignments.
 
-Within one sweep, a dim > 3 record takes the verdict of an earlier record of
-its class (simultaneous conjugates give isomorphic covers).  The digest pins
-the full eikelberg degree-3 cache as the sweep wrote it when every record
-was solved.
+A sweep evaluates one record per class, at the class's smallest index, and
+writes it for every index of the class (simultaneous conjugates give
+isomorphic covers).  The digest pins the full eikelberg degree-3 cache as
+the sweep wrote it when every record was solved.
 """
 
 import hashlib
 import json
+import multiprocessing
 from functools import lru_cache
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fanbranch import cli
-from fanbranch.cli import evaluate_assignment, main
+from fanbranch.cli import evaluate_assignment, main, run_sweep
 from fanbranch.fan_core import load_fan
 from fanbranch.monodromy import (
     MonodromyAssignment,
@@ -24,6 +25,7 @@ from fanbranch.monodromy import (
     all_permutations,
     assignment_at,
     canonical_class,
+    class_representatives,
     count_assignments,
     spanning_tree,
 )
@@ -56,8 +58,8 @@ def _class_line(output) -> tuple[int, int, int]:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_eikelberg_degree3_cache_pinned(tmp_path, jobs):
-    """The reused records leave the cache byte for byte as it was; each
-    worker solves each class of its dim > 3 records once, and the counts
+    """The shared records leave the cache byte for byte as it was; each
+    class of dim > 3 records is solved once at any --jobs, and the counts
     reach stdout only."""
     cache = tmp_path / "eik3.jsonl"
     output = _sweep(cache, jobs)
@@ -73,10 +75,7 @@ def test_eikelberg_degree3_cache_pinned(tmp_path, jobs):
     }
     high_dim, solved, reused = _class_line(output)
     assert high_dim == EIKELBERG_DEG3_HIGH_DIM and solved + reused == high_dim
-    if jobs == 1:
-        assert solved == len(classes)
-    else:
-        assert len(classes) <= solved <= jobs * len(classes)
+    assert solved == len(classes) == 333
 
 
 def test_resume_starts_a_fresh_memo(tmp_path):
@@ -93,17 +92,55 @@ def test_resume_starts_a_fresh_memo(tmp_path):
     assert _class_line(output)[0] == high_dim_left
 
 
-def test_memo_dimension_mismatch_raises():
-    fan, tree = _fan("eikelberg")
-    classes: dict = {}
-    index = next(
-        i for i in range(count_assignments(fan, 3))
-        if evaluate_assignment(fan, tree, 3, i, classes).dim_pl > 3
-    )
-    (key, (all_trivial, cert, dim)), = classes.items()
-    classes[key] = (all_trivial, cert, dim + 1)
-    with pytest.raises(RuntimeError, match="its class was settled at dim"):
-        evaluate_assignment(fan, tree, 3, index, classes)
+def _summary(output) -> list[str]:
+    """The summary lines that hold counts over the whole cache."""
+    return [x for x in output.splitlines()
+            if x.startswith(("assignments processed", "verdicts:", "nontrivial findings", "  index "))]
+
+
+def test_resume_at_an_index_whose_representative_is_cached(tmp_path):
+    """A cut above its own class's representative re-evaluates that
+    representative: the bytes, the dim > 3 counts and the summary over the
+    whole cache come out as in a fresh sweep."""
+    fresh_cache = tmp_path / "fresh.jsonl"
+    fresh = _sweep(fresh_cache, 2)
+    data = fresh_cache.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == EIKELBERG_DEG3_CACHE_SHA256
+    records = [json.loads(x) for x in data.decode().splitlines()]
+    _, tree = _fan("eikelberg")
+    rep = class_representatives(3, tree.generators)
+    cut = next(i for i in range(len(records) // 2, len(records))
+               if rep[i] < i and records[i]["dim_pl"] > 3)
+    cache = tmp_path / "resumed.jsonl"
+    whole = sum(len(x) + 1 for x in data.split(b"\n")[:cut])
+    cache.write_bytes(data[:whole + 25])  # torn 25 bytes into record `cut`
+    resumed = _sweep(cache, 2, "--resume")
+    assert f"resuming: {cut} records already cached" in resumed
+    assert cache.read_bytes() == data
+    left = [rec["index"] for rec in records[cut:] if rec["dim_pl"] > 3]
+    classes_left = len({rep[i] for i in left})
+    assert _class_line(resumed) == (len(left), classes_left, len(left) - classes_left)
+    assert _summary(resumed) == _summary(fresh)
+    assert len(_summary(fresh)) == 3 + 648
+
+
+@pytest.mark.parametrize("name, d", [("fulton", 2), ("eikelberg", 3)])
+def test_class_indexed_cache_equals_per_index_records(tmp_path, name, d):
+    """Every line the sweep writes from its class's record is the line
+    `evaluate_assignment` gives for that index on its own."""
+    fan, _ = _fan(name)
+    cache = tmp_path / "sweep.jsonl"
+    run_sweep(fan, d, jobs=2, cache_path=str(cache))
+    cases = [(name, d, i) for i in range(count_assignments(fan, d))]
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        reference = pool.map(_per_index_line, cases, chunksize=256)
+    assert cache.read_text() == "".join(reference)
+
+
+def _per_index_line(case) -> str:
+    name, d, index = case
+    fan, tree = _fan(name)
+    return evaluate_assignment(fan, tree, d, index).to_json() + "\n"
 
 
 def _index_of(a: MonodromyAssignment) -> int:
@@ -118,8 +155,8 @@ def _index_of(a: MonodromyAssignment) -> int:
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_conjugate_records_agree_but_for_index(name, d, data):
-    """Without a memo, the records of a and of a^g agree on every field but
-    `index`: the invariance the memo rests on."""
+    """The records of a and of a^g agree on every field but `index`: the
+    invariance that sharing a record across a class rests on."""
     fan, tree = _fan(name)
     index = data.draw(st.integers(0, count_assignments(fan, d) - 1), label="index")
     g = Permutation(data.draw(st.permutations(range(d)), label="g"))

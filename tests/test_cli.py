@@ -58,6 +58,11 @@ class TestEnumerate:
         assert "admissible branch sets (nonempty, no wall pair): 18" in result.output
         assert "orbit sizes under fan symmetries: 4 / 12 / 2" in result.output
 
+    def test_sigma_prime_degree3_classes(self, runner):
+        result = runner.invoke(main, ["covers", "enumerate", "sigma_prime", "-d", "3", "--classes"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "assignments: 279936\nconjugacy classes: 47449\n"
+
     def test_degree_one(self, runner):
         result = runner.invoke(main, ["covers", "enumerate", "eikelberg", "-d", "1"])
         assert result.exit_code == 0
@@ -267,6 +272,23 @@ class TestSweep:
         assert "cache corruption at line 2" in result.output
         assert bad.read_bytes() == content
 
+    def test_record_missing_a_field_refused_untouched(self, fulton, tmp_path, runner):
+        full = tmp_path / "full.jsonl"
+        run_sweep(fulton, 2, jobs=1, cache_path=str(full))
+        lines = full.read_text().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        del record["cert"]
+        bad = tmp_path / "bad.jsonl"
+        content = "".join(lines[:3]) + json.dumps(record) + "\n" + lines[4][:20]
+        bad.write_text(content)
+        result = runner.invoke(
+            main,
+            ["pl", "sweep", "fulton", "-d", "2", "--cache", str(bad), "--resume"],
+        )
+        assert result.exit_code == 1
+        assert "cache corruption at line 4" in result.output
+        assert bad.read_text() == content
+
     def test_non_prefix_cache_refused(self, fulton, tmp_path, runner):
         bad = tmp_path / "gap.jsonl"
         rec = evaluate_assignment(fulton, spanning_tree(fulton), 2, 5).to_json()
@@ -306,7 +328,6 @@ class TestSweep:
         data = json.loads(rec.to_json())
         assert set(data) == {"index", "branch_rays", "profile", "dim_pl", "verdict", "cert"}
         assert data["index"] == 0
-        assert rec.duration_ms >= 0
 
 
 class TestBundleCommands:

@@ -21,6 +21,7 @@ from fanbranch.monodromy import (
     branch_rays,
     build_cover,
     canonical_class,
+    class_representatives,
     count_assignments,
     enumerate_assignments,
     ray_monodromy,
@@ -256,6 +257,18 @@ class TestCanonicalClass:
             ca = build_cover(sigma_prime, a, tree)
             cb = build_cover(sigma_prime, b, tree)
             assert are_isomorphic(ca, cb)
+
+    @pytest.mark.parametrize("name, d, step", [
+        ("fulton", 2, 1), ("eikelberg", 3, 1), ("sigma_prime", 3, 97),
+    ])
+    def test_class_representatives_are_canonical_classes(self, name, d, step):
+        fan = load_fan(name)
+        tree = spanning_tree(fan)
+        rep = class_representatives(d, tree.generators)
+        assert len(rep) == count_assignments(fan, d)
+        for i in range(0, len(rep), step):
+            canon = canonical_class(assignment_at(fan, d, i, tree))
+            assert assignment_at(fan, d, rep[i], tree) == canon
 
     def test_sheet_components(self):
         ident = Permutation.identity(3)

@@ -113,10 +113,10 @@ def test_worker_error_leaves_clean_prefix_and_closed_pool(tmp_path, monkeypatch)
     the caller, the pool is gone, the cache holds whole records in index
     order, and a resume finishes it to the pinned bytes."""
 
-    def fail_at_100(fan, tree, d, index, classes=None):
+    def fail_at_100(fan, tree, d, index):
         if index == 100:
             raise RuntimeError("record 100 failed")
-        return evaluate_assignment(fan, tree, d, index, classes)
+        return evaluate_assignment(fan, tree, d, index)
 
     fan = load_fan("fulton")
     cache = tmp_path / "fulton2.jsonl"

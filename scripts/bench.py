@@ -171,8 +171,7 @@ def main() -> None:
                   f"{runs['change'][-1]['rate_per_s']:.4g}", file=sys.stderr)
         report["perfbench"][item] = {"runs": runs, "metrics": compare(runs["parent"],
                                                                       runs["change"], better)}
-        args.out.write_text(json.dumps(report, indent=1) + "\n")
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+        args.out.write_text(json.dumps(report, indent=1) + "\n")  # after each item
 
 
 if __name__ == "__main__":

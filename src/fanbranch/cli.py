@@ -13,7 +13,6 @@ worker count, and an interrupted run resumes into the same file.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -203,8 +202,8 @@ def _read_cache_prefix(path: str, total: int, echo=None) -> tuple[int, dict, lis
     An unterminated last line is what a kill mid-write leaves behind: it is
     dropped, and once the rest has passed, the file is truncated to its last
     newline so that the resumed sweep appends after whole records only.  A
-    record missing a field is refused once every line has passed the index
-    checks.
+    blank line is refused like any other line that is not a record, and a
+    record missing a field once every line has passed the index checks.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -213,9 +212,7 @@ def _read_cache_prefix(path: str, total: int, echo=None) -> tuple[int, dict, lis
     verdicts: dict = {}
     nontrivial = []
     incomplete = None
-    for lineno, raw in enumerate(data[:whole].decode(errors="replace").split("\n")):
-        if not raw:
-            continue
+    for lineno, raw in enumerate(data[:whole].decode(errors="replace").split("\n")[:-1]):
         try:
             rec = json.loads(raw)
             idx = rec["index"]
@@ -327,6 +324,8 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
             if jobs <= 1:
                 walk(map(_sweep_chunk, chunks))
             else:
+                import multiprocessing
+
                 with multiprocessing.get_context("fork").Pool(jobs) as pool:
                     walk(pool.imap(_sweep_chunk, chunks))
     finally:
@@ -415,7 +414,7 @@ def covers():
 
 @covers.command("enumerate")
 @click.argument("source")
-@click.option("--degree", "-d", type=int, required=True)
+@click.option("--degree", "-d", type=click.IntRange(min=1), required=True)
 @click.option("--classes", is_flag=True, help="count conjugacy classes as well")
 @click.option("--branch-report", is_flag=True, help="tabulate degree-2 branch sets")
 def covers_enumerate(source, degree, classes, branch_report):
@@ -448,7 +447,7 @@ def pl():
 
 @pl.command("sweep")
 @click.argument("source")
-@click.option("--degree", "-d", type=int, required=True)
+@click.option("--degree", "-d", type=click.IntRange(min=1), required=True)
 @click.option("--jobs", "-j", type=click.IntRange(min=1), default=None,
               help="worker processes")
 @click.option("--cache", type=click.Path(), default=None, help="record file")

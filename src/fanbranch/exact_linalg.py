@@ -233,22 +233,35 @@ def independent_rows(vectors, ncols: int) -> list[int]:
 
 def nullspace_of_int_rows(rows: list[list[int]], ncols: int) -> list[IntVector]:
     """Kernel basis over Q of an integer matrix, primitive and sign-normalized,
-    one vector per free column."""
+    one vector per free column.
+
+    Back-substitution stays in integers: before pivot p is set to -s/a, the
+    whole vector is scaled by |a|/gcd(s, a), which makes the quotient exact.
+    Every scale is positive, so the result is a positive multiple of the
+    rational solution and has the same primitive, sign-normalized form.
+    """
     ech, pivots = _int_echelon([r[:] for r in rows], ncols)
     pivset = set(pivots)
     basis: list[IntVector] = []
     for free in range(ncols):
         if free in pivset:
             continue
-        x: list[Fraction] = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
+        x = [0] * ncols
+        x[free] = 1
         # back-substitute pivot variables bottom-up
         for j in range(len(pivots) - 1, -1, -1):
             p = pivots[j]
             row = ech[j]
             s = sum(row[c] * x[c] for c in range(p + 1, ncols) if x[c])
-            x[p] = -s / row[p]
-        basis.append(_sign_normalize(primitive(x)))
+            if s:
+                a = row[p]
+                g = gcd(s, a)
+                k = abs(a) // g
+                if k > 1:
+                    x = [k * v for v in x]
+                x[p] = -(s * k) // a
+        g = gcd(*x)
+        basis.append(_sign_normalize(tuple(v // g for v in x)))
     return basis
 
 

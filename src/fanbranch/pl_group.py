@@ -12,15 +12,19 @@ base rays.  Per-cell functionals are recovered from the ray values by exact
 (the per-cell form is kept as well, for the integral lattice and for
 cross-checking).
 
-Triviality of the whole group is decided by a deterministic generic element:
-the matching pattern it realizes is certified against the entire solution
-space, so verdicts are proofs, not samples.
+Triviality of the whole group is decided from its common pattern, the
+partition of maximal cells on which every PL function agrees, computed in
+integers from a spanning set of the solution space: verdicts are proofs, not
+samples.  A deterministic generic element, which separates exactly the cells
+that some function separates, is built only as the witness of a nontrivial
+verdict, when that witness is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .cover_poset import CoverPoset
@@ -445,28 +449,44 @@ def _summand_dim(rows: list[list[int]], cols: list[int]) -> int:
 
 @dataclass
 class TrivialityVerdict:
+    """The ladder's verdict on a cover.  `witness` is a nontrivial PL
+    function, built on first access from `cover` and `basis` (solved then
+    when none was supplied); it is None when every function is trivial."""
+
     all_trivial: bool
     certificate: str | None
-    witness: PLFunction | None
     pattern: tuple | None
     dim: int
+    cover: CoverPoset | None = field(default=None, repr=False, compare=False)
+    basis: PLBasis | None = field(default=None, repr=False, compare=False)
 
     @property
     def tag(self) -> str:
         return self.certificate if self.all_trivial else "nontrivial"
 
-
-def _functional_pattern(plf: PLFunction) -> tuple:
-    """Groups of maximal cells carrying equal functionals."""
-    groups: dict[tuple, list[int]] = {}
-    for m in plf.cover.max_cells:
-        groups.setdefault(plf.cell_values[m], []).append(m)
-    return tuple(sorted(tuple(g) for g in groups.values()))
+    @cached_property
+    def witness(self) -> PLFunction | None:
+        """The generic element of the basis, which separates every two cells
+        that some PL function separates (see `_generic_parameter`), so it is
+        nontrivial whenever the group is."""
+        if self.all_trivial:
+            return None
+        pl = self.basis if self.basis is not None else solve(self.cover)
+        candidate = _combine(pl.functions, _generic_parameter(pl.functions, self.cover.max_cells))
+        if is_trivial_function(candidate):
+            raise RuntimeError("the generic element of a nontrivial group is trivial")
+        return candidate
 
 
 def _generic_parameter(basis: list[PLFunction], maxcells: list[int]) -> int:
     """Integer t making sum(t^i . basis_i) avoid every avoidable functional
-    coincidence between maximal cells (a Cauchy root bound per pair)."""
+    coincidence between maximal cells.
+
+    For two cells and a coordinate, sum_i (b_i(c1) - b_i(c2))_j x^i is either
+    zero or has all its roots below its Cauchy bound; t lies above the
+    smallest such bound of each pair, so the element separates two cells
+    exactly when some basis function does.
+    """
     import itertools
 
     bound = Fraction(1)
@@ -498,6 +518,28 @@ def _combine(basis: list[PLFunction], t: int) -> PLFunction:
     return acc
 
 
+def _kernel_keys(cover: CoverPoset, kernel: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Per maximal cell, in `_max_cell_geometry` order: L times its lifted
+    functional on every kernel vector, as one integer tuple.  L, the lcm of
+    every maximal cone's lift denominator, is cached per fan."""
+    fan = cover.fan
+    cache = _fan_cache(fan)
+    if "lift_lcm" not in cache:
+        cache["lift_lcm"] = lcm(*(_lift_data(fan, pos)[2] for pos in range(len(fan.max_cones))))
+    big = cache["lift_lcm"]
+    zindex = {r: i for i, r in enumerate(cover.ray_cells)}
+    keys = []
+    for m, pos, rcells in _max_cell_geometry(cover):
+        chosen, scaled, den = _lift_data(fan, pos)
+        cols = [zindex[rcells[i]] for i in chosen]
+        f = big // den
+        keys.append(tuple(
+            f * sum(a * z[c] for a, c in zip(row, cols))
+            for z in kernel for row in scaled
+        ))
+    return keys
+
+
 def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> TrivialityVerdict:
     """Decide whether every PL function on the cover is trivial.
 
@@ -508,19 +550,25 @@ def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> Trivial
     1. d = 3 means the pullbacks only.
     2. A wedge all of whose summands have dimension 3 carries only
        summand-wise pullbacks.
-    3. Otherwise the basis (solved here: the only kernel computed) gives a
-       deterministic generic element, which either witnesses nontriviality
-       or realizes a matching pattern that every basis function shares.
+    3. Otherwise the common pattern decides: the partition of the maximal
+       cells on which every PL function agrees.  Each cell is keyed by its
+       functional on every vector of a spanning set, the supplied basis or
+       the system's integer kernel (lifted and scaled by L to integers), so
+       cells in one group share a key.
 
     The sweep's records settle rung 1 on the system read off the monodromy
     and call this only for d > 3.
 
-    The last check of rung 3 cannot fail.  For two cells and a coordinate,
-    sum_i (b_i(c1) - b_i(c2))_j x^i is either zero or has all its roots
-    below its Cauchy bound, and `_generic_parameter` puts t above the
-    smallest such bound of each pair.  So the candidate separates two cells
-    exactly when some basis function does, and its pattern is the common
-    pattern of the basis.  A failure raises RuntimeError.
+    Why rung 3 may read the verdict off the pattern: every PL function is
+    constant on each group, and some function (a generic element, avoiding
+    the finitely many proper subspaces that identify two groups) takes a
+    different functional on every group.  Over a cone, a function constant
+    on groups has each group's functional with multiplicity the group's
+    cell weight over that cone.  So every function is trivial exactly when
+    each group has the same cell weight over every maximal cone: the "if"
+    because then every multiset is the same, the "only if" because the
+    generic element's multisets differ otherwise.  That element is built
+    only when `witness` is read.
     """
     system = None
     if basis is None:
@@ -529,7 +577,7 @@ def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> Trivial
     else:
         d = basis.dim
     if d == 3:
-        return TrivialityVerdict(True, "pullbacks-only", None, None, d)
+        return TrivialityVerdict(True, "pullbacks-only", None, d)
     summands = wedge_summands(cover)
     if len(summands) > 1:
         rows, zvars = system or ray_value_system(cover)
@@ -540,16 +588,23 @@ def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> Trivial
         if sum(dims) != d:
             raise RuntimeError("wedge decomposition does not add up")
         if all(x == 3 for x in dims):
-            return TrivialityVerdict(True, "wedge-of-pullbacks", None, None, d)
+            return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
 
-    pl = basis if basis is not None else solve(cover)
-    if pl.dim != d:
-        raise RuntimeError("basis size differs from the system's corank")
-    candidate = _combine(pl.functions, _generic_parameter(pl.functions, cover.max_cells))
-    if not is_trivial_function(candidate):
-        return TrivialityVerdict(False, None, candidate, None, d)
-    pattern = _functional_pattern(candidate)
-    for b in pl.functions:
-        if any(b.cell_values[m] != b.cell_values[g[0]] for g in pattern for m in g[1:]):
-            raise RuntimeError("a basis function breaks the generic element's pattern")
-    return TrivialityVerdict(True, "matched-pattern", None, pattern, d)
+    geo = _max_cell_geometry(cover)
+    if basis is None:
+        kernel = nullspace_of_int_rows(system[0], len(system[1]))
+        if len(kernel) != d:
+            raise RuntimeError("kernel size differs from the system's corank")
+        keys = _kernel_keys(cover, kernel)
+    else:
+        keys = [tuple(b.cell_values[m] for b in basis.functions) for m, _, _ in geo]
+    groups: dict[tuple, list[int]] = {}
+    weights: dict[tuple, list[int]] = {}
+    npos = len(cover.fan.max_cones)
+    for (m, pos, _), key in zip(geo, keys):
+        groups.setdefault(key, []).append(m)
+        weights.setdefault(key, [0] * npos)[pos] += cover.cells[m].weight
+    if any(min(w) != max(w) for w in weights.values()):
+        return TrivialityVerdict(False, None, None, d, cover, basis)
+    pattern = tuple(sorted(tuple(g) for g in groups.values()))
+    return TrivialityVerdict(True, "matched-pattern", pattern, d)

@@ -204,6 +204,18 @@ class TestJobCounts:
         assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize(
+    "command", [["pl", "sweep", "fulton"], ["covers", "enumerate", "fulton"]],
+    ids=["sweep", "enumerate"],
+)
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_degree_below_one_refused(runner, command, degree):
+    result = runner.invoke(main, [*command, "-d", degree])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Invalid value for '--degree'" in result.output
+
+
 class TestSweep:
     def test_jobs_do_not_change_cache(self, fulton, tmp_path):
         c1 = tmp_path / "one.jsonl"
@@ -259,6 +271,23 @@ class TestSweep:
         assert "dropped an unterminated last line of 17 bytes" in result.output
         assert f"resuming: {keep_lines} records already cached" in result.output
         assert torn.read_bytes() == data
+
+    @pytest.mark.parametrize("where", [0, 10], ids=["first-line", "after-ten-records"])
+    def test_blank_line_refused_untouched(self, fulton, tmp_path, runner, where):
+        full = tmp_path / "full.jsonl"
+        run_sweep(fulton, 2, jobs=1, cache_path=str(full))
+        lines = full.read_text().splitlines(keepends=True)[:10]
+        bad = tmp_path / "blank.jsonl"
+        content = "".join(lines[:where]) + "\n" + "".join(lines[where:])
+        bad.write_text(content)
+        result = runner.invoke(
+            main,
+            ["pl", "sweep", "fulton", "-d", "2", "--jobs", "1",
+             "--cache", str(bad), "--resume"],
+        )
+        assert result.exit_code == 1
+        assert f"cache corruption at line {where + 1}" in result.output
+        assert bad.read_text() == content
 
     def test_torn_line_after_corruption_refused_untouched(self, tmp_path, runner):
         bad = tmp_path / "bad.jsonl"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fanbranch.exact_linalg import (
     RationalMatrix,
+    _int_echelon,
     annihilator,
     hermite_normal_form,
     independent_rows,
@@ -304,6 +305,38 @@ def test_rank_of_int_rows_is_columns_minus_nullity(case):
     before = [r[:] for r in rows]
     assert rank_of_int_rows(rows, ncols) == ncols - len(nullspace_of_int_rows(rows, ncols))
     assert rows == before
+
+
+def fraction_back_substitution(rows, ncols):
+    """The kernel as `nullspace_of_int_rows` computed it with `Fraction`
+    back-substitution, before the whole vector was kept in integers."""
+    ech, pivots = _int_echelon([r[:] for r in rows], ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for j in range(len(pivots) - 1, -1, -1):
+            p, row = pivots[j], ech[j]
+            x[p] = -sum(row[c] * x[c] for c in range(p + 1, ncols) if x[c]) / row[p]
+        v = primitive(x)
+        basis.append(v if next(c for c in v if c) > 0 else tuple(-c for c in v))
+    return basis
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=8),
+            st.just(n),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_back_substitution_equals_fraction_copy(case):
+    rows, ncols = case
+    assert nullspace_of_int_rows(rows, ncols) == fraction_back_substitution(rows, ncols)
 
 
 rational_matrices = st.integers(1, 7).flatmap(

@@ -1,0 +1,125 @@
+"""Rung 3 of `group_triviality` against the generic-element reference.
+
+Rung 3 reads its verdict off the common pattern of the PL group, computed in
+integers from the system's kernel.  The reference below is the path it
+replaced: solve a basis, combine it into a deterministic generic element,
+and test that element's multisets.  Both must give the same tag and pattern
+on every cover past rung 2, and the witness of a nontrivial verdict must be
+the reference's generic element, byte for byte.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+from fanbranch import pl_group
+from fanbranch.cli import run_sweep
+from fanbranch.fan_core import load_fan
+from fanbranch.monodromy import (
+    assignment_at,
+    assignment_for_branch_set,
+    build_cover,
+    class_representatives,
+    count_assignments,
+    ray_value_rows,
+    spanning_tree,
+)
+from fanbranch.pl_group import (
+    _combine,
+    _generic_parameter,
+    group_triviality,
+    is_trivial_function,
+    pl_dimension,
+    solve,
+)
+
+
+def reference_rung3(cover, basis):
+    """(all trivial, pattern, candidate) from the generic element of `basis`,
+    as rung 3 decided before it read the common pattern."""
+    candidate = _combine(basis.functions, _generic_parameter(basis.functions, cover.max_cells))
+    if not is_trivial_function(candidate):
+        return False, None, candidate
+    groups: dict[tuple, list[int]] = {}
+    for m in cover.max_cells:
+        groups.setdefault(candidate.cell_values[m], []).append(m)
+    pattern = tuple(sorted(tuple(g) for g in groups.values()))
+    for b in basis.functions:
+        assert all(b.cell_values[m] == b.cell_values[g[0]] for g in pattern for m in g[1:])
+    return True, pattern, candidate
+
+
+@lru_cache(maxsize=None)
+def _fan(name):
+    fan = load_fan(name)
+    return fan, spanning_tree(fan)
+
+
+def high_dim_indices(name, d, step):
+    """The indices of dim > 3 among the class representatives, taking every
+    `step`-th index."""
+    fan, tree = _fan(name)
+    reps = sorted(set(class_representatives(d, tree.generators)[::step]))
+    out = []
+    for i in reps:
+        system = ray_value_rows(fan, assignment_at(fan, d, i, tree), tree)
+        if pl_dimension(fan, system.rows, system.ncols) > 3:
+            out.append(i)
+    return out
+
+
+# (fan, degree, index step) -> (dim > 3 classes, nontrivial among them)
+CASES = {
+    ("fulton", 2, 1): (16, 0),
+    ("eikelberg", 3, 1): (333, 115),
+    ("sigma_prime", 3, 97): (146, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES), ids=lambda c: f"{c[0]}-{c[1]}-every-{c[2]}")
+def test_common_pattern_equals_generic_element(case):
+    fan, tree = _fan(case[0])
+    indices = high_dim_indices(*case)
+    nontrivial = 0
+    for i in indices:
+        cover = build_cover(fan, assignment_at(fan, case[1], i, tree), tree)
+        basis = solve(cover)
+        v = group_triviality(cover)
+        ref_trivial, ref_pattern, candidate = reference_rung3(cover, basis)
+        assert v.all_trivial == ref_trivial, i
+        if v.tag != "wedge-of-pullbacks":
+            assert (v.tag, v.pattern) == (
+                "matched-pattern" if ref_trivial else "nontrivial", ref_pattern), i
+        assert group_triviality(cover, basis) == v, i
+        if not v.all_trivial:
+            nontrivial += 1
+            assert v.witness.to_dict() == candidate.to_dict(), i
+    assert (len(indices), nontrivial) == CASES[case]
+
+
+def test_verdict_builds_no_generic_element_until_the_witness_is_read(monkeypatch):
+    fan, _ = _fan("eikelberg")
+    calls = []
+
+    def counted(basis, maxcells):
+        calls.append(len(basis))
+        return _generic_parameter(basis, maxcells)
+
+    monkeypatch.setattr(pl_group, "_generic_parameter", counted)
+    cover = build_cover(fan, assignment_for_branch_set(fan, [0, 5]))
+    v = group_triviality(cover)
+    assert v.tag == "nontrivial" and calls == []
+    assert not is_trivial_function(v.witness)
+    assert v.witness is v.witness and len(calls) == 1
+
+
+def test_full_eikelberg_degree3_sweep_builds_no_generic_element(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sweep built a generic element")
+
+    monkeypatch.setattr(pl_group, "_generic_parameter", refuse)
+    monkeypatch.setattr(pl_group, "_combine", refuse)
+    fan, _ = _fan("eikelberg")
+    summary = run_sweep(fan, 3, jobs=1)
+    assert summary.processed == count_assignments(fan, 3)
+    assert len(summary.nontrivial) == 648

@@ -75,8 +75,15 @@ def time_sweep(checkout: Path, fan: str, degree: int, scratch: str) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(argv[3:])} exited {done.returncode}:\n"
                          f"{done.stderr[-2000:]}")
+    # Hash in blocks: a child started later inherits this process's peak RSS
+    # (Linux keeps the high-water mark across vfork and exec), and a whole
+    # criterion-5 cache in memory would set the peak_rss_mb of every
+    # in-process perfbench run.
+    sha = hashlib.sha256()
     with open(cache, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(block)
+    digest = sha.hexdigest()
     os.remove(cache)
     counts = next(x for x in done.stdout.splitlines() if x.startswith("dim > 3 records:"))
     return {"wall_s": round(wall, 2), "sha256": digest, "counts": counts}

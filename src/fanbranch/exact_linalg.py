@@ -155,7 +155,7 @@ def _sign_normalize(v: IntVector) -> IntVector:
         if x > 0:
             return v
         if x < 0:
-            return tuple(-y for y in v)
+            return tuple([-y for y in v])
     return v
 
 
@@ -261,7 +261,8 @@ def nullspace_of_int_rows(rows: list[list[int]], ncols: int) -> list[IntVector]:
                     x = [k * v for v in x]
                 x[p] = -(s * k) // a
         g = gcd(*x)
-        basis.append(_sign_normalize(tuple(v // g for v in x)))
+        # from a list, at final length (see `pl_group._kernel_keys`)
+        basis.append(_sign_normalize(tuple([v // g for v in x])))
     return basis
 
 

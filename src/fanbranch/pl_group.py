@@ -529,14 +529,18 @@ def _kernel_keys(cover: CoverPoset, kernel: list[tuple[int, ...]]) -> list[tuple
     big = cache["lift_lcm"]
     zindex = {r: i for i, r in enumerate(cover.ray_cells)}
     keys = []
+    # Tuples are built from lists, at their final length: tuple() of a
+    # generator grows by resizing, and CPython keeps up to 2000 freed tuples
+    # of each length below 21 on a free list that resizing never draws from,
+    # so a long run would hold that many dead keys of each length.
     for m, pos, rcells in _max_cell_geometry(cover):
         chosen, scaled, den = _lift_data(fan, pos)
         cols = [zindex[rcells[i]] for i in chosen]
         f = big // den
-        keys.append(tuple(
+        keys.append(tuple([
             f * sum(a * z[c] for a, c in zip(row, cols))
             for z in kernel for row in scaled
-        ))
+        ]))
     return keys
 
 
@@ -597,7 +601,7 @@ def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> Trivial
             raise RuntimeError("kernel size differs from the system's corank")
         keys = _kernel_keys(cover, kernel)
     else:
-        keys = [tuple(b.cell_values[m] for b in basis.functions) for m, _, _ in geo]
+        keys = [tuple([b.cell_values[m] for b in basis.functions]) for m, _, _ in geo]
     groups: dict[tuple, list[int]] = {}
     weights: dict[tuple, list[int]] = {}
     npos = len(cover.fan.max_cones)

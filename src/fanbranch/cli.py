@@ -195,9 +195,11 @@ class SweepSummary:
 _RECORD_FIELDS = {f.name for f in fields(SweepRecord)}
 
 
-def _read_cache_prefix(path: str, total: int, echo=None) -> tuple[int, dict, list]:
+def _read_cache_prefix(path: str, total: int, nrays: int, d: int,
+                       echo=None) -> tuple[int, dict, list]:
     """(records, verdict counts, nontrivial records) of an existing cache;
-    refuses anything but a clean index prefix of whole records.
+    refuses anything but a clean index prefix of whole records whose
+    profiles fit the sweep: one cycle type of d per ray of the fan.
 
     An unterminated last line is what a kill mid-write leaves behind: it is
     dropped, and once the rest has passed, the file is truncated to its last
@@ -228,6 +230,14 @@ def _read_cache_prefix(path: str, total: int, echo=None) -> tuple[int, dict, lis
         if not _RECORD_FIELDS <= rec.keys():
             incomplete = incomplete or lineno + 1
             continue
+        profile = rec["profile"]
+        if not (isinstance(profile, list) and len(profile) == nrays and all(
+                isinstance(p, list) and all(type(k) is int and k > 0 for k in p)
+                and sum(p) == d for p in profile)):
+            raise click.ClickException(
+                f"cache record at line {lineno + 1} does not fit {nrays} rays at "
+                f"degree {d}; refusing to resume"
+            )
         tag = _summary_tag(rec["verdict"], rec["cert"])
         verdicts[tag] = verdicts.get(tag, 0) + 1
         if rec["verdict"] == "Nontrivial":
@@ -276,7 +286,8 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
     total = count_assignments(fan, d)
     start, verdicts, nontrivial = 0, {}, []
     if cache_path and resume and os.path.exists(cache_path):
-        start, verdicts, nontrivial = _read_cache_prefix(cache_path, total, echo)
+        start, verdicts, nontrivial = _read_cache_prefix(
+            cache_path, total, len(fan.rays), d, echo)
         if echo:
             echo(f"resuming: {start} records already cached")
     elif cache_path and not resume and os.path.exists(cache_path):
@@ -510,7 +521,7 @@ def pl_solve(source, cover_file, branch):
     basis = solve(cover)
     verdict = group_triviality(cover, basis)
     rows, zvars = ray_value_system(cover)
-    rank = rank_of_int_rows(rows, len(zvars))
+    rank = len(zvars) - verdict.dim
     rank_str = f", system {len(rows)}x{len(zvars)} of rank {rank}" if rows else ""
     click.echo(f"degree {cover_degree(cover)} cover{rank_str}")
     click.echo(f"dim PL = {basis.dim} (pullbacks span 3)")

@@ -8,11 +8,13 @@ vectors, and canonical subspace algebra.
 
 Which routine answers which question:
 
-* rank, kernel and independence questions go through one fraction-free
-  elimination, `_int_echelon`, whose row step is `_cancel`:
-  `rank_of_int_rows`, `nullspace_of_int_rows` and `independent_rows` on
-  integer rows, and `rank` and `right_nullspace` on rational matrices after
-  each row is cleared of denominators (which keeps the row space);
+* rank, kernel and independence questions are read off one fraction-free
+  elimination, `_int_echelon`, whose row step is `_cancel`: the rank is its
+  pivot count (`rank_of_int_rows`), the kernel its back-substitution
+  (`_echelon_kernel`, after `nullspace_of_int_rows` eliminates), and the
+  first-come independent vectors the pivot columns of the vectors taken as
+  columns (`independent_rows`).  `rank` and `right_nullspace` clear each
+  rational row of denominators first, which keeps the row space;
 * `Fraction` Gauss-Jordan (`_rref_rows`) runs only where the reduced form is
   itself the result: `rref`, the canonical `SubspaceBasis`, and
   `solve_linear`.  `annihilator` reads its kernel straight off that form;
@@ -208,39 +210,27 @@ def rank_of_int_rows(rows: list[list[int]], ncols: int) -> int:
 
 
 def independent_rows(vectors, ncols: int) -> list[int]:
-    """Indices of the first-come independent subset of integer vectors:
-    exactly those that raise the rank of the vectors before them.
-
-    Each kept row is reduced against the earlier ones, so it vanishes at
-    their leading columns; a new vector reduced against all of them is zero
-    exactly when it lies in their span.
-    """
-    echelon: list[tuple[int, list[int]]] = []  # (leading column, row)
-    picked: list[int] = []
-    for idx, vec in enumerate(vectors):
-        v = list(vec)
-        for lead, row in echelon:
-            if v[lead]:
-                v = _cancel(v, row, lead)
-        lead = next((k for k, x in enumerate(v) if x), None)
-        if lead is not None:
-            echelon.append((lead, v))
-            picked.append(idx)
-            if len(picked) == ncols:
-                break
-    return picked
+    """Indices of the first-come independent subset of integer vectors of
+    length `ncols`: exactly those that raise the rank of the vectors before
+    them, which are the pivot columns of the vectors taken as columns."""
+    columns = [[v[k] for v in vectors] for k in range(ncols)]
+    return _int_echelon(columns, len(vectors))[1]
 
 
 def nullspace_of_int_rows(rows: list[list[int]], ncols: int) -> list[IntVector]:
     """Kernel basis over Q of an integer matrix, primitive and sign-normalized,
-    one vector per free column.
+    one vector per free column."""
+    return _echelon_kernel(*_int_echelon([r[:] for r in rows], ncols), ncols)
+
+
+def _echelon_kernel(ech: list[list[int]], pivots: list[int], ncols: int) -> list[IntVector]:
+    """The kernel of `nullspace_of_int_rows`, read off an `_int_echelon` result.
 
     Back-substitution stays in integers: before pivot p is set to -s/a, the
     whole vector is scaled by |a|/gcd(s, a), which makes the quotient exact.
     Every scale is positive, so the result is a positive multiple of the
     rational solution and has the same primitive, sign-normalized form.
     """
-    ech, pivots = _int_echelon([r[:] for r in rows], ncols)
     pivset = set(pivots)
     basis: list[IntVector] = []
     for free in range(ncols):

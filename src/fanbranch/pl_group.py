@@ -12,11 +12,13 @@ base rays.  Per-cell functionals are recovered from the ray values by exact
 (the per-cell form is kept as well, for the integral lattice and for
 cross-checking).
 
-Triviality of the whole group is decided from its common pattern, the
-partition of maximal cells on which every PL function agrees, computed in
-integers from a spanning set of the solution space: verdicts are proofs, not
-samples.  A deterministic generic element, which separates exactly the cells
-that some function separates, is built only as the witness of a nontrivial
+Triviality of the whole group is decided on one fraction-free echelon of
+the values-at-rays system, eliminated once: its corank is the dimension of
+the group, its pivots split by wedge summand, and its back-substituted
+kernel gives the common pattern, the partition of maximal cells on which
+every PL function agrees, in integers.  Verdicts are proofs, not samples.
+A deterministic generic element, which separates exactly the cells that
+some function separates, is built only as the witness of a nontrivial
 verdict, when that witness is read.
 """
 
@@ -30,6 +32,8 @@ from math import lcm
 from .cover_poset import CoverPoset
 from .exact_linalg import (
     RationalMatrix,
+    _echelon_kernel,
+    _int_echelon,
     independent_rows,
     integer_kernel,
     nullspace_of_int_rows,
@@ -441,10 +445,12 @@ def wedge_summands(cover: CoverPoset) -> list[list[int]]:
     return sorted(groups.values(), key=min)
 
 
-def _summand_dim(rows: list[list[int]], cols: list[int]) -> int:
-    """Corank of a cover's values-at-rays system on one wedge summand's
-    columns: the summand's own rows, since every other row is zero there."""
-    return len(cols) - rank_of_int_rows([[row[c] for c in cols] for row in rows], len(cols))
+def _summand_dims(summands: list[list[int]], zvars: list[int], pivots: list[int]) -> list[int]:
+    """Per wedge summand, its columns less the pivots among them of the
+    values-at-rays system's `_int_echelon` (see `group_triviality`)."""
+    pivset = set(pivots)
+    free = [r for i, r in enumerate(zvars) if i not in pivset]
+    return [sum(r in s for r in free) for s in map(set, summands)]
 
 
 @dataclass
@@ -547,21 +553,25 @@ def _kernel_keys(cover: CoverPoset, kernel: list[tuple[int, ...]]) -> list[tuple
 def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> TrivialityVerdict:
     """Decide whether every PL function on the cover is trivial.
 
-    One decision ladder, each rung run once on the dimension d of the PL
-    group: the corank of the values-at-rays system (`pl_dimension`, no
-    kernel) when no basis is supplied, else `basis.dim`.
+    One decision ladder on one `_int_echelon` of the values-at-rays system,
+    whose corank d is the dimension of the PL group; each rung reads it.
 
     1. d = 3 means the pullbacks only.
     2. A wedge all of whose summands have dimension 3 carries only
-       summand-wise pullbacks.
+       summand-wise pullbacks.  A summand's dimension is its column count
+       less the pivots in its columns: every row lies on one summand, and
+       elimination only combines rows that share a column, so it never
+       mixes summands.
     3. Otherwise the common pattern decides: the partition of the maximal
        cells on which every PL function agrees.  Each cell is keyed by its
-       functional on every vector of a spanning set, the supplied basis or
-       the system's integer kernel (lifted and scaled by L to integers), so
-       cells in one group share a key.
+       functional on every vector of the kernel back-substituted from the
+       echelon (lifted and scaled by L to integers), so cells in one group
+       share a key.
 
-    The sweep's records settle rung 1 on the system read off the monodromy
-    and call this only for d > 3.
+    A supplied `basis` only seeds the witness of a nontrivial verdict; one
+    not solved on this cover, or not of dimension d, is refused.  The
+    sweep's records settle rung 1 on the system read off the monodromy and
+    call this only for d > 3.
 
     Why rung 3 may read the verdict off the pattern: every PL function is
     constant on each group, and some function (a generic element, avoiding
@@ -574,34 +584,20 @@ def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> Trivial
     generic element's multisets differ otherwise.  That element is built
     only when `witness` is read.
     """
-    system = None
-    if basis is None:
-        system = ray_value_system(cover)
-        d = pl_dimension(cover.fan, system[0], len(system[1]))
-    else:
-        d = basis.dim
+    rows, zvars = ray_value_system(cover)
+    _check_pullbacks(cover.fan)
+    ech, pivots = _int_echelon(rows, len(zvars))
+    d = len(zvars) - len(pivots)
+    if basis is not None and (basis.cover is not cover or basis.dim != d):
+        raise PLError(f"the basis does not span this cover's PL group of dimension {d}")
     if d == 3:
         return TrivialityVerdict(True, "pullbacks-only", None, d)
     summands = wedge_summands(cover)
-    if len(summands) > 1:
-        rows, zvars = system or ray_value_system(cover)
-        dims = [
-            _summand_dim(rows, [i for i, r in enumerate(zvars) if r in s])
-            for s in map(set, summands)
-        ]
-        if sum(dims) != d:
-            raise RuntimeError("wedge decomposition does not add up")
-        if all(x == 3 for x in dims):
-            return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
+    if len(summands) > 1 and all(x == 3 for x in _summand_dims(summands, zvars, pivots)):
+        return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
 
     geo = _max_cell_geometry(cover)
-    if basis is None:
-        kernel = nullspace_of_int_rows(system[0], len(system[1]))
-        if len(kernel) != d:
-            raise RuntimeError("kernel size differs from the system's corank")
-        keys = _kernel_keys(cover, kernel)
-    else:
-        keys = [tuple([b.cell_values[m] for b in basis.functions]) for m, _, _ in geo]
+    keys = _kernel_keys(cover, _echelon_kernel(ech, pivots, len(zvars)))
     groups: dict[tuple, list[int]] = {}
     weights: dict[tuple, list[int]] = {}
     npos = len(cover.fan.max_cones)

@@ -318,6 +318,30 @@ class TestSweep:
         assert "cache corruption at line 4" in result.output
         assert bad.read_text() == content
 
+    @pytest.mark.parametrize(
+        "written, resumed, message",
+        [
+            (("fulton", 2), ("fulton", 3), "does not fit 8 rays at degree 3"),
+            (("eikelberg", 2), ("fulton", 2), "does not fit 8 rays at degree 2"),
+        ],
+        ids=["wrong-degree", "wrong-fan"],
+    )
+    def test_cache_of_another_sweep_refused_untouched(self, tmp_path, runner,
+                                                      written, resumed, message):
+        cache = tmp_path / "other.jsonl"
+        run_sweep(load_fan(written[0]), written[1], jobs=1, cache_path=str(cache))
+        before = cache.read_bytes()
+        result = runner.invoke(
+            main,
+            ["pl", "sweep", resumed[0], "-d", str(resumed[1]), "--jobs", "1",
+             "--cache", str(cache), "--resume"],
+        )
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: cache record at line 1 {message}; refusing to resume"
+        ]
+        assert cache.read_bytes() == before
+
     def test_non_prefix_cache_refused(self, fulton, tmp_path, runner):
         bad = tmp_path / "gap.jsonl"
         rec = evaluate_assignment(fulton, spanning_tree(fulton), 2, 5).to_json()

@@ -1,4 +1,4 @@
-"""Rung 3 of `group_triviality` against the generic-element reference.
+"""Rungs 2 and 3 of `group_triviality` against their references.
 
 Rung 3 reads its verdict off the common pattern of the PL group, computed in
 integers from the system's kernel.  The reference below is the path it
@@ -6,14 +6,18 @@ replaced: solve a basis, combine it into a deterministic generic element,
 and test that element's multisets.  Both must give the same tag and pattern
 on every cover past rung 2, and the witness of a nontrivial verdict must be
 the reference's generic element, byte for byte.
+
+Rung 2 reads each wedge summand's dimension off the pivots of the system's
+one echelon; the reference ranks the summand's own columns separately.
 """
 
 from functools import lru_cache
 
 import pytest
 
-from fanbranch import pl_group
+from fanbranch import exact_linalg, pl_group
 from fanbranch.cli import run_sweep
+from fanbranch.exact_linalg import _int_echelon, rank_of_int_rows
 from fanbranch.fan_core import load_fan
 from fanbranch.monodromy import (
     assignment_at,
@@ -25,12 +29,16 @@ from fanbranch.monodromy import (
     spanning_tree,
 )
 from fanbranch.pl_group import (
+    PLError,
     _combine,
     _generic_parameter,
+    _summand_dims,
     group_triviality,
     is_trivial_function,
     pl_dimension,
+    ray_value_system,
     solve,
+    wedge_summands,
 )
 
 
@@ -55,6 +63,7 @@ def _fan(name):
     return fan, spanning_tree(fan)
 
 
+@lru_cache(maxsize=None)
 def high_dim_indices(name, d, step):
     """The indices of dim > 3 among the class representatives, taking every
     `step`-th index."""
@@ -123,3 +132,67 @@ def test_full_eikelberg_degree3_sweep_builds_no_generic_element(monkeypatch):
     summary = run_sweep(fan, 3, jobs=1)
     assert summary.processed == count_assignments(fan, 3)
     assert len(summary.nontrivial) == 648
+
+
+def reference_summand_dim(rows, cols):
+    """Corank of a cover's values-at-rays system on one wedge summand's
+    columns: the summand's own rows, since every other row is zero there."""
+    return len(cols) - rank_of_int_rows([[row[c] for c in cols] for row in rows], len(cols))
+
+
+def test_summand_dimensions_are_the_echelons_pivot_counts():
+    wedges = 0
+    for case in sorted(CASES):
+        fan, tree = _fan(case[0])
+        for i in high_dim_indices(*case):
+            cover = build_cover(fan, assignment_at(fan, case[1], i, tree), tree)
+            summands = wedge_summands(cover)
+            if len(summands) == 1:
+                continue
+            wedges += 1
+            rows, zvars = ray_value_system(cover)
+            _, pivots = _int_echelon([r[:] for r in rows], len(zvars))
+            reference = [
+                reference_summand_dim(rows, [k for k, r in enumerate(zvars) if r in s])
+                for s in map(set, summands)
+            ]
+            assert _summand_dims(summands, zvars, pivots) == reference, (case, i)
+    assert wedges == 35
+
+
+# tag -> (fan, branch rays) of a degree-2 cover the ladder settles there
+LADDER_COVERS = {
+    "pullbacks-only": ("fulton", (0, 2, 5, 7)),
+    "wedge-of-pullbacks": ("fulton", ()),
+    "matched-pattern": ("fulton", (6, 7)),
+    "nontrivial": ("eikelberg", (0, 5)),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(LADDER_COVERS))
+def test_ladder_eliminates_once(tag, monkeypatch):
+    name, branch = LADDER_COVERS[tag]
+    fan, _ = _fan(name)
+    cover = build_cover(fan, assignment_for_branch_set(fan, list(branch)))
+    # the first call fills the per-fan caches (pullback check, lift data)
+    assert group_triviality(cover).tag == tag
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return _int_echelon(rows, ncols)
+
+    monkeypatch.setattr(exact_linalg, "_int_echelon", counted)
+    monkeypatch.setattr(pl_group, "_int_echelon", counted)
+    assert group_triviality(cover).tag == tag
+    assert calls == [len(cover.ray_cells)]
+
+
+def test_basis_of_another_cover_refused():
+    fan, _ = _fan("fulton")
+    wedge = build_cover(fan, assignment_for_branch_set(fan, []))
+    type_c = build_cover(fan, assignment_for_branch_set(fan, [0, 2, 5, 7]))
+    same_dim = build_cover(fan, assignment_for_branch_set(fan, [5, 7]))
+    for cover, other in ((type_c, wedge), (wedge, type_c), (type_c, same_dim)):
+        with pytest.raises(PLError, match="does not span this cover's PL group"):
+            group_triviality(cover, solve(other))

@@ -51,9 +51,9 @@ from .pl_group import (
     group_triviality,
     is_trivial_function,
     multisets,
-    pl_dimension,
     ray_value_system,
     solve,
+    system_triviality,
 )
 
 
@@ -107,29 +107,22 @@ class SweepRecord:
 
 
 def evaluate_assignment(fan, tree, d: int, index: int) -> SweepRecord:
-    """One sweep record, rank first.
+    """One sweep record, from the values-at-rays system alone.
 
-    The values-at-rays system is read straight off the monodromy
-    (`ray_value_rows`), which also gives the profile and the branch rays.
-    Its corank is the PL dimension; at 3, the pullbacks-only record needs
-    no cover, no kernel and no lift.  Only a larger dimension builds the
-    cover and runs `group_triviality` on it.
+    The system is read straight off the monodromy (`ray_value_rows`), which
+    also gives the profile and the branch rays, and `system_triviality`
+    decides it on one elimination.  No record builds a cover.
     """
     a = assignment_at(fan, d, index, tree)
     system = ray_value_rows(fan, a, tree)
-    dim = pl_dimension(fan, system.rows, system.ncols)
-    if dim == 3:
-        all_trivial, cert = True, "pullbacks-only"
-    else:
-        verdict = group_triviality(build_cover(fan, a, tree))
-        all_trivial, cert, dim = verdict.all_trivial, verdict.tag, verdict.dim
+    verdict = system_triviality(fan, system.rows, system.ncols, system.cells)
     return SweepRecord(
         index=index,
         branch_rays=system.branch_rays,
         profile=system.profile,
-        dim_pl=dim,
-        verdict="AllTrivial" if all_trivial else "Nontrivial",
-        cert=cert,
+        dim_pl=verdict.dim,
+        verdict="AllTrivial" if verdict.all_trivial else "Nontrivial",
+        cert=verdict.tag,
     )
 
 
@@ -269,7 +262,7 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
     multiset over every cone.  It therefore preserves the PL dimension,
     the wedge summands with their dimensions, and whether every PL function
     is trivial, which are what the ladder's rungs decide on (see
-    `group_triviality`): the verdict and its tag are invariants.  So are
+    `system_triviality`): the verdict and its tag are invariants.  So are
     the branch rays and the profile, the orbit lengths of each ray's
     monodromy, and thus every record field except `index`.
 

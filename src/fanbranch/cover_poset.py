@@ -152,6 +152,26 @@ def _transitive_closure(below: list[set]) -> list[set]:
 # ---------------------------------------------------------------------------
 
 
+def components(n: int, links) -> list[list[int]]:
+    """The classes of range(n) under the equivalence that joins the members
+    of each link: each class ascending, the classes by least member."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for first, *rest in links:
+        for x in rest:
+            root[find(x)] = find(first)
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
 def validate_cover(cover: CoverPoset) -> CoverReport:
     """Exhaustive check of the branched-cover axioms.
 

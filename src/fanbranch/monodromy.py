@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import permutations as iter_permutations
 from math import factorial
 
-from .cover_poset import CoverCell, CoverPoset
+from .cover_poset import CoverCell, CoverPoset, components
 from .fan_core import Fan, FanError, is_complete, ray_link, wall_relation
 
 
@@ -385,6 +385,7 @@ class RayValueSystem:
 
     rows: list[list[int]]
     ncols: int
+    cells: list[tuple]  # per row block: (block, cone position, weight 1, columns)
     profile: list[list[int]]  # per ray, its orbit lengths in descending order
     branch_rays: list[int]
 
@@ -392,13 +393,15 @@ class RayValueSystem:
 def ray_value_rows(fan: Fan, assignment: MonodromyAssignment,
                    tree: DualSpanningTree | None = None) -> RayValueSystem:
     """The system of `pl_group.ray_value_system` on `build_cover`'s cover,
-    read straight off the monodromy.
+    read straight off the monodromy, with the cells that
+    `pl_group.system_triviality` decides it on.
 
     The columns are the ray cells in the cover's order: ray by ray, the
     orbits of its monodromy.  The rows are each maximal cone's wall
     relations, one copy per sheet, with every ray of the cone sent to the
     cell holding that sheet.  Rows follow the cover's maximal cells (base
-    cone id, then sheet), so the matrix is the cover's entry for entry.
+    cone id, then sheet), so the matrix is the cover's entry for entry, and
+    row block i, labelled i in `cells`, is the cover's `max_cells[i]`.
     """
     tree = tree or spanning_tree(fan)
     d = assignment.degree
@@ -417,6 +420,7 @@ def ray_value_rows(fan: Fan, assignment: MonodromyAssignment,
         if len(lengths) < d:
             branch.append(ray)
     rows: list[list[int]] = []
+    cells: list[tuple] = []
     by_cell = sorted(range(len(fan.max_cones)),
                      key=lambda pos: fan.cone_id(fan.max_cones[pos].ray_indices))
     for pos in by_cell:
@@ -427,34 +431,19 @@ def ray_value_rows(fan: Fan, assignment: MonodromyAssignment,
                 first_col[ray] + orbit_of[ray][transports[ray][pos][s]]
                 for ray in cone.ray_indices
             ]
+            cells.append((len(cells), pos, 1, cols))
             for rel in rels:
                 row = [0] * ncols
                 for coeff, col in zip(rel, cols):
                     row[col] = coeff
                 rows.append(row)
-    return RayValueSystem(rows, ncols, profile, branch)
+    return RayValueSystem(rows, ncols, cells, profile, branch)
 
 
 def sheet_components(assignment: MonodromyAssignment) -> list[set[int]]:
     """Orbits of the subgroup generated by the assignment (wedge summands)."""
-    d = assignment.degree
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in assignment.perms:
-        for i, j in enumerate(p.images):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    groups: dict[int, set[int]] = {}
-    for i in range(d):
-        groups.setdefault(find(i), set()).add(i)
-    return sorted(groups.values(), key=min)
+    links = [(i, j) for p in assignment.perms for i, j in enumerate(p.images)]
+    return [set(c) for c in components(assignment.degree, links)]
 
 
 def canonical_class(assignment: MonodromyAssignment) -> MonodromyAssignment:

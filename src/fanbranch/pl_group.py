@@ -16,7 +16,8 @@ Triviality of the whole group is decided on one fraction-free echelon of
 the values-at-rays system, eliminated once: its corank is the dimension of
 the group, its pivots split by wedge summand, and its back-substituted
 kernel gives the common pattern, the partition of maximal cells on which
-every PL function agrees, in integers.  Verdicts are proofs, not samples.
+every PL function agrees, in integers.  No rung needs the cover itself,
+only each maximal cell's columns.  Verdicts are proofs, not samples.
 A deterministic generic element, which separates exactly the cells that
 some function separates, is built only as the witness of a nontrivial
 verdict, when that witness is read.
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cover_poset import CoverPoset
+from .cover_poset import CoverPoset, components
 from .exact_linalg import (
     RationalMatrix,
     _echelon_kernel,
@@ -79,7 +80,9 @@ def _lift_data(fan, max_pos: int):
 
 
 def _max_cell_geometry(cover: CoverPoset):
-    """Per maximal cell: (base max-cone position, ray-cell id per base ray).
+    """Per maximal cell: (cell id, base max-cone position, weight, position
+    in `cover.ray_cells` of the ray cell per base ray), the cells that
+    `system_triviality` reads.
 
     Cached on the cover; this is the bridge between poset cells and the base
     cone geometry.
@@ -92,20 +95,21 @@ def _max_cell_geometry(cover: CoverPoset):
         fan.cone_id(c.ray_indices): pos for pos, c in enumerate(fan.max_cones)
     }
     ray_of_cell = {}
-    for r in cover.ray_cells:
-        ray_of_cell[r] = fan.cones[cover.cells[r].base].ray_indices[0]
+    for col, r in enumerate(cover.ray_cells):
+        ray_of_cell[r] = (fan.cones[cover.cells[r].base].ray_indices[0], col)
     geo = []
     for m in cover.max_cells:
         base = cover.cells[m].base
         pos = max_pos_of_base[base]
-        ray_cells = {}
+        cols = {}
         for y in cover.below[m]:
             if y in ray_of_cell:
-                ray_cells[ray_of_cell[y]] = y
+                ray, col = ray_of_cell[y]
+                cols[ray] = col
         rays_needed = fan.max_cones[pos].ray_indices
-        if sorted(ray_cells) != sorted(rays_needed):
+        if sorted(cols) != sorted(rays_needed):
             raise PLError(f"maximal cell {m} is missing ray cells")
-        geo.append((m, pos, tuple(ray_cells[r] for r in rays_needed)))
+        geo.append((m, pos, cover.cells[m].weight, [cols[r] for r in rays_needed]))
     cover._plgeo = geo
     return geo
 
@@ -122,10 +126,12 @@ class PLFunction:
             raise PLError("need exactly one functional per maximal cell")
         self.ray_values: dict[int, Fraction] = {}
         fan = cover.fan
-        for m, pos, rcells in _max_cell_geometry(cover):
+        zvars = cover.ray_cells
+        for m, pos, _, cols in _max_cell_geometry(cover):
             u = self.cell_values[m]
-            for ray, rc in zip(fan.max_cones[pos].ray_indices, rcells):
+            for ray, c in zip(fan.max_cones[pos].ray_indices, cols):
                 val = sum(a * b for a, b in zip(u, fan.rays[ray]))
+                rc = zvars[c]
                 if check:
                     old = self.ray_values.get(rc)
                     if old is not None and old != val:
@@ -265,15 +271,14 @@ def ray_value_system(cover: CoverPoset) -> tuple[list[list[int]], list[int]]:
     """
     fan = cover.fan
     zvars = cover.ray_cells
-    zindex = {r: i for i, r in enumerate(zvars)}
     rows: list[list[int]] = []
-    for m, pos, rcells in _max_cell_geometry(cover):
+    for _, pos, _, cols in _max_cell_geometry(cover):
         for rel in wall_relation(fan, pos):
             row = [0] * len(zvars)
-            for coeff, rc in zip(rel, rcells):
-                row[zindex[rc]] += coeff
+            for coeff, c in zip(rel, cols):
+                row[c] = coeff
             rows.append(row)
-    return rows, list(zvars)
+    return rows, zvars
 
 
 def _check_pullbacks(fan) -> None:
@@ -300,17 +305,6 @@ def _check_pullbacks(fan) -> None:
     cache["pullbacks"] = True
 
 
-def pl_dimension(fan, rows: list[list[int]], ncols: int) -> int:
-    """Dimension of the PL group: the corank of its values-at-rays system.
-
-    The pullbacks lie in the kernel and are independent (`_check_pullbacks`),
-    so the result is at least the rank of the fan, and equal to it exactly
-    when the pullbacks are the only PL functions.
-    """
-    _check_pullbacks(fan)
-    return ncols - rank_of_int_rows(rows, ncols)
-
-
 def per_cell_system(cover: CoverPoset) -> RationalMatrix:
     """The incidence form: variables are all per-cell functionals plus one
     value per ray cell, constraints <u_c, v_ray> = z_ray per incidence."""
@@ -319,15 +313,14 @@ def per_cell_system(cover: CoverPoset) -> RationalMatrix:
     maxcells = cover.max_cells
     zvars = cover.ray_cells
     col_of_cell = {m: n * i for i, m in enumerate(maxcells)}
-    col_of_ray = {r: n * len(maxcells) + i for i, r in enumerate(zvars)}
     width = n * len(maxcells) + len(zvars)
     rows = []
-    for m, pos, rcells in _max_cell_geometry(cover):
-        for ray, rc in zip(fan.max_cones[pos].ray_indices, rcells):
+    for m, pos, _, cols in _max_cell_geometry(cover):
+        for ray, c in zip(fan.max_cones[pos].ray_indices, cols):
             row = [0] * width
             for k, x in enumerate(fan.rays[ray]):
                 row[col_of_cell[m] + k] = x
-            row[col_of_ray[rc]] = -1
+            row[n * len(maxcells) + c] = -1
             rows.append(row)
     return RationalMatrix(rows)
 
@@ -344,11 +337,10 @@ def _pullback_z(cover: CoverPoset, coordinate: int) -> tuple[int, ...]:
 def _lift_z_to_function(cover: CoverPoset, z) -> PLFunction:
     """Recover per-cell functionals from consistent ray-cell values."""
     fan = cover.fan
-    zindex = {r: i for i, r in enumerate(cover.ray_cells)}
     values = {}
-    for m, pos, rcells in _max_cell_geometry(cover):
+    for m, pos, _, cols in _max_cell_geometry(cover):
         chosen, scaled, den = _lift_data(fan, pos)
-        rhs = [z[zindex[rcells[i]]] for i in chosen]
+        rhs = [z[cols[i]] for i in chosen]
         values[m] = tuple(
             Fraction(sum(a * b for a, b in zip(row, rhs)), den) for row in scaled
         )
@@ -424,40 +416,32 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
 def wedge_summands(cover: CoverPoset) -> list[list[int]]:
     """Connected components of the nonminimal cells (the wedge pieces)."""
     root = cover.minimal_cell
-    cells = [i for i in range(len(cover.cells)) if i != root]
-    parent = {i: i for i in cells}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for hi in cells:
-        for lo in cover.below[hi]:
-            if lo != root:
-                a, b = find(lo), find(hi)
-                if a != b:
-                    parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for i in cells:
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=min)
+    links = [(lo, hi) for hi, below in enumerate(cover.below) for lo in below if lo != root]
+    return [g for g in components(len(cover.cells), links) if g != [root]]
 
 
-def _summand_dims(summands: list[list[int]], zvars: list[int], pivots: list[int]) -> list[int]:
-    """Per wedge summand, its columns less the pivots among them of the
-    values-at-rays system's `_int_echelon` (see `group_triviality`)."""
+def _summand_coranks(cells, ncols: int, pivots: list[int]) -> list[int]:
+    """Per wedge summand, by least column: its columns less the pivots among
+    them of the values-at-rays system's `_int_echelon`.
+
+    The summands' columns are the classes that the cells' columns join: a
+    summand is a connected component of the nonminimal cells, each of its
+    wall and ray cells lies under one of its maximal cells, and the two
+    maximal cells on a wall cell share that wall's ray cells, which lie
+    under both.  So a chain of maximal cells, each sharing a ray cell with
+    the next, joins any two ray cells of one summand, and no chain leaves it.
+    """
     pivset = set(pivots)
-    free = [r for i, r in enumerate(zvars) if i not in pivset]
-    return [sum(r in s for r in free) for s in map(set, summands)]
+    return [len(s) - len(pivset.intersection(s))
+            for s in components(ncols, [cols for *_, cols in cells])]
 
 
 @dataclass
 class TrivialityVerdict:
-    """The ladder's verdict on a cover.  `witness` is a nontrivial PL
-    function, built on first access from `cover` and `basis` (solved then
-    when none was supplied); it is None when every function is trivial."""
+    """The ladder's verdict.  `witness` is a nontrivial PL function, built
+    on first access from `cover` and `basis` (solved then when none was
+    supplied), and refused for a verdict decided without a cover; it is
+    None when every function is trivial."""
 
     all_trivial: bool
     certificate: str | None
@@ -477,6 +461,8 @@ class TrivialityVerdict:
         nontrivial whenever the group is."""
         if self.all_trivial:
             return None
+        if self.cover is None:
+            raise PLError("the witness of a verdict decided without a cover needs the cover")
         pl = self.basis if self.basis is not None else solve(self.cover)
         candidate = _combine(pl.functions, _generic_parameter(pl.functions, self.cover.max_cells))
         if is_trivial_function(candidate):
@@ -524,24 +510,22 @@ def _combine(basis: list[PLFunction], t: int) -> PLFunction:
     return acc
 
 
-def _kernel_keys(cover: CoverPoset, kernel: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Per maximal cell, in `_max_cell_geometry` order: L times its lifted
+def _kernel_keys(fan, cells, kernel: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Per cell of `system_triviality`, in order: L times its lifted
     functional on every kernel vector, as one integer tuple.  L, the lcm of
     every maximal cone's lift denominator, is cached per fan."""
-    fan = cover.fan
     cache = _fan_cache(fan)
     if "lift_lcm" not in cache:
         cache["lift_lcm"] = lcm(*(_lift_data(fan, pos)[2] for pos in range(len(fan.max_cones))))
     big = cache["lift_lcm"]
-    zindex = {r: i for i, r in enumerate(cover.ray_cells)}
     keys = []
     # Tuples are built from lists, at their final length: tuple() of a
     # generator grows by resizing, and CPython keeps up to 2000 freed tuples
     # of each length below 21 on a free list that resizing never draws from,
     # so a long run would hold that many dead keys of each length.
-    for m, pos, rcells in _max_cell_geometry(cover):
+    for _, pos, _, cell_cols in cells:
         chosen, scaled, den = _lift_data(fan, pos)
-        cols = [zindex[rcells[i]] for i in chosen]
+        cols = [cell_cols[i] for i in chosen]
         f = big // den
         keys.append(tuple([
             f * sum(a * z[c] for a, c in zip(row, cols))
@@ -550,28 +534,26 @@ def _kernel_keys(cover: CoverPoset, kernel: list[tuple[int, ...]]) -> list[tuple
     return keys
 
 
-def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> TrivialityVerdict:
-    """Decide whether every PL function on the cover is trivial.
+def system_triviality(fan, rows: list[list[int]], ncols: int, cells) -> TrivialityVerdict:
+    """Decide whether every PL function is trivial, from the values-at-rays
+    system alone: `rows` over `ncols` ray-cell columns, and `cells`, one
+    (label, base max-cone position, weight, column of each base ray) per
+    maximal cell, in row-block order.  `rows` is eliminated in place.
 
-    One decision ladder on one `_int_echelon` of the values-at-rays system,
-    whose corank d is the dimension of the PL group; each rung reads it.
+    One decision ladder on one `_int_echelon` of the system, whose corank d
+    is the dimension of the PL group; each rung reads it.
 
     1. d = 3 means the pullbacks only.
     2. A wedge all of whose summands have dimension 3 carries only
        summand-wise pullbacks.  A summand's dimension is its column count
-       less the pivots in its columns: every row lies on one summand, and
-       elimination only combines rows that share a column, so it never
-       mixes summands.
+       less the pivots in its columns (`_summand_coranks`): every row lies on
+       one summand, and elimination only combines rows that share a column,
+       so it never mixes summands.
     3. Otherwise the common pattern decides: the partition of the maximal
        cells on which every PL function agrees.  Each cell is keyed by its
        functional on every vector of the kernel back-substituted from the
        echelon (lifted and scaled by L to integers), so cells in one group
-       share a key.
-
-    A supplied `basis` only seeds the witness of a nontrivial verdict; one
-    not solved on this cover, or not of dimension d, is refused.  The
-    sweep's records settle rung 1 on the system read off the monodromy and
-    call this only for d > 3.
+       share a key.  The pattern lists the groups' labels.
 
     Why rung 3 may read the verdict off the pattern: every PL function is
     constant on each group, and some function (a generic element, avoiding
@@ -582,29 +564,42 @@ def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> Trivial
     each group has the same cell weight over every maximal cone: the "if"
     because then every multiset is the same, the "only if" because the
     generic element's multisets differ otherwise.  That element is built
-    only when `witness` is read.
+    only when `witness` is read, which needs the cover (`group_triviality`).
     """
-    rows, zvars = ray_value_system(cover)
-    _check_pullbacks(cover.fan)
-    ech, pivots = _int_echelon(rows, len(zvars))
-    d = len(zvars) - len(pivots)
-    if basis is not None and (basis.cover is not cover or basis.dim != d):
-        raise PLError(f"the basis does not span this cover's PL group of dimension {d}")
+    _check_pullbacks(fan)
+    ech, pivots = _int_echelon(rows, ncols)
+    d = ncols - len(pivots)
     if d == 3:
         return TrivialityVerdict(True, "pullbacks-only", None, d)
-    summands = wedge_summands(cover)
-    if len(summands) > 1 and all(x == 3 for x in _summand_dims(summands, zvars, pivots)):
+    dims = _summand_coranks(cells, ncols, pivots)
+    if len(dims) > 1 and all(x == 3 for x in dims):
         return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
 
-    geo = _max_cell_geometry(cover)
-    keys = _kernel_keys(cover, _echelon_kernel(ech, pivots, len(zvars)))
+    keys = _kernel_keys(fan, cells, _echelon_kernel(ech, pivots, ncols))
     groups: dict[tuple, list[int]] = {}
     weights: dict[tuple, list[int]] = {}
-    npos = len(cover.fan.max_cones)
-    for (m, pos, _), key in zip(geo, keys):
-        groups.setdefault(key, []).append(m)
-        weights.setdefault(key, [0] * npos)[pos] += cover.cells[m].weight
+    npos = len(fan.max_cones)
+    for (label, pos, weight, _), key in zip(cells, keys):
+        groups.setdefault(key, []).append(label)
+        weights.setdefault(key, [0] * npos)[pos] += weight
     if any(min(w) != max(w) for w in weights.values()):
-        return TrivialityVerdict(False, None, None, d, cover, basis)
+        return TrivialityVerdict(False, None, None, d)
     pattern = tuple(sorted(tuple(g) for g in groups.values()))
     return TrivialityVerdict(True, "matched-pattern", pattern, d)
+
+
+def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> TrivialityVerdict:
+    """Decide whether every PL function on the cover is trivial: the ladder
+    of `system_triviality` on the cover's values-at-rays system, labelled by
+    its maximal cells.  A supplied `basis` only seeds the witness of a
+    nontrivial verdict, which keeps it and the cover; a basis not solved on
+    this cover, or not of the group's dimension, is refused.
+    """
+    rows, zvars = ray_value_system(cover)
+    verdict = system_triviality(cover.fan, rows, len(zvars), _max_cell_geometry(cover))
+    if basis is not None and (basis.cover is not cover or basis.dim != verdict.dim):
+        raise PLError(
+            f"the basis does not span this cover's PL group of dimension {verdict.dim}")
+    if not verdict.all_trivial:
+        verdict.cover, verdict.basis = cover, basis
+    return verdict

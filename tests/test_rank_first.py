@@ -1,9 +1,9 @@
-"""The rank-first sweep record against the reference path.
+"""Sweep records from the values-at-rays system against the reference path.
 
-`evaluate_assignment` settles dimension-3 records from the values-at-rays
-system read off the monodromy; the reference path builds the cover and runs
-`group_triviality` on it.  The digests pin the record bytes that the
-cover-first sweep wrote before the rank-first one replaced it.
+`evaluate_assignment` decides every record on the system read off the
+monodromy, with no cover built; the reference path builds the cover and
+runs `group_triviality` on it.  The digests pin the record bytes that the
+cover-first sweep wrote before records were decided on the system.
 """
 
 import hashlib
@@ -25,7 +25,7 @@ from fanbranch.monodromy import (
     ray_value_rows,
     spanning_tree,
 )
-from fanbranch.pl_group import _pullback_z, group_triviality, ray_value_system
+from fanbranch.pl_group import _max_cell_geometry, _pullback_z, group_triviality, ray_value_system
 
 FULTON_DEG2_CACHE_SHA256 = "00a001fde95114f980c5b978f9f16d5b65d52a2b3bd864417dd79b09116087d9"
 EIKELBERG_DEG3_STRIDE8_SHA256 = "b8e414ae30a18902d845331fdd0ea92c1f96e3efffe8c5bfcbdd595c34043a59"
@@ -64,7 +64,7 @@ CASES = {
 
 @lru_cache(maxsize=None)
 def sweep_case(case):
-    """(fan, tree, degree, indices, rank-first record lines) of a case."""
+    """(fan, tree, degree, indices, record lines from the system) of a case."""
     name, d, step = CASES[case]
     fan = load_fan(name)
     tree = spanning_tree(fan)
@@ -84,8 +84,11 @@ def test_system_is_the_covers_entry_for_entry(case):
     for i in indices:
         a = assignment_at(fan, d, i, tree)
         system = ray_value_rows(fan, a, tree)
-        rows, zvars = ray_value_system(build_cover(fan, a, tree))
+        cover = build_cover(fan, a, tree)
+        rows, zvars = ray_value_system(cover)
         assert (system.rows, system.ncols) == (rows, len(zvars))
+        # the same base cone, weight and columns per row block
+        assert [c[1:] for c in system.cells] == [c[1:] for c in _max_cell_geometry(cover)]
 
 
 def test_eikelberg_stride_digest_and_rungs():

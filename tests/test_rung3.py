@@ -1,22 +1,26 @@
-"""Rungs 2 and 3 of `group_triviality` against their references.
+"""Rungs 2 and 3 of the triviality ladder against their references.
 
 Rung 3 reads its verdict off the common pattern of the PL group, computed in
 integers from the system's kernel.  The reference below is the path it
 replaced: solve a basis, combine it into a deterministic generic element,
 and test that element's multisets.  Both must give the same tag and pattern
 on every cover past rung 2, and the witness of a nontrivial verdict must be
-the reference's generic element, byte for byte.
+the reference's generic element, byte for byte.  The ladder run on the
+system read off the monodromy (`system_triviality` on `ray_value_rows`, as
+sweep records run it) must agree with the one run on the built cover.
 
 Rung 2 reads each wedge summand's dimension off the pivots of the system's
-one echelon; the reference ranks the summand's own columns separately.
+one echelon, with the summands found from the maximal cells' columns; the
+reference ranks the columns of each `wedge_summands` piece separately.
 """
 
 from functools import lru_cache
 
 import pytest
 
-from fanbranch import exact_linalg, pl_group
-from fanbranch.cli import run_sweep
+from fanbranch import cli, exact_linalg, monodromy, pl_group
+from fanbranch.cli import evaluate_assignment, run_sweep
+from fanbranch.cover_poset import components
 from fanbranch.exact_linalg import _int_echelon, rank_of_int_rows
 from fanbranch.fan_core import load_fan
 from fanbranch.monodromy import (
@@ -32,12 +36,12 @@ from fanbranch.pl_group import (
     PLError,
     _combine,
     _generic_parameter,
-    _summand_dims,
+    _summand_coranks,
     group_triviality,
     is_trivial_function,
-    pl_dimension,
     ray_value_system,
     solve,
+    system_triviality,
     wedge_summands,
 )
 
@@ -69,12 +73,7 @@ def high_dim_indices(name, d, step):
     `step`-th index."""
     fan, tree = _fan(name)
     reps = sorted(set(class_representatives(d, tree.generators)[::step]))
-    out = []
-    for i in reps:
-        system = ray_value_rows(fan, assignment_at(fan, d, i, tree), tree)
-        if pl_dimension(fan, system.rows, system.ncols) > 3:
-            out.append(i)
-    return out
+    return [i for i in reps if evaluate_assignment(fan, tree, d, i).dim_pl > 3]
 
 
 # (fan, degree, index step) -> (dim > 3 classes, nontrivial among them)
@@ -91,7 +90,8 @@ def test_common_pattern_equals_generic_element(case):
     indices = high_dim_indices(*case)
     nontrivial = 0
     for i in indices:
-        cover = build_cover(fan, assignment_at(fan, case[1], i, tree), tree)
+        a = assignment_at(fan, case[1], i, tree)
+        cover = build_cover(fan, a, tree)
         basis = solve(cover)
         v = group_triviality(cover)
         ref_trivial, ref_pattern, candidate = reference_rung3(cover, basis)
@@ -100,6 +100,14 @@ def test_common_pattern_equals_generic_element(case):
             assert (v.tag, v.pattern) == (
                 "matched-pattern" if ref_trivial else "nontrivial", ref_pattern), i
         assert group_triviality(cover, basis) == v, i
+        # the same ladder on the system read off the monodromy; row block k
+        # is the cover's k-th maximal cell
+        system = ray_value_rows(fan, a, tree)
+        sv = system_triviality(fan, system.rows, system.ncols, system.cells)
+        labels = cover.max_cells
+        pattern = sv.pattern and tuple(tuple(labels[k] for k in g) for g in sv.pattern)
+        assert (sv.all_trivial, sv.tag, sv.dim, pattern) == (
+            v.all_trivial, v.tag, v.dim, v.pattern), i
         if not v.all_trivial:
             nontrivial += 1
             assert v.witness.to_dict() == candidate.to_dict(), i
@@ -145,18 +153,20 @@ def test_summand_dimensions_are_the_echelons_pivot_counts():
     for case in sorted(CASES):
         fan, tree = _fan(case[0])
         for i in high_dim_indices(*case):
-            cover = build_cover(fan, assignment_at(fan, case[1], i, tree), tree)
+            a = assignment_at(fan, case[1], i, tree)
+            cover = build_cover(fan, a, tree)
             summands = wedge_summands(cover)
             if len(summands) == 1:
                 continue
             wedges += 1
             rows, zvars = ray_value_system(cover)
+            system = ray_value_rows(fan, a, tree)
+            assert system.rows == rows, (case, i)
+            columns = sorted([k for k, r in enumerate(zvars) if r in s] for s in map(set, summands))
+            assert components(system.ncols, [c for *_, c in system.cells]) == columns, (case, i)
             _, pivots = _int_echelon([r[:] for r in rows], len(zvars))
-            reference = [
-                reference_summand_dim(rows, [k for k, r in enumerate(zvars) if r in s])
-                for s in map(set, summands)
-            ]
-            assert _summand_dims(summands, zvars, pivots) == reference, (case, i)
+            reference = [reference_summand_dim(rows, cols) for cols in columns]
+            assert _summand_coranks(system.cells, system.ncols, pivots) == reference, (case, i)
     assert wedges == 35
 
 
@@ -186,6 +196,50 @@ def test_ladder_eliminates_once(tag, monkeypatch):
     monkeypatch.setattr(pl_group, "_int_echelon", counted)
     assert group_triviality(cover).tag == tag
     assert calls == [len(cover.ray_cells)]
+
+
+# tag -> an eikelberg degree-3 index whose record the ladder settles there
+SWEEP_RECORDS = {
+    "pullbacks-only": 22,
+    "wedge-of-pullbacks": 0,
+    "matched-pattern": 1,
+    "nontrivial": 37,
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SWEEP_RECORDS))
+def test_sweep_record_eliminates_once_and_builds_no_cover(tag, monkeypatch):
+    fan, tree = _fan("eikelberg")
+    index = SWEEP_RECORDS[tag]
+    # the first call fills the per-fan caches (pullback check, lift data)
+    assert evaluate_assignment(fan, tree, 3, index).cert == tag
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return _int_echelon(rows, ncols)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep record built or decided a cover")
+
+    monkeypatch.setattr(exact_linalg, "_int_echelon", counted)
+    monkeypatch.setattr(pl_group, "_int_echelon", counted)
+    for module in (monodromy, cli):
+        monkeypatch.setattr(module, "build_cover", refuse)
+    for module in (pl_group, cli):
+        monkeypatch.setattr(module, "ray_value_system", refuse)
+        monkeypatch.setattr(module, "group_triviality", refuse)
+    rec = evaluate_assignment(fan, tree, 3, index)
+    assert rec.cert == tag and len(calls) == 1
+
+
+def test_witness_of_a_verdict_without_a_cover_refused():
+    fan, tree = _fan("eikelberg")
+    system = ray_value_rows(fan, assignment_for_branch_set(fan, [0, 5], tree), tree)
+    v = system_triviality(fan, system.rows, system.ncols, system.cells)
+    assert v.tag == "nontrivial"
+    with pytest.raises(PLError, match="needs the cover"):
+        v.witness
 
 
 def test_basis_of_another_cover_refused():

@@ -29,6 +29,7 @@ from .fan_core import (
     combinatorial_automorphisms,
     is_complete,
     load_fan,
+    wall_relation,
 )
 from .klyachko import (
     branched_cover_of,
@@ -403,8 +404,10 @@ def fan():
 def fan_validate(source):
     """Load and validate a fan; report rays, cones, walls, completeness."""
     f = _resolve_fan(source)
-    complete = is_complete(f) if f.rank <= 3 else None
-    status = "complete" if complete else "valid, not complete"
+    if f.rank > 3:
+        status = "valid, completeness not decided above rank 3"
+    else:
+        status = "complete" if is_complete(f) else "valid, not complete"
     click.echo(
         f"{status}, {len(f.rays)} rays, {len(f.max_cones)} maximal cones, "
         f"{len(f.walls)} walls"
@@ -513,9 +516,10 @@ def pl_solve(source, cover_file, branch):
                 raise click.ClickException(f"cover invalid: {report.describe()}")
     basis = solve(cover)
     verdict = group_triviality(cover, basis)
-    rows, zvars = ray_value_system(cover)
-    rank = len(zvars) - verdict.dim
-    rank_str = f", system {len(rows)}x{len(zvars)} of rank {rank}" if rows else ""
+    nrows = sum(len(wall_relation(f, f.max_cone_position(cover.cells[m].base)))
+                for m in cover.max_cells)
+    ncols = len(cover.ray_cells)
+    rank_str = f", system {nrows}x{ncols} of rank {ncols - verdict.dim}" if nrows else ""
     click.echo(f"degree {cover_degree(cover)} cover{rank_str}")
     click.echo(f"dim PL = {basis.dim} (pullbacks span 3)")
     if verdict.all_trivial:

@@ -1,9 +1,9 @@
 """Fans as cone complexes in poset form.
 
 A fan is stored combinatorially: a table of primitive ray generators plus the
-ray-index sets of its maximal cones.  Everything else (the full face poset,
-walls, the dual graph, ray links, completeness) is derived at construction
-time by exact rational arithmetic.
+ray-index sets of its maximal cones.  The full face poset, walls and the
+dual graph are derived at construction time by exact rational arithmetic;
+completeness and ray links are derived from them on first use.
 
 Face tests use no LP solver: a subset S of a cone's generators spans a face
 iff some functional vanishes on S and is strictly positive on the remaining
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import permutations
 
 from .exact_linalg import (
@@ -144,13 +143,13 @@ def linear_functional_witness(zero_on, positive_on, negative_on=(), dim=None):
         dim = len(vectors[0])
     if zero_on:
         kernel = RationalMatrix(list(zero_on))
-        basis = [list(map(Fraction, b)) for b in _nullspace_cached(kernel)]
+        basis = [primitive(b) for b in _nullspace_cached(kernel)]
         if not basis:
             if positive_on or negative_on:
                 return None
             return tuple(Fraction(0) for _ in range(dim))
     else:
-        basis = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
+        basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
     k = len(basis)
     rows = []
     for v in positive_on:
@@ -348,9 +347,9 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
     """Build and fully validate a fan from ray vectors and ray-index lists.
 
     Rays are replaced by their primitive forms.  The derived face poset,
-    walls, dual graph and (for complete rank-3 fans) ray link cycles are
-    computed here; the fan axioms (strong convexity, extremality, pairwise
-    intersection in common faces) are checked exactly.
+    walls and dual graph are computed here; the fan axioms (strong
+    convexity, extremality, pairwise intersection in common faces) are
+    checked exactly, and every ray must lie in some maximal cone.
     """
     lattice = Lattice(rank)
     prim = _validate_rays(rank, rays)
@@ -370,6 +369,10 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
         seen_cones.add(t)
         dim = matrix_rank(RationalMatrix([prim[i] for i in t]))
         max_list.append(Cone(t, dim))
+    used = {i for c in max_list for i in c.ray_indices}
+    for i in range(len(prim)):
+        if i not in used:
+            raise FanError(f"ray {i} lies in no maximal cone")
 
     # face lattice per maximal cone, accumulated globally
     all_faces: set[tuple[int, ...]] = {()}
@@ -440,43 +443,6 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
 # ---------------------------------------------------------------------------
 
 
-def _angle_class(v: IntVector) -> int:
-    x, y = v
-    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-
-def _angular_cmp(a: IntVector, b: IntVector) -> int:
-    ca, cb = _angle_class(a), _angle_class(b)
-    if ca != cb:
-        return -1 if ca < cb else 1
-    cross = a[0] * b[1] - a[1] * b[0]
-    return 0 if cross == 0 else (-1 if cross > 0 else 1)
-
-
-def _is_complete_rank2(fan: Fan) -> bool:
-    rays = list(range(len(fan.rays)))
-    if len(rays) < 3:
-        return False
-    if any(c.dim != 2 for c in fan.max_cones):
-        return False
-    order = sorted(rays, key=cmp_to_key(lambda i, j: _angular_cmp(fan.rays[i], fan.rays[j])))
-    consecutive = set()
-    for p in range(len(order)):
-        i, j = order[p], order[(p + 1) % len(order)]
-        vi, vj = fan.rays[i], fan.rays[j]
-        if vi[0] * vj[1] - vi[1] * vj[0] <= 0:
-            return False  # an angular gap of pi or more
-        consecutive.add(tuple(sorted((i, j))))
-    cone_sets = {tuple(sorted(c.ray_indices)) for c in fan.max_cones}
-    return cone_sets == consecutive
-
-
-def _is_complete_rank1(fan: Fan) -> bool:
-    dirs = {v[0] > 0 for v in fan.rays}
-    cone_rays = {c.ray_indices for c in fan.max_cones if c.dim == 1}
-    return len(fan.rays) == 2 and dirs == {True, False} and len(cone_rays) == 2
-
-
 def _build_ray_links(fan: Fan) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
     links = {}
     for ray in range(len(fan.rays)):
@@ -516,60 +482,32 @@ def _build_ray_links(fan: Fan) -> dict[int, tuple[tuple[int, ...], tuple[int, ..
 
 
 def is_complete(fan: Fan) -> bool:
-    """Whether the fan's support is the whole space (rank <= 3 only)."""
+    """Whether the fan's support is the whole space (rank <= 3 only).
+
+    The fan is complete iff it has a maximal cone, every maximal cone is
+    full-dimensional and every wall lies in exactly two maximal cones.
+    Necessity is clear.  Sufficiency in rank 3, given that cones meet in
+    common faces (checked by `fan_from_data`): if the support S is not
+    everything, its complement C on the unit sphere is open and nonempty
+    and S holds a full-dimensional cone, so the boundary of C is not empty.
+    Removing finitely many ray points does not disconnect the sphere, so
+    that boundary has a point p on no ray; p lies in S, hence in the
+    relative interior of some wall w.  The cones through p are exactly the
+    two maximal cones on w, on opposite sides of w since their interiors
+    do not overlap, so p is interior to S: a contradiction.  In rank 2, p
+    is any boundary point and w the ray through it; in rank 1 the one wall
+    is the origin, and its two maximal cones are the two half-lines.
+    """
     if fan._complete is not None:
         return fan._complete
     if fan.rank > 3:
         raise FanError("completeness check requires rank <= 3")
-    if fan.rank == 1:
-        result = _is_complete_rank1(fan)
-    elif fan.rank == 2:
-        result = _is_complete_rank2(fan)
-    else:
-        result = _is_complete_rank3(fan)
-    fan._complete = result
-    return result
-
-
-def _is_complete_rank3(fan: Fan) -> bool:
-    if any(c.dim != 3 for c in fan.max_cones):
-        return False
-    if any(len(cs) != 2 for cs in fan.wall_cones):
-        return False
-    # dual graph connectivity
-    n = len(fan.max_cones)
-    if n == 0:
-        return False
-    seen = {0}
-    frontier = [0]
-    adj = {i: [] for i in range(n)}
-    for _, a, b in fan.dual_graph_edges():
-        adj[a].append(b)
-        adj[b].append(a)
-    while frontier:
-        x = frontier.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    if len(seen) != n:
-        return False
-    # each ray link must close into one cycle and project to a complete
-    # rank-2 fan in the quotient lattice
-    try:
-        links = _build_ray_links(fan)
-    except FanError:
-        return False
-    fan._ray_links = links
-    for ray in range(len(fan.rays)):
-        st = star(fan, fan.cone_id((ray,)))
-        try:
-            link_fan = st.to_fan()
-        except FanError:
-            return False
-        if not _is_complete_rank2(link_fan):
-            return False
-    return True
+    fan._complete = (
+        bool(fan.max_cones)
+        and all(c.dim == fan.rank for c in fan.max_cones)
+        and all(len(cs) == 2 for cs in fan.wall_cones)
+    )
+    return fan._complete
 
 
 def ray_link(fan: Fan, ray_index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -701,6 +639,19 @@ class Star:
 
 def star(fan: Fan, cone_id: int) -> Star:
     return Star(fan, cone_id)
+
+
+def stellar_subdivision(fan: Fan, position: int) -> Fan:
+    """The fan with maximal cone `position` replaced by the cones over its
+    facets from the primitive sum of its generators, a new last ray."""
+    cone = fan.max_cones[position].ray_indices
+    new_ray = primitive([sum(fan.rays[i][k] for i in cone) for k in range(fan.rank)])
+    new = len(fan.rays)
+    facets = [fan.cones[w].ray_indices for w in fan.walls
+              if set(fan.cones[w].ray_indices) <= set(cone)]
+    cones = [c.ray_indices for j, c in enumerate(fan.max_cones) if j != position]
+    cones += [f + (new,) for f in facets]
+    return fan_from_data(fan.rank, fan.rays + (new_ray,), cones)
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,6 @@ class PLFunction:
         plf.ray_values = ray_values
         return plf
 
-    def z_vector(self) -> tuple[Fraction, ...]:
-        return tuple(self.ray_values[r] for r in self.cover.ray_cells)
-
     def __add__(self, other: "PLFunction") -> "PLFunction":
         if other.cover is not self.cover:
             raise PLError("cannot add functions on different covers")

@@ -35,6 +35,18 @@ class TestFanCommands:
         assert result.exit_code == 0
         assert "valid, not complete" in result.output
 
+    def test_validate_rank4_leaves_completeness_undecided(self, runner, tmp_path):
+        p = tmp_path / "rank4.fan.json"
+        p.write_text(
+            json.dumps({"rank": 4, "rays": [[1, 0, 0, 0], [0, 1, 0, 0]], "max_cones": [[0, 1]]})
+        )
+        result = runner.invoke(main, ["fan", "validate", str(p)])
+        assert result.exit_code == 0
+        assert result.output == (
+            "valid, completeness not decided above rank 3, "
+            "2 rays, 1 maximal cones, 0 walls\n"
+        )
+
     def test_validate_duplicate_ray_fails(self, runner, tmp_path):
         p = tmp_path / "bad.fan.json"
         p.write_text(
@@ -85,6 +97,25 @@ class TestSolveCommand:
         assert "system 12x12 of rank 9" in result.output
         assert "dim PL = 3" in result.output
         assert "AllTrivial(pullbacks-only)" in result.output
+
+    def test_builds_the_system_once_per_solver(self, runner, monkeypatch):
+        # `solve` and `group_triviality` each build the values-at-rays
+        # system; the rank line only counts its rows.
+        from fanbranch import cli, pl_group
+
+        builds = []
+        real = pl_group.ray_value_system
+
+        def counted(cover):
+            builds.append(cover)
+            return real(cover)
+
+        monkeypatch.setattr(pl_group, "ray_value_system", counted)
+        monkeypatch.setattr(cli, "ray_value_system", counted)
+        result = runner.invoke(main, ["pl", "solve", "fulton", "--branch-rays", "0,2,5,7"])
+        assert result.exit_code == 0
+        assert result.output.startswith("degree 2 cover, system 12x12 of rank 9\n")
+        assert len(builds) == 2
 
     def test_eikelberg_nontrivial(self, runner):
         result = runner.invoke(main, ["pl", "solve", "eikelberg", "--branch-rays", "0,5"])

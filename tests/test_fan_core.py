@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
 
+from fanbranch import fan_core
 from fanbranch.exact_linalg import RationalMatrix
 from fanbranch.fan_core import (
+    BUNDLED_FANS,
     FanError,
     combinatorial_automorphisms,
     cone_contains_point,
@@ -13,6 +16,7 @@ from fanbranch.fan_core import (
     load_fan,
     ray_link,
     star,
+    stellar_subdivision,
     wall_relation,
 )
 
@@ -34,6 +38,12 @@ def sigma_prime():
 
 def octant():
     return fan_from_data(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]])
+
+
+# Rays near 0, 144, 288, 72 and 216 degrees with cones on consecutive pairs:
+# the plane wound twice.  Every ray lies in exactly two cones.
+PENTAGRAM_RAYS = [[1, 0], [-4, 3], [1, -3], [1, 3], [-4, -3]]
+PENTAGRAM_CONES = [[i, (i + 1) % 5] for i in range(5)]
 
 
 class TestConstruction:
@@ -72,6 +82,23 @@ class TestConstruction:
         # two 2-dim cones overlapping in a 2-dim region, not a common face
         with pytest.raises(FanError, match="non-face"):
             fan_from_data(2, [[1, 0], [0, 1], [1, -1], [-1, 2]], [[0, 1], [2, 3]])
+
+    def test_unused_ray_rejected(self, fulton):
+        with pytest.raises(FanError, match="ray 3 lies in no maximal cone"):
+            fan_from_data(2, [[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 1], [1, 2], [0, 2]])
+        data = fan_to_dict(fulton)
+        with pytest.raises(FanError, match="ray 8 lies in no maximal cone"):
+            fan_from_data(3, data["rays"] + [[1, 2, 7]], data["max_cones"])
+
+    def test_pentagram_rejected(self):
+        # Every wall of these fans lies in exactly two maximal cones, so
+        # `is_complete` relies on this refusal.
+        with pytest.raises(FanError, match="non-face"):
+            fan_from_data(2, PENTAGRAM_RAYS, PENTAGRAM_CONES)
+        rays = [r + [0] for r in PENTAGRAM_RAYS] + [[0, 0, 1], [0, 0, -1]]
+        cones = [c + [apex] for c in PENTAGRAM_CONES for apex in (5, 6)]
+        with pytest.raises(FanError, match="non-face"):
+            fan_from_data(3, rays, cones)
 
     def test_face_poset_closed_downward(self, fulton):
         for c in fulton.cones:
@@ -112,6 +139,11 @@ class TestCompleteness:
         assert is_complete(fan_from_data(1, [[1], [-1]], [[0], [1]]))
         assert not is_complete(fan_from_data(1, [[1]], [[0]]))
 
+    def test_lower_dimensional_cones_incomplete(self):
+        # no walls at all, so only the dimension of the cones decides
+        assert not is_complete(fan_from_data(3, [[1, 0, 0], [-1, 0, 0]], [[0], [1]]))
+        assert not is_complete(fan_from_data(2, [[1, 0], [-1, 0]], [[0], [1]]))
+
     def test_rank4_rejected(self):
         fan = fan_from_data(4, [[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 1]])
         with pytest.raises(FanError, match="rank"):
@@ -122,6 +154,51 @@ class TestCompleteness:
         data["max_cones"] = data["max_cones"][:-1]
         fan = fan_from_data(data["rank"], data["rays"], data["max_cones"])
         assert not is_complete(fan)
+
+    @pytest.mark.parametrize("name", BUNDLED_FANS)
+    def test_verdict_matches_point_membership(self, name):
+        # The bundled fan, its stellar subdivisions (rank 3) and each of those
+        # with one maximal cone dropped.  A fan is complete exactly when every
+        # sample point lies in some maximal cone; an incomplete fan's sample
+        # includes the dropped cone's ray sum, which lies in no other cone.
+        base = load_fan(name)
+        fans = [base]
+        if base.rank == 3:
+            fans += [stellar_subdivision(base, p) for p in range(len(base.max_cones))]
+        cases = []
+        for fan in fans:
+            cases.append((fan, None))
+            for p, dropped in enumerate(fan.max_cones):
+                cones = [c.ray_indices for c in fan.max_cones if c is not dropped]
+                witness = [sum(col) for col in zip(*fan.generators(
+                    fan.cone_id(dropped.ray_indices)))]
+                cases.append((fan_from_data(fan.rank, fan.rays, cones), witness))
+        rng = random.Random(f"complete-{name}")
+        for fan, witness in cases:
+            points = [[rng.randint(-9, 9) for _ in range(fan.rank)] for _ in range(4)]
+            if witness is not None:
+                points.append(witness)
+            covered = all(
+                any(cone_contains_point([fan.rays[i] for i in c.ray_indices], pt)
+                    for c in fan.max_cones)
+                for pt in points
+            )
+            assert is_complete(fan) == covered == (witness is None)
+
+    def test_builds_no_fan(self, sigma_prime, monkeypatch):
+        fresh = [load_fan("sigma_prime"), stellar_subdivision(sigma_prime, 0)]
+        calls = []
+        real = fan_core.fan_from_data
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fan_core, "fan_from_data", counted)
+        for fan in fresh:
+            assert is_complete(fan)
+            assert fan._ray_links is None
+        assert calls == []
 
 
 class TestWallRelation:

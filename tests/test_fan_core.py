@@ -168,10 +168,9 @@ class TestCompleteness:
         cases = []
         for fan in fans:
             cases.append((fan, None))
-            for p, dropped in enumerate(fan.max_cones):
+            for dropped in fan.max_cones:
                 cones = [c.ray_indices for c in fan.max_cones if c is not dropped]
-                witness = [sum(col) for col in zip(*fan.generators(
-                    fan.cone_id(dropped.ray_indices)))]
+                witness = [sum(col) for col in zip(*(fan.rays[i] for i in dropped.ray_indices))]
                 cases.append((fan_from_data(fan.rank, fan.rays, cones), witness))
         rng = random.Random(f"complete-{name}")
         for fan, witness in cases:

@@ -2,13 +2,15 @@
 
 A fan is stored combinatorially: a table of primitive ray generators plus the
 ray-index sets of its maximal cones.  The full face poset, walls and the
-dual graph are derived at construction time by exact rational arithmetic;
+dual graph are derived at construction time by exact integer arithmetic;
 completeness and ray links are derived from them on first use.
 
-Face tests use no LP solver: a subset S of a cone's generators spans a face
-iff some functional vanishes on S and is strictly positive on the remaining
-generators, and such functionals are found by exact Fourier-Motzkin
-elimination, then re-checked by sign evaluation.
+Faces come from facet normals: every face of a cone is the whole cone or an
+intersection of facets, and each facet normal is the one-dimensional kernel
+of some of the cone's generators (see `_cone_faces`).  Whether two maximal
+cones meet in a common face, and whether a point lies in a cone, is decided
+with no LP solver, by exact Fourier-Motzkin elimination whose witnesses are
+re-checked by sign evaluation.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd, lcm
 
 from .exact_linalg import (
-    RationalMatrix,
-    integer_kernel,
-    left_nullspace,
+    independent_rows,
+    nullspace_of_int_rows,
     primitive,
-    rank as matrix_rank,
+    rank_of_int_rows,
 )
 
 IntVector = tuple[int, ...]
@@ -39,9 +41,10 @@ class FanError(ValueError):
 
 
 def _normalize_ineq(coeffs, strict):
-    if all(c == 0 for c in coeffs):
+    g = gcd(*coeffs)
+    if g == 0:
         return None if not strict else ("infeasible",)
-    return (primitive(coeffs), strict)
+    return (tuple([c // g for c in coeffs]), strict)
 
 
 def _eliminate(rows, var):
@@ -75,7 +78,7 @@ def _eliminate(rows, var):
 
 
 def _fm_inequalities(rows, nvars):
-    """Witness y in Q^nvars with c.y >= 0 (or > 0 when strict) for all rows."""
+    """Witness y in Q^nvars with c.y >= 0 (or > 0 when strict) for all integer rows c."""
     levels = []
     current = []
     for coeffs, strict in rows:
@@ -132,18 +135,17 @@ def _fm_inequalities(rows, nvars):
     return tuple(y)
 
 
-def linear_functional_witness(zero_on, positive_on, negative_on=(), dim=None):
-    """Exact witness u with u.v = 0, > 0, < 0 on the three vector families.
+def linear_functional_witness(zero_on, positive_on, negative_on=()):
+    """Exact witness u with u.v = 0, > 0, < 0 on three families of integer
+    vectors, not all empty.
 
     Returns a tuple of Fractions or None if no such functional exists.  The
     returned witness is re-checked by direct sign evaluation.
     """
-    vectors = list(zero_on) + list(positive_on) + list(negative_on)
-    if dim is None:
-        dim = len(vectors[0])
+    vectors = [*zero_on, *positive_on, *negative_on]
+    dim = len(vectors[0])
     if zero_on:
-        kernel = RationalMatrix(list(zero_on))
-        basis = [primitive(b) for b in _nullspace_cached(kernel)]
+        basis = nullspace_of_int_rows(list(zero_on), dim)
         if not basis:
             if positive_on or negative_on:
                 return None
@@ -174,36 +176,21 @@ def linear_functional_witness(zero_on, positive_on, negative_on=(), dim=None):
     return u
 
 
-_null_cache: dict = {}
-
-
-def _nullspace_cached(m: RationalMatrix):
-    key = (m.cols, m.entries)
-    hit = _null_cache.get(key)
-    if hit is None:
-        from .exact_linalg import right_nullspace
-
-        hit = right_nullspace(m)
-        if len(_null_cache) > 4096:
-            _null_cache.clear()
-        _null_cache[key] = hit
-    return hit
-
-
 def cone_contains_point(generators, point) -> bool:
-    """Exact membership of a rational point in cone(generators), via Farkas."""
-    pt = tuple(Fraction(x) for x in point)
-    if all(x == 0 for x in pt):
+    """Exact membership of a rational point in the cone of integer generators,
+    via Farkas.  The point is first scaled by the lcm of its denominators,
+    which keeps membership."""
+    pt = [Fraction(x) for x in point]
+    den = lcm(*(x.denominator for x in pt))
+    pt = [x.numerator * (den // x.denominator) for x in pt]
+    if not any(pt):
         return True
     if not generators:
         return False
     # Farkas: point is outside iff some u is >= 0 on generators and < 0 at point.
-    rows = []
-    dim = len(pt)
-    for g in generators:
-        rows.append((tuple(Fraction(x) for x in g), False))
+    rows = [(tuple(g), False) for g in generators]
     rows.append((tuple(-x for x in pt), True))
-    return _fm_inequalities(rows, dim) is None
+    return _fm_inequalities(rows, len(pt)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +203,8 @@ class Lattice:
     rank: int
 
     def __post_init__(self):
+        if type(self.rank) is not int:
+            raise FanError(f"lattice rank must be an integer, got {self.rank!r}")
         if self.rank < 1:
             raise FanError("lattice rank must be at least 1")
 
@@ -301,14 +290,19 @@ class Fan:
 
 
 def _validate_rays(rank, rays):
+    if not isinstance(rays, (list, tuple)):
+        raise FanError(f"rays must be a list of integer vectors, got {rays!r}")
     prim = []
     seen = {}
     for i, r in enumerate(rays):
+        if not isinstance(r, (list, tuple)) or not all(type(x) is int for x in r):
+            raise FanError(f"ray {i} is not a list of integers: {r!r}")
         if len(r) != rank:
             raise FanError(f"ray {i} has wrong length for rank {rank}")
-        if all(x == 0 for x in r):
+        g = gcd(*r)
+        if g == 0:
             raise FanError(f"ray {i} is the zero vector")
-        p = primitive(r)
+        p = tuple([x // g for x in r])
         if p in seen:
             raise FanError(f"duplicate ray: rays {seen[p]} and {i} span the same ray")
         seen[p] = i
@@ -316,47 +310,66 @@ def _validate_rays(rank, rays):
     return tuple(prim)
 
 
-def _cone_faces(rays_of_cone, vectors):
-    """All faces of one cone as frozensets of its local generator positions.
+def _cone_faces(vectors):
+    """All faces of the cone over nonzero integer vectors, each face as the
+    frozenset of positions of the vectors that lie in it.
 
-    The cone must be strongly convex and its generators exactly the extremal
-    rays; violations raise FanError.
+    Proof.  Project onto the coordinates of the independent columns of the
+    generator matrix; this map is injective on the span of the generators,
+    so the cone becomes a full-dimensional cone C in Q^d with the same face
+    poset, d its dimension.  A facet F of C is the cone over the generators
+    it contains; these span its hyperplane, so d - 1 independent generators
+    lie in F and their kernel is the line of F's normal u.  Conversely, if
+    d - 1 generators have a one-dimensional kernel spanned by u and every
+    generator lies on one side of u, then u (or -u) supports C in a face
+    whose span holds those d - 1 independent generators: a facet.  So the
+    loop below finds exactly the facets, each as its zero set.  Every face
+    of a polyhedral cone is C itself or an intersection of facets (Ziegler,
+    Lectures on Polytopes, 2.2; Fulton, Introduction to Toric Varieties,
+    1.2), faces are the cones over the generators they contain, and the
+    generators in an intersection of faces are those in each.  Hence the
+    faces are C and the intersection closure of the facets' zero sets.  The
+    smallest face is the lineality space, the cone over the generators in
+    it, so C is strongly convex iff the empty set is a face; and generator
+    i spans an extremal ray iff {i} is a face (generators on one ray are
+    equal, as `_validate_rays` refuses duplicate rays).
     """
-    k = len(rays_of_cone)
-    all_idx = list(range(k))
-    if linear_functional_witness([], [vectors[i] for i in all_idx]) is None:
-        raise FanError("cone is not strongly convex")
-    faces = {frozenset(all_idx)}
-    for mask in range(2 ** k - 1):
-        subset = [i for i in all_idx if mask & (1 << i)]
-        rest = [i for i in all_idx if not mask & (1 << i)]
-        u = linear_functional_witness(
-            [vectors[i] for i in subset], [vectors[i] for i in rest]
-        )
-        if u is not None:
-            faces.add(frozenset(subset))
-    for i in all_idx:
-        if frozenset([i]) not in faces:
-            raise FanError(
-                f"generator {rays_of_cone[i]} is not an extremal ray of its cone"
-            )
+    k = len(vectors)
+    coords = independent_rows(list(zip(*vectors)), k)
+    w = [[v[c] for c in coords] for v in vectors]
+    d = len(coords)
+    facets = set()
+    for s in combinations(w, d - 1):
+        normal = nullspace_of_int_rows(list(s), d)
+        if len(normal) != 1:
+            continue
+        values = [sum(a * b for a, b in zip(normal[0], x)) for x in w]
+        if min(values) >= 0 or max(values) <= 0:
+            facets.add(frozenset(i for i, x in enumerate(values) if x == 0))
+    faces = {frozenset(range(k))}
+    for f in facets:
+        faces |= {f & g for g in faces}
     return faces
 
 
 def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
     """Build and fully validate a fan from ray vectors and ray-index lists.
 
-    Rays are replaced by their primitive forms.  The derived face poset,
-    walls and dual graph are computed here; the fan axioms (strong
-    convexity, extremality, pairwise intersection in common faces) are
-    checked exactly, and every ray must lie in some maximal cone.
+    Rays are integer vectors, replaced by their primitive forms.  The
+    derived face poset, walls and dual graph are computed here; the fan
+    axioms (strong convexity, extremality, pairwise intersection in common
+    faces) are checked exactly, and every ray must lie in some maximal cone.
     """
     lattice = Lattice(rank)
     prim = _validate_rays(rank, rays)
+    if not isinstance(max_cones, (list, tuple)):
+        raise FanError(f"max_cones must be a list of ray-index lists, got {max_cones!r}")
 
     seen_cones = set()
     max_list = []
     for ci, idxs in enumerate(max_cones):
+        if not isinstance(idxs, (list, tuple)) or not all(type(i) is int for i in idxs):
+            raise FanError(f"maximal cone {ci} is not a list of ray indices: {idxs!r}")
         t = tuple(sorted(idxs))
         if len(set(t)) != len(t):
             raise FanError(f"maximal cone {ci} repeats a ray index")
@@ -367,8 +380,7 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
         if t in seen_cones:
             raise FanError(f"maximal cone {ci} duplicates another maximal cone")
         seen_cones.add(t)
-        dim = matrix_rank(RationalMatrix([prim[i] for i in t]))
-        max_list.append(Cone(t, dim))
+        max_list.append(Cone(t, rank_of_int_rows([prim[i] for i in t], rank)))
     used = {i for c in max_list for i in c.ray_indices}
     for i in range(len(prim)):
         if i not in used:
@@ -377,8 +389,13 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
     # face lattice per maximal cone, accumulated globally
     all_faces: set[tuple[int, ...]] = {()}
     for c in max_list:
-        vectors = [prim[i] for i in c.ray_indices]
-        for f in _cone_faces(c.ray_indices, vectors):
+        faces = _cone_faces([prim[i] for i in c.ray_indices])
+        if frozenset() not in faces:
+            raise FanError("cone is not strongly convex")
+        for i, r in enumerate(c.ray_indices):
+            if frozenset([i]) not in faces:
+                raise FanError(f"generator {r} is not an extremal ray of its cone")
+        for f in faces:
             all_faces.add(tuple(sorted(c.ray_indices[i] for i in f)))
 
     # pairwise intersections must be common faces (checked on maximal cones;
@@ -408,8 +425,7 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
 
     cones = []
     for t in sorted(all_faces, key=lambda t: (len(t), t)):
-        dim = 0 if not t else matrix_rank(RationalMatrix([prim[i] for i in t]))
-        cones.append(Cone(t, dim))
+        cones.append(Cone(t, rank_of_int_rows([prim[i] for i in t], rank)))
     cone_ids = {c.ray_indices: i for i, c in enumerate(cones)}
 
     wall_ids = tuple(
@@ -525,7 +541,7 @@ def ray_link(fan: Fan, ray_index: int) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# Wall relations and stars
+# Wall relations and subdivisions
 # ---------------------------------------------------------------------------
 
 
@@ -541,104 +557,10 @@ def wall_relation(fan: Fan, max_cone_position: int) -> list[IntVector]:
     cone = fan.max_cones[max_cone_position]
     if cone.dim != fan.rank:
         raise FanError("wall relations are defined for full-dimensional maximal cones")
-    m = RationalMatrix([fan.rays[i] for i in cone.ray_indices])
-    rel = left_nullspace(m)
+    rel = nullspace_of_int_rows(list(zip(*(fan.rays[i] for i in cone.ray_indices))),
+                                len(cone.ray_indices))
     fan._max_relations[max_cone_position] = tuple(rel)
     return rel
-
-
-class Star:
-    """The star of a cone: the up-set of the cone with quotient geometry."""
-
-    def __init__(self, fan: Fan, base_cone_id: int):
-        self.fan = fan
-        self.base_cone_id = base_cone_id
-        base = fan.cones[base_cone_id]
-        gens = [fan.rays[i] for i in base.ray_indices]
-        n = fan.rank
-        if gens:
-            q_rows = integer_kernel(gens)
-        else:
-            q_rows = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        self.quotient_map = tuple(q_rows)
-        self.quotient_rank = len(q_rows)
-        self.cell_ids = tuple(
-            cid
-            for cid in range(len(fan.cones))
-            if fan.is_face(base_cone_id, cid)
-        )
-
-    def project(self, vector) -> tuple:
-        return tuple(
-            sum(r * x for r, x in zip(row, vector)) for row in self.quotient_map
-        )
-
-    def cell_generators(self, cone_id: int) -> list[IntVector]:
-        """Nonzero primitive images of the cone's rays in the quotient."""
-        out = []
-        seen = set()
-        for i in self.fan.cones[cone_id].ray_indices:
-            img = self.project(self.fan.rays[i])
-            if all(x == 0 for x in img):
-                continue
-            p = primitive(img)
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return out
-
-    def poset_pairs(self) -> set[tuple[int, int]]:
-        """Strict face relations among the cells, as (face, cone) id pairs."""
-        return {
-            (a, b)
-            for a in self.cell_ids
-            for b in self.cell_ids
-            if a != b and self.fan.is_face(a, b)
-        }
-
-    def to_fan(self) -> Fan:
-        """The star as a fan in the quotient lattice.
-
-        Works whenever the projected cells embed (always the case for stars
-        of cones in a fan); the maximal cells become maximal cones with their
-        generator sets reduced to extremal rays.
-        """
-        if self.quotient_rank == 0:
-            raise FanError("star of a full-dimensional cone has no fan structure")
-        maximal = [
-            cid
-            for cid in self.cell_ids
-            if not any(
-                cid != other and self.fan.is_face(cid, other)
-                for other in self.cell_ids
-            )
-        ]
-        ray_table: list[IntVector] = []
-        ray_pos: dict[IntVector, int] = {}
-        cone_lists = []
-        for cid in maximal:
-            gens = self.cell_generators(cid)
-            extremal = []
-            for i, g in enumerate(gens):
-                rest = gens[:i] + gens[i + 1 :]
-                if not rest:
-                    extremal.append(g)
-                    continue
-                u = linear_functional_witness([g], rest)
-                if u is not None:
-                    extremal.append(g)
-            idxs = []
-            for g in extremal:
-                if g not in ray_pos:
-                    ray_pos[g] = len(ray_table)
-                    ray_table.append(g)
-                idxs.append(ray_pos[g])
-            cone_lists.append(sorted(idxs))
-        return fan_from_data(self.quotient_rank, ray_table, cone_lists)
-
-
-def star(fan: Fan, cone_id: int) -> Star:
-    return Star(fan, cone_id)
 
 
 def stellar_subdivision(fan: Fan, position: int) -> Fan:
@@ -689,6 +611,11 @@ def fan_to_dict(fan: Fan) -> dict:
 
 
 def fan_from_dict(data: dict, name=None) -> Fan:
+    if not isinstance(data, dict):
+        raise FanError("a fan is an object with keys 'rank', 'rays' and 'max_cones'")
+    for key in ("rank", "rays", "max_cones"):
+        if key not in data:
+            raise FanError(f"fan data has no {key!r} key")
     return fan_from_data(data["rank"], data["rays"], data["max_cones"], name=name)
 
 
@@ -703,5 +630,8 @@ def load_fan(source) -> Fan:
         text = files("fanbranch.data").joinpath(f"{source}.fan.json").read_text()
         return fan_from_dict(json.loads(text), name=source)
     with open(source) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FanError(f"{source} is not JSON: {exc}") from None
     return fan_from_dict(data, name=str(source))

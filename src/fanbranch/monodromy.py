@@ -192,26 +192,6 @@ def assignment_at(fan: Fan, d: int, index: int, tree: DualSpanningTree | None = 
     return MonodromyAssignment(d, tuple(perms[r] for r in digits))
 
 
-def enumerate_assignments(fan: Fan, d: int, tree: DualSpanningTree | None = None):
-    """Stream all (d!)^(m-1) assignments in lexicographic order."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    tree = tree or spanning_tree(fan)
-    perms = all_permutations(d)
-    n = tree.generators
-
-    def rec(prefix):
-        if len(prefix) == n:
-            yield MonodromyAssignment(d, tuple(prefix))
-            return
-        for p in perms:
-            prefix.append(p)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
-
-
 class _Transitions:
     """Wall-crossing sheet maps for one assignment, as raw image tuples."""
 

@@ -58,6 +58,39 @@ class TestFanCommands:
         assert result.exit_code != 0
         assert "duplicate ray" in result.output
 
+    @pytest.mark.parametrize(
+        "rays, max_cones, message",
+        [
+            ([[0.5, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]],
+             "ray 0 is not a list of integers: [0.5, 0]"),
+            ([[1, 0], ["1", 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]],
+             "ray 1 is not a list of integers: ['1', 1]"),
+            ([[1, 0], [0, 1], [True, -1]], [[0, 1], [1, 2], [0, 2]],
+             "ray 2 is not a list of integers: [True, -1]"),
+            ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2.0], [0, 2]],
+             "maximal cone 1 is not a list of ray indices: [1, 2.0]"),
+            ([[1, 0], [0, 1], [-1, -1]], None, "fan data has no 'max_cones' key"),
+        ],
+    )
+    def test_validate_malformed_fan_fails_in_one_line(self, runner, tmp_path, rays,
+                                                      max_cones, message):
+        data = {"rank": 2, "rays": rays}
+        if max_cones is not None:
+            data["max_cones"] = max_cones
+        p = tmp_path / "bad.fan.json"
+        p.write_text(json.dumps(data))
+        result = runner.invoke(main, ["fan", "validate", str(p)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: invalid fan: {message}\n"
+
+    def test_validate_unparsable_file_fails_in_one_line(self, runner, tmp_path):
+        p = tmp_path / "cut.fan.json"
+        p.write_text('{"rank": 2,')
+        result = runner.invoke(main, ["fan", "validate", str(p)])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: invalid fan: {p} is not JSON: ")
+        assert result.output.count("\n") == 1
+
 
 class TestEnumerate:
     def test_fulton_census(self, runner):

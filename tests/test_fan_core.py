@@ -1,10 +1,11 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from fanbranch import fan_core
-from fanbranch.exact_linalg import RationalMatrix
+from fanbranch.exact_linalg import RationalMatrix, primitive
 from fanbranch.fan_core import (
     BUNDLED_FANS,
     FanError,
@@ -13,9 +14,9 @@ from fanbranch.fan_core import (
     fan_from_data,
     fan_to_dict,
     is_complete,
+    linear_functional_witness,
     load_fan,
     ray_link,
-    star,
     stellar_subdivision,
     wall_relation,
 )
@@ -113,6 +114,123 @@ class TestConstruction:
     def test_euler_relation(self, fulton, eikelberg, sigma_prime):
         for fan in (fulton, eikelberg, sigma_prime):
             assert len(fan.rays) - len(fan.walls) + len(fan.max_cones) == 2
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "rays, message",
+        [
+            ([[0.5, 0], [0, 1], [-1, -1]], "ray 0 is not a list of integers: [0.5, 0]"),
+            ([[1, 0], ["1", 1], [-1, -1]], "ray 1 is not a list of integers: ['1', 1]"),
+            ([[1, 0], [0, 1], [-1, True]], "ray 2 is not a list of integers: [-1, True]"),
+            ([[1, 0], [0, 1], [Fraction(-1), -1]], "ray 2 is not a list of integers"),
+            ([[1, 0], 7, [-1, -1]], "ray 1 is not a list of integers: 7"),
+            ("rays", "rays must be a list of integer vectors"),
+        ],
+    )
+    def test_non_integer_ray_refused(self, rays, message):
+        with pytest.raises(FanError) as info:
+            fan_from_data(2, rays, [[0, 1], [1, 2], [0, 2]])
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "cones, message",
+        [
+            ([[0, 1], [1, 2.0], [0, 2]], "maximal cone 1 is not a list of ray indices: [1, 2.0]"),
+            ([[0, 1], [1, 2], [0, "2"]], "maximal cone 2 is not a list of ray indices: [0, '2']"),
+            ([[0, 1], 2, [0, 2]], "maximal cone 1 is not a list of ray indices: 2"),
+            ({"a": [0, 1]}, "max_cones must be a list of ray-index lists"),
+        ],
+    )
+    def test_non_integer_cone_index_refused(self, cones, message):
+        with pytest.raises(FanError) as info:
+            fan_from_data(2, [[1, 0], [0, 1], [-1, -1]], cones)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("rank", ["2", 2.0, True])
+    def test_non_integer_rank_refused(self, rank):
+        with pytest.raises(FanError, match="lattice rank must be an integer"):
+            fan_from_data(rank, [[1, 0], [0, 1]], [[0, 1]])
+
+    @pytest.mark.parametrize("key", ["rank", "rays", "max_cones"])
+    def test_missing_key_refused(self, key):
+        data = {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
+        del data[key]
+        with pytest.raises(FanError, match=f"fan data has no '{key}' key"):
+            fan_core.fan_from_dict(data)
+
+    def test_non_object_refused(self):
+        with pytest.raises(FanError, match="a fan is an object"):
+            fan_core.fan_from_dict([[1, 0], [0, 1]])
+
+
+def reference_faces(vectors):
+    """The former face search, one Fourier-Motzkin run per subset: a subset S
+    of the generators is a face iff some functional vanishes on S and is
+    positive on the other generators."""
+    k = len(vectors)
+    faces = {frozenset(range(k))}
+    for mask in range(2 ** k - 1):
+        subset = [vectors[i] for i in range(k) if mask >> i & 1]
+        rest = [vectors[i] for i in range(k) if not mask >> i & 1]
+        if linear_functional_witness(subset, rest) is not None:
+            faces.add(frozenset(i for i in range(k) if mask >> i & 1))
+    return faces
+
+
+def subdivided_fans():
+    """The bundled fans, each single stellar subdivision, and three
+    iterated subdivisions of each rank-3 fan."""
+    fans = []
+    for name in BUNDLED_FANS:
+        fan = load_fan(name)
+        fans.append(fan)
+        fans += [stellar_subdivision(fan, p) for p in range(len(fan.max_cones))]
+        if fan.rank == 3:
+            for _ in range(3):
+                fan = stellar_subdivision(fan, len(fan.max_cones) // 2)
+                fans.append(fan)
+    return fans
+
+
+class TestFacesFromFacets:
+    def test_matches_subset_search_on_every_cone(self):
+        count = 0
+        for fan in subdivided_fans():
+            for cone in fan.cones[1:]:
+                vectors = [fan.rays[i] for i in cone.ray_indices]
+                assert fan_core._cone_faces(vectors) == reference_faces(vectors), vectors
+                count += 1
+        assert count >= 900
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            # lower-dimensional: a 2-dimensional cone in rank 4, with a
+            # non-extremal generator, and a square cone of dimension 3 in rank 4
+            [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 0, 0]],
+            [[1, 0, 0, 1], [0, 1, 0, 1], [-1, 0, 0, 1], [0, -1, 0, 1]],
+            [[2, 1, 0], [1, 1, 0]],
+            # not pointed: a half-plane, a line, a half-space, the whole plane
+            [[1, 0], [-1, 0], [0, 1]],
+            [[1, 1, 0], [-1, -1, 0]],
+            [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]],
+            [[1, 0, 0], [-1, 0, 0], [0, 1, 1], [1, 1, 1]],
+            [[1, 0], [0, 1], [-1, -1]],
+        ],
+    )
+    def test_matches_subset_search_on_special_cones(self, vectors):
+        assert fan_core._cone_faces(vectors) == reference_faces(vectors)
+
+    def test_matches_subset_search_on_random_cones(self):
+        rng = random.Random("faces")
+        for _ in range(60):
+            rank = rng.choice((2, 3, 4))
+            rays = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rng.randint(1, 6))]
+            vectors = sorted({primitive(r) for r in rays if any(r)})
+            if not vectors:
+                continue
+            assert fan_core._cone_faces(vectors) == reference_faces(vectors), vectors
 
 
 class TestCompleteness:
@@ -247,41 +365,6 @@ class TestRayLinks:
         assert walls[0] == min(incident_walls)
 
 
-class TestStar:
-    def test_star_of_zero_cone_is_whole_poset(self, fulton):
-        st = star(fulton, 0)
-        assert set(st.cell_ids) == set(range(len(fulton.cones)))
-        assert is_complete(st.to_fan())
-
-    def test_star_of_ray_is_complete_rank2(self, fulton, eikelberg):
-        for fan in (fulton, eikelberg):
-            for ray in range(len(fan.rays)):
-                st = star(fan, fan.cone_id((ray,)))
-                link = st.to_fan()
-                assert link.rank == 2
-                assert is_complete(link)
-
-    def test_star_of_wall(self, fulton):
-        wall_id = fulton.walls[0]
-        st = star(fulton, wall_id)
-        # cells: the wall itself plus its two maximal cones
-        assert len(st.cell_ids) == 3
-        halves = [c for c in st.cell_ids if c != wall_id]
-        assert len(halves) == 2
-        for c in halves:
-            gens = st.cell_generators(c)
-            assert len(gens) == 1  # a half-line in the rank-1 quotient
-
-    def test_star_poset_isomorphic_to_up_set(self, fulton):
-        ray_cone = fulton.cone_id((3,))
-        st = star(fulton, ray_cone)
-        up = {c for c in range(len(fulton.cones)) if fulton.is_face(ray_cone, c)}
-        assert set(st.cell_ids) == up
-        assert st.poset_pairs() == {
-            (a, b) for a in up for b in up if a != b and fulton.is_face(a, b)
-        }
-
-
 class TestSymmetriesAndIO:
     def test_fulton_automorphism_group_order(self, fulton):
         assert len(combinatorial_automorphisms(fulton)) == 48
@@ -301,3 +384,11 @@ class TestSymmetriesAndIO:
         assert cone_contains_point(gens, inside)
         assert cone_contains_point(gens, gens[0])
         assert not cone_contains_point(gens, (0, 0, -1))
+
+    def test_cone_membership_of_rational_points(self, fulton):
+        gens = [fulton.rays[i] for i in fulton.max_cones[0].ray_indices]
+        inside = [Fraction(sum(col), 7) for col in zip(*gens)]
+        assert cone_contains_point(gens, inside)
+        assert cone_contains_point(gens, [Fraction(x, 3) for x in gens[1]])
+        assert not cone_contains_point(gens, [-x for x in inside])
+        assert cone_contains_point(gens, [Fraction(0), Fraction(0), Fraction(0)])

@@ -2,7 +2,7 @@
 
 A fan is stored combinatorially: a table of primitive ray generators plus the
 ray-index sets of its maximal cones.  The full face poset, walls and the
-dual graph are derived at construction time by exact integer arithmetic;
+dual graph are derived at construction time by exact arithmetic;
 completeness and ray links are derived from them on first use.
 
 Faces come from facet normals: every face of a cone is the whole cone or an
@@ -632,6 +632,6 @@ def load_fan(source) -> Fan:
     with open(source) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise FanError(f"{source} is not JSON: {exc}") from None
     return fan_from_dict(data, name=str(source))

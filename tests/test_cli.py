@@ -83,9 +83,10 @@ class TestFanCommands:
         assert result.exit_code == 1
         assert result.output == f"Error: invalid fan: {message}\n"
 
-    def test_validate_unparsable_file_fails_in_one_line(self, runner, tmp_path):
+    @pytest.mark.parametrize("content", [b'{"rank": 2,', b'\xff\xfe{}'])
+    def test_validate_unparsable_file_fails_in_one_line(self, runner, tmp_path, content):
         p = tmp_path / "cut.fan.json"
-        p.write_text('{"rank": 2,')
+        p.write_bytes(content)
         result = runner.invoke(main, ["fan", "validate", str(p)])
         assert result.exit_code == 1
         assert result.output.startswith(f"Error: invalid fan: {p} is not JSON: ")

@@ -65,6 +65,8 @@ def _resolve_fan(source: str):
         raise click.ClickException(
             f"no such fan: {source!r} (bundled fans: {', '.join(BUNDLED_FANS)})"
         )
+    except OSError as exc:
+        raise click.ClickException(f"cannot read fan {source!r}: {exc.strerror or exc}")
     except FanError as exc:
         raise click.ClickException(f"invalid fan: {exc}")
 

@@ -18,8 +18,11 @@ Which routine answers which question:
 * `Fraction` Gauss-Jordan (`_rref_rows`) runs only where the reduced form is
   itself the result: `rref`, the canonical `SubspaceBasis`, and
   `solve_linear`.  `annihilator` reads its kernel straight off that form;
-* Hermite reduction (`_row_hnf_transform`) answers the lattice questions:
-  `hermite_normal_form`, `integer_kernel` and `integer_solve`.
+* Hermite reduction (`_row_hnf_transform`) answers the lattice questions
+  that need it: `hermite_normal_form`, `integer_solve`, and the k x k
+  duality step of `integer_kernel`, which otherwise reads the kernel lattice
+  off the rational kernel of `_int_echelon` and `_echelon_kernel`, k vectors
+  wide, never off a transform of the whole system.
 
 Determinism conventions, fixed once for the whole package:
 
@@ -256,22 +259,23 @@ def _echelon_kernel(ech: list[list[int]], pivots: list[int], ncols: int) -> list
     return basis
 
 
-def _cleared_rows(m: RationalMatrix) -> list[list[int]]:
-    """Each row of m times the lcm of its denominators: same row space."""
+def _cleared_rows(rows) -> list[list[int]]:
+    """Each row of `Fraction`s times the lcm of its denominators: same row
+    space."""
     out = []
-    for row in m.entries:
+    for row in rows:
         den = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 
 def rank(m: RationalMatrix) -> int:
-    return rank_of_int_rows(_cleared_rows(m), m.cols)
+    return rank_of_int_rows(_cleared_rows(m.entries), m.cols)
 
 
 def right_nullspace(m: RationalMatrix) -> list[IntVector]:
     """Basis of {x : m.x = 0}, one primitive integer vector per free column."""
-    return nullspace_of_int_rows(_cleared_rows(m), m.cols)
+    return nullspace_of_int_rows(_cleared_rows(m.entries), m.cols)
 
 
 def left_nullspace(m: RationalMatrix) -> list[IntVector]:
@@ -335,21 +339,53 @@ def hermite_normal_form(rows) -> list[IntVector]:
 
 
 def integer_kernel(rows) -> list[IntVector]:
-    """Basis of the kernel lattice {x in Z^cols : m.x = 0}.
+    """Basis of the kernel lattice {x in Z^cols : m.x = 0}, in canonical row
+    Hermite form: a full lattice basis (saturated, hence each member
+    primitive) and deterministic.
 
-    Computed by Hermite reduction of the transposed system; the result is
-    returned in canonical row Hermite form, so it is a full lattice basis
-    (saturated, hence each member primitive) and deterministic.
+    Computed by duality on the k-dimensional rational kernel, never on the
+    full system.  The back-substituted kernel of `_echelon_kernel` has one
+    vector per free column f_i, zero at the other free columns; scaling
+    vector i by D / (its entry at f_i), D the lcm of those entries, gives
+    S = D.M with M the identity on the free columns F.  Every rational
+    kernel vector x is x_F . M, so x -> x_F maps the lattice onto
+    L = {y in Z^k : y.M integral}, and y.M is integral iff y pairs
+    integrally with every column of M: L is the dual of
+    C = Z^k + sum of Z.(columns of M).  With G the row Hermite form of the
+    rows D.e_i and the distinct nonzero columns of S mod D, C is the row
+    lattice of G divided by D, so y is in L iff G.y is in D.Z^k: L has the
+    rows of D.(G^T)^-1 as a basis, and the kernel lattice the rows of
+    X = D.(G^T)^-1.M = (G^T)^-1.S.  G^T is lower triangular and X is
+    integral, so forward substitution in G^T.X = S divides exactly.  The
+    Hermite form of a lattice is unique, so X reduces to the same basis as
+    any other route.
     """
     a = [[int(x) for x in row] for row in rows]
-    nrows = len(a)
-    if nrows == 0:
+    if not a:
         raise ValueError("integer_kernel needs at least one row to fix the column count")
     ncols = len(a[0])
-    at = [[a[i][j] for i in range(nrows)] for j in range(ncols)]
-    h, u, pivots = _row_hnf_transform(at, nrows)
-    kernel_rows = [u[i] for i in range(len(pivots), ncols)]
-    return hermite_normal_form(kernel_rows) if kernel_rows else []
+    ech, pivots = _int_echelon(a, ncols)
+    kernel = _echelon_kernel(ech, pivots, ncols)
+    if not kernel:
+        return []
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    big = lcm(*(v[f] for v, f in zip(kernel, free)))
+    s = [[big // v[f] * x for x in v] for v, f in zip(kernel, free)]
+    k = len(s)
+    gens = [[big if i == j else 0 for j in range(k)] for i in range(k)]
+    residues = dict.fromkeys(tuple([row[c] % big for row in s]) for c in pivots)
+    gens += [list(col) for col in residues if any(col)]
+    g, _, _ = _row_hnf_transform(gens, k)
+    x: list[list[int]] = []
+    for i in range(k):
+        acc = s[i]
+        for j in range(i):
+            if g[j][i]:
+                acc = [p - g[j][i] * q for p, q in zip(acc, x[j])]
+        d = g[i][i]
+        x.append([p // d for p in acc])
+    return hermite_normal_form(x)
 
 
 def solve_linear(a_rows, b) -> Vector | None:

@@ -179,8 +179,13 @@ def linear_functional_witness(zero_on, positive_on, negative_on=()):
 def cone_contains_point(generators, point) -> bool:
     """Exact membership of a rational point in the cone of integer generators,
     via Farkas.  The point is first scaled by the lcm of its denominators,
-    which keeps membership."""
+    which keeps membership.  A point of another length than the generators
+    is refused."""
     pt = [Fraction(x) for x in point]
+    lengths = {len(g) for g in generators} - {len(pt)}
+    if lengths:
+        raise ValueError(f"a point of length {len(pt)} against generators of length "
+                         f"{', '.join(map(str, sorted(lengths)))}")
     den = lcm(*(x.denominator for x in pt))
     pt = [x.numerator * (den // x.denominator) for x in pt]
     if not any(pt):

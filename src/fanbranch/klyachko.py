@@ -20,14 +20,17 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import lcm
 
 from .cover_poset import CoverCell, CoverPoset, validate_cover
 from .exact_linalg import (
     SubspaceBasis,
+    _cleared_rows,
+    _rref_rows,
     annihilator,
     integer_solve,
-    intersect,
-    solve_linear,
+    nullspace_of_int_rows,
+    rank_of_int_rows,
     span,
     subspace_sum,
 )
@@ -239,14 +242,68 @@ class NecessityReport:
         return self.status == "ok"
 
 
+def _integral_solutions(ray_matrix, combos) -> dict:
+    """The combos b for which V.u = b has an integral solution u, V the
+    cone's ray matrix, each mapped to the rational solution that
+    `solve_linear(V, b)` returns (free variables 0).
+
+    One `_rref_rows` of [V | I_m] serves every b: its row operations are
+    those of `solve_linear`'s elimination of [V | b] whatever b is, so its
+    right block T, cleared to integers T' = den.T, turns b into the last
+    column of that elimination, T'.b / den: the solution at the pivots, and
+    zeros below the rank exactly when the system is consistent.  When V has
+    full column rank the solution is unique, so an integral solution exists
+    exactly when it is integral; otherwise `integer_solve` decides.
+    """
+    m, n = len(ray_matrix), len(ray_matrix[0])
+    rows = [[Fraction(x) for x in v] + [Fraction(int(i == j)) for j in range(m)]
+            for i, v in enumerate(ray_matrix)]
+    rows, pivots = _rref_rows(rows, n)
+    rank = len(pivots)
+    den = lcm(*(x.denominator for row in rows for x in row[n:]))
+    t = [[x.numerator * (den // x.denominator) for x in row[n:]] for row in rows]
+    out = {}
+    for b in combos:
+        tb = [sum(a * x for a, x in zip(row, b)) for row in t]
+        if any(tb[rank:]):
+            continue
+        if rank == n:
+            if any(x % den for x in tb):
+                continue
+        elif integer_solve(ray_matrix, b) is None:
+            continue
+        u = [Fraction(0)] * n
+        for j, p in enumerate(pivots):
+            u[p] = Fraction(tb[j], den)
+        out[b] = tuple(u)
+    return out
+
+
 def necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
     """Certificate-free screen: per maximal cone, some multiset of integral
     functionals must reproduce every intersection dimension of the stored
     filtrations.  `ok` results are always inconclusive; `violation` proves
     that no compatible splitting can exist.
+
+    Candidates are the threshold combinations that some integral functional
+    takes at the cone's rays (`_integral_solutions`).  Dimensions are
+    counted in integers: at each combination of thresholds, one per ray of
+    the cone, the intersection of the filtration steps has dimension r less
+    the rank of their stacked annihilators, each step's annihilator spanned
+    by integer rows that are computed once per ray and threshold.
     """
     fan = data.fan
     r = data.rank
+    annihilators: dict[tuple[int, int], list[list[int]]] = {}
+
+    def annihilator_rows(ray: int, t: int) -> list[list[int]]:
+        key = (ray, t)
+        if key not in annihilators:
+            step = data.filtrations[ray].value(t)
+            annihilators[key] = [list(v) for v in
+                                 nullspace_of_int_rows(_cleared_rows(step.basis), r)]
+        return annihilators[key]
+
     recovered = {}
     for pos in range(len(fan.max_cones)):
         cone_rays = fan.max_cones[pos].ray_indices
@@ -254,24 +311,16 @@ def necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
         threshold_sets = [f.thresholds() for f in filts]
         ray_matrix = [list(fan.rays[ray]) for ray in cone_rays]
 
-        candidates = []
-        for combo in product(*threshold_sets):
-            u = solve_linear(ray_matrix, combo)
-            if u is None:
-                continue
-            if integer_solve(ray_matrix, combo) is None:
-                continue
-            candidates.append(combo)
-        candidates = sorted(set(candidates))
+        grid = list(product(*threshold_sets))
+        solutions = _integral_solutions(ray_matrix, grid)
+        candidates = sorted(solutions)
 
         drops = [dict(f.drop_multiset()) for f in filts]
-        grid = list(product(*threshold_sets))
-        dims = {}
-        for combo in grid:
-            acc = _full_space(r)
-            for f, t in zip(filts, combo):
-                acc = intersect(acc, f.value(t))
-            dims[combo] = acc.dim
+        dims = {
+            combo: r - rank_of_int_rows(
+                [row for ray, t in zip(cone_rays, combo) for row in annihilator_rows(ray, t)], r)
+            for combo in grid
+        }
 
         solution = None
         for multiset in combinations_with_replacement(candidates, r):
@@ -301,8 +350,7 @@ def necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
             return NecessityReport("violation", None)
         counts: dict = {}
         for combo in solution:
-            u = solve_linear(ray_matrix, combo)
-            key = tuple(u)
+            key = solutions[combo]
             counts[key] = counts.get(key, 0) + 1
         recovered[pos] = tuple(sorted(counts.items()))
     return NecessityReport("ok", recovered)

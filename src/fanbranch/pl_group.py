@@ -117,7 +117,7 @@ def _max_cell_geometry(cover: CoverPoset):
 class PLFunction:
     """A piecewise-linear function: one ambient functional per maximal cell."""
 
-    def __init__(self, cover: CoverPoset, cell_values, check: bool = True):
+    def __init__(self, cover: CoverPoset, cell_values):
         self.cover = cover
         self.cell_values = {
             m: tuple(Fraction(x) for x in u) for m, u in cell_values.items()
@@ -132,12 +132,9 @@ class PLFunction:
             for ray, c in zip(fan.max_cones[pos].ray_indices, cols):
                 val = sum(a * b for a, b in zip(u, fan.rays[ray]))
                 rc = zvars[c]
-                if check:
-                    old = self.ray_values.get(rc)
-                    if old is not None and old != val:
-                        raise PLError(
-                            f"inconsistent values {old} != {val} at ray cell {rc}"
-                        )
+                old = self.ray_values.get(rc)
+                if old is not None and old != val:
+                    raise PLError(f"inconsistent values {old} != {val} at ray cell {rc}")
                 self.ray_values[rc] = val
 
     @classmethod
@@ -305,6 +302,11 @@ def _check_pullbacks(fan) -> None:
 def per_cell_system(cover: CoverPoset) -> RationalMatrix:
     """The incidence form: variables are all per-cell functionals plus one
     value per ray cell, constraints <u_c, v_ray> = z_ray per incidence."""
+    return RationalMatrix(_per_cell_rows(cover))
+
+
+def _per_cell_rows(cover: CoverPoset) -> list[list[int]]:
+    """The rows of `per_cell_system`, as integer lists."""
     fan = cover.fan
     n = fan.rank
     maxcells = cover.max_cells
@@ -319,7 +321,7 @@ def per_cell_system(cover: CoverPoset) -> RationalMatrix:
                 row[col_of_cell[m] + k] = x
             row[n * len(maxcells) + c] = -1
             rows.append(row)
-    return RationalMatrix(rows)
+    return rows
 
 
 def _pullback_z(cover: CoverPoset, coordinate: int) -> tuple[int, ...]:
@@ -394,17 +396,18 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
         return PLBasis(cover, functions, pullbacks, "rational")
 
     if mode == "integral":
-        system = per_cell_system(cover)
-        rows = [[int(x) for x in row] for row in system.entries]
-        kernel = integer_kernel(rows)
+        kernel = integer_kernel(_per_cell_rows(cover))
         maxcells = cover.max_cells
+        zstart = n * len(maxcells)
         functions = []
         for vec in kernel:
             values = {
-                m: tuple(Fraction(x) for x in vec[n * i : n * i + n])
+                m: tuple([Fraction(x) for x in vec[n * i : n * i + n]])
                 for i, m in enumerate(maxcells)
             }
-            functions.append(PLFunction(cover, values, check=False))
+            # the incidence rows make each ray-cell coordinate the value there
+            ray_values = {r: Fraction(vec[zstart + i]) for i, r in enumerate(cover.ray_cells)}
+            functions.append(PLFunction._exact(cover, values, ray_values))
         return PLBasis(cover, functions, pullbacks, "integral")
 
     raise ValueError(f"unknown mode {mode!r}")

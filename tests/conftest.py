@@ -1,7 +1,11 @@
+import random
 from collections import deque
+from functools import lru_cache
 
 from fanbranch.exact_linalg import RationalMatrix, SubspaceBasis, rank
+from fanbranch.fan_core import load_fan, stellar_subdivision
 from fanbranch.klyachko import Filtration, KlyachkoData
+from fanbranch.monodromy import assignment_at, build_cover, count_assignments, spanning_tree
 
 # The per-cone functional multisets printed for the rank-3 example on the
 # Fulton-type fan, keyed by maximal-cone position (0-based, bundled order).
@@ -32,6 +36,23 @@ def random_bundle(fan, r, rng) -> KlyachkoData:
     return KlyachkoData(
         fan, r, {ray: random_filtration(rng, r) for ray in range(len(fan.rays))}
     )
+
+
+@lru_cache(maxsize=None)
+def stellar_covers() -> tuple:
+    """One seeded degree-2 and one degree-3 cover of every single stellar
+    subdivision of the three bundled rank-3 fans (34 covers)."""
+    rng = random.Random(12)
+    covers = []
+    for name in ("fulton", "eikelberg", "sigma_prime"):
+        base = load_fan(name)
+        for pos in range(len(base.max_cones)):
+            sub = stellar_subdivision(base, pos)
+            tree = spanning_tree(sub)
+            for d in (2, 3):
+                index = rng.randrange(count_assignments(sub, d))
+                covers.append(build_cover(sub, assignment_at(sub, d, index, tree), tree))
+    return tuple(covers)
 
 
 # -- the forced-equality chase ----------------------------------------------

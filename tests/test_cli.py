@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -82,6 +84,12 @@ class TestFanCommands:
         result = runner.invoke(main, ["fan", "validate", str(p)])
         assert result.exit_code == 1
         assert result.output == f"Error: invalid fan: {message}\n"
+
+    def test_validate_directory_fails_in_one_line(self, runner, tmp_path):
+        result = runner.invoke(main, ["fan", "validate", str(tmp_path)])
+        assert result.exit_code == 1
+        reason = os.strerror(errno.EISDIR)
+        assert result.output == f"Error: cannot read fan {str(tmp_path)!r}: {reason}\n"
 
     @pytest.mark.parametrize("content", [b'{"rank": 2,', b'\xff\xfe{}'])
     def test_validate_unparsable_file_fails_in_one_line(self, runner, tmp_path, content):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fanbranch.exact_linalg import (
     RationalMatrix,
     _int_echelon,
+    _row_hnf_transform,
     annihilator,
     hermite_normal_form,
     independent_rows,
@@ -27,6 +28,9 @@ from fanbranch.exact_linalg import (
     span,
     subspace_sum,
 )
+from fanbranch.pl_group import per_cell_system
+
+from conftest import stellar_covers
 
 # The 12x12 constraint matrix of the degree-2 computation on the Fulton-type
 # fan, copied verbatim; rank 9 and a 3-dimensional kernel are fixed values.
@@ -402,3 +406,36 @@ def test_independent_rows_raise_the_rank_of_their_prefix(case):
 
     raising = [i for i in range(len(vectors)) if prefix_rank(i + 1) > prefix_rank(i)]
     assert independent_rows(vectors, ncols) == raising
+
+
+def reference_integer_kernel(rows):
+    """The kernel lattice by Hermite reduction of the transposed system: the
+    bottom rows of its full unimodular transform, in Hermite form."""
+    a = [[int(x) for x in row] for row in rows]
+    nrows, ncols = len(a), len(a[0])
+    at = [[a[i][j] for i in range(nrows)] for j in range(ncols)]
+    _, u, pivots = _row_hnf_transform(at, nrows)
+    kernel_rows = u[len(pivots):]
+    return hermite_normal_form(kernel_rows) if kernel_rows else []
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([-12, -6, -4, -3, -2, -1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 12]),
+                     min_size=n, max_size=n),
+            min_size=1, max_size=6,
+        )
+    )
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_integer_kernel_equals_transform_route(rows):
+    assert integer_kernel(rows) == reference_integer_kernel(rows)
+
+
+def test_integer_kernel_equals_transform_route_on_per_cell_systems():
+    # 48-96 rows over 52-102 columns; every one has a rational kernel that
+    # is not unimodular on its free columns (lcm of pivots 2 to 324520)
+    for cover in stellar_covers():
+        rows = [[int(x) for x in row] for row in per_cell_system(cover).entries]
+        assert integer_kernel(rows) == reference_integer_kernel(rows)

@@ -392,3 +392,10 @@ class TestSymmetriesAndIO:
         assert cone_contains_point(gens, [Fraction(x, 3) for x in gens[1]])
         assert not cone_contains_point(gens, [-x for x in inside])
         assert cone_contains_point(gens, [Fraction(0), Fraction(0), Fraction(0)])
+
+    @pytest.mark.parametrize("point, length", [((1, 1), 2), ((1, 1, 1, 5), 4)])
+    def test_cone_membership_refuses_a_point_of_another_length(self, fulton, point, length):
+        gens = [fulton.rays[i] for i in fulton.max_cones[0].ray_indices]
+        with pytest.raises(ValueError, match=f"^a point of length {length} against "
+                                             "generators of length 3$"):
+            cone_contains_point(gens, point)

@@ -1,16 +1,25 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from fanbranch.cover_poset import are_isomorphic, degree, is_maximal, validate_cover
-from fanbranch.exact_linalg import SubspaceBasis, annihilator
+from fanbranch.exact_linalg import (
+    SubspaceBasis,
+    annihilator,
+    integer_solve,
+    intersect,
+    solve_linear,
+)
 from fanbranch.fan_core import fan_from_data, load_fan
 from fanbranch.klyachko import (
+    BUNDLED_BUNDLES,
     ChernData,
     Filtration,
     KlyachkoData,
     KlyachkoError,
+    NecessityReport,
     SplittingCertificate,
     branched_cover_of,
     bundle_from_dict,
@@ -173,6 +182,151 @@ class TestNecessaryDimensionCheck:
     def test_fulton_rank3_screened_out(self, fulton_bundle):
         data, _ = fulton_bundle
         assert necessary_dimension_check(data).status == "violation"
+
+
+def reference_necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
+    """The screen with one `solve_linear` and one `integer_solve` per
+    threshold combination and dimensions from `Fraction` intersections."""
+    fan = data.fan
+    r = data.rank
+    full = SubspaceBasis(r, [[int(j == i) for j in range(r)] for i in range(r)])
+    recovered = {}
+    for pos in range(len(fan.max_cones)):
+        cone_rays = fan.max_cones[pos].ray_indices
+        filts = [data.filtrations[ray] for ray in cone_rays]
+        threshold_sets = [f.thresholds() for f in filts]
+        ray_matrix = [list(fan.rays[ray]) for ray in cone_rays]
+        grid = list(product(*threshold_sets))
+        candidates = sorted(
+            combo for combo in grid
+            if solve_linear(ray_matrix, combo) is not None
+            and integer_solve(ray_matrix, combo) is not None
+        )
+        drops = [dict(f.drop_multiset()) for f in filts]
+        dims = {}
+        for combo in grid:
+            acc = full
+            for f, t in zip(filts, combo):
+                acc = intersect(acc, f.value(t))
+            dims[combo] = acc.dim
+        solution = None
+        for multiset in combinations_with_replacement(candidates, r):
+            okay = True
+            for j, dmap in enumerate(drops):
+                seen: dict[int, int] = {}
+                for cand in multiset:
+                    seen[cand[j]] = seen.get(cand[j], 0) + 1
+                if seen != dmap:
+                    okay = False
+                    break
+            if not okay:
+                continue
+            for combo in grid:
+                predicted = sum(
+                    1
+                    for cand in multiset
+                    if all(cv >= t for cv, t in zip(cand, combo))
+                )
+                if predicted != dims[combo]:
+                    okay = False
+                    break
+            if okay:
+                solution = multiset
+                break
+        if solution is None:
+            return NecessityReport("violation", None)
+        counts: dict = {}
+        for combo in solution:
+            key = solve_linear(ray_matrix, combo)
+            counts[key] = counts.get(key, 0) + 1
+        recovered[pos] = tuple(sorted(counts.items()))
+    return NecessityReport("ok", recovered)
+
+
+def _screen_cases():
+    """Every bundled bundle, its dual, and its sums with seeded line bundles
+    and their duals."""
+    rng = random.Random(12)
+    for name in BUNDLED_BUNDLES:
+        data, cert = load_bundle(name)
+        yield name, data
+        yield f"dual {name}", dual(data)
+        for _ in range(3):
+            u = [rng.randint(-3, 3) for _ in range(data.fan.rank)]
+            line, line_cert = line_bundle(data.fan, u)
+            summed, _ = direct_sum(data, line, cert, line_cert)
+            yield f"{name} + L{u}", summed
+            yield f"dual ({name} + L{u})", dual(summed)
+
+
+def _lower_dimensional_fan():
+    # cone 1 is a maximal cone of dimension 2: its ray matrix has rank 2 < 3,
+    # and (-2, -1, 0) puts a pivot 2 into its elimination
+    return fan_from_data(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-2, -1, 0]], [[0, 1, 2], [2, 3]])
+
+
+def _index_two_fan():
+    # cone 0 has full rank and determinant 2; cone 1 has dimension 2, and
+    # its values (t0, t3) are integral exactly when t0 - t3 is even
+    return fan_from_data(3, [[1, 0, 0], [0, 1, 0], [1, 1, 2], [1, 0, -2]], [[0, 1, 2], [0, 3]])
+
+
+def _rank_one(fan, thresholds):
+    full = SubspaceBasis(1, [[1]])
+    return KlyachkoData(fan, 1, {ray: Filtration(1, [(t, full)])
+                                 for ray, t in enumerate(thresholds)})
+
+
+def _sum_of_lines(fan, functionals):
+    data, cert = line_bundle(fan, functionals[0])
+    for u in functionals[1:]:
+        line, line_cert = line_bundle(fan, u)
+        data, cert = direct_sum(data, line, cert, line_cert)
+    return data
+
+
+class TestScreenEqualsReference:
+    def test_bundled_duals_and_sums(self):
+        for label, data in _screen_cases():
+            got = necessary_dimension_check(data)
+            want = reference_necessary_dimension_check(data)
+            assert (got.status, got.multisets) == (want.status, want.multisets), label
+
+    @pytest.mark.parametrize("make_fan", [_lower_dimensional_fan, _index_two_fan])
+    def test_lower_dimensional_maximal_cone(self, make_fan):
+        fan = make_fan()
+        rng = random.Random(7)
+        cases = [_sum_of_lines(fan, [[rng.randint(-2, 2) for _ in range(3)]
+                                     for _ in range(rng.randint(1, 3))]) for _ in range(12)]
+        cases += [random_bundle(fan, rng.randint(1, 3), rng) for _ in range(12)]
+        cases += [_rank_one(fan, [rng.randint(-2, 2) for _ in fan.rays]) for _ in range(12)]
+        statuses = set()
+        for data in cases + [dual(data) for data in cases]:
+            got = necessary_dimension_check(data)
+            want = reference_necessary_dimension_check(data)
+            assert (got.status, got.multisets) == (want.status, want.multisets)
+            statuses.add(got.status)
+        assert statuses == {"ok", "violation"}
+
+    def test_integral_solution_off_the_rational_one(self):
+        # on cone 1, u = (0, 1, 0) takes the values (0, -1); the solution with
+        # free variables 0 is (1/2, 0, 0), not integral, yet u is
+        data = _sum_of_lines(_lower_dimensional_fan(), [[0, 1, 0]])
+        report = necessary_dimension_check(data)
+        assert report.status == "ok"
+        assert report.multisets[1] == (((Fraction(1, 2), Fraction(0), Fraction(0)), 1),)
+
+    @pytest.mark.parametrize("thresholds, status", [
+        ((0, 0, 2, 0), "ok"),
+        ((0, 0, 1, 0), "violation"),  # cone 0 needs u = (0, 0, 1/2)
+        ((0, 0, 2, 1), "violation"),  # cone 1 needs u_3 = -1/2, u_2 being free
+    ])
+    def test_no_integral_functional(self, thresholds, status):
+        data = _rank_one(_index_two_fan(), thresholds)
+        got = necessary_dimension_check(data)
+        want = reference_necessary_dimension_check(data)
+        assert got.status == want.status == status
+        assert got.multisets == want.multisets
 
 
 class TestDual:

@@ -28,6 +28,8 @@ from fanbranch.pl_group import (
     wedge_summands,
 )
 
+from conftest import stellar_covers
+
 EIKELBERG_MULTISETS = {
     0: [(15, -15, 3), (3, 3, -9)],
     1: [(16, -14, -4), (2, 2, -2)],
@@ -154,6 +156,15 @@ class TestSolve:
             for f in integral.functions:
                 for u in f.cell_values.values():
                     assert all(x.denominator == 1 for x in u)
+
+    def test_integral_functions_equal_checked_construction(self):
+        # the integral basis reads its ray values off the kernel's ray-cell
+        # coordinates; the checked constructor computes them from the cells
+        for cov in stellar_covers():
+            for f in solve(cov, mode="integral").functions:
+                checked = PLFunction(cov, f.cell_values)
+                assert f.cell_values == checked.cell_values
+                assert f.ray_values == checked.ray_values
 
 
 # sha256 of one JSON line per cover: the `solve` basis, and the tag, pattern

@@ -31,7 +31,6 @@ from .exact_linalg import (
     integer_solve,
     nullspace_of_int_rows,
     rank_of_int_rows,
-    span,
     subspace_sum,
 )
 from .fan_core import Fan, cone_contains_point

@@ -267,7 +267,8 @@ def _lower_dimensional_fan():
 
 def _index_two_fan():
     # cone 0 has full rank and determinant 2; cone 1 has dimension 2, and
-    # its values (t0, t3) are integral exactly when t0 - t3 is even
+    # an integral functional takes the values (t0, t3) on it exactly when
+    # t0 - t3 is even
     return fan_from_data(3, [[1, 0, 0], [0, 1, 0], [1, 1, 2], [1, 0, -2]], [[0, 1, 2], [0, 3]])
 
 

@@ -496,11 +496,13 @@ def pl_solve(source, cover_file, branch):
         except ValueError as exc:
             raise click.ClickException(f"branch rays {rays}: {exc}")
     else:
-        with open(cover_file) as fh:
-            try:
+        try:
+            with open(cover_file) as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise click.ClickException(f"{cover_file} is not JSON: {exc}")
+        except json.JSONDecodeError as exc:
+            raise click.ClickException(f"{cover_file} is not JSON: {exc}")
+        except OSError as exc:
+            raise click.ClickException(f"cannot read cover {cover_file!r}: {exc.strerror or exc}")
         if not isinstance(data, dict):
             raise click.ClickException(f"{cover_file} does not hold a JSON object")
         if "monodromy" in data:
@@ -547,6 +549,8 @@ def _load_bundle_arg(source):
         return load_bundle(source)
     except FileNotFoundError:
         raise click.ClickException(f"no such bundle: {source!r}")
+    except OSError as exc:
+        raise click.ClickException(f"cannot read bundle {source!r}: {exc.strerror or exc}")
 
 
 @bundle.command("verify")

@@ -3,14 +3,18 @@
 A fan is stored combinatorially: a table of primitive ray generators plus the
 ray-index sets of its maximal cones.  The full face poset, walls and the
 dual graph are derived at construction time by exact arithmetic;
-completeness and ray links are derived from them on first use.
+completeness and ray links are derived from them on first use.  The face
+tables (each cone's faces and cofaces, as bitmasks over cone ids) are
+derived once in `Fan.__init__` from the ray-to-cone incidence, so
+`Fan.is_face` and `Fan.face_ids` are lookups.
 
 Faces come from facet normals: every face of a cone is the whole cone or an
 intersection of facets, and each facet normal is the one-dimensional kernel
 of some of the cone's generators (see `_cone_faces`).  Whether two maximal
 cones meet in a common face, and whether a point lies in a cone, is decided
-with no LP solver, by exact Fourier-Motzkin elimination whose witnesses are
-re-checked by sign evaluation.
+with no LP solver, by exact Fourier-Motzkin elimination.  Its witnesses are
+computed in integers, as an integer vector over one positive denominator,
+and re-checked by sign evaluation on the integer vector.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
+from operator import mul
 
 from .exact_linalg import (
     independent_rows,
@@ -78,7 +83,19 @@ def _eliminate(rows, var):
 
 
 def _fm_inequalities(rows, nvars):
-    """Witness y in Q^nvars with c.y >= 0 (or > 0 when strict) for all integer rows c."""
+    """Witness y in Q^nvars with c.y >= 0 (or > 0 when strict) for all integer
+    rows c, as a pair (Y, D): an integer vector Y and an integer D > 0 with
+    y = Y / D, jointly in lowest terms.  None if there is no witness.
+
+    Back-substitution fixes y_0, y_1, ... in turn.  With the fixed part held
+    as Y / D, each row c of the variable's level bounds it by -rest / (c_var D)
+    where rest = c_0 Y_0 + ... is an integer dot product; in units of 1 / D
+    the bound is the rational -rest / c_var, kept as an integer pair
+    (numerator, positive denominator) and compared by cross-multiplying.  The
+    value is chosen by the same rules as in y, where a step of 1 is a step
+    of D in these units.  The chosen value p / q (lowest terms) is stored by
+    rescaling Y and D by q, so D stays the lcm of the denominators of y.
+    """
     levels = []
     current = []
     for coeffs, strict in rows:
@@ -95,44 +112,57 @@ def _fm_inequalities(rows, nvars):
             return None
     levels.append(current)
 
-    y = [Fraction(0)] * nvars
+    Y = [0] * nvars
+    D = 1
     for var in range(nvars):
-        rows_here = levels[nvars - 1 - var]
-        lo = hi = None
+        lo = hi = None  # (numerator, denominator > 0), in units of 1 / D
         lo_strict = hi_strict = False
-        for coeffs, strict in rows_here:
+        for coeffs, strict in levels[nvars - 1 - var]:
             c = coeffs[var]
             if c == 0:
                 continue
-            rest = sum(coeffs[j] * y[j] for j in range(var))
-            bound = Fraction(-rest, c)
+            rest = 0
+            for j in range(var):
+                rest += coeffs[j] * Y[j]
             if c > 0:
-                if lo is None or bound > lo:
-                    lo, lo_strict = bound, strict
-                elif bound == lo:
+                num, den = -rest, c
+                if lo is None or num * lo[1] > lo[0] * den:
+                    lo, lo_strict = (num, den), strict
+                elif num * lo[1] == lo[0] * den:
                     lo_strict = lo_strict or strict
             else:
-                if hi is None or bound < hi:
-                    hi, hi_strict = bound, strict
-                elif bound == hi:
+                num, den = rest, -c
+                if hi is None or num * hi[1] < hi[0] * den:
+                    hi, hi_strict = (num, den), strict
+                elif num * hi[1] == hi[0] * den:
                     hi_strict = hi_strict or strict
         if lo is None and hi is None:
-            y[var] = Fraction(0)
-        elif hi is None:
-            y[var] = lo + 1 if lo_strict else lo
+            continue
+        if hi is None:
+            p, q = (lo[0] + D * lo[1], lo[1]) if lo_strict else lo
         elif lo is None:
-            y[var] = hi - 1 if hi_strict else hi
-        elif lo < hi:
-            y[var] = (lo + hi) / 2
-        elif lo == hi and not (lo_strict or hi_strict):
-            y[var] = lo
+            p, q = (hi[0] - D * hi[1], hi[1]) if hi_strict else hi
+        elif lo[0] * hi[1] < hi[0] * lo[1]:
+            p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        elif lo[0] * hi[1] == hi[0] * lo[1] and not (lo_strict or hi_strict):
+            p, q = lo
         elif var == 0:
             # contradictions on the innermost variable are found here, since
             # it is never eliminated
             return None
         else:  # pragma: no cover - contradicts FM projection soundness
             raise AssertionError("Fourier-Motzkin back-substitution failed")
-    return tuple(y)
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        if q != 1:
+            Y = [x * q for x in Y]
+            D *= q
+        Y[var] = p
+    return Y, D
+
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
 
 
 def linear_functional_witness(zero_on, positive_on, negative_on=()):
@@ -140,7 +170,9 @@ def linear_functional_witness(zero_on, positive_on, negative_on=()):
     vectors, not all empty.
 
     Returns a tuple of Fractions or None if no such functional exists.  The
-    returned witness is re-checked by direct sign evaluation.
+    witness is u = U / D with U = sum of Y_j b_j over the kernel basis b of
+    `zero_on` and (Y, D) from `_fm_inequalities`; its signs are re-checked
+    on the integer vector U, which has those of u as D > 0.
     """
     vectors = [*zero_on, *positive_on, *negative_on]
     dim = len(vectors[0])
@@ -152,28 +184,30 @@ def linear_functional_witness(zero_on, positive_on, negative_on=()):
             return tuple(Fraction(0) for _ in range(dim))
     else:
         basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    k = len(basis)
     rows = []
     for v in positive_on:
-        rows.append((tuple(sum(b[i] * v[i] for i in range(dim)) for b in basis), True))
+        rows.append((tuple([_dot(b, v) for b in basis]), True))
     for v in negative_on:
-        rows.append((tuple(-sum(b[i] * v[i] for i in range(dim)) for b in basis), True))
+        rows.append((tuple([-_dot(b, v) for b in basis]), True))
     if not rows:
-        # any nonzero element of the kernel works; zero if unconstrained
-        y = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(k))
-        u = tuple(sum(y[j] * basis[j][i] for j in range(k)) for i in range(dim))
-        return u
-    y = _fm_inequalities(rows, k)
-    if y is None:
+        # any nonzero element of the kernel works
+        return tuple(Fraction(x) for x in basis[0])
+    fm = _fm_inequalities(rows, len(basis))
+    if fm is None:
         return None
-    u = tuple(sum(y[j] * basis[j][i] for j in range(k)) for i in range(dim))
+    Y, D = fm
+    U = [0] * dim
+    for y, b in zip(Y, basis):
+        if y:
+            for i in range(dim):
+                U[i] += y * b[i]
     for v in zero_on:
-        assert sum(a * b for a, b in zip(u, v)) == 0
+        assert _dot(U, v) == 0
     for v in positive_on:
-        assert sum(a * b for a, b in zip(u, v)) > 0
+        assert _dot(U, v) > 0
     for v in negative_on:
-        assert sum(a * b for a, b in zip(u, v)) < 0
-    return u
+        assert _dot(U, v) < 0
+    return tuple(Fraction(x, D) for x in U)
 
 
 def cone_contains_point(generators, point) -> bool:
@@ -222,21 +256,59 @@ class Cone:
     dim: int
 
 
+def _bit_positions(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of a nonnegative integer, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class Fan:
     """A fan with its derived face poset, walls, dual graph and ray links.
 
     Immutable after construction; use :func:`fan_from_data` to build one.
     """
 
-    def __init__(self, lattice, rays, max_cones, cones, cone_ids, walls, wall_cones, name=None):
+    def __init__(self, lattice, rays, max_cones, cones, name=None):
         self.lattice = lattice
         self.rays = rays                  # tuple of primitive IntVector
         self.max_cones = max_cones        # tuple of Cone, input order
         self.cones = cones                # tuple of Cone, id order (zero cone first)
-        self._cone_ids = cone_ids         # ray tuple -> cone id
-        self.walls = walls                # tuple of cone ids, codim-1 cones
-        self.wall_cones = wall_cones      # wall position -> tuple of max-cone positions
         self.name = name
+        self._cone_ids = {c.ray_indices: i for i, c in enumerate(cones)}  # ray tuple -> cone id
+        self._max_positions = {self._cone_ids[c.ray_indices]: p for p, c in enumerate(max_cones)}
+        # face tables from the ray-to-cone incidence: bit j of cofaces[i] is
+        # set iff the rays of cone i are among those of cone j, i.e. cone i
+        # is a face of cone j; faces[j] holds the same relation by column
+        with_ray = [0] * len(rays)
+        for i, c in enumerate(cones):
+            for r in c.ray_indices:
+                with_ray[r] |= 1 << i
+        everything = (1 << len(cones)) - 1
+        cofaces = []
+        faces = []
+        for c in cones:
+            up = everything
+            for r in c.ray_indices:
+                up &= with_ray[r]
+            cofaces.append(up)
+            off = 0
+            for r, m in enumerate(with_ray):
+                if r not in c.ray_indices:
+                    off |= m
+            faces.append(everything & ~off)
+        self.faces: tuple[int, ...] = tuple(faces)      # cone id -> bitmask of face ids
+        self.cofaces: tuple[int, ...] = tuple(cofaces)  # cone id -> bitmask of coface ids
+        # walls are the codim-1 cones; wall position -> max-cone positions on it
+        self.walls = tuple(i for i, c in enumerate(cones) if c.dim == lattice.rank - 1)
+        self.wall_cones = tuple(
+            tuple(sorted(self._max_positions[j] for j in _bit_positions(cofaces[w])
+                         if j in self._max_positions))
+            for w in self.walls
+        )
         self._complete: bool | None = None
         self._ray_links: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] | None = None
         self._automorphisms: tuple | None = None
@@ -259,23 +331,24 @@ class Fan:
         return self.cones[cone_id]
 
     def max_cone_position(self, cone_id: int) -> int:
-        for i, c in enumerate(self.max_cones):
-            if self.cone_id(c.ray_indices) == cone_id:
-                return i
-        raise FanError("cone is not maximal")
+        try:
+            return self._max_positions[cone_id]
+        except KeyError:
+            raise FanError("cone is not maximal") from None
 
     def generators(self, cone_id: int) -> tuple[IntVector, ...]:
         return tuple(self.rays[i] for i in self.cones[cone_id].ray_indices)
 
     def face_ids(self, cone_id: int) -> tuple[int, ...]:
-        """Ids of all faces of the cone, itself included."""
-        rays = set(self.cones[cone_id].ray_indices)
-        return tuple(
-            i for i, c in enumerate(self.cones) if set(c.ray_indices) <= rays
-        )
+        """Ids of all faces of the cone, itself included, ascending."""
+        return _bit_positions(self.faces[cone_id])
+
+    def coface_ids(self, cone_id: int) -> tuple[int, ...]:
+        """Ids of all cones having the cone as a face, itself included, ascending."""
+        return _bit_positions(self.cofaces[cone_id])
 
     def is_face(self, small_id: int, big_id: int) -> bool:
-        return set(self.cones[small_id].ray_indices) <= set(self.cones[big_id].ray_indices)
+        return self.faces[big_id] >> small_id & 1 == 1
 
     def cones_containing_ray(self, ray_index: int) -> tuple[int, ...]:
         """Positions (in max_cones) of maximal cones containing the ray."""
@@ -428,35 +501,9 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
                     f"common face {common} of cones {a} and {b} missing from face set"
                 )
 
-    cones = []
-    for t in sorted(all_faces, key=lambda t: (len(t), t)):
-        cones.append(Cone(t, rank_of_int_rows([prim[i] for i in t], rank)))
-    cone_ids = {c.ray_indices: i for i, c in enumerate(cones)}
-
-    wall_ids = tuple(
-        i for i, c in enumerate(cones) if c.dim == rank - 1
-    )
-    wall_cones = []
-    for w in wall_ids:
-        wset = set(cones[w].ray_indices)
-        touching = tuple(
-            i
-            for i, mc in enumerate(max_list)
-            if wset <= set(mc.ray_indices)
-        )
-        wall_cones.append(touching)
-
-    fan = Fan(
-        lattice,
-        prim,
-        tuple(max_list),
-        tuple(cones),
-        cone_ids,
-        wall_ids,
-        tuple(wall_cones),
-        name=name,
-    )
-    return fan
+    cones = tuple(Cone(t, rank_of_int_rows([prim[i] for i in t], rank))
+                  for t in sorted(all_faces, key=lambda t: (len(t), t)))
+    return Fan(lattice, prim, tuple(max_list), cones, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -591,16 +591,11 @@ def branched_cover_of(data_or_chern, cert: SplittingCertificate | None = None):
     max_pos_of_base = {
         fan.cone_id(c.ray_indices): pos for pos, c in enumerate(fan.max_cones)
     }
-    # classes over every cone, from the lowest-position incident maximal cone,
+    # classes over every cone, from the first incident maximal cone by id,
     # cross-checked against all others
     classes: dict[int, tuple] = {}
     for cone_id in range(len(fan.cones)):
-        rays_here = set(fan.cones[cone_id].ray_indices)
-        carriers = [
-            pos
-            for pos, c in enumerate(fan.max_cones)
-            if rays_here <= set(c.ray_indices)
-        ]
+        carriers = [max_pos_of_base[i] for i in fan.coface_ids(cone_id) if i in max_pos_of_base]
         if not carriers:
             raise KlyachkoError(f"cone {cone_id} is not a face of any maximal cone")
         first = _restriction_multiset(fan, carriers[0], cdata.multisets[carriers[0]], cone_id)

@@ -456,7 +456,23 @@ class TestSweep:
         assert data["index"] == 0
 
 
+def test_cover_directory_fails_in_one_line(runner, tmp_path):
+    result = runner.invoke(main, ["pl", "solve", "fulton", "--cover", str(tmp_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    reason = os.strerror(errno.EISDIR)
+    assert result.output == f"Error: cannot read cover {str(tmp_path)!r}: {reason}\n"
+
+
 class TestBundleCommands:
+    @pytest.mark.parametrize("command", ["verify", "chern", "cover"])
+    def test_directory_fails_in_one_line(self, runner, tmp_path, command):
+        result = runner.invoke(main, ["bundle", command, str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        reason = os.strerror(errno.EISDIR)
+        assert result.output == f"Error: cannot read bundle {str(tmp_path)!r}: {reason}\n"
+
     def test_verify_ok(self, runner):
         result = runner.invoke(main, ["bundle", "verify", "eikelberg"])
         assert result.exit_code == 0

@@ -1,9 +1,14 @@
+import random
+
 import pytest
+from conftest import stellar_covers
 
 from fanbranch.cover_poset import (
     CoverCell,
     CoverPoset,
     CoverError,
+    CoverReport,
+    Violation,
     are_isomorphic,
     canonical_signature,
     cover_from_dict,
@@ -208,3 +213,118 @@ class TestSerialization:
     def test_cell_weight_positive(self):
         with pytest.raises(CoverError):
             CoverCell(0, 0, 0)
+
+
+def reference_validate_cover(cover):
+    """The former check, with faces found as ray subsets: the down-set
+    order is compared pair by pair for every cell, and the weight trace
+    over every cone of the fan."""
+    fan = cover.fan
+    rays = [set(c.ray_indices) for c in fan.cones]
+
+    def is_face(a, b):
+        return rays[a] <= rays[b]
+
+    violations = []
+    mins = cover.minimal_cells()
+    if len(mins) != 1:
+        violations.append(Violation(None, "a", f"expected one minimal cell, found {len(mins)}"))
+        return CoverReport(False, violations)
+    root = mins[0]
+    if cover.cells[root].base != 0:
+        violations.append(Violation(root, "a", "minimal cell does not lie over the zero cone"))
+
+    for x in range(len(cover.cells)):
+        down = sorted(cover.below[x]) + [x]
+        base_faces = [i for i in range(len(fan.cones)) if is_face(i, cover.cells[x].base)]
+        bases = sorted(cover.cells[y].base for y in down)
+        if bases != base_faces:
+            violations.append(Violation(
+                x, "b", f"down-set projects to cones {bases}, expected faces {base_faces}"))
+            continue
+        for y in down:
+            for z in down:
+                if is_face(cover.cells[y].base, cover.cells[z].base) != cover.leq(y, z):
+                    violations.append(Violation(
+                        x, "b", f"down-set order mismatch between cells {y} and {z}"))
+                    break
+            else:
+                continue
+            break
+
+    for x in range(len(cover.cells)):
+        w = cover.cells[x].weight
+        trace = {}
+        for y in [x, *cover.above[x]]:
+            b = cover.cells[y].base
+            trace[b] = trace.get(b, 0) + cover.cells[y].weight
+        for gamma in range(len(fan.cones)):
+            if is_face(cover.cells[x].base, gamma) and trace.get(gamma, 0) != w:
+                violations.append(Violation(
+                    x, "c", f"weight trace over cone {gamma} is {trace.get(gamma, 0)}, "
+                            f"expected {w}"))
+    return CoverReport(not violations, violations)
+
+
+def strict_pairs(cover):
+    return [(lo, hi) for hi in range(len(cover.cells)) for lo in sorted(cover.below[hi])]
+
+
+def mutations(cover, rng):
+    """Covers one edit away from `cover`: a dropped strict pair, with and
+    without the transitive closure; a strict pair (y, z) rewired to, or
+    doubled by, (y', z) with y' another cell over y's base, unclosed; a
+    changed weight; and two cells with swapped bases (where the swap keeps
+    base and copy unique)."""
+    cells = list(cover.cells)
+    pairs = strict_pairs(cover)
+    for _ in range(3):
+        dropped = pairs[:]
+        del dropped[rng.randrange(len(dropped))]
+        yield CoverPoset(cover.fan, cells, dropped)
+        yield CoverPoset(cover.fan, cells, dropped, _closed=True)
+    twins = [(k, other) for k, (y, z) in enumerate(pairs)
+             for other in cover.cells_over(cells[y].base) if other != y]
+    for k, other in rng.sample(twins, min(2, len(twins))):
+        rewired = pairs[:]
+        rewired[k] = (other, pairs[k][1])
+        yield CoverPoset(cover.fan, cells, rewired, _closed=True)
+        yield CoverPoset(cover.fan, cells, pairs + [(other, pairs[k][1])], _closed=True)
+    for _ in range(2):
+        i = rng.randrange(len(cells))
+        changed = cells[:]
+        changed[i] = CoverCell(cells[i].base, cells[i].copy, cells[i].weight + rng.choice((1, 2)))
+        yield CoverPoset(cover.fan, changed, pairs, _closed=True)
+    for _ in range(3):
+        i, j = rng.sample(range(len(cells)), 2)
+        swapped = cells[:]
+        swapped[i] = CoverCell(cells[j].base, cells[i].copy, cells[i].weight)
+        swapped[j] = CoverCell(cells[i].base, cells[j].copy, cells[j].weight)
+        try:
+            yield CoverPoset(cover.fan, swapped, pairs, _closed=True)
+        except CoverError:
+            continue
+
+
+class TestValidationEqualsReference:
+    def test_on_stellar_covers(self):
+        for cover in stellar_covers():
+            report = validate_cover(cover)
+            assert report.ok
+            assert report.describe() == reference_validate_cover(cover).describe()
+
+    def test_on_mutated_covers(self):
+        rng = random.Random("mutations")
+        kinds = set()
+        seen = 0
+        for cover in stellar_covers():
+            for broken in mutations(cover, rng):
+                report = validate_cover(broken)
+                assert report.violations == reference_validate_cover(broken).violations
+                assert report.describe() == reference_validate_cover(broken).describe()
+                kinds |= {(v.axiom, v.message.split()[1]) for v in report.violations}
+                seen += 1
+        assert seen >= 300
+        # every kind of violation occurs, order mismatches of (b) included
+        assert kinds == {("a", "one"), ("a", "cell"), ("b", "projects"), ("b", "order"),
+                         ("c", "trace")}

@@ -1,11 +1,14 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanbranch import fan_core
-from fanbranch.exact_linalg import RationalMatrix, primitive
+from fanbranch.exact_linalg import RationalMatrix, nullspace_of_int_rows, primitive
 from fanbranch.fan_core import (
     BUNDLED_FANS,
     FanError,
@@ -231,6 +234,167 @@ class TestFacesFromFacets:
             if not vectors:
                 continue
             assert fan_core._cone_faces(vectors) == reference_faces(vectors), vectors
+
+
+def reference_fm_inequalities(rows, nvars):
+    """The former back-substitution, in Fractions, after the same
+    elimination as `fan_core._fm_inequalities`."""
+    levels = []
+    current = []
+    for coeffs, strict in rows:
+        norm = fan_core._normalize_ineq(coeffs, strict)
+        if norm is None:
+            continue
+        if norm[0] == "infeasible":
+            return None
+        current.append(norm)
+    for var in range(nvars - 1, 0, -1):
+        levels.append(current)
+        current = fan_core._eliminate(current, var)
+        if current is None:
+            return None
+    levels.append(current)
+
+    y = [Fraction(0)] * nvars
+    for var in range(nvars):
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for coeffs, strict in levels[nvars - 1 - var]:
+            c = coeffs[var]
+            if c == 0:
+                continue
+            bound = Fraction(-sum(coeffs[j] * y[j] for j in range(var)), c)
+            if c > 0:
+                if lo is None or bound > lo:
+                    lo, lo_strict = bound, strict
+                elif bound == lo:
+                    lo_strict = lo_strict or strict
+            else:
+                if hi is None or bound < hi:
+                    hi, hi_strict = bound, strict
+                elif bound == hi:
+                    hi_strict = hi_strict or strict
+        if lo is None and hi is None:
+            y[var] = Fraction(0)
+        elif hi is None:
+            y[var] = lo + 1 if lo_strict else lo
+        elif lo is None:
+            y[var] = hi - 1 if hi_strict else hi
+        elif lo < hi:
+            y[var] = (lo + hi) / 2
+        elif lo == hi and not (lo_strict or hi_strict):
+            y[var] = lo
+        elif var == 0:
+            return None
+        else:
+            raise AssertionError("Fourier-Motzkin back-substitution failed")
+    return tuple(y)
+
+
+def reference_linear_functional_witness(zero_on, positive_on, negative_on=()):
+    """The former witness: u assembled and sign-checked in Fractions."""
+    vectors = [*zero_on, *positive_on, *negative_on]
+    dim = len(vectors[0])
+    if zero_on:
+        basis = nullspace_of_int_rows(list(zero_on), dim)
+        if not basis:
+            if positive_on or negative_on:
+                return None
+            return tuple(Fraction(0) for _ in range(dim))
+    else:
+        basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    k = len(basis)
+    rows = []
+    for v in positive_on:
+        rows.append((tuple(sum(b[i] * v[i] for i in range(dim)) for b in basis), True))
+    for v in negative_on:
+        rows.append((tuple(-sum(b[i] * v[i] for i in range(dim)) for b in basis), True))
+    if not rows:
+        y = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(k))
+        return tuple(sum(y[j] * basis[j][i] for j in range(k)) for i in range(dim))
+    y = reference_fm_inequalities(rows, k)
+    if y is None:
+        return None
+    u = tuple(sum(y[j] * basis[j][i] for j in range(k)) for i in range(dim))
+    for v in zero_on:
+        assert sum(a * b for a, b in zip(u, v)) == 0
+    for v in positive_on:
+        assert sum(a * b for a, b in zip(u, v)) > 0
+    for v in negative_on:
+        assert sum(a * b for a, b in zip(u, v)) < 0
+    return u
+
+
+@st.composite
+def witness_families(draw):
+    """Three families of integer vectors of rank 2-4, not all empty.  With
+    `clash`, one vector must be both positive and negative, so no witness
+    exists; other families are infeasible by chance."""
+    rank = draw(st.integers(2, 4))
+    vectors = st.lists(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank), max_size=4)
+    zero_on, positive_on, negative_on = draw(vectors), draw(vectors), draw(vectors)
+    clash = draw(st.booleans())
+    if clash or not (zero_on or positive_on or negative_on):
+        v = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+        positive_on, negative_on = [*positive_on, v], [*negative_on, v]
+    return zero_on, positive_on, negative_on, clash
+
+
+class TestIntegerWitness:
+    @given(witness_families())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_equals_fraction_reference(self, family):
+        zero_on, positive_on, negative_on, clash = family
+        got = linear_functional_witness(zero_on, positive_on, negative_on)
+        assert got == reference_linear_functional_witness(zero_on, positive_on, negative_on)
+        assert got is None or all(type(x) is Fraction for x in got)
+        if clash:
+            assert got is None
+
+    @pytest.mark.parametrize("last", [(0, 0, 1), (0, 0, -1), (1, 1, 1), (-1, 1, -2)])
+    def test_equals_fraction_reference_after_a_fractional_value(self, last):
+        # y_0 = 1, y_1 = -1/12 halfway between -1/2 and 1/3, then y_2 one
+        # step beyond a strict bound: the step is 1 in y, 12 over the
+        # common denominator
+        positive_on = [(1, 0, 0), (1, 2, 0), (1, -3, 0), last]
+        got = linear_functional_witness([], positive_on)
+        assert got[1] == Fraction(-1, 12)
+        assert got == reference_linear_functional_witness([], positive_on)
+
+    def test_equals_fraction_reference_on_every_pair_of_maximal_cones(self):
+        count = 0
+        for fan in subdivided_fans():
+            for a, b in itertools.combinations(fan.max_cones, 2):
+                ra, rb = set(a.ray_indices), set(b.ray_indices)
+                args = ([fan.rays[i] for i in sorted(ra & rb)],
+                        [fan.rays[i] for i in sorted(ra - rb)],
+                        [fan.rays[i] for i in sorted(rb - ra)])
+                got = linear_functional_witness(*args)
+                assert got is not None
+                assert got == reference_linear_functional_witness(*args)
+                count += 1
+        assert count >= 1100
+
+    def test_cone_membership_agrees_with_the_fraction_reference(self):
+        rng = random.Random("membership")
+        for fan in subdivided_fans()[:12]:
+            for cone in fan.cones[1:]:
+                gens = [fan.rays[i] for i in cone.ray_indices]
+                point = [rng.randint(-3, 3) for _ in range(fan.rank)]
+                rows = [(tuple(g), False) for g in gens] + [(tuple(-x for x in point), True)]
+                want = not any(point) or reference_fm_inequalities(rows, fan.rank) is None
+                assert cone_contains_point(gens, point) == want
+
+
+class TestFaceTables:
+    def test_match_the_ray_subset_definition(self):
+        for fan in subdivided_fans():
+            rays = [set(c.ray_indices) for c in fan.cones]
+            for b, big in enumerate(rays):
+                assert fan.face_ids(b) == tuple(a for a, small in enumerate(rays) if small <= big)
+                assert fan.coface_ids(b) == tuple(a for a, other in enumerate(rays) if big <= other)
+                for a, small in enumerate(rays):
+                    assert fan.is_face(a, b) == (small <= big)
 
 
 class TestCompleteness:

@@ -621,8 +621,8 @@ def stellar_subdivision(fan: Fan, position: int) -> Fan:
     cone = fan.max_cones[position].ray_indices
     new_ray = primitive([sum(fan.rays[i][k] for i in cone) for k in range(fan.rank)])
     new = len(fan.rays)
-    facets = [fan.cones[w].ray_indices for w in fan.walls
-              if set(fan.cones[w].ray_indices) <= set(cone)]
+    cone_id = fan.cone_id(cone)
+    facets = [fan.cones[w].ray_indices for w in fan.walls if fan.is_face(w, cone_id)]
     cones = [c.ray_indices for j, c in enumerate(fan.max_cones) if j != position]
     cones += [f + (new,) for f in facets]
     return fan_from_data(fan.rank, fan.rays + (new_ray,), cones)

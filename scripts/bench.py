@@ -3,7 +3,8 @@
 
 For each side, in alternating order, it times the fulton degree-2 sweep and
 the full sigma_prime degree-3 sweep through the CLI at --jobs 2 (wall
-seconds, cache sha256, summary counts), then runs ten alternating pairs
+seconds, cache sha256, summary counts), and exits with code 1 as soon as a
+cache's sha256 differs from its pin; then it runs ten alternating pairs
 of perfbench runs per workload and seed.  It writes one JSON file: core count,
 Python version and both commits; the sweep figures; and for each workload
 and seed, every run's end-to-end metrics with each side's median and
@@ -34,7 +35,11 @@ import time
 from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parents[1]
-SWEEPS = [("fulton", 2), ("sigma_prime", 3)]
+# sha256 of each sweep's cache, the same for every worker count and commit
+SWEEP_PINS = {
+    ("fulton", 2): "00a001fde95114f980c5b978f9f16d5b65d52a2b3bd864417dd79b09116087d9",
+    ("sigma_prime", 3): "bcc117809b5034804373d7ac9a7e55e77f9f0889591382a03351ad37169b9018",
+}
 SWEEP_JOBS = 2
 SWEEP_PAIRS = 2
 BENCH_PAIRS = 10
@@ -85,6 +90,9 @@ def time_sweep(checkout: Path, fan: str, degree: int, scratch: str) -> dict:
             sha.update(block)
     digest = sha.hexdigest()
     os.remove(cache)
+    if digest != SWEEP_PINS[fan, degree]:
+        raise SystemExit(f"{checkout}: {fan} -d {degree} wrote a cache with sha256 "
+                         f"{digest}, not its pin {SWEEP_PINS[fan, degree]}")
     counts = next(x for x in done.stdout.splitlines() if x.startswith("dim > 3 records:"))
     return {"wall_s": round(wall, 2), "sha256": digest, "counts": counts}
 
@@ -155,7 +163,7 @@ def main() -> None:
         "perfbench": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
-        for fan, degree in SWEEPS:
+        for fan, degree in SWEEP_PINS:
             runs = {"parent": [], "change": []}
             for k in range(SWEEP_PAIRS):
                 for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):

@@ -32,6 +32,7 @@ from .fan_core import (
     wall_relation,
 )
 from .klyachko import (
+    KlyachkoError,
     branched_cover_of,
     chern,
     load_bundle,
@@ -45,7 +46,7 @@ from .monodromy import (
     build_cover,
     class_representatives,
     count_assignments,
-    ray_value_rows,
+    ray_orbits,
     spanning_tree,
 )
 from .pl_group import (
@@ -54,6 +55,7 @@ from .pl_group import (
     multisets,
     ray_value_system,
     solve,
+    sum_zero_triviality,
     system_triviality,
 )
 
@@ -112,17 +114,26 @@ class SweepRecord:
 def evaluate_assignment(fan, tree, d: int, index: int) -> SweepRecord:
     """One sweep record, from the values-at-rays system alone.
 
-    The system is read straight off the monodromy (`ray_value_rows`), which
-    also gives the profile and the branch rays, and `system_triviality`
-    decides it on one elimination.  No record builds a cover.
+    The cells over each ray are read once off the monodromy (`ray_orbits`),
+    which gives the profile and the branch rays.  The PL group is the base
+    fan's, lifted constant on sheets, plus its sum-zero part: averaging over
+    the sheets maps solutions to solutions, because transport around a
+    ray's link permutes the sheets (proof at `ray_value_rows`).  So
+    `sum_zero_triviality` proves a pullbacks-only record on the sum-zero
+    system, about half the size of the whole, without building the whole.
+    Any other record builds the whole system (`RayOrbits.value_system`,
+    which is `ray_value_rows`) and `system_triviality` decides it on one
+    elimination.  No record builds a cover.
     """
-    a = assignment_at(fan, d, index, tree)
-    system = ray_value_rows(fan, a, tree)
-    verdict = system_triviality(fan, system.rows, system.ncols, system.cells)
+    orbits = ray_orbits(fan, assignment_at(fan, d, index, tree), tree)
+    verdict = sum_zero_triviality(fan, *orbits.sum_zero_columns())
+    if verdict is None:
+        system = orbits.value_system()
+        verdict = system_triviality(fan, system.rows, system.ncols, system.cells)
     return SweepRecord(
         index=index,
-        branch_rays=system.branch_rays,
-        profile=system.profile,
+        branch_rays=orbits.branch_rays,
+        profile=orbits.profile,
         dim_pl=verdict.dim,
         verdict="AllTrivial" if verdict.all_trivial else "Nontrivial",
         cert=verdict.tag,
@@ -497,9 +508,9 @@ def pl_solve(source, cover_file, branch):
             raise click.ClickException(f"branch rays {rays}: {exc}")
     else:
         try:
-            with open(cover_file) as fh:
+            with open(cover_file, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise click.ClickException(f"{cover_file} is not JSON: {exc}")
         except OSError as exc:
             raise click.ClickException(f"cannot read cover {cover_file!r}: {exc.strerror or exc}")
@@ -547,10 +558,17 @@ def bundle():
 def _load_bundle_arg(source):
     try:
         return load_bundle(source)
-    except FileNotFoundError:
-        raise click.ClickException(f"no such bundle: {source!r}")
     except OSError as exc:
-        raise click.ClickException(f"cannot read bundle {source!r}: {exc.strerror or exc}")
+        # the bundle file itself, or the fan file that it names
+        path = source if exc.filename is None else exc.filename
+        kind = "bundle" if path == source else "fan"
+        if isinstance(exc, FileNotFoundError):
+            raise click.ClickException(f"no such {kind}: {path!r}")
+        raise click.ClickException(f"cannot read {kind} {path!r}: {exc.strerror or exc}")
+    except KlyachkoError as exc:
+        raise click.ClickException(f"invalid bundle: {exc}")
+    except FanError as exc:
+        raise click.ClickException(f"invalid fan in bundle {source!r}: {exc}")
 
 
 @bundle.command("verify")

@@ -155,15 +155,6 @@ def primitive(v) -> IntVector:
     return tuple(x // g for x in ints)
 
 
-def _sign_normalize(v: IntVector) -> IntVector:
-    for x in v:
-        if x > 0:
-            return v
-        if x < 0:
-            return tuple([-y for y in v])
-    return v
-
-
 def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
     """`row` with its column-c entry cancelled against `prow` (whose entry
     there is nonzero): cross-multiplied, then divided by the gcd of its
@@ -223,19 +214,25 @@ def independent_rows(vectors, ncols: int) -> list[int]:
 def nullspace_of_int_rows(rows: list[list[int]], ncols: int) -> list[IntVector]:
     """Kernel basis over Q of an integer matrix, primitive and sign-normalized,
     one vector per free column."""
-    return _echelon_kernel(*_int_echelon([r[:] for r in rows], ncols), ncols)
+    return [tuple(v) for v in _echelon_kernel(*_int_echelon([r[:] for r in rows], ncols), ncols)]
 
 
-def _echelon_kernel(ech: list[list[int]], pivots: list[int], ncols: int) -> list[IntVector]:
-    """The kernel of `nullspace_of_int_rows`, read off an `_int_echelon` result.
+def _echelon_kernel(ech: list[list[int]], pivots: list[int], ncols: int) -> list[list[int]]:
+    """The kernel of `nullspace_of_int_rows`, read off an `_int_echelon`
+    result, each vector as a list.
 
     Back-substitution stays in integers: before pivot p is set to -s/a, the
     whole vector is scaled by |a|/gcd(s, a), which makes the quotient exact.
     Every scale is positive, so the result is a positive multiple of the
     rational solution and has the same primitive, sign-normalized form.
+
+    No tuple of the vector's length is made, not even as call arguments:
+    CPython 3.11 puts every freed tuple of length 20 on a free list that it
+    never draws from (it draws only below 20), so with 20 columns each one
+    would stay behind as dead memory, up to 2000 of them.
     """
     pivset = set(pivots)
-    basis: list[IntVector] = []
+    basis: list[list[int]] = []
     for free in range(ncols):
         if free in pivset:
             continue
@@ -253,9 +250,12 @@ def _echelon_kernel(ech: list[list[int]], pivots: list[int], ncols: int) -> list
                 if k > 1:
                     x = [k * v for v in x]
                 x[p] = -(s * k) // a
-        g = gcd(*x)
-        # from a list, at final length (see `pl_group._kernel_keys`)
-        basis.append(_sign_normalize(tuple([v // g for v in x])))
+        g = 0
+        for v in x:
+            g = gcd(g, v)
+        if next(v for v in x if v) < 0:
+            g = -g
+        basis.append([v // g for v in x])
     return basis
 
 

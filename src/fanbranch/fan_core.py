@@ -313,6 +313,7 @@ class Fan:
         self._ray_links: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] | None = None
         self._automorphisms: tuple | None = None
         self._max_relations: dict[int, tuple] = {}
+        self._tree_tables: dict[tuple, object] = {}  # see monodromy._record_tables
 
     # -- basic queries ------------------------------------------------------
 

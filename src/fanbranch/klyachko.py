@@ -243,8 +243,9 @@ class NecessityReport:
 
 def _integral_solutions(ray_matrix, combos) -> dict:
     """The combos b for which V.u = b has an integral solution u, V the
-    cone's ray matrix, each mapped to the rational solution that
-    `solve_linear(V, b)` returns (free variables 0).
+    cone's ray matrix, each mapped to an integral solution (as `Fraction`s):
+    the only solution when V has full column rank, and `integer_solve`'s
+    otherwise.
 
     One `_rref_rows` of [V | I_m] serves every b: its row operations are
     those of `solve_linear`'s elimination of [V | b] whatever b is, so its
@@ -252,7 +253,9 @@ def _integral_solutions(ray_matrix, combos) -> dict:
     column of that elimination, T'.b / den: the solution at the pivots, and
     zeros below the rank exactly when the system is consistent.  When V has
     full column rank the solution is unique, so an integral solution exists
-    exactly when it is integral; otherwise `integer_solve` decides.
+    exactly when it is integral; otherwise `integer_solve` decides, and its
+    solution is the one reported, since the one with free variables 0 need
+    not be integral.
     """
     m, n = len(ray_matrix), len(ray_matrix[0])
     rows = [[Fraction(x) for x in v] + [Fraction(int(i == j)) for j in range(m)]
@@ -266,15 +269,15 @@ def _integral_solutions(ray_matrix, combos) -> dict:
         tb = [sum(a * x for a, x in zip(row, b)) for row in t]
         if any(tb[rank:]):
             continue
-        if rank == n:
-            if any(x % den for x in tb):
-                continue
-        elif integer_solve(ray_matrix, b) is None:
-            continue
-        u = [Fraction(0)] * n
-        for j, p in enumerate(pivots):
-            u[p] = Fraction(tb[j], den)
-        out[b] = tuple(u)
+        if rank < n:
+            z = integer_solve(ray_matrix, b)
+            if z is not None:
+                out[b] = tuple([Fraction(x) for x in z])
+        elif not any(x % den for x in tb):
+            u = [Fraction(0)] * n
+            for j, p in enumerate(pivots):
+                u[p] = Fraction(tb[j] // den)
+            out[b] = tuple(u)
     return out
 
 
@@ -802,7 +805,13 @@ BUNDLED_BUNDLES = ("eikelberg", "fulton_rank3", "p2_tangent")
 
 
 def load_bundle(source):
-    """Load (data, certificate) from a bundled name or a JSON file path."""
+    """Load (data, certificate) from a bundled name or a JSON file path.
+
+    A file that is not UTF-8 JSON, not an object naming its fan, or whose
+    fields do not make a bundle raises `KlyachkoError`.  Loading the named
+    fan raises what `load_fan` raises; an `OSError` then carries the fan's
+    path as its `filename`.
+    """
     from .fan_core import load_fan
 
     if source in BUNDLED_BUNDLES:
@@ -811,7 +820,17 @@ def load_bundle(source):
         text = files("fanbranch.data").joinpath(f"{source}.bundle.json").read_text()
         raw = json.loads(text)
     else:
-        with open(source) as fh:
-            raw = json.load(fh)
+        with open(source, encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise KlyachkoError(f"{source} is not JSON: {exc}") from None
+    if not isinstance(raw, dict) or not isinstance(raw.get("fan"), str):
+        raise KlyachkoError(f"{source} does not hold a JSON object with a 'fan' name or path")
     fan = load_fan(raw["fan"])
-    return bundle_from_dict(fan, raw)
+    try:
+        return bundle_from_dict(fan, raw)
+    except KlyachkoError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise KlyachkoError(f"{source} does not hold bundle data: {exc!r}") from None

@@ -11,7 +11,7 @@ canonicalizes assignments under conjugation.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations as iter_permutations
 from math import factorial
@@ -360,6 +360,54 @@ def build_cover(fan: Fan, assignment: MonodromyAssignment,
 
 
 @dataclass(frozen=True)
+class _RecordTables:
+    """What a record reads of a fan and its spanning tree, built once per
+    pair by `_record_tables`, so that no record walks the fan itself.
+
+    `walks[ray]` is the ray's link cycle as `ray_link` gives it, in two
+    parts: per incident cone, its position and the ray's place among its
+    rays; per wall crossed, the generator slot (-1 for a tree wall, whose
+    crossing is the identity) and whether the step runs from the wall's
+    lower cone to its higher one, where the crossing is the generator and
+    not its inverse.  `by_cell` lists the maximal cone positions in the
+    order of their base cone ids, `rays` and `relations` give each
+    position's rays and wall relations, and `nrelations` counts these.
+    """
+
+    walks: tuple
+    by_cell: tuple
+    rays: tuple
+    relations: tuple
+    nrelations: int
+
+
+def _record_tables(fan: Fan, tree: DualSpanningTree) -> _RecordTables:
+    key = (tree.root, tree.tree_walls, tree.nontree_walls)
+    tables = fan._tree_tables.get(key)
+    if tables is None:
+        slot = {w: g for g, w in enumerate(tree.nontree_walls)}
+        rays = tuple(c.ray_indices for c in fan.max_cones)
+        walks = []
+        for ray in range(len(fan.rays)):
+            cones, walls = ray_link(fan, ray)
+            steps = tuple(
+                (slot.get(w, -1), tree.orientations[w] == (cones[j], cones[(j + 1) % len(cones)]))
+                for j, w in enumerate(walls)
+            )
+            walks.append((tuple((pos, rays[pos].index(ray)) for pos in cones), steps))
+        relations = tuple(tuple(wall_relation(fan, pos)) for pos in range(len(rays)))
+        tables = _RecordTables(
+            tuple(walks),
+            tuple(sorted(range(len(rays)), key=lambda pos: fan.cone_id(rays[pos]))),
+            rays,
+            relations,
+            sum(map(len, relations)),
+        )
+        fan._tree_tables[key] = tables
+    return tables
+
+
+@dataclass(frozen=True)
 class RayValueSystem:
     """The values-at-rays system of an assignment's cover, built without it."""
 
@@ -368,6 +416,138 @@ class RayValueSystem:
     cells: list[tuple]  # per row block: (block, cone position, weight 1, columns)
     profile: list[list[int]]  # per ray, its orbit lengths in descending order
     branch_rays: list[int]
+
+
+@dataclass(frozen=True)
+class RayOrbits:
+    """The cells over the rays of an assignment's cover, read off one walk
+    around each ray's link (`ray_orbits`).
+
+    `lengths[ray]` holds the lengths of the ray monodromy's orbits, numbered
+    by their least sheet over the ray's reference cone: the cover's cells
+    over the ray, in order, with their weights.  `at[pos][i][s]` is the
+    orbit of the cell under sheet s over maximal cone `pos`, over the
+    cone's i-th ray.
+    """
+
+    degree: int
+    lengths: list[list[int]]
+    at: list[list[list[int]]]
+    tables: _RecordTables = field(repr=False)
+
+    @property
+    def profile(self) -> list[list[int]]:
+        return [sorted(lens, reverse=True) for lens in self.lengths]
+
+    @property
+    def branch_rays(self) -> list[int]:
+        return [ray for ray, lens in enumerate(self.lengths) if len(lens) < self.degree]
+
+    def value_system(self) -> RayValueSystem:
+        """The system of `ray_value_rows`."""
+        first, ncols = [], 0
+        for lens in self.lengths:
+            first.append(ncols)
+            ncols += len(lens)
+        rows: list[list[int]] = []
+        cells: list[tuple] = []
+        tables = self.tables
+        for pos in tables.by_cell:
+            rays, rels = tables.rays[pos], tables.relations[pos]
+            for orbits in zip(*self.at[pos]):
+                cols = [first[ray] + k for ray, k in zip(rays, orbits)]
+                cells.append((len(cells), pos, 1, cols))
+                for rel in rels:
+                    row = [0] * ncols
+                    for coeff, col in zip(rel, cols):
+                        row[col] = coeff
+                    rows.append(row)
+        return RayValueSystem(rows, ncols, cells, self.profile, self.branch_rays)
+
+    def sum_zero_columns(self) -> tuple[list[list[int]], int]:
+        """The columns of the values-at-rays system restricted to the values
+        whose weighted sum over each ray's cells is 0 (the sum-zero part of
+        `ray_value_rows`, whose corank it has), each as a vector over the
+        rows, and the number of rows.
+
+        A ray with orbit lengths l_1, ..., l_k gets k-1 integer columns
+        x_1, ..., x_{k-1}, standing for the values w_i = l_k x_i (i < k) and
+        w_k = -(l_1 x_1 + ... + l_{k-1} x_{k-1}) on its cells.  These are
+        exactly the rational values with l_1 w_1 + ... + l_k w_k = 0, each
+        from one x, so the kernels correspond one to one.  A maximal cone
+        keeps its rows for sheets 0, ..., d-2 only: on sum-zero values its d
+        sheet rows of one relation sum to 0 (the averaging argument of
+        `ray_value_rows`), so the last is implied by the others.  Rows have
+        no order to keep, and the columns, not the rows, are handed back
+        because eliminating the shorter side is the cheaper way to the rank.
+        """
+        spread = []  # per ray and orbit: (column, factor) of the orbit's value
+        ncols = 0
+        for lens in self.lengths:
+            last = len(lens) - 1
+            spread.append([[(ncols + i, lens[last])] for i in range(last)]
+                          + [[(ncols + i, -lens[i]) for i in range(last)]])
+            ncols += last
+        tables = self.tables
+        nrows = (self.degree - 1) * tables.nrelations
+        columns = [[0] * nrows for _ in range(ncols)]
+        row = 0
+        for rays, rels, over in zip(tables.rays, tables.relations, self.at):
+            if not rels:
+                continue
+            for orbits in list(zip(*over))[:-1]:
+                for rel in rels:
+                    for coeff, ray, k in zip(rel, rays, orbits):
+                        for col, factor in spread[ray][k]:
+                            columns[col][row] = coeff * factor
+                    row += 1
+        return columns, nrows
+
+
+def ray_orbits(fan: Fan, assignment: MonodromyAssignment,
+               tree: DualSpanningTree | None = None) -> RayOrbits:
+    """The cells over every ray of the assignment's cover, as `build_cover`
+    numbers them, from the fan's and tree's constants (`_record_tables`)."""
+    tree = tree or spanning_tree(fan)
+    if len(assignment.perms) != tree.generators:
+        raise ValueError(
+            f"assignment has {len(assignment.perms)} permutations, but the fan's"
+            f" spanning tree has {tree.generators} generators"
+        )
+    tables = _record_tables(fan, tree)
+    d = assignment.degree
+    forward = [p.images for p in assignment.perms]
+    backward = []
+    for images in forward:
+        inv = [0] * d
+        for i, j in enumerate(images):
+            inv[j] = i
+        backward.append(inv)
+    at = [[None] * len(rays) for rays in tables.rays]
+    lengths = []
+    for cones, steps in tables.walks:
+        u = list(range(d))  # sheet s here lies over sheet u[s] at the reference cone
+        transports = [u]
+        for g, fwd in steps:
+            if g >= 0:
+                u = [u[y] for y in (backward[g] if fwd else forward[g])]
+            transports.append(u)
+        loop = transports.pop()  # the inverse of the ray monodromy: the same orbits
+        lookup = [-1] * d
+        lens: list[int] = []
+        for start in range(d):
+            if lookup[start] < 0:
+                k = len(lens)
+                lookup[start] = k
+                n, nxt = 1, loop[start]
+                while nxt != start:
+                    lookup[nxt] = k
+                    n, nxt = n + 1, loop[nxt]
+                lens.append(n)
+        lengths.append(lens)
+        for (pos, place), u in zip(cones, transports):
+            at[pos][place] = [lookup[y] for y in u]
+    return RayOrbits(d, lengths, at, tables)
 
 
 def ray_value_rows(fan: Fan, assignment: MonodromyAssignment,
@@ -382,42 +562,24 @@ def ray_value_rows(fan: Fan, assignment: MonodromyAssignment,
     cell holding that sheet.  Rows follow the cover's maximal cells (base
     cone id, then sheet), so the matrix is the cover's entry for entry, and
     row block i, labelled i in `cells`, is the cover's `max_cells[i]`.
+
+    Why the kernel splits by sheet averaging.  Let w be a solution, and
+    give each ray the weighted mean a = (l_1 w_1 + ... + l_k w_k) / d of
+    its values, l_i being its orbit lengths.  Over a maximal cone, the sum
+    of one relation's d sheet rows at w is the sum over the cone's rays of
+    the relation's coefficient times the sum, over the sheets s, of w at
+    the cell holding s.  Transport to the ray's reference cone is a
+    bijection on sheets, so each orbit is hit by exactly its length many
+    sheets and that inner sum is d a: the d rows sum to d times the base
+    fan's row at a.  So a, constant over the sheets, is a solution (each
+    of its sheet rows is that base row), and w - a is one whose weighted
+    sum over each ray's cells is 0.  A vector both constant on sheets and
+    of sum zero is 0, hence the kernel is the base fan's kernel, lifted
+    constant on sheets, plus its sum-zero part (`RayOrbits.sum_zero_columns`),
+    a direct sum: the PL group's dimension is `pl_group.base_dimension`
+    plus the sum-zero corank.
     """
-    tree = tree or spanning_tree(fan)
-    d = assignment.degree
-    trans = _Transitions(fan, tree, assignment)
-    first_col, transports, orbit_of = [], [], []
-    profile: list[list[int]] = []
-    branch: list[int] = []
-    ncols = 0
-    for ray in range(len(fan.rays)):
-        inv_tr, lengths, lookup = _ray_orbits(fan, trans, ray)
-        first_col.append(ncols)
-        transports.append(inv_tr)
-        orbit_of.append(lookup)
-        ncols += len(lengths)
-        profile.append(sorted(lengths, reverse=True))
-        if len(lengths) < d:
-            branch.append(ray)
-    rows: list[list[int]] = []
-    cells: list[tuple] = []
-    by_cell = sorted(range(len(fan.max_cones)),
-                     key=lambda pos: fan.cone_id(fan.max_cones[pos].ray_indices))
-    for pos in by_cell:
-        cone = fan.max_cones[pos]
-        rels = wall_relation(fan, pos)
-        for s in range(d):
-            cols = [
-                first_col[ray] + orbit_of[ray][transports[ray][pos][s]]
-                for ray in cone.ray_indices
-            ]
-            cells.append((len(cells), pos, 1, cols))
-            for rel in rels:
-                row = [0] * ncols
-                for coeff, col in zip(rel, cols):
-                    row[col] = coeff
-                rows.append(row)
-    return RayValueSystem(rows, ncols, cells, profile, branch)
+    return ray_orbits(fan, assignment, tree).value_system()
 
 
 def sheet_components(assignment: MonodromyAssignment) -> list[set[int]]:

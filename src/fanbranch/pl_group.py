@@ -299,6 +299,24 @@ def _check_pullbacks(fan) -> None:
     cache["pullbacks"] = True
 
 
+def base_dimension(fan) -> int:
+    """The dimension of the fan's own PL group (of its degree-1 cover): the
+    corank of its values-at-rays system, one column per ray and each
+    maximal cone's wall relations as rows.  Computed once per fan; it is 3
+    exactly when every PL function on the fan is linear."""
+    cache = _fan_cache(fan)
+    if "base_dimension" not in cache:
+        rows = []
+        for pos, cone in enumerate(fan.max_cones):
+            for rel in wall_relation(fan, pos):
+                row = [0] * len(fan.rays)
+                for coeff, ray in zip(rel, cone.ray_indices):
+                    row[ray] = coeff
+                rows.append(row)
+        cache["base_dimension"] = len(fan.rays) - rank_of_int_rows(rows, len(fan.rays))
+    return cache["base_dimension"]
+
+
 def per_cell_system(cover: CoverPoset) -> RationalMatrix:
     """The incidence form: variables are all per-cell functionals plus one
     value per ray cell, constraints <u_c, v_ray> = z_ray per incidence."""
@@ -510,7 +528,7 @@ def _combine(basis: list[PLFunction], t: int) -> PLFunction:
     return acc
 
 
-def _kernel_keys(fan, cells, kernel: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _kernel_keys(fan, cells, kernel: list[list[int]]) -> list[tuple[int, ...]]:
     """Per cell of `system_triviality`, in order: L times its lifted
     functional on every kernel vector, as one integer tuple.  L, the lcm of
     every maximal cone's lift denominator, is cached per fan."""
@@ -586,6 +604,28 @@ def system_triviality(fan, rows: list[list[int]], ncols: int, cells) -> Triviali
         return TrivialityVerdict(False, None, None, d)
     pattern = tuple(sorted(tuple(g) for g in groups.values()))
     return TrivialityVerdict(True, "matched-pattern", pattern, d)
+
+
+def sum_zero_triviality(fan, columns: list[list[int]], nrows: int) -> TrivialityVerdict | None:
+    """The pullbacks-only verdict where the sum-zero part of a cover's
+    values-at-rays system proves it, and None where it does not.  The
+    system is given by its `columns`, vectors of length `nrows`, as
+    `monodromy.RayOrbits.sum_zero_columns` gives them; they are eliminated
+    in place.
+
+    The PL group's dimension is `base_dimension(fan)` plus the system's
+    corank, the number of columns less its rank (see
+    `monodromy.ray_value_rows`).  The group contains the pullbacks
+    (`_check_pullbacks`), so it is theirs alone exactly when the base
+    fan's dimension is 3 and the columns are independent.  More columns
+    than rows never are, so then nothing is eliminated.
+    """
+    _check_pullbacks(fan)
+    if base_dimension(fan) != 3 or len(columns) > nrows:
+        return None
+    if len(_int_echelon(columns, nrows)[1]) < len(columns):
+        return None
+    return TrivialityVerdict(True, "pullbacks-only", None, 3)
 
 
 def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> TrivialityVerdict:

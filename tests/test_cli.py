@@ -464,6 +464,25 @@ def test_cover_directory_fails_in_one_line(runner, tmp_path):
     assert result.output == f"Error: cannot read cover {str(tmp_path)!r}: {reason}\n"
 
 
+def test_cover_not_utf8_fails_in_one_line(runner, tmp_path):
+    path = tmp_path / "cover.json"
+    path.write_bytes(b"\xff\xfe{}")
+    result = runner.invoke(main, ["pl", "solve", "fulton", "--cover", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"Error: {path} is not JSON: 'utf-8' codec can't decode")
+    assert result.output.count("\n") == 1
+
+
+# Bundle files whose content is unusable, by the start of their one error line.
+UNUSABLE_BUNDLES = {
+    "a list": (b"[1]", "does not hold a JSON object with a 'fan' name or path"),
+    "not UTF-8": (b"\xff\xfe{}", "is not JSON: 'utf-8' codec can't decode"),
+    "cut JSON": (b'{"fan": ', "is not JSON: Expecting value"),
+    "no rank": (b'{"fan": "fulton"}', "does not hold bundle data: KeyError('rank')"),
+}
+
+
 class TestBundleCommands:
     @pytest.mark.parametrize("command", ["verify", "chern", "cover"])
     def test_directory_fails_in_one_line(self, runner, tmp_path, command):
@@ -472,6 +491,38 @@ class TestBundleCommands:
         assert isinstance(result.exception, SystemExit)
         reason = os.strerror(errno.EISDIR)
         assert result.output == f"Error: cannot read bundle {str(tmp_path)!r}: {reason}\n"
+
+    @pytest.mark.parametrize("content", sorted(UNUSABLE_BUNDLES))
+    @pytest.mark.parametrize("command", ["verify", "chern", "cover"])
+    def test_unusable_content_fails_in_one_line(self, runner, tmp_path, command, content):
+        data, message = UNUSABLE_BUNDLES[content]
+        path = tmp_path / "bundle.json"
+        path.write_bytes(data)
+        result = runner.invoke(main, ["bundle", command, str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"Error: invalid bundle: {path} {message}")
+        assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "chern", "cover"])
+    def test_fan_directory_names_the_fan(self, runner, tmp_path, command):
+        fan_dir = tmp_path / "fan"
+        fan_dir.mkdir()
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({"fan": str(fan_dir), "rank": 1}))
+        result = runner.invoke(main, ["bundle", command, str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        reason = os.strerror(errno.EISDIR)
+        assert result.output == f"Error: cannot read fan {str(fan_dir)!r}: {reason}\n"
+
+    def test_missing_fan_names_the_fan(self, runner, tmp_path):
+        path = tmp_path / "bundle.json"
+        missing = str(tmp_path / "missing.fan.json")
+        path.write_text(json.dumps({"fan": missing, "rank": 1}))
+        result = runner.invoke(main, ["bundle", "verify", str(path)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: no such fan: {missing!r}\n"
 
     def test_verify_ok(self, runner):
         result = runner.invoke(main, ["bundle", "verify", "eikelberg"])

@@ -10,6 +10,7 @@ from fanbranch.exact_linalg import (
     annihilator,
     integer_solve,
     intersect,
+    rank_of_int_rows,
     solve_linear,
 )
 from fanbranch.fan_core import fan_from_data, load_fan
@@ -237,7 +238,10 @@ def reference_necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
             return NecessityReport("violation", None)
         counts: dict = {}
         for combo in solution:
+            # the unique solution of a full-dimensional cone, else an integral one
             key = solve_linear(ray_matrix, combo)
+            if rank_of_int_rows(ray_matrix, fan.rank) < fan.rank:
+                key = tuple(Fraction(x) for x in integer_solve(ray_matrix, combo))
             counts[key] = counts.get(key, 0) + 1
         recovered[pos] = tuple(sorted(counts.items()))
     return NecessityReport("ok", recovered)
@@ -311,11 +315,17 @@ class TestScreenEqualsReference:
 
     def test_integral_solution_off_the_rational_one(self):
         # on cone 1, u = (0, 1, 0) takes the values (0, -1); the solution with
-        # free variables 0 is (1/2, 0, 0), not integral, yet u is
-        data = _sum_of_lines(_lower_dimensional_fan(), [[0, 1, 0]])
+        # free variables 0 is (1/2, 0, 0), not integral, yet u is, and the
+        # functional reported is integral and takes the same values
+        fan = _lower_dimensional_fan()
+        data = _sum_of_lines(fan, [[0, 1, 0]])
         report = necessary_dimension_check(data)
         assert report.status == "ok"
-        assert report.multisets[1] == (((Fraction(1, 2), Fraction(0), Fraction(0)), 1),)
+        [(u, multiplicity)] = report.multisets[1]
+        assert multiplicity == 1
+        assert all(x.denominator == 1 for x in u)
+        assert [sum(a * b for a, b in zip(u, fan.rays[ray]))
+                for ray in fan.max_cones[1].ray_indices] == [0, -1]
 
     @pytest.mark.parametrize("thresholds, status", [
         ((0, 0, 2, 0), "ok"),

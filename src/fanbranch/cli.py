@@ -1,85 +1,37 @@
-"""The `fanbranch` command line tool.
-
-Subcommands: fan validation, cover enumeration with a branch-set census,
-exhaustive piecewise-linear sweeps with a resumable line-delimited cache,
-single-cover solving, bundle operations, and a reproduction harness that
-diffs known computations against expected values shipped with the package.
+"""The sweep engine of the `fanbranch` command line tool, and its entry point.
 
 Sweeps are deterministic: records are written in assignment-index order and
 contain nothing run-dependent, so the cache bytes are identical for any
 worker count, and an interrupted run resumes into the same file.
+
+The subcommands themselves (fan validation, cover enumeration with a
+branch-set census, sweeps, single-cover solving, bundle operations and the
+reproduction harness) are in `fanbranch.commands`.  `main` is loaded from
+there on first use, so that importing the engine loads neither the
+commands nor `click`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from dataclasses import dataclass, fields
 from itertools import chain
 
-import click
-
-from .cover_poset import CoverError, cover_from_dict, degree as cover_degree, validate_cover
-from .exact_linalg import rank_of_int_rows
-from .fan_core import (
-    BUNDLED_FANS,
-    FanError,
-    combinatorial_automorphisms,
-    is_complete,
-    load_fan,
-    wall_relation,
-)
-from .klyachko import (
-    KlyachkoError,
-    branched_cover_of,
-    chern,
-    load_bundle,
-    necessary_dimension_check,
-    verify,
-)
+from .fan_core import combinatorial_automorphisms
 from .monodromy import (
-    MonodromyAssignment,
     assignment_at,
-    assignment_for_branch_set,
-    build_cover,
     class_representatives,
     count_assignments,
     ray_orbits,
     spanning_tree,
 )
-from .pl_group import (
-    group_triviality,
-    is_trivial_function,
-    multisets,
-    ray_value_system,
-    solve,
-    sum_zero_triviality,
-    system_triviality,
-)
+from .pl_group import sum_zero_triviality, system_triviality
 
 
-def _resolve_fan(source: str):
-    try:
-        return load_fan(source)
-    except FileNotFoundError:
-        raise click.ClickException(
-            f"no such fan: {source!r} (bundled fans: {', '.join(BUNDLED_FANS)})"
-        )
-    except OSError as exc:
-        raise click.ClickException(f"cannot read fan {source!r}: {exc.strerror or exc}")
-    except FanError as exc:
-        raise click.ClickException(f"invalid fan: {exc}")
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("FANBRANCH_JOBS")
-    if not env:
-        return os.cpu_count() or 1
-    if not env.isdecimal() or int(env) < 1:
-        raise click.ClickException(f"FANBRANCH_JOBS must be a positive integer, got {env!r}")
-    return int(env)
+class CacheError(ValueError):
+    """A sweep cache that cannot be resumed or must not be overwritten."""
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +178,11 @@ def _read_cache_prefix(path: str, total: int, nrays: int, d: int,
             rec = json.loads(raw)
             idx = rec["index"]
         except (json.JSONDecodeError, KeyError, TypeError):
-            raise click.ClickException(
+            raise CacheError(
                 f"cache corruption at line {lineno + 1}; refusing to resume"
             )
         if idx != count or idx >= total:
-            raise click.ClickException(
+            raise CacheError(
                 f"cache is not a clean index prefix at line {lineno + 1}; refusing to resume"
             )
         count += 1
@@ -241,7 +193,7 @@ def _read_cache_prefix(path: str, total: int, nrays: int, d: int,
         if not (isinstance(profile, list) and len(profile) == nrays and all(
                 isinstance(p, list) and all(type(k) is int and k > 0 for k in p)
                 and sum(p) == d for p in profile)):
-            raise click.ClickException(
+            raise CacheError(
                 f"cache record at line {lineno + 1} does not fit {nrays} rays at "
                 f"degree {d}; refusing to resume"
             )
@@ -250,7 +202,7 @@ def _read_cache_prefix(path: str, total: int, nrays: int, d: int,
         if rec["verdict"] == "Nontrivial":
             nontrivial.append(rec)
     if incomplete:
-        raise click.ClickException(
+        raise CacheError(
             f"cache corruption at line {incomplete}; refusing to resume"
         )
     if whole < len(data):
@@ -298,7 +250,7 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
         if echo:
             echo(f"resuming: {start} records already cached")
     elif cache_path and not resume and os.path.exists(cache_path):
-        raise click.ClickException(
+        raise CacheError(
             f"cache file {cache_path} exists; pass --resume to continue it"
         )
 
@@ -397,375 +349,15 @@ def branch_census(fan) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Command groups
-# ---------------------------------------------------------------------------
+def __getattr__(name):
+    if name == "main":
+        from .commands import main
 
-
-@click.group()
-def main():
-    """Branched covers of complete fans and their piecewise-linear functions."""
-
-
-@main.group()
-def fan():
-    """Fan validation and inspection."""
-
-
-@fan.command("validate")
-@click.argument("source")
-def fan_validate(source):
-    """Load and validate a fan; report rays, cones, walls, completeness."""
-    f = _resolve_fan(source)
-    if f.rank > 3:
-        status = "valid, completeness not decided above rank 3"
-    else:
-        status = "complete" if is_complete(f) else "valid, not complete"
-    click.echo(
-        f"{status}, {len(f.rays)} rays, {len(f.max_cones)} maximal cones, "
-        f"{len(f.walls)} walls"
-    )
-
-
-@main.group()
-def covers():
-    """Enumeration of branched covers."""
-
-
-@covers.command("enumerate")
-@click.argument("source")
-@click.option("--degree", "-d", type=click.IntRange(min=1), required=True)
-@click.option("--classes", is_flag=True, help="count conjugacy classes as well")
-@click.option("--branch-report", is_flag=True, help="tabulate degree-2 branch sets")
-def covers_enumerate(source, degree, classes, branch_report):
-    """Count the monodromy assignments of the given degree."""
-    f = _resolve_fan(source)
-    total = count_assignments(f, degree)
-    click.echo(f"assignments: {total}")
-    if classes:
-        reps = class_representatives(degree, spanning_tree(f).generators)
-        click.echo(f"conjugacy classes: {sum(r == i for i, r in enumerate(reps))}")
-    if branch_report:
-        if degree != 2:
-            raise click.ClickException("--branch-report is defined for degree 2")
-        census = branch_census(f)
-        click.echo(
-            f"admissible branch sets (nonempty, no wall pair): {len(census['admissible'])}"
-        )
-        click.echo(
-            "orbit sizes under fan symmetries: "
-            + " / ".join(str(s) for s in census["orbit_sizes"])
-        )
-        for orbit in census["orbits"]:
-            click.echo(f"  orbit of {orbit[0]}: {len(orbit)} sets")
-
-
-@main.group()
-def pl():
-    """Piecewise-linear function computations."""
-
-
-@pl.command("sweep")
-@click.argument("source")
-@click.option("--degree", "-d", type=click.IntRange(min=1), required=True)
-@click.option("--jobs", "-j", type=click.IntRange(min=1), default=None,
-              help="worker processes")
-@click.option("--cache", type=click.Path(), default=None, help="record file")
-@click.option("--resume", is_flag=True, help="skip indices already cached")
-@click.option("--expect-trivial", is_flag=True,
-              help="exit with status 2 if any nontrivial verdict appears")
-def pl_sweep(source, degree, jobs, cache, resume, expect_trivial):
-    """Solve and classify every degree-d cover of the fan."""
-    f = _resolve_fan(source)
-    jobs = jobs or _default_jobs()
-    summary = run_sweep(f, degree, jobs=jobs, cache_path=cache, resume=resume,
-                        echo=click.echo)
-    click.echo(summary.describe())
-    if expect_trivial and summary.nontrivial:
-        sys.exit(2)
-
-
-@pl.command("solve")
-@click.argument("source")
-@click.option("--cover", "cover_file", type=click.Path(exists=True), default=None)
-@click.option("--branch-rays", "branch", default=None,
-              help="degree-2 shortcut: comma-separated ray indices (may be empty)")
-def pl_solve(source, cover_file, branch):
-    """Report dimension, basis, and triviality verdict for one cover."""
-    f = _resolve_fan(source)
-    if (cover_file is None) == (branch is None):
-        raise click.ClickException("pass exactly one of --cover or --branch-rays")
-    if branch is not None:
-        try:
-            rays = [int(x) for x in branch.split(",") if x.strip() != ""]
-        except ValueError:
-            raise click.ClickException(
-                f"--branch-rays takes comma-separated ray indices, got {branch!r}"
-            )
-        try:
-            cover = build_cover(f, assignment_for_branch_set(f, rays))
-        except ValueError as exc:
-            raise click.ClickException(f"branch rays {rays}: {exc}")
-    else:
-        try:
-            with open(cover_file, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise click.ClickException(f"{cover_file} is not JSON: {exc}")
-        except OSError as exc:
-            raise click.ClickException(f"cannot read cover {cover_file!r}: {exc.strerror or exc}")
-        if not isinstance(data, dict):
-            raise click.ClickException(f"{cover_file} does not hold a JSON object")
-        if "monodromy" in data:
-            try:
-                cover = build_cover(f, MonodromyAssignment.from_dict(data["monodromy"]))
-            except ValueError as exc:
-                raise click.ClickException(f"invalid monodromy in {cover_file}: {exc}")
-        else:
-            try:
-                cover = cover_from_dict(f, data)
-            except CoverError as exc:
-                raise click.ClickException(f"invalid cover in {cover_file}: {exc}")
-            report = validate_cover(cover)
-            if not report.ok:
-                raise click.ClickException(f"cover invalid: {report.describe()}")
-    basis = solve(cover)
-    verdict = group_triviality(cover, basis)
-    nrows = sum(len(wall_relation(f, f.max_cone_position(cover.cells[m].base)))
-                for m in cover.max_cells)
-    ncols = len(cover.ray_cells)
-    rank_str = f", system {nrows}x{ncols} of rank {ncols - verdict.dim}" if nrows else ""
-    click.echo(f"degree {cover_degree(cover)} cover{rank_str}")
-    click.echo(f"dim PL = {basis.dim} (pullbacks span 3)")
-    if verdict.all_trivial:
-        click.echo(f"verdict: AllTrivial({verdict.certificate})")
-    else:
-        click.echo("verdict: Nontrivial; witness multisets:")
-        for ms in multisets(verdict.witness):
-            entries = ", ".join(
-                f"{tuple(int(x) if x.denominator == 1 else x for x in u)} x{w}"
-                for u, w in ms.entries
-            )
-            click.echo(f"  cone {ms.cone_position}: {entries}")
-        sys.exit(0)
-
-
-@main.group()
-def bundle():
-    """Filtration-data operations."""
-
-
-def _load_bundle_arg(source):
-    try:
-        return load_bundle(source)
-    except OSError as exc:
-        # the bundle file itself, or the fan file that it names
-        path = source if exc.filename is None else exc.filename
-        kind = "bundle" if path == source else "fan"
-        if isinstance(exc, FileNotFoundError):
-            raise click.ClickException(f"no such {kind}: {path!r}")
-        raise click.ClickException(f"cannot read {kind} {path!r}: {exc.strerror or exc}")
-    except KlyachkoError as exc:
-        raise click.ClickException(f"invalid bundle: {exc}")
-    except FanError as exc:
-        raise click.ClickException(f"invalid fan in bundle {source!r}: {exc}")
-
-
-@bundle.command("verify")
-@click.argument("source")
-def bundle_verify(source):
-    """Check the compatibility of filtration data with its splittings."""
-    data, cert = _load_bundle_arg(source)
-    if cert is None:
-        screen = necessary_dimension_check(data)
-        click.echo(f"no splittings given; dimension screen: {screen.status} ({screen.note})")
-        sys.exit(0 if screen.ok else 1)
-    result = verify(data, cert)
-    click.echo(result.describe())
-    if not result.ok:
-        screen = necessary_dimension_check(data)
-        click.echo(f"dimension screen: {screen.status}")
-        sys.exit(1)
-
-
-@bundle.command("chern")
-@click.argument("source")
-def bundle_chern(source):
-    """Print the per-cone functional multisets and triviality."""
-    data, cert = _load_bundle_arg(source)
-    if cert is None:
-        raise click.ClickException("chern data needs splittings in the bundle file")
-    cd = chern(data, cert)
-    for pos in sorted(cd.multisets):
-        entries = ", ".join(f"{u} x{m}" for u, m in cd.multisets[pos])
-        click.echo(f"cone {pos}: {entries}")
-    click.echo("trivial" if cd.is_trivial() else "nontrivial")
-
-
-@bundle.command("cover")
-@click.argument("source")
-def bundle_cover(source):
-    """Build the associated branched cover and its function."""
-    data, cert = _load_bundle_arg(source)
-    if cert is None:
-        raise click.ClickException("the cover needs splittings in the bundle file")
-    cover, psi = branched_cover_of(data, cert)
-    f = data.fan
-    branch = sorted(
-        f.cones[cover.cells[i].base].ray_indices[0]
-        for i in cover.ray_cells
-        if cover.cells[i].weight > 1
-    )
-    click.echo(
-        f"degree {cover_degree(cover)} cover, {len(cover.cells)} cells, "
-        f"branched over rays {branch}"
-    )
-    click.echo(f"function trivial: {is_trivial_function(psi)}")
-
-
-# ---------------------------------------------------------------------------
-# Reproduction harness
-# ---------------------------------------------------------------------------
-
-
-def _expected() -> dict:
-    from importlib.resources import files
-
-    return json.loads(files("fanbranch.data").joinpath("expected.json").read_text())
-
-
-class _Diff:
-    def __init__(self, echo):
-        self.echo = echo
-        self.ok = True
-
-    def check(self, label, expected, got):
-        match = expected == got
-        if not match:
-            self.ok = False
-        status = "OK" if match else "MISMATCH"
-        self.echo(f"  {label}: expected {expected}, got {got} [{status}]")
-
-
-def _reproduce_eikelberg(diff: _Diff):
-    f = load_fan("eikelberg")
-    expected = _expected()["eikelberg"]
-    diff.check("fan complete", expected["fan_complete"], is_complete(f))
-    data, cert = load_bundle("eikelberg")
-    diff.check("bundle verifies", expected["bundle_verifies"], bool(verify(data, cert)))
-    cover, psi = branched_cover_of(data, cert)
-    branch = sorted(
-        f.cones[cover.cells[i].base].ray_indices[0]
-        for i in cover.ray_cells
-        if cover.cells[i].weight > 1
-    )
-    diff.check("branch rays", expected["branch_rays"], branch)
-    diff.check("psi nontrivial", expected["psi_nontrivial"], not is_trivial_function(psi))
-    mono_cover = build_cover(f, assignment_for_branch_set(f, branch))
-    verdict = group_triviality(mono_cover)
-    diff.check(
-        "cover verdict nontrivial",
-        expected["cover_nontrivial_verdict"],
-        not verdict.all_trivial,
-    )
-
-
-def _reproduce_fulton_deg2(diff: _Diff, jobs: int):
-    f = load_fan("fulton")
-    expected = _expected()["fulton-deg2"]
-    diff.check("assignments", expected["assignments"], count_assignments(f, 2))
-    cover = build_cover(f, assignment_for_branch_set(f, [0, 2, 5, 7]))
-    rows, zvars = ray_value_system(cover)
-    diff.check("matrix rows", expected["matrix_rows"], len(rows))
-    diff.check("matrix cols", expected["matrix_cols"], len(zvars))
-    diff.check("matrix rank", expected["matrix_rank"], rank_of_int_rows(rows, len(zvars)))
-    diff.check("type-C PL dimension", expected["type_c_pl_dim"], solve(cover).dim)
-    census = branch_census(f)
-    diff.check(
-        "admissible branch sets",
-        expected["admissible_branch_sets"],
-        len(census["admissible"]),
-    )
-    diff.check("orbit counts", expected["orbit_counts"], census["orbit_sizes"])
-    summary = run_sweep(f, 2, jobs=jobs)
-    diff.check("nontrivial verdicts", expected["nontrivial_verdicts"], len(summary.nontrivial))
-
-
-def _reproduce_fulton_rank3(diff: _Diff):
-    expected = _expected()["fulton-rank3"]
-    data, cert = load_bundle("fulton_rank3")
-    result = verify(data, cert)
-    diff.check("bundle verifies", expected["bundle_verifies"], bool(result))
-    if not result.ok:
-        diff.echo(f"  note: {result.describe()}")
-        diff.echo(
-            "  note: the printed filtration data is inconsistent with its own"
-            " multisets (dimension screen agrees); see the package README"
-        )
-    cd = chern(data, cert)
-    diff.check("chern trivial", expected["chern_trivial"], cd.is_trivial())
-
-
-def _reproduce_sigma_prime(diff: _Diff, jobs: int):
-    f = load_fan("sigma_prime")
-    expected = _expected()["sigma-prime-deg3"]
-    total = count_assignments(f, 3)
-    diff.check("assignments", expected["assignments"], total)
-    diff.echo(f"  sweeping {total} assignments with {jobs} jobs ...")
-    summary = run_sweep(f, 3, jobs=jobs, echo=diff.echo)
-    diff.check("processed", expected["assignments"], summary.processed)
-    diff.check("nontrivial verdicts", expected["nontrivial_verdicts"], len(summary.nontrivial))
-    diff.echo(f"  sweep wall-clock: {summary.seconds:.1f}s")
-
-
-def _reproduce_p2_tangent(diff: _Diff):
-    expected = _expected()["p2-tangent"]
-    data, cert = load_bundle("p2_tangent")
-    cover, psi = branched_cover_of(data, cert)
-    diff.check("maximal cells", expected["max_cells"], len(cover.max_cells))
-    diff.check(
-        "minimal cell weight",
-        expected["min_weight"],
-        cover.cells[cover.minimal_cell].weight,
-    )
-    got = sorted([int(x) for x in u] for u in psi.cell_values.values())
-    diff.check("psi functionals", expected["psi_functionals"], got)
-
-
-@main.group(name="paper")
-def paper_group():
-    """Reproduction harness for the published computations."""
-
-
-@paper_group.command("reproduce")
-@click.argument(
-    "name",
-    type=click.Choice(
-        ["eikelberg", "fulton-deg2", "fulton-rank3", "sigma-prime-deg3", "p2-tangent"]
-    ),
-)
-@click.option("--jobs", "-j", type=click.IntRange(min=1), default=None)
-def paper_reproduce(name, jobs):
-    """Re-run a known computation and diff against bundled expected values."""
-    jobs = jobs or _default_jobs()
-    diff = _Diff(click.echo)
-    click.echo(f"reproducing {name}:")
-    if name == "eikelberg":
-        _reproduce_eikelberg(diff)
-    elif name == "fulton-deg2":
-        _reproduce_fulton_deg2(diff, jobs)
-    elif name == "fulton-rank3":
-        _reproduce_fulton_rank3(diff)
-    elif name == "sigma-prime-deg3":
-        _reproduce_sigma_prime(diff, jobs)
-    elif name == "p2-tangent":
-        _reproduce_p2_tangent(diff)
-    if diff.ok:
-        click.echo("all expectations matched")
-    else:
-        click.echo("DISCREPANCIES FOUND (see mismatches above)")
-        sys.exit(1)
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":
+    from fanbranch.commands import main
+
     main()

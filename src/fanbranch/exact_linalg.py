@@ -223,13 +223,19 @@ def _echelon_kernel(ech: list[list[int]], pivots: list[int], ncols: int) -> list
 
     Back-substitution stays in integers: before pivot p is set to -s/a, the
     whole vector is scaled by |a|/gcd(s, a), which makes the quotient exact.
-    Every scale is positive, so the result is a positive multiple of the
-    rational solution and has the same primitive, sign-normalized form.
+    The result is already primitive.  The solutions that are 0 at the other
+    free columns form a line, and the multiples t of the rational solution
+    (1 at the free column) that are integral form a group tZ.  Inductively,
+    the scale so far is the least positive t keeping the coordinates set so
+    far integral, and |a|/gcd(s, a) is the least positive k that makes the
+    new one integral too, so the final scale is the least positive t of the
+    line, whose integral points are then the multiples of the result.  Only
+    the sign is normalized, to a positive first nonzero entry.
 
-    No tuple of the vector's length is made, not even as call arguments:
-    CPython 3.11 puts every freed tuple of length 20 on a free list that it
-    never draws from (it draws only below 20), so with 20 columns each one
-    would stay behind as dead memory, up to 2000 of them.
+    No tuple of the vector's length is made: CPython 3.11 puts every freed
+    tuple of length 20 on a free list that it never draws from (it draws
+    only below 20), so with 20 columns each one would stay behind as dead
+    memory, up to 2000 of them.
     """
     pivset = set(pivots)
     basis: list[list[int]] = []
@@ -250,12 +256,9 @@ def _echelon_kernel(ech: list[list[int]], pivots: list[int], ncols: int) -> list
                 if k > 1:
                     x = [k * v for v in x]
                 x[p] = -(s * k) // a
-        g = 0
-        for v in x:
-            g = gcd(g, v)
         if next(v for v in x if v) < 0:
-            g = -g
-        basis.append([v // g for v in x])
+            x = [-v for v in x]
+        basis.append(x)
     return basis
 
 

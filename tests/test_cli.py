@@ -143,7 +143,7 @@ class TestSolveCommand:
     def test_builds_the_system_once_per_solver(self, runner, monkeypatch):
         # `solve` and `group_triviality` each build the values-at-rays
         # system; the rank line only counts its rows.
-        from fanbranch import cli, pl_group
+        from fanbranch import commands, pl_group
 
         builds = []
         real = pl_group.ray_value_system
@@ -153,7 +153,7 @@ class TestSolveCommand:
             return real(cover)
 
         monkeypatch.setattr(pl_group, "ray_value_system", counted)
-        monkeypatch.setattr(cli, "ray_value_system", counted)
+        monkeypatch.setattr(commands, "ray_value_system", counted)
         result = runner.invoke(main, ["pl", "solve", "fulton", "--branch-rays", "0,2,5,7"])
         assert result.exit_code == 0
         assert result.output.startswith("degree 2 cover, system 12x12 of rank 9\n")

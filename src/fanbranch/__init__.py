@@ -10,7 +10,9 @@ Library layout:
 * :mod:`fanbranch.pl_group` -- integral piecewise-linear functions on covers
   and triviality decisions.
 * :mod:`fanbranch.klyachko` -- filtration data for toric vector bundles.
-* :mod:`fanbranch.cli` -- the ``fanbranch`` command-line tool.
+* :mod:`fanbranch.cli` -- the sweep engine and the entry point of the
+  ``fanbranch`` command-line tool, whose subcommands are in
+  :mod:`fanbranch.commands`.
 """
 
 __version__ = "0.1.0"

@@ -571,13 +571,14 @@ def ray_value_rows(fan: Fan, assignment: MonodromyAssignment,
     the cell holding s.  Transport to the ray's reference cone is a
     bijection on sheets, so each orbit is hit by exactly its length many
     sheets and that inner sum is d a: the d rows sum to d times the base
-    fan's row at a.  So a, constant over the sheets, is a solution (each
-    of its sheet rows is that base row), and w - a is one whose weighted
-    sum over each ray's cells is 0.  A vector both constant on sheets and
-    of sum zero is 0, hence the kernel is the base fan's kernel, lifted
-    constant on sheets, plus its sum-zero part (`RayOrbits.sum_zero_columns`),
-    a direct sum: the PL group's dimension is `pl_group.base_dimension`
-    plus the sum-zero corank.
+    fan's row at a.  Each of them is 0 at w, so a solves the base fan's
+    system.  A base solution put on every cell over its ray solves this
+    system, since each of its sheet rows is the base row; so w - a is a
+    solution whose weighted sum over each ray's cells is 0.  A vector both
+    constant on sheets and of sum zero is 0, hence the kernel is the direct
+    sum of the base fan's kernel, lifted constant on sheets, and its
+    sum-zero part (`RayOrbits.sum_zero_columns`): the PL group's dimension
+    is `pl_group.base_dimension` plus the sum-zero corank.
     """
     return ray_orbits(fan, assignment, tree).value_system()
 

@@ -75,7 +75,7 @@ def evaluate_assignment(fan, tree, d: int, index: int) -> SweepRecord:
     system, about half the size of the whole, without building the whole.
     Any other record builds the whole system (`RayOrbits.value_system`,
     which is `ray_value_rows`) and `system_triviality` decides it on one
-    elimination.  No record builds a cover.
+    elimination of it.  No record builds a cover.
     """
     orbits = ray_orbits(fan, assignment_at(fan, d, index, tree), tree)
     verdict = sum_zero_triviality(fan, *orbits.sum_zero_columns())

@@ -4,7 +4,7 @@ Fan validation, cover enumeration with a branch-set census, exhaustive
 piecewise-linear sweeps with a resumable line-delimited cache (run by the
 engine in `fanbranch.cli`), single-cover solving, bundle operations, and a
 reproduction harness that diffs known computations against expected values
-shipped with the package.  Each refusal is one `Error:` line with exit 1.
+shipped with the package.
 """
 
 from __future__ import annotations

@@ -276,7 +276,7 @@ def _integral_solutions(ray_matrix, combos) -> dict:
         elif not any(x % den for x in tb):
             u = [Fraction(0)] * n
             for j, p in enumerate(pivots):
-                u[p] = Fraction(tb[j] // den)
+                u[p] = Fraction(tb[j], den)
             out[b] = tuple(u)
     return out
 

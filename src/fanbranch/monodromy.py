@@ -414,8 +414,6 @@ class RayValueSystem:
     rows: list[list[int]]
     ncols: int
     cells: list[tuple]  # per row block: (block, cone position, weight 1, columns)
-    profile: list[list[int]]  # per ray, its orbit lengths in descending order
-    branch_rays: list[int]
 
 
 @dataclass(frozen=True)
@@ -437,10 +435,12 @@ class RayOrbits:
 
     @property
     def profile(self) -> list[list[int]]:
+        """Per ray, its orbit lengths in descending order."""
         return [sorted(lens, reverse=True) for lens in self.lengths]
 
     @property
     def branch_rays(self) -> list[int]:
+        """The rays with nontrivial monodromy."""
         return [ray for ray, lens in enumerate(self.lengths) if len(lens) < self.degree]
 
     def value_system(self) -> RayValueSystem:
@@ -462,7 +462,7 @@ class RayOrbits:
                     for coeff, col in zip(rel, cols):
                         row[col] = coeff
                     rows.append(row)
-        return RayValueSystem(rows, ncols, cells, self.profile, self.branch_rays)
+        return RayValueSystem(rows, ncols, cells)
 
     def sum_zero_columns(self) -> tuple[list[list[int]], int]:
         """The columns of the values-at-rays system restricted to the values

@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Record end-to-end figures of this checkout against a parent checkout.
 
-For each side, in alternating order, it times the fulton degree-2 sweep and
+First it gates the change's traced runs: one `--trace 1` run per workload,
+which must end in a facts line and a result that parse as strict JSON (no
+NaN or infinities), with `correct` true, exactly the per-layer metrics that
+`BENCHMARK.json` lists and no traced function reported absent; otherwise it
+exits with code 1.  Then, for each side, in alternating order, it times the
+fulton degree-2 sweep and
 the full sigma_prime degree-3 sweep through the CLI at --jobs 2 (wall
 seconds, cache sha256, summary counts), and exits with code 1 as soon as a
 cache's sha256 differs from its pin; then it runs ten alternating pairs
@@ -112,6 +117,52 @@ def perfbench(checkout: Path, workload: str, seed: int) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+def strict_json(text: str):
+    """`json.loads` refusing the NaN and infinities that strict JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def traced_problems(stdout: str, per_layer: list[str]) -> list[str]:
+    """What is wrong with the standard output of a traced perfbench run: its
+    last two lines must be the facts, with no traced function `absent`, and
+    a correct result holding exactly the `per_layer` metric names."""
+    lines = stdout.strip().splitlines()
+    if len(lines) < 2:
+        return ["no facts line and result"]
+    try:
+        facts = strict_json(lines[-2])["facts"]
+        result = strict_json(lines[-1])
+        names = sorted(result["metrics"])
+        correct, absent = result["correct"], facts["absent"]
+    except (ValueError, KeyError, TypeError) as exc:
+        return [f"the last two lines are not a facts line and a result: {exc!r}"]
+    problems = [] if correct is True else ["the result is not correct"]
+    if names != sorted(per_layer):
+        problems.append(f"metrics missing {sorted(set(per_layer) - set(names))}, "
+                        f"extra {sorted(set(names) - set(per_layer))}")
+    if absent != []:
+        problems.append(f"traced functions absent: {absent}")
+    return problems
+
+
+def traced_gate(checkout: Path, workload: str, seed: int, per_layer: list[str]) -> None:
+    """Run the workload traced once and exit with code 1 on any problem."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(BENCH_SECONDS), "--trace", "1"]
+    done = subprocess.run(argv, env=clean_env(), cwd=checkout, capture_output=True, text=True)
+    problems = traced_problems(done.stdout, per_layer)
+    if done.returncode != 0:
+        problems.insert(0, f"exited {done.returncode}: {done.stderr[-2000:]}")
+    if problems:
+        raise SystemExit(f"{checkout}: traced perfbench {workload} seed {seed}: "
+                         + "; ".join(problems))
+    print(f"traced {workload} seed {seed}: {len(per_layer)} per-layer metrics, none absent",
+          file=sys.stderr)
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -153,6 +204,13 @@ def main() -> None:
             parser.error(f"{path} holds no src/fanbranch and perfbench/")
     benchmark = json.loads((CHANGE / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    items = [(workload, int(seed or 1))
+             for workload, _, seed in (item.partition(":") for item in args.runs)]
+    gated: dict = {}
+    for workload, seed in items:
+        gated.setdefault(workload, seed)
+    for workload, seed in gated.items():
+        traced_gate(CHANGE, workload, seed, [m["name"] for m in benchmark["per_layer"]])
 
     report = {
         "cores": os.cpu_count(),
@@ -176,12 +234,11 @@ def main() -> None:
                        "counts": sorted({r["counts"] for r in got})}
                 for side, got in runs.items()
             }
-    for item in args.runs:
-        workload, _, seed = item.partition(":")
+    for item, (workload, seed) in zip(args.runs, items):
         runs = {"parent": [], "change": []}
         for k in range(BENCH_PAIRS):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                runs[side].append(perfbench(sides[side], workload, int(seed or 1)))
+                runs[side].append(perfbench(sides[side], workload, seed))
             print(f"{item} pair {k + 1}: rate_per_s {runs['parent'][-1]['rate_per_s']:.4g} -> "
                   f"{runs['change'][-1]['rate_per_s']:.4g}", file=sys.stderr)
         report["perfbench"][item] = {"runs": runs, "metrics": compare(runs["parent"],

@@ -25,9 +25,10 @@ from .monodromy import (
     class_representatives,
     count_assignments,
     ray_orbits,
+    sheet_components,
     spanning_tree,
 )
-from .pl_group import sum_zero_triviality, system_triviality
+from .pl_group import split_triviality, sum_zero_triviality
 
 
 class CacheError(ValueError):
@@ -64,24 +65,23 @@ class SweepRecord:
 
 
 def evaluate_assignment(fan, tree, d: int, index: int) -> SweepRecord:
-    """One sweep record, from the values-at-rays system alone.
+    """One sweep record, decided on the sheet-averaging split, with no cover
+    and no row of the whole values-at-rays system built.
 
-    The cells over each ray are read once off the monodromy (`ray_orbits`),
-    which gives the profile and the branch rays.  The PL group is the base
-    fan's, lifted constant on sheets, plus its sum-zero part: averaging over
-    the sheets maps solutions to solutions, because transport around a
-    ray's link permutes the sheets (proof at `ray_value_rows`).  So
-    `sum_zero_triviality` proves a pullbacks-only record on the sum-zero
-    system, about half the size of the whole, without building the whole.
-    Any other record builds the whole system (`RayOrbits.value_system`,
-    which is `ray_value_rows`) and `system_triviality` decides it on one
-    elimination of it.  No record builds a cover.
+    The cells over each ray are read once off the monodromy (`ray_orbits`).
+    The PL group is the base fan's, lifted constant on sheets, plus its
+    sum-zero part (`RayOrbits.sum_zero_columns`).  `sum_zero_triviality`
+    proves a pullbacks-only record on the sum-zero system, about half the
+    size of the whole; `split_triviality` decides any other record on one
+    more elimination of it and a count of the `sheet_components`.
     """
-    orbits = ray_orbits(fan, assignment_at(fan, d, index, tree), tree)
-    verdict = sum_zero_triviality(fan, *orbits.sum_zero_columns())
+    assignment = assignment_at(fan, d, index, tree)
+    orbits = ray_orbits(fan, assignment, tree)
+    columns, nrows = orbits.sum_zero_columns()
+    verdict = sum_zero_triviality(fan, columns, nrows)
     if verdict is None:
-        system = orbits.value_system()
-        verdict = system_triviality(fan, system.rows, system.ncols, system.cells)
+        verdict = split_triviality(fan, orbits, columns, nrows,
+                                   len(sheet_components(assignment)))
     return SweepRecord(
         index=index,
         branch_rays=orbits.branch_rays,

@@ -115,7 +115,10 @@ def covers():
 def covers_enumerate(source, degree, classes, branch_report):
     """Count the monodromy assignments of the given degree."""
     f = _resolve_fan(source)
-    total = count_assignments(f, degree)
+    try:
+        total = count_assignments(f, degree)
+    except FanError as exc:
+        raise click.ClickException(f"{source!r} has no monodromy covers: {exc}")
     click.echo(f"assignments: {total}")
     if classes:
         reps = class_representatives(degree, spanning_tree(f).generators)
@@ -158,6 +161,8 @@ def pl_sweep(source, degree, jobs, cache, resume, expect_trivial):
                             echo=click.echo)
     except CacheError as exc:
         raise click.ClickException(str(exc))
+    except FanError as exc:
+        raise click.ClickException(f"{source!r} has no monodromy covers: {exc}")
     click.echo(summary.describe())
     if expect_trivial and summary.nontrivial:
         sys.exit(2)

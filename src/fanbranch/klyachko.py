@@ -17,6 +17,7 @@ data.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -810,9 +811,10 @@ def load_bundle(source):
     A file that is not UTF-8 JSON, not an object naming its fan, or whose
     fields do not make a bundle raises `KlyachkoError`.  Loading the named
     fan raises what `load_fan` raises; an `OSError` then carries the fan's
-    path as its `filename`.
+    path as its `filename`.  A relative fan path that is not a bundled fan's
+    name is taken relative to the bundle file's directory.
     """
-    from .fan_core import load_fan
+    from .fan_core import BUNDLED_FANS, load_fan
 
     if source in BUNDLED_BUNDLES:
         from importlib.resources import files
@@ -827,7 +829,8 @@ def load_bundle(source):
                 raise KlyachkoError(f"{source} is not JSON: {exc}") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("fan"), str):
         raise KlyachkoError(f"{source} does not hold a JSON object with a 'fan' name or path")
-    fan = load_fan(raw["fan"])
+    name = raw["fan"]
+    fan = load_fan(name if name in BUNDLED_FANS else os.path.join(os.path.dirname(source), name))
     try:
         return bundle_from_dict(fan, raw)
     except KlyachkoError:

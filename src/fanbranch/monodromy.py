@@ -13,8 +13,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations as iter_permutations
+from itertools import accumulate, islice, permutations as iter_permutations
 from math import factorial
+from operator import mul
 
 from .cover_poset import CoverCell, CoverPoset, components
 from .fan_core import Fan, FanError, is_complete, ray_link, wall_relation
@@ -408,15 +409,6 @@ def _record_tables(fan: Fan, tree: DualSpanningTree) -> _RecordTables:
 
 
 @dataclass(frozen=True)
-class RayValueSystem:
-    """The values-at-rays system of an assignment's cover, built without it."""
-
-    rows: list[list[int]]
-    ncols: int
-    cells: list[tuple]  # per row block: (block, cone position, weight 1, columns)
-
-
-@dataclass(frozen=True)
 class RayOrbits:
     """The cells over the rays of an assignment's cover, read off one walk
     around each ray's link (`ray_orbits`).
@@ -443,43 +435,55 @@ class RayOrbits:
         """The rays with nontrivial monodromy."""
         return [ray for ray, lens in enumerate(self.lengths) if len(lens) < self.degree]
 
-    def value_system(self) -> RayValueSystem:
-        """The system of `ray_value_rows`."""
-        first, ncols = [], 0
-        for lens in self.lengths:
-            first.append(ncols)
-            ncols += len(lens)
-        rows: list[list[int]] = []
-        cells: list[tuple] = []
-        tables = self.tables
-        for pos in tables.by_cell:
-            rays, rels = tables.rays[pos], tables.relations[pos]
-            for orbits in zip(*self.at[pos]):
-                cols = [first[ray] + k for ray, k in zip(rays, orbits)]
-                cells.append((len(cells), pos, 1, cols))
-                for rel in rels:
-                    row = [0] * ncols
-                    for coeff, col in zip(rel, cols):
-                        row[col] = coeff
-                    rows.append(row)
-        return RayValueSystem(rows, ncols, cells)
+    def cells(self) -> list[tuple]:
+        """Per maximal cell, in `build_cover`'s order (base cone id, then
+        sheet), what `pl_group.system_triviality` reads: (its place in that
+        order, base cone position, weight 1, the column of the cell over each
+        of the cone's rays, ray cells numbered ray by ray as in `lengths`)."""
+        first = list(accumulate(map(len, self.lengths), initial=0))
+        cells = [(pos, [first[ray] + k for ray, k in zip(self.tables.rays[pos], orbits)])
+                 for pos in self.tables.by_cell for orbits in zip(*self.at[pos])]
+        return [(label, pos, 1, cols) for label, (pos, cols) in enumerate(cells)]
+
+    def lift(self, sum_zero, base=()) -> list[list[int]]:
+        """Ray-cell values, in the columns of `cells`: those that each vector
+        over `sum_zero_columns` stands for, then each vector of `base` (one
+        value per ray) put on every cell over its ray."""
+        out = []
+        for x in sum_zero:
+            values, w = iter(x), []
+            for lens in self.lengths:
+                part = list(islice(values, len(lens) - 1))
+                w += [lens[-1] * v for v in part] + [-sum(map(mul, lens, part))]
+            out.append(w)
+        return out + [[b[ray] for ray, lens in enumerate(self.lengths) for _ in lens] for b in base]
 
     def sum_zero_columns(self) -> tuple[list[list[int]], int]:
-        """The columns of the values-at-rays system restricted to the values
-        whose weighted sum over each ray's cells is 0 (the sum-zero part of
-        `ray_value_rows`, whose corank it has), each as a vector over the
-        rows, and the number of rows.
+        """The columns of the cover's values-at-rays system (as
+        `pl_group.ray_value_system` builds it on `build_cover`'s cover)
+        restricted to the values whose weighted sum over each ray's cells is
+        0, each as a vector over the rows, and the number of rows.
+
+        Why the kernel splits by sheet averaging.  Give each ray the mean
+        a = (l_1 w_1 + ... + l_k w_k) / d of a solution w over its cells, l_i
+        being its orbit lengths.  Transport to a ray's reference cone is a
+        bijection on sheets, so each orbit is hit by its length many sheets,
+        and the d sheet rows of one relation of a maximal cone sum to d times
+        the base fan's row at a.  So a solves the base fan's system; put on
+        every cell over its ray it solves the whole, and w - a has sum zero
+        over each ray.  Only 0 is both constant on sheets and of sum zero,
+        so the kernel is the base fan's, lifted constant on sheets, plus the
+        sum-zero part (both lifted by `lift`): the PL group's dimension is
+        `pl_group.base_dimension` plus the sum-zero corank.
 
         A ray with orbit lengths l_1, ..., l_k gets k-1 integer columns
         x_1, ..., x_{k-1}, standing for the values w_i = l_k x_i (i < k) and
-        w_k = -(l_1 x_1 + ... + l_{k-1} x_{k-1}) on its cells.  These are
-        exactly the rational values with l_1 w_1 + ... + l_k w_k = 0, each
-        from one x, so the kernels correspond one to one.  A maximal cone
-        keeps its rows for sheets 0, ..., d-2 only: on sum-zero values its d
-        sheet rows of one relation sum to 0 (the averaging argument of
-        `ray_value_rows`), so the last is implied by the others.  Rows have
-        no order to keep, and the columns, not the rows, are handed back
-        because eliminating the shorter side is the cheaper way to the rank.
+        w_k = -(l_1 x_1 + ... + l_{k-1} x_{k-1}) on its cells: exactly the
+        rational values of sum zero, each from one x.  A maximal cone keeps
+        its rows for sheets 0, ..., d-2 only, since on sum-zero values the d
+        sheet rows of one relation sum to 0.  The columns, not the rows, are
+        handed back because eliminating the shorter side is the cheaper way
+        to the rank.
         """
         spread = []  # per ray and orbit: (column, factor) of the orbit's value
         ncols = 0
@@ -548,39 +552,6 @@ def ray_orbits(fan: Fan, assignment: MonodromyAssignment,
         for (pos, place), u in zip(cones, transports):
             at[pos][place] = [lookup[y] for y in u]
     return RayOrbits(d, lengths, at, tables)
-
-
-def ray_value_rows(fan: Fan, assignment: MonodromyAssignment,
-                   tree: DualSpanningTree | None = None) -> RayValueSystem:
-    """The system of `pl_group.ray_value_system` on `build_cover`'s cover,
-    read straight off the monodromy, with the cells that
-    `pl_group.system_triviality` decides it on.
-
-    The columns are the ray cells in the cover's order: ray by ray, the
-    orbits of its monodromy.  The rows are each maximal cone's wall
-    relations, one copy per sheet, with every ray of the cone sent to the
-    cell holding that sheet.  Rows follow the cover's maximal cells (base
-    cone id, then sheet), so the matrix is the cover's entry for entry, and
-    row block i, labelled i in `cells`, is the cover's `max_cells[i]`.
-
-    Why the kernel splits by sheet averaging.  Let w be a solution, and
-    give each ray the weighted mean a = (l_1 w_1 + ... + l_k w_k) / d of
-    its values, l_i being its orbit lengths.  Over a maximal cone, the sum
-    of one relation's d sheet rows at w is the sum over the cone's rays of
-    the relation's coefficient times the sum, over the sheets s, of w at
-    the cell holding s.  Transport to the ray's reference cone is a
-    bijection on sheets, so each orbit is hit by exactly its length many
-    sheets and that inner sum is d a: the d rows sum to d times the base
-    fan's row at a.  Each of them is 0 at w, so a solves the base fan's
-    system.  A base solution put on every cell over its ray solves this
-    system, since each of its sheet rows is the base row; so w - a is a
-    solution whose weighted sum over each ray's cells is 0.  A vector both
-    constant on sheets and of sum zero is 0, hence the kernel is the direct
-    sum of the base fan's kernel, lifted constant on sheets, and its
-    sum-zero part (`RayOrbits.sum_zero_columns`): the PL group's dimension
-    is `pl_group.base_dimension` plus the sum-zero corank.
-    """
-    return ray_orbits(fan, assignment, tree).value_system()
 
 
 def sheet_components(assignment: MonodromyAssignment) -> list[set[int]]:

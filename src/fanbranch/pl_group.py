@@ -13,11 +13,10 @@ base rays.  Per-cell functionals are recovered from the ray values by exact
 cross-checking).
 
 Triviality of the whole group is decided on one fraction-free echelon of
-the values-at-rays system, eliminated once: its corank is the dimension of
-the group, its pivots split by wedge summand, and its back-substituted
+the values-at-rays system: its corank is the group's dimension, and its
 kernel gives the common pattern, the partition of maximal cells on which
-every PL function agrees, in integers.  No rung needs the cover itself,
-only each maximal cell's columns.  Verdicts are proofs, not samples.
+every PL function agrees, in integers.  A sweep record eliminates only the
+system's sum-zero part (`split_triviality`).  Verdicts are proofs.
 A deterministic generic element, which separates exactly the cells that
 some function separates, is built only as the witness of a nontrivial
 verdict, when that witness is read.
@@ -299,13 +298,11 @@ def _check_pullbacks(fan) -> None:
     cache["pullbacks"] = True
 
 
-def base_dimension(fan) -> int:
-    """The dimension of the fan's own PL group (of its degree-1 cover): the
-    corank of its values-at-rays system, one column per ray and each
-    maximal cone's wall relations as rows.  Computed once per fan; it is 3
-    exactly when every PL function on the fan is linear."""
+def _base_kernel(fan) -> list[list[int]]:
+    """The kernel of the fan's own values-at-rays system, one column per ray
+    and each maximal cone's wall relations as rows, computed once per fan."""
     cache = _fan_cache(fan)
-    if "base_dimension" not in cache:
+    if "base_kernel" not in cache:
         rows = []
         for pos, cone in enumerate(fan.max_cones):
             for rel in wall_relation(fan, pos):
@@ -313,8 +310,13 @@ def base_dimension(fan) -> int:
                 for coeff, ray in zip(rel, cone.ray_indices):
                     row[ray] = coeff
                 rows.append(row)
-        cache["base_dimension"] = len(fan.rays) - rank_of_int_rows(rows, len(fan.rays))
-    return cache["base_dimension"]
+        cache["base_kernel"] = _echelon_kernel(*_int_echelon(rows, len(fan.rays)), len(fan.rays))
+    return cache["base_kernel"]
+
+
+def base_dimension(fan) -> int:
+    """The dimension of the fan's own PL group, 3 iff all are linear."""
+    return len(_base_kernel(fan))
 
 
 def per_cell_system(cover: CoverPoset) -> RationalMatrix:
@@ -438,22 +440,6 @@ def wedge_summands(cover: CoverPoset) -> list[list[int]]:
     return [g for g in components(len(cover.cells), links) if g != [root]]
 
 
-def _summand_coranks(cells, ncols: int, pivots: list[int]) -> list[int]:
-    """Per wedge summand, by least column: its columns less the pivots among
-    them of the values-at-rays system's `_int_echelon`.
-
-    The summands' columns are the classes that the cells' columns join: a
-    summand is a connected component of the nonminimal cells, each of its
-    wall and ray cells lies under one of its maximal cells, and the two
-    maximal cells on a wall cell share that wall's ray cells, which lie
-    under both.  So a chain of maximal cells, each sharing a ray cell with
-    the next, joins any two ray cells of one summand, and no chain leaves it.
-    """
-    pivset = set(pivots)
-    return [len(s) - len(pivset.intersection(s))
-            for s in components(ncols, [cols for *_, cols in cells])]
-
-
 @dataclass
 class TrivialityVerdict:
     """The ladder's verdict.  `witness` is a nontrivial PL function, built
@@ -563,17 +549,35 @@ def system_triviality(fan, rows: list[list[int]], ncols: int, cells) -> Triviali
 
     1. d = 3 means the pullbacks only.
     2. A wedge all of whose summands have dimension 3 carries only
-       summand-wise pullbacks.  A summand's dimension is its column count
-       less the pivots in its columns (`_summand_coranks`): every row lies on
-       one summand, and elimination only combines rows that share a column,
-       so it never mixes summands.
-    3. Otherwise the common pattern decides: the partition of the maximal
-       cells on which every PL function agrees.  Each cell is keyed by its
-       functional on every vector of the kernel back-substituted from the
-       echelon (lifted and scaled by L to integers), so cells in one group
-       share a key.  The pattern lists the groups' labels.
+       summand-wise pullbacks, and that is a count: k > 1 summands and
+       d = 3k.  A summand's columns are a class that the cells' columns
+       join, every row lies in one class, so the PL group is the summands'
+       direct sum, and each summand has a cell over 3 independent rays, so
+       its own pullbacks give it dimension at least 3.  A column under no
+       cell is a free class of its own, not a summand; it makes d exceed 3k.
+    3. Otherwise the common pattern decides (`_pattern_verdict`) on the
+       kernel back-substituted from the echelon.
+    """
+    _check_pullbacks(fan)
+    ech, pivots = _int_echelon(rows, ncols)
+    d = ncols - len(pivots)
+    if d == 3:
+        return TrivialityVerdict(True, "pullbacks-only", None, d)
+    k = sum(len(s) > 1 for s in components(ncols, [cols for *_, cols in cells]))
+    if k > 1 and d == 3 * k:
+        return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
+    return _pattern_verdict(fan, cells, _echelon_kernel(ech, pivots, ncols), d)
 
-    Why rung 3 may read the verdict off the pattern: every PL function is
+
+def _pattern_verdict(fan, cells, kernel: list[list[int]], d: int) -> TrivialityVerdict:
+    """Rung 3: the common pattern, the partition of the maximal `cells` on
+    which every PL function agrees, listed by labels.  Cells are keyed by
+    their functional on every vector of `kernel` (`_kernel_keys`), which
+    spans the group's ray-cell values, with or without the pullbacks (the
+    same functional on every cell): cells agree on a span exactly when they
+    agree on a spanning set.
+
+    Why the verdict may be read off the pattern: every PL function is
     constant on each group, and some function (a generic element, avoiding
     the finitely many proper subspaces that identify two groups) takes a
     different functional on every group.  Over a cone, a function constant
@@ -584,20 +588,10 @@ def system_triviality(fan, rows: list[list[int]], ncols: int, cells) -> Triviali
     generic element's multisets differ otherwise.  That element is built
     only when `witness` is read, which needs the cover (`group_triviality`).
     """
-    _check_pullbacks(fan)
-    ech, pivots = _int_echelon(rows, ncols)
-    d = ncols - len(pivots)
-    if d == 3:
-        return TrivialityVerdict(True, "pullbacks-only", None, d)
-    dims = _summand_coranks(cells, ncols, pivots)
-    if len(dims) > 1 and all(x == 3 for x in dims):
-        return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
-
-    keys = _kernel_keys(fan, cells, _echelon_kernel(ech, pivots, ncols))
     groups: dict[tuple, list[int]] = {}
     weights: dict[tuple, list[int]] = {}
     npos = len(fan.max_cones)
-    for (label, pos, weight, _), key in zip(cells, keys):
+    for (label, pos, weight, _), key in zip(cells, _kernel_keys(fan, cells, kernel)):
         groups.setdefault(key, []).append(label)
         weights.setdefault(key, [0] * npos)[pos] += weight
     if any(min(w) != max(w) for w in weights.values()):
@@ -610,12 +604,11 @@ def sum_zero_triviality(fan, columns: list[list[int]], nrows: int) -> Triviality
     """The pullbacks-only verdict where the sum-zero part of a cover's
     values-at-rays system proves it, and None where it does not.  The
     system is given by its `columns`, vectors of length `nrows`, as
-    `monodromy.RayOrbits.sum_zero_columns` gives them; they are eliminated
-    in place.
+    `monodromy.RayOrbits.sum_zero_columns` gives them, and left unchanged.
 
     The PL group's dimension is `base_dimension(fan)` plus the system's
     corank, the number of columns less its rank (see
-    `monodromy.ray_value_rows`).  The group contains the pullbacks
+    `RayOrbits.sum_zero_columns`).  The group contains the pullbacks
     (`_check_pullbacks`), so it is theirs alone exactly when the base
     fan's dimension is 3 and the columns are independent.  More columns
     than rows never are, so then nothing is eliminated.
@@ -623,9 +616,36 @@ def sum_zero_triviality(fan, columns: list[list[int]], nrows: int) -> Triviality
     _check_pullbacks(fan)
     if base_dimension(fan) != 3 or len(columns) > nrows:
         return None
-    if len(_int_echelon(columns, nrows)[1]) < len(columns):
+    if len(_int_echelon(columns[:], nrows)[1]) < len(columns):
         return None
     return TrivialityVerdict(True, "pullbacks-only", None, 3)
+
+
+def split_triviality(fan, orbits, columns: list[list[int]], nrows: int,
+                     summands: int) -> TrivialityVerdict:
+    """`system_triviality`'s verdict on a monodromy cover's whole system,
+    for a record that `sum_zero_triviality` did not settle, decided on the
+    sheet-averaging split (`RayOrbits.sum_zero_columns`).  `columns` and
+    `nrows` are the sum-zero system of `orbits`, eliminated once as rows,
+    and `summands` counts the assignment's `monodromy.sheet_components`.
+
+    d is `base_dimension(fan)` plus the corank, and d > 3 since rung 1
+    failed.  Rung 2 is a count: the wedge summands are the orbits of the
+    group the assignment generates (a wall cell joins the sheets its
+    crossing matches).  Each covers the whole fan, so it carries its own 3
+    pullbacks, and the group is their direct sum: all have dimension 3
+    exactly when k > 1 and d = 3k.  Rung 3 keys the cells on the sum-zero
+    kernel and the base kernel, lifted by `RayOrbits.lift`, which together
+    span the group.  At base dimension 3 the base kernel is the pullbacks,
+    which `_pattern_verdict` may leave out.
+    """
+    ech, pivots = _int_echelon([list(row) for row in zip(*columns)], len(columns))
+    d = base_dimension(fan) + len(columns) - len(pivots)
+    if summands > 1 and d == 3 * summands:
+        return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
+    base = _base_kernel(fan) if base_dimension(fan) > 3 else ()
+    kernel = orbits.lift(_echelon_kernel(ech, pivots, len(columns)), base)
+    return _pattern_verdict(fan, orbits.cells(), kernel, d)
 
 
 def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> TrivialityVerdict:

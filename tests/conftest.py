@@ -1,11 +1,18 @@
 import random
 from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 
 from fanbranch.exact_linalg import RationalMatrix, SubspaceBasis, rank
-from fanbranch.fan_core import load_fan, stellar_subdivision
+from fanbranch.fan_core import load_fan, stellar_subdivision, wall_relation
 from fanbranch.klyachko import Filtration, KlyachkoData
-from fanbranch.monodromy import assignment_at, build_cover, count_assignments, spanning_tree
+from fanbranch.monodromy import (
+    assignment_at,
+    build_cover,
+    count_assignments,
+    ray_orbits,
+    spanning_tree,
+)
 
 # The per-cone functional multisets printed for the rank-3 example on the
 # Fulton-type fan, keyed by maximal-cone position (0-based, bundled order).
@@ -53,6 +60,48 @@ def stellar_covers() -> tuple:
                 index = rng.randrange(count_assignments(sub, d))
                 covers.append(build_cover(sub, assignment_at(sub, d, index, tree), tree))
     return tuple(covers)
+
+
+# -- the whole values-at-rays system of a monodromy cover --------------------
+#
+# No sweep record builds it: records are decided on the sheet-averaging split
+# (`RayOrbits.sum_zero_columns`).  It is the reference the split is tested
+# against, and `system_triviality` decides it as it decides a cover's.
+
+
+@dataclass(frozen=True)
+class RayValueSystem:
+    """The values-at-rays system of an assignment's cover, built without it."""
+
+    rows: list[list[int]]
+    ncols: int
+    cells: list[tuple]  # per row block: (block, cone position, weight 1, columns)
+
+
+def value_system(fan, orbits) -> RayValueSystem:
+    """The whole system of the cover that `orbits` reads off the monodromy:
+    per maximal cell of `orbits.cells()`, one row per wall relation of its
+    cone, with each ray of the cone sent to the column of the cell over it."""
+    ncols = sum(map(len, orbits.lengths))
+    cells = orbits.cells()
+    rows = []
+    for _, pos, _, cols in cells:
+        for rel in wall_relation(fan, pos):
+            row = [0] * ncols
+            for coeff, col in zip(rel, cols):
+                row[col] = coeff
+            rows.append(row)
+    return RayValueSystem(rows, ncols, cells)
+
+
+def ray_value_rows(fan, assignment, tree=None) -> RayValueSystem:
+    """The system of `pl_group.ray_value_system` on `build_cover`'s cover,
+    read straight off the monodromy (`value_system` of `ray_orbits`).  The
+    columns are the ray cells in the cover's order, the rows follow the
+    cover's maximal cells (base cone id, then sheet), so the matrix is the
+    cover's entry for entry, and row block i, labelled i in `cells`, is the
+    cover's `max_cells[i]`."""
+    return value_system(fan, ray_orbits(fan, assignment, tree))
 
 
 # -- the forced-equality chase ----------------------------------------------

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -8,6 +9,8 @@ from click.testing import CliRunner
 from fanbranch.cli import branch_census, evaluate_assignment, main, run_sweep
 from fanbranch.fan_core import load_fan
 from fanbranch.monodromy import spanning_tree
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "fanbranch" / "data"
 
 
 @pytest.fixture(scope="module")
@@ -456,6 +459,15 @@ class TestSweep:
         assert data["index"] == 0
 
 
+@pytest.mark.parametrize("command", [["pl", "sweep"], ["covers", "enumerate"]])
+def test_fan_without_covers_fails_in_one_line(runner, command):
+    result = runner.invoke(main, command + ["p2", "-d", "2"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ("Error: 'p2' has no monodromy covers: spanning trees "
+                             "are built over complete rank-3 fans\n")
+
+
 def test_cover_directory_fails_in_one_line(runner, tmp_path):
     result = runner.invoke(main, ["pl", "solve", "fulton", "--cover", str(tmp_path)])
     assert result.exit_code == 1
@@ -515,6 +527,18 @@ class TestBundleCommands:
         assert isinstance(result.exception, SystemExit)
         reason = os.strerror(errno.EISDIR)
         assert result.output == f"Error: cannot read fan {str(fan_dir)!r}: {reason}\n"
+
+    def test_relative_fan_path_is_the_bundle_files(self, runner, tmp_path, monkeypatch):
+        rel = tmp_path / "rel"
+        rel.mkdir()
+        data = json.loads((DATA / "p2_tangent.bundle.json").read_text())
+        (rel / "b.json").write_text(json.dumps(dict(data, fan="p2.fan.json")))
+        (rel / "p2.fan.json").write_text((DATA / "p2.fan.json").read_text())
+        for cwd, path in ((tmp_path, "rel/b.json"), (rel, "b.json")):
+            monkeypatch.chdir(cwd)
+            result = runner.invoke(main, ["bundle", "verify", path])
+            assert result.exit_code == 0, result.output
+            assert "ok" in result.output
 
     def test_missing_fan_names_the_fan(self, runner, tmp_path):
         path = tmp_path / "bundle.json"

@@ -24,10 +24,11 @@ from fanbranch.monodromy import (
     class_representatives,
     count_assignments,
     ray_monodromy,
-    ray_value_rows,
     sheet_components,
     spanning_tree,
 )
+
+from conftest import ray_value_rows
 
 
 @pytest.fixture(scope="module")

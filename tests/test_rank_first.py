@@ -22,10 +22,11 @@ from fanbranch.monodromy import (
     assignment_at,
     build_cover,
     count_assignments,
-    ray_value_rows,
     spanning_tree,
 )
 from fanbranch.pl_group import _max_cell_geometry, _pullback_z, group_triviality, ray_value_system
+
+from conftest import ray_value_rows
 
 FULTON_DEG2_CACHE_SHA256 = "00a001fde95114f980c5b978f9f16d5b65d52a2b3bd864417dd79b09116087d9"
 EIKELBERG_DEG3_STRIDE8_SHA256 = "b8e414ae30a18902d845331fdd0ea92c1f96e3efffe8c5bfcbdd595c34043a59"

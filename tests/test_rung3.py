@@ -6,12 +6,13 @@ replaced: solve a basis, combine it into a deterministic generic element,
 and test that element's multisets.  Both must give the same tag and pattern
 on every cover past rung 2, and the witness of a nontrivial verdict must be
 the reference's generic element, byte for byte.  The ladder run on the
-system read off the monodromy (`system_triviality` on `ray_value_rows`, as
-sweep records run it) must agree with the one run on the built cover.
+system read off the monodromy (`system_triviality` on
+`conftest.ray_value_rows`) must agree with the one run on the built cover.
 
-Rung 2 reads each wedge summand's dimension off the pivots of the system's
-one echelon, with the summands found from the maximal cells' columns; the
+Rung 2 counts the wedge summands, found from the maximal cells' columns in
+`system_triviality` and as `sheet_components` in a sweep record; the
 reference ranks the columns of each `wedge_summands` piece separately.
+Sweep records eliminate only the sum-zero part of the system.
 """
 
 from functools import lru_cache
@@ -29,14 +30,14 @@ from fanbranch.monodromy import (
     build_cover,
     class_representatives,
     count_assignments,
-    ray_value_rows,
+    ray_orbits,
+    sheet_components,
     spanning_tree,
 )
 from fanbranch.pl_group import (
     PLError,
     _combine,
     _generic_parameter,
-    _summand_coranks,
     group_triviality,
     is_trivial_function,
     ray_value_system,
@@ -44,6 +45,8 @@ from fanbranch.pl_group import (
     system_triviality,
     wedge_summands,
 )
+
+from conftest import ray_value_rows
 
 
 def reference_rung3(cover, basis):
@@ -148,26 +151,31 @@ def reference_summand_dim(rows, cols):
     return len(cols) - rank_of_int_rows([[row[c] for c in cols] for row in rows], len(cols))
 
 
-def test_summand_dimensions_are_the_echelons_pivot_counts():
-    wedges = 0
+def test_summand_count_decides_the_wedge_rung():
+    """Every summand has dimension 3 exactly when k > 1 summands and d = 3k,
+    with k counted from the cells' columns or as `sheet_components`."""
+    wedges = rung2 = 0
     for case in sorted(CASES):
         fan, tree = _fan(case[0])
         for i in high_dim_indices(*case):
             a = assignment_at(fan, case[1], i, tree)
             cover = build_cover(fan, a, tree)
             summands = wedge_summands(cover)
-            if len(summands) == 1:
-                continue
-            wedges += 1
             rows, zvars = ray_value_system(cover)
             system = ray_value_rows(fan, a, tree)
             assert system.rows == rows, (case, i)
             columns = sorted([k for k, r in enumerate(zvars) if r in s] for s in map(set, summands))
             assert components(system.ncols, [c for *_, c in system.cells]) == columns, (case, i)
-            _, pivots = _int_echelon([r[:] for r in rows], len(zvars))
-            reference = [reference_summand_dim(rows, cols) for cols in columns]
-            assert _summand_coranks(system.cells, system.ncols, pivots) == reference, (case, i)
-    assert wedges == 35
+            assert len(sheet_components(a)) == len(summands), (case, i)
+            dims = [reference_summand_dim(rows, cols) for cols in columns]
+            assert min(dims) >= 3, (case, i)
+            k, d = len(summands), sum(dims)
+            assert all(x == 3 for x in dims) == (d == 3 * k), (case, i)
+            v = system_triviality(fan, system.rows, system.ncols, system.cells)
+            assert v.dim == d and (v.tag == "wedge-of-pullbacks") == (k > 1 and d == 3 * k)
+            wedges += k > 1
+            rung2 += v.tag == "wedge-of-pullbacks"
+    assert (wedges, rung2) == (35, 20)
 
 
 # tag -> (fan, branch rays) of a degree-2 cover the ladder settles there
@@ -232,6 +240,44 @@ def test_sweep_record_eliminates_once_and_builds_no_cover(tag, monkeypatch):
         monkeypatch.setattr(module, "group_triviality", refuse, raising=False)
     rec = evaluate_assignment(fan, tree, 3, index)
     assert rec.cert == tag and len(calls) == 1
+
+
+def test_sweep_record_eliminates_only_the_sum_zero_system(monkeypatch):
+    """On `sigma_prime` degree-3 records of dimension above 3, no record
+    builds or eliminates the whole values-at-rays system: its `_int_echelon`
+    calls are the sum-zero system's, as columns where they are no more than
+    the rows (rung 1), then as rows."""
+    fan, tree = _fan("sigma_prime")
+    expected = {}
+    for i in high_dim_indices("sigma_prime", 3, 97):
+        a = assignment_at(fan, 3, i, tree)
+        columns, nrows = ray_orbits(fan, a, tree).sum_zero_columns()
+        whole = ray_value_rows(fan, a, tree)
+        rung1 = [(len(columns), nrows)] if len(columns) <= nrows else []
+        expected[i] = (rung1 + [(nrows, len(columns))], (len(whole.rows), whole.ncols))
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append((len(rows), ncols))
+        return _int_echelon(rows, ncols)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep record built or decided the whole system")
+
+    monkeypatch.setattr(exact_linalg, "_int_echelon", counted)
+    monkeypatch.setattr(pl_group, "_int_echelon", counted)
+    for module in (monodromy, cli):
+        monkeypatch.setattr(module, "build_cover", refuse, raising=False)
+    for module in (pl_group, cli):
+        for name in ("ray_value_system", "group_triviality", "system_triviality"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    both = 0
+    for i, (shapes, whole) in expected.items():
+        calls.clear()
+        assert evaluate_assignment(fan, tree, 3, i).dim_pl > 3
+        assert calls == shapes and whole not in calls, i
+        both += len(shapes) == 2
+    assert (len(expected), both) == (146, 145)
 
 
 def test_witness_of_a_verdict_without_a_cover_refused():

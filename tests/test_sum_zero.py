@@ -1,25 +1,36 @@
-"""The sum-zero rung of the sweep's record path against the whole system.
+"""The sheet-averaging split of the sweep's record path against the whole
+system.
 
 `evaluate_assignment` settles a record as pullbacks-only when
 `pl_group.sum_zero_triviality` proves it on the sum-zero part of the
-values-at-rays system (`RayOrbits.sum_zero_columns`).  By the averaging
-argument at `monodromy.ray_value_rows`, the PL group's dimension is
-`base_dimension` plus that part's corank.  These tests check the identity
-against `system_triviality(...).dim` on the whole system, and that the rung
-fires exactly when that dimension is 3, on every class of `fulton` degree 2
-and `eikelberg` degree 3, on seeded samples of the classes of `fulton` and
-`sigma_prime` degree 3, and on seeded covers of every single stellar
-subdivision of the three fans, where the base dimension is 4 or 5 and the
-subdivided cone's pieces are simplicial, so they give no rows.
+values-at-rays system (`RayOrbits.sum_zero_columns`), and decides any other
+record with `pl_group.split_triviality` on the same part: the wedge rung by
+counting `sheet_components`, the pattern rung on the lifted sum-zero kernel,
+plus the lifted base kernel where the base dimension exceeds 3.  By the
+averaging argument at `RayOrbits.sum_zero_columns`, the PL group's dimension
+is `base_dimension` plus that part's corank.
+
+These tests build the whole system (`conftest.value_system`) and check, on
+every index, the identity against `system_triviality(...).dim`, that the
+rung fires exactly when that dimension is 3, and that the split's verdict
+equals `system_triviality`'s: the verdict, tag, dimension and pattern.
+They run on every class of `fulton` degree 2 and `eikelberg` degree 3, on
+seeded samples of the classes of `fulton` and `sigma_prime` degree 3 and
+the 2 nontrivial classes of `fulton` degree 3, and on seeded covers of
+every single stellar subdivision of the three fans, where the base
+dimension is 4 or 5 and the subdivided cone's pieces are simplicial, so
+they give no rows, and of seeded iterated subdivisions.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
+from fanbranch.cli import evaluate_assignment
 from fanbranch.exact_linalg import rank_of_int_rows
 from fanbranch.fan_core import load_fan, stellar_subdivision
 from fanbranch.monodromy import (
@@ -29,30 +40,37 @@ from fanbranch.monodromy import (
     class_representatives,
     count_assignments,
     ray_orbits,
+    sheet_components,
     spanning_tree,
 )
 from fanbranch.pl_group import (
     _max_cell_geometry,
     base_dimension,
     ray_value_system,
+    split_triviality,
     sum_zero_triviality,
     system_triviality,
 )
 
+from conftest import value_system
+
 FANS = ("fulton", "eikelberg", "sigma_prime")
 SAMPLE = 1500
+# the only classes of `fulton` degree 3 with a nontrivial PL function
+FULTON_DEG3_NONTRIVIAL = (10649, 11539)
 
 
-def check_records(fan, tree, d: int, indices) -> int:
-    """Assert the identity and the firing rule on each index; returns how
-    often the rung fired."""
+def check_records(fan, tree, d: int, indices, tags: Counter | None = None) -> int:
+    """Assert the identity, the firing rule and the split's verdict on each
+    index; returns how often the rung fired, and counts the whole system's
+    tags in `tags`."""
     fired = 0
     for index in indices:
         a = assignment_at(fan, d, index, tree)
         orbits = ray_orbits(fan, a, tree)
         columns, nrows = orbits.sum_zero_columns()
         corank = len(columns) - rank_of_int_rows(columns, nrows)
-        system = orbits.value_system()
+        system = value_system(fan, orbits)
         full = system_triviality(fan, system.rows, system.ncols, system.cells)
         assert base_dimension(fan) + corank == full.dim, index
         rung = sum_zero_triviality(fan, columns, nrows)
@@ -60,7 +78,15 @@ def check_records(fan, tree, d: int, indices) -> int:
         if rung is not None:
             assert rung == full
             fired += 1
+        else:
+            # verdict, tag, dim and pattern, with row block labels
+            split = split_triviality(fan, orbits, columns, nrows, len(sheet_components(a)))
+            assert split == full, index
+            record = evaluate_assignment(fan, tree, d, index)
+            assert (record.dim_pl, record.cert) == (full.dim, full.tag), index
         assert orbits.branch_rays == branch_rays(fan, a, tree), index
+        if tags is not None:
+            tags[full.tag] += 1
     return fired
 
 
@@ -71,11 +97,20 @@ def classes(name: str, d: int) -> tuple:
     return fan, tree, tuple(sorted(set(class_representatives(d, tree.generators))))
 
 
+# the tags past the sum-zero rung, on every class
+SPLIT_TAGS = {
+    "fulton": {"matched-pattern": 15, "wedge-of-pullbacks": 1},
+    "eikelberg": {"matched-pattern": 201, "nontrivial": 115, "wedge-of-pullbacks": 17},
+}
+
+
 @pytest.mark.parametrize("name, d, fired", [("fulton", 2, 112), ("eikelberg", 3, 1060)])
 def test_every_class(name, d, fired):
     fan, tree, reps = classes(name, d)
     assert base_dimension(fan) == 3
-    assert check_records(fan, tree, d, reps) == fired
+    tags = Counter()
+    assert check_records(fan, tree, d, reps, tags) == fired
+    assert tags == {"pullbacks-only": fired, **SPLIT_TAGS[name]}
 
 
 @pytest.mark.parametrize("name", ["fulton", "sigma_prime"])
@@ -83,9 +118,18 @@ def test_sampled_degree3_classes(name):
     fan, tree, reps = classes(name, 3)
     assert len(reps) == 47449
     sample = sorted(random.Random(15).sample(reps, SAMPLE))
-    fired = check_records(fan, tree, 3, sample)
+    tags = Counter()
+    fired = check_records(fan, tree, 3, sample, tags)
     # about 95% of the classes are pullbacks-only; both outcomes occur
     assert 0.9 * SAMPLE < fired < SAMPLE
+    assert tags["matched-pattern"] > 0 and tags["wedge-of-pullbacks"] > 0
+
+
+def test_fulton_degree3_nontrivial_classes():
+    fan, tree, _ = classes("fulton", 3)
+    tags = Counter()
+    check_records(fan, tree, 3, FULTON_DEG3_NONTRIVIAL, tags)
+    assert tags == {"nontrivial": 2}
 
 
 @lru_cache(maxsize=None)
@@ -96,28 +140,54 @@ def subdivisions() -> tuple:
                  for pos in range(len(base.max_cones)))
 
 
+# Every cover of a fan whose own PL group exceeds the pullbacks is
+# nontrivial: a PL function of the fan, lifted constant on sheets, has one
+# functional with multiplicity d over each cone, and these differ.
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_stellar_subdivisions(d):
     rng = random.Random(d)
-    dims = set()
+    dims, tags = set(), Counter()
     for name, pos, fan in subdivisions():
         tree = spanning_tree(fan)
         total = count_assignments(fan, d)
         indices = [0] + [rng.randrange(total) for _ in range(14)]
-        assert check_records(fan, tree, d, indices) == 0, (name, pos)
+        assert check_records(fan, tree, d, indices, tags) == 0, (name, pos)
         dims.add(base_dimension(fan))
     assert dims == {4, 5}
+    assert tags == {"nontrivial": 255}
+
+
+def test_iterated_stellar_subdivisions():
+    """Two or three seeded stellar subdivisions in a row, each of a cone of
+    the last, then seeded degree-2 and degree-3 covers."""
+    rng = random.Random(17)
+    dims, tags = set(), Counter()
+    for name in FANS:
+        for _ in range(3):
+            fan = load_fan(name)
+            for _ in range(rng.choice((2, 3))):
+                fan = stellar_subdivision(fan, rng.randrange(len(fan.max_cones)))
+            tree = spanning_tree(fan)
+            for d in (2, 3):
+                total = count_assignments(fan, d)
+                indices = [0] + [rng.randrange(total) for _ in range(4)]
+                assert check_records(fan, tree, d, indices, tags) == 0, name
+            dims.add(base_dimension(fan))
+    assert max(dims) > 5
+    assert tags == {"nontrivial": 90}
 
 
 def test_stellar_systems_are_the_covers():
-    """`RayOrbits.value_system` reads the system off the link walks of
+    """`RayOrbits.cells` reads the cells off the link walks of
     `_record_tables`; `build_cover` still crosses walls one by one."""
     rng = random.Random(3)
     for name, pos, fan in subdivisions():
         tree = spanning_tree(fan)
         for d in (2, 3):
             a = assignment_at(fan, d, rng.randrange(count_assignments(fan, d)), tree)
-            system = ray_orbits(fan, a, tree).value_system()
+            system = value_system(fan, ray_orbits(fan, a, tree))
             cover = build_cover(fan, a, tree)
             rows, zvars = ray_value_system(cover)
             assert (system.rows, system.ncols) == (rows, len(zvars)), (name, pos, d)

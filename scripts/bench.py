@@ -5,17 +5,16 @@ First it gates the change's traced runs: one `--trace 1` run per workload,
 which must end in a facts line and a result that parse as strict JSON (no
 NaN or infinities), with `correct` true, exactly the per-layer metrics that
 `BENCHMARK.json` lists and no traced function reported absent; otherwise it
-exits with code 1.  Then, for each side, in alternating order, it times the
-fulton degree-2 sweep and
-the full sigma_prime degree-3 sweep through the CLI at --jobs 2 (wall
-seconds, cache sha256, summary counts), and exits with code 1 as soon as a
-cache's sha256 differs from its pin; then it runs ten alternating pairs
-of perfbench runs per workload and seed.  It writes one JSON file: core count,
-Python version and both commits; the sweep figures; and for each workload
-and seed, every run's end-to-end metrics with each side's median and
-quartiles, the change's wins per metric, and whether the gain rule holds
-(wins in at least nine tenths of the pairs and a median difference larger
-than the parent's quartile distance).
+exits with code 1.  Then, for each side, in alternating order, it times
+the fulton degree-2 sweep and the full sigma_prime degree-3 sweep through
+the CLI at --jobs 2 (wall seconds, cache sha256, summary counts), and exits
+with code 1 as soon as a cache's sha256 differs from its pin; then it runs
+ten alternating pairs of perfbench runs per workload and seed.  It writes
+one JSON file: core count, Python version and both commits; the sweep
+figures; and for each workload and seed, every run's end-to-end metrics
+with each side's median and quartiles, the change's wins per metric, and
+whether the gain rule holds (wins in at least nine tenths of the pairs and
+a median difference larger than the parent's quartile distance).
 
 Run from the root of the change's checkout; the parent is a second checkout
 (a `git clone` at the parent commit):

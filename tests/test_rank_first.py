@@ -1,7 +1,8 @@
 """Sweep records from the values-at-rays system against the reference path.
 
-`evaluate_assignment` decides every record on the system read off the
-monodromy, with no cover built; the reference path builds the cover and
+`evaluate_assignment` decides every record on the sheet-averaging split of
+the system read off the monodromy, with no cover built (`test_sum_zero.py`
+checks the split step by step); the reference path builds the cover and
 runs `group_triviality` on it.  The digests pin the record bytes that the
 cover-first sweep wrote before records were decided on the system.
 """

@@ -12,9 +12,10 @@ with code 1 as soon as a cache's sha256 differs from its pin; then it runs
 ten alternating pairs of perfbench runs per workload and seed.  It writes
 one JSON file: core count, Python version and both commits; the sweep
 figures; and for each workload and seed, every run's end-to-end metrics
-with each side's median and quartiles, the change's wins per metric, and
-whether the gain rule holds (wins in at least nine tenths of the pairs and
-a median difference larger than the parent's quartile distance).
+and operations attempted, with each side's median and quartiles, the
+change's wins per metric, and whether the gain rule holds (wins in at
+least nine tenths of the pairs and a median difference larger than the
+parent's quartile distance).
 
 Run from the root of the change's checkout; the parent is a second checkout
 (a `git clone` at the parent commit):
@@ -113,7 +114,9 @@ def perfbench(checkout: Path, workload: str, seed: int) -> dict:
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{checkout}: perfbench {workload} seed {seed} was not correct: "
                          f"{lines[-2] if len(lines) > 1 else lines[-1]}")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    # operations attempted: a workload's pass count, which peak_rss_mb grows with
+    return {"attempted": result["attempted"],
+            **{name: metric["value"] for name, metric in result["metrics"].items()}}
 
 
 def strict_json(text: str):

@@ -154,17 +154,66 @@ class SweepSummary:
 _RECORD_FIELDS = {f.name for f in fields(SweepRecord)}
 
 
-def _read_cache_prefix(path: str, total: int, nrays: int, d: int,
+_SIDECAR_SCHEMA = 1
+
+
+def sidecar_path(cache_path: str) -> str:
+    """The file that records which sweep wrote the cache at `cache_path`."""
+    return cache_path + ".meta.json"
+
+
+def _sweep_meta(fan, d: int, tree) -> dict:
+    """What a cache's sidecar records of the sweep that wrote it, in the
+    order a resume compares the fields.  The records themselves cannot tell
+    two sweeps apart: the degree-2 records of `fulton` and `sigma_prime`
+    coincide at 127 of 128 indices."""
+    return {
+        "schema": _SIDECAR_SCHEMA,
+        "rays": [list(r) for r in fan.rays],
+        "cones": [list(c.ray_indices) for c in fan.max_cones],
+        "degree": d,
+        "generator_walls": [list(fan.cones[fan.walls[w]].ray_indices)
+                            for w in tree.nontree_walls],
+    }
+
+
+def _write_sidecar(cache_path: str, meta: dict) -> None:
+    with open(sidecar_path(cache_path), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(meta, separators=(",", ":")) + "\n")
+
+
+def _check_sidecar(cache_path: str, meta: dict) -> None:
+    """Refuse to resume a cache whose sidecar is missing, unreadable, or
+    names another sweep, by the first field that differs."""
+    path = sidecar_path(cache_path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            found = json.load(fh)
+    except FileNotFoundError:
+        raise CacheError(f"cache {cache_path} has no sidecar {path}; refusing to resume")
+    except (OSError, ValueError):
+        found = None
+    if not isinstance(found, dict):
+        raise CacheError(f"sidecar {path} is not a JSON object; refusing to resume")
+    for key, value in meta.items():
+        if found.get(key) != value:
+            raise CacheError(
+                f"sidecar {path} differs from this sweep in {key!r}; refusing to resume")
+
+
+def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,
                        echo=None) -> tuple[int, dict, list]:
     """(records, verdict counts, nontrivial records) of an existing cache;
     refuses anything but a clean index prefix of whole records whose
-    profiles fit the sweep: one cycle type of d per ray of the fan.
+    profiles fit the sweep, one cycle type of d per ray of the fan, and
+    then a sidecar that does not match `meta`.
 
     An unterminated last line is what a kill mid-write leaves behind: it is
-    dropped, and once the rest has passed, the file is truncated to its last
-    newline so that the resumed sweep appends after whole records only.  A
-    blank line is refused like any other line that is not a record, and a
-    record missing a field once every line has passed the index checks.
+    dropped, and once the rest and the sidecar have passed, the file is
+    truncated to its last newline so that the resumed sweep appends after
+    whole records only.  A blank line is refused like any other line that
+    is not a record, and a record missing a field once every line has
+    passed the index checks.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -205,6 +254,7 @@ def _read_cache_prefix(path: str, total: int, nrays: int, d: int,
         raise CacheError(
             f"cache corruption at line {incomplete}; refusing to resume"
         )
+    _check_sidecar(path, meta)
     if whole < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(whole)
@@ -240,19 +290,25 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
     without a resume point each one is evaluated by the time its class is
     first met.  Representatives below a resume point are evaluated again,
     not read from the cache.
+
+    A new cache gets a sidecar (`sidecar_path`) naming the sweep, written
+    before the first record, and a resume refuses a cache whose sidecar
+    does not name this one, leaving both files as they are.
     """
     tree = spanning_tree(fan)
     total = count_assignments(fan, d)
     start, verdicts, nontrivial = 0, {}, []
-    if cache_path and resume and os.path.exists(cache_path):
+    if cache_path and os.path.exists(cache_path):
+        if not resume:
+            raise CacheError(
+                f"cache file {cache_path} exists; pass --resume to continue it"
+            )
         start, verdicts, nontrivial = _read_cache_prefix(
-            cache_path, total, len(fan.rays), d, echo)
+            cache_path, total, len(fan.rays), d, _sweep_meta(fan, d, tree), echo)
         if echo:
             echo(f"resuming: {start} records already cached")
-    elif cache_path and not resume and os.path.exists(cache_path):
-        raise CacheError(
-            f"cache file {cache_path} exists; pass --resume to continue it"
-        )
+    elif cache_path:
+        _write_sidecar(cache_path, _sweep_meta(fan, d, tree))
 
     t0 = time.perf_counter()
     out = open(cache_path, "a") if cache_path else None

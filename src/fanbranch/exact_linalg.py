@@ -18,11 +18,15 @@ Which routine answers which question:
 * `Fraction` Gauss-Jordan (`_rref_rows`) runs only where the reduced form is
   itself the result: `rref`, the canonical `SubspaceBasis`, and
   `solve_linear`.  `annihilator` reads its kernel straight off that form;
-* Hermite reduction (`_row_hnf_transform`) answers the lattice questions
-  that need it: `hermite_normal_form`, `integer_solve`, and the k x k
-  duality step of `integer_kernel`, which otherwise reads the kernel lattice
-  off the rational kernel of `_int_echelon` and `_echelon_kernel`, k vectors
-  wide, never off a transform of the whole system.
+* one Hermite loop, `_row_hnf`, answers the lattice questions that need
+  it: `hermite_normal_form`, the k-column duality step of `_saturate`, and
+  `integer_solve`, the one caller that needs the unimodular transform,
+  which it reads off the reduction of [A | I] (`_row_hnf_transform`);
+* `_saturate` gives the integral points of a rational span from k spanning
+  vectors, each nonzero at its own free column: `integer_kernel` is
+  `_echelon_kernel` then `_saturate`, never a transform of the whole
+  system, and `pl_group.solve` saturates the lifted values-at-rays kernel
+  the same way.
 
 Determinism conventions, fixed once for the whole package:
 
@@ -286,15 +290,14 @@ def left_nullspace(m: RationalMatrix) -> list[IntVector]:
     return right_nullspace(m.transpose())
 
 
-def _row_hnf_transform(a: list[list[int]], ncols: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Row Hermite normal form with unimodular transform: U*A = H.
-
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot).  Returns (H, U, pivot columns).
-    """
-    h = [r[:] for r in a]
+def _row_hnf(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Row Hermite normal form of the first `ncols` columns: (H, pivot
+    columns).  Pivots are positive, entries above each pivot are reduced
+    into [0, pivot).  Each row operation acts on the whole row, so columns
+    past `ncols` ride along: reducing [A | I] carries the transform U with
+    U*A = H in its last columns.  The rows of `rows` are not changed."""
+    h = list(rows)
     n = len(h)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     r = 0
     pivots: list[int] = []
     for c in range(ncols):
@@ -305,14 +308,12 @@ def _row_hnf_transform(a: list[list[int]], ncols: int) -> tuple[list[list[int]],
                 break
             imin = min(idx, key=lambda i: (abs(h[i][c]), i))
             h[r], h[imin] = h[imin], h[r]
-            u[r], u[imin] = u[imin], u[r]
             done = True
             for i in range(r + 1, n):
                 if h[i][c]:
                     q = h[i][c] // h[r][c]
                     if q:
                         h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
                     if h[i][c]:
                         done = False
             if done:
@@ -320,16 +321,24 @@ def _row_hnf_transform(a: list[list[int]], ncols: int) -> tuple[list[list[int]],
         if r < n and h[r][c]:
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
             p = h[r][c]
             for i in range(r):
                 q = h[i][c] // p
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             pivots.append(c)
             r += 1
-    return h, u, pivots
+    return h, pivots
+
+
+def _row_hnf_transform(a: list[list[int]], ncols: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Row Hermite normal form with unimodular transform, U*A = H: `_row_hnf`
+    of [A | I], split.  Returns (H, U, pivot columns)."""
+    n = len(a)
+    width = len(a[0]) if a else 0
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    h, pivots = _row_hnf(aug, ncols)
+    return [row[:width] for row in h], [row[width:] for row in h], pivots
 
 
 def hermite_normal_form(rows) -> list[IntVector]:
@@ -337,49 +346,37 @@ def hermite_normal_form(rows) -> list[IntVector]:
     a = [[int(x) for x in row] for row in rows]
     if not a:
         return []
-    h, _, pivots = _row_hnf_transform(a, len(a[0]))
+    h, pivots = _row_hnf(a, len(a[0]))
     return [tuple(r) for r in h[: len(pivots)]]
 
 
-def integer_kernel(rows) -> list[IntVector]:
-    """Basis of the kernel lattice {x in Z^cols : m.x = 0}, in canonical row
-    Hermite form: a full lattice basis (saturated, hence each member
-    primitive) and deterministic.
+def _saturate(kernel: list[list[int]], free: list[int], others) -> list[IntVector]:
+    """The integral points of the Q-span of the integer vectors `kernel`, in
+    canonical row Hermite form.  Vector i is nonzero at column free[i] and
+    zero at every other column of `free`; `others` lists every column not
+    in `free`.
 
-    Computed by duality on the k-dimensional rational kernel, never on the
-    full system.  The back-substituted kernel of `_echelon_kernel` has one
-    vector per free column f_i, zero at the other free columns; scaling
-    vector i by D / (its entry at f_i), D the lcm of those entries, gives
-    S = D.M with M the identity on the free columns F.  Every rational
-    kernel vector x is x_F . M, so x -> x_F maps the lattice onto
-    L = {y in Z^k : y.M integral}, and y.M is integral iff y pairs
+    Scaling vector i by D / (its entry at free[i]), D the lcm of those
+    entries, gives S = D.M with M the identity on the free columns F.  Every
+    vector x of the span is x_F . M, so x -> x_F maps its integral points
+    onto L = {y in Z^k : y.M integral}, and y.M is integral iff y pairs
     integrally with every column of M: L is the dual of
     C = Z^k + sum of Z.(columns of M).  With G the row Hermite form of the
     rows D.e_i and the distinct nonzero columns of S mod D, C is the row
     lattice of G divided by D, so y is in L iff G.y is in D.Z^k: L has the
-    rows of D.(G^T)^-1 as a basis, and the kernel lattice the rows of
+    rows of D.(G^T)^-1 as a basis, and the integral points the rows of
     X = D.(G^T)^-1.M = (G^T)^-1.S.  G^T is lower triangular and X is
     integral, so forward substitution in G^T.X = S divides exactly.  The
     Hermite form of a lattice is unique, so X reduces to the same basis as
     any other route.
     """
-    a = [[int(x) for x in row] for row in rows]
-    if not a:
-        raise ValueError("integer_kernel needs at least one row to fix the column count")
-    ncols = len(a[0])
-    ech, pivots = _int_echelon(a, ncols)
-    kernel = _echelon_kernel(ech, pivots, ncols)
-    if not kernel:
-        return []
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
     big = lcm(*(v[f] for v, f in zip(kernel, free)))
     s = [[big // v[f] * x for x in v] for v, f in zip(kernel, free)]
     k = len(s)
     gens = [[big if i == j else 0 for j in range(k)] for i in range(k)]
-    residues = dict.fromkeys(tuple([row[c] % big for row in s]) for c in pivots)
+    residues = dict.fromkeys(tuple([row[c] % big for row in s]) for c in others)
     gens += [list(col) for col in residues if any(col)]
-    g, _, _ = _row_hnf_transform(gens, k)
+    g, _ = _row_hnf(gens, k)
     x: list[list[int]] = []
     for i in range(k):
         acc = s[i]
@@ -389,6 +386,27 @@ def integer_kernel(rows) -> list[IntVector]:
         d = g[i][i]
         x.append([p // d for p in acc])
     return hermite_normal_form(x)
+
+
+def integer_kernel(rows) -> list[IntVector]:
+    """Basis of the kernel lattice {x in Z^cols : m.x = 0}, in canonical row
+    Hermite form: a full lattice basis (saturated, hence each member
+    primitive) and deterministic.
+
+    Computed by duality on the k-dimensional rational kernel, never on the
+    full system: the back-substituted kernel of `_echelon_kernel` has one
+    vector per free column, zero at the other free columns, and nonzero
+    entries elsewhere only at pivot columns, so `_saturate` reads the
+    lattice off it.
+    """
+    a = [[int(x) for x in row] for row in rows]
+    if not a:
+        raise ValueError("integer_kernel needs at least one row to fix the column count")
+    ncols = len(a[0])
+    ech, pivots = _int_echelon(a, ncols)
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    return _saturate(_echelon_kernel(ech, pivots, ncols), free, pivots)
 
 
 def solve_linear(a_rows, b) -> Vector | None:

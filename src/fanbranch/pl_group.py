@@ -8,9 +8,10 @@ exactly the existence of one well-defined value per ray cell.
 The solver therefore runs on the values-at-rays form: one variable per ray
 cell, and one relation row per generating relation among each maximal cell's
 base rays.  Per-cell functionals are recovered from the ray values by exact
-3x3 solves, which is a linear isomorphism between the two solution spaces
-(the per-cell form is kept as well, for the integral lattice and for
-cross-checking).
+3x3 solves, which is a linear isomorphism between the two solution spaces.
+The integral lattice is read through it too: `solve` saturates the lifted
+kernel, so the per-cell form (`per_cell_system`) is kept only as the
+independent check.
 
 Triviality of the whole group is decided on one fraction-free echelon of
 the values-at-rays system: its corank is the group's dimension, and its
@@ -34,9 +35,8 @@ from .exact_linalg import (
     RationalMatrix,
     _echelon_kernel,
     _int_echelon,
+    _saturate,
     independent_rows,
-    integer_kernel,
-    nullspace_of_int_rows,
     rank_of_int_rows,
     solve_linear,
 )
@@ -382,14 +382,61 @@ class PLBasis:
         return len(self.functions)
 
 
+def _ray_value_kernel(cover: CoverPoset) -> tuple[list[list[int]], list[int]]:
+    """The rational kernel of `ray_value_system(cover)`, one primitive vector
+    per free column and zero at the other free columns, with those free
+    columns: the one elimination both modes of `solve` share."""
+    rows, zvars = ray_value_system(cover)
+    ncols = len(zvars)
+    ech, pivots = _int_echelon(rows, ncols)
+    pivset = set(pivots)
+    return _echelon_kernel(ech, pivots, ncols), [c for c in range(ncols) if c not in pivset]
+
+
+def _lifted_rows(cover: CoverPoset, kernel: list[list[int]]) -> list[list[int]]:
+    """Each ray-value vector z of `kernel` in the columns of
+    `per_cell_system`, times L: the lifted functional of every maximal cell
+    in `cover.max_cells` order, then z.  L is the lcm of the cells' lift
+    denominators, so every entry is an integer."""
+    fan = cover.fan
+    geo = _max_cell_geometry(cover)
+    lifts = [(cols, _lift_data(fan, pos)) for _, pos, _, cols in geo]
+    big = lcm(*(den for _, (_, _, den) in lifts))
+    out = []
+    for z in kernel:
+        row: list[int] = []
+        for cols, (chosen, scaled, den) in lifts:
+            rhs = [z[cols[i]] for i in chosen]
+            f = big // den
+            row += [f * sum(a * b for a, b in zip(r, rhs)) for r in scaled]
+        row += [big * x for x in z]
+        out.append(row)
+    return out
+
+
 def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
     """Basis of the group of piecewise-linear functions on the cover.
 
-    `rational` mode solves the values-at-rays system over Q and lifts ray
-    values to per-cell functionals; `integral` mode computes the integer
-    kernel of the per-cell incidence system, so each basis function has an
-    integral functional on every cell.  The pullback space is contained in
-    the span in both modes and heads the rational basis.
+    Both modes eliminate the values-at-rays system once
+    (`_ray_value_kernel`).  `rational` mode lifts its kernel vectors to
+    per-cell functionals, after the pullbacks, which head its basis.
+    `integral` mode returns the kernel lattice of the per-cell incidence
+    system (`per_cell_system`), so each basis function has an integral
+    functional on every cell, in canonical row Hermite form; the pullback
+    space is contained in its span.
+
+    The integral basis is read off the small kernel, never off the per-cell
+    system.  A per-cell kernel vector (u, z) has z in the values-at-rays
+    kernel, and each u_m is the unique solution of V_m.u_m = z on 3
+    independent rays of its cone, so (u, z) = (lift(z), z): the per-cell
+    kernel is the Q-span of the lifted kernel vectors (`_lifted_rows`), and
+    its lattice is the set of integral points of that span, which
+    `_saturate` computes.  A lifted vector is nonzero at its own free z
+    column and zero at the others, like the kernel it lifts, so the free
+    columns serve; its other nonzero entries may lie in any u column, so
+    the residues run over every column but the free ones.  The row Hermite
+    form of a lattice is unique, so the basis is the one that
+    `integer_kernel(per_cell_system(...))` gives.
     """
     fan = cover.fan
     if fan.rank != 3:
@@ -399,13 +446,14 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
     n = fan.rank
     pullback_z = [_pullback_z(cover, j) for j in range(n)]
     pullbacks = tuple(_lift_z_to_function(cover, z) for z in pullback_z)
+    if mode not in ("rational", "integral"):
+        raise ValueError(f"unknown mode {mode!r}")
+    kernel, free = _ray_value_kernel(cover)
 
     if mode == "rational":
         _check_pullbacks(fan)
-        rows, zvars = ray_value_system(cover)
-        kernel = nullspace_of_int_rows(rows, len(zvars))
         ordered = pullback_z + kernel
-        picked = independent_rows(ordered, len(zvars))
+        picked = independent_rows(ordered, len(cover.ray_cells))
         if picked[:n] != list(range(n)):
             raise RuntimeError("pullback functionals are not independent")
         functions = list(pullbacks)
@@ -415,22 +463,22 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
             raise RuntimeError("basis completion lost dimensions")
         return PLBasis(cover, functions, pullbacks, "rational")
 
-    if mode == "integral":
-        kernel = integer_kernel(_per_cell_rows(cover))
-        maxcells = cover.max_cells
-        zstart = n * len(maxcells)
-        functions = []
-        for vec in kernel:
-            values = {
-                m: tuple([Fraction(x) for x in vec[n * i : n * i + n]])
-                for i, m in enumerate(maxcells)
-            }
-            # the incidence rows make each ray-cell coordinate the value there
-            ray_values = {r: Fraction(vec[zstart + i]) for i, r in enumerate(cover.ray_cells)}
-            functions.append(PLFunction._exact(cover, values, ray_values))
-        return PLBasis(cover, functions, pullbacks, "integral")
-
-    raise ValueError(f"unknown mode {mode!r}")
+    maxcells = cover.max_cells
+    zvars = cover.ray_cells
+    zstart = n * len(maxcells)
+    zfree = [zstart + c for c in free]
+    others = set(range(zstart + len(zvars))).difference(zfree)
+    lattice = _saturate(_lifted_rows(cover, kernel), zfree, others)
+    functions = []
+    for vec in lattice:
+        values = {
+            m: tuple([Fraction(x) for x in vec[n * i : n * i + n]])
+            for i, m in enumerate(maxcells)
+        }
+        # the incidence rows make each ray-cell coordinate the value there
+        ray_values = {r: Fraction(vec[zstart + i]) for i, r in enumerate(zvars)}
+        functions.append(PLFunction._exact(cover, values, ray_values))
+    return PLBasis(cover, functions, pullbacks, "integral")
 
 
 def wedge_summands(cover: CoverPoset) -> list[list[int]]:

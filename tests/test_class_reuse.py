@@ -9,6 +9,7 @@ the sweep wrote it when every record was solved.
 import hashlib
 import json
 import multiprocessing
+import shutil
 from functools import lru_cache
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fanbranch import cli
-from fanbranch.cli import evaluate_assignment, main, run_sweep
+from fanbranch.cli import evaluate_assignment, main, run_sweep, sidecar_path
 from fanbranch.fan_core import load_fan
 from fanbranch.monodromy import (
     MonodromyAssignment,
@@ -114,6 +115,7 @@ def test_resume_at_an_index_whose_representative_is_cached(tmp_path):
     cache = tmp_path / "resumed.jsonl"
     whole = sum(len(x) + 1 for x in data.split(b"\n")[:cut])
     cache.write_bytes(data[:whole + 25])  # torn 25 bytes into record `cut`
+    shutil.copy(sidecar_path(str(fresh_cache)), sidecar_path(str(cache)))
     resumed = _sweep(cache, 2, "--resume")
     assert f"resuming: {cut} records already cached" in resumed
     assert cache.read_bytes() == data

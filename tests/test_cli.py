@@ -1,12 +1,13 @@
 import errno
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from fanbranch.cli import branch_census, evaluate_assignment, main, run_sweep
+from fanbranch.cli import branch_census, evaluate_assignment, main, run_sweep, sidecar_path
 from fanbranch.fan_core import load_fan
 from fanbranch.monodromy import spanning_tree
 
@@ -308,6 +309,7 @@ class TestSweep:
         partial = tmp_path / "partial.jsonl"
         lines = full.read_text().splitlines()
         partial.write_text("\n".join(lines[:50]) + "\n")
+        shutil.copy(sidecar_path(str(full)), sidecar_path(str(partial)))
         summary = run_sweep(fulton, 2, jobs=1, cache_path=str(partial), resume=True)
         assert summary.processed == 128
         assert partial.read_bytes() == full.read_bytes()
@@ -338,6 +340,7 @@ class TestSweep:
         whole = sum(len(x) + 1 for x in data.split(b"\n")[:keep_lines])
         torn = tmp_path / "torn.jsonl"
         torn.write_bytes(data[: whole + 17])  # a kill 17 bytes into a record
+        shutil.copy(sidecar_path(str(full)), sidecar_path(str(torn)))
         result = runner.invoke(
             main,
             ["pl", "sweep", "fulton", "-d", "2", "--jobs", "1",
@@ -417,6 +420,79 @@ class TestSweep:
             f"Error: cache record at line 1 {message}; refusing to resume"
         ]
         assert cache.read_bytes() == before
+
+    def _refused_untouched(self, runner, cache, argv, message):
+        meta = Path(sidecar_path(str(cache)))
+        before = cache.read_bytes(), meta.read_bytes() if meta.exists() else None
+        result = runner.invoke(
+            main, ["pl", "sweep", *argv, "--jobs", "1", "--cache", str(cache), "--resume"])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: {message}; refusing to resume"]
+        assert (cache.read_bytes(), meta.read_bytes() if meta.exists() else None) == before
+
+    def test_sidecar_of_another_fan_refused(self, fulton, tmp_path, runner):
+        # fulton's and sigma_prime's degree-2 records coincide at 127 of 128
+        # indices, and the differing one passes every record check
+        cache = tmp_path / "fulton.jsonl"
+        run_sweep(fulton, 2, jobs=1, cache_path=str(cache))
+        self._refused_untouched(
+            runner, cache, ["sigma_prime", "-d", "2"],
+            f"sidecar {sidecar_path(str(cache))} differs from this sweep in 'rays'")
+
+    def test_sidecar_of_another_degree_refused(self, fulton, tmp_path, runner):
+        # a kill inside the first record leaves nothing for the record checks
+        cache = tmp_path / "fulton.jsonl"
+        run_sweep(fulton, 2, jobs=1, cache_path=str(cache))
+        cache.write_bytes(cache.read_bytes()[:17])
+        self._refused_untouched(
+            runner, cache, ["fulton", "-d", "3"],
+            f"sidecar {sidecar_path(str(cache))} differs from this sweep in 'degree'")
+
+    def test_sidecar_of_an_edited_ray_refused(self, tmp_path, runner):
+        data = json.loads((DATA / "fulton.fan.json").read_text())
+        fan_file = tmp_path / "fan.json"
+        fan_file.write_text(json.dumps(data))
+        cache = tmp_path / "edited.jsonl"
+        result = runner.invoke(
+            main, ["pl", "sweep", str(fan_file), "-d", "2", "--jobs", "1", "--cache", str(cache)])
+        assert result.exit_code == 0, result.output
+        lines = cache.read_text().splitlines(keepends=True)
+        cache.write_text("".join(lines[:40]))
+        data["rays"][0] = [1, 1, 1]  # the cube: same cones, same records
+        fan_file.write_text(json.dumps(data))
+        self._refused_untouched(
+            runner, cache, [str(fan_file), "-d", "2"],
+            f"sidecar {sidecar_path(str(cache))} differs from this sweep in 'rays'")
+
+    def test_missing_sidecar_refused(self, fulton, tmp_path, runner):
+        cache = tmp_path / "bare.jsonl"
+        run_sweep(fulton, 2, jobs=1, cache_path=str(cache))
+        os.remove(sidecar_path(str(cache)))
+        self._refused_untouched(
+            runner, cache, ["fulton", "-d", "2"],
+            f"cache {cache} has no sidecar {sidecar_path(str(cache))}")
+
+    def test_unreadable_sidecar_refused(self, fulton, tmp_path, runner):
+        cache = tmp_path / "fulton.jsonl"
+        run_sweep(fulton, 2, jobs=1, cache_path=str(cache))
+        Path(sidecar_path(str(cache))).write_text('["schema", 1]\n')
+        self._refused_untouched(
+            runner, cache, ["fulton", "-d", "2"],
+            f"sidecar {sidecar_path(str(cache))} is not a JSON object")
+
+    def test_leftover_sidecar_rewritten_by_a_fresh_sweep(self, fulton, tmp_path):
+        # a sweep without --resume owns the path once its cache is gone
+        cache = tmp_path / "sweep.jsonl"
+        run_sweep(load_fan("sigma_prime"), 2, jobs=1, cache_path=str(cache))
+        os.remove(cache)
+        run_sweep(fulton, 2, jobs=1, cache_path=str(cache))
+        fresh = tmp_path / "fresh.jsonl"
+        run_sweep(fulton, 2, jobs=1, cache_path=str(fresh))
+        assert Path(sidecar_path(str(cache))).read_bytes() == \
+            Path(sidecar_path(str(fresh))).read_bytes()
+        assert cache.read_bytes() == fresh.read_bytes()
+        run_sweep(fulton, 2, jobs=1, cache_path=str(cache), resume=True)
+        assert cache.read_bytes() == fresh.read_bytes()
 
     def test_non_prefix_cache_refused(self, fulton, tmp_path, runner):
         bad = tmp_path / "gap.jsonl"

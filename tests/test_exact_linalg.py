@@ -439,3 +439,62 @@ def test_integer_kernel_equals_transform_route_on_per_cell_systems():
     for cover in stellar_covers():
         rows = [[int(x) for x in row] for row in per_cell_system(cover).entries]
         assert integer_kernel(rows) == reference_integer_kernel(rows)
+
+
+def reference_row_hnf_transform(a, ncols):
+    """The Hermite loop that carried its transform alongside, row by row."""
+    h = [r[:] for r in a]
+    n = len(h)
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        while True:
+            idx = [i for i in range(r, n) if h[i][c]]
+            if not idx:
+                break
+            imin = min(idx, key=lambda i: (abs(h[i][c]), i))
+            h[r], h[imin] = h[imin], h[r]
+            u[r], u[imin] = u[imin], u[r]
+            done = True
+            for i in range(r + 1, n):
+                if h[i][c]:
+                    q = h[i][c] // h[r][c]
+                    if q:
+                        h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                    if h[i][c]:
+                        done = False
+            if done:
+                break
+        if r < n and h[r][c]:
+            if h[r][c] < 0:
+                h[r] = [-x for x in h[r]]
+                u[r] = [-x for x in u[r]]
+            p = h[r][c]
+            for i in range(r):
+                q = h[i][c] // p
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+            pivots.append(c)
+            r += 1
+    return h, u, pivots
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-12, 12), min_size=n, max_size=n), max_size=7),
+            st.integers(0, n),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_row_hnf_transform_equals_the_carried_transform(case):
+    # the transform read off the reduction of [A | I] is the one the old
+    # loop carried; neither changes its input
+    a, ncols = case
+    before = [row[:] for row in a]
+    assert _row_hnf_transform(a, ncols) == reference_row_hnf_transform(a, ncols)
+    assert a == before

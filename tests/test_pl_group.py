@@ -1,13 +1,15 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from fanbranch.cover_poset import identity_cover, wedge_power
-from fanbranch.exact_linalg import RationalMatrix, rref, right_nullspace
+from fanbranch.cover_poset import cover_from_dict, cover_to_dict, identity_cover, wedge_power
+from fanbranch.exact_linalg import RationalMatrix, integer_kernel, rref, right_nullspace
 from fanbranch.fan_core import fan_from_data, load_fan
+from fanbranch.klyachko import branched_cover_of, direct_sum, line_bundle, load_bundle
 from fanbranch.monodromy import (
     assignment_at,
     assignment_for_branch_set,
@@ -18,6 +20,7 @@ from fanbranch.monodromy import (
 from fanbranch.pl_group import (
     PLError,
     PLFunction,
+    _per_cell_rows,
     evaluate,
     group_triviality,
     is_trivial_function,
@@ -202,6 +205,80 @@ def test_bases_and_witnesses_pinned(case):
         ))
     digest = hashlib.sha256("".join(x + "\n" for x in lines).encode()).hexdigest()
     assert digest == BASIS_AND_VERDICT_SHA256[case]
+
+
+def _integral_covers(case):
+    """The covers of one case of `test_integral_basis_equals_per_cell_kernel`."""
+    if case == "fulton-2-all":
+        fan = load_fan("fulton")
+        tree = spanning_tree(fan)
+        return [build_cover(fan, assignment_at(fan, 2, i, tree), tree)
+                for i in range(count_assignments(fan, 2))]
+    if case in ("eikelberg-3-seeded", "sigma_prime-3-seeded"):
+        fan = load_fan(case.split("-")[0])
+        tree = spanning_tree(fan)
+        rng = random.Random(18)
+        return [build_cover(fan, assignment_at(fan, 3, i, tree), tree)
+                for i in rng.sample(range(count_assignments(fan, 3)), 12)]
+    if case == "stellar":
+        return list(stellar_covers())
+    if case == "bundles":
+        rng = random.Random(18)
+        covers = []
+        for name in ("eikelberg", "fulton_rank3"):
+            data, cert = load_bundle(name)
+            covers.append(branched_cover_of(data, cert)[0])
+            for _ in range(2):
+                line, line_cert = line_bundle(data.fan, [rng.randint(-3, 3) for _ in range(3)])
+                covers.append(branched_cover_of(*direct_sum(data, line, cert, line_cert))[0])
+        return covers
+    fan = load_fan("eikelberg")
+    cover = build_cover(fan, assignment_for_branch_set(fan, [0, 5]))
+    return [cover_from_dict(fan, json.loads(json.dumps(cover_to_dict(cover))))]
+
+
+@pytest.mark.parametrize("case", ["fulton-2-all", "eikelberg-3-seeded", "sigma_prime-3-seeded",
+                                  "stellar", "bundles", "read-back"])
+def test_integral_basis_equals_per_cell_kernel(case):
+    # the lifted values-at-rays kernel, saturated, against the integer
+    # kernel of the per-cell incidence system, coordinate for coordinate
+    for cover in _integral_covers(case):
+        got = [
+            tuple(x for m in cover.max_cells for x in f.cell_values[m])
+            + tuple(f.ray_values[r] for r in cover.ray_cells)
+            for f in solve(cover, mode="integral").functions
+        ]
+        assert got == integer_kernel(_per_cell_rows(cover))
+
+
+# sha256 of one JSON line per cover: the integral `solve` basis; pinned
+# before the integral mode moved off the per-cell system.
+INTEGRAL_BASIS_SHA256 = {
+    ("fulton", 2, 1): "b0443a56237cd93686fcdeab69b7eefcd833781bc470bfc9832f08f8fa25aae9",
+    ("eikelberg", 2, 1): "ac70e80edc92dcb7033ec7506acf3aecf97e14fe7e6e74a5c4ee55117aa16a67",
+    ("sigma_prime", 2, 1): "a53a14e9ef64bd27f84eb96747139ac1f7d8cdecf868cd8a1e0785b31ce2784d",
+    ("eikelberg", 3, 97): "ce1bb79835669ebbb739ef027a942fe4a9b1b2f9c29f9ca67e51900650067933",
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(INTEGRAL_BASIS_SHA256), ids=lambda c: f"{c[0]}-{c[1]}-every-{c[2]}"
+)
+def test_integral_bases_pinned(case):
+    name, d, step = case
+    fan = load_fan(name)
+    tree = spanning_tree(fan)
+    lines = []
+    for i in range(0, count_assignments(fan, d), step):
+        cover = build_cover(fan, assignment_at(fan, d, i, tree), tree)
+        basis = solve(cover, mode="integral")
+        lines.append(json.dumps(
+            {"index": i, "basis": [f.to_dict() for f in basis.functions]},
+            sort_keys=True,
+            separators=(",", ":"),
+        ))
+    digest = hashlib.sha256("".join(x + "\n" for x in lines).encode()).hexdigest()
+    assert digest == INTEGRAL_BASIS_SHA256[case]
 
 
 class TestMultisets:

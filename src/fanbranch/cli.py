@@ -177,11 +177,6 @@ def _sweep_meta(fan, d: int, tree) -> dict:
     }
 
 
-def _write_sidecar(cache_path: str, meta: dict) -> None:
-    with open(sidecar_path(cache_path), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, separators=(",", ":")) + "\n")
-
-
 def _check_sidecar(cache_path: str, meta: dict) -> None:
     """Refuse to resume a cache whose sidecar is missing, unreadable, or
     names another sweep, by the first field that differs."""
@@ -308,7 +303,8 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
         if echo:
             echo(f"resuming: {start} records already cached")
     elif cache_path:
-        _write_sidecar(cache_path, _sweep_meta(fan, d, tree))
+        with open(sidecar_path(cache_path), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(_sweep_meta(fan, d, tree), separators=(",", ":")) + "\n")
 
     t0 = time.perf_counter()
     out = open(cache_path, "a") if cache_path else None

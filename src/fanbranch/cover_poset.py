@@ -13,6 +13,7 @@ consumes the poset plus the base fan's geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fan_core import Fan, is_complete
 
@@ -60,7 +61,8 @@ class CoverPoset:
 
     `below[i]` is the frozenset of cell ids strictly below cell i; the order
     is stored fully (transitively closed).  Cells are sorted by
-    (base cone id, copy).
+    (base cone id, copy).  `max_cells`, `ray_cells` and `wall_cells` are
+    computed once and shared by every reader, which must not mutate them.
     """
 
     def __init__(self, fan: Fan, cells, strict_pairs, _closed=False):
@@ -114,15 +116,15 @@ class CoverPoset:
             i for i, c in enumerate(self.cells) if self.fan.cones[c.base].dim == dim
         ]
 
-    @property
+    @cached_property
     def max_cells(self) -> list[int]:
         return self.cells_over_dim(self.fan.rank)
 
-    @property
+    @cached_property
     def ray_cells(self) -> list[int]:
         return self.cells_over_dim(1)
 
-    @property
+    @cached_property
     def wall_cells(self) -> list[int]:
         return self.cells_over_dim(self.fan.rank - 1)
 

@@ -7,11 +7,13 @@ exactly the existence of one well-defined value per ray cell.
 
 The solver therefore runs on the values-at-rays form: one variable per ray
 cell, and one relation row per generating relation among each maximal cell's
-base rays.  Per-cell functionals are recovered from the ray values by exact
-3x3 solves, which is a linear isomorphism between the two solution spaces.
-The integral lattice is read through it too: `solve` saturates the lifted
-kernel, so the per-cell form (`per_cell_system`) is kept only as the
-independent check.
+base rays.  A maximal cell's values at its ray cells fix its functional by
+an exact 3x3 solve, a linear isomorphism between the two solution spaces.
+`_kernel_keys` is the one place that lift is applied, in integers over one
+denominator per fan; both modes of `solve`, the pullbacks, the common
+pattern and the witness read it.  The integral lattice is read through it
+too: `solve` saturates the lifted kernel, so the per-cell form
+(`per_cell_system`) is kept only as the independent check.
 
 Triviality of the whole group is decided on one fraction-free echelon of
 the values-at-rays system: its corank is the group's dimension, and its
@@ -20,7 +22,7 @@ every PL function agrees, in integers.  A sweep record eliminates only the
 system's sum-zero part (`split_triviality`).  Verdicts are proofs.
 A deterministic generic element, which separates exactly the cells that
 some function separates, is built only as the witness of a nontrivial
-verdict, when that witness is read.
+verdict, when that witness is read, and its parameter in integers.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
 
 from .cover_poset import CoverPoset, components
@@ -78,6 +81,35 @@ def _lift_data(fan, max_pos: int):
     return cache[key]
 
 
+def _lift_lcm(fan) -> int:
+    """L, the lcm of every maximal cone's lift denominator, cached per fan."""
+    cache = _fan_cache(fan)
+    if "lift_lcm" not in cache:
+        cache["lift_lcm"] = lcm(*(_lift_data(fan, pos)[2] for pos in range(len(fan.max_cones))))
+    return cache["lift_lcm"]
+
+
+def _kernel_keys(fan, cells, kernel: list[list[int]]) -> list[tuple[int, ...]]:
+    """Per cell of `system_triviality`, in order: L times its lifted
+    functional on every kernel vector, as one integer tuple.  This is the
+    one place that ray-cell values become per-cell functionals."""
+    big = _lift_lcm(fan)
+    keys = []
+    # Tuples are built from lists, at their final length: tuple() of a
+    # generator grows by resizing, and CPython keeps up to 2000 freed tuples
+    # of each length below 21 on a free list that resizing never draws from,
+    # so a long run would hold that many dead keys of each length.
+    for _, pos, _, cell_cols in cells:
+        chosen, scaled, den = _lift_data(fan, pos)
+        cols = [cell_cols[i] for i in chosen]
+        f = big // den
+        keys.append(tuple([
+            f * sum(a * z[c] for a, c in zip(row, cols))
+            for z in kernel for row in scaled
+        ]))
+    return keys
+
+
 def _max_cell_geometry(cover: CoverPoset):
     """Per maximal cell: (cell id, base max-cone position, weight, position
     in `cover.ray_cells` of the ray cell per base ray), the cells that
@@ -90,16 +122,11 @@ def _max_cell_geometry(cover: CoverPoset):
     if cached is not None:
         return cached
     fan = cover.fan
-    max_pos_of_base = {
-        fan.cone_id(c.ray_indices): pos for pos, c in enumerate(fan.max_cones)
-    }
-    ray_of_cell = {}
-    for col, r in enumerate(cover.ray_cells):
-        ray_of_cell[r] = (fan.cones[cover.cells[r].base].ray_indices[0], col)
+    ray_of_cell = {r: (fan.cones[cover.cells[r].base].ray_indices[0], col)
+                   for col, r in enumerate(cover.ray_cells)}
     geo = []
     for m in cover.max_cells:
-        base = cover.cells[m].base
-        pos = max_pos_of_base[base]
+        pos = fan.max_cone_position(cover.cells[m].base)
         cols = {}
         for y in cover.below[m]:
             if y in ray_of_cell:
@@ -344,42 +371,44 @@ def _per_cell_rows(cover: CoverPoset) -> list[list[int]]:
     return rows
 
 
-def _pullback_z(cover: CoverPoset, coordinate: int) -> tuple[int, ...]:
+def _pullback_z(cover: CoverPoset, coordinate: int) -> list[int]:
     fan = cover.fan
-    out = []
-    for r in cover.ray_cells:
-        ray = fan.cones[cover.cells[r].base].ray_indices[0]
-        out.append(fan.rays[ray][coordinate])
-    return tuple(out)
+    return [fan.rays[fan.cones[cover.cells[r].base].ray_indices[0]][coordinate]
+            for r in cover.ray_cells]
 
 
 def _lift_z_to_function(cover: CoverPoset, z) -> PLFunction:
-    """Recover per-cell functionals from consistent ray-cell values."""
-    fan = cover.fan
-    values = {}
-    for m, pos, _, cols in _max_cell_geometry(cover):
-        chosen, scaled, den = _lift_data(fan, pos)
-        rhs = [z[cols[i]] for i in chosen]
-        values[m] = tuple(
-            Fraction(sum(a * b for a, b in zip(row, rhs)), den) for row in scaled
-        )
-    ray_values = {r: Fraction(z[i]) for i, r in enumerate(cover.ray_cells)}
+    """The PL function with ray-cell values z, in `cover.ray_cells` order:
+    each maximal cell's functional is its `_kernel_keys` entry over L."""
+    big = _lift_lcm(cover.fan)
+    geo = _max_cell_geometry(cover)
+    keys = _kernel_keys(cover.fan, geo, [z])
+    values = {m: tuple([Fraction(x, big) for x in key]) for (m, *_), key in zip(geo, keys)}
+    ray_values = {r: Fraction(x) for r, x in zip(cover.ray_cells, z)}
     return PLFunction._exact(cover, values, ray_values)
 
 
 @dataclass
 class PLBasis:
-    """A basis of PL functions; the first `rank` entries are the pullbacks
-    of the ambient coordinate functionals."""
+    """A basis of PL functions.  In `rational` mode the first `rank` entries
+    are the pullbacks of the ambient coordinate functionals; an `integral`
+    basis spans them, and lifts them when `pullbacks` is first read."""
 
     cover: CoverPoset
     functions: list[PLFunction]
-    pullbacks: tuple[PLFunction, ...]
     mode: str
 
     @property
     def dim(self) -> int:
         return len(self.functions)
+
+    @cached_property
+    def pullbacks(self) -> tuple[PLFunction, ...]:
+        rank = self.cover.fan.rank
+        if self.mode == "rational":
+            return tuple(self.functions[:rank])
+        return tuple(_lift_z_to_function(self.cover, _pullback_z(self.cover, j))
+                     for j in range(rank))
 
 
 def _ray_value_kernel(cover: CoverPoset) -> tuple[list[list[int]], list[int]]:
@@ -395,23 +424,15 @@ def _ray_value_kernel(cover: CoverPoset) -> tuple[list[list[int]], list[int]]:
 
 def _lifted_rows(cover: CoverPoset, kernel: list[list[int]]) -> list[list[int]]:
     """Each ray-value vector z of `kernel` in the columns of
-    `per_cell_system`, times L: the lifted functional of every maximal cell
-    in `cover.max_cells` order, then z.  L is the lcm of the cells' lift
-    denominators, so every entry is an integer."""
+    `per_cell_system`, times the fan's L (`_lift_lcm`): the lifted
+    functional of every maximal cell in `cover.max_cells` order, then z.
+    These are the `_kernel_keys` transposed, so every entry is an integer."""
     fan = cover.fan
-    geo = _max_cell_geometry(cover)
-    lifts = [(cols, _lift_data(fan, pos)) for _, pos, _, cols in geo]
-    big = lcm(*(den for _, (_, _, den) in lifts))
-    out = []
-    for z in kernel:
-        row: list[int] = []
-        for cols, (chosen, scaled, den) in lifts:
-            rhs = [z[cols[i]] for i in chosen]
-            f = big // den
-            row += [f * sum(a * b for a, b in zip(r, rhs)) for r in scaled]
-        row += [big * x for x in z]
-        out.append(row)
-    return out
+    big = _lift_lcm(fan)
+    n = fan.rank
+    keys = _kernel_keys(fan, _max_cell_geometry(cover), kernel)
+    return [[x for key in keys for x in key[n * i : n * i + n]] + [big * x for x in z]
+            for i, z in enumerate(kernel)]
 
 
 def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
@@ -436,49 +457,38 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
     columns serve; its other nonzero entries may lie in any u column, so
     the residues run over every column but the free ones.  The row Hermite
     form of a lattice is unique, so the basis is the one that
-    `integer_kernel(per_cell_system(...))` gives.
+    `integer_kernel(per_cell_system(...))` gives.  For the same reason the
+    lifted rows may be scaled by the fan's L, not the cover's: the Q-span
+    is the same, so `_saturate` returns the same bytes.  Each basis
+    function is the lift of its lattice vector's z part.
     """
     fan = cover.fan
     if fan.rank != 3:
         raise PLError("the solver requires a rank-3 base fan")
     if not is_complete(fan):
         raise PLError("the solver requires a complete base fan")
-    n = fan.rank
-    pullback_z = [_pullback_z(cover, j) for j in range(n)]
-    pullbacks = tuple(_lift_z_to_function(cover, z) for z in pullback_z)
     if mode not in ("rational", "integral"):
         raise ValueError(f"unknown mode {mode!r}")
     kernel, free = _ray_value_kernel(cover)
 
     if mode == "rational":
         _check_pullbacks(fan)
-        ordered = pullback_z + kernel
+        n = fan.rank
+        ordered = [_pullback_z(cover, j) for j in range(n)] + kernel
         picked = independent_rows(ordered, len(cover.ray_cells))
         if picked[:n] != list(range(n)):
             raise RuntimeError("pullback functionals are not independent")
-        functions = list(pullbacks)
-        for idx in picked[n:]:
-            functions.append(_lift_z_to_function(cover, ordered[idx]))
-        if len(functions) != len(kernel):
+        if len(picked) != len(kernel):
             raise RuntimeError("basis completion lost dimensions")
-        return PLBasis(cover, functions, pullbacks, "rational")
+        return PLBasis(cover, [_lift_z_to_function(cover, ordered[i]) for i in picked],
+                       "rational")
 
-    maxcells = cover.max_cells
-    zvars = cover.ray_cells
-    zstart = n * len(maxcells)
+    zstart = fan.rank * len(cover.max_cells)
     zfree = [zstart + c for c in free]
-    others = set(range(zstart + len(zvars))).difference(zfree)
+    others = set(range(zstart + len(cover.ray_cells))).difference(zfree)
     lattice = _saturate(_lifted_rows(cover, kernel), zfree, others)
-    functions = []
-    for vec in lattice:
-        values = {
-            m: tuple([Fraction(x) for x in vec[n * i : n * i + n]])
-            for i, m in enumerate(maxcells)
-        }
-        # the incidence rows make each ray-cell coordinate the value there
-        ray_values = {r: Fraction(vec[zstart + i]) for i, r in enumerate(zvars)}
-        functions.append(PLFunction._exact(cover, values, ray_values))
-    return PLBasis(cover, functions, pullbacks, "integral")
+    return PLBasis(cover, [_lift_z_to_function(cover, vec[zstart:]) for vec in lattice],
+                   "integral")
 
 
 def wedge_summands(cover: CoverPoset) -> list[list[int]]:
@@ -508,82 +518,53 @@ class TrivialityVerdict:
 
     @cached_property
     def witness(self) -> PLFunction | None:
-        """The generic element of the basis, which separates every two cells
-        that some PL function separates (see `_generic_parameter`), so it is
-        nontrivial whenever the group is."""
+        """The generic element sum(t^i . b_i) of the basis, which separates
+        every two cells that some PL function separates, so it is nontrivial
+        whenever the group is.  It is lifted from sum(t^i . z_i), z_i the
+        ray-cell values of b_i, and t is read off the cells' `_kernel_keys`
+        on the z_i times their common denominator D: L.D times the
+        functionals, a factor the Cauchy-bound ratios do not see."""
         if self.all_trivial:
             return None
         if self.cover is None:
             raise PLError("the witness of a verdict decided without a cover needs the cover")
-        pl = self.basis if self.basis is not None else solve(self.cover)
-        candidate = _combine(pl.functions, _generic_parameter(pl.functions, self.cover.max_cells))
+        cover = self.cover
+        pl = self.basis if self.basis is not None else solve(cover)
+        zs = [[f.ray_values[r] for r in cover.ray_cells] for f in pl.functions]
+        den = lcm(*(x.denominator for z in zs for x in z))
+        keys = _kernel_keys(cover.fan, _max_cell_geometry(cover),
+                            [[x.numerator * den // x.denominator for x in z] for z in zs])
+        t = _generic_parameter(keys, len(zs))
+        candidate = _lift_z_to_function(
+            cover, [sum(t**i * x for i, x in enumerate(col)) for col in zip(*zs)])
         if is_trivial_function(candidate):
             raise RuntimeError("the generic element of a nontrivial group is trivial")
         return candidate
 
 
-def _generic_parameter(basis: list[PLFunction], maxcells: list[int]) -> int:
-    """Integer t making sum(t^i . basis_i) avoid every avoidable functional
-    coincidence between maximal cells.
+def _generic_parameter(keys: list[tuple[int, ...]], k: int) -> int:
+    """Integer t making sum(t^i . b_i) avoid every avoidable functional
+    coincidence between maximal cells, from each cell's key: its functional
+    on b_0, ..., b_(k-1) in turn, times a positive factor common to all.
 
-    For two cells and a coordinate, sum_i (b_i(c1) - b_i(c2))_j x^i is either
-    zero or has all its roots below its Cauchy bound; t lies above the
-    smallest such bound of each pair, so the element separates two cells
-    exactly when some basis function does.
+    For two cells and a coordinate, the differences s_i make sum_i s_i x^i
+    zero or a polynomial with every root below its Cauchy bound
+    1 + max_(i < top) |s_i| / |s_top|; t exceeds the smallest such bound of
+    each pair, so the element separates two cells exactly when some b_i
+    does.  Floor is monotone, so t = 1 + the maximum over pairs of the
+    minimum over coordinates of 1 + M // lead, in integers.
     """
-    import itertools
-
-    bound = Fraction(1)
-    n_coords = len(next(iter(basis[0].cell_values.values()))) if basis else 0
-    for c1, c2 in itertools.combinations(maxcells, 2):
-        best: Fraction | None = None
-        for j in range(n_coords):
-            seq = [b.cell_values[c1][j] - b.cell_values[c2][j] for b in basis]
-            top = max((i for i, x in enumerate(seq) if x != 0), default=None)
-            if top is None:
-                continue
-            lead = abs(seq[top])
-            cand = Fraction(1) + max(
-                (abs(seq[i]) / lead for i in range(top)), default=Fraction(0)
-            )
-            if best is None or cand < best:
-                best = cand
-        if best is not None and best > bound:
-            bound = best
-    return max(2, int(bound) + 1)
-
-
-def _combine(basis: list[PLFunction], t: int) -> PLFunction:
-    acc = basis[0]
-    scale = 1
-    for b in basis[1:]:
-        scale *= t
-        acc = acc + b.scale(scale)
-    return acc
-
-
-def _kernel_keys(fan, cells, kernel: list[list[int]]) -> list[tuple[int, ...]]:
-    """Per cell of `system_triviality`, in order: L times its lifted
-    functional on every kernel vector, as one integer tuple.  L, the lcm of
-    every maximal cone's lift denominator, is cached per fan."""
-    cache = _fan_cache(fan)
-    if "lift_lcm" not in cache:
-        cache["lift_lcm"] = lcm(*(_lift_data(fan, pos)[2] for pos in range(len(fan.max_cones))))
-    big = cache["lift_lcm"]
-    keys = []
-    # Tuples are built from lists, at their final length: tuple() of a
-    # generator grows by resizing, and CPython keeps up to 2000 freed tuples
-    # of each length below 21 on a free list that resizing never draws from,
-    # so a long run would hold that many dead keys of each length.
-    for _, pos, _, cell_cols in cells:
-        chosen, scaled, den = _lift_data(fan, pos)
-        cols = [cell_cols[i] for i in chosen]
-        f = big // den
-        keys.append(tuple([
-            f * sum(a * z[c] for a, c in zip(row, cols))
-            for z in kernel for row in scaled
-        ]))
-    return keys
+    n = len(keys[0]) // k
+    bound = 1
+    for key1, key2 in combinations(set(keys), 2):
+        diff = [a - b for a, b in zip(key1, key2)]
+        floors = []
+        for seq in (diff[j::n] for j in range(n)):
+            top = max((i for i, x in enumerate(seq) if x), default=None)
+            if top is not None:
+                floors.append(1 + max(map(abs, seq[:top]), default=0) // abs(seq[top]))
+        bound = max(bound, min(floors))
+    return bound + 1
 
 
 def system_triviality(fan, rows: list[list[int]], ncols: int, cells) -> TrivialityVerdict:

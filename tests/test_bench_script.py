@@ -1,12 +1,18 @@
 """The traced-run gate of `scripts/bench.py`: a traced perfbench run counts
 only if its last two lines are strict-JSON facts and a correct result with
-exactly the benchmark's per-layer metrics and no traced function absent."""
+exactly the benchmark's per-layer metrics and no traced function absent.
+The last test checks the absent list ahead of any run: every name that
+`perfbench/tracer.py` traces must exist in the loaded package."""
 
+import importlib
 import importlib.util
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import fanbranch
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
@@ -56,3 +62,20 @@ def test_each_fault_refused(case):
     else:
         text = output(correct=False)
     assert bench.traced_problems(text, PER_LAYER) != []
+
+
+def test_every_traced_name_is_present():
+    """The tracer finds every function that `TRACED` names once all
+    `fanbranch` modules are loaded; a renamed or deleted one would make a
+    traced run report it absent, and the traced-run gate refuse that run."""
+    for info in pkgutil.iter_modules(fanbranch.__path__):
+        importlib.import_module(f"fanbranch.{info.name}")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()

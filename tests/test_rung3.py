@@ -5,8 +5,10 @@ integers from the system's kernel.  The reference below is the path it
 replaced: solve a basis, combine it into a deterministic generic element,
 and test that element's multisets.  Both must give the same tag and pattern
 on every cover past rung 2, and the witness of a nontrivial verdict must be
-the reference's generic element, byte for byte.  The ladder run on the
-system read off the monodromy (`system_triviality` on
+the reference's generic element, byte for byte.  The witness takes its
+parameter from the cells' integer keys; `reference_parameter` and
+`reference_combine` are the `Fraction` routines it replaced.  The ladder
+run on the system read off the monodromy (`system_triviality` on
 `conftest.ray_value_rows`) must agree with the one run on the built cover.
 
 Rung 2 counts the wedge summands, found from the maximal cells' columns in
@@ -15,7 +17,11 @@ reference ranks the columns of each `wedge_summands` piece separately.
 Sweep records eliminate only the sum-zero part of the system.
 """
 
+import random
+from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +30,7 @@ from fanbranch.cli import evaluate_assignment, run_sweep
 from fanbranch.cover_poset import components
 from fanbranch.exact_linalg import _int_echelon, rank_of_int_rows
 from fanbranch.fan_core import load_fan
+from fanbranch.klyachko import branched_cover_of, load_bundle
 from fanbranch.monodromy import (
     assignment_at,
     assignment_for_branch_set,
@@ -36,8 +43,6 @@ from fanbranch.monodromy import (
 )
 from fanbranch.pl_group import (
     PLError,
-    _combine,
-    _generic_parameter,
     group_triviality,
     is_trivial_function,
     ray_value_system,
@@ -49,10 +54,51 @@ from fanbranch.pl_group import (
 from conftest import ray_value_rows
 
 
+def reference_parameter(basis, maxcells) -> int:
+    """The generic element's t, computed from the basis functions' `Fraction`
+    functionals, as the witness did before it read the cells' integer keys:
+    for two cells and a coordinate, sum_i (b_i(c1) - b_i(c2))_j x^i is either
+    zero or has all its roots below its Cauchy bound; t lies above the
+    smallest such bound of each pair."""
+    bound = Fraction(1)
+    n_coords = len(next(iter(basis[0].cell_values.values()))) if basis else 0
+    for c1, c2 in combinations(maxcells, 2):
+        best: Fraction | None = None
+        for j in range(n_coords):
+            seq = [b.cell_values[c1][j] - b.cell_values[c2][j] for b in basis]
+            top = max((i for i, x in enumerate(seq) if x != 0), default=None)
+            if top is None:
+                continue
+            lead = abs(seq[top])
+            cand = Fraction(1) + max(
+                (abs(seq[i]) / lead for i in range(top)), default=Fraction(0)
+            )
+            if best is None or cand < best:
+                best = cand
+        if best is not None and best > bound:
+            bound = best
+    return max(2, int(bound) + 1)
+
+
+def reference_combine(basis, t: int):
+    """sum(t^i . basis_i), by `PLFunction` addition and scaling."""
+    acc = basis[0]
+    scale = 1
+    for b in basis[1:]:
+        scale *= t
+        acc = acc + b.scale(scale)
+    return acc
+
+
+def reference_witness(cover, basis):
+    """The generic element of `basis` on the reference path."""
+    return reference_combine(basis.functions, reference_parameter(basis.functions, cover.max_cells))
+
+
 def reference_rung3(cover, basis):
     """(all trivial, pattern, candidate) from the generic element of `basis`,
     as rung 3 decided before it read the common pattern."""
-    candidate = _combine(basis.functions, _generic_parameter(basis.functions, cover.max_cells))
+    candidate = reference_witness(cover, basis)
     if not is_trivial_function(candidate):
         return False, None, candidate
     groups: dict[tuple, list[int]] = {}
@@ -120,17 +166,18 @@ def test_common_pattern_equals_generic_element(case):
 def test_verdict_builds_no_generic_element_until_the_witness_is_read(monkeypatch):
     fan, _ = _fan("eikelberg")
     calls = []
+    original = pl_group._generic_parameter
 
-    def counted(basis, maxcells):
-        calls.append(len(basis))
-        return _generic_parameter(basis, maxcells)
+    def counted(keys, k):
+        calls.append(k)
+        return original(keys, k)
 
     monkeypatch.setattr(pl_group, "_generic_parameter", counted)
     cover = build_cover(fan, assignment_for_branch_set(fan, [0, 5]))
     v = group_triviality(cover)
     assert v.tag == "nontrivial" and calls == []
     assert not is_trivial_function(v.witness)
-    assert v.witness is v.witness and len(calls) == 1
+    assert v.witness is v.witness and calls == [v.dim]
 
 
 def test_full_eikelberg_degree3_sweep_builds_no_generic_element(monkeypatch):
@@ -138,11 +185,48 @@ def test_full_eikelberg_degree3_sweep_builds_no_generic_element(monkeypatch):
         raise AssertionError("a sweep built a generic element")
 
     monkeypatch.setattr(pl_group, "_generic_parameter", refuse)
-    monkeypatch.setattr(pl_group, "_combine", refuse)
+    monkeypatch.setattr(pl_group, "_lift_z_to_function", refuse)
     fan, _ = _fan("eikelberg")
     summary = run_sweep(fan, 3, jobs=1)
     assert summary.processed == count_assignments(fan, 3)
     assert len(summary.nontrivial) == 648
+
+
+def witness_covers():
+    """Every eikelberg degree-2 cover, 60 seeded eikelberg degree-3 covers
+    and the covers of the bundled rank-3 bundles."""
+    fan, tree = _fan("eikelberg")
+    indices = [(2, i) for i in range(count_assignments(fan, 2))]
+    indices += [(3, i) for i in random.Random(19).sample(range(count_assignments(fan, 3)), 60)]
+    covers = [build_cover(fan, assignment_at(fan, d, i, tree), tree) for d, i in indices]
+    for name in ("eikelberg", "fulton_rank3"):
+        covers.append(branched_cover_of(*load_bundle(name))[0])
+    return covers
+
+
+def test_witness_and_pullbacks_equal_the_reference():
+    """The witness read off the integer keys is the reference generic
+    element, byte for byte, for a supplied rational, integral or fractional
+    basis (each function scaled by its own factor, so the keys' common
+    denominator differs from every function's).  A rational basis is headed
+    by its pullbacks; an integral basis lifts them, the constant e_j."""
+    nontrivial = 0
+    for cover in witness_covers():
+        rational, integral = solve(cover), solve(cover, mode="integral")
+        assert len(rational.pullbacks) == 3
+        assert all(p is f for p, f in zip(rational.pullbacks, rational.functions))
+        for j, p in enumerate(integral.pullbacks):
+            e = tuple(int(i == j) for i in range(3))
+            assert set(p.cell_values) == set(cover.max_cells)
+            assert all(u == e for u in p.cell_values.values())
+        fractional = replace(rational, functions=[
+            f.scale(Fraction(i + 1, i + 2)) for i, f in enumerate(rational.functions)])
+        for basis in (rational, integral, fractional):
+            v = group_triviality(cover, basis)
+            if not v.all_trivial:
+                nontrivial += 1
+                assert v.witness.to_dict() == reference_witness(cover, basis).to_dict()
+    assert nontrivial == 3 * 9
 
 
 def reference_summand_dim(rows, cols):

@@ -91,8 +91,9 @@ def _lift_lcm(fan) -> int:
 
 def _kernel_keys(fan, cells, kernel: list[list[int]]) -> list[tuple[int, ...]]:
     """Per cell of `system_triviality`, in order: L times its lifted
-    functional on every kernel vector, as one integer tuple.  This is the
-    one place that ray-cell values become per-cell functionals."""
+    functional on every vector of ray-cell values in `kernel`, as one tuple,
+    of integers when the vectors are.  This is the one place that ray-cell
+    values become per-cell functionals."""
     big = _lift_lcm(fan)
     keys = []
     # Tuples are built from lists, at their final length: tuple() of a
@@ -457,10 +458,10 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
     columns serve; its other nonzero entries may lie in any u column, so
     the residues run over every column but the free ones.  The row Hermite
     form of a lattice is unique, so the basis is the one that
-    `integer_kernel(per_cell_system(...))` gives.  For the same reason the
-    lifted rows may be scaled by the fan's L, not the cover's: the Q-span
-    is the same, so `_saturate` returns the same bytes.  Each basis
-    function is the lift of its lattice vector's z part.
+    `integer_kernel(per_cell_system(...))` gives.  The lifted rows are
+    scaled by the fan's L, not the cover's.  The Q-span is the same, and
+    the row Hermite form of a lattice is unique, so `_saturate` returns the
+    same bytes.  Each basis function is the lift of its vector's z part.
     """
     fan = cover.fan
     if fan.rank != 3:

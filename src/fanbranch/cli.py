@@ -25,10 +25,9 @@ from .monodromy import (
     class_representatives,
     count_assignments,
     ray_orbits,
-    sheet_components,
     spanning_tree,
 )
-from .pl_group import split_triviality, sum_zero_triviality
+from .pl_group import split_triviality
 
 
 class CacheError(ValueError):
@@ -65,23 +64,14 @@ class SweepRecord:
 
 
 def evaluate_assignment(fan, tree, d: int, index: int) -> SweepRecord:
-    """One sweep record, decided on the sheet-averaging split, with no cover
-    and no row of the whole values-at-rays system built.
-
-    The cells over each ray are read once off the monodromy (`ray_orbits`).
-    The PL group is the base fan's, lifted constant on sheets, plus its
-    sum-zero part (`RayOrbits.sum_zero_columns`).  `sum_zero_triviality`
-    proves a pullbacks-only record on the sum-zero system, about half the
-    size of the whole; `split_triviality` decides any other record on one
-    more elimination of it and a count of the `sheet_components`.
+    """One sweep record, with no cover and no row of the whole values-at-rays
+    system built: the cells over each ray are read once off the monodromy
+    (`ray_orbits`), and `split_triviality` runs the whole ladder on one
+    elimination of the system's sum-zero part, about half its size.
     """
     assignment = assignment_at(fan, d, index, tree)
     orbits = ray_orbits(fan, assignment, tree)
-    columns, nrows = orbits.sum_zero_columns()
-    verdict = sum_zero_triviality(fan, columns, nrows)
-    if verdict is None:
-        verdict = split_triviality(fan, orbits, columns, nrows,
-                                   len(sheet_components(assignment)))
+    verdict = split_triviality(fan, orbits, assignment)
     return SweepRecord(
         index=index,
         branch_rays=orbits.branch_rays,

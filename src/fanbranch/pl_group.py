@@ -18,8 +18,8 @@ too: `solve` saturates the lifted kernel, so the per-cell form
 Triviality of the whole group is decided on one fraction-free echelon of
 the values-at-rays system: its corank is the group's dimension, and its
 kernel gives the common pattern, the partition of maximal cells on which
-every PL function agrees, in integers.  A sweep record eliminates only the
-system's sum-zero part (`split_triviality`).  Verdicts are proofs.
+every PL function agrees, in integers.  A sweep record eliminates its
+sum-zero part once, as columns (`split_triviality`).  Verdicts are proofs.
 A deterministic generic element, which separates exactly the cells that
 some function separates, is built only as the witness of a nontrivial
 verdict, when that witness is read, and its parameter in integers.
@@ -44,6 +44,7 @@ from .exact_linalg import (
     solve_linear,
 )
 from .fan_core import cone_contains_point, is_complete, wall_relation
+from .monodromy import sheet_components
 
 
 class PLError(ValueError):
@@ -378,15 +379,19 @@ def _pullback_z(cover: CoverPoset, coordinate: int) -> list[int]:
             for r in cover.ray_cells]
 
 
+def _function(cover: CoverPoset, functionals, z) -> PLFunction:
+    """The PL function of these `Fraction` functionals, in `cover.max_cells`
+    order, and ray-cell values z, in `cover.ray_cells` order."""
+    return PLFunction._exact(cover, dict(zip(cover.max_cells, functionals)),
+                             {r: Fraction(x) for r, x in zip(cover.ray_cells, z)})
+
+
 def _lift_z_to_function(cover: CoverPoset, z) -> PLFunction:
     """The PL function with ray-cell values z, in `cover.ray_cells` order:
     each maximal cell's functional is its `_kernel_keys` entry over L."""
     big = _lift_lcm(cover.fan)
-    geo = _max_cell_geometry(cover)
-    keys = _kernel_keys(cover.fan, geo, [z])
-    values = {m: tuple([Fraction(x, big) for x in key]) for (m, *_), key in zip(geo, keys)}
-    ray_values = {r: Fraction(x) for r, x in zip(cover.ray_cells, z)}
-    return PLFunction._exact(cover, values, ray_values)
+    keys = _kernel_keys(cover.fan, _max_cell_geometry(cover), [z])
+    return _function(cover, [tuple([Fraction(x, big) for x in key]) for key in keys], z)
 
 
 @dataclass
@@ -456,12 +461,12 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
     `_saturate` computes.  A lifted vector is nonzero at its own free z
     column and zero at the others, like the kernel it lifts, so the free
     columns serve; its other nonzero entries may lie in any u column, so
-    the residues run over every column but the free ones.  The row Hermite
-    form of a lattice is unique, so the basis is the one that
-    `integer_kernel(per_cell_system(...))` gives.  The lifted rows are
-    scaled by the fan's L, not the cover's.  The Q-span is the same, and
-    the row Hermite form of a lattice is unique, so `_saturate` returns the
-    same bytes.  Each basis function is the lift of its vector's z part.
+    the residues run over every column but the free ones.  The lifted rows
+    are scaled by the fan's L, not the cover's, which keeps the Q-span; the
+    row Hermite form of a lattice is unique, so the basis is the one that
+    `integer_kernel(per_cell_system(...))` gives.  Each basis vector is
+    (lift(z), z), so its function is read off it: the u blocks in
+    `cover.max_cells` order, then z.
     """
     fan = cover.fan
     if fan.rank != 3:
@@ -471,10 +476,9 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
     if mode not in ("rational", "integral"):
         raise ValueError(f"unknown mode {mode!r}")
     kernel, free = _ray_value_kernel(cover)
-
+    n = fan.rank
     if mode == "rational":
         _check_pullbacks(fan)
-        n = fan.rank
         ordered = [_pullback_z(cover, j) for j in range(n)] + kernel
         picked = independent_rows(ordered, len(cover.ray_cells))
         if picked[:n] != list(range(n)):
@@ -484,12 +488,13 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
         return PLBasis(cover, [_lift_z_to_function(cover, ordered[i]) for i in picked],
                        "rational")
 
-    zstart = fan.rank * len(cover.max_cells)
+    zstart = n * len(cover.max_cells)
     zfree = [zstart + c for c in free]
     others = set(range(zstart + len(cover.ray_cells))).difference(zfree)
     lattice = _saturate(_lifted_rows(cover, kernel), zfree, others)
-    return PLBasis(cover, [_lift_z_to_function(cover, vec[zstart:]) for vec in lattice],
-                   "integral")
+    return PLBasis(cover, [_function(cover, [tuple(map(Fraction, vec[i:i + n]))
+                                             for i in range(0, zstart, n)], vec[zstart:])
+                           for vec in lattice], "integral")
 
 
 def wedge_summands(cover: CoverPoset) -> list[list[int]]:
@@ -630,51 +635,37 @@ def _pattern_verdict(fan, cells, kernel: list[list[int]], d: int) -> TrivialityV
     return TrivialityVerdict(True, "matched-pattern", pattern, d)
 
 
-def sum_zero_triviality(fan, columns: list[list[int]], nrows: int) -> TrivialityVerdict | None:
-    """The pullbacks-only verdict where the sum-zero part of a cover's
-    values-at-rays system proves it, and None where it does not.  The
-    system is given by its `columns`, vectors of length `nrows`, as
-    `monodromy.RayOrbits.sum_zero_columns` gives them, and left unchanged.
+def split_triviality(fan, orbits, assignment) -> TrivialityVerdict:
+    """`system_triviality`'s ladder and verdict for the assignment's cover,
+    on the sheet-averaging split (`RayOrbits.sum_zero_columns`) and with no
+    cover: one elimination of the sum-zero system M, as columns, gives d,
+    `base_dimension(fan)` plus M's corank.  Rung 2's wedge summands are the
+    orbits of the assignment's group (`monodromy.sheet_components`); each
+    covers the whole fan, so it carries its own 3 pullbacks, and the group
+    is their direct sum.  Rung 3 keys the cells on M's kernel and the base
+    kernel, lifted by `RayOrbits.lift`, which span the group; at base
+    dimension 3 the base kernel is the pullbacks, which may be left out.
 
-    The PL group's dimension is `base_dimension(fan)` plus the system's
-    corank, the number of columns less its rank (see
-    `RayOrbits.sum_zero_columns`).  The group contains the pullbacks
-    (`_check_pullbacks`), so it is theirs alone exactly when the base
-    fan's dimension is 3 and the columns are independent.  More columns
-    than rows never are, so then nothing is eliminated.
+    M's kernel is read off M_P, the r rows of M at the pivots P of the
+    column elimination.  M_P has rank r, because the echelon of M's columns
+    has its pivots at P (row operations keep the relations among the
+    columns of its input, which are M's rows).  The rows of M_P are rows of
+    M, so M_P has the same row space as M.  So it has the same pivot columns
+    and the same `_echelon_kernel`, byte for byte, which the row space fixes.
     """
     _check_pullbacks(fan)
-    if base_dimension(fan) != 3 or len(columns) > nrows:
-        return None
-    if len(_int_echelon(columns[:], nrows)[1]) < len(columns):
-        return None
-    return TrivialityVerdict(True, "pullbacks-only", None, 3)
-
-
-def split_triviality(fan, orbits, columns: list[list[int]], nrows: int,
-                     summands: int) -> TrivialityVerdict:
-    """`system_triviality`'s verdict on a monodromy cover's whole system,
-    for a record that `sum_zero_triviality` did not settle, decided on the
-    sheet-averaging split (`RayOrbits.sum_zero_columns`).  `columns` and
-    `nrows` are the sum-zero system of `orbits`, eliminated once as rows,
-    and `summands` counts the assignment's `monodromy.sheet_components`.
-
-    d is `base_dimension(fan)` plus the corank, and d > 3 since rung 1
-    failed.  Rung 2 is a count: the wedge summands are the orbits of the
-    group the assignment generates (a wall cell joins the sheets its
-    crossing matches).  Each covers the whole fan, so it carries its own 3
-    pullbacks, and the group is their direct sum: all have dimension 3
-    exactly when k > 1 and d = 3k.  Rung 3 keys the cells on the sum-zero
-    kernel and the base kernel, lifted by `RayOrbits.lift`, which together
-    span the group.  At base dimension 3 the base kernel is the pullbacks,
-    which `_pattern_verdict` may leave out.
-    """
-    ech, pivots = _int_echelon([list(row) for row in zip(*columns)], len(columns))
-    d = base_dimension(fan) + len(columns) - len(pivots)
-    if summands > 1 and d == 3 * summands:
+    columns, nrows = orbits.sum_zero_columns()
+    pivots = _int_echelon(columns[:], nrows)[1]
+    ncols = len(columns)
+    d = base_dimension(fan) + ncols - len(pivots)
+    if d == 3:
+        return TrivialityVerdict(True, "pullbacks-only", None, d)
+    k = len(sheet_components(assignment))
+    if k > 1 and d == 3 * k:
         return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
+    rows = [[col[p] for col in columns] for p in pivots]
     base = _base_kernel(fan) if base_dimension(fan) > 3 else ()
-    kernel = orbits.lift(_echelon_kernel(ech, pivots, len(columns)), base)
+    kernel = orbits.lift(_echelon_kernel(*_int_echelon(rows, ncols), ncols), base)
     return _pattern_verdict(fan, orbits.cells(), kernel, d)
 
 

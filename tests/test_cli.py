@@ -233,6 +233,12 @@ def test_solve_input_refused_in_one_line(runner, tmp_path, args, perms, message)
          "invalid monodromy in cover.json: a monodromy is an object with 'degree' and 'perms'"),
         ('{"fan": "fulton", "monodromy": {"perms": [[1, 0]]}}',
          "invalid monodromy in cover.json: a monodromy is an object with 'degree' and 'perms'"),
+        ('{"fan": "fulton", "monodromy": {"degree": 2.0, "perms": %s}}' % json.dumps([[0, 1]] * 7),
+         "invalid monodromy in cover.json: a monodromy is an object with 'degree' and 'perms'"),
+        ('{"fan": "fulton", "monodromy": {"degree": 2, "perms": %s}}' % json.dumps([[0.0, 1]] * 7),
+         "invalid monodromy in cover.json: a monodromy is an object with 'degree' and 'perms'"),
+        ('{"fan": "fulton", "monodromy": {"degree": true, "perms": %s}}' % json.dumps([[0]] * 7),
+         "invalid monodromy in cover.json: a monodromy is an object with 'degree' and 'perms'"),
         ('{"fan": "fulton", "cells": [{"base": 0, "weight": 1}]}',
          "invalid cover in cover.json: a cover needs 'cells', each an object with 'base', 'copy'"),
         ('{"fan": "fulton", "cells": [{"base": 999, "copy": 0, "weight": 1}]}',
@@ -244,7 +250,7 @@ def test_solve_input_refused_in_one_line(runner, tmp_path, args, perms, message)
         ("not json {", "cover.json is not JSON: Expecting value: line 1 column 1"),
         ("[1, 2]", "cover.json does not hold a JSON object"),
     ],
-    ids=["no-perms", "no-degree", "no-copy", "base-out-of-range", "face-out-of-range",
+    ids=["no-perms", "no-degree", "float-degree", "float-image", "bool-degree", "no-copy", "base-out-of-range", "face-out-of-range",
          "face-not-a-pair", "not-json", "not-an-object"],
 )
 def test_malformed_cover_file_refused_in_one_line(runner, tmp_path, monkeypatch,

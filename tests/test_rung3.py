@@ -14,7 +14,8 @@ run on the system read off the monodromy (`system_triviality` on
 Rung 2 counts the wedge summands, found from the maximal cells' columns in
 `system_triviality` and as `sheet_components` in a sweep record; the
 reference ranks the columns of each `wedge_summands` piece separately.
-Sweep records eliminate only the sum-zero part of the system.
+Sweep records eliminate the sum-zero part of the system once, as columns,
+and on rung 3 the rows at its pivots; never the whole system.
 """
 
 import random
@@ -299,16 +300,30 @@ SWEEP_RECORDS = {
 }
 
 
+# the tags whose records read the sum-zero kernel (rung 3)
+PATTERN_TAGS = ("matched-pattern", "nontrivial")
+
+
+def sweep_record_shapes(fan, tree, d, index, tag):
+    """The (rows, columns) of each `_int_echelon` call of a sweep record: the
+    sum-zero system M once, as its columns, then on rung 3 only, the rank
+    many rows of M at that elimination's pivots."""
+    columns, nrows = ray_orbits(fan, assignment_at(fan, d, index, tree), tree).sum_zero_columns()
+    rank = rank_of_int_rows(columns, nrows)
+    return [(len(columns), nrows)] + ([(rank, len(columns))] if tag in PATTERN_TAGS else [])
+
+
 @pytest.mark.parametrize("tag", sorted(SWEEP_RECORDS))
 def test_sweep_record_eliminates_once_and_builds_no_cover(tag, monkeypatch):
     fan, tree = _fan("eikelberg")
     index = SWEEP_RECORDS[tag]
     # the first call fills the per-fan caches (pullback check, lift data)
     assert evaluate_assignment(fan, tree, 3, index).cert == tag
+    expected = sweep_record_shapes(fan, tree, 3, index, tag)
     calls = []
 
     def counted(rows, ncols):
-        calls.append(ncols)
+        calls.append((len(rows), ncols))
         return _int_echelon(rows, ncols)
 
     def refuse(*args, **kwargs):
@@ -323,22 +338,21 @@ def test_sweep_record_eliminates_once_and_builds_no_cover(tag, monkeypatch):
         monkeypatch.setattr(module, "ray_value_system", refuse, raising=False)
         monkeypatch.setattr(module, "group_triviality", refuse, raising=False)
     rec = evaluate_assignment(fan, tree, 3, index)
-    assert rec.cert == tag and len(calls) == 1
+    assert rec.cert == tag and calls == expected
 
 
 def test_sweep_record_eliminates_only_the_sum_zero_system(monkeypatch):
     """On `sigma_prime` degree-3 records of dimension above 3, no record
     builds or eliminates the whole values-at-rays system: its `_int_echelon`
-    calls are the sum-zero system's, as columns where they are no more than
-    the rows (rung 1), then as rows."""
+    calls are the sum-zero system's, once as columns, then the rows at that
+    elimination's pivots where rung 3 decides (tags from the whole system)."""
     fan, tree = _fan("sigma_prime")
     expected = {}
     for i in high_dim_indices("sigma_prime", 3, 97):
-        a = assignment_at(fan, 3, i, tree)
-        columns, nrows = ray_orbits(fan, a, tree).sum_zero_columns()
-        whole = ray_value_rows(fan, a, tree)
-        rung1 = [(len(columns), nrows)] if len(columns) <= nrows else []
-        expected[i] = (rung1 + [(nrows, len(columns))], (len(whole.rows), whole.ncols))
+        whole = ray_value_rows(fan, assignment_at(fan, 3, i, tree), tree)
+        shape = (len(whole.rows), whole.ncols)
+        tag = system_triviality(fan, whole.rows, whole.ncols, whole.cells).tag
+        expected[i] = (sweep_record_shapes(fan, tree, 3, i, tag), shape)
     calls = []
 
     def counted(rows, ncols):
@@ -355,13 +369,13 @@ def test_sweep_record_eliminates_only_the_sum_zero_system(monkeypatch):
     for module in (pl_group, cli):
         for name in ("ray_value_system", "group_triviality", "system_triviality"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    both = 0
+    pattern = 0
     for i, (shapes, whole) in expected.items():
         calls.clear()
         assert evaluate_assignment(fan, tree, 3, i).dim_pl > 3
         assert calls == shapes and whole not in calls, i
-        both += len(shapes) == 2
-    assert (len(expected), both) == (146, 145)
+        pattern += len(shapes) == 2
+    assert (len(expected), pattern) == (146, 144)
 
 
 def test_witness_of_a_verdict_without_a_cover_refused():

@@ -1,19 +1,20 @@
 """The sheet-averaging split of the sweep's record path against the whole
 system.
 
-`evaluate_assignment` settles a record as pullbacks-only when
-`pl_group.sum_zero_triviality` proves it on the sum-zero part of the
-values-at-rays system (`RayOrbits.sum_zero_columns`), and decides any other
-record with `pl_group.split_triviality` on the same part: the wedge rung by
-counting `sheet_components`, the pattern rung on the lifted sum-zero kernel,
-plus the lifted base kernel where the base dimension exceeds 3.  By the
-averaging argument at `RayOrbits.sum_zero_columns`, the PL group's dimension
-is `base_dimension` plus that part's corank.
+`evaluate_assignment` decides every record with `pl_group.split_triviality`
+on the sum-zero part of the values-at-rays system
+(`RayOrbits.sum_zero_columns`): the pullbacks-only rung on its rank, the
+wedge rung by counting `sheet_components`, the pattern rung on the lifted
+sum-zero kernel, plus the lifted base kernel where the base dimension
+exceeds 3.  By the averaging argument at `RayOrbits.sum_zero_columns`, the
+PL group's dimension is `base_dimension` plus that part's corank.
 
 These tests build the whole system (`conftest.value_system`) and check, on
-every index, the identity against `system_triviality(...).dim`, that the
-rung fires exactly when that dimension is 3, and that the split's verdict
-equals `system_triviality`'s: the verdict, tag, dimension and pattern.
+every index, the identity against `system_triviality(...).dim`, and that the
+split's verdict equals `system_triviality`'s: the verdict, tag, dimension
+and pattern.  The split reads the sum-zero kernel off the rows at the pivots
+of its column elimination; that kernel must equal `_echelon_kernel` of the
+whole sum-zero system in row form, byte for byte.
 They run on every class of `fulton` degree 2 and `eikelberg` degree 3, on
 seeded samples of the classes of `fulton` and `sigma_prime` degree 3 and
 the 2 nontrivial classes of `fulton` degree 3, and on seeded covers of
@@ -30,8 +31,9 @@ from functools import lru_cache
 
 import pytest
 
+from fanbranch import pl_group
 from fanbranch.cli import evaluate_assignment
-from fanbranch.exact_linalg import rank_of_int_rows
+from fanbranch.exact_linalg import _echelon_kernel, _int_echelon, rank_of_int_rows
 from fanbranch.fan_core import load_fan, stellar_subdivision
 from fanbranch.monodromy import (
     assignment_at,
@@ -40,7 +42,6 @@ from fanbranch.monodromy import (
     class_representatives,
     count_assignments,
     ray_orbits,
-    sheet_components,
     spanning_tree,
 )
 from fanbranch.pl_group import (
@@ -48,7 +49,6 @@ from fanbranch.pl_group import (
     base_dimension,
     ray_value_system,
     split_triviality,
-    sum_zero_triviality,
     system_triviality,
 )
 
@@ -61,29 +61,36 @@ FULTON_DEG3_NONTRIVIAL = (10649, 11539)
 
 
 def check_records(fan, tree, d: int, indices, tags: Counter | None = None) -> int:
-    """Assert the identity, the firing rule and the split's verdict on each
-    index; returns how often the rung fired, and counts the whole system's
-    tags in `tags`."""
+    """Assert the identity, the split's verdict and its sum-zero kernel on
+    each index; returns how often the pullbacks-only rung decided, and
+    counts the whole system's tags in `tags`."""
     fired = 0
     for index in indices:
         a = assignment_at(fan, d, index, tree)
         orbits = ray_orbits(fan, a, tree)
         columns, nrows = orbits.sum_zero_columns()
-        corank = len(columns) - rank_of_int_rows(columns, nrows)
+        ncols = len(columns)
+        corank = ncols - rank_of_int_rows(columns, nrows)
         system = value_system(fan, orbits)
         full = system_triviality(fan, system.rows, system.ncols, system.cells)
         assert base_dimension(fan) + corank == full.dim, index
-        rung = sum_zero_triviality(fan, columns, nrows)
-        assert (rung is not None) == (full.dim == 3), index
-        if rung is not None:
-            assert rung == full
-            fired += 1
-        else:
+        row_form = _echelon_kernel(*_int_echelon([list(r) for r in zip(*columns)], ncols), ncols)
+        kernels = []
+
+        def recorded(*args):
+            kernels.append(_echelon_kernel(*args))
+            return kernels[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl_group, "_echelon_kernel", recorded)
             # verdict, tag, dim and pattern, with row block labels
-            split = split_triviality(fan, orbits, columns, nrows, len(sheet_components(a)))
-            assert split == full, index
-            record = evaluate_assignment(fan, tree, d, index)
-            assert (record.dim_pl, record.cert) == (full.dim, full.tag), index
+            split = split_triviality(fan, orbits, a)
+        assert split == full, index
+        rung3 = split.tag in ("matched-pattern", "nontrivial")
+        assert kernels == ([row_form] if rung3 else []), index
+        fired += split.tag == "pullbacks-only"
+        record = evaluate_assignment(fan, tree, d, index)
+        assert (record.dim_pl, record.cert) == (full.dim, full.tag), index
         assert orbits.branch_rays == branch_rays(fan, a, tree), index
         if tags is not None:
             tags[full.tag] += 1
@@ -97,7 +104,7 @@ def classes(name: str, d: int) -> tuple:
     return fan, tree, tuple(sorted(set(class_representatives(d, tree.generators))))
 
 
-# the tags past the sum-zero rung, on every class
+# the tags past the pullbacks-only rung, on every class
 SPLIT_TAGS = {
     "fulton": {"matched-pattern": 15, "wedge-of-pullbacks": 1},
     "eikelberg": {"matched-pattern": 201, "nontrivial": 115, "wedge-of-pullbacks": 17},

@@ -5,6 +5,13 @@ piecewise-linear sweeps with a resumable line-delimited cache (run by the
 engine in `fanbranch.cli`), single-cover solving, bundle operations, and a
 reproduction harness that diffs known computations against expected values
 shipped with the package.
+
+Errors have one boundary, `main`'s `invoke`: a `FanError`, `CoverError`,
+`KlyachkoError`, `PLError` or `CacheError`, whose message is whole (the
+loaders name the file and the field), becomes one `Error: <message>` line
+on stderr with exit status 1.  Everything else passes through unchanged: a
+`RuntimeError` from a broken invariant, `--expect-trivial`'s exit 2 and
+click's usage errors.  A command catches an error only to add context.
 """
 
 from __future__ import annotations
@@ -19,10 +26,11 @@ from .cli import CacheError, branch_census, run_sweep
 from .cover_poset import CoverError, cover_from_dict, degree as cover_degree, validate_cover
 from .exact_linalg import rank_of_int_rows
 from .fan_core import (
-    BUNDLED_FANS,
     FanError,
+    fan_to_dict,
     is_complete,
     load_fan,
+    read_json,
     wall_relation,
 )
 from .klyachko import (
@@ -42,25 +50,13 @@ from .monodromy import (
     spanning_tree,
 )
 from .pl_group import (
+    PLError,
     group_triviality,
     is_trivial_function,
     multisets,
     ray_value_system,
     solve,
 )
-
-
-def _resolve_fan(source: str):
-    try:
-        return load_fan(source)
-    except FileNotFoundError:
-        raise click.ClickException(
-            f"no such fan: {source!r} (bundled fans: {', '.join(BUNDLED_FANS)})"
-        )
-    except OSError as exc:
-        raise click.ClickException(f"cannot read fan {source!r}: {exc.strerror or exc}")
-    except FanError as exc:
-        raise click.ClickException(f"invalid fan: {exc}")
 
 
 def _default_jobs() -> int:
@@ -77,7 +73,15 @@ def _default_jobs() -> int:
 # ---------------------------------------------------------------------------
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (FanError, CoverError, KlyachkoError, PLError, CacheError) as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Branched covers of complete fans and their piecewise-linear functions."""
 
@@ -91,7 +95,7 @@ def fan():
 @click.argument("source")
 def fan_validate(source):
     """Load and validate a fan; report rays, cones, walls, completeness."""
-    f = _resolve_fan(source)
+    f = load_fan(source)
     if f.rank > 3:
         status = "valid, completeness not decided above rank 3"
     else:
@@ -114,12 +118,8 @@ def covers():
 @click.option("--branch-report", is_flag=True, help="tabulate degree-2 branch sets")
 def covers_enumerate(source, degree, classes, branch_report):
     """Count the monodromy assignments of the given degree."""
-    f = _resolve_fan(source)
-    try:
-        total = count_assignments(f, degree)
-    except FanError as exc:
-        raise click.ClickException(f"{source!r} has no monodromy covers: {exc}")
-    click.echo(f"assignments: {total}")
+    f = load_fan(source)
+    click.echo(f"assignments: {count_assignments(f, degree)}")
     if classes:
         reps = class_representatives(degree, spanning_tree(f).generators)
         click.echo(f"conjugacy classes: {sum(r == i for i, r in enumerate(reps))}")
@@ -154,15 +154,9 @@ def pl():
               help="exit with status 2 if any nontrivial verdict appears")
 def pl_sweep(source, degree, jobs, cache, resume, expect_trivial):
     """Solve and classify every degree-d cover of the fan."""
-    f = _resolve_fan(source)
+    f = load_fan(source)
     jobs = jobs or _default_jobs()
-    try:
-        summary = run_sweep(f, degree, jobs=jobs, cache_path=cache, resume=resume,
-                            echo=click.echo)
-    except CacheError as exc:
-        raise click.ClickException(str(exc))
-    except FanError as exc:
-        raise click.ClickException(f"{source!r} has no monodromy covers: {exc}")
+    summary = run_sweep(f, degree, jobs=jobs, cache_path=cache, resume=resume, echo=click.echo)
     click.echo(summary.describe())
     if expect_trivial and summary.nontrivial:
         sys.exit(2)
@@ -175,7 +169,7 @@ def pl_sweep(source, degree, jobs, cache, resume, expect_trivial):
               help="degree-2 shortcut: comma-separated ray indices (may be empty)")
 def pl_solve(source, cover_file, branch):
     """Report dimension, basis, and triviality verdict for one cover."""
-    f = _resolve_fan(source)
+    f = load_fan(source)
     if (cover_file is None) == (branch is None):
         raise click.ClickException("pass exactly one of --cover or --branch-rays")
     if branch is not None:
@@ -190,25 +184,21 @@ def pl_solve(source, cover_file, branch):
         except ValueError as exc:
             raise click.ClickException(f"branch rays {rays}: {exc}")
     else:
+        data = read_json(cover_file, "cover", CoverError)
+        if "monodromy" in data and "cells" in data:
+            raise click.ClickException(f"{cover_file} holds both 'cells' and 'monodromy'")
+        named = data.get("fan", source)  # "inline": `cover_to_dict` of an unnamed fan
+        if named not in (source, "inline") and (
+                not isinstance(named, str)
+                or fan_to_dict(load_fan(named, beside=cover_file)) != fan_to_dict(f)):
+            raise click.ClickException(f"{cover_file} is a cover of {named!r}, not of {source!r}")
+        kind = "monodromy" if "monodromy" in data else "cover"
         try:
-            with open(cover_file, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise click.ClickException(f"{cover_file} is not JSON: {exc}")
-        except OSError as exc:
-            raise click.ClickException(f"cannot read cover {cover_file!r}: {exc.strerror or exc}")
-        if not isinstance(data, dict):
-            raise click.ClickException(f"{cover_file} does not hold a JSON object")
-        if "monodromy" in data:
-            try:
-                cover = build_cover(f, MonodromyAssignment.from_dict(data["monodromy"]))
-            except ValueError as exc:
-                raise click.ClickException(f"invalid monodromy in {cover_file}: {exc}")
-        else:
-            try:
-                cover = cover_from_dict(f, data)
-            except CoverError as exc:
-                raise click.ClickException(f"invalid cover in {cover_file}: {exc}")
+            cover = (build_cover(f, MonodromyAssignment.from_dict(data["monodromy"]))
+                     if kind == "monodromy" else cover_from_dict(f, data))
+        except ValueError as exc:
+            raise click.ClickException(f"invalid {kind} in {cover_file}: {exc}")
+        if kind == "cover":
             report = validate_cover(cover)
             if not report.ok:
                 raise click.ClickException(f"cover invalid: {report.describe()}")
@@ -238,27 +228,11 @@ def bundle():
     """Filtration-data operations."""
 
 
-def _load_bundle_arg(source):
-    try:
-        return load_bundle(source)
-    except OSError as exc:
-        # the bundle file itself, or the fan file that it names
-        path = source if exc.filename is None else exc.filename
-        kind = "bundle" if path == source else "fan"
-        if isinstance(exc, FileNotFoundError):
-            raise click.ClickException(f"no such {kind}: {path!r}")
-        raise click.ClickException(f"cannot read {kind} {path!r}: {exc.strerror or exc}")
-    except KlyachkoError as exc:
-        raise click.ClickException(f"invalid bundle: {exc}")
-    except FanError as exc:
-        raise click.ClickException(f"invalid fan in bundle {source!r}: {exc}")
-
-
 @bundle.command("verify")
 @click.argument("source")
 def bundle_verify(source):
     """Check the compatibility of filtration data with its splittings."""
-    data, cert = _load_bundle_arg(source)
+    data, cert = load_bundle(source)
     if cert is None:
         screen = necessary_dimension_check(data)
         click.echo(f"no splittings given; dimension screen: {screen.status} ({screen.note})")
@@ -275,7 +249,7 @@ def bundle_verify(source):
 @click.argument("source")
 def bundle_chern(source):
     """Print the per-cone functional multisets and triviality."""
-    data, cert = _load_bundle_arg(source)
+    data, cert = load_bundle(source)
     if cert is None:
         raise click.ClickException("chern data needs splittings in the bundle file")
     cd = chern(data, cert)
@@ -289,21 +263,20 @@ def bundle_chern(source):
 @click.argument("source")
 def bundle_cover(source):
     """Build the associated branched cover and its function."""
-    data, cert = _load_bundle_arg(source)
+    data, cert = load_bundle(source)
     if cert is None:
         raise click.ClickException("the cover needs splittings in the bundle file")
     cover, psi = branched_cover_of(data, cert)
-    f = data.fan
-    branch = sorted(
-        f.cones[cover.cells[i].base].ray_indices[0]
-        for i in cover.ray_cells
-        if cover.cells[i].weight > 1
-    )
     click.echo(
         f"degree {cover_degree(cover)} cover, {len(cover.cells)} cells, "
-        f"branched over rays {branch}"
+        f"branched over rays {_branch_rays(cover)}"
     )
     click.echo(f"function trivial: {is_trivial_function(psi)}")
+
+
+def _branch_rays(cover) -> list[int]:
+    return sorted(cover.fan.cones[cover.cells[i].base].ray_indices[0]
+                  for i in cover.ray_cells if cover.cells[i].weight > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +310,7 @@ def _reproduce_eikelberg(diff: _Diff):
     data, cert = load_bundle("eikelberg")
     diff.check("bundle verifies", expected["bundle_verifies"], bool(verify(data, cert)))
     cover, psi = branched_cover_of(data, cert)
-    branch = sorted(
-        f.cones[cover.cells[i].base].ray_indices[0]
-        for i in cover.ray_cells
-        if cover.cells[i].weight > 1
-    )
+    branch = _branch_rays(cover)
     diff.check("branch rays", expected["branch_rays"], branch)
     diff.check("psi nontrivial", expected["psi_nontrivial"], not is_trivial_function(psi))
     mono_cover = build_cover(f, assignment_for_branch_set(f, branch))

@@ -137,14 +137,12 @@ def _transitive_closure(below: list[set]) -> list[set]:
     memo: dict[int, set] = {}
 
     def down(i):
-        if i in memo:
-            return memo[i]
-        acc = set()
-        for j in below[i]:
-            acc.add(j)
-            acc |= down(j)
-        memo[i] = acc
-        return acc
+        if i not in memo:
+            memo[i] = None  # in progress: reaching i again closes a cycle
+            memo[i] = set(below[i]).union(*map(down, below[i]))
+        if memo[i] is None:
+            raise CoverError("the faces form a cycle")
+        return memo[i]
 
     return [down(i) for i in range(n)]
 
@@ -509,11 +507,12 @@ def cover_to_dict(cover: CoverPoset) -> dict:
 
 def cover_from_dict(fan: Fan, data: dict) -> CoverPoset:
     try:
-        cells = [
-            CoverCell(d["base"], d["copy"], d["weight"]) for d in data["cells"]
-        ]
+        cells = [CoverCell(d["base"], d["copy"], d["weight"]) for d in data["cells"]]
+        if any(type(x) is not int for c in cells for x in (c.base, c.copy, c.weight)):
+            raise TypeError
     except (KeyError, TypeError):
-        raise CoverError("a cover needs 'cells', each an object with 'base', 'copy' and 'weight'")
+        raise CoverError("a cover needs 'cells', each an object with 'base', 'copy' and "
+                         "'weight' integers")
     bad = [c.base for c in cells if c.base not in range(len(fan.cones))]
     if bad:
         raise CoverError(f"cell base {bad[0]!r} is not a cone id of the fan")

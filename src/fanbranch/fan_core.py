@@ -20,6 +20,7 @@ and re-checked by sign evaluation on the integer vector.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -675,16 +676,36 @@ def fan_from_dict(data: dict, name=None) -> Fan:
 BUNDLED_FANS = ("fulton", "eikelberg", "sigma_prime", "p2")
 
 
-def load_fan(source) -> Fan:
-    """Load a fan from a bundled name ('fulton', ...) or a JSON file path."""
+def read_json(path, kind: str, error: type[ValueError]) -> dict:
+    """The JSON object in the `kind` file at `path`.  A file that is missing,
+    cannot be read, is not UTF-8 JSON or does not hold a JSON object raises
+    `error`, the kind's own class, with a whole one-line message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise error(f"no such {kind}: {str(path)!r}") from None
+    except OSError as exc:
+        raise error(f"cannot read {kind} {str(path)!r}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise error(f"invalid {kind}: {path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise error(f"invalid {kind}: {path} does not hold a JSON object")
+    return data
+
+
+def load_fan(source, beside=None) -> Fan:
+    """Load a fan from a bundled name ('fulton', ...) or a JSON file path;
+    a relative path named in the file `beside` is taken relative to the
+    directory of that file."""
     if source in BUNDLED_FANS:
         from importlib.resources import files
 
         text = files("fanbranch.data").joinpath(f"{source}.fan.json").read_text()
         return fan_from_dict(json.loads(text), name=source)
-    with open(source) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise FanError(f"{source} is not JSON: {exc}") from None
-    return fan_from_dict(data, name=str(source))
+    path = os.path.join(os.path.dirname(beside), source) if beside else source
+    data = read_json(path, "fan", FanError)
+    try:
+        return fan_from_dict(data, name=str(path))
+    except FanError as exc:
+        raise FanError(f"invalid fan: {exc}") from None

@@ -16,10 +16,9 @@ data.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib.resources import files
 from itertools import combinations_with_replacement, product
 from math import lcm
 
@@ -34,7 +33,7 @@ from .exact_linalg import (
     rank_of_int_rows,
     subspace_sum,
 )
-from .fan_core import Fan, cone_contains_point
+from .fan_core import Fan, cone_contains_point, load_fan, read_json
 from .pl_group import PLFunction
 
 
@@ -482,6 +481,13 @@ def _restriction_multiset(fan: Fan, pos: int, entries, cone_id: int):
     return tuple(sorted(acc.items()))
 
 
+def _lattice_point(pos: int, u) -> tuple[int, ...]:
+    point = tuple(int(x) for x in u)
+    if point != tuple(u):
+        raise KlyachkoError(f"cone {pos} has a non-integral functional ({', '.join(map(str, u))})")
+    return point
+
+
 class ChernData:
     """Per maximal cone, the multiset of functionals with multiplicities.
 
@@ -492,7 +498,7 @@ class ChernData:
     def __init__(self, fan: Fan, multisets: dict):
         self.fan = fan
         self.multisets = {
-            pos: tuple(sorted((tuple(int(x) for x in u), int(m)) for u, m in ms))
+            pos: tuple(sorted((_lattice_point(pos, u), int(m)) for u, m in ms))
             for pos, ms in multisets.items()
         }
         if set(self.multisets) != set(range(len(fan.max_cones))):
@@ -737,10 +743,6 @@ def _encode_fraction(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _decode_fraction(x) -> Fraction:
-    return Fraction(str(x))
-
-
 def bundle_to_dict(data: KlyachkoData, cert: SplittingCertificate | None = None) -> dict:
     out = {
         "fan": data.fan.name or "inline",
@@ -770,36 +772,54 @@ def bundle_to_dict(data: KlyachkoData, cert: SplittingCertificate | None = None)
     return out
 
 
+def _rational(x):
+    if type(x) is int or isinstance(x, str) and x.lstrip("-").replace("/", "", 1).isdecimal():
+        return Fraction(x)  # an exact int or "p/q"; ZeroDivisionError for "p/0"
+    raise ValueError(x)
+
+
+def _subspace(rows, r: int, where: str) -> SubspaceBasis:
+    try:  # SubspaceBasis refuses a row of another length than r
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(rows)
+        return SubspaceBasis(r, [[_rational(x) for x in row] for row in rows])
+    except (ValueError, ZeroDivisionError):
+        raise KlyachkoError(f"{where} subspace {rows!r} is not a list of rows of {r} "
+                            "integers or 'p/q' strings") from None
+
+
+def _position(key: str, n: int, where: str, what: str) -> int:
+    if key not in map(str, range(n)):  # not "99", "01" or " 1"
+        raise KlyachkoError(f"{where} the fan has no such {what}")
+    return int(key)
+
+
 def bundle_from_dict(fan: Fan, data: dict):
+    """(data, certificate) from the bundle format, refusing by name a field
+    that breaks it: the rank, thresholds and `u` entries are exact ints, `u`
+    has the fan's lattice rank, subspace rows have `rank` entries, and keys
+    are positions of the fan's rays and maximal cones."""
     r = data["rank"]
+    if type(r) is not int or r < 1:
+        raise KlyachkoError(f"rank {r!r} is not a positive integer")
     filtrations = {}
-    for ray_str, steps in data["filtrations"].items():
-        parsed = [
-            (
-                step["threshold"],
-                SubspaceBasis(
-                    r, [[_decode_fraction(x) for x in row] for row in step["subspace"]]
-                ),
-            )
-            for step in steps
-        ]
-        filtrations[int(ray_str)] = Filtration(r, parsed)
+    for key, steps in data["filtrations"].items():
+        where = f"filtration of ray {key!r}:"
+        for t in (step["threshold"] for step in steps):
+            if type(t) is not int:
+                raise KlyachkoError(f"{where} threshold {t!r} is not an integer")
+        filtrations[_position(key, len(fan.rays), where, "ray")] = Filtration(
+            r, [(step["threshold"], _subspace(step["subspace"], r, where)) for step in steps])
     kdata = KlyachkoData(fan, r, filtrations)
-    cert = None
-    if "splittings" in data:
-        entries = {}
-        for pos_str, lst in data["splittings"].items():
-            entries[int(pos_str)] = [
-                (
-                    tuple(e["u"]),
-                    SubspaceBasis(
-                        r, [[_decode_fraction(x) for x in row] for row in e["subspace"]]
-                    ),
-                )
-                for e in lst
-            ]
-        cert = SplittingCertificate(entries)
-    return kdata, cert
+    entries = {}
+    for key, lst in data.get("splittings", {}).items():
+        where = f"splitting of cone {key!r}:"
+        for u in (e["u"] for e in lst):
+            if not isinstance(u, list) or len(u) != fan.rank or any(type(x) is not int for x in u):
+                raise KlyachkoError(f"{where} u {u!r} is not a list of {fan.rank} integers")
+        entries[_position(key, len(fan.max_cones), where, "maximal cone")] = [
+            (tuple(e["u"]), _subspace(e["subspace"], r, where)) for e in lst]
+    return kdata, SplittingCertificate(entries) if "splittings" in data else None
 
 
 BUNDLED_BUNDLES = ("eikelberg", "fulton_rank3", "p2_tangent")
@@ -808,32 +828,19 @@ BUNDLED_BUNDLES = ("eikelberg", "fulton_rank3", "p2_tangent")
 def load_bundle(source):
     """Load (data, certificate) from a bundled name or a JSON file path.
 
-    A file that is not UTF-8 JSON, not an object naming its fan, or whose
-    fields do not make a bundle raises `KlyachkoError`.  Loading the named
-    fan raises what `load_fan` raises; an `OSError` then carries the fan's
-    path as its `filename`.  A relative fan path that is not a bundled fan's
-    name is taken relative to the bundle file's directory.
+    A file that `read_json` refuses, that does not name its fan, or whose
+    fields do not make a bundle raises `KlyachkoError` naming the file;
+    loading the named fan raises what `load_fan` raises.
     """
-    from .fan_core import BUNDLED_FANS, load_fan
-
     if source in BUNDLED_BUNDLES:
-        from importlib.resources import files
-
-        text = files("fanbranch.data").joinpath(f"{source}.bundle.json").read_text()
-        raw = json.loads(text)
-    else:
-        with open(source, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                raise KlyachkoError(f"{source} is not JSON: {exc}") from None
-    if not isinstance(raw, dict) or not isinstance(raw.get("fan"), str):
-        raise KlyachkoError(f"{source} does not hold a JSON object with a 'fan' name or path")
-    name = raw["fan"]
-    fan = load_fan(name if name in BUNDLED_FANS else os.path.join(os.path.dirname(source), name))
+        source = files("fanbranch.data") / f"{source}.bundle.json"
+    raw = read_json(source, "bundle", KlyachkoError)
+    if not isinstance(raw.get("fan"), str):
+        raise KlyachkoError(f"invalid bundle: {source} does not name its fan by a string 'fan'")
+    fan = load_fan(raw["fan"], beside=source)
     try:
         return bundle_from_dict(fan, raw)
-    except KlyachkoError:
-        raise
+    except KlyachkoError as exc:
+        raise KlyachkoError(f"invalid bundle: {source}: {exc}") from None
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise KlyachkoError(f"{source} does not hold bundle data: {exc!r}") from None
+        raise KlyachkoError(f"invalid bundle: {source} does not hold bundle data: {exc!r}") from None

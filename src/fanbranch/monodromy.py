@@ -28,7 +28,7 @@ class Permutation:
 
     def __init__(self, images):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+        if any(type(x) is not int for x in images) or sorted(images) != list(range(len(images))):
             raise ValueError(f"{images} is not a permutation")
         self.images = images
 
@@ -121,7 +121,8 @@ def spanning_tree(fan: Fan) -> DualSpanningTree:
     the free generators of the covering monodromy.
     """
     if fan.rank != 3 or not is_complete(fan):
-        raise FanError("spanning trees are built over complete rank-3 fans")
+        raise FanError(f"{fan.name or 'the fan'!r} has no monodromy covers: "
+                       "spanning trees are built over complete rank-3 fans")
     edges = fan.dual_graph_edges()
     incident: dict[int, list[int]] = {i: [] for i in range(len(fan.max_cones))}
     endpoints = {}
@@ -167,11 +168,13 @@ class MonodromyAssignment:
             degree, perms = data["degree"], [tuple(p) for p in data["perms"]]
             if any(type(x) is not int for x in (degree, *chain(*perms))):  # no float, no bool
                 raise TypeError
-            return cls(degree, tuple(map(Permutation, perms)))
         except (KeyError, TypeError):
             raise ValueError(
                 "a monodromy is an object with 'degree' and 'perms', a list of permutation images"
             )
+        if degree < 1:
+            raise ValueError("degree must be a positive integer")
+        return cls(degree, tuple(map(Permutation, perms)))
 
 
 def count_assignments(fan: Fan, d: int) -> int:

@@ -7,8 +7,18 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from fanbranch.cli import branch_census, evaluate_assignment, main, run_sweep, sidecar_path
-from fanbranch.fan_core import load_fan
+from fanbranch.cli import (
+    CacheError,
+    branch_census,
+    evaluate_assignment,
+    main,
+    run_sweep,
+    sidecar_path,
+)
+from fanbranch.cover_poset import CoverError
+from fanbranch.fan_core import FanError, load_fan
+from fanbranch.klyachko import KlyachkoError
+from fanbranch.pl_group import PLError
 from fanbranch.monodromy import spanning_tree
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "fanbranch" / "data"
@@ -564,13 +574,14 @@ def test_cover_not_utf8_fails_in_one_line(runner, tmp_path):
     result = runner.invoke(main, ["pl", "solve", "fulton", "--cover", str(path)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith(f"Error: {path} is not JSON: 'utf-8' codec can't decode")
+    assert result.output.startswith(
+        f"Error: invalid cover: {path} is not JSON: 'utf-8' codec can't decode")
     assert result.output.count("\n") == 1
 
 
 # Bundle files whose content is unusable, by the start of their one error line.
 UNUSABLE_BUNDLES = {
-    "a list": (b"[1]", "does not hold a JSON object with a 'fan' name or path"),
+    "a list": (b"[1]", "does not hold a JSON object\n"),
     "not UTF-8": (b"\xff\xfe{}", "is not JSON: 'utf-8' codec can't decode"),
     "cut JSON": (b'{"fan": ', "is not JSON: Expecting value"),
     "no rank": (b'{"fan": "fulton"}', "does not hold bundle data: KeyError('rank')"),
@@ -656,6 +667,144 @@ class TestBundleCommands:
         result = runner.invoke(main, ["bundle", "cover", "p2_tangent"])
         assert result.exit_code == 0
         assert "degree 2 cover" in result.output
+
+
+def _edited_eikelberg(tmp_path, edit):
+    data = json.loads((DATA / "eikelberg.bundle.json").read_text())
+    edit(data)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def edit(data):
+        for key in keys:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+# Bundle fields the loader used to accept (exit 0) or refuse without naming
+# them, by the message that now names the field.
+MALFORMED_BUNDLE_FIELDS = {
+    "float threshold": (_set("filtrations", "1", 1, "threshold", 18.0),
+                        "filtration of ray '1': threshold 18.0 is not an integer"),
+    "bool threshold": (_set("filtrations", "1", 1, "threshold", True),
+                       "filtration of ray '1': threshold True is not an integer"),
+    "float subspace entry": (_set("filtrations", "1", 1, "subspace", [[1.0, 0]]),
+                             "filtration of ray '1': subspace [[1.0, 0]] is not a list of "
+                             "rows of 2 integers or 'p/q' strings"),
+    "float u": (_set("splittings", "0", 0, "u", [15.0, -15, 3]),
+                "splitting of cone '0': u [15.0, -15, 3] is not a list of 3 integers"),
+    "long u": (_set("splittings", "0", 0, "u", [15, -15, 3, 7]),
+               "splitting of cone '0': u [15, -15, 3, 7] is not a list of 3 integers"),
+    "short u": (_set("splittings", "0", 0, "u", [15, -15]),
+                "splitting of cone '0': u [15, -15] is not a list of 3 integers"),
+    "long subspace row": (_set("splittings", "2", 1, "subspace", [[0, 1, 0]]),
+                          "splitting of cone '2': subspace [[0, 1, 0]] is not a list of "
+                          "rows of 2 integers or 'p/q' strings"),
+    "unknown cone": (lambda data: data["splittings"].update({"99": data["splittings"]["0"]}),
+                     "splitting of cone '99': the fan has no such maximal cone"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "chern", "cover"])
+@pytest.mark.parametrize("field", sorted(MALFORMED_BUNDLE_FIELDS))
+def test_malformed_bundle_field_refused_by_name(runner, tmp_path, command, field):
+    edit, message = MALFORMED_BUNDLE_FIELDS[field]
+    path = _edited_eikelberg(tmp_path, edit)
+    result = runner.invoke(main, ["bundle", command, str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: invalid bundle: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["chern", "cover"])
+def test_disagreeing_splittings_fail_in_one_line(runner, tmp_path, command):
+    # this used to end in a KlyachkoError traceback
+    path = _edited_eikelberg(tmp_path, _set("splittings", "0", 0, "u", [1, 2, 3]))
+    result = runner.invoke(main, ["bundle", command, str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "Error: multisets of cones 0 and 2 disagree on their shared face\n"
+
+
+FULTON_MONODROMY = {"degree": 2, "perms": [[1, 0]] + [[0, 1]] * 6}
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ({"fan": "sigma_prime", "monodromy": FULTON_MONODROMY},
+         "is a cover of 'sigma_prime', not of 'fulton'"),
+        ({"fan": "other.fan.json", "monodromy": FULTON_MONODROMY},
+         "is a cover of 'other.fan.json', not of 'fulton'"),
+        ({"fan": "fulton", "monodromy": FULTON_MONODROMY, "cells": []},
+         "holds both 'cells' and 'monodromy'"),
+        ({"fan": "fulton", "monodromy": {"degree": -1, "perms": [[0, 1]] * 7}},
+         "invalid monodromy in {path}: degree must be a positive integer"),
+    ],
+    ids=["other-bundled-fan", "other-fan-file", "cells-and-monodromy", "negative-degree"],
+)
+def test_cover_file_of_another_kind_refused(runner, tmp_path, content, message):
+    # a path is taken relative to the cover file: sigma_prime's rays, fulton's cones
+    (tmp_path / "other.fan.json").write_text((DATA / "sigma_prime.fan.json").read_text())
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(content))
+    result = runner.invoke(main, ["pl", "solve", "fulton", "--cover", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    expected = message.format(path=path) if "{path}" in message else f"{path} {message}"
+    assert result.output == f"Error: {expected}\n"
+
+
+def test_cover_file_naming_the_same_fan_by_path_accepted(runner, tmp_path):
+    (tmp_path / "same.fan.json").write_text((DATA / "fulton.fan.json").read_text())
+    outputs = []
+    for name in ("same.fan.json", "fulton"):
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps({"fan": name, "monodromy": FULTON_MONODROMY}))
+        result = runner.invoke(main, ["pl", "solve", "fulton", "--cover", str(path)])
+        assert result.exit_code == 0, result.output
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1]
+
+
+class TestErrorBoundary:
+    """`main` turns the package's five error classes, and nothing else, into
+    one `Error:` line with exit status 1."""
+
+    @pytest.mark.parametrize("error", [FanError, CoverError, KlyachkoError, PLError, CacheError])
+    def test_package_error_becomes_one_line(self, runner, monkeypatch, error):
+        from fanbranch import commands
+
+        def raising(fan):
+            raise error("the message")
+
+        monkeypatch.setattr(commands, "is_complete", raising)
+        result = runner.invoke(main, ["fan", "validate", "fulton"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "Error: the message\n"
+
+    def test_broken_invariant_propagates(self, runner, monkeypatch):
+        from fanbranch import commands
+
+        def raising(fan):
+            raise RuntimeError("broken invariant")
+
+        monkeypatch.setattr(commands, "is_complete", raising)
+        with pytest.raises(RuntimeError, match="broken invariant"):
+            runner.invoke(main, ["fan", "validate", "fulton"], catch_exceptions=False)
+
+    def test_expect_trivial_still_exits_two(self, runner):
+        result = runner.invoke(main, ["pl", "sweep", "eikelberg", "-d", "2", "--jobs", "1",
+                                      "--expect-trivial"])
+        assert result.exit_code == 2
+        assert "Error" not in result.output
 
 
 class TestReproduce:

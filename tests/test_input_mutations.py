@@ -1,0 +1,163 @@
+"""Malformed input files never end in a traceback.
+
+A valid file of each input format -- a fan, a cover given by its cells, a
+cover given by its monodromy, and a bundle -- is mutated at one place and run
+through the command line in process.  Every run exits 0, or exits 1 with
+exactly one line, which starts with `Error:` (`bundle verify` may instead
+report a violation, its verdict).  A mutation that keeps every value (key
+order, whitespace, `"n/1"` for an integer n where rationals are allowed)
+gives byte-identical output.  Seeds are fixed (`derandomize`).
+"""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fanbranch.cli import main
+from fanbranch.cover_poset import cover_to_dict
+from fanbranch.fan_core import load_fan
+from fanbranch.monodromy import assignment_at, assignment_for_branch_set, build_cover
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "fanbranch" / "data"
+FILE = "<file>"  # stands for the mutated file's path in a command
+BIG = 10**39 + 7  # a 40-digit integer
+
+
+def _fixtures() -> dict:
+    fulton = load_fan("fulton")
+    cells = cover_to_dict(build_cover(fulton, assignment_for_branch_set(fulton, [0, 2, 5, 7])))
+    solve = ["pl", "solve", "fulton", "--cover", FILE]
+    return {
+        "fan": (json.loads((DATA / "fulton.fan.json").read_text()),
+                [["fan", "validate", FILE], ["pl", "solve", FILE, "--branch-rays", "0,2,5,7"]]),
+        "cells cover": (cells, [solve]),
+        "monodromy cover": (
+            {"fan": "fulton", "monodromy": assignment_at(fulton, 3, 1234).to_dict()}, [solve]),
+        "bundle": (json.loads((DATA / "eikelberg.bundle.json").read_text()),
+                   [["bundle", command, FILE] for command in ("verify", "chern", "cover")]),
+    }
+
+
+FIXTURES = _fixtures()
+
+
+def _nodes(value, path=()):
+    yield path, value
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _nodes(child, (*path, key))
+
+
+def _mutations(content) -> list[tuple]:
+    """Every (path, kind, argument) that changes one place of `content`."""
+    out = []
+    for path, node in _nodes(content):
+        if isinstance(node, dict):
+            out += [(path, "drop", key) for key in node] + [(path, "add", "unknown")]
+        elif isinstance(node, list):
+            out += [(path, "append", 0)] + [(path, "pop", None)] * bool(node)
+            out += [(path, "duplicate", i) for i in range(len(node))]
+        elif type(node) is int:
+            out += [(path, "replace", x) for x in (node + 0.0, True, str(node), None, BIG, -1, 99)]
+    return out
+
+
+def _mutated(content, path, kind, argument):
+    content = copy.deepcopy(content)
+    *parents, last = path or (None,)
+    parent = content
+    for key in parents:
+        parent = parent[key]
+    node = parent[last] if path else content
+    if kind == "drop":
+        del node[argument]
+    elif kind == "add":
+        node[argument] = 1
+    elif kind == "append":
+        node.append(argument)
+    elif kind == "pop":
+        node.pop()
+    elif kind == "duplicate":
+        node.insert(argument, copy.deepcopy(node[argument]))
+    else:
+        parent[last] = argument
+    return content
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    runner = CliRunner()
+    path = tmp_path_factory.mktemp("mutants") / "input.json"
+
+    def run(text: str, command: list[str]):
+        path.write_text(text)
+        return runner.invoke(main, [str(path) if arg == FILE else arg for arg in command])
+    return run
+
+
+def _check_outcome(result, command):
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        result.exception
+    if result.exit_code == 0:
+        return
+    assert result.exit_code == 1, result.output
+    if command[:2] == ["bundle", "verify"] and not result.output.startswith("Error:"):
+        assert result.output.startswith(("violation at ", "no splittings given")), result.output
+        return
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1, \
+        result.output
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutant_fails_in_one_line_or_runs(run, name, data):
+    content, commands = FIXTURES[name]
+    mutant = _mutated(content, *data.draw(st.sampled_from(_mutations(content))))
+    for command in commands:
+        _check_outcome(run(json.dumps(mutant), command), command)
+
+
+def _reordered(value):
+    if isinstance(value, dict):
+        return {key: _reordered(value[key]) for key in reversed(list(value))}
+    return [_reordered(v) for v in value] if isinstance(value, list) else value
+
+
+def _as_fractions(bundle):
+    """The bundle with every integer subspace entry n written as "n/1"."""
+    bundle = copy.deepcopy(bundle)
+    for section in ("filtrations", "splittings"):
+        for entries in bundle[section].values():
+            for entry in entries:
+                entry["subspace"] = [[f"{x}/1" for x in row] for row in entry["subspace"]]
+    return bundle
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_value_keeping_mutant_gives_identical_output(run, name):
+    content, commands = FIXTURES[name]
+    same = [json.dumps(_reordered(content)), json.dumps(content, indent=3)]
+    if name == "bundle":
+        same.append(json.dumps(_as_fractions(content)))
+    for command in commands:
+        expected = run(json.dumps(content), command)
+        assert expected.exit_code == 0, expected.output
+        for text in same:
+            result = run(text, command)
+            assert (result.exit_code, result.output) == (0, expected.output)
+
+
+def test_every_fixture_is_mutated_at_every_kind():
+    for content, _ in FIXTURES.values():
+        kinds = {(kind, type(argument)) for _, kind, argument in _mutations(content)}
+        assert {"drop", "add", "append", "pop", "duplicate", "replace"} <= \
+            {kind for kind, _ in kinds}
+        assert {float, bool, str, type(None), int} <= \
+            {kind_type for kind, kind_type in kinds if kind == "replace"}

@@ -38,7 +38,8 @@ from fanbranch.klyachko import (
     pullback,
     verify,
 )
-from fanbranch.pl_group import is_trivial_function, multisets
+from fanbranch.monodromy import assignment_at, build_cover
+from fanbranch.pl_group import group_triviality, is_trivial_function, multisets, solve
 
 from conftest import (
     FULTON_PRINTED_MULTISETS,
@@ -559,6 +560,27 @@ class TestChern:
         bad[0] = (((5, 5, 5), 1), ((0, -1, 1), 1), ((0, 0, 0), 1))
         with pytest.raises(KlyachkoError, match="disagree"):
             ChernData(fan, bad)
+
+    def test_non_integral_functional_refused_by_name(self):
+        # eikelberg degree-3 index 37 is nontrivial; the rational basis gives
+        # its witness half-integral functionals, which used to be truncated
+        fan = load_fan("eikelberg")
+        cover = build_cover(fan, assignment_at(fan, 3, 37))
+        verdict = group_triviality(cover)
+        witness = {m.cone_position: m.entries for m in multisets(verdict.witness)}
+        with pytest.raises(KlyachkoError, match=r"^cone 0 has a non-integral functional "
+                                                r"\(-18223/2, 8025/2, -3627/2\)$"):
+            ChernData(fan, witness)
+
+    def test_integral_witness_passes_face_agreement(self):
+        fan = load_fan("eikelberg")
+        cover = build_cover(fan, assignment_at(fan, 3, 37))
+        verdict = group_triviality(cover, solve(cover, "integral"))
+        assert not verdict.all_trivial
+        witness = {m.cone_position: m.entries for m in multisets(verdict.witness)}
+        cd = ChernData(fan, witness)
+        assert not cd.is_trivial()
+        assert cd.rank == 3
 
     def test_trivial_chern_of_split_bundle(self):
         fan = load_fan("fulton")

@@ -63,6 +63,12 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
 
+    @pytest.mark.parametrize("images", [(0.0, 1), (True, False), (1, 0.0)])
+    def test_rejects_images_that_are_not_ints(self, images):
+        # they compare equal to a permutation, but `inverse` indexes with them
+        with pytest.raises(ValueError, match="is not a permutation"):
+            Permutation(images)
+
     def test_all_permutations_lexicographic(self):
         perms = all_permutations(3)
         assert len(perms) == 6

@@ -138,13 +138,15 @@ def _transitive_closure(below: list[set]) -> list[set]:
 
     def down(i):
         if i not in memo:
-            memo[i] = None  # in progress: reaching i again closes a cycle
-            memo[i] = set(below[i]).union(*map(down, below[i]))
-        if memo[i] is None:
-            raise CoverError("the faces form a cycle")
+            acc = memo[i] = set(below[i])  # read unfinished only on a cycle back to i
+            for j in below[i]:
+                acc |= down(j)
         return memo[i]
 
-    return [down(i) for i in range(n)]
+    closure = [down(i) for i in range(n)]
+    if any(i in cells_below for i, cells_below in enumerate(closure)):
+        raise CoverError("the faces form a cycle")
+    return closure
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +510,7 @@ def cover_to_dict(cover: CoverPoset) -> dict:
 def cover_from_dict(fan: Fan, data: dict) -> CoverPoset:
     try:
         cells = [CoverCell(d["base"], d["copy"], d["weight"]) for d in data["cells"]]
-        if any(type(x) is not int for c in cells for x in (c.base, c.copy, c.weight)):
+        if not all(type(c.base) is type(c.copy) is type(c.weight) is int for c in cells):
             raise TypeError
     except (KeyError, TypeError):
         raise CoverError("a cover needs 'cells', each an object with 'base', 'copy' and "

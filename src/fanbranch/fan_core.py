@@ -677,9 +677,8 @@ BUNDLED_FANS = ("fulton", "eikelberg", "sigma_prime", "p2")
 
 
 def read_json(path, kind: str, error: type[ValueError]) -> dict:
-    """The JSON object in the `kind` file at `path`.  A file that is missing,
-    cannot be read, is not UTF-8 JSON or does not hold a JSON object raises
-    `error`, the kind's own class, with a whole one-line message."""
+    """The JSON object in the `kind` file at `path`; a file that is missing, unreadable,
+    not UTF-8 JSON or not an object raises `error` with a whole one-line message."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -695,9 +694,8 @@ def read_json(path, kind: str, error: type[ValueError]) -> dict:
 
 
 def load_fan(source, beside=None) -> Fan:
-    """Load a fan from a bundled name ('fulton', ...) or a JSON file path;
-    a relative path named in the file `beside` is taken relative to the
-    directory of that file."""
+    """Load a fan from a bundled name ('fulton', ...) or a JSON file path, a
+    relative one named in the file `beside` taken from that file's directory."""
     if source in BUNDLED_FANS:
         from importlib.resources import files
 

@@ -482,7 +482,7 @@ def _restriction_multiset(fan: Fan, pos: int, entries, cone_id: int):
 
 
 def _lattice_point(pos: int, u) -> tuple[int, ...]:
-    point = tuple(int(x) for x in u)
+    point = tuple(map(int, u))
     if point != tuple(u):
         raise KlyachkoError(f"cone {pos} has a non-integral functional ({', '.join(map(str, u))})")
     return point

@@ -257,11 +257,16 @@ def test_solve_input_refused_in_one_line(runner, tmp_path, args, perms, message)
          "invalid cover in cover.json: each face is a pair [lower, upper] of cell positions"),
         ('{"fan": "fulton", "cells": [{"base": 0, "copy": 0, "weight": 1}], "faces": [5]}',
          "invalid cover in cover.json: each face is a pair [lower, upper] of cell positions"),
+        ('{"fan": "fulton", "cells": [{"base": 0, "copy": "0", "weight": 1}]}',
+         "invalid cover in cover.json: a cover needs 'cells', each an object with 'base', 'copy'"),
+        ('{"fan": "fulton", "cells": [{"base": 0, "copy": 0, "weight": 1}, '
+         '{"base": 1, "copy": 0, "weight": 1}], "faces": [[0, 1], [1, 0]]}',
+         "invalid cover in cover.json: the faces form a cycle"),
         ("not json {", "cover.json is not JSON: Expecting value: line 1 column 1"),
         ("[1, 2]", "cover.json does not hold a JSON object"),
     ],
     ids=["no-perms", "no-degree", "float-degree", "float-image", "bool-degree", "no-copy", "base-out-of-range", "face-out-of-range",
-         "face-not-a-pair", "not-json", "not-an-object"],
+         "face-not-a-pair", "string-copy", "face-cycle", "not-json", "not-an-object"],
 )
 def test_malformed_cover_file_refused_in_one_line(runner, tmp_path, monkeypatch,
                                                   content, message):

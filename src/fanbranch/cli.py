@@ -21,10 +21,9 @@ from itertools import chain
 
 from .fan_core import combinatorial_automorphisms
 from .monodromy import (
-    assignment_at,
     class_representatives,
     count_assignments,
-    ray_orbits,
+    orbits_at,
     spanning_tree,
 )
 from .pl_group import split_triviality
@@ -49,29 +48,43 @@ class SweepRecord:
     cert: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "index": self.index,
-                "branch_rays": self.branch_rays,
-                "profile": self.profile,
-                "dim_pl": self.dim_pl,
-                "verdict": self.verdict,
-                "cert": self.cert,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return json.dumps({name: getattr(self, name) for name in _RECORD_FIELDS},
+                          sort_keys=True, separators=(",", ":"))
+
+
+# The fields of a record line, and the (verdict, cert) pairs it may hold.
+_RECORD_FIELDS = frozenset(f.name for f in fields(SweepRecord))
+_VERDICT_CERTS = (("AllTrivial", "pullbacks-only"), ("AllTrivial", "wedge-of-pullbacks"),
+                  ("AllTrivial", "matched-pattern"), ("Nontrivial", "nontrivial"))
+
+
+def _record_problem(rec: dict, nrays: int, d: int) -> str | None:
+    """Why a record with every field cannot be one of a sweep over `nrays`
+    rays at degree d, or None; no check costs a solve."""
+    profile, branch, dim, cert = rec["profile"], rec["branch_rays"], rec["dim_pl"], rec["cert"]
+    if not (isinstance(profile, list) and len(profile) == nrays and all(
+            isinstance(p, list) and all(type(k) is int and k > 0 for k in p)
+            and sum(p) == d for p in profile)):
+        return f"does not fit {nrays} rays at degree {d}"
+    if not (isinstance(branch, list) and all(type(r) is int for r in branch)
+            and branch == [ray for ray, p in enumerate(profile) if len(p) < d]):
+        return f"has branch rays {branch!r}, which are not those of its profile"
+    if (rec["verdict"], cert) not in _VERDICT_CERTS:
+        return f"has verdict {rec['verdict']!r} with cert {cert!r}"
+    if not (type(dim) is int and dim >= 3 and (dim == 3) == (cert == "pullbacks-only")
+            and (cert != "wedge-of-pullbacks" or dim % 3 == 0)):
+        return f"has dim_pl {dim!r} with cert {cert!r}"
+    return None
 
 
 def evaluate_assignment(fan, tree, d: int, index: int) -> SweepRecord:
     """One sweep record, with no cover and no row of the whole values-at-rays
-    system built: the cells over each ray are read once off the monodromy
-    (`ray_orbits`), and `split_triviality` runs the whole ladder on one
+    system built: the cells over each ray are read off the index on the rank
+    tables (`orbits_at`), and `split_triviality` runs the whole ladder on one
     elimination of the system's sum-zero part, about half its size.
     """
-    assignment = assignment_at(fan, d, index, tree)
-    orbits = ray_orbits(fan, assignment, tree)
-    verdict = split_triviality(fan, orbits, assignment)
+    orbits = orbits_at(fan, d, index, tree)
+    verdict = split_triviality(fan, orbits)
     return SweepRecord(
         index=index,
         branch_rays=orbits.branch_rays,
@@ -112,9 +125,8 @@ def _sweep_chunk(reps: list[int]) -> list[tuple[str, str, str, bool]]:
 
 @dataclass
 class SweepSummary:
-    """Verdict counts over the whole cache; `high_dim` counts the records of
-    dim > 3 that this run wrote, `solved` the classes of dim > 3 that it
-    evaluated."""
+    """Verdict counts over the whole cache; `high_dim` counts its records of
+    dim > 3, `solved` the classes of dim > 3 that this run evaluated."""
 
     total: int
     processed: int
@@ -139,9 +151,6 @@ class SweepSummary:
             )
         lines.append(f"wall-clock: {self.seconds:.1f}s")
         return "\n".join(lines)
-
-
-_RECORD_FIELDS = {f.name for f in fields(SweepRecord)}
 
 
 _SIDECAR_SCHEMA = 1
@@ -187,23 +196,23 @@ def _check_sidecar(cache_path: str, meta: dict) -> None:
 
 
 def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,
-                       echo=None) -> tuple[int, dict, list]:
-    """(records, verdict counts, nontrivial records) of an existing cache;
-    refuses anything but a clean index prefix of whole records whose
-    profiles fit the sweep, one cycle type of d per ray of the fan, and
-    then a sidecar that does not match `meta`.
+                       echo=None) -> tuple[int, dict, list, int]:
+    """(records, verdict counts, nontrivial records, records of dim > 3) of
+    an existing cache; refuses anything but a clean index prefix of whole
+    records that pass `_record_problem`, and then a sidecar that does not
+    match `meta`.
 
     An unterminated last line is what a kill mid-write leaves behind: it is
     dropped, and once the rest and the sidecar have passed, the file is
     truncated to its last newline so that the resumed sweep appends after
     whole records only.  A blank line is refused like any other line that
-    is not a record, and a record missing a field once every line has
-    passed the index checks.
+    is not a record, and a record missing a field, or holding another,
+    once every line has passed the index checks.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     whole = data.rfind(b"\n") + 1
-    count = 0
+    count = high_dim = 0
     verdicts: dict = {}
     nontrivial = []
     incomplete = None
@@ -215,24 +224,20 @@ def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,
             raise CacheError(
                 f"cache corruption at line {lineno + 1}; refusing to resume"
             )
-        if idx != count or idx >= total:
+        if type(idx) is not int or idx != count or idx >= total:
             raise CacheError(
                 f"cache is not a clean index prefix at line {lineno + 1}; refusing to resume"
             )
         count += 1
-        if not _RECORD_FIELDS <= rec.keys():
+        if rec.keys() != _RECORD_FIELDS:
             incomplete = incomplete or lineno + 1
             continue
-        profile = rec["profile"]
-        if not (isinstance(profile, list) and len(profile) == nrays and all(
-                isinstance(p, list) and all(type(k) is int and k > 0 for k in p)
-                and sum(p) == d for p in profile)):
-            raise CacheError(
-                f"cache record at line {lineno + 1} does not fit {nrays} rays at "
-                f"degree {d}; refusing to resume"
-            )
+        problem = _record_problem(rec, nrays, d)
+        if problem:
+            raise CacheError(f"cache record at line {lineno + 1} {problem}; refusing to resume")
         tag = _summary_tag(rec["verdict"], rec["cert"])
         verdicts[tag] = verdicts.get(tag, 0) + 1
+        high_dim += rec["dim_pl"] > 3
         if rec["verdict"] == "Nontrivial":
             nontrivial.append(rec)
     if incomplete:
@@ -245,7 +250,7 @@ def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,
             fh.truncate(whole)
         if echo:
             echo(f"dropped an unterminated last line of {len(data) - whole} bytes")
-    return count, verdicts, nontrivial
+    return count, verdicts, nontrivial, high_dim
 
 
 _FLUSH_EVERY = 4096
@@ -282,13 +287,13 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
     """
     tree = spanning_tree(fan)
     total = count_assignments(fan, d)
-    start, verdicts, nontrivial = 0, {}, []
+    start, verdicts, nontrivial, high_dim = 0, {}, [], 0
     if cache_path and os.path.exists(cache_path):
         if not resume:
             raise CacheError(
                 f"cache file {cache_path} exists; pass --resume to continue it"
             )
-        start, verdicts, nontrivial = _read_cache_prefix(
+        start, verdicts, nontrivial, high_dim = _read_cache_prefix(
             cache_path, total, len(fan.rays), d, _sweep_meta(fan, d, tree), echo)
         if echo:
             echo(f"resuming: {start} records already cached")
@@ -298,7 +303,7 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
 
     t0 = time.perf_counter()
     out = open(cache_path, "a") if cache_path else None
-    high_dim = solved = 0
+    solved = 0
     try:
         if start < total:
             rep = class_representatives(d, tree.generators)
@@ -357,13 +362,10 @@ def branch_census(fan) -> dict:
     wall_pairs = {
         tuple(sorted(fan.cones[w].ray_indices)) for w in fan.walls
     }
-    from .monodromy import branch_rays as branch_of
-
     admissible = set()
     total = count_assignments(fan, 2)
     for i in range(total):
-        a = assignment_at(fan, 2, i, tree)
-        b = tuple(sorted(branch_of(fan, a, tree)))
+        b = tuple(orbits_at(fan, 2, i, tree).branch_rays)
         if not b:
             continue
         if any(

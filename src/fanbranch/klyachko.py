@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from math import lcm
 
 from .cover_poset import CoverCell, CoverPoset, validate_cover
@@ -58,11 +58,13 @@ class Filtration:
 
     def __init__(self, ambient_dim: int, steps):
         steps = tuple(
-            (int(t), s if isinstance(s, SubspaceBasis) else SubspaceBasis(ambient_dim, s))
+            (t, s if isinstance(s, SubspaceBasis) else SubspaceBasis(ambient_dim, s))
             for t, s in steps
         )
         if not steps:
             raise KlyachkoError("a filtration needs at least one step")
+        for t in (t for t, _ in steps if type(t) is not int):  # no Fraction, float or bool
+            raise KlyachkoError(f"threshold {t!r} is not an integer")
         if any(s.ambient_dim != ambient_dim for _, s in steps):
             raise KlyachkoError("subspace ambient dimension mismatch")
         if steps[0][1].dim != ambient_dim:
@@ -132,10 +134,10 @@ class SplittingCertificate:
     """
 
     def __init__(self, entries: dict):
-        self.entries = {
-            pos: tuple((tuple(int(x) for x in u), s) for u, s in cone_entries)
-            for pos, cone_entries in entries.items()
-        }
+        self.entries = {pos: tuple((tuple(u), s) for u, s in es) for pos, es in entries.items()}
+        for u, _ in chain.from_iterable(self.entries.values()):
+            if any(type(x) is not int for x in u):  # no Fraction, float or bool
+                raise KlyachkoError(f"u {u!r} is not a vector of integers")
 
     def cone(self, pos: int):
         try:
@@ -805,11 +807,12 @@ def bundle_from_dict(fan: Fan, data: dict):
     filtrations = {}
     for key, steps in data["filtrations"].items():
         where = f"filtration of ray {key!r}:"
-        for t in (step["threshold"] for step in steps):
-            if type(t) is not int:
-                raise KlyachkoError(f"{where} threshold {t!r} is not an integer")
-        filtrations[_position(key, len(fan.rays), where, "ray")] = Filtration(
-            r, [(step["threshold"], _subspace(step["subspace"], r, where)) for step in steps])
+        parsed = [(step["threshold"], _subspace(step["subspace"], r, where)) for step in steps]
+        try:
+            filtration = Filtration(r, parsed)
+        except KlyachkoError as exc:
+            raise KlyachkoError(f"{where} {exc}") from None
+        filtrations[_position(key, len(fan.rays), where, "ray")] = filtration
     kdata = KlyachkoData(fan, r, filtrations)
     entries = {}
     for key, lst in data.get("splittings", {}).items():

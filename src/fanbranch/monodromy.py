@@ -11,6 +11,7 @@ canonicalizes assignments under conjugation.
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, islice, permutations as iter_permutations
@@ -185,18 +186,17 @@ def count_assignments(fan: Fan, d: int) -> int:
 def assignment_at(fan: Fan, d: int, index: int, tree: DualSpanningTree | None = None) -> MonodromyAssignment:
     """The index-th assignment in lexicographic order (mixed radix, first
     generator most significant)."""
-    tree = tree or spanning_tree(fan)
     perms = all_permutations(d)
-    base = len(perms)
-    total = base ** tree.generators
-    if not 0 <= index < total:
-        raise IndexError("assignment index out of range")
-    digits = []
-    for _ in range(tree.generators):
-        index, r = divmod(index, base)
-        digits.append(r)
-    digits.reverse()
+    digits = _digits(index, len(perms), (tree or spanning_tree(fan)).generators)
     return MonodromyAssignment(d, tuple(perms[r] for r in digits))
+
+
+def _digits(index: int, base: int, places: int) -> list[int]:
+    """The mixed-radix digits of an assignment index, most significant
+    first: with base d!, the ranks of its permutations in `all_permutations(d)`."""
+    if not 0 <= index < base ** places:
+        raise IndexError("assignment index out of range")
+    return [index // base ** k % base for k in range(places - 1, -1, -1)]
 
 
 class _Transitions:
@@ -257,27 +257,6 @@ def _ray_transports(fan: Fan, trans: _Transitions, ray: int):
     return inv_transport, t  # t is now the full loop = ray monodromy
 
 
-def _ray_orbits(fan: Fan, trans: _Transitions, ray: int):
-    """(transports as in `_ray_transports`, orbit lengths, orbit per sheet).
-
-    The orbits of the ray monodromy are numbered by their minimal sheet at
-    the reference cone; they are the cells over the ray.
-    """
-    inv_tr, loop = _ray_transports(fan, trans, ray)
-    lookup = [-1] * len(loop)
-    lengths: list[int] = []
-    for start in range(len(loop)):
-        if lookup[start] < 0:
-            k = len(lengths)
-            lookup[start] = k
-            n, nxt = 1, loop[start]
-            while nxt != start:
-                lookup[nxt] = k
-                n, nxt = n + 1, loop[nxt]
-            lengths.append(n)
-    return inv_tr, lengths, lookup
-
-
 def ray_monodromy(fan: Fan, assignment: MonodromyAssignment, ray: int,
                   tree: DualSpanningTree | None = None) -> Permutation:
     """Product of wall transitions around the ray's link cycle."""
@@ -329,7 +308,8 @@ def build_cover(fan: Fan, assignment: MonodromyAssignment,
     orbit_of: dict[int, list[int]] = {}
     inv_transports = {}
     for ray in range(len(fan.rays)):
-        inv_transports[ray], lengths, orbit_of[ray] = _ray_orbits(fan, trans, ray)
+        inv_transports[ray], loop = _ray_transports(fan, trans, ray)
+        orbit_of[ray], lengths = _loop(loop)[:2]
         base = fan.cone_id((ray,))
         for k, length in enumerate(lengths):
             ray_cell_id[(ray, k)] = len(cells)
@@ -366,6 +346,58 @@ def build_cover(fan: Fan, assignment: MonodromyAssignment,
     return CoverPoset(fan, cells, pairs, _closed=True)
 
 
+class _Lazy(dict):
+    """A table that fills each entry from `fill(key)` on its first lookup."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+_Loop = namedtuple("_Loop", "orbit lengths profile spread")
+
+
+def _loop(images) -> _Loop:
+    """A loop's `_Loop`: the orbit of each sheet, numbered by least sheet as
+    `build_cover` numbers a ray's cells, the orbit lengths, unsorted and in
+    descending order, and per orbit, the (column, factor) pairs of its value
+    in the ray's sum-zero columns.  Orbit lengths l_1, ..., l_k give columns
+    x_i (i < k) for l_k x_i on orbit i and -(l_1 x_1 + ...) on orbit k."""
+    orbit, lengths = [-1] * len(images), []
+    for start in range(len(images)):
+        if orbit[start] < 0:
+            k = len(lengths)
+            orbit[start] = k
+            n, nxt = 1, images[start]
+            while nxt != start:
+                orbit[nxt] = k
+                n, nxt = n + 1, images[nxt]
+            lengths.append(n)
+    last = len(lengths) - 1
+    spread = [((i, lengths[last]),) for i in range(last)]
+    spread.append(tuple((i, -lengths[i]) for i in range(last)))
+    return _Loop(tuple(orbit), tuple(lengths), tuple(sorted(lengths, reverse=True)), tuple(spread))
+
+
+class _Ranks:
+    """S_d by rank, the place in `all_permutations(d)` that index digits give:
+    `rank` of each image tuple, then, filled on first use, `inverse[a]`,
+    `compose[a][b]` (the rank of a * b), `loops[a]` and `at[a][u]`, the
+    orbit under `loops[a]` of each sheet over a cone whose transport to the
+    reference cone has rank u: O(d!) entries plus the pairs met."""
+
+    def __init__(self, d: int):
+        perms = [p.images for p in all_permutations(d)]
+        rank = self.rank = {p: a for a, p in enumerate(perms)}
+        self.inverse = _Lazy(lambda a: rank[tuple(sorted(range(d), key=perms[a].__getitem__))])
+        self.compose = _Lazy(lambda a: _Lazy(lambda b: rank[tuple(perms[a][j] for j in perms[b])]))
+        self.loops = _Lazy(lambda a: _loop(perms[a]))
+        self.at = _Lazy(lambda a: _Lazy(lambda u: tuple(self.loops[a].orbit[y] for y in perms[u])))
+
+
 @dataclass(frozen=True)
 class _RecordTables:
     """What a record reads of a fan and its spanning tree, built once per
@@ -373,12 +405,13 @@ class _RecordTables:
 
     `walks[ray]` is the ray's link cycle as `ray_link` gives it, in two
     parts: per incident cone, its position and the ray's place among its
-    rays; per wall crossed, the generator slot (-1 for a tree wall, whose
-    crossing is the identity) and whether the step runs from the wall's
-    lower cone to its higher one, where the crossing is the generator and
-    not its inverse.  `by_cell` lists the maximal cone positions in the
-    order of their base cone ids, `rays` and `relations` give each
-    position's rays and wall relations, and `nrelations` counts these.
+    rays; per wall crossed, its move: -1 for a tree wall (the identity), g
+    for generator g's inverse on a step from the wall's lower cone to its
+    higher one, G + g for g the other way (G generators).  `by_cell` lists
+    the maximal cone positions in the order of their base cone ids, `rays`
+    and `relations` give each position's rays and wall relations, and
+    `nrelations` counts these.  `ranks[d]` holds the `_Ranks` of S_d, built
+    when a record of degree d first needs them.
     """
 
     walks: tuple
@@ -386,6 +419,29 @@ class _RecordTables:
     rays: tuple
     relations: tuple
     nrelations: int
+    ranks: dict = field(default_factory=lambda: _Lazy(_Ranks), repr=False)
+
+    def orbits(self, d: int, digits: list[int]) -> "RayOrbits":
+        """The `RayOrbits` of the assignment whose permutations have ranks
+        `digits`, with one lookup per wall crossed around each ray's link."""
+        ranks = self.ranks[d]
+        compose, loops = ranks.compose, ranks.loops
+        moves = [ranks.inverse[r] for r in digits] + digits
+        at = [[None] * len(rays) for rays in self.rays]
+        walked = []
+        for cones, steps in self.walks:
+            t = 0  # the identity: sheet s here lies over sheet s at the reference cone
+            transports = [t]
+            for m in steps:
+                if m >= 0:
+                    t = compose[t][moves[m]]
+                transports.append(t)
+            loop = transports.pop()  # the inverse of the ray monodromy: the same orbits
+            walked.append(loops[loop])
+            orbit_at = ranks.at[loop]
+            for (pos, place), u in zip(cones, transports):
+                at[pos][place] = orbit_at[u]
+        return RayOrbits(d, digits, [w.lengths for w in walked], at, walked, self)
 
 
 def _record_tables(fan: Fan, tree: DualSpanningTree) -> _RecordTables:
@@ -397,10 +453,8 @@ def _record_tables(fan: Fan, tree: DualSpanningTree) -> _RecordTables:
         walks = []
         for ray in range(len(fan.rays)):
             cones, walls = ray_link(fan, ray)
-            steps = tuple(
-                (slot.get(w, -1), tree.orientations[w] == (cones[j], cones[(j + 1) % len(cones)]))
-                for j, w in enumerate(walls)
-            )
+            steps = tuple(-1 if w not in slot else slot[w] + tree.generators * (
+                tree.orientations[w] != (a, b)) for w, a, b in zip(walls, cones, cones[1:] + cones))
             walks.append((tuple((pos, rays[pos].index(ray)) for pos in cones), steps))
         relations = tuple(tuple(wall_relation(fan, pos)) for pos in range(len(rays)))
         tables = _RecordTables(
@@ -417,24 +471,31 @@ def _record_tables(fan: Fan, tree: DualSpanningTree) -> _RecordTables:
 @dataclass(frozen=True)
 class RayOrbits:
     """The cells over the rays of an assignment's cover, read off one walk
-    around each ray's link (`ray_orbits`).
+    around each ray's link (`ray_orbits`, `orbits_at`).
 
-    `lengths[ray]` holds the lengths of the ray monodromy's orbits, numbered
-    by their least sheet over the ray's reference cone: the cover's cells
-    over the ray, in order, with their weights.  `at[pos][i][s]` is the
-    orbit of the cell under sheet s over maximal cone `pos`, over the
-    cone's i-th ray.
-    """
+    `digits` are the ranks of the assignment's permutations, `loops[ray]`
+    the ray's `_Loop`.  `lengths[ray]` holds the lengths of the ray
+    monodromy's orbits, numbered by least sheet over the ray's reference
+    cone: the cover's cells over the ray, in order, with their weights.
+    `at[pos][i][s]` is the orbit under sheet s over maximal cone `pos`, over
+    the cone's i-th ray."""
 
     degree: int
-    lengths: list[list[int]]
-    at: list[list[list[int]]]
+    digits: list[int]
+    lengths: list[tuple[int, ...]]
+    at: list[list[tuple[int, ...]]]
+    loops: list[_Loop] = field(repr=False)
     tables: _RecordTables = field(repr=False)
+
+    @property
+    def assignment(self) -> MonodromyAssignment:
+        perms = all_permutations(self.degree)
+        return MonodromyAssignment(self.degree, tuple(perms[r] for r in self.digits))
 
     @property
     def profile(self) -> list[list[int]]:
         """Per ray, its orbit lengths in descending order."""
-        return [sorted(lens, reverse=True) for lens in self.lengths]
+        return [list(loop.profile) for loop in self.loops]
 
     @property
     def branch_rays(self) -> list[int]:
@@ -482,25 +543,18 @@ class RayOrbits:
         sum-zero part (both lifted by `lift`): the PL group's dimension is
         `pl_group.base_dimension` plus the sum-zero corank.
 
-        A ray with orbit lengths l_1, ..., l_k gets k-1 integer columns
-        x_1, ..., x_{k-1}, standing for the values w_i = l_k x_i (i < k) and
-        w_k = -(l_1 x_1 + ... + l_{k-1} x_{k-1}) on its cells: exactly the
-        rational values of sum zero, each from one x.  A maximal cone keeps
-        its rows for sheets 0, ..., d-2 only, since on sum-zero values the d
-        sheet rows of one relation sum to 0.  The columns, not the rows, are
-        handed back: over all 47,449 `sigma_prime` degree-3 classes, the rank
-        took 2.2 s by columns and 4.4 s in row form (one core, Python 3.11.7).
+        Each ray's k orbits get k-1 integer columns, which stand for exactly
+        the rational values of sum zero, each from one vector; the loop's
+        `spread` says how (see `_loop`).  A maximal cone keeps its rows for
+        sheets 0, ..., d-2 only, since on sum-zero values the d sheet rows of
+        one relation sum to 0.  The columns, not the rows, are handed back:
+        over all 47,449 `sigma_prime` degree-3 classes, the rank took 2.2 s
+        by columns and 4.4 s in row form (one core, Python 3.11.7).
         """
-        spread = []  # per ray and orbit: (column, factor) of the orbit's value
-        ncols = 0
-        for lens in self.lengths:
-            last = len(lens) - 1
-            spread.append([[(ncols + i, lens[last])] for i in range(last)]
-                          + [[(ncols + i, -lens[i]) for i in range(last)]])
-            ncols += last
         tables = self.tables
         nrows = (self.degree - 1) * tables.nrelations
-        columns = [[0] * nrows for _ in range(ncols)]
+        blocks = [[[0] * nrows for _ in loop.spread[1:]] for loop in self.loops]
+        spreads = [loop.spread for loop in self.loops]
         row = 0
         for rays, rels, over in zip(tables.rays, tables.relations, self.at):
             if not rels:
@@ -508,10 +562,17 @@ class RayOrbits:
             for orbits in list(zip(*over))[:-1]:
                 for rel in rels:
                     for coeff, ray, k in zip(rel, rays, orbits):
-                        for col, factor in spread[ray][k]:
-                            columns[col][row] = coeff * factor
+                        block = blocks[ray]
+                        for col, factor in spreads[ray][k]:
+                            block[col][row] = coeff * factor
                     row += 1
-        return columns, nrows
+        return [col for block in blocks for col in block], nrows
+
+
+def orbits_at(fan: Fan, d: int, index: int, tree: DualSpanningTree | None = None) -> RayOrbits:
+    """`ray_orbits` of `assignment_at(fan, d, index, tree)`, with no assignment built."""
+    tree = tree or spanning_tree(fan)
+    return _record_tables(fan, tree).orbits(d, _digits(index, factorial(d), tree.generators))
 
 
 def ray_orbits(fan: Fan, assignment: MonodromyAssignment,
@@ -525,39 +586,8 @@ def ray_orbits(fan: Fan, assignment: MonodromyAssignment,
             f" spanning tree has {tree.generators} generators"
         )
     tables = _record_tables(fan, tree)
-    d = assignment.degree
-    forward = [p.images for p in assignment.perms]
-    backward = []
-    for images in forward:
-        inv = [0] * d
-        for i, j in enumerate(images):
-            inv[j] = i
-        backward.append(inv)
-    at = [[None] * len(rays) for rays in tables.rays]
-    lengths = []
-    for cones, steps in tables.walks:
-        u = list(range(d))  # sheet s here lies over sheet u[s] at the reference cone
-        transports = [u]
-        for g, fwd in steps:
-            if g >= 0:
-                u = [u[y] for y in (backward[g] if fwd else forward[g])]
-            transports.append(u)
-        loop = transports.pop()  # the inverse of the ray monodromy: the same orbits
-        lookup = [-1] * d
-        lens: list[int] = []
-        for start in range(d):
-            if lookup[start] < 0:
-                k = len(lens)
-                lookup[start] = k
-                n, nxt = 1, loop[start]
-                while nxt != start:
-                    lookup[nxt] = k
-                    n, nxt = n + 1, loop[nxt]
-                lens.append(n)
-        lengths.append(lens)
-        for (pos, place), u in zip(cones, transports):
-            at[pos][place] = [lookup[y] for y in u]
-    return RayOrbits(d, lengths, at, tables)
+    rank = tables.ranks[assignment.degree].rank
+    return tables.orbits(assignment.degree, [rank[p.images] for p in assignment.perms])
 
 
 def sheet_components(assignment: MonodromyAssignment) -> list[set[int]]:
@@ -595,12 +625,7 @@ def class_representatives(d: int, generators: int) -> array:
     for index in range(len(rep)):
         if rep[index] >= 0:
             continue
-        digits = []
-        rest = index
-        for _ in range(generators):
-            rest, r = divmod(rest, base)
-            digits.append(r)
-        digits.reverse()
+        digits = _digits(index, base, generators)
         for row in conjugation:
             other = 0
             for r in digits:

@@ -635,12 +635,12 @@ def _pattern_verdict(fan, cells, kernel: list[list[int]], d: int) -> TrivialityV
     return TrivialityVerdict(True, "matched-pattern", pattern, d)
 
 
-def split_triviality(fan, orbits, assignment) -> TrivialityVerdict:
+def split_triviality(fan, orbits) -> TrivialityVerdict:
     """`system_triviality`'s ladder and verdict for the assignment's cover,
     on the sheet-averaging split (`RayOrbits.sum_zero_columns`) and with no
     cover: one elimination of the sum-zero system M, as columns, gives d,
     `base_dimension(fan)` plus M's corank.  Rung 2's wedge summands are the
-    orbits of the assignment's group (`monodromy.sheet_components`); each
+    orbits of `orbits.assignment`'s group (`monodromy.sheet_components`); each
     covers the whole fan, so it carries its own 3 pullbacks, and the group
     is their direct sum.  Rung 3 keys the cells on M's kernel and the base
     kernel, lifted by `RayOrbits.lift`, which span the group; at base
@@ -660,7 +660,7 @@ def split_triviality(fan, orbits, assignment) -> TrivialityVerdict:
     d = base_dimension(fan) + ncols - len(pivots)
     if d == 3:
         return TrivialityVerdict(True, "pullbacks-only", None, d)
-    k = len(sheet_components(assignment))
+    k = len(sheet_components(orbits.assignment))
     if k > 1 and d == 3 * k:
         return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
     rows = [[col[p] for col in columns] for p in pivots]

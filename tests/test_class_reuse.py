@@ -80,17 +80,21 @@ def test_eikelberg_degree3_cache_pinned(tmp_path, jobs):
 
 
 def test_resume_starts_a_fresh_memo(tmp_path):
-    """A resumed sweep counts only its own records and writes the same bytes."""
+    """A resumed sweep writes the same bytes, counts the records of dim > 3
+    over the whole cache, and solves only the classes of its own records."""
     cache = tmp_path / "eik3.jsonl"
     _sweep(cache, 2)
     data = cache.read_bytes()
     lines = data.split(b"\n")
     cut = sum(len(x) + 1 for x in lines[:5000])
     cache.write_bytes(data[:cut])
-    high_dim_left = sum(json.loads(x)["dim_pl"] > 3 for x in lines[5000:] if x)
+    rep = class_representatives(3, _fan("eikelberg")[1].generators)
+    classes_left = {rep[i] for i, x in enumerate(lines[5000:], 5000)
+                    if x and json.loads(x)["dim_pl"] > 3}
     output = _sweep(cache, 2, "--resume")
     assert cache.read_bytes() == data
-    assert _class_line(output)[0] == high_dim_left
+    high_dim = EIKELBERG_DEG3_HIGH_DIM
+    assert _class_line(output) == (high_dim, len(classes_left), high_dim - len(classes_left))
 
 
 def _summary(output) -> list[str]:
@@ -101,8 +105,9 @@ def _summary(output) -> list[str]:
 
 def test_resume_at_an_index_whose_representative_is_cached(tmp_path):
     """A cut above its own class's representative re-evaluates that
-    representative: the bytes, the dim > 3 counts and the summary over the
-    whole cache come out as in a fresh sweep."""
+    representative: the bytes, the dim > 3 records and the summary over the
+    whole cache come out as in a fresh sweep, and only the classes of the
+    records after the cut are solved."""
     fresh_cache = tmp_path / "fresh.jsonl"
     fresh = _sweep(fresh_cache, 2)
     data = fresh_cache.read_bytes()
@@ -121,7 +126,8 @@ def test_resume_at_an_index_whose_representative_is_cached(tmp_path):
     assert cache.read_bytes() == data
     left = [rec["index"] for rec in records[cut:] if rec["dim_pl"] > 3]
     classes_left = len({rep[i] for i in left})
-    assert _class_line(resumed) == (len(left), classes_left, len(left) - classes_left)
+    high_dim = EIKELBERG_DEG3_HIGH_DIM
+    assert _class_line(resumed) == (high_dim, classes_left, high_dim - classes_left)
     assert _summary(resumed) == _summary(fresh)
     assert len(_summary(fresh)) == 3 + 648
 

@@ -418,6 +418,68 @@ class TestSweep:
         assert "cache corruption at line 4" in result.output
         assert bad.read_text() == content
 
+    def _edited_cache(self, fulton, tmp_path, edits, keep=50):
+        """A fulton degree-2 cache of `keep` records, with its sidecar, after
+        setting `(line, field, value)` for each edit (lines from 1)."""
+        full = tmp_path / "full.jsonl"
+        run_sweep(fulton, 2, jobs=1, cache_path=str(full))
+        lines = full.read_text().splitlines()[:keep]
+        for line, field, value in edits:
+            record = json.loads(lines[line - 1])
+            record[field] = value
+            lines[line - 1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        cache = tmp_path / "edited.jsonl"
+        cache.write_text("".join(x + "\n" for x in lines))
+        shutil.copy(sidecar_path(str(full)), sidecar_path(str(cache)))
+        return cache
+
+    @pytest.mark.parametrize("edits, message", [
+        ([(5, "verdict", "Maybe")],
+         "line 5 has verdict 'Maybe' with cert 'matched-pattern'"),
+        ([(6, "cert", None)], "line 6 has verdict 'AllTrivial' with cert None"),
+        ([(5, "cert", "nontrivial")],
+         "line 5 has verdict 'AllTrivial' with cert 'nontrivial'"),
+        ([(5, "verdict", ["AllTrivial"])],
+         "line 5 has verdict ['AllTrivial'] with cert 'matched-pattern'"),
+        ([(5, "verdict", "Nontrivial")],
+         "line 5 has verdict 'Nontrivial' with cert 'matched-pattern'"),
+        ([(7, "dim_pl", "3")], "line 7 has dim_pl '3' with cert 'pullbacks-only'"),
+        ([(6, "dim_pl", True)], "line 6 has dim_pl True with cert 'pullbacks-only'"),
+        ([(6, "dim_pl", 4)], "line 6 has dim_pl 4 with cert 'pullbacks-only'"),
+        ([(5, "dim_pl", 3)], "line 5 has dim_pl 3 with cert 'matched-pattern'"),
+        ([(1, "dim_pl", 7)], "line 1 has dim_pl 7 with cert 'wedge-of-pullbacks'"),
+        ([(7, "branch_rays", [4, 5, 6])],
+         "line 7 has branch rays [4, 5, 6], which are not those of its profile"),
+        ([(5, "verdict", "Maybe"), (6, "cert", None), (7, "dim_pl", "3")],
+         "line 5 has verdict 'Maybe' with cert 'matched-pattern'"),
+    ], ids=["verdict", "null-cert", "nontrivial-cert", "list-verdict", "nontrivial-verdict",
+            "string-dim",
+            "bool-dim", "dim-above-pullbacks", "dim-3-pattern", "wedge-dim", "branch-rays",
+            "three-edits"])
+    def test_record_field_refused_untouched(self, fulton, tmp_path, runner, edits, message):
+        cache = self._edited_cache(fulton, tmp_path, edits)
+        self._refused_untouched(runner, cache, ["fulton", "-d", "2"],
+                                f"cache record at {message}")
+
+    def test_record_with_another_field_refused(self, fulton, tmp_path, runner):
+        cache = self._edited_cache(fulton, tmp_path, [(5, "rung", 1)])
+        self._refused_untouched(runner, cache, ["fulton", "-d", "2"],
+                                "cache corruption at line 5")
+
+    def test_resumed_summary_counts_the_whole_cache(self, fulton, tmp_path, runner):
+        def counts(output):
+            return [x.split(", solved")[0] for x in output.splitlines()
+                    if x.startswith(("verdicts:", "dim > 3 records:"))]
+
+        cache = self._edited_cache(fulton, tmp_path, [], keep=60)
+        resumed = runner.invoke(
+            main, ["pl", "sweep", "fulton", "-d", "2", "--jobs", "1",
+                   "--cache", str(cache), "--resume"])
+        fresh = runner.invoke(main, ["pl", "sweep", "fulton", "-d", "2", "--jobs", "1"])
+        assert resumed.exit_code == fresh.exit_code == 0
+        assert counts(resumed.output) == counts(fresh.output)
+        assert "dim > 3 records: 16" in counts(fresh.output)
+
     @pytest.mark.parametrize(
         "written, resumed, message",
         [
@@ -693,12 +755,15 @@ def _set(*keys_and_value):
 
 
 # Bundle fields the loader used to accept (exit 0) or refuse without naming
-# them, by the message that now names the field.
+# them, by the message that now names the field (a repeated threshold was
+# refused without naming its ray).
 MALFORMED_BUNDLE_FIELDS = {
     "float threshold": (_set("filtrations", "1", 1, "threshold", 18.0),
                         "filtration of ray '1': threshold 18.0 is not an integer"),
     "bool threshold": (_set("filtrations", "1", 1, "threshold", True),
                        "filtration of ray '1': threshold True is not an integer"),
+    "repeated threshold": (_set("filtrations", "1", 1, "threshold", -12),
+                           "filtration of ray '1': thresholds must strictly increase"),
     "float subspace entry": (_set("filtrations", "1", 1, "subspace", [[1.0, 0]]),
                              "filtration of ray '1': subspace [[1.0, 0]] is not a list of "
                              "rows of 2 integers or 'p/q' strings"),

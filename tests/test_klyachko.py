@@ -91,6 +91,22 @@ class TestFiltration:
         with pytest.raises(KlyachkoError):
             Filtration(2, [(0, E), (1, E)])  # not strictly decreasing
 
+    @pytest.mark.parametrize("threshold", [Fraction(1, 2), Fraction(2), 2.7, 2.0, True],
+                             ids=repr)
+    def test_refuses_a_threshold_that_is_not_an_int(self, threshold):
+        # these used to be truncated by int(): 1/2 to 0, 2.7 to 2, True to 1
+        E = SubspaceBasis(2, [[1, 0], [0, 1]])
+        with pytest.raises(KlyachkoError, match="is not an integer"):
+            Filtration(2, [(threshold, E)])
+
+
+@pytest.mark.parametrize("u", [(Fraction(3, 2), 0, 1), (1, 0.9, 1), (1, 0, True)], ids=repr)
+def test_certificate_refuses_a_u_that_is_not_of_ints(u):
+    # (3/2, 0.9, 1) used to become (1, 0, 1)
+    E = SubspaceBasis(1, [[1]])
+    with pytest.raises(KlyachkoError, match="is not a vector of integers"):
+        SplittingCertificate({0: [((1, 2, 3), E)], 1: [(u, E)]})
+
 
 class TestVerify:
     def test_eikelberg_ok(self, eikelberg_bundle):

@@ -10,19 +10,25 @@ cover-first sweep wrote before records were decided on the system.
 import hashlib
 import json
 import multiprocessing
+import random
+import time
 from collections import Counter
 from functools import lru_cache
+from operator import mul
 
 import pytest
 
 from fanbranch import cli
 from fanbranch.cli import SweepRecord, evaluate_assignment, run_sweep
 from fanbranch.exact_linalg import rank_of_int_rows
-from fanbranch.fan_core import load_fan
+from fanbranch.fan_core import load_fan, stellar_subdivision, wall_relation
 from fanbranch.monodromy import (
     assignment_at,
+    branch_rays,
     build_cover,
     count_assignments,
+    orbits_at,
+    ray_orbits,
     spanning_tree,
 )
 from fanbranch.pl_group import _max_cell_geometry, _pullback_z, group_triviality, ray_value_system
@@ -148,3 +154,73 @@ def test_pullbacks_solve_every_degree2_system(name):
         pull = [_pullback_z(cover, j) for j in range(fan.rank)]
         assert all(sum(a * b for a, b in zip(row, z)) == 0 for row in rows for z in pull)
         assert rank_of_int_rows([list(z) for z in pull], len(zvars)) == fan.rank
+
+
+def cover_orbits(fan, a, tree):
+    """(lengths, at, sum-zero columns and rows) of `RayOrbits`, read off `build_cover`'s
+    cover: the weights of the cells over each ray, the index of the ray cell
+    under each maximal cell (cone position, place of the ray, sheet), and the
+    cover's values-at-rays rows for sheets 0, ..., d-2, cone by cone, applied
+    to the sum-zero values that each column stands for."""
+    d = a.degree
+    cover = build_cover(fan, a, tree)
+    rows, zvars = ray_value_system(cover)
+    over = [cover.cells_over(fan.cone_id((ray,))) for ray in range(len(fan.rays))]
+    lengths = [[cover.cells[c].weight for c in cells] for cells in over]
+    at = [[[None] * d for _ in cone.ray_indices] for cone in fan.max_cones]
+    blocks, start = {}, 0
+    for m, pos, _, cols in _max_cell_geometry(cover):
+        sheet = cover.cells[m].copy
+        for place, col in enumerate(cols):
+            at[pos][place][sheet] = cover.cells[zvars[col]].copy
+        nrel = len(wall_relation(fan, pos))
+        blocks[pos, sheet] = rows[start:start + nrel]
+        start += nrel
+    kept = [row for pos in range(len(fan.max_cones)) for s in range(d - 1)
+            for row in blocks[pos, s]]
+    columns, first = [], 0
+    for lens in lengths:
+        k = len(lens)
+        for i in range(k - 1):
+            values = [0] * len(zvars)
+            values[first + i], values[first + k - 1] = lens[k - 1], -lens[i]
+            columns.append([sum(map(mul, row, values)) for row in kept])
+        first += k
+    return lengths, at, (columns, len(kept))
+
+
+# degree-4 records: the rank tables of S_4, with orbit lengths up to 4
+@pytest.mark.parametrize("name, pos", [("fulton", None), ("sigma_prime", 2)],
+                         ids=["fulton", "sigma_prime-subdivided"])
+def test_degree4_orbits_and_records_equal_cover(name, pos):
+    fan = load_fan(name)
+    if pos is not None:
+        fan = stellar_subdivision(fan, pos)
+    tree = spanning_tree(fan)
+    rng = random.Random(4)
+    indices = [0] + sorted(rng.randrange(count_assignments(fan, 4)) for _ in range(24))
+    long_orbits = 0
+    for i in indices:
+        a = assignment_at(fan, 4, i, tree)
+        orbits = orbits_at(fan, 4, i, tree)
+        assert orbits == ray_orbits(fan, a, tree)
+        lengths, at, sum_zero = cover_orbits(fan, a, tree)
+        assert [list(x) for x in orbits.lengths] == lengths, i
+        assert [[list(x) for x in cone] for cone in orbits.at] == at, i
+        assert orbits.profile == [sorted(x, reverse=True) for x in lengths]
+        assert orbits.branch_rays == branch_rays(fan, a, tree)
+        assert orbits.sum_zero_columns() == sum_zero, i
+        assert evaluate_assignment(fan, tree, 4, i).to_json() == reference_record(fan, tree, 4, i)
+        long_orbits += any(4 in x for x in lengths)
+    assert long_orbits
+
+
+def test_degree6_record_from_a_fresh_fan():
+    """The degree-6 tables fill on the first record of a fan just loaded."""
+    fan = load_fan("fulton")
+    tree = spanning_tree(fan)
+    index = random.Random(6).randrange(count_assignments(fan, 6))
+    start = time.perf_counter()
+    record = evaluate_assignment(fan, tree, 6, index).to_json()
+    assert time.perf_counter() - start < 1
+    assert record == reference_record(fan, tree, 6, index)

@@ -84,7 +84,7 @@ def check_records(fan, tree, d: int, indices, tags: Counter | None = None) -> in
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pl_group, "_echelon_kernel", recorded)
             # verdict, tag, dim and pattern, with row block labels
-            split = split_triviality(fan, orbits, a)
+            split = split_triviality(fan, orbits)
         assert split == full, index
         rung3 = split.tag in ("matched-pattern", "nontrivial")
         assert kernels == ([row_form] if rung3 else []), index

@@ -64,7 +64,7 @@ def _record_problem(rec: dict, nrays: int, d: int) -> str | None:
     profile, branch, dim, cert = rec["profile"], rec["branch_rays"], rec["dim_pl"], rec["cert"]
     if not (isinstance(profile, list) and len(profile) == nrays and all(
             isinstance(p, list) and all(type(k) is int and k > 0 for k in p)
-            and sum(p) == d for p in profile)):
+            and sum(p) == d and p == sorted(p, reverse=True) for p in profile)):
         return f"does not fit {nrays} rays at degree {d}"
     if not (isinstance(branch, list) and all(type(r) is int for r in branch)
             and branch == [ray for ray, p in enumerate(profile) if len(p) < d]):

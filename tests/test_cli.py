@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from fanbranch.cli import (
     CacheError,
+    _sweep_meta,
     branch_census,
     evaluate_assignment,
     main,
@@ -461,10 +462,26 @@ class TestSweep:
         self._refused_untouched(runner, cache, ["fulton", "-d", "2"],
                                 f"cache record at {message}")
 
-    def test_record_with_another_field_refused(self, fulton, tmp_path, runner):
-        cache = self._edited_cache(fulton, tmp_path, [(5, "rung", 1)])
-        self._refused_untouched(runner, cache, ["fulton", "-d", "2"],
-                                "cache corruption at line 5")
+    @pytest.mark.parametrize("edit, message", [
+        ((5, "rung", 1), "cache corruption at line 5"),
+        ((5, "index", 4.0), "cache is not a clean index prefix at line 5"),
+        ((2, "index", True), "cache is not a clean index prefix at line 2"),
+    ], ids=["another-field", "float-index", "bool-index"])
+    def test_record_line_refused(self, fulton, tmp_path, runner, edit, message):
+        cache = self._edited_cache(fulton, tmp_path, [edit])
+        self._refused_untouched(runner, cache, ["fulton", "-d", "2"], message)
+
+    def test_profile_out_of_order_refused(self, fulton, tmp_path, runner):
+        # a cycle type is written in descending order; degree 2 has none to swap
+        tree = spanning_tree(fulton)
+        lines = [json.loads(evaluate_assignment(fulton, tree, 3, i).to_json()) for i in range(4)]
+        assert lines[1]["profile"][6] == [2, 1]
+        lines[1]["profile"][6] = [1, 2]
+        cache = tmp_path / "fulton3.jsonl"
+        cache.write_text("".join(json.dumps(x, sort_keys=True) + "\n" for x in lines))
+        Path(sidecar_path(str(cache))).write_text(json.dumps(_sweep_meta(fulton, 3, tree)))
+        self._refused_untouched(runner, cache, ["fulton", "-d", "3"],
+                                "cache record at line 2 does not fit 8 rays at degree 3")
 
     def test_resumed_summary_counts_the_whole_cache(self, fulton, tmp_path, runner):
         def counts(output):

@@ -366,16 +366,11 @@ def _loop(images) -> _Loop:
     descending order, and per orbit, the (column, factor) pairs of its value
     in the ray's sum-zero columns.  Orbit lengths l_1, ..., l_k give columns
     x_i (i < k) for l_k x_i on orbit i and -(l_1 x_1 + ...) on orbit k."""
-    orbit, lengths = [-1] * len(images), []
-    for start in range(len(images)):
-        if orbit[start] < 0:
-            k = len(lengths)
-            orbit[start] = k
-            n, nxt = 1, images[start]
-            while nxt != start:
-                orbit[nxt] = k
-                n, nxt = n + 1, images[nxt]
-            lengths.append(n)
+    cycles = Permutation(images).cycles()  # by least point
+    orbit, lengths = [0] * len(images), [len(c) for c in cycles]
+    for k, cycle in enumerate(cycles):
+        for s in cycle:
+            orbit[s] = k
     last = len(lengths) - 1
     spread = [((i, lengths[last]),) for i in range(last)]
     spread.append(tuple((i, -lengths[i]) for i in range(last)))

@@ -8,6 +8,14 @@ make compatibility a finite, exactly checkable statement, while
 `necessary_dimension_check` provides a certificate-free screen (necessary,
 never claimed sufficient).
 
+Both decide in integers.  Each question about a subspace is asked of its
+rows cleared of denominators, or of the integer rows of its annihilator,
+computed once per ray and threshold in each call (`_annihilators`): a rank
+for a sum or an intersection, a zero pairing for an inclusion.  No subspace
+sum or intersection is built; the proofs are in the docstrings.  The
+screen's elimination of each cone's rays is a constant of the fan and is
+cached on it.
+
 The associated branched cover glues one cell per restricted functional class
 over every cone, weighted by multiplicity, and carries the tautological
 piecewise-linear function whose per-cone multisets are the equivariant Chern
@@ -21,6 +29,7 @@ from fractions import Fraction
 from importlib.resources import files
 from itertools import chain, combinations_with_replacement, product
 from math import lcm
+from operator import mul
 
 from .cover_poset import CoverCell, CoverPoset, validate_cover
 from .exact_linalg import (
@@ -34,7 +43,7 @@ from .exact_linalg import (
     subspace_sum,
 )
 from .fan_core import Fan, cone_contains_point, load_fan, read_json
-from .pl_group import PLFunction
+from .pl_group import PLFunction, _fan_cache
 
 
 class KlyachkoError(ValueError):
@@ -78,6 +87,15 @@ class Filtration:
             raise KlyachkoError("zero subspaces are implicit above the last threshold")
         self.ambient_dim = ambient_dim
         self.steps = steps
+
+    @classmethod
+    def _unchecked(cls, ambient_dim: int, steps: tuple) -> "Filtration":
+        """A filtration from a tuple of (int, `SubspaceBasis`) steps that the
+        caller has proven valid: no coercion, no check."""
+        f = cls.__new__(cls)
+        f.ambient_dim = ambient_dim
+        f.steps = steps
+        return f
 
     def value(self, i) -> SubspaceBasis:
         """The subspace at index i (full below all thresholds, 0 above)."""
@@ -184,17 +202,56 @@ def _induced_filtration(rank: int, pairs) -> Filtration:
     return Filtration(rank, steps)
 
 
+def _annihilators(data: KlyachkoData):
+    """(ray, t) -> integer rows spanning the annihilator of the stored step
+    of `ray` at t, each computed once per ray and threshold.  The memo lives
+    as long as the function returned, which is one call of its caller."""
+    r = data.rank
+    memo: dict[tuple[int, int], list[list[int]]] = {}
+
+    def rows(ray: int, t: int) -> list[list[int]]:
+        key = (ray, t)
+        if key not in memo:
+            step = data.filtrations[ray].value(t)
+            memo[key] = [list(v) for v in
+                         nullspace_of_int_rows(_cleared_rows(step.basis), r)]
+        return memo[key]
+
+    return rows
+
+
 def verify(data: KlyachkoData, cert: SplittingCertificate) -> VerifyResult:
     """Exact check of the compatibility identity on every maximal cone.
 
-    For each maximal cone, the certified decomposition must be a direct sum,
-    and for every ray of the cone the sums of summands with functional value
-    at least i must reproduce the stored filtration at every integer i.
+    For each maximal cone, every summand must be nonzero, the certified
+    decomposition must be a direct sum, and for every ray of the cone the
+    sums of summands with functional value at least t must reproduce the
+    stored filtration at every integer t.  The first threshold reported is
+    the least t at which they differ.
+
+    Decided in integers, with no subspace sum built.  The sum is direct
+    exactly when the summands' dimensions add up to r and their cleared
+    rows have rank r.  Then, at a ray, the induced filtration
+    F(t) = sum of E_u over <u, v> >= t is a filtration of the stored kind:
+    full at its lowest value, strictly decreasing at each further value
+    (a nonzero summand drops out), nonzero at its highest.  Two such
+    filtrations are constant between consecutive thresholds of either, full
+    below all of them and 0 above, so they are equal exactly when they agree
+    at every threshold of the union, and the first t of the ascending union
+    at which they differ is the first integer at all.  At t, F(t) is a
+    direct sum of the E_u with <u, v> >= t, so F(t) = S(t) exactly when
+    those dimensions add up to dim S(t) and each such E_u lies in S(t): a
+    subspace of S(t) of dimension dim S(t) is S(t).  E_u lies in S(t)
+    exactly when every integer row of the annihilator of S(t) (computed once
+    per ray and threshold) pairs to 0 with every cleared row of E_u.
     """
     fan = data.fan
     r = data.rank
+    annihilator_rows = _annihilators(data)
     for pos in range(len(fan.max_cones)):
         entries = cert.cone(pos)
+        for u in (u for u, s in entries if s.dim == 0):
+            return VerifyResult(False, cone=pos, reason=f"the summand of u = {u} is zero")
         cone_rays = fan.max_cones[pos].ray_indices
         # distinct functional classes on this cone
         tuples = [
@@ -203,32 +260,28 @@ def verify(data: KlyachkoData, cert: SplittingCertificate) -> VerifyResult:
         ]
         if len(set(tuples)) != len(tuples):
             return VerifyResult(False, cone=pos, reason="repeated functional class in splitting")
-        total = SubspaceBasis(r)
-        dim_sum = 0
-        for _, s in entries:
-            total = subspace_sum(total, s)
-            dim_sum += s.dim
-        if dim_sum != r or total.dim != r:
+        if any(s.ambient_dim != r for _, s in entries):
+            raise ValueError("ambient dimension mismatch")
+        blocks = [_cleared_rows(s.basis) for _, s in entries]
+        dim_sum = sum(map(len, blocks))
+        spanned = rank_of_int_rows([row for block in blocks for row in block], r)
+        if dim_sum != r or spanned != r:
             return VerifyResult(
                 False, cone=pos,
-                reason=f"summands have total dimension {dim_sum} spanning {total.dim}, want {r}",
+                reason=f"summands have total dimension {dim_sum} spanning {spanned}, want {r}",
             )
-        for ray in cone_rays:
-            pairs = [
-                (sum(a * b for a, b in zip(u, fan.rays[ray])), s) for u, s in entries
-            ]
-            induced = _induced_filtration(r, pairs)
-            stored = data.filtrations[ray]
-            if induced != stored:
-                thresholds = sorted(set(induced.thresholds()) | set(stored.thresholds()))
-                bad = next(
-                    (t for t in thresholds if induced.value(t) != stored.value(t)),
-                    thresholds[0],
-                )
-                return VerifyResult(
-                    False, cone=pos, ray=ray, threshold=bad,
-                    reason="splitting does not reproduce the stored filtration",
-                )
+        for j, ray in enumerate(cone_rays):
+            values = [tup[j] for tup in tuples]
+            for t in sorted(set(values) | set(data.filtrations[ray].thresholds())):
+                above = [block for v, block in zip(values, blocks) if v >= t]
+                ann = annihilator_rows(ray, t)
+                if sum(map(len, above)) != r - len(ann) or any(
+                    sum(map(mul, a, row)) for block in above for row in block for a in ann
+                ):
+                    return VerifyResult(
+                        False, cone=pos, ray=ray, threshold=t,
+                        reason="splitting does not reproduce the stored filtration",
+                    )
     return VerifyResult(True)
 
 
@@ -243,32 +296,45 @@ class NecessityReport:
         return self.status == "ok"
 
 
-def _integral_solutions(ray_matrix, combos) -> dict:
-    """The combos b for which V.u = b has an integral solution u, V the
-    cone's ray matrix, each mapped to an integral solution (as `Fraction`s):
-    the only solution when V has full column rank, and `integer_solve`'s
-    otherwise.
+def _cone_elimination(fan: Fan, pos: int):
+    """(V, pivots, den, T') of maximal cone `pos`, V its ray matrix:
+    the elimination that `_integral_solutions` reads, a constant of the
+    fan's rays, cached on the fan like `pl_group._lift_data`."""
+    cache = _fan_cache(fan)
+    key = ("screen", pos)
+    if key not in cache:
+        ray_matrix = [list(fan.rays[ray]) for ray in fan.max_cones[pos].ray_indices]
+        m, n = len(ray_matrix), fan.rank
+        rows = [[Fraction(x) for x in v] + [Fraction(int(i == j)) for j in range(m)]
+                for i, v in enumerate(ray_matrix)]
+        rows, pivots = _rref_rows(rows, n)
+        den = lcm(*(x.denominator for row in rows for x in row[n:]))
+        t = [[x.numerator * (den // x.denominator) for x in row[n:]] for row in rows]
+        cache[key] = (ray_matrix, pivots, den, t)
+    return cache[key]
 
-    One `_rref_rows` of [V | I_m] serves every b: its row operations are
-    those of `solve_linear`'s elimination of [V | b] whatever b is, so its
-    right block T, cleared to integers T' = den.T, turns b into the last
-    column of that elimination, T'.b / den: the solution at the pivots, and
-    zeros below the rank exactly when the system is consistent.  When V has
-    full column rank the solution is unique, so an integral solution exists
-    exactly when it is integral; otherwise `integer_solve` decides, and its
-    solution is the one reported, since the one with free variables 0 need
-    not be integral.
+
+def _integral_solutions(fan: Fan, pos: int, combos) -> dict:
+    """The combos b for which V.u = b has an integral solution u, V the ray
+    matrix of maximal cone `pos`, each mapped to an integral solution (as
+    `Fraction`s): the only solution when V has full column rank, and
+    `integer_solve`'s otherwise.
+
+    One `_rref_rows` of [V | I_m] serves every b (`_cone_elimination`): its
+    row operations are those of `solve_linear`'s elimination of [V | b]
+    whatever b is, so its right block T, cleared to integers T' = den.T,
+    turns b into the last column of that elimination, T'.b / den: the
+    solution at the pivots, and zeros below the rank exactly when the
+    system is consistent.  When V has full column rank the solution is
+    unique, so an integral solution exists exactly when it is integral;
+    otherwise `integer_solve` decides, and its solution is the one
+    reported, since the one with free variables 0 need not be integral.
     """
-    m, n = len(ray_matrix), len(ray_matrix[0])
-    rows = [[Fraction(x) for x in v] + [Fraction(int(i == j)) for j in range(m)]
-            for i, v in enumerate(ray_matrix)]
-    rows, pivots = _rref_rows(rows, n)
-    rank = len(pivots)
-    den = lcm(*(x.denominator for row in rows for x in row[n:]))
-    t = [[x.numerator * (den // x.denominator) for x in row[n:]] for row in rows]
+    ray_matrix, pivots, den, t = _cone_elimination(fan, pos)
+    rank, n = len(pivots), fan.rank
     out = {}
     for b in combos:
-        tb = [sum(a * x for a, x in zip(row, b)) for row in t]
+        tb = [sum(map(mul, row, b)) for row in t]
         if any(tb[rank:]):
             continue
         if rank < n:
@@ -298,25 +364,15 @@ def necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
     """
     fan = data.fan
     r = data.rank
-    annihilators: dict[tuple[int, int], list[list[int]]] = {}
-
-    def annihilator_rows(ray: int, t: int) -> list[list[int]]:
-        key = (ray, t)
-        if key not in annihilators:
-            step = data.filtrations[ray].value(t)
-            annihilators[key] = [list(v) for v in
-                                 nullspace_of_int_rows(_cleared_rows(step.basis), r)]
-        return annihilators[key]
-
+    annihilator_rows = _annihilators(data)
     recovered = {}
     for pos in range(len(fan.max_cones)):
         cone_rays = fan.max_cones[pos].ray_indices
         filts = [data.filtrations[ray] for ray in cone_rays]
         threshold_sets = [f.thresholds() for f in filts]
-        ray_matrix = [list(fan.rays[ray]) for ray in cone_rays]
 
         grid = list(product(*threshold_sets))
-        solutions = _integral_solutions(ray_matrix, grid)
+        solutions = _integral_solutions(fan, pos, grid)
         candidates = sorted(solutions)
 
         drops = [dict(f.drop_multiset()) for f in filts]
@@ -367,15 +423,24 @@ def necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
 
 def dual(data: KlyachkoData) -> KlyachkoData:
     """Dual bundle: the filtration at index i becomes the annihilator of the
-    original filtration at index 1 - i."""
+    original filtration at index 1 - i.
+
+    The steps are built unchecked, since they are valid by construction.
+    From steps (t_1, S_1), ..., (t_k, S_k) with S_1 the full space, the dual
+    has (-t_k, Q^r), then (-t_{j-1}, ann S_j) for j = k, ..., 2.  Its
+    thresholds are ints and strictly increase.  Annihilation reverses strict
+    inclusions, so S_{j-1} > S_j gives ann S_j < ann S_{j-1}, and it swaps
+    the full space with 0: S_k != 0 gives ann S_k < Q^r, and S_2 < Q^r
+    gives ann S_2 != 0, so the last step is nonzero (when k = 1 the only
+    step is Q^r, nonzero since r >= 1).
+    """
     r = data.rank
+    full = _full_space(r)
     out = {}
     for ray, f in data.filtrations.items():
         steps = f.steps
-        new_steps = [(-steps[-1][0], _full_space(r))]
-        for j in range(len(steps) - 1, 0, -1):
-            new_steps.append((-steps[j - 1][0], annihilator(steps[j][1])))
-        out[ray] = Filtration(r, new_steps)
+        out[ray] = Filtration._unchecked(r, ((-steps[-1][0], full),) + tuple(
+            (-steps[j - 1][0], annihilator(steps[j][1])) for j in range(len(steps) - 1, 0, -1)))
     return KlyachkoData(data.fan, r, out)
 
 
@@ -476,9 +541,7 @@ def _restriction_multiset(fan: Fan, pos: int, entries, cone_id: int):
     face_rays = fan.cones[cone_id].ray_indices
     acc: dict[tuple, int] = {}
     for u, mult in entries:
-        key = tuple(
-            sum(a * b for a, b in zip(u, fan.rays[ray])) for ray in face_rays
-        )
+        key = tuple([sum(map(mul, u, fan.rays[ray])) for ray in face_rays])
         acc[key] = acc.get(key, 0) + mult
     return tuple(sorted(acc.items()))
 
@@ -790,6 +853,13 @@ def _subspace(rows, r: int, where: str) -> SubspaceBasis:
                             "integers or 'p/q' strings") from None
 
 
+def _summand(rows, r: int, where: str, entry: int) -> SubspaceBasis:
+    s = _subspace(rows, r, where)
+    if s.dim == 0:
+        raise KlyachkoError(f"{where} entry {entry} is the zero subspace, which is no summand")
+    return s
+
+
 def _position(key: str, n: int, where: str, what: str) -> int:
     if key not in map(str, range(n)):  # not "99", "01" or " 1"
         raise KlyachkoError(f"{where} the fan has no such {what}")
@@ -799,8 +869,9 @@ def _position(key: str, n: int, where: str, what: str) -> int:
 def bundle_from_dict(fan: Fan, data: dict):
     """(data, certificate) from the bundle format, refusing by name a field
     that breaks it: the rank, thresholds and `u` entries are exact ints, `u`
-    has the fan's lattice rank, subspace rows have `rank` entries, and keys
-    are positions of the fan's rays and maximal cones."""
+    has the fan's lattice rank, subspace rows have `rank` entries, every
+    splitting summand is nonzero, and keys are positions of the fan's rays
+    and maximal cones."""
     r = data["rank"]
     if type(r) is not int or r < 1:
         raise KlyachkoError(f"rank {r!r} is not a positive integer")
@@ -821,7 +892,7 @@ def bundle_from_dict(fan: Fan, data: dict):
             if not isinstance(u, list) or len(u) != fan.rank or any(type(x) is not int for x in u):
                 raise KlyachkoError(f"{where} u {u!r} is not a list of {fan.rank} integers")
         entries[_position(key, len(fan.max_cones), where, "maximal cone")] = [
-            (tuple(e["u"]), _subspace(e["subspace"], r, where)) for e in lst]
+            (tuple(e["u"]), _summand(e["subspace"], r, where, i)) for i, e in enumerate(lst)]
     return kdata, SplittingCertificate(entries) if "splittings" in data else None
 
 

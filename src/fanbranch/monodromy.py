@@ -173,20 +173,25 @@ class MonodromyAssignment:
             raise ValueError(
                 "a monodromy is an object with 'degree' and 'perms', a list of permutation images"
             )
-        if degree < 1:
-            raise ValueError("degree must be a positive integer")
-        return cls(degree, tuple(map(Permutation, perms)))
+        return cls(_degree(degree), tuple(map(Permutation, perms)))
+
+
+def _degree(d) -> int:
+    """`d`, refused unless it is an `int` of at least 1."""
+    if type(d) is not int or d < 1:
+        raise ValueError("degree must be a positive integer")
+    return d
 
 
 def count_assignments(fan: Fan, d: int) -> int:
     tree = spanning_tree(fan)
-    return factorial(d) ** tree.generators
+    return factorial(_degree(d)) ** tree.generators
 
 
 def assignment_at(fan: Fan, d: int, index: int, tree: DualSpanningTree | None = None) -> MonodromyAssignment:
     """The index-th assignment in lexicographic order (mixed radix, first
     generator most significant)."""
-    perms = all_permutations(d)
+    perms = all_permutations(_degree(d))
     digits = _digits(index, len(perms), (tree or spanning_tree(fan)).generators)
     return MonodromyAssignment(d, tuple(perms[r] for r in digits))
 
@@ -567,7 +572,7 @@ class RayOrbits:
 def orbits_at(fan: Fan, d: int, index: int, tree: DualSpanningTree | None = None) -> RayOrbits:
     """`ray_orbits` of `assignment_at(fan, d, index, tree)`, with no assignment built."""
     tree = tree or spanning_tree(fan)
-    return _record_tables(fan, tree).orbits(d, _digits(index, factorial(d), tree.generators))
+    return _record_tables(fan, tree).orbits(d, _digits(index, factorial(_degree(d)), tree.generators))
 
 
 def ray_orbits(fan: Fan, assignment: MonodromyAssignment,

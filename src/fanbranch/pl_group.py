@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .cover_poset import CoverPoset, components
 from .exact_linalg import (
@@ -105,10 +106,8 @@ def _kernel_keys(fan, cells, kernel: list[list[int]]) -> list[tuple[int, ...]]:
         chosen, scaled, den = _lift_data(fan, pos)
         cols = [cell_cols[i] for i in chosen]
         f = big // den
-        keys.append(tuple([
-            f * sum(a * z[c] for a, c in zip(row, cols))
-            for z in kernel for row in scaled
-        ]))
+        gathered = [[z[c] for c in cols] for z in kernel]
+        keys.append(tuple([f * sum(map(mul, row, v)) for v in gathered for row in scaled]))
     return keys
 
 
@@ -146,24 +145,34 @@ class PLFunction:
     """A piecewise-linear function: one ambient functional per maximal cell."""
 
     def __init__(self, cover: CoverPoset, cell_values):
+        """Check that the functionals agree at every ray cell.  When every
+        entry is exactly an `int` the check runs in `int` arithmetic and the
+        values become `Fraction`s once, after it: the sums, comparisons and
+        messages are those of the `Fraction` path."""
         self.cover = cover
-        self.cell_values = {
-            m: tuple(Fraction(x) for x in u) for m, u in cell_values.items()
-        }
-        if set(self.cell_values) != set(cover.max_cells):
+        values = {m: tuple(u) for m, u in cell_values.items()}
+        exact = all(type(x) is int for u in values.values() for x in u)
+        if not exact:
+            values = {m: tuple(map(Fraction, u)) for m, u in values.items()}
+        if set(values) != set(cover.max_cells):
             raise PLError("need exactly one functional per maximal cell")
-        self.ray_values: dict[int, Fraction] = {}
+        ray_values = {}
         fan = cover.fan
         zvars = cover.ray_cells
         for m, pos, _, cols in _max_cell_geometry(cover):
-            u = self.cell_values[m]
+            u = values[m]
             for ray, c in zip(fan.max_cones[pos].ray_indices, cols):
-                val = sum(a * b for a, b in zip(u, fan.rays[ray]))
+                val = sum(map(mul, u, fan.rays[ray]))
                 rc = zvars[c]
-                old = self.ray_values.get(rc)
+                old = ray_values.get(rc)
                 if old is not None and old != val:
                     raise PLError(f"inconsistent values {old} != {val} at ray cell {rc}")
-                self.ray_values[rc] = val
+                ray_values[rc] = val
+        if exact:
+            values = {m: tuple(map(Fraction, u)) for m, u in values.items()}
+            ray_values = {rc: Fraction(val) for rc, val in ray_values.items()}
+        self.cell_values = values
+        self.ray_values: dict[int, Fraction] = ray_values
 
     @classmethod
     def _exact(cls, cover: CoverPoset, cell_values: dict, ray_values: dict) -> "PLFunction":

@@ -3,9 +3,15 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from fanbranch.exact_linalg import RationalMatrix, SubspaceBasis, rank
+from fanbranch.exact_linalg import RationalMatrix, SubspaceBasis, rank, subspace_sum
 from fanbranch.fan_core import load_fan, stellar_subdivision, wall_relation
-from fanbranch.klyachko import Filtration, KlyachkoData
+from fanbranch.klyachko import (
+    Filtration,
+    KlyachkoData,
+    SplittingCertificate,
+    VerifyResult,
+    _induced_filtration,
+)
 from fanbranch.monodromy import (
     assignment_at,
     build_cover,
@@ -60,6 +66,56 @@ def stellar_covers() -> tuple:
                 index = rng.randrange(count_assignments(sub, d))
                 covers.append(build_cover(sub, assignment_at(sub, d, index, tree), tree))
     return tuple(covers)
+
+
+# -- compatibility by rebuilding each induced filtration ----------------------
+#
+# `klyachko.verify` decides in integers, with no subspace sum built.  This is
+# the direct reading it is tested against: per cone and ray, the validated
+# `Filtration` that the summands induce, compared with the stored one.
+
+
+def reference_verify(data: KlyachkoData, cert: SplittingCertificate) -> VerifyResult:
+    """`verify` as the literal compatibility identity, in `Fraction` subspaces.
+    A certificate with a zero summand makes `_induced_filtration` raise."""
+    fan = data.fan
+    r = data.rank
+    for pos in range(len(fan.max_cones)):
+        entries = cert.cone(pos)
+        cone_rays = fan.max_cones[pos].ray_indices
+        tuples = [
+            tuple(sum(a * b for a, b in zip(u, fan.rays[ray])) for ray in cone_rays)
+            for u, _ in entries
+        ]
+        if len(set(tuples)) != len(tuples):
+            return VerifyResult(False, cone=pos, reason="repeated functional class in splitting")
+        total = SubspaceBasis(r)
+        dim_sum = 0
+        for _, s in entries:
+            total = subspace_sum(total, s)
+            dim_sum += s.dim
+        if dim_sum != r or total.dim != r:
+            return VerifyResult(
+                False, cone=pos,
+                reason=f"summands have total dimension {dim_sum} spanning {total.dim}, want {r}",
+            )
+        for ray in cone_rays:
+            pairs = [
+                (sum(a * b for a, b in zip(u, fan.rays[ray])), s) for u, s in entries
+            ]
+            induced = _induced_filtration(r, pairs)
+            stored = data.filtrations[ray]
+            if induced != stored:
+                thresholds = sorted(set(induced.thresholds()) | set(stored.thresholds()))
+                bad = next(
+                    (t for t in thresholds if induced.value(t) != stored.value(t)),
+                    thresholds[0],
+                )
+                return VerifyResult(
+                    False, cone=pos, ray=ray, threshold=bad,
+                    reason="splitting does not reproduce the stored filtration",
+                )
+    return VerifyResult(True)
 
 
 # -- the whole values-at-rays system of a monodromy cover --------------------

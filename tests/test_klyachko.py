@@ -22,6 +22,7 @@ from fanbranch.klyachko import (
     KlyachkoError,
     NecessityReport,
     SplittingCertificate,
+    VerifyResult,
     branched_cover_of,
     bundle_from_dict,
     bundle_to_dict,
@@ -46,6 +47,7 @@ from conftest import (
     forced_chain,
     forced_collision,
     random_bundle,
+    reference_verify,
 )
 
 
@@ -137,6 +139,99 @@ class TestVerify:
         bad_entries[0] = ((u1, s2), (u2, s1))  # swap the two lines
         result = verify(data, SplittingCertificate(bad_entries))
         assert not result.ok and result.cone == 0
+
+
+    def test_zero_summand_is_a_violation_at_its_cone(self, eikelberg_bundle):
+        # the induced filtration used to refuse it with "zero subspaces are
+        # implicit above the last threshold", which does not name the fault
+        data, cert = eikelberg_bundle
+        entries = dict(cert.entries)
+        entries[0] = entries[0] + (((7, 7, 7), SubspaceBasis(2)),)
+        result = verify(data, SplittingCertificate(entries))
+        assert result == VerifyResult(False, cone=0, reason="the summand of u = (7, 7, 7) is zero")
+
+
+def _dual_certificate(cert: SplittingCertificate, r: int) -> SplittingCertificate:
+    """The dual's splitting: E*_{-u} is the annihilator of the other summands."""
+    return SplittingCertificate({
+        pos: [(tuple(-x for x in u),
+               annihilator(SubspaceBasis(r, [row for j, (_, t) in enumerate(es) if j != i
+                                             for row in t.basis])))
+              for i, (u, _) in enumerate(es)]
+        for pos, es in cert.entries.items()
+    })
+
+
+def _verify_cases():
+    """(label, data, certificate): every bundled bundle and its sums with
+    seeded line bundles, each with its dual."""
+    rng = random.Random(23)
+    for name in BUNDLED_BUNDLES:
+        data, cert = load_bundle(name)
+        cases = [(name, data, cert)]
+        for _ in range(2):
+            u = [rng.randint(-3, 3) for _ in range(data.fan.rank)]
+            line, line_cert = line_bundle(data.fan, u)
+            cases.append((f"{name} + L{u}", *direct_sum(data, line, cert, line_cert)))
+        for label, d, c in cases:
+            yield label, d, c
+            yield f"dual {label}", dual(d), _dual_certificate(c, d.rank)
+
+
+def _mutants(cert: SplittingCertificate, rng):
+    """(kind, certificate): per cone, seeded copies with two subspaces
+    swapped, one entry's class repeated on another, one coordinate of one
+    `u` moved by 1, one entry dropped, and one summand repeated under a new
+    class."""
+    for pos, entries in cert.entries.items():
+        es = list(entries)
+        changed = []
+        if len(es) > 1:
+            i, j = rng.sample(range(len(es)), 2)
+            swapped = es[:]
+            swapped[i], swapped[j] = (es[i][0], es[j][1]), (es[j][0], es[i][1])
+            repeated = es[:]
+            repeated[j] = (es[i][0], es[j][1])
+            changed += [("swapped subspaces", swapped), ("repeated class", repeated)]
+        k = rng.randrange(len(es))
+        u = list(es[k][0])
+        u[rng.randrange(len(u))] += rng.choice((-1, 1))
+        perturbed = es[:]
+        perturbed[k] = (tuple(u), es[k][1])
+        u[0] += 100
+        changed += [("perturbed u", perturbed), ("entry dropped", es[:k] + es[k + 1:]),
+                    ("summand doubled", es + [(tuple(u), es[k][1])])]
+        for kind, new in changed:
+            yield kind, SplittingCertificate({**cert.entries, pos: new})
+
+
+class TestVerifyEqualsReference:
+    """`verify` decides in integers; `conftest.reference_verify` rebuilds
+    each induced filtration in `Fraction` subspaces.  Every field agrees."""
+
+    def test_bundled_bundles_sums_and_duals(self):
+        verdicts = {}
+        for label, data, cert in _verify_cases():
+            got = verify(data, cert)
+            assert got == reference_verify(data, cert), label
+            verdicts[label] = got.ok
+        assert verdicts["eikelberg"] and verdicts["dual eikelberg"]
+        assert not verdicts["fulton_rank3"] and not verdicts["dual fulton_rank3"]
+
+    def test_mutated_certificates(self):
+        rng = random.Random(9)
+        reasons = set()
+        kinds = set()
+        for label, data, cert in _verify_cases():
+            for kind, mutant in _mutants(cert, rng):
+                got = verify(data, mutant)
+                assert got == reference_verify(data, mutant), (label, kind)
+                kinds.add(kind)
+                reasons.add(got.reason.split(" ")[0])
+        assert kinds == {"swapped subspaces", "repeated class", "perturbed u", "entry dropped",
+                         "summand doubled"}
+        # a repeated class, a sum that is not direct, and a filtration missed
+        assert reasons == {"repeated", "summands", "splitting"}
 
 
 class TestPrintedMultisetsObstruction:
@@ -373,6 +468,21 @@ class TestDual:
             fan = fans[i % 2]
             data = random_bundle(fan, rng.randint(1, 3), rng)
             assert dual(dual(data)).filtrations == data.filtrations
+
+    def test_unchecked_steps_equal_the_validating_constructors(self):
+        rng = random.Random(5)
+        fans = [load_fan("fulton"), load_fan("eikelberg")]
+        cases = [data for _, data, _ in _verify_cases()]
+        cases += [random_bundle(fans[i % 2], rng.randint(1, 4), rng) for i in range(40)]
+        for data in cases:
+            for ray, f in dual(data).filtrations.items():
+                steps = data.filtrations[ray].steps
+                full = SubspaceBasis(data.rank, [[int(i == j) for j in range(data.rank)]
+                                                 for i in range(data.rank)])
+                checked = Filtration(data.rank, [(-steps[-1][0], full)] + [
+                    (-steps[j - 1][0], annihilator(steps[j][1]))
+                    for j in range(len(steps) - 1, 0, -1)])
+                assert f == checked and type(f.steps) is tuple
 
     def test_eikelberg_dual_against_annihilator_oracle(self, eikelberg_bundle):
         data, _ = eikelberg_bundle
@@ -694,6 +804,15 @@ class TestSerialization:
         data2, cert2 = bundle_from_dict(data.fan, blob)
         assert data2.filtrations == data.filtrations
         assert cert2.entries == cert.entries
+
+    @pytest.mark.parametrize("rows", [[], [[0, 0]]], ids=repr)
+    def test_zero_summand_refused_by_cone_and_entry(self, eikelberg_bundle, rows):
+        data, cert = eikelberg_bundle
+        blob = bundle_to_dict(data, cert)
+        blob["splittings"]["0"].append({"u": [7, 7, 7], "subspace": rows})
+        with pytest.raises(KlyachkoError, match=r"^splitting of cone '0': entry 2 is the zero "
+                                                r"subspace, which is no summand$"):
+            bundle_from_dict(data.fan, blob)
 
     def test_fraction_encoding(self):
         fan = load_fan("p2")

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from fanbranch.cli import evaluate_assignment
 from fanbranch.cover_poset import (
     are_isomorphic,
     degree,
@@ -23,6 +24,7 @@ from fanbranch.monodromy import (
     canonical_class,
     class_representatives,
     count_assignments,
+    orbits_at,
     ray_monodromy,
     sheet_components,
     spanning_tree,
@@ -291,3 +293,16 @@ class TestSerialization:
         d = a.to_dict()
         b = MonodromyAssignment.from_dict(d)
         assert a.perms == b.perms and a.degree == b.degree
+
+
+@pytest.mark.parametrize("d", [0, -1, True, 2.0], ids=repr)
+def test_degree_below_one_refused_by_every_index_reader(d):
+    # degree 0 used to give a record with eight empty profiles, and -1
+    # "permutation degree mismatch"
+    fan = load_fan("fulton")
+    tree = spanning_tree(fan)
+    calls = [lambda: count_assignments(fan, d), lambda: assignment_at(fan, d, 0, tree),
+             lambda: orbits_at(fan, d, 0, tree), lambda: evaluate_assignment(fan, tree, d, 0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^degree must be a positive integer$"):
+            call()

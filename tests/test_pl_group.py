@@ -9,7 +9,13 @@ import pytest
 from fanbranch.cover_poset import cover_from_dict, cover_to_dict, identity_cover, wedge_power
 from fanbranch.exact_linalg import RationalMatrix, integer_kernel, rref, right_nullspace
 from fanbranch.fan_core import fan_from_data, load_fan
-from fanbranch.klyachko import branched_cover_of, direct_sum, line_bundle, load_bundle
+from fanbranch.klyachko import (
+    BUNDLED_BUNDLES,
+    branched_cover_of,
+    direct_sum,
+    line_bundle,
+    load_bundle,
+)
 from fanbranch.monodromy import (
     assignment_at,
     assignment_for_branch_set,
@@ -415,3 +421,40 @@ class TestWallConsistency:
                 diff = tuple(a - b for a, b in zip(u1, u2))
                 for ray in fan.cones[type_c.cells[w].base].ray_indices:
                     assert sum(a * b for a, b in zip(diff, fan.rays[ray])) == 0
+
+
+def _int_function_cases():
+    """(cover, int cell values): each bundled bundle's tautological function,
+    and the pullback of one global functional on a few stellar covers."""
+    for name in BUNDLED_BUNDLES:
+        cover, psi = branched_cover_of(*load_bundle(name))
+        yield cover, {m: tuple(map(int, u)) for m, u in psi.cell_values.items()}
+    for cover in stellar_covers()[::6]:
+        yield cover, {m: (2, -1, 3) for m in cover.max_cells}
+
+
+class TestIntegerConsistencyCheck:
+    """Exact `int` entries are checked in `int` arithmetic; the values, their
+    types and the refusals equal the `Fraction` path's."""
+
+    @staticmethod
+    def _outcome(cover, values):
+        try:
+            f = PLFunction(cover, values)
+        except PLError as exc:
+            return str(exc)
+        assert all(type(x) is Fraction for u in f.cell_values.values() for x in u)
+        assert all(type(x) is Fraction for x in f.ray_values.values())
+        return list(f.cell_values.items()), list(f.ray_values.items())
+
+    def test_int_and_fraction_paths_agree(self):
+        refusals = 0
+        for cover, values in _int_function_cases():
+            first = min(values)
+            moved = {**values, first: (values[first][0] + 1, *values[first][1:])}
+            for ints in (values, moved):
+                fractions = {m: tuple(map(Fraction, u)) for m, u in ints.items()}
+                got = self._outcome(cover, ints)
+                assert got == self._outcome(cover, fractions)
+                refusals += isinstance(got, str)
+        assert refusals > 0

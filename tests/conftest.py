@@ -77,7 +77,8 @@ def stellar_covers() -> tuple:
 
 def reference_verify(data: KlyachkoData, cert: SplittingCertificate) -> VerifyResult:
     """`verify` as the literal compatibility identity, in `Fraction` subspaces.
-    A certificate with a zero summand makes `_induced_filtration` raise."""
+    A zero summand can make `_induced_filtration` raise here, where `verify`
+    reports a violation, so the comparison leaves such certificates out."""
     fan = data.fan
     r = data.rank
     for pos in range(len(fan.max_cones)):

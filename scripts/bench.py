@@ -10,12 +10,15 @@ the fulton degree-2 sweep and the full sigma_prime degree-3 sweep through
 the CLI at --jobs 2 (wall seconds, cache sha256, summary counts), and exits
 with code 1 as soon as a cache's sha256 differs from its pin; then it runs
 ten alternating pairs of perfbench runs per workload and seed.  It writes
-one JSON file: core count, Python version and both commits; the sweep
-figures; and for each workload and seed, every run's end-to-end metrics
-and operations attempted, with each side's median and quartiles, the
-change's wins per metric, and whether the gain rule holds (wins in at
-least nine tenths of the pairs and a median difference larger than the
-parent's quartile distance).
+one JSON file: core count, Python version and both commits; whether
+bytecode writing is off and whether each checkout held compiled bytecode
+before any run (with writing off and no bytecode, every interpreter
+compiles the package, which shows in `setup_s`); the sweep figures; and for
+each workload and seed, every run's end-to-end metrics and operations
+attempted, with each side's median and quartiles, the change's wins per
+metric, and whether the gain rule holds (wins in at least nine tenths of
+the pairs and a median difference larger than the parent's quartile
+distance).
 
 Run from the root of the change's checkout; the parent is a second checkout
 (a `git clone` at the parent commit):
@@ -69,6 +72,15 @@ def clean_env() -> dict:
     env.pop("PYTHONPATH", None)
     env.pop("FANBRANCH_JOBS", None)
     return env
+
+
+def bytecode_state(sides: dict) -> dict:
+    """Whether the runs' environment turns bytecode writing off
+    (PYTHONDONTWRITEBYTECODE set and not empty, as Python reads it) and,
+    per side, whether its checkout holds `src/fanbranch/__pycache__`."""
+    return {"write_off": bool(clean_env().get("PYTHONDONTWRITEBYTECODE")),
+            "pycache": {side: (path / "src" / "fanbranch" / "__pycache__").is_dir()
+                        for side, path in sides.items()}}
 
 
 def time_sweep(checkout: Path, fan: str, degree: int, scratch: str) -> dict:
@@ -204,6 +216,7 @@ def main() -> None:
     for path in sides.values():
         if not (path / "src" / "fanbranch").is_dir() or not (path / "perfbench").is_dir():
             parser.error(f"{path} holds no src/fanbranch and perfbench/")
+    bytecode = bytecode_state(sides)  # before the first run can compile anything
     benchmark = json.loads((CHANGE / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     items = [(workload, int(seed or 1))
@@ -219,6 +232,7 @@ def main() -> None:
         "python": platform.python_version(),
         "perfbench_seconds": BENCH_SECONDS,
         "commits": {side: commit(path) for side, path in sides.items()},
+        "bytecode": bytecode,
         "sweeps": {},
         "perfbench": {},
     }

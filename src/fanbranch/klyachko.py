@@ -223,11 +223,11 @@ def _annihilators(data: KlyachkoData):
 def verify(data: KlyachkoData, cert: SplittingCertificate) -> VerifyResult:
     """Exact check of the compatibility identity on every maximal cone.
 
-    For each maximal cone, every summand must be nonzero, the certified
-    decomposition must be a direct sum, and for every ray of the cone the
-    sums of summands with functional value at least t must reproduce the
-    stored filtration at every integer t.  The first threshold reported is
-    the least t at which they differ.
+    For each maximal cone, every summand must be a nonzero subspace of
+    Q^r, the certified decomposition must be a direct sum, and for every
+    ray of the cone the sums of summands with functional value at least t
+    must reproduce the stored filtration at every integer t.  The first
+    threshold reported is the least t at which they differ.
 
     Decided in integers, with no subspace sum built.  The sum is direct
     exactly when the summands' dimensions add up to r and their cleared
@@ -260,8 +260,9 @@ def verify(data: KlyachkoData, cert: SplittingCertificate) -> VerifyResult:
         ]
         if len(set(tuples)) != len(tuples):
             return VerifyResult(False, cone=pos, reason="repeated functional class in splitting")
-        if any(s.ambient_dim != r for _, s in entries):
-            raise ValueError("ambient dimension mismatch")
+        for u, s in (e for e in entries if e[1].ambient_dim != r):
+            return VerifyResult(False, cone=pos, reason=f"the summand of u = {u} is a "
+                                f"subspace of Q^{s.ambient_dim}, not of Q^{r}")
         blocks = [_cleared_rows(s.basis) for _, s in entries]
         dim_sum = sum(map(len, blocks))
         spanned = rank_of_int_rows([row for block in blocks for row in block], r)
@@ -299,7 +300,7 @@ class NecessityReport:
 def _cone_elimination(fan: Fan, pos: int):
     """(V, pivots, den, T') of maximal cone `pos`, V its ray matrix:
     the elimination that `_integral_solutions` reads, a constant of the
-    fan's rays, cached on the fan like `pl_group._lift_data`."""
+    fan's rays, cached on the fan like `pl_group._lifts`."""
     cache = _fan_cache(fan)
     key = ("screen", pos)
     if key not in cache:
@@ -632,10 +633,12 @@ def chern(data: KlyachkoData, cert: SplittingCertificate) -> ChernData:
     fan = data.fan
     out = {}
     for pos in range(len(fan.max_cones)):
-        entries = [(u, s.dim) for u, s in cert.cone(pos)]
         acc: dict[tuple, int] = {}
-        for u, m in entries:
-            acc[u] = acc.get(u, 0) + m
+        for i, (u, s) in enumerate(cert.cone(pos)):
+            if s.ambient_dim != data.rank:
+                raise KlyachkoError(f"splitting of cone {pos}: entry {i} is a subspace of "
+                                    f"Q^{s.ambient_dim}, not of Q^{data.rank}")
+            acc[u] = acc.get(u, 0) + s.dim
         out[pos] = tuple(sorted(acc.items()))
     return ChernData(fan, out)
 

@@ -13,13 +13,15 @@ an exact 3x3 solve, a linear isomorphism between the two solution spaces.
 denominator per fan; both modes of `solve`, the pullbacks, the common
 pattern and the witness read it.  The integral lattice is read through it
 too: `solve` saturates the lifted kernel, so the per-cell form
-(`per_cell_system`) is kept only as the independent check.
+(`per_cell_system`) is kept only as the independent check.  A `PLFunction`
+is integer numerators over one denominator, read as `Fraction`s on demand.
 
 Triviality of the whole group is decided on one fraction-free echelon of
 the values-at-rays system: its corank is the group's dimension, and its
 kernel gives the common pattern, the partition of maximal cells on which
-every PL function agrees, in integers.  A sweep record eliminates its
-sum-zero part once, as columns (`split_triviality`).  Verdicts are proofs.
+every PL function agrees, in integers; `group_triviality(cover, basis)`
+reuses `solve`'s.  A sweep record eliminates its sum-zero part once, as
+columns (`split_triviality`).  Verdicts are proofs.
 A deterministic generic element, which separates exactly the cells that
 some function separates, is built only as the witness of a nontrivial
 verdict, when that witness is read, and its parameter in integers.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .cover_poset import CoverPoset, components
@@ -60,35 +62,28 @@ def _fan_cache(fan) -> dict:
     return cache
 
 
-def _lift_data(fan, max_pos: int):
-    """(local positions of 3 independent rays, the inverse of their matrix
-    as an integer matrix over one common denominator, that denominator)."""
+def _lifts(fan) -> tuple[int, list]:
+    """(L, per maximal cone: the local positions of 3 independent rays and
+    L times the inverse of their matrix), cached per fan.  L is the lcm of
+    the inverses' denominators, so every lifted matrix is integral, and
+    u = lifted . z / L solves V.u = z on the chosen rays V."""
     cache = _fan_cache(fan)
-    key = ("lift", max_pos)
-    if key not in cache:
-        cone = fan.max_cones[max_pos]
-        gens = [fan.rays[i] for i in cone.ray_indices]
-        chosen = independent_rows(gens, fan.rank)
-        if len(chosen) != fan.rank:
-            raise PLError("maximal cone is not full-dimensional")
-        v = [gens[i] for i in chosen]
+    if "lifts" not in cache:
         n = fan.rank
-        inverse_cols = [solve_linear(v, [int(k == j) for k in range(n)]) for j in range(n)]
-        den = lcm(*(x.denominator for col in inverse_cols for x in col))
-        # u = scaled . z / den solves V.u = z
-        scaled = tuple(
-            tuple(int(inverse_cols[j][i] * den) for j in range(n)) for i in range(n)
-        )
-        cache[key] = (tuple(chosen), scaled, den)
-    return cache[key]
-
-
-def _lift_lcm(fan) -> int:
-    """L, the lcm of every maximal cone's lift denominator, cached per fan."""
-    cache = _fan_cache(fan)
-    if "lift_lcm" not in cache:
-        cache["lift_lcm"] = lcm(*(_lift_data(fan, pos)[2] for pos in range(len(fan.max_cones))))
-    return cache["lift_lcm"]
+        inverses = []
+        for cone in fan.max_cones:
+            gens = [fan.rays[i] for i in cone.ray_indices]
+            chosen = independent_rows(gens, n)
+            if len(chosen) != n:
+                raise PLError("maximal cone is not full-dimensional")
+            v = [gens[i] for i in chosen]
+            cols = [solve_linear(v, [int(k == j) for k in range(n)]) for j in range(n)]
+            inverses.append((tuple(chosen), cols))
+        big = lcm(*(x.denominator for _, cols in inverses for col in cols for x in col))
+        cache["lifts"] = big, [
+            (chosen, tuple(tuple(int(cols[j][i] * big) for j in range(n)) for i in range(n)))
+            for chosen, cols in inverses]
+    return cache["lifts"]
 
 
 def _kernel_keys(fan, cells, kernel: list[list[int]]) -> list[tuple[int, ...]]:
@@ -96,18 +91,19 @@ def _kernel_keys(fan, cells, kernel: list[list[int]]) -> list[tuple[int, ...]]:
     functional on every vector of ray-cell values in `kernel`, as one tuple,
     of integers when the vectors are.  This is the one place that ray-cell
     values become per-cell functionals."""
-    big = _lift_lcm(fan)
+    if not kernel:
+        return [()] * len(cells)
+    lifts = _lifts(fan)[1]
+    columns = list(zip(*kernel))
     keys = []
     # Tuples are built from lists, at their final length: tuple() of a
     # generator grows by resizing, and CPython keeps up to 2000 freed tuples
     # of each length below 21 on a free list that resizing never draws from,
     # so a long run would hold that many dead keys of each length.
     for _, pos, _, cell_cols in cells:
-        chosen, scaled, den = _lift_data(fan, pos)
-        cols = [cell_cols[i] for i in chosen]
-        f = big // den
-        gathered = [[z[c] for c in cols] for z in kernel]
-        keys.append(tuple([f * sum(map(mul, row, v)) for v in gathered for row in scaled]))
+        chosen, lifted = lifts[pos]
+        values = zip(*[columns[cell_cols[i]] for i in chosen])  # per vector of `kernel`
+        keys.append(tuple([sum(map(mul, row, v)) for v in values for row in lifted]))
     return keys
 
 
@@ -142,89 +138,90 @@ def _max_cell_geometry(cover: CoverPoset):
 
 
 class PLFunction:
-    """A piecewise-linear function: one ambient functional per maximal cell."""
+    """A piecewise-linear function: one ambient functional per maximal cell,
+    stored as integer numerators over one positive denominator, a tuple per
+    maximal cell and a value per ray cell (in `cover.max_cells` and
+    `cover.ray_cells` order); `cell_values` and `ray_values` are their
+    `Fraction` dicts, built on first read."""
 
     def __init__(self, cover: CoverPoset, cell_values):
-        """Check that the functionals agree at every ray cell.  When every
-        entry is exactly an `int` the check runs in `int` arithmetic and the
-        values become `Fraction`s once, after it: the sums, comparisons and
-        messages are those of the `Fraction` path."""
-        self.cover = cover
-        values = {m: tuple(u) for m, u in cell_values.items()}
-        exact = all(type(x) is int for u in values.values() for x in u)
-        if not exact:
-            values = {m: tuple(map(Fraction, u)) for m, u in values.items()}
-        if set(values) != set(cover.max_cells):
+        """Check that every entry is exactly an `int` or a `Fraction` and
+        that the functionals agree at every ray cell, in integers over the
+        least common denominator of the entries."""
+        for m, u in cell_values.items():
+            for x in u:
+                if type(x) is not int and type(x) is not Fraction:
+                    raise PLError(f"maximal cell {m}: entry {x!r} is not an int or a Fraction")
+        if set(cell_values) != set(cover.max_cells):
             raise PLError("need exactly one functional per maximal cell")
-        ray_values = {}
+        den = lcm(*(x.denominator for u in cell_values.values() for x in u))
+        cells = [tuple([x.numerator * (den // x.denominator) for x in cell_values[m]])
+                 for m in cover.max_cells]
         fan = cover.fan
         zvars = cover.ray_cells
-        for m, pos, _, cols in _max_cell_geometry(cover):
-            u = values[m]
+        rays: list = [None] * len(zvars)
+        for u, (_, pos, _, cols) in zip(cells, _max_cell_geometry(cover)):
             for ray, c in zip(fan.max_cones[pos].ray_indices, cols):
                 val = sum(map(mul, u, fan.rays[ray]))
-                rc = zvars[c]
-                old = ray_values.get(rc)
+                old = rays[c]
                 if old is not None and old != val:
-                    raise PLError(f"inconsistent values {old} != {val} at ray cell {rc}")
-                ray_values[rc] = val
-        if exact:
-            values = {m: tuple(map(Fraction, u)) for m, u in values.items()}
-            ray_values = {rc: Fraction(val) for rc, val in ray_values.items()}
-        self.cell_values = values
-        self.ray_values: dict[int, Fraction] = ray_values
+                    raise PLError(f"inconsistent values {Fraction(old, den)} != "
+                                  f"{Fraction(val, den)} at ray cell {zvars[c]}")
+                rays[c] = val
+        if None in rays:
+            raise PLError(f"ray cell {zvars[rays.index(None)]} lies under no maximal cell")
+        self.cover, self._cells, self._rays, self._den = cover, cells, rays, den
 
     @classmethod
-    def _exact(cls, cover: CoverPoset, cell_values: dict, ray_values: dict) -> "PLFunction":
-        """A function from `Fraction` tuples on every maximal cell and the
-        ray-cell values they take, used as given: no coercion, no check."""
+    def _of_numerators(cls, cover: CoverPoset, cells, rays, den: int) -> "PLFunction":
+        """The function with these numerator tuples per maximal cell and ray
+        values per ray cell, over `den` > 0, used as given: no check."""
         plf = cls.__new__(cls)
-        plf.cover = cover
-        plf.cell_values = cell_values
-        plf.ray_values = ray_values
+        plf.cover, plf._cells, plf._rays, plf._den = cover, cells, rays, den
         return plf
+
+    @cached_property
+    def cell_values(self) -> dict[int, tuple[Fraction, ...]]:
+        den = self._den
+        return {m: tuple([Fraction(x, den) for x in u])
+                for m, u in zip(self.cover.max_cells, self._cells)}
+
+    @cached_property
+    def ray_values(self) -> dict[int, Fraction]:
+        den = self._den
+        return {r: Fraction(x, den) for r, x in zip(self.cover.ray_cells, self._rays)}
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
         if other.cover is not self.cover:
             raise PLError("cannot add functions on different covers")
-        return PLFunction._exact(
-            self.cover,
-            {
-                m: tuple(a + b for a, b in zip(self.cell_values[m], other.cell_values[m]))
-                for m in self.cell_values
-            },
-            {r: a + other.ray_values[r] for r, a in self.ray_values.items()},
-        )
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        return PLFunction._of_numerators(
+            self.cover, [tuple([a * x + b * y for x, y in zip(u, v)])
+                         for u, v in zip(self._cells, other._cells)],
+            [a * x + b * y for x, y in zip(self._rays, other._rays)], den)
 
     def scale(self, c) -> "PLFunction":
         c = Fraction(c)
-        return PLFunction._exact(
-            self.cover,
-            {m: tuple(c * x for x in u) for m, u in self.cell_values.items()},
-            {r: c * a for r, a in self.ray_values.items()},
-        )
+        p = c.numerator
+        return PLFunction._of_numerators(
+            self.cover, [tuple([p * x for x in u]) for u in self._cells],
+            [p * x for x in self._rays], self._den * c.denominator)
 
     def to_dict(self) -> dict:
-        def enc(x: Fraction):
-            return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        den = self._den
 
-        return {
-            "cells": [
-                {
-                    "base": self.cover.cells[m].base,
-                    "copy": self.cover.cells[m].copy,
-                    "u": [enc(x) for x in self.cell_values[m]],
-                }
-                for m in sorted(self.cell_values)
-            ]
-        }
+        def enc(x: int):
+            g = gcd(x, den)
+            return x // den if g == den else f"{x // g}/{den // g}"
+
+        cells = self.cover.cells
+        return {"cells": [{"base": cells[m].base, "copy": cells[m].copy, "u": [enc(x) for x in u]}
+                          for m, u in sorted(zip(self.cover.max_cells, self._cells))]}
 
     @classmethod
     def from_dict(cls, cover: CoverPoset, data: dict) -> "PLFunction":
-        lookup = {
-            (c.base, c.copy): i
-            for i, c in enumerate(cover.cells)
-        }
+        lookup = {(c.base, c.copy): i for i, c in enumerate(cover.cells)}
         values = {}
         for entry in data["cells"]:
             m = lookup[(entry["base"], entry["copy"])]
@@ -239,33 +236,28 @@ class ConeMultiset:
     cone_position: int
     entries: tuple  # ((functional, multiplicity), ...) sorted
 
-    @staticmethod
-    def collect(cone_position, pairs) -> "ConeMultiset":
-        acc: dict[tuple, int] = {}
-        for u, w in pairs:
-            acc[u] = acc.get(u, 0) + w
-        return ConeMultiset(cone_position, tuple(sorted(acc.items())))
+
+def _cone_counts(plf: PLFunction) -> list[dict]:
+    """Per base maximal cone, the weights of its cells summed by numerator
+    tuple: the multiset of functionals times the positive denominator."""
+    counts: list[dict] = [{} for _ in plf.cover.fan.max_cones]
+    for u, (_, pos, weight, _) in zip(plf._cells, _max_cell_geometry(plf.cover)):
+        counts[pos][u] = counts[pos].get(u, 0) + weight
+    return counts
 
 
 def multisets(plf: PLFunction) -> list[ConeMultiset]:
     """Per base maximal cone, the multiset of functionals weighted by cells."""
-    cover = plf.cover
-    fan = cover.fan
-    out = []
-    for pos, c in enumerate(fan.max_cones):
-        base = fan.cone_id(c.ray_indices)
-        pairs = [
-            (plf.cell_values[m], cover.cells[m].weight)
-            for m in cover.cells_over(base)
-        ]
-        out.append(ConeMultiset.collect(pos, pairs))
-    return out
+    den = plf._den
+    return [ConeMultiset(pos, tuple(sorted((tuple([Fraction(x, den) for x in u]), w)
+                                           for u, w in counts.items())))
+            for pos, counts in enumerate(_cone_counts(plf))]
 
 
 def is_trivial_function(plf: PLFunction) -> bool:
     """True iff the functional multiset is the same over every maximal cone."""
-    ms = multisets(plf)
-    return all(m.entries == ms[0].entries for m in ms[1:])
+    counts = _cone_counts(plf)
+    return all(c == counts[0] for c in counts[1:])
 
 
 def evaluate(plf: PLFunction, cell: int, point) -> Fraction:
@@ -278,9 +270,7 @@ def evaluate(plf: PLFunction, cell: int, point) -> Fraction:
     if cell in plf.cell_values:
         u = plf.cell_values[cell]
     else:
-        carrier = next(
-            (m for m in cover.above[cell] if m in plf.cell_values), None
-        )
+        carrier = next((m for m in cover.above[cell] if m in plf.cell_values), None)
         if carrier is None:
             if cover.cells[cell].base == 0:
                 return Fraction(0)
@@ -388,30 +378,31 @@ def _pullback_z(cover: CoverPoset, coordinate: int) -> list[int]:
             for r in cover.ray_cells]
 
 
-def _function(cover: CoverPoset, functionals, z) -> PLFunction:
-    """The PL function of these `Fraction` functionals, in `cover.max_cells`
-    order, and ray-cell values z, in `cover.ray_cells` order."""
-    return PLFunction._exact(cover, dict(zip(cover.max_cells, functionals)),
-                             {r: Fraction(x) for r, x in zip(cover.ray_cells, z)})
-
-
-def _lift_z_to_function(cover: CoverPoset, z) -> PLFunction:
-    """The PL function with ray-cell values z, in `cover.ray_cells` order:
-    each maximal cell's functional is its `_kernel_keys` entry over L."""
-    big = _lift_lcm(cover.fan)
-    keys = _kernel_keys(cover.fan, _max_cell_geometry(cover), [z])
-    return _function(cover, [tuple([Fraction(x, big) for x in key]) for key in keys], z)
+def _lift(cover: CoverPoset, zs: list[list[int]], den: int = 1, keys=None) -> list[PLFunction]:
+    """The PL functions with ray-cell values z / den, z in `zs`, lifted in one
+    `_kernel_keys` call unless its `keys` are given: functionals key / L.den."""
+    fan = cover.fan
+    big = _lifts(fan)[0]
+    n = fan.rank
+    if keys is None:
+        keys = _kernel_keys(fan, _max_cell_geometry(cover), zs)
+    return [PLFunction._of_numerators(cover, [key[n * i:n * i + n] for key in keys],
+                                      [big * x for x in z], big * den)
+            for i, z in enumerate(zs)]
 
 
 @dataclass
 class PLBasis:
     """A basis of PL functions.  In `rational` mode the first `rank` entries
     are the pullbacks of the ambient coordinate functionals; an `integral`
-    basis spans them, and lifts them when `pullbacks` is first read."""
+    basis spans them, and lifts them when `pullbacks` is first read.
+    `elimination`, for `group_triviality`, is `solve`'s (cover, dimension,
+    cells' `_kernel_keys` on vectors spanning the group)."""
 
     cover: CoverPoset
     functions: list[PLFunction]
     mode: str
+    elimination: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -422,8 +413,7 @@ class PLBasis:
         rank = self.cover.fan.rank
         if self.mode == "rational":
             return tuple(self.functions[:rank])
-        return tuple(_lift_z_to_function(self.cover, _pullback_z(self.cover, j))
-                     for j in range(rank))
+        return tuple(_lift(self.cover, [_pullback_z(self.cover, j) for j in range(rank)]))
 
 
 def _ray_value_kernel(cover: CoverPoset) -> tuple[list[list[int]], list[int]]:
@@ -437,25 +427,15 @@ def _ray_value_kernel(cover: CoverPoset) -> tuple[list[list[int]], list[int]]:
     return _echelon_kernel(ech, pivots, ncols), [c for c in range(ncols) if c not in pivset]
 
 
-def _lifted_rows(cover: CoverPoset, kernel: list[list[int]]) -> list[list[int]]:
-    """Each ray-value vector z of `kernel` in the columns of
-    `per_cell_system`, times the fan's L (`_lift_lcm`): the lifted
-    functional of every maximal cell in `cover.max_cells` order, then z.
-    These are the `_kernel_keys` transposed, so every entry is an integer."""
-    fan = cover.fan
-    big = _lift_lcm(fan)
-    n = fan.rank
-    keys = _kernel_keys(fan, _max_cell_geometry(cover), kernel)
-    return [[x for key in keys for x in key[n * i : n * i + n]] + [big * x for x in z]
-            for i, z in enumerate(kernel)]
-
-
 def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
     """Basis of the group of piecewise-linear functions on the cover.
 
     Both modes eliminate the values-at-rays system once
-    (`_ray_value_kernel`).  `rational` mode lifts its kernel vectors to
-    per-cell functionals, after the pullbacks, which head its basis.
+    (`_ray_value_kernel`) and lift vectors spanning its kernel in one
+    `_kernel_keys` call.  `rational` mode lifts its kernel vectors to
+    per-cell functionals, after the pullbacks, which head its basis; it
+    picks them on the free columns, which fix a kernel vector, and the
+    pullbacks lie in the kernel (`_check_pullbacks`).
     `integral` mode returns the kernel lattice of the per-cell incidence
     system (`per_cell_system`), so each basis function has an integral
     functional on every cell, in canonical row Hermite form; the pullback
@@ -465,17 +445,18 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
     system.  A per-cell kernel vector (u, z) has z in the values-at-rays
     kernel, and each u_m is the unique solution of V_m.u_m = z on 3
     independent rays of its cone, so (u, z) = (lift(z), z): the per-cell
-    kernel is the Q-span of the lifted kernel vectors (`_lifted_rows`), and
-    its lattice is the set of integral points of that span, which
-    `_saturate` computes.  A lifted vector is nonzero at its own free z
-    column and zero at the others, like the kernel it lifts, so the free
-    columns serve; its other nonzero entries may lie in any u column, so
-    the residues run over every column but the free ones.  The lifted rows
-    are scaled by the fan's L, not the cover's, which keeps the Q-span; the
-    row Hermite form of a lattice is unique, so the basis is the one that
-    `integer_kernel(per_cell_system(...))` gives.  Each basis vector is
+    kernel is the Q-span of the lifted kernel vectors, and its lattice is
+    the set of integral points of that span, which `_saturate` computes.  A
+    lifted vector is nonzero at its own free z column and zero at the
+    others, like the kernel it lifts, so the free columns serve; its other
+    nonzero entries may lie in any u column, so the residues run over every
+    column but the free ones.  The lifted rows are the cells' keys on the
+    kernel, transposed, then L.z: scaled by the fan's L, not the cover's,
+    which keeps the Q-span.  The row Hermite form of a lattice is unique,
+    so the basis is the one that `integer_kernel(per_cell_system(...))`
+    gives.  Each basis vector is
     (lift(z), z), so its function is read off it: the u blocks in
-    `cover.max_cells` order, then z.
+    `cover.max_cells` order, then z, over 1.
     """
     fan = cover.fan
     if fan.rank != 3:
@@ -486,24 +467,31 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
         raise ValueError(f"unknown mode {mode!r}")
     kernel, free = _ray_value_kernel(cover)
     n = fan.rank
+    cells = _max_cell_geometry(cover)
     if mode == "rational":
         _check_pullbacks(fan)
         ordered = [_pullback_z(cover, j) for j in range(n)] + kernel
-        picked = independent_rows(ordered, len(cover.ray_cells))
+        picked = independent_rows([[z[c] for c in free] for z in ordered], len(free))
         if picked[:n] != list(range(n)):
             raise RuntimeError("pullback functionals are not independent")
         if len(picked) != len(kernel):
             raise RuntimeError("basis completion lost dimensions")
-        return PLBasis(cover, [_lift_z_to_function(cover, ordered[i]) for i in picked],
-                       "rational")
+        zs = [ordered[i] for i in picked]
+        keys = _kernel_keys(fan, cells, zs)
+        return PLBasis(cover, _lift(cover, zs, keys=keys), "rational",
+                       (cover, len(kernel), keys))
 
+    keys = _kernel_keys(fan, cells, kernel)
+    big = _lifts(fan)[0]
+    lifted = [[x for key in keys for x in key[n * i:n * i + n]] + [big * x for x in z]
+              for i, z in enumerate(kernel)]
     zstart = n * len(cover.max_cells)
     zfree = [zstart + c for c in free]
     others = set(range(zstart + len(cover.ray_cells))).difference(zfree)
-    lattice = _saturate(_lifted_rows(cover, kernel), zfree, others)
-    return PLBasis(cover, [_function(cover, [tuple(map(Fraction, vec[i:i + n]))
-                                             for i in range(0, zstart, n)], vec[zstart:])
-                           for vec in lattice], "integral")
+    lattice = _saturate(lifted, zfree, others)
+    return PLBasis(cover, [PLFunction._of_numerators(
+        cover, [tuple(vec[i:i + n]) for i in range(0, zstart, n)], vec[zstart:], 1)
+        for vec in lattice], "integral", (cover, len(kernel), keys))
 
 
 def wedge_summands(cover: CoverPoset) -> list[list[int]]:
@@ -536,8 +524,8 @@ class TrivialityVerdict:
         """The generic element sum(t^i . b_i) of the basis, which separates
         every two cells that some PL function separates, so it is nontrivial
         whenever the group is.  It is lifted from sum(t^i . z_i), z_i the
-        ray-cell values of b_i, and t is read off the cells' `_kernel_keys`
-        on the z_i times their common denominator D: L.D times the
+        ray-cell values of b_i over their common denominator D, and t is
+        read off the cells' `_kernel_keys` on the z_i: L.D times the
         functionals, a factor the Cauchy-bound ratios do not see."""
         if self.all_trivial:
             return None
@@ -545,13 +533,11 @@ class TrivialityVerdict:
             raise PLError("the witness of a verdict decided without a cover needs the cover")
         cover = self.cover
         pl = self.basis if self.basis is not None else solve(cover)
-        zs = [[f.ray_values[r] for r in cover.ray_cells] for f in pl.functions]
-        den = lcm(*(x.denominator for z in zs for x in z))
-        keys = _kernel_keys(cover.fan, _max_cell_geometry(cover),
-                            [[x.numerator * den // x.denominator for x in z] for z in zs])
-        t = _generic_parameter(keys, len(zs))
-        candidate = _lift_z_to_function(
-            cover, [sum(t**i * x for i, x in enumerate(col)) for col in zip(*zs)])
+        den = lcm(*(f._den for f in pl.functions))
+        zs = [[x * (den // f._den) for x in f._rays] for f in pl.functions]
+        t = _generic_parameter(_kernel_keys(cover.fan, _max_cell_geometry(cover), zs), len(zs))
+        (candidate,) = _lift(cover, [[sum(t**i * x for i, x in enumerate(col))
+                                      for col in zip(*zs)]], den)
         if is_trivial_function(candidate):
             raise RuntimeError("the generic element of a nontrivial group is trivial")
         return candidate
@@ -586,10 +572,17 @@ def system_triviality(fan, rows: list[list[int]], ncols: int, cells) -> Triviali
     """Decide whether every PL function is trivial, from the values-at-rays
     system alone: `rows` over `ncols` ray-cell columns, and `cells`, one
     (label, base max-cone position, weight, column of each base ray) per
-    maximal cell, in row-block order.  `rows` is eliminated in place.
+    maximal cell, in row-block order.  `rows` is eliminated in place, and
+    `_ladder` decides on that one `_int_echelon`."""
+    ech, pivots = _int_echelon(rows, ncols)
+    return _ladder(fan, cells, ncols, ncols - len(pivots),
+                   lambda: _kernel_keys(fan, cells, _echelon_kernel(ech, pivots, ncols)))
 
-    One decision ladder on one `_int_echelon` of the system, whose corank d
-    is the dimension of the PL group; each rung reads it.
+
+def _ladder(fan, cells, ncols: int, d: int, keys) -> TrivialityVerdict:
+    """The decision ladder on an eliminated values-at-rays system of corank
+    d, the dimension of the PL group; `keys()` gives the cells'
+    `_kernel_keys` on vectors spanning the group, for rung 3.
 
     1. d = 3 means the pullbacks only.
     2. A wedge all of whose summands have dimension 3 carries only
@@ -599,26 +592,23 @@ def system_triviality(fan, rows: list[list[int]], ncols: int, cells) -> Triviali
        direct sum, and each summand has a cell over 3 independent rays, so
        its own pullbacks give it dimension at least 3.  A column under no
        cell is a free class of its own, not a summand; it makes d exceed 3k.
-    3. Otherwise the common pattern decides (`_pattern_verdict`) on the
-       kernel back-substituted from the echelon.
+    3. Otherwise the common pattern of `keys()` decides (`_pattern_verdict`).
     """
     _check_pullbacks(fan)
-    ech, pivots = _int_echelon(rows, ncols)
-    d = ncols - len(pivots)
     if d == 3:
         return TrivialityVerdict(True, "pullbacks-only", None, d)
     k = sum(len(s) > 1 for s in components(ncols, [cols for *_, cols in cells]))
     if k > 1 and d == 3 * k:
         return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
-    return _pattern_verdict(fan, cells, _echelon_kernel(ech, pivots, ncols), d)
+    return _pattern_verdict(fan, cells, keys(), d)
 
 
-def _pattern_verdict(fan, cells, kernel: list[list[int]], d: int) -> TrivialityVerdict:
+def _pattern_verdict(fan, cells, keys: list[tuple], d: int) -> TrivialityVerdict:
     """Rung 3: the common pattern, the partition of the maximal `cells` on
     which every PL function agrees, listed by labels.  Cells are keyed by
-    their functional on every vector of `kernel` (`_kernel_keys`), which
-    spans the group's ray-cell values, with or without the pullbacks (the
-    same functional on every cell): cells agree on a span exactly when they
+    `keys`, their functionals (`_kernel_keys`) on vectors that span the
+    group's ray-cell values, with or without the pullbacks (the same
+    functional on every cell): cells agree on a span exactly when they
     agree on a spanning set.
 
     Why the verdict may be read off the pattern: every PL function is
@@ -635,7 +625,7 @@ def _pattern_verdict(fan, cells, kernel: list[list[int]], d: int) -> TrivialityV
     groups: dict[tuple, list[int]] = {}
     weights: dict[tuple, list[int]] = {}
     npos = len(fan.max_cones)
-    for (label, pos, weight, _), key in zip(cells, _kernel_keys(fan, cells, kernel)):
+    for (label, pos, weight, _), key in zip(cells, keys):
         groups.setdefault(key, []).append(label)
         weights.setdefault(key, [0] * npos)[pos] += weight
     if any(min(w) != max(w) for w in weights.values()):
@@ -675,18 +665,25 @@ def split_triviality(fan, orbits) -> TrivialityVerdict:
     rows = [[col[p] for col in columns] for p in pivots]
     base = _base_kernel(fan) if base_dimension(fan) > 3 else ()
     kernel = orbits.lift(_echelon_kernel(*_int_echelon(rows, ncols), ncols), base)
-    return _pattern_verdict(fan, orbits.cells(), kernel, d)
+    cells = orbits.cells()
+    return _pattern_verdict(fan, cells, _kernel_keys(fan, cells, kernel), d)
 
 
 def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> TrivialityVerdict:
     """Decide whether every PL function on the cover is trivial: the ladder
-    of `system_triviality` on the cover's values-at-rays system, labelled by
-    its maximal cells.  A supplied `basis` only seeds the witness of a
-    nontrivial verdict, which keeps it and the cover; a basis not solved on
-    this cover, or not of the group's dimension, is refused.
+    on the cover's values-at-rays system, labelled by its maximal cells,
+    read off `basis.elimination` when `solve` made it for this cover.  A
+    supplied `basis` also seeds the witness of a nontrivial verdict, which
+    keeps it and the cover; a basis not solved on this cover, or not of the
+    group's dimension, is refused.
     """
-    rows, zvars = ray_value_system(cover)
-    verdict = system_triviality(cover.fan, rows, len(zvars), _max_cell_geometry(cover))
+    cells = _max_cell_geometry(cover)
+    ncols = len(cover.ray_cells)
+    if basis is not None and basis.elimination is not None and basis.elimination[0] is cover:
+        _, d, keys = basis.elimination
+        verdict = _ladder(cover.fan, cells, ncols, d, lambda: keys)
+    else:
+        verdict = system_triviality(cover.fan, ray_value_system(cover)[0], ncols, cells)
     if basis is not None and (basis.cover is not cover or basis.dim != verdict.dim):
         raise PLError(
             f"the basis does not span this cover's PL group of dimension {verdict.dim}")

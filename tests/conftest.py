@@ -1,9 +1,17 @@
 import random
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-from fanbranch.exact_linalg import RationalMatrix, SubspaceBasis, rank, subspace_sum
+from fanbranch.exact_linalg import (
+    RationalMatrix,
+    SubspaceBasis,
+    independent_rows,
+    integer_kernel,
+    rank,
+    subspace_sum,
+)
 from fanbranch.fan_core import load_fan, stellar_subdivision, wall_relation
 from fanbranch.klyachko import (
     Filtration,
@@ -18,6 +26,14 @@ from fanbranch.monodromy import (
     count_assignments,
     ray_orbits,
     spanning_tree,
+)
+from fanbranch.pl_group import (
+    _kernel_keys,
+    _lifts,
+    _max_cell_geometry,
+    _per_cell_rows,
+    _pullback_z,
+    _ray_value_kernel,
 )
 
 # The per-cone functional multisets printed for the rank-3 example on the
@@ -117,6 +133,60 @@ def reference_verify(data: KlyachkoData, cert: SplittingCertificate) -> VerifyRe
                     reason="splitting does not reproduce the stored filtration",
                 )
     return VerifyResult(True)
+
+
+# -- PL functions as `Fraction` dicts ----------------------------------------
+#
+# `solve` stores each function as integer numerators over one denominator and
+# builds its `Fraction` dicts on first read.  This is the construction that
+# storage replaced, on plain dicts: per maximal cell its `_kernel_keys` entry
+# over L, each entry as `Fraction(key, L)`, and per ray cell `Fraction(z)`.
+# A reference function is a pair (cell values, ray values).
+
+
+def reference_lift(cover, z) -> tuple[dict, dict]:
+    """The function with integer ray-cell values z, in `cover.ray_cells` order."""
+    big = _lifts(cover.fan)[0]
+    keys = _kernel_keys(cover.fan, _max_cell_geometry(cover), [z])
+    return ({m: tuple(Fraction(x, big) for x in key) for m, key in zip(cover.max_cells, keys)},
+            {r: Fraction(x) for r, x in zip(cover.ray_cells, z)})
+
+
+def reference_basis(cover, mode: str) -> tuple[list, list]:
+    """(functions, pullbacks) of `solve(cover, mode)`, built as `Fraction`s:
+    the rational basis picks its kernel vectors on the whole ray-cell
+    vectors, the integral one is the per-cell system's integer kernel."""
+    n = cover.fan.rank
+    pullbacks = [reference_lift(cover, _pullback_z(cover, j)) for j in range(n)]
+    if mode == "rational":
+        ordered = [_pullback_z(cover, j) for j in range(n)] + _ray_value_kernel(cover)[0]
+        picked = independent_rows(ordered, len(cover.ray_cells))
+        functions = [reference_lift(cover, ordered[i]) for i in picked]
+        return functions, functions[:n]
+    zstart = n * len(cover.max_cells)
+    functions = [({m: tuple(map(Fraction, vec[n * i:n * i + n]))
+                   for i, m in enumerate(cover.max_cells)},
+                  {r: Fraction(x) for r, x in zip(cover.ray_cells, vec[zstart:])})
+                 for vec in integer_kernel(_per_cell_rows(cover))]
+    return functions, pullbacks
+
+
+def reference_add(f, g) -> tuple[dict, dict]:
+    return ({m: tuple(a + b for a, b in zip(u, g[0][m])) for m, u in f[0].items()},
+            {r: a + g[1][r] for r, a in f[1].items()})
+
+
+def reference_scale(f, c) -> tuple[dict, dict]:
+    c = Fraction(c)
+    return {m: tuple(c * x for x in u) for m, u in f[0].items()}, {r: c * a for r, a in f[1].items()}
+
+
+def reference_to_dict(cover, f) -> dict:
+    def enc(x: Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    return {"cells": [{"base": cover.cells[m].base, "copy": cover.cells[m].copy,
+                       "u": [enc(x) for x in f[0][m]]} for m in sorted(f[0])]}
 
 
 # -- the whole values-at-rays system of a monodromy cover --------------------

@@ -1,8 +1,9 @@
 """The traced-run gate of `scripts/bench.py`: a traced perfbench run counts
 only if its last two lines are strict-JSON facts and a correct result with
 exactly the benchmark's per-layer metrics and no traced function absent.
-The last test checks the absent list ahead of any run: every name that
-`perfbench/tracer.py` traces must exist in the loaded package."""
+`test_every_traced_name_is_present` checks the absent list ahead of any
+run: every name that `perfbench/tracer.py` traces must exist in the loaded
+package.  The last test checks the bytecode state the report records."""
 
 import importlib
 import importlib.util
@@ -79,3 +80,20 @@ def test_every_traced_name_is_present():
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("setting, off", [(None, False), ("", False), ("1", True), ("x", True)])
+def test_bytecode_state(tmp_path, monkeypatch, setting, off):
+    """The report records whether bytecode writing is off, as Python reads
+    PYTHONDONTWRITEBYTECODE (set and not empty), and which checkouts hold
+    compiled bytecode of the package."""
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        (path / "src" / "fanbranch").mkdir(parents=True)
+    (sides["change"] / "src" / "fanbranch" / "__pycache__").mkdir()
+    if setting is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", setting)
+    assert bench.bytecode_state(sides) == {"write_off": off,
+                                           "pycache": {"parent": False, "change": True}}

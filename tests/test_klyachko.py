@@ -150,6 +150,22 @@ class TestVerify:
         result = verify(data, SplittingCertificate(entries))
         assert result == VerifyResult(False, cone=0, reason="the summand of u = (7, 7, 7) is zero")
 
+    def test_summand_outside_the_rank_refused_by_cone_and_entry(self, eikelberg_bundle):
+        # a line in Q^3 for a rank-2 bundle: `verify` used to raise a bare
+        # ValueError, `chern` and `branched_cover_of` to accept it
+        data, cert = eikelberg_bundle
+        entries = dict(cert.entries)
+        (u, _), second = entries[1]
+        entries[1] = ((u, SubspaceBasis(3, [[1, 0, 0]])), second)
+        bad = SplittingCertificate(entries)
+        assert verify(data, bad) == VerifyResult(
+            False, cone=1, reason=f"the summand of u = {u} is a subspace of Q^3, not of Q^2")
+        message = r"^splitting of cone 1: entry 0 is a subspace of Q\^3, not of Q\^2$"
+        with pytest.raises(KlyachkoError, match=message):
+            chern(data, bad)
+        with pytest.raises(KlyachkoError, match=message):
+            branched_cover_of(data, bad)
+
 
 def _dual_certificate(cert: SplittingCertificate, r: int) -> SplittingCertificate:
     """The dual's splitting: E*_{-u} is the annihilator of the other summands."""

@@ -1,12 +1,21 @@
 import hashlib
 import json
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from fanbranch.cover_poset import cover_from_dict, cover_to_dict, identity_cover, wedge_power
+from fanbranch.cover_poset import (
+    CoverCell,
+    CoverPoset,
+    cover_from_dict,
+    cover_to_dict,
+    identity_cover,
+    wedge_power,
+)
 from fanbranch.exact_linalg import RationalMatrix, integer_kernel, rref, right_nullspace
 from fanbranch.fan_core import fan_from_data, load_fan
 from fanbranch.klyachko import (
@@ -23,7 +32,9 @@ from fanbranch.monodromy import (
     count_assignments,
     spanning_tree,
 )
+from fanbranch import pl_group
 from fanbranch.pl_group import (
+    PLBasis,
     PLError,
     PLFunction,
     _per_cell_rows,
@@ -37,7 +48,13 @@ from fanbranch.pl_group import (
     wedge_summands,
 )
 
-from conftest import stellar_covers
+from conftest import (
+    reference_add,
+    reference_basis,
+    reference_scale,
+    reference_to_dict,
+    stellar_covers,
+)
 
 EIKELBERG_MULTISETS = {
     0: [(15, -15, 3), (3, 3, -9)],
@@ -458,3 +475,139 @@ class TestIntegerConsistencyCheck:
                 assert got == self._outcome(cover, fractions)
                 refusals += isinstance(got, str)
         assert refusals > 0
+
+
+class TestCheckedConstructor:
+    """Entries are exactly `int`s or `Fraction`s; anything else, a float
+    that happens to be integral included, is refused by its cell."""
+
+    @pytest.mark.parametrize("bad", [15.0, 0.1, True, "1/2", None], ids=repr)
+    def test_entry_not_int_or_fraction_refused_by_cell(self, type_c, bad):
+        m = type_c.max_cells[1]
+        values = {c: (0, 0, 0) for c in type_c.max_cells}
+        values[m] = (Fraction(1, 2), bad, 0)
+        with pytest.raises(PLError, match=rf"^maximal cell {m}: entry {re.escape(repr(bad))} "
+                                          r"is not an int or a Fraction$"):
+            PLFunction(type_c, values)
+
+    def test_from_dict_reads_fraction_strings(self, type_c):
+        f = solve(type_c).pullbacks[1].scale(Fraction(-3, 4))
+        blob = f.to_dict()
+        assert "-3/4" in {u for cell in blob["cells"] for u in cell["u"]}
+        again = PLFunction.from_dict(type_c, json.loads(json.dumps(blob)))
+        assert (again.cell_values, again.ray_values) == (f.cell_values, f.ray_values)
+
+    def test_ray_cell_under_no_maximal_cell_refused(self, fulton):
+        base = identity_cover(fulton)
+        ray = base.ray_cells[0]
+        extra = CoverCell(base.cells[ray].base, 1, 1)
+        cells = list(base.cells) + [extra]
+        pairs = [(lo, hi) for hi, below in enumerate(base.below) for lo in below]
+        cover = CoverPoset(fulton, cells, pairs + [(base.minimal_cell, len(cells) - 1)])
+        lonely = cover.cells.index(extra)
+        with pytest.raises(PLError, match=f"^ray cell {lonely} lies under no maximal cell$"):
+            PLFunction(cover, {m: (1, 2, 3) for m in cover.max_cells})
+
+
+class TestSharedElimination:
+    """`group_triviality` reads a basis that `solve` returned for the same
+    cover instead of eliminating again; with no basis, or any other basis,
+    it eliminates and refuses as it did before the basis carried that."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        seen = []
+        real = pl_group.ray_value_system
+
+        def counted(cover):
+            seen.append(cover)
+            return real(cover)
+
+        monkeypatch.setattr(pl_group, "ray_value_system", counted)
+        return seen
+
+    @pytest.fixture(scope="class")
+    def covers(self, fulton, eik_cover):
+        # matched-pattern (dimension 4), nontrivial, and wedge-of-pullbacks
+        return [build_cover(fulton, assignment_for_branch_set(fulton, [6, 7])), eik_cover,
+                wedge_power(fulton, 2)]
+
+    def test_solved_basis_is_not_eliminated_again(self, covers, builds):
+        for cover in covers:
+            alone = group_triviality(cover)
+            for mode in ("rational", "integral"):
+                basis = solve(cover, mode)
+                del builds[:]
+                v = group_triviality(cover, basis)
+                assert builds == [] and v == alone
+                if not v.all_trivial:
+                    assert v.witness.to_dict() == group_triviality(
+                        cover, PLBasis(cover, basis.functions, mode)).witness.to_dict()
+
+    def test_no_basis_or_a_hand_built_one_eliminates(self, covers, builds):
+        for cover in covers:
+            basis = solve(cover)
+            del builds[:]
+            assert group_triviality(cover) == group_triviality(
+                cover, PLBasis(cover, basis.functions, "rational"))
+            assert builds == [cover, cover]
+
+    def test_basis_of_another_cover_refused(self, eik_cover, builds):
+        twin = cover_from_dict(eik_cover.fan, json.loads(json.dumps(cover_to_dict(eik_cover))))
+        basis = solve(twin)
+        del builds[:]
+        with pytest.raises(PLError, match="^the basis does not span this cover's PL group of "
+                                          "dimension 4$"):
+            group_triviality(eik_cover, basis)
+        assert builds == [eik_cover]
+
+    def test_basis_of_wrong_dimension_refused(self, covers, builds):
+        for cover in covers:
+            basis = solve(cover)
+            short = basis.functions[:-1]
+            for wrong, eliminated in ((PLBasis(cover, short, "rational"), [cover]),
+                                      (replace(basis, functions=short), [])):
+                del builds[:]
+                with pytest.raises(PLError, match="^the basis does not span this cover's PL "
+                                                  f"group of dimension {basis.dim}$"):
+                    group_triviality(cover, wrong)
+                assert builds == eliminated
+
+
+def _differential_covers():
+    """`conftest.stellar_covers`, every fulton degree-2 cover and 24 seeded
+    eikelberg degree-3 covers."""
+    covers = list(stellar_covers())
+    for name, d, sample in (("fulton", 2, None), ("eikelberg", 3, 24)):
+        fan = load_fan(name)
+        tree = spanning_tree(fan)
+        indices = range(count_assignments(fan, d))
+        if sample:
+            indices = random.Random(24).sample(indices, sample)
+        covers += [build_cover(fan, assignment_at(fan, d, i, tree), tree) for i in indices]
+    return covers
+
+
+@pytest.mark.parametrize("mode", ["rational", "integral"])
+def test_integer_storage_equals_the_fraction_construction(mode):
+    """Functions stored as numerators over one denominator read as the
+    `Fraction` dicts they were built as, and add, scale and serialize the
+    same; `conftest.reference_basis` builds those dicts as before."""
+    scales = (Fraction(-3, 7), 0, 2, Fraction(5, 4))
+    for cover in _differential_covers():
+        basis = solve(cover, mode)
+        ref_functions, ref_pullbacks = reference_basis(cover, mode)
+        for got, ref in ((basis.functions, ref_functions), (basis.pullbacks, ref_pullbacks)):
+            assert [(f.cell_values, f.ray_values) for f in got] == ref
+            assert [f.to_dict() for f in got] == [reference_to_dict(cover, f) for f in ref]
+        fs = basis.functions
+        for i, f in enumerate(fs):
+            j, c, d = (i + 1) % len(fs), scales[i % len(scales)], Fraction(1, i + 2)
+            s = (f + fs[j].scale(c)).scale(d)
+            ref = reference_scale(reference_add(ref_functions[i],
+                                                reference_scale(ref_functions[j], c)), d)
+            assert (s.cell_values, s.ray_values) == ref
+            assert s.to_dict() == reference_to_dict(cover, ref)
+            for g in (f, s):
+                assert all(type(x) is Fraction for u in g.cell_values.values() for x in u)
+                assert all(type(x) is Fraction for x in g.ray_values.values())

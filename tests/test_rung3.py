@@ -186,7 +186,7 @@ def test_full_eikelberg_degree3_sweep_builds_no_generic_element(monkeypatch):
         raise AssertionError("a sweep built a generic element")
 
     monkeypatch.setattr(pl_group, "_generic_parameter", refuse)
-    monkeypatch.setattr(pl_group, "_lift_z_to_function", refuse)
+    monkeypatch.setattr(pl_group, "_lift", refuse)
     fan, _ = _fan("eikelberg")
     summary = run_sweep(fan, 3, jobs=1)
     assert summary.processed == count_assignments(fan, 3)

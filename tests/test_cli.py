@@ -157,7 +157,7 @@ class TestSolveCommand:
 
     def test_builds_the_system_once_per_solver(self, runner, monkeypatch):
         # `solve` builds the values-at-rays system once and `group_triviality`
-        # reads its kernel off the basis; the rank line only counts its rows.
+        # reads that elimination off the basis; the rank line only counts its rows.
         from fanbranch import commands, pl_group
 
         builds = []

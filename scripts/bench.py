@@ -6,9 +6,10 @@ which must end in a facts line and a result that parse as strict JSON (no
 NaN or infinities), with `correct` true, exactly the per-layer metrics that
 `BENCHMARK.json` lists and no traced function reported absent; otherwise it
 exits with code 1.  Then, for each side, in alternating order, it times
-the fulton degree-2 sweep and the full sigma_prime degree-3 sweep through
-the CLI at --jobs 2 (wall seconds, cache sha256, summary counts), and exits
-with code 1 as soon as a cache's sha256 differs from its pin; then it runs
+the fulton degree-2, eikelberg degree-3 and full sigma_prime degree-3
+sweeps through the CLI at --jobs 2 (wall seconds, cache sha256, summary
+counts), and exits with code 1 as soon as a cache's sha256 differs from its
+pin; then it runs
 ten alternating pairs of perfbench runs per workload and seed.  It writes
 one JSON file: core count, Python version and both commits; whether
 bytecode writing is off and whether each checkout held compiled bytecode
@@ -46,6 +47,7 @@ CHANGE = Path(__file__).resolve().parents[1]
 # sha256 of each sweep's cache, the same for every worker count and commit
 SWEEP_PINS = {
     ("fulton", 2): "00a001fde95114f980c5b978f9f16d5b65d52a2b3bd864417dd79b09116087d9",
+    ("eikelberg", 3): "536b3f7efd36972ef2b49d3f278a06b97fa13243777a84e8287e434ca25d7779",
     ("sigma_prime", 3): "bcc117809b5034804373d7ac9a7e55e77f9f0889591382a03351ad37169b9018",
 }
 SWEEP_JOBS = 2

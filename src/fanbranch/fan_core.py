@@ -10,11 +10,15 @@ derived once in `Fan.__init__` from the ray-to-cone incidence, so
 
 Faces come from facet normals: every face of a cone is the whole cone or an
 intersection of facets, and each facet normal is the one-dimensional kernel
-of some of the cone's generators (see `_cone_faces`).  Whether two maximal
-cones meet in a common face, and whether a point lies in a cone, is decided
-with no LP solver, by exact Fourier-Motzkin elimination.  Its witnesses are
-computed in integers, as an integer vector over one positive denominator,
-and re-checked by sign evaluation on the integer vector.
+of some of the cone's generators (see `_cone_facets`).  Whether two maximal
+cones meet in a common face is decided with no LP solver: first by
+candidate functionals summed from the two cones' inward facet normals, each
+accepted only once its signs check in integers, and by exact
+Fourier-Motzkin elimination only where no candidate separates the pair (see
+`fan_from_data`).  Fourier-Motzkin also decides whether a point lies in a
+cone.  Its witnesses are computed in integers, as an integer vector over one
+positive denominator, and re-checked by sign evaluation on the integer
+vector.
 """
 
 from __future__ import annotations
@@ -166,6 +170,52 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
+def _separates(u, zero_on, positive_on, negative_on) -> bool:
+    """Whether the integer vector u is 0, > 0 and < 0 on the three families."""
+    for v in positive_on:
+        if sum(map(mul, u, v)) <= 0:
+            return False
+    for v in negative_on:
+        if sum(map(mul, u, v)) >= 0:
+            return False
+    for v in zero_on:
+        if sum(map(mul, u, v)):
+            return False
+    return True
+
+
+def _kernel_basis(zero_on, dim: int):
+    """A basis of the functionals vanishing on `zero_on`: its integer
+    kernel, or the unit vectors when the family is empty."""
+    if zero_on:
+        return nullspace_of_int_rows(list(zero_on), dim)
+    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+def _witness(basis, zero_on, positive_on, negative_on):
+    """The integer core of `linear_functional_witness`: (U, D) with D > 0
+    and u = U / D, or None.  `basis` is `_kernel_basis(zero_on, dim)`."""
+    if zero_on and not basis:
+        return None if positive_on or negative_on else ([0] * len(zero_on[0]), 1)
+    rows = [(tuple([_dot(b, v) for b in basis]), True) for v in positive_on]
+    rows += [(tuple([-_dot(b, v) for b in basis]), True) for v in negative_on]
+    if not rows:
+        # any nonzero element of the kernel works
+        return list(basis[0]), 1
+    fm = _fm_inequalities(rows, len(basis))
+    if fm is None:
+        return None
+    Y, D = fm
+    U = [0] * len(basis[0])
+    for y, b in zip(Y, basis):
+        if y:
+            for i, x in enumerate(b):
+                U[i] += y * x
+    if not _separates(U, zero_on, positive_on, negative_on):
+        raise AssertionError("Fourier-Motzkin witness fails its sign check")
+    return U, D
+
+
 def linear_functional_witness(zero_on, positive_on, negative_on=()):
     """Exact witness u with u.v = 0, > 0, < 0 on three families of integer
     vectors, not all empty.
@@ -175,39 +225,11 @@ def linear_functional_witness(zero_on, positive_on, negative_on=()):
     `zero_on` and (Y, D) from `_fm_inequalities`; its signs are re-checked
     on the integer vector U, which has those of u as D > 0.
     """
-    vectors = [*zero_on, *positive_on, *negative_on]
-    dim = len(vectors[0])
-    if zero_on:
-        basis = nullspace_of_int_rows(list(zero_on), dim)
-        if not basis:
-            if positive_on or negative_on:
-                return None
-            return tuple(Fraction(0) for _ in range(dim))
-    else:
-        basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    rows = []
-    for v in positive_on:
-        rows.append((tuple([_dot(b, v) for b in basis]), True))
-    for v in negative_on:
-        rows.append((tuple([-_dot(b, v) for b in basis]), True))
-    if not rows:
-        # any nonzero element of the kernel works
-        return tuple(Fraction(x) for x in basis[0])
-    fm = _fm_inequalities(rows, len(basis))
-    if fm is None:
+    dim = len([*zero_on, *positive_on, *negative_on][0])
+    found = _witness(_kernel_basis(zero_on, dim), zero_on, positive_on, negative_on)
+    if found is None:
         return None
-    Y, D = fm
-    U = [0] * dim
-    for y, b in zip(Y, basis):
-        if y:
-            for i in range(dim):
-                U[i] += y * b[i]
-    for v in zero_on:
-        assert _dot(U, v) == 0
-    for v in positive_on:
-        assert _dot(U, v) > 0
-    for v in negative_on:
-        assert _dot(U, v) < 0
+    U, D = found
     return tuple(Fraction(x, D) for x in U)
 
 
@@ -390,46 +412,96 @@ def _validate_rays(rank, rays):
     return tuple(prim)
 
 
-def _cone_faces(vectors):
-    """All faces of the cone over nonzero integer vectors, each face as the
-    frozenset of positions of the vectors that lie in it.
+def _normal(rows, d: int):
+    """A nonzero functional on Q^d vanishing on the d - 1 integer `rows`
+    when they are independent, else None.
+
+    In rank 3 this is the cross product of the two rows, their signed
+    maximal minors: u.x = det(a, b, x), so u.a = u.b = 0, and u = 0 exactly
+    when a and b are dependent, which is when the kernel of (a; b) is not
+    one-dimensional.  When it is not 0, u spans that kernel.  In other
+    ranks it is the one vector of the kernel basis, when there is one.
+    """
+    if d == 3:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        u = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        return u if any(u) else None
+    kernel = nullspace_of_int_rows(list(rows), d)
+    return kernel[0] if len(kernel) == 1 else None
+
+
+def _cone_facets(vectors, coords):
+    """The facets of the cone over nonzero integer vectors, as {frozenset of
+    the positions of the vectors in the facet: its inward normal}.  `coords`
+    are the independent columns of the generator matrix (`independent_rows`
+    of its columns), d of them for a cone of dimension d.  Each normal u is
+    written in those coordinates, which are all coordinates, in order, when
+    the cone is full-dimensional; u is primitive and >= 0 on the cone.
 
     Proof.  Project onto the coordinates of the independent columns of the
     generator matrix; this map is injective on the span of the generators,
     so the cone becomes a full-dimensional cone C in Q^d with the same face
-    poset, d its dimension.  A facet F of C is the cone over the generators
-    it contains; these span its hyperplane, so d - 1 independent generators
-    lie in F and their kernel is the line of F's normal u.  Conversely, if
-    d - 1 generators have a one-dimensional kernel spanned by u and every
-    generator lies on one side of u, then u (or -u) supports C in a face
-    whose span holds those d - 1 independent generators: a facet.  So the
-    loop below finds exactly the facets, each as its zero set.  Every face
-    of a polyhedral cone is C itself or an intersection of facets (Ziegler,
-    Lectures on Polytopes, 2.2; Fulton, Introduction to Toric Varieties,
-    1.2), faces are the cones over the generators they contain, and the
-    generators in an intersection of faces are those in each.  Hence the
-    faces are C and the intersection closure of the facets' zero sets.  The
-    smallest face is the lineality space, the cone over the generators in
-    it, so C is strongly convex iff the empty set is a face; and generator
-    i spans an extremal ray iff {i} is a face (generators on one ray are
-    equal, as `_validate_rays` refuses duplicate rays).
+    poset.  A facet F of C is the cone over the generators it contains;
+    these span its hyperplane, so d - 1 independent generators lie in F and
+    their kernel is the line of F's normal u.  Conversely, if d - 1
+    generators have a one-dimensional kernel spanned by u (`_normal`) and
+    every generator lies on one side of u, then u (or -u) supports C in a
+    face whose span holds those d - 1 independent generators: a facet.  So
+    the loop below finds exactly the facets, each as its zero set, and the
+    sign that makes u >= 0 on the generators makes it >= 0 on C.
     """
-    k = len(vectors)
-    coords = independent_rows(list(zip(*vectors)), k)
     w = [[v[c] for c in coords] for v in vectors]
     d = len(coords)
-    facets = set()
+    facets = {}
     for s in combinations(w, d - 1):
-        normal = nullspace_of_int_rows(list(s), d)
-        if len(normal) != 1:
+        normal = _normal(s, d)
+        if normal is None:
             continue
-        values = [sum(a * b for a, b in zip(normal[0], x)) for x in w]
+        values = [_dot(normal, x) for x in w]
         if min(values) >= 0 or max(values) <= 0:
-            facets.add(frozenset(i for i, x in enumerate(values) if x == 0))
+            zeros = frozenset(i for i, x in enumerate(values) if x == 0)
+            if zeros not in facets:
+                g = gcd(*normal) if max(values) > 0 else -gcd(*normal)
+                facets[zeros] = tuple([x // g for x in normal])
+    return facets
+
+
+def _faces_of(k: int, facets) -> set:
+    """The faces of a cone over k generators from its `_cone_facets`, each
+    as the frozenset of positions of the generators that lie in it.
+
+    Every face of a polyhedral cone is the cone itself or an intersection of
+    facets (Ziegler, Lectures on Polytopes, 2.2; Fulton, Introduction to
+    Toric Varieties, 1.2), faces are the cones over the generators they
+    contain, and the generators in an intersection of faces are those in
+    each.  Hence the faces are the whole set and the intersection closure of
+    the facets' zero sets.  The smallest face is the lineality space, the
+    cone over the generators in it, so the cone is strongly convex iff the
+    empty set is a face; and generator i spans an extremal ray iff {i} is a
+    face (generators on one ray are equal, as `_validate_rays` refuses
+    duplicate rays).
+    """
     faces = {frozenset(range(k))}
     for f in facets:
         faces |= {f & g for g in faces}
     return faces
+
+
+def _cone_faces(vectors):
+    """All faces of the cone over nonzero integer vectors, each face as the
+    frozenset of positions of the vectors that lie in it."""
+    coords = independent_rows(list(zip(*vectors)), len(vectors))
+    return _faces_of(len(vectors), _cone_facets(vectors, coords))
+
+
+def _candidate_separates(mask, normals, zero_on, positive_on, negative_on) -> bool:
+    """Whether the sum of a cone's inward facet normals over the facets that
+    contain the rays in `mask` separates the families (see `fan_from_data`)."""
+    chosen = [u for z, u in normals if mask & z == mask]
+    if not chosen:
+        return False
+    u = [sum(x) for x in zip(*chosen)]
+    return _separates(u, zero_on, positive_on, negative_on)
 
 
 def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
@@ -439,6 +511,23 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
     derived face poset, walls and dual graph are computed here; the fan
     axioms (strong convexity, extremality, pairwise intersection in common
     faces) are checked exactly, and every ray must lie in some maximal cone.
+
+    Two maximal cones s and t with common rays C meet in a common face iff
+    some functional u is 0 on C, > 0 on the other rays of s and < 0 on the
+    other rays of t (the separation lemma, Fulton 1.2 (12)).  When both
+    cones are full-dimensional, the candidates are u_s, the sum of the
+    inward normals of the facets of s that contain C, then -u_t.  Each of
+    these normals is >= 0 on s and 0 on C, so u_s is 0 on C; if C is a face
+    of s, u_s is also > 0 on the other rays of s, since a face of a pointed
+    cone is the intersection of the facets that contain it (Ziegler,
+    Lectures on Polytopes, 2.2).  So u_s is a witness exactly when it is
+    < 0 on the other rays of t as well.  A candidate is accepted only once
+    all its signs check in integers, which makes it a witness whatever C
+    is.  When s and t meet in a wall, u_s is the wall's normal and always
+    separates.  Fourier-Motzkin over the kernel basis of C, kept per common
+    ray set for the call, decides the pairs that no candidate separates and
+    those with a cone that is not full-dimensional.  So a pair is refused
+    exactly when Fourier-Motzkin finds no witness.
     """
     lattice = Lattice(rank)
     prim = _validate_rays(rank, rays)
@@ -447,6 +536,7 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
 
     seen_cones = set()
     max_list = []
+    max_coords = []
     for ci, idxs in enumerate(max_cones):
         if not isinstance(idxs, (list, tuple)) or not all(type(i) is int for i in idxs):
             raise FanError(f"maximal cone {ci} is not a list of ray indices: {idxs!r}")
@@ -460,52 +550,71 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
         if t in seen_cones:
             raise FanError(f"maximal cone {ci} duplicates another maximal cone")
         seen_cones.add(t)
-        max_list.append(Cone(t, rank_of_int_rows([prim[i] for i in t], rank)))
+        max_coords.append(independent_rows(list(zip(*(prim[i] for i in t))), len(t)))
+        max_list.append(Cone(t, len(max_coords[-1])))
     used = {i for c in max_list for i in c.ray_indices}
     for i in range(len(prim)):
         if i not in used:
             raise FanError(f"ray {i} lies in no maximal cone")
 
-    # face lattice per maximal cone, accumulated globally
+    # face lattice per maximal cone, accumulated globally, and the inward
+    # facet normals of each full-dimensional one, as (ray mask, normal)
     all_faces: set[tuple[int, ...]] = {()}
-    for c in max_list:
-        faces = _cone_faces([prim[i] for i in c.ray_indices])
+    normals = []
+    for c, coords in zip(max_list, max_coords):
+        facets = _cone_facets([prim[i] for i in c.ray_indices], coords)
+        faces = _faces_of(len(c.ray_indices), facets)
         if frozenset() not in faces:
             raise FanError("cone is not strongly convex")
         for i, r in enumerate(c.ray_indices):
             if frozenset([i]) not in faces:
                 raise FanError(f"generator {r} is not an extremal ray of its cone")
         for f in faces:
-            all_faces.add(tuple(sorted(c.ray_indices[i] for i in f)))
+            all_faces.add(tuple([r for i, r in enumerate(c.ray_indices) if i in f]))
+        normals.append([(sum(1 << c.ray_indices[i] for i in z), u) for z, u in facets.items()]
+                       if c.dim == rank else None)
 
     # pairwise intersections must be common faces (checked on maximal cones;
     # faces of faces then agree automatically)
-    for a in range(len(max_list)):
+    kernels = {}
+    for a, ca in enumerate(max_list):
+        ra = set(ca.ray_indices)
         for b in range(a + 1, len(max_list)):
-            ra = set(max_list[a].ray_indices)
-            rb = set(max_list[b].ray_indices)
-            common = tuple(sorted(ra & rb))
-            if ra <= rb or rb <= ra:
+            cb = max_list[b]
+            rb = set(cb.ray_indices)
+            common = tuple([i for i in ca.ray_indices if i in rb])
+            if len(common) == len(ra) or len(common) == len(rb):
                 raise FanError(
                     f"maximal cone {a} is contained in maximal cone {b}"
                 )
-            u = linear_functional_witness(
-                [prim[i] for i in common],
-                [prim[i] for i in sorted(ra - rb)],
-                [prim[i] for i in sorted(rb - ra)],
-            )
-            if u is None:
-                raise FanError(
-                    f"maximal cones {a} and {b} intersect in a non-face"
-                )
+            zero_on = [prim[i] for i in common]
+            pos = [prim[i] for i in ca.ray_indices if i not in rb]
+            neg = [prim[i] for i in cb.ray_indices if i not in ra]
+            mask = sum(1 << i for i in common)
+            if not (normals[a] and normals[b] and (
+                    _candidate_separates(mask, normals[a], zero_on, pos, neg)
+                    or _candidate_separates(mask, normals[b], zero_on, neg, pos))):
+                if common not in kernels:
+                    kernels[common] = _kernel_basis(zero_on, rank)
+                if _witness(kernels[common], zero_on, pos, neg) is None:
+                    raise FanError(
+                        f"maximal cones {a} and {b} intersect in a non-face"
+                    )
             if common and common not in all_faces:
                 raise FanError(
                     f"common face {common} of cones {a} and {b} missing from face set"
                 )
 
-    cones = tuple(Cone(t, rank_of_int_rows([prim[i] for i in t], rank))
-                  for t in sorted(all_faces, key=lambda t: (len(t), t)))
-    return Fan(lattice, prim, tuple(max_list), cones, name=name)
+    # Distinct primitive rays are dependent only when opposite, and no
+    # strongly convex cone holds two opposite rays: so a face of at most two
+    # rays has their number as its dimension.
+    dims = {c.ray_indices: c.dim for c in max_list}
+    cones = []
+    for t in sorted(all_faces, key=lambda t: (len(t), t)):
+        if len(t) > 2 and t not in dims:
+            dims[t] = rank_of_int_rows([prim[i] for i in t], rank)
+        cones.append(Cone(t, dims.get(t, len(t))))
+    return Fan(lattice, prim, tuple(max_list), tuple(cones), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -145,10 +145,14 @@ class PLFunction:
     `Fraction` dicts, built on first read."""
 
     def __init__(self, cover: CoverPoset, cell_values):
-        """Check that every entry is exactly an `int` or a `Fraction` and
-        that the functionals agree at every ray cell, in integers over the
-        least common denominator of the entries."""
+        """Check that every functional has one entry per coordinate, each
+        exactly an `int` or a `Fraction`, and that the functionals agree at
+        every ray cell, in integers over the least common denominator of the
+        entries."""
+        rank = cover.fan.rank
         for m, u in cell_values.items():
+            if len(u) != rank:
+                raise PLError(f"maximal cell {m}: {len(u)} entries, not {rank}")
             for x in u:
                 if type(x) is not int and type(x) is not Fraction:
                     raise PLError(f"maximal cell {m}: entry {x!r} is not an int or a Fraction")
@@ -202,7 +206,8 @@ class PLFunction:
             [a * x + b * y for x, y in zip(self._rays, other._rays)], den)
 
     def scale(self, c) -> "PLFunction":
-        c = Fraction(c)
+        if type(c) is not int and type(c) is not Fraction:
+            raise PLError(f"scalar {c!r} is not an int or a Fraction")
         p = c.numerator
         return PLFunction._of_numerators(
             self.cover, [tuple([p * x for x in u]) for u in self._cells],
@@ -221,12 +226,40 @@ class PLFunction:
 
     @classmethod
     def from_dict(cls, cover: CoverPoset, data: dict) -> "PLFunction":
+        """The function of `to_dict`: per cell its integer `base` and `copy`
+        and its functional `u`, whose entries are ints or "p/q" strings.
+        Anything else is refused, naming the cell entry."""
+        if not isinstance(data, dict) or not isinstance(data.get("cells"), list):
+            raise PLError("a PL function is an object whose 'cells' key holds a list")
         lookup = {(c.base, c.copy): i for i, c in enumerate(cover.cells)}
         values = {}
-        for entry in data["cells"]:
-            m = lookup[(entry["base"], entry["copy"])]
-            values[m] = tuple(Fraction(str(x)) for x in entry["u"])
+        for n, entry in enumerate(data["cells"]):
+            for key in ("base", "copy", "u"):
+                if not isinstance(entry, dict) or key not in entry:
+                    raise PLError(f"cell entry {n} has no {key!r} key")
+            base, copy, u = entry["base"], entry["copy"], entry["u"]
+            m = lookup.get((base, copy)) if type(base) is type(copy) is int else None
+            if m is None:
+                raise PLError(f"cell entry {n}: the cover has no cell with base {base!r} "
+                              f"and copy {copy!r}")
+            if m in values:
+                raise PLError(f"cell entry {n}: cell ({base}, {copy}) is given twice")
+            if not isinstance(u, list):
+                raise PLError(f"cell entry {n}: u is not a list: {u!r}")
+            values[m] = tuple(_read_value(x, n) for x in u)
         return cls(cover, values)
+
+
+def _read_value(x, n: int) -> Fraction:
+    """A functional entry of `PLFunction.from_dict`: an int or a "p/q" string."""
+    if type(x) is int:
+        return Fraction(x)
+    if type(x) is str:
+        try:
+            return Fraction(x)
+        except ValueError:
+            pass
+    raise PLError(f"cell entry {n}: entry {x!r} is not an int or a 'p/q' string")
 
 
 @dataclass

@@ -10,9 +10,20 @@ from fanbranch.exact_linalg import (
     independent_rows,
     integer_kernel,
     rank,
+    rank_of_int_rows,
     subspace_sum,
 )
-from fanbranch.fan_core import load_fan, stellar_subdivision, wall_relation
+from fanbranch import fan_core
+from fanbranch.fan_core import (
+    Cone,
+    Fan,
+    FanError,
+    Lattice,
+    linear_functional_witness,
+    load_fan,
+    stellar_subdivision,
+    wall_relation,
+)
 from fanbranch.klyachko import (
     Filtration,
     KlyachkoData,
@@ -82,6 +93,73 @@ def stellar_covers() -> tuple:
                 index = rng.randrange(count_assignments(sub, d))
                 covers.append(build_cover(sub, assignment_at(sub, d, index, tree), tree))
     return tuple(covers)
+
+
+# -- fan validation by one Fourier-Motzkin run per pair ----------------------
+#
+# `fan_from_data` decides most pairs of maximal cones from sign-checked
+# facet-normal candidates.  This is the pair loop that it is tested against:
+# `linear_functional_witness` on every pair, and every cone's dimension from
+# an elimination.
+
+
+def reference_fan_from_data(rank, rays, max_cones, name=None) -> Fan:
+    """`fan_from_data` with a Fourier-Motzkin witness sought for every pair
+    of maximal cones."""
+    lattice = Lattice(rank)
+    prim = fan_core._validate_rays(rank, rays)
+    if not isinstance(max_cones, (list, tuple)):
+        raise FanError(f"max_cones must be a list of ray-index lists, got {max_cones!r}")
+    seen_cones = set()
+    max_list = []
+    for ci, idxs in enumerate(max_cones):
+        if not isinstance(idxs, (list, tuple)) or not all(type(i) is int for i in idxs):
+            raise FanError(f"maximal cone {ci} is not a list of ray indices: {idxs!r}")
+        t = tuple(sorted(idxs))
+        if len(set(t)) != len(t):
+            raise FanError(f"maximal cone {ci} repeats a ray index")
+        if not t:
+            raise FanError(f"maximal cone {ci} is empty")
+        if any(i < 0 or i >= len(prim) for i in t):
+            raise FanError(f"maximal cone {ci} has an out-of-range ray index")
+        if t in seen_cones:
+            raise FanError(f"maximal cone {ci} duplicates another maximal cone")
+        seen_cones.add(t)
+        max_list.append(Cone(t, rank_of_int_rows([prim[i] for i in t], rank)))
+    used = {i for c in max_list for i in c.ray_indices}
+    for i in range(len(prim)):
+        if i not in used:
+            raise FanError(f"ray {i} lies in no maximal cone")
+    all_faces = {()}
+    for c in max_list:
+        faces = fan_core._cone_faces([prim[i] for i in c.ray_indices])
+        if frozenset() not in faces:
+            raise FanError("cone is not strongly convex")
+        for i, r in enumerate(c.ray_indices):
+            if frozenset([i]) not in faces:
+                raise FanError(f"generator {r} is not an extremal ray of its cone")
+        for f in faces:
+            all_faces.add(tuple(sorted(c.ray_indices[i] for i in f)))
+    for a in range(len(max_list)):
+        for b in range(a + 1, len(max_list)):
+            ra = set(max_list[a].ray_indices)
+            rb = set(max_list[b].ray_indices)
+            common = tuple(sorted(ra & rb))
+            if ra <= rb or rb <= ra:
+                raise FanError(f"maximal cone {a} is contained in maximal cone {b}")
+            u = linear_functional_witness(
+                [prim[i] for i in common],
+                [prim[i] for i in sorted(ra - rb)],
+                [prim[i] for i in sorted(rb - ra)],
+            )
+            if u is None:
+                raise FanError(f"maximal cones {a} and {b} intersect in a non-face")
+            if common and common not in all_faces:
+                raise FanError(
+                    f"common face {common} of cones {a} and {b} missing from face set")
+    cones = tuple(Cone(t, rank_of_int_rows([prim[i] for i in t], rank))
+                  for t in sorted(all_faces, key=lambda t: (len(t), t)))
+    return Fan(lattice, prim, tuple(max_list), cones, name=name)
 
 
 # -- compatibility by rebuilding each induced filtration ----------------------

@@ -3,12 +3,15 @@ only if its last two lines are strict-JSON facts and a correct result with
 exactly the benchmark's per-layer metrics and no traced function absent.
 `test_every_traced_name_is_present` checks the absent list ahead of any
 run: every name that `perfbench/tracer.py` traces must exist in the loaded
-package.  The last test checks the bytecode state the report records."""
+package.  The last tests check the bytecode state the report records and
+the sweep cache pins."""
 
 import importlib
 import importlib.util
 import json
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,24 @@ def test_bytecode_state(tmp_path, monkeypatch, setting, off):
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", setting)
     assert bench.bytecode_state(sides) == {"write_off": off,
                                            "pycache": {"parent": False, "change": True}}
+
+
+def test_sweep_pins_are_the_roadmap_digests(monkeypatch):
+    """`SWEEP_PINS` holds exactly the three cache pins that ROADMAP.md
+    names (abbreviated there as the first 8 and last 4 hex digits), and the
+    eikelberg degree-3 pin is the one the benchmark checks."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, checks)  # its dataclasses look it up
+    spec.loader.exec_module(checks)
+    text = " ".join((ROOT / "ROADMAP.md").read_text().split())
+    named = re.search(r"The pins are fulton degree 2 `(\w+)…(\w+)`, eikelberg degree 3 "
+                      r"`(\w+)…(\w+)` and `sigma_prime` degree 3 `(\w+)…(\w+)`", text)
+    assert named is not None
+    digests = dict(zip([("fulton", 2), ("eikelberg", 3), ("sigma_prime", 3)],
+                       zip(named.groups()[::2], named.groups()[1::2])))
+    assert set(bench.SWEEP_PINS) == set(digests)
+    for key, (head, tail) in digests.items():
+        pin = bench.SWEEP_PINS[key]
+        assert re.fullmatch(r"[0-9a-f]{64}", pin) and pin.startswith(head) and pin.endswith(tail)
+    assert bench.SWEEP_PINS["eikelberg", 3] == checks.EIKELBERG3.sha256

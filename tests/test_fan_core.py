@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import reference_fan_from_data
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -384,6 +385,93 @@ class TestIntegerWitness:
                 rows = [(tuple(g), False) for g in gens] + [(tuple(-x for x in point), True)]
                 want = not any(point) or reference_fm_inequalities(rows, fan.rank) is None
                 assert cone_contains_point(gens, point) == want
+
+
+def moved_ray_inputs():
+    """(rank, rays, max_cones) of the three rank-3 bundled fans with one ray
+    moved to a point of [-2, 2]^3, for every ray and point."""
+    out = []
+    for name in ("fulton", "eikelberg", "sigma_prime"):
+        data = fan_to_dict(load_fan(name))
+        for i in range(len(data["rays"])):
+            for point in itertools.product(range(-2, 3), repeat=3):
+                rays = [list(point) if j == i else r for j, r in enumerate(data["rays"])]
+                out.append((3, rays, data["max_cones"]))
+    return out
+
+
+def random_inputs(count):
+    """Seeded rank-2 and rank-3 inputs: distinct primitive rays in [-2, 2]^r
+    and random cones over them, with a one-ray cone for each ray left over,
+    so some cones are not full-dimensional."""
+    rng = random.Random("fan validation")
+    out = []
+    for _ in range(count):
+        rank = rng.choice((2, 3))
+        points = sorted({primitive(p) for p in itertools.product(range(-2, 3), repeat=rank)
+                         if any(p)})
+        rays = rng.sample(points, rng.randint(3, 7))
+        cones = [rng.sample(range(len(rays)), rng.randint(1, min(rank + 1, len(rays))))
+                 for _ in range(rng.randint(2, 5))]
+        cones += [[i] for i in range(len(rays)) if not any(i in c for c in cones)]
+        out.append((rank, [list(r) for r in rays], cones))
+    return out
+
+
+def validation_outcome(build, rank, rays, max_cones):
+    """The fan's rays, cones with their dimensions and walls, or the message
+    of the `FanError` that refuses the input."""
+    try:
+        fan = build(rank, rays, max_cones)
+    except FanError as exc:
+        return str(exc)
+    return (fan.rays, [(c.ray_indices, c.dim) for c in fan.max_cones],
+            [(c.ray_indices, c.dim) for c in fan.cones], fan.walls, fan.wall_cones)
+
+
+class TestValidationEqualsReference:
+    """`fan_from_data` against the pair loop that seeks a Fourier-Motzkin
+    witness for every pair of maximal cones (`conftest.reference_fan_from_data`)."""
+
+    def test_same_fans_and_messages(self, monkeypatch):
+        fm_calls = []
+        witness = fan_core._witness
+
+        def counted(basis, zero_on, positive_on, negative_on):
+            fm_calls.append(len(zero_on))
+            return witness(basis, zero_on, positive_on, negative_on)
+
+        subdivided = [(f.rank, [list(r) for r in f.rays], [list(c.ray_indices) for c in f.max_cones])
+                      for f in subdivided_fans()]
+        refusals = []
+        for group, inputs in (("subdivided", subdivided), ("moved", moved_ray_inputs()),
+                              ("random", random_inputs(600))):
+            for args in inputs:
+                want = validation_outcome(reference_fan_from_data, *args)
+                monkeypatch.setattr(fan_core, "_witness", counted)
+                start = len(fm_calls)
+                got = validation_outcome(fan_from_data, *args)
+                monkeypatch.setattr(fan_core, "_witness", witness)
+                assert got == want, args
+                if isinstance(got, str):
+                    refusals.append(got)
+                elif group == "subdivided":
+                    # every pair of full-dimensional cones on a wall (rank - 1
+                    # common rays, in ranks 2 and 3) is decided by a candidate
+                    assert all(n < args[0] - 1 for n in fm_calls[start:]), args
+        assert fm_calls
+        assert any("intersect in a non-face" in m for m in refusals)
+
+    def test_facet_normals_point_inward(self):
+        for fan in subdivided_fans():
+            for cone in fan.max_cones:
+                gens = [fan.rays[i] for i in cone.ray_indices]
+                facets = fan_core._cone_facets(gens, list(range(fan.rank)))
+                assert facets
+                for zeros, u in facets.items():
+                    values = [sum(a * b for a, b in zip(u, g)) for g in gens]
+                    assert min(values) == 0 and frozenset(
+                        i for i, x in enumerate(values) if x == 0) == zeros
 
 
 class TestFaceTables:

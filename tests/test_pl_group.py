@@ -477,6 +477,24 @@ class TestIntegerConsistencyCheck:
         assert refusals > 0
 
 
+# The message that refuses each malformed `PLFunction.from_dict` input.
+FROM_DICT_REFUSALS = {
+    "float": r"^cell entry 1: entry 1\.5 is not an int or a 'p/q' string$",
+    "bool": r"^cell entry 1: entry True is not an int or a 'p/q' string$",
+    "null": r"^cell entry 1: entry None is not an int or a 'p/q' string$",
+    "word": r"^cell entry 1: entry 'half' is not an int or a 'p/q' string$",
+    "foreign cell": r"^cell entry 1: the cover has no cell with base 21 and copy 9$",
+    "string base": r"^cell entry 1: the cover has no cell with base '21' and copy 0$",
+    "twice": r"^cell entry 1: cell \(\d+, \d+\) is given twice$",
+    "u not a list": r"^cell entry 1: u is not a list: '1/2'$",
+    "no cells": r"^a PL function is an object whose 'cells' key holds a list$",
+    "no base": r"^cell entry 1 has no 'base' key$",
+    "no copy": r"^cell entry 1 has no 'copy' key$",
+    "no u": r"^cell entry 1 has no 'u' key$",
+    "short u": r"^maximal cell \d+: 2 entries, not 3$",
+}
+
+
 class TestCheckedConstructor:
     """Entries are exactly `int`s or `Fraction`s; anything else, a float
     that happens to be integral included, is refused by its cell."""
@@ -496,6 +514,37 @@ class TestCheckedConstructor:
         assert "-3/4" in {u for cell in blob["cells"] for u in cell["u"]}
         again = PLFunction.from_dict(type_c, json.loads(json.dumps(blob)))
         assert (again.cell_values, again.ray_values) == (f.cell_values, f.ray_values)
+
+    @pytest.mark.parametrize("bad", [0.1, 2.0, True, "1/2", None], ids=repr)
+    def test_scale_refuses_a_scalar_not_int_or_fraction(self, type_c, bad):
+        f = solve(type_c).pullbacks[0]
+        with pytest.raises(PLError, match=rf"^scalar {re.escape(repr(bad))} "
+                                          r"is not an int or a Fraction$"):
+            f.scale(bad)
+        assert f.scale(-2).cell_values == f.scale(Fraction(-2)).cell_values
+
+    @pytest.mark.parametrize("case", list(FROM_DICT_REFUSALS))
+    def test_from_dict_refuses_malformed_input_by_entry(self, type_c, case):
+        blob = json.loads(json.dumps(solve(type_c).pullbacks[1].scale(Fraction(-3, 4)).to_dict()))
+        entry = blob["cells"][1]
+        if case in ("float", "bool", "null", "word"):
+            entry["u"][0] = {"float": 1.5, "bool": True, "null": None, "word": "half"}[case]
+        elif case == "foreign cell":
+            entry["base"], entry["copy"] = 21, 9
+        elif case == "string base":
+            entry["base"], entry["copy"] = "21", 0
+        elif case == "twice":
+            blob["cells"][1] = blob["cells"][0]
+        elif case == "u not a list":
+            entry["u"] = "1/2"
+        elif case == "no cells":
+            blob = {"cell": blob["cells"]}
+        elif case == "short u":
+            entry["u"] = entry["u"][:2]
+        else:
+            del entry[case.split()[1]]
+        with pytest.raises(PLError, match=FROM_DICT_REFUSALS[case]):
+            PLFunction.from_dict(type_c, blob)
 
     def test_ray_cell_under_no_maximal_cell_refused(self, fulton):
         base = identity_cover(fulton)

@@ -7,7 +7,8 @@ NaN or infinities), with `correct` true, exactly the per-layer metrics that
 `BENCHMARK.json` lists and no traced function reported absent; otherwise it
 exits with code 1.  Then, for each side, in alternating order, it times
 the fulton degree-2, eikelberg degree-3 and full sigma_prime degree-3
-sweeps through the CLI at --jobs 2 (wall seconds, cache sha256, summary
+sweeps through the CLI at --jobs 2, and the sigma_prime one again at
+--jobs 1 as the one-worker baseline (wall seconds, cache sha256, summary
 counts), and exits with code 1 as soon as a cache's sha256 differs from its
 pin; then it runs
 ten alternating pairs of perfbench runs per workload and seed.  It writes
@@ -50,7 +51,9 @@ SWEEP_PINS = {
     ("eikelberg", 3): "536b3f7efd36972ef2b49d3f278a06b97fa13243777a84e8287e434ca25d7779",
     ("sigma_prime", 3): "bcc117809b5034804373d7ac9a7e55e77f9f0889591382a03351ad37169b9018",
 }
-SWEEP_JOBS = 2
+# (fan, degree, --jobs) of each timed sweep: every pinned sweep with two
+# workers, and the criterion-5 sweep with one beside it
+SWEEPS = [("fulton", 2, 2), ("eikelberg", 3, 2), ("sigma_prime", 3, 2), ("sigma_prime", 3, 1)]
 SWEEP_PAIRS = 2
 BENCH_PAIRS = 10
 BENCH_SECONDS = 20
@@ -85,14 +88,14 @@ def bytecode_state(sides: dict) -> dict:
                         for side, path in sides.items()}}
 
 
-def time_sweep(checkout: Path, fan: str, degree: int, scratch: str) -> dict:
+def time_sweep(checkout: Path, fan: str, degree: int, jobs: int, scratch: str) -> dict:
     cache = os.path.join(scratch, f"{fan}-{degree}.jsonl")
     if os.path.exists(cache):
         os.remove(cache)
     env = clean_env()
     env["PYTHONPATH"] = str(checkout / "src")
     argv = [sys.executable, "-m", "fanbranch.cli", "pl", "sweep", fan, "-d", str(degree),
-            "--jobs", str(SWEEP_JOBS), "--cache", cache]
+            "--jobs", str(jobs), "--cache", cache]
     t0 = time.perf_counter()
     done = subprocess.run(argv, env=env, cwd=checkout, capture_output=True, text=True)
     wall = time.perf_counter() - t0
@@ -239,13 +242,14 @@ def main() -> None:
         "perfbench": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
-        for fan, degree in SWEEP_PINS:
+        for fan, degree, jobs in SWEEPS:
             runs = {"parent": [], "change": []}
             for k in range(SWEEP_PAIRS):
                 for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                    runs[side].append(time_sweep(sides[side], fan, degree, scratch))
-                    print(f"{fan} -d {degree} {side}: {runs[side][-1]}", file=sys.stderr)
-            report["sweeps"][f"{fan} -d {degree} --jobs {SWEEP_JOBS}"] = {
+                    runs[side].append(time_sweep(sides[side], fan, degree, jobs, scratch))
+                    print(f"{fan} -d {degree} --jobs {jobs} {side}: {runs[side][-1]}",
+                          file=sys.stderr)
+            report["sweeps"][f"{fan} -d {degree} --jobs {jobs}"] = {
                 side: {"wall_s": [r["wall_s"] for r in got],
                        "median_wall_s": statistics.median(r["wall_s"] for r in got),
                        "sha256": sorted({r["sha256"] for r in got}),

@@ -185,7 +185,10 @@ def _check_sidecar(cache_path: str, meta: dict) -> None:
             found = json.load(fh)
     except FileNotFoundError:
         raise CacheError(f"cache {cache_path} has no sidecar {path}; refusing to resume")
-    except (OSError, ValueError):
+    except OSError as exc:  # a directory, a file without read permission
+        raise CacheError(f"cannot read sidecar {path}: {exc.strerror or exc}; "
+                         "refusing to resume") from None
+    except ValueError:
         found = None
     if not isinstance(found, dict):
         raise CacheError(f"sidecar {path} is not a JSON object; refusing to resume")

@@ -13,8 +13,11 @@ Which routine answers which question:
   pivot count (`rank_of_int_rows`), the kernel its back-substitution
   (`_echelon_kernel`, after `nullspace_of_int_rows` eliminates), and the
   first-come independent vectors the pivot columns of the vectors taken as
-  columns (`independent_rows`).  `rank` and `right_nullspace` clear each
-  rational row of denominators first, which keeps the row space;
+  columns (`independent_rows`).  `_extend_echelon` grows such independent
+  rows by further rows, so that echelons sharing a prefix of rows (the
+  Klyachko screen's threshold grid) eliminate it once.  `rank` and
+  `right_nullspace` clear each rational row of denominators first, which
+  keeps the row space;
 * `Fraction` Gauss-Jordan (`_rref_rows`) runs only where the reduced form is
   itself the result: `rref`, the canonical `SubspaceBasis`, and
   `solve_linear`.  `annihilator` reads its kernel straight off that form;
@@ -200,6 +203,27 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
         if r == nrows:
             break
     return rows[:r], pivots
+
+
+def _extend_echelon(ech: list[list[int]], pivots: list[int], rows) -> None:
+    """Extend independent rows `ech` with pivot columns `pivots`, in place,
+    by integer `rows`: each is cancelled against the pivot rows in insertion
+    order and kept, pivoted at its first nonzero column, unless it vanishes.
+    `len(pivots)` is then the rank of every row given so far.
+
+    Each kept row is zero at the pivots before its own: its cancellation at
+    a pivot leaves a zero there, and the later pivot rows, being zero there
+    themselves, keep it.  So the kept rows are independent, and a row that
+    vanishes lay in their span."""
+    for row in rows:
+        for prow, c in zip(ech, pivots):
+            if row[c]:
+                row = _cancel(row, prow, c)
+        for c, x in enumerate(row):
+            if x:
+                ech.append(row)
+                pivots.append(c)
+                break
 
 
 def rank_of_int_rows(rows: list[list[int]], ncols: int) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -800,6 +801,21 @@ def read_json(path, kind: str, error: type[ValueError]) -> dict:
     if not isinstance(data, dict):
         raise error(f"invalid {kind}: {path} does not hold a JSON object")
     return data
+
+
+# an ASCII integer, or a fraction whose denominator has a nonzero digit
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def read_rational(x) -> Fraction:
+    """An exact rational of an input file: an exact `int`, or an ASCII
+    string "p" or "p/q" matching `-?[0-9]+(/[0-9]+)?` with q nonzero.
+    Anything else raises `ValueError`: a float or a bool, and strings such
+    as "1.5", "1e3", "1_000", " 3/2 ", "+2", "3/-2", "1/0" or non-ASCII
+    digits, which `Fraction` alone would read or fail on otherwise."""
+    if type(x) is int or type(x) is str and _RATIONAL.fullmatch(x):
+        return Fraction(x)
+    raise ValueError(x)
 
 
 def load_fan(source, beside=None) -> Fan:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, product
 from math import lcm
 from operator import mul
 
@@ -35,6 +35,7 @@ from .cover_poset import CoverCell, CoverPoset, validate_cover
 from .exact_linalg import (
     SubspaceBasis,
     _cleared_rows,
+    _extend_echelon,
     _rref_rows,
     annihilator,
     integer_solve,
@@ -42,7 +43,7 @@ from .exact_linalg import (
     rank_of_int_rows,
     subspace_sum,
 )
-from .fan_core import Fan, cone_contains_point, load_fan, read_json
+from .fan_core import Fan, cone_contains_point, load_fan, read_json, read_rational
 from .pl_group import PLFunction, _fan_cache
 
 
@@ -351,17 +352,50 @@ def _integral_solutions(fan: Fan, pos: int, combos) -> dict:
 
 
 def necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
-    """Certificate-free screen: per maximal cone, some multiset of integral
+    """Certificate-free screen: per maximal cone, some multiset of r integral
     functionals must reproduce every intersection dimension of the stored
     filtrations.  `ok` results are always inconclusive; `violation` proves
     that no compatible splitting can exist.
 
-    Candidates are the threshold combinations that some integral functional
-    takes at the cone's rays (`_integral_solutions`).  Dimensions are
-    counted in integers: at each combination of thresholds, one per ray of
-    the cone, the intersection of the filtration steps has dimension r less
-    the rank of their stacked annihilators, each step's annihilator spanned
-    by integer rows that are computed once per ray and threshold.
+    On a cone with rays 1, ..., k, let the grid be the threshold
+    combinations t = (t_1, ..., t_k), each t_j a threshold of ray j, and
+    D(t) = dim of the intersection of the steps F_j(t_j).  The screen asks
+    for a multiset of r grid points, each the values at the rays of some
+    integral functional (`_integral_solutions`; the values fix the
+    functional on the cone), whose j-th values drop as F_j does and which
+    reproduce D: at every t of the grid, exactly D(t) of them (with
+    multiplicity) are >= t.  That multiset is read off D by Moebius
+    inversion:
+
+        m = Delta_1 ... Delta_k D,
+
+    Delta_j the difference to ray j's next threshold, D being 0 above a
+    top threshold (the filtration is 0 there).  The screen passes exactly
+    when m >= 0 and every t with m(t) > 0 has an integral functional; the
+    cone's multiset is m, keyed by those functionals.
+
+    Why this is exact.  For a multiset M of grid points, let
+    N(t) = #{c in M : c >= t}, 0 above a top threshold.  Since M lies on the
+    grid, the points counted by N(t) but not by N at t with coordinate j
+    moved to its next threshold are those with c_j = t_j, so Delta_j takes
+    N to the count of c >= t with c_j = t_j, and all k differences give
+    M(t).  So a multiset that reproduces D (N = D on the grid) is m: there
+    is at most one.  Conversely, summing m back over the points >= t
+    inverts the differences, so when m >= 0 it reproduces D, and the other
+    conditions hold by themselves.  It has r elements, since its N at the
+    lowest thresholds is D there, the intersection of the full spaces S_1.
+    Its j-th values drop as F_j does: with every other ray at its lowest
+    threshold, D is dim F_j(t_j), so m holds dim F_j(s) - dim F_j(s')
+    points with j-th value s, s' the next threshold.  So the screen passes
+    exactly when m >= 0 and its support has integral functionals.
+
+    D(t) is r less the rank of the stacked integer annihilator rows of the
+    steps (`_annihilators`).  The grid is walked in `product` order, each
+    prefix (t_1, ..., t_i) holding the echelon of its rays' rows, extended
+    by ray i+1's rows at each of its thresholds (`_extend_echelon`, on a
+    copy), so each prefix is eliminated once.  The inversion is one
+    in-place pass per ray over D laid out flat in that order, and only the
+    support of m is solved for functionals.
     """
     fan = data.fan
     r = data.rank
@@ -369,51 +403,31 @@ def necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
     recovered = {}
     for pos in range(len(fan.max_cones)):
         cone_rays = fan.max_cones[pos].ray_indices
-        filts = [data.filtrations[ray] for ray in cone_rays]
-        threshold_sets = [f.thresholds() for f in filts]
-
-        grid = list(product(*threshold_sets))
-        solutions = _integral_solutions(fan, pos, grid)
-        candidates = sorted(solutions)
-
-        drops = [dict(f.drop_multiset()) for f in filts]
-        dims = {
-            combo: r - rank_of_int_rows(
-                [row for ray, t in zip(cone_rays, combo) for row in annihilator_rows(ray, t)], r)
-            for combo in grid
-        }
-
-        solution = None
-        for multiset in combinations_with_replacement(candidates, r):
-            okay = True
-            for j, dmap in enumerate(drops):
-                seen: dict[int, int] = {}
-                for cand in multiset:
-                    seen[cand[j]] = seen.get(cand[j], 0) + 1
-                if seen != dmap:
-                    okay = False
-                    break
-            if not okay:
-                continue
-            for combo in grid:
-                predicted = sum(
-                    1
-                    for cand in multiset
-                    if all(cv >= t for cv, t in zip(cand, combo))
-                )
-                if predicted != dims[combo]:
-                    okay = False
-                    break
-            if okay:
-                solution = multiset
-                break
-        if solution is None:
+        threshold_sets = [data.filtrations[ray].thresholds() for ray in cone_rays]
+        echelons = [([], [])]
+        for ray, thresholds in zip(cone_rays, threshold_sets):
+            steps = [annihilator_rows(ray, t) for t in thresholds]
+            extended = []
+            for ech, pivots in echelons:
+                for rows in steps:
+                    ech_t, pivots_t = ech[:], pivots[:]
+                    _extend_echelon(ech_t, pivots_t, rows)
+                    extended.append((ech_t, pivots_t))
+            echelons = extended
+        m = [r - len(pivots) for _, pivots in echelons]
+        stride = len(m)  # ascending i: m[i + stride] is read before this pass changes it
+        for n in map(len, threshold_sets):
+            stride //= n
+            for i in range(len(m)):
+                if i // stride % n < n - 1:
+                    m[i] -= m[i + stride]
+        if min(m) < 0:
             return NecessityReport("violation", None)
-        counts: dict = {}
-        for combo in solution:
-            key = solutions[combo]
-            counts[key] = counts.get(key, 0) + 1
-        recovered[pos] = tuple(sorted(counts.items()))
+        support = {t: k for t, k in zip(product(*threshold_sets), m) if k}
+        solutions = _integral_solutions(fan, pos, support)
+        if len(solutions) < len(support):
+            return NecessityReport("violation", None)
+        recovered[pos] = tuple(sorted((solutions[t], k) for t, k in support.items()))
     return NecessityReport("ok", recovered)
 
 
@@ -840,18 +854,12 @@ def bundle_to_dict(data: KlyachkoData, cert: SplittingCertificate | None = None)
     return out
 
 
-def _rational(x):
-    if type(x) is int or isinstance(x, str) and x.lstrip("-").replace("/", "", 1).isdecimal():
-        return Fraction(x)  # an exact int or "p/q"; ZeroDivisionError for "p/0"
-    raise ValueError(x)
-
-
 def _subspace(rows, r: int, where: str) -> SubspaceBasis:
     try:  # SubspaceBasis refuses a row of another length than r
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError(rows)
-        return SubspaceBasis(r, [[_rational(x) for x in row] for row in rows])
-    except (ValueError, ZeroDivisionError):
+        return SubspaceBasis(r, [[read_rational(x) for x in row] for row in rows])
+    except ValueError:
         raise KlyachkoError(f"{where} subspace {rows!r} is not a list of rows of {r} "
                             "integers or 'p/q' strings") from None
 

@@ -46,7 +46,7 @@ from .exact_linalg import (
     rank_of_int_rows,
     solve_linear,
 )
-from .fan_core import cone_contains_point, is_complete, wall_relation
+from .fan_core import cone_contains_point, is_complete, read_rational, wall_relation
 from .monodromy import sheet_components
 
 
@@ -251,15 +251,11 @@ class PLFunction:
 
 
 def _read_value(x, n: int) -> Fraction:
-    """A functional entry of `PLFunction.from_dict`: an int or a "p/q" string."""
-    if type(x) is int:
-        return Fraction(x)
-    if type(x) is str:
-        try:
-            return Fraction(x)
-        except ValueError:
-            pass
-    raise PLError(f"cell entry {n}: entry {x!r} is not an int or a 'p/q' string")
+    """A functional entry of `PLFunction.from_dict`, read by `read_rational`."""
+    try:
+        return read_rational(x)
+    except ValueError:
+        raise PLError(f"cell entry {n}: entry {x!r} is not an int or a 'p/q' string") from None
 
 
 @dataclass

@@ -3,8 +3,8 @@ only if its last two lines are strict-JSON facts and a correct result with
 exactly the benchmark's per-layer metrics and no traced function absent.
 `test_every_traced_name_is_present` checks the absent list ahead of any
 run: every name that `perfbench/tracer.py` traces must exist in the loaded
-package.  The last tests check the bytecode state the report records and
-the sweep cache pins."""
+package.  The last tests check the bytecode state the report records, the
+sweep cache pins and the timed sweep rows."""
 
 import importlib
 import importlib.util
@@ -121,3 +121,13 @@ def test_sweep_pins_are_the_roadmap_digests(monkeypatch):
         pin = bench.SWEEP_PINS[key]
         assert re.fullmatch(r"[0-9a-f]{64}", pin) and pin.startswith(head) and pin.endswith(tail)
     assert bench.SWEEP_PINS["eikelberg", 3] == checks.EIKELBERG3.sha256
+
+
+def test_every_sweep_row_names_a_pinned_cache():
+    """Each timed sweep is checked against its cache pin, and the pin holds
+    at any worker count, so every row's fan and degree must have one; the
+    criterion-5 sweep is timed with one worker beside two."""
+    assert all((fan, degree) in bench.SWEEP_PINS for fan, degree, _ in bench.SWEEPS)
+    assert {(fan, degree) for fan, degree, _ in bench.SWEEPS} == set(bench.SWEEP_PINS)
+    assert len(set(bench.SWEEPS)) == len(bench.SWEEPS)
+    assert {("sigma_prime", 3, 1), ("sigma_prime", 3, 2)} <= set(bench.SWEEPS)

@@ -580,6 +580,23 @@ class TestSweep:
             runner, cache, ["fulton", "-d", "2"],
             f"sidecar {sidecar_path(str(cache))} is not a JSON object")
 
+    def test_directory_sidecar_refused_as_unreadable(self, fulton, tmp_path, runner):
+        # it used to be reported as "not a JSON object"
+        cache = tmp_path / "fulton.jsonl"
+        run_sweep(fulton, 2, jobs=1, cache_path=str(cache))
+        meta = Path(sidecar_path(str(cache)))
+        meta.unlink()
+        meta.mkdir()
+        (meta / "kept").write_text("x")
+        before = cache.read_bytes()
+        result = runner.invoke(main, ["pl", "sweep", "fulton", "-d", "2", "--jobs", "1",
+                                      "--cache", str(cache), "--resume"])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: cannot read sidecar {meta}: Is a directory; refusing to resume"]
+        assert cache.read_bytes() == before
+        assert [p.name for p in meta.iterdir()] == ["kept"] and (meta / "kept").read_text() == "x"
+
     def test_leftover_sidecar_rewritten_by_a_fresh_sweep(self, fulton, tmp_path):
         # a sweep without --resume owns the path once its cache is gone
         cache = tmp_path / "sweep.jsonl"

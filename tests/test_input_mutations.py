@@ -7,10 +7,16 @@ exactly one line, which starts with `Error:` (`bundle verify` may instead
 report a violation, its verdict).  A mutation that keeps every value (key
 order, whitespace, `"n/1"` for an integer n where rationals are allowed)
 gives byte-identical output.  Seeds are fixed (`derandomize`).
+
+A rational in a file is an exact int or an ASCII string "p" or "p/q" with q
+nonzero.  Strings that `Fraction` would read otherwise, or fail on, are
+refused with the reader's message by the bundle loader through the command
+line and by `PLFunction.from_dict`, which no command reads.
 """
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -19,9 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanbranch.cli import main
-from fanbranch.cover_poset import cover_to_dict
+from fanbranch.cover_poset import cover_from_dict, cover_to_dict
 from fanbranch.fan_core import load_fan
 from fanbranch.monodromy import assignment_at, assignment_for_branch_set, build_cover
+from fanbranch.pl_group import PLError, PLFunction, solve
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "fanbranch" / "data"
 FILE = "<file>"  # stands for the mutated file's path in a command
@@ -161,3 +168,49 @@ def test_every_fixture_is_mutated_at_every_kind():
             {kind for kind, _ in kinds}
         assert {float, bool, str, type(None), int} <= \
             {kind_type for kind, kind_type in kinds if kind == "replace"}
+
+
+# Not rationals of a file, though `Fraction` reads the first six (the last
+# one a non-ASCII digit 3) and fails on "1/0" with ZeroDivisionError.
+NOT_RATIONAL = ["1.5", "1e3", "1_000", " 3/2 ", "+2", "\u0663", "3/-2", "1/0"]
+
+
+@pytest.mark.parametrize("text", NOT_RATIONAL, ids=ascii)
+def test_bundle_entry_not_a_rational_string_refused(run, text):
+    content, commands = FIXTURES["bundle"]
+    bundle = copy.deepcopy(content)
+    rows = bundle["filtrations"]["1"][1]["subspace"]
+    rows[0][0] = text
+    for command in commands:
+        result = run(json.dumps(bundle), command)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: invalid bundle: ")
+        assert result.output.endswith(
+            f": filtration of ray '1': subspace {rows!r} is not a list of rows of 2 integers "
+            "or 'p/q' strings\n")
+
+
+@pytest.fixture(scope="module")
+def pl_blob():
+    cover = cover_from_dict(load_fan("fulton"), FIXTURES["cells cover"][0])
+    return cover, solve(cover).pullbacks[1].to_dict()
+
+
+@pytest.mark.parametrize("text", NOT_RATIONAL, ids=ascii)
+def test_pl_function_entry_not_a_rational_string_refused(pl_blob, text):
+    cover, blob = pl_blob
+    blob = copy.deepcopy(blob)
+    blob["cells"][1]["u"][0] = text
+    with pytest.raises(PLError, match=f"^cell entry 1: entry {re.escape(repr(text))} "
+                                      r"is not an int or a 'p/q' string$"):
+        PLFunction.from_dict(cover, blob)
+
+
+def test_pl_function_rational_strings_keep_their_values(pl_blob):
+    cover, blob = pl_blob
+    f = PLFunction.from_dict(cover, blob)
+    written = copy.deepcopy(blob)
+    for cell in written["cells"]:
+        cell["u"] = [f"{2 * x}/2" if type(x) is int else x for x in cell["u"]]
+    g = PLFunction.from_dict(cover, written)
+    assert (g.cell_values, g.ray_values) == (f.cell_values, f.ray_values)

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanbranch.cover_poset import are_isomorphic, degree, is_maximal, validate_cover
 from fanbranch.exact_linalg import (
@@ -13,7 +16,7 @@ from fanbranch.exact_linalg import (
     rank_of_int_rows,
     solve_linear,
 )
-from fanbranch.fan_core import fan_from_data, load_fan
+from fanbranch.fan_core import BUNDLED_FANS, fan_from_data, load_fan
 from fanbranch.klyachko import (
     BUNDLED_BUNDLES,
     ChernData,
@@ -466,6 +469,78 @@ class TestScreenEqualsReference:
         want = reference_necessary_dimension_check(data)
         assert got.status == want.status == status
         assert got.multisets == want.multisets
+
+
+SCREEN_FANS = {**{name: load_fan(name) for name in BUNDLED_FANS},
+               "lower dimensional": _lower_dimensional_fan(), "index two": _index_two_fan()}
+
+
+def _values_at(fan, pos, u) -> tuple:
+    return tuple(sum(a * b for a, b in zip(u, fan.rays[ray]))
+                 for ray in fan.max_cones[pos].ray_indices)
+
+
+class TestScreenOnSumsOfLines:
+    """Beyond the reference's reach (it searches every multiset of r grid
+    points): a sum of line bundles passes the screen, and each cone's
+    recovered multiset is that of the summands, up to the functionals'
+    values at the cone's rays, which are all the screen can see."""
+
+    @pytest.mark.parametrize("name", sorted(SCREEN_FANS))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_sum_of_lines_recovers_its_summands(self, name, data):
+        fan = SCREEN_FANS[name]
+        coordinate = st.integers(-3, 3)
+        functionals = data.draw(st.lists(st.lists(coordinate, min_size=fan.rank,
+                                                  max_size=fan.rank),
+                                         min_size=1, max_size=6), label="functionals")
+        report = necessary_dimension_check(_sum_of_lines(fan, functionals))
+        assert report.status == "ok"
+        for pos in range(len(fan.max_cones)):
+            got = Counter()
+            for u, multiplicity in report.multisets[pos]:
+                assert all(x.denominator == 1 for x in u)
+                got[_values_at(fan, pos, u)] += multiplicity
+            assert got == Counter(_values_at(fan, pos, u) for u in functionals), (name, pos)
+
+    @pytest.mark.parametrize("obstructed", ["negative count", "no integral functional"])
+    def test_obstruction_survives_adding_lines(self, obstructed):
+        # three distinct lines in Q^2 at threshold 1 count -1 at the origin,
+        # and rank one at thresholds (0, 0, 1, 0) on `_index_two_fan` needs
+        # u = (0, 0, 1/2) on cone 0 with every count >= 0; a line adds one at
+        # its own values (never the origin here), so each check alone must
+        # screen out every sum
+        if obstructed == "negative count":
+            fan = fan_from_data(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]])
+            full = SubspaceBasis(2, [[1, 0], [0, 1]])
+            data = KlyachkoData(fan, 2, {i: Filtration(2, [(0, full), (1, SubspaceBasis(2, [row]))])
+                                         for i, row in enumerate([[1, 0], [0, 1], [1, 1]])})
+        else:
+            fan = _index_two_fan()
+            data = _rank_one(fan, (0, 0, 1, 0))
+        rng = random.Random(6)
+        for lines in range(1, 6):
+            summed = data
+            while summed.rank < data.rank + lines:
+                u = [rng.randint(-2, 2) for _ in range(3)]
+                if any(u):
+                    summed = direct_sum(summed, line_bundle(fan, u)[0])
+            assert necessary_dimension_check(summed) == NecessityReport("violation", None)
+
+    def test_fulton_rank3_plus_lines_screened_out(self, fulton_bundle):
+        # on cone 2 the printed data's grid counts -1 at the values
+        # (-1, 2, -2, 0), which no integral functional takes; a line only
+        # adds one at its own values, so every sum with lines is screened out
+        data, cert = fulton_bundle
+        rng = random.Random(4)
+        for lines in (1, 1, 2, 2, 3, 3):
+            summed = data
+            for _ in range(lines):
+                u = [rng.randint(-3, 3) for _ in range(3)]
+                summed = direct_sum(summed, line_bundle(data.fan, u)[0])
+            assert summed.rank == 3 + lines
+            assert necessary_dimension_check(summed) == NecessityReport("violation", None)
 
 
 class TestDual:

@@ -18,9 +18,11 @@ before any run (with writing off and no bytecode, every interpreter
 compiles the package, which shows in `setup_s`); the sweep figures; and for
 each workload and seed, every run's end-to-end metrics and operations
 attempted, with each side's median and quartiles, the change's wins per
-metric, and whether the gain rule holds (wins in at least nine tenths of
+metric, whether the gain rule holds (wins in at least nine tenths of
 the pairs and a median difference larger than the parent's quartile
-distance).
+distance), and the regression verdict against the metric's `bound` in
+`BENCHMARK.json` (see `regression`), which it also prints to standard
+error, one line per workload and seed.
 
 Run from the root of the change's checkout; the parent is a second checkout
 (a `git clone` at the parent commit):
@@ -187,14 +189,33 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(parent: list[dict], change: list[dict], better: dict) -> dict:
-    """Per metric: each side's median and quartiles, the change's wins over
-    the pairs (ties count for neither), and whether the gain rule holds."""
+def regression(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The regression verdict on one metric, `bound` being the fraction of
+    the parent's median by which it may worsen: `worse` when the change's
+    median is worse than the parent's by more than that; `unresolved` when
+    the parent's own quartile distance exceeds it, unless every change run
+    beats every parent run; otherwise `none`."""
+    sign = 1 if better == "higher" else -1
+    ps, cs = spread(parent), spread(change)
+    allowed = bound * abs(ps["median"])
+    if sign * (ps["median"] - cs["median"]) > allowed:
+        return "worse"
+    if ps["q3"] - ps["q1"] > allowed and not all(sign * (b - a) > 0
+                                                 for a in parent for b in change):
+        return "unresolved"
+    return "none"
+
+
+def compare(parent: list[dict], change: list[dict], metrics: dict) -> dict:
+    """Per metric of `metrics` (name -> its `BENCHMARK.json` entry): each
+    side's median and quartiles, the change's wins over the pairs (ties
+    count for neither), whether the gain rule holds, and the regression
+    verdict."""
     out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         p = [run[name] for run in parent]
         c = [run[name] for run in change]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         ps, cs = spread(p), spread(c)
         gain = sign * (cs["median"] - ps["median"])
@@ -205,8 +226,18 @@ def compare(parent: list[dict], change: list[dict], better: dict) -> dict:
             "pairs": len(p),
             "change_over_parent": round(cs["median"] / ps["median"], 4) if ps["median"] else None,
             "gain_rule_met": wins >= 0.9 * len(p) and gain > ps["q3"] - ps["q1"],
+            "bound": metric["bound"],
+            "regression": regression(p, c, metric["better"], metric["bound"]),
         }
     return out
+
+
+def regression_line(item: str, compared: dict) -> str:
+    """One line naming the metrics of an item that are worse or unresolved."""
+    named = {verdict: [name for name, m in compared.items() if m["regression"] == verdict]
+             for verdict in ("worse", "unresolved")}
+    return f"{item} regression: " + "; ".join(f"{verdict} {', '.join(names) or 'none'}"
+                                              for verdict, names in named.items())
 
 
 def main() -> None:
@@ -223,7 +254,7 @@ def main() -> None:
             parser.error(f"{path} holds no src/fanbranch and perfbench/")
     bytecode = bytecode_state(sides)  # before the first run can compile anything
     benchmark = json.loads((CHANGE / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    end_to_end = {m["name"]: m for m in benchmark["end_to_end"]}
     items = [(workload, int(seed or 1))
              for workload, _, seed in (item.partition(":") for item in args.runs)]
     gated: dict = {}
@@ -263,8 +294,9 @@ def main() -> None:
                 runs[side].append(perfbench(sides[side], workload, seed))
             print(f"{item} pair {k + 1}: rate_per_s {runs['parent'][-1]['rate_per_s']:.4g} -> "
                   f"{runs['change'][-1]['rate_per_s']:.4g}", file=sys.stderr)
-        report["perfbench"][item] = {"runs": runs, "metrics": compare(runs["parent"],
-                                                                      runs["change"], better)}
+        compared = compare(runs["parent"], runs["change"], end_to_end)
+        report["perfbench"][item] = {"runs": runs, "metrics": compared}
+        print(regression_line(item, compared), file=sys.stderr)
         args.out.write_text(json.dumps(report, indent=1) + "\n")  # after each item
 
 

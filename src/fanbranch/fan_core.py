@@ -6,7 +6,9 @@ dual graph are derived at construction time by exact arithmetic;
 completeness and ray links are derived from them on first use.  The face
 tables (each cone's faces and cofaces, as bitmasks over cone ids) are
 derived once in `Fan.__init__` from the ray-to-cone incidence, so
-`Fan.is_face` and `Fan.face_ids` are lookups.
+`Fan.is_face` is a lookup.  `Fan.face_ids` and `Fan.coface_ids` are
+lookups too: the masks are decoded into tuples of ids once per fan, on the
+first call.
 
 Faces come from facet normals: every face of a cone is the whole cone or an
 intersection of facets, and each facet normal is the one-dimensional kernel
@@ -338,6 +340,8 @@ class Fan:
         self._automorphisms: tuple | None = None
         self._max_relations: dict[int, tuple] = {}
         self._tree_tables: dict[tuple, object] = {}  # see monodromy._record_tables
+        self._face_ids: tuple[tuple[int, ...], ...] | None = None
+        self._coface_ids: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -366,11 +370,15 @@ class Fan:
 
     def face_ids(self, cone_id: int) -> tuple[int, ...]:
         """Ids of all faces of the cone, itself included, ascending."""
-        return _bit_positions(self.faces[cone_id])
+        if self._face_ids is None:
+            self._face_ids = tuple(map(_bit_positions, self.faces))
+        return self._face_ids[cone_id]
 
     def coface_ids(self, cone_id: int) -> tuple[int, ...]:
         """Ids of all cones having the cone as a face, itself included, ascending."""
-        return _bit_positions(self.cofaces[cone_id])
+        if self._coface_ids is None:
+            self._coface_ids = tuple(map(_bit_positions, self.cofaces))
+        return self._coface_ids[cone_id]
 
     def is_face(self, small_id: int, big_id: int) -> bool:
         return self.faces[big_id] >> small_id & 1 == 1

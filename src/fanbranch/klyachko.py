@@ -19,7 +19,9 @@ cached on it.
 The associated branched cover glues one cell per restricted functional class
 over every cone, weighted by multiplicity, and carries the tautological
 piecewise-linear function whose per-cone multisets are the equivariant Chern
-data.
+data.  `ChernData` evaluates each maximal cone's functionals once at the
+cone's rays; every restriction, in face agreement and in the cover, is a
+projection of such a value table.
 """
 
 from __future__ import annotations
@@ -550,15 +552,39 @@ def pullback(data: KlyachkoData, lattice_map, target_fan: Fan,
 # ---------------------------------------------------------------------------
 
 
-def _restriction_multiset(fan: Fan, pos: int, entries, cone_id: int):
-    """Multiset of restricted functional classes of a maximal cone's
-    splitting on a face, keyed by value tuples at the face's rays."""
-    face_rays = fan.cones[cone_id].ray_indices
+def _restriction(table, at) -> tuple:
+    """The restricted functional classes of a maximal cone on a face: its
+    value table projected onto the face's ray positions `at`, with the
+    multiplicities of equal projections summed, as sorted (values at the
+    face's rays, multiplicity) pairs."""
     acc: dict[tuple, int] = {}
-    for u, mult in entries:
-        key = tuple([sum(map(mul, u, fan.rays[ray])) for ray in face_rays])
+    for values, mult in table:
+        key = tuple([values[i] for i in at])
         acc[key] = acc.get(key, 0) + mult
     return tuple(sorted(acc.items()))
+
+
+def _positions(rays, face_rays) -> list[int]:
+    """Positions of a face's rays among a cone's, in the face's ray order."""
+    return [rays.index(ray) for ray in face_rays]
+
+
+def _shared_faces(fan: Fan) -> tuple:
+    """(a, b, positions in a, positions in b) of the rays that maximal cones
+    a < b share, for each pair that shares one.  A constant of the fan,
+    cached on it like `_cone_elimination`."""
+    cache = _fan_cache(fan)
+    if "shared faces" not in cache:
+        cones = fan.max_cones
+        shared = []
+        for a, ca in enumerate(cones):
+            for b in range(a + 1, len(cones)):
+                rb = cones[b].ray_indices
+                common = [ray for ray in ca.ray_indices if ray in rb]
+                if common:
+                    shared.append((a, b, _positions(ca.ray_indices, common), _positions(rb, common)))
+        cache["shared faces"] = tuple(shared)
+    return cache["shared faces"]
 
 
 def _lattice_point(pos: int, u) -> tuple[int, ...]:
@@ -568,46 +594,65 @@ def _lattice_point(pos: int, u) -> tuple[int, ...]:
     return point
 
 
+def _multiset(fan: Fan, pos: int, entries) -> tuple:
+    """A cone's entries as sorted (functional, multiplicity) pairs, the
+    multiplicities of a repeated functional summed.  Each multiplicity must
+    be exactly an `int` >= 1, and each functional `fan.rank` entries, each
+    exactly an `int` or a `Fraction`, with an integral value."""
+    acc: dict[tuple, int] = {}
+    for i, entry in enumerate(entries):
+        try:
+            u, mult = entry
+            size = len(u)
+        except (TypeError, ValueError):
+            raise KlyachkoError(f"cone {pos} entry {i}: {entry!r} is not a pair "
+                                "(functional, multiplicity)") from None
+        if type(mult) is not int or mult < 1:
+            raise KlyachkoError(f"cone {pos} entry {i}: multiplicity {mult!r} "
+                                "is not a positive integer")
+        if size != fan.rank or any(type(x) is not int and type(x) is not Fraction for x in u):
+            raise KlyachkoError(f"cone {pos} entry {i}: functional {u!r} is not "
+                                f"{fan.rank} ints or Fractions")
+        point = _lattice_point(pos, u)
+        acc[point] = acc.get(point, 0) + mult
+    return tuple(sorted(acc.items()))
+
+
 class ChernData:
     """Per maximal cone, the multiset of functionals with multiplicities.
 
-    Functionals are stored as ambient integer vectors; the elementary
-    symmetric evaluations at lattice points answer Chern class queries.
+    Functionals are stored as ambient integer vectors, each once with its
+    total multiplicity; the elementary symmetric evaluations at lattice
+    points answer Chern class queries.  Each maximal cone's functionals are
+    also evaluated once at the cone's rays: its value table, aligned with
+    its multiset.  A restriction to a face is read from a table by
+    projection (`_restriction`).
     """
 
     def __init__(self, fan: Fan, multisets: dict):
         self.fan = fan
-        self.multisets = {
-            pos: tuple(sorted((_lattice_point(pos, u), int(m)) for u, m in ms))
-            for pos, ms in multisets.items()
-        }
-        if set(self.multisets) != set(range(len(fan.max_cones))):
+        if set(multisets) != set(range(len(fan.max_cones))):
             raise KlyachkoError("need one multiset per maximal cone")
+        self.multisets = {pos: _multiset(fan, pos, multisets[pos])
+                          for pos in range(len(fan.max_cones))}
         ranks = {sum(m for _, m in ms) for ms in self.multisets.values()}
         if len(ranks) != 1:
             raise KlyachkoError("multiset sizes differ between cones")
         (self.rank,) = ranks
+        rays = fan.rays
+        self._tables = tuple(
+            tuple((tuple([sum(map(mul, u, rays[ray])) for ray in cone.ray_indices]), m)
+                  for u, m in self.multisets[pos])
+            for pos, cone in enumerate(fan.max_cones))
         self._check_face_agreement()
 
     def _check_face_agreement(self):
-        fan = self.fan
-        for a in range(len(fan.max_cones)):
-            for b in range(a + 1, len(fan.max_cones)):
-                common = tuple(
-                    sorted(
-                        set(fan.max_cones[a].ray_indices)
-                        & set(fan.max_cones[b].ray_indices)
-                    )
+        tables = self._tables
+        for a, b, at_a, at_b in _shared_faces(self.fan):
+            if _restriction(tables[a], at_a) != _restriction(tables[b], at_b):
+                raise KlyachkoError(
+                    f"multisets of cones {a} and {b} disagree on their shared face"
                 )
-                if not common:
-                    continue
-                cone_id = fan.cone_id(common)
-                ra = _restriction_multiset(fan, a, self.multisets[a], cone_id)
-                rb = _restriction_multiset(fan, b, self.multisets[b], cone_id)
-                if ra != rb:
-                    raise KlyachkoError(
-                        f"multisets of cones {a} and {b} disagree on their shared face"
-                    )
 
     def c1(self, pos: int):
         ms = self.multisets[pos]
@@ -644,6 +689,11 @@ class ChernData:
 
 
 def chern(data: KlyachkoData, cert: SplittingCertificate) -> ChernData:
+    """The Chern data read from a splitting certificate: per maximal cone,
+    each functional with the total dimension of its summands."""
+    if cert is None:
+        raise KlyachkoError("no splitting certificate: a bundle's Chern data are read "
+                            "from its splittings")
     fan = data.fan
     out = {}
     for pos in range(len(fan.max_cones)):
@@ -665,6 +715,26 @@ def is_trivial_chern(data: KlyachkoData, cert: SplittingCertificate) -> bool:
     return chern(data, cert).is_trivial()
 
 
+def _cover_plan(fan: Fan) -> tuple:
+    """Per cone: the position of its first carrier (the maximal cone of
+    least id having it as a face), the cone's ray positions in that
+    carrier, and each proper face as (id, its ray positions in the cone).
+    A constant of the fan, cached on it like `_cone_elimination`."""
+    cache = _fan_cache(fan)
+    if "cover plan" not in cache:
+        max_pos = fan._max_positions  # cone id -> position in fan.max_cones
+        plan = []
+        for cone_id, cone in enumerate(fan.cones):
+            carrier = next((max_pos[i] for i in fan.coface_ids(cone_id) if i in max_pos), None)
+            if carrier is None:
+                raise KlyachkoError(f"cone {cone_id} is not a face of any maximal cone")
+            plan.append((carrier, _positions(fan.max_cones[carrier].ray_indices, cone.ray_indices),
+                         [(fid, _positions(cone.ray_indices, fan.cones[fid].ray_indices))
+                          for fid in fan.face_ids(cone_id) if fid != cone_id]))
+        cache["cover plan"] = tuple(plan)
+    return cache["cover plan"]
+
+
 def branched_cover_of(data_or_chern, cert: SplittingCertificate | None = None):
     """The branched cover and tautological PL function of a bundle.
 
@@ -672,75 +742,58 @@ def branched_cover_of(data_or_chern, cert: SplittingCertificate | None = None):
     functional class) pairs weighted by multiplicity, the function restricts
     to the defining functional on each maximal cell.  The result passes
     validate_cover with degree equal to the rank, in any lattice rank.
+
+    The classes over a cone c are read from one carrier only: the maximal
+    cone of least id among those having c as a face, its value table
+    projected onto c's rays.  Every other carrier gives the same classes.
+    Let a and b carry c, and let C be the rays that a and b share.  The rays
+    of c lie in C, so projecting a's table onto c is projecting its
+    restriction to C onto c: a projection of a multiset that sums equal
+    keys, followed by another, is the composite projection with the same
+    sums.  `ChernData` has checked that a and b restrict to C alike (when C
+    is empty, both restrict to the one class () of weight the rank), so
+    they restrict to c alike.  For the same reason a cell's face pairs land on
+    classes that exist: a class of c projected onto a face f of c is a
+    restriction of c's carrier to f, which equals that of f's carrier.
     """
     if isinstance(data_or_chern, ChernData):
         cdata = data_or_chern
     else:
         cdata = chern(data_or_chern, cert)
     fan = cdata.fan
-    r = cdata.rank
 
-    max_pos_of_base = {
-        fan.cone_id(c.ray_indices): pos for pos, c in enumerate(fan.max_cones)
-    }
-    # classes over every cone, from the first incident maximal cone by id,
-    # cross-checked against all others
-    classes: dict[int, tuple] = {}
-    for cone_id in range(len(fan.cones)):
-        carriers = [max_pos_of_base[i] for i in fan.coface_ids(cone_id) if i in max_pos_of_base]
-        if not carriers:
-            raise KlyachkoError(f"cone {cone_id} is not a face of any maximal cone")
-        first = _restriction_multiset(fan, carriers[0], cdata.multisets[carriers[0]], cone_id)
-        for other in carriers[1:]:
-            if _restriction_multiset(fan, other, cdata.multisets[other], cone_id) != first:
-                raise KlyachkoError(
-                    f"restriction multisets disagree over cone {cone_id}"
-                )
-        classes[cone_id] = first
+    plan = _cover_plan(fan)
+    classes = [_restriction(cdata._tables[carrier], at) for carrier, at, _ in plan]
 
     cells = []
     cell_index: dict[tuple, int] = {}
-    for cone_id in range(len(fan.cones)):
-        for copy, (key, mult) in enumerate(classes[cone_id]):
-            cell_index[(cone_id, key)] = len(cells)
+    for cone_id, cone_classes in enumerate(classes):
+        for copy, (key, mult) in enumerate(cone_classes):
+            cell_index[cone_id, key] = len(cells)
             cells.append(CoverCell(cone_id, copy, mult))
 
     pairs = []
-    for cone_id in range(len(fan.cones)):
-        face_sets = {
-            fid: fan.cones[fid].ray_indices
-            for fid in fan.face_ids(cone_id)
-            if fid != cone_id
-        }
-        cone_rays = fan.cones[cone_id].ray_indices
-        for key, mult in classes[cone_id]:
-            hi = cell_index[(cone_id, key)]
-            value_at = dict(zip(cone_rays, key))
-            for fid, frays in face_sets.items():
-                fkey = tuple(value_at[rr] for rr in frays)
-                pairs.append((cell_index[(fid, fkey)], hi))
+    for cone_id, (_, _, faces) in enumerate(plan):
+        for key, _ in classes[cone_id]:
+            hi = cell_index[cone_id, key]
+            for fid, at in faces:
+                pairs.append((cell_index[fid, tuple([key[i] for i in at])], hi))
 
     cover = CoverPoset(fan, cells, pairs, _closed=True)
     report = validate_cover(cover)
     if not report.ok:
         raise KlyachkoError(f"associated cover is invalid: {report.describe()}")
 
-    # the tautological function: each maximal cell carries its functional
+    # the tautological function: each maximal cell (over a full-dimensional
+    # cone) carries its functional, the cell's key being the functional's row
+    # of the cone's value table (cells are built in (base, copy) order, which
+    # cover.cells keeps)
     cell_values = {}
-    lookup = {(c.base, c.copy): i for i, c in enumerate(cover.cells)}
-    for cone_id in range(len(fan.cones)):
+    for cone_id, pos in fan._max_positions.items():  # cone id -> position
         if fan.cones[cone_id].dim != fan.rank:
             continue
-        pos = max_pos_of_base[cone_id]
-        by_key = {}
-        for u, m in cdata.multisets[pos]:
-            key = tuple(
-                sum(a * b for a, b in zip(u, fan.rays[ray]))
-                for ray in fan.cones[cone_id].ray_indices
-            )
-            by_key[key] = u
-        for copy, (key, mult) in enumerate(classes[cone_id]):
-            cell_values[lookup[(cone_id, copy)]] = by_key[key]
+        for (values, _), (u, _) in zip(cdata._tables[pos], cdata.multisets[pos]):
+            cell_values[cell_index[cone_id, values]] = u
     psi = PLFunction(cover, cell_values)
     return cover, psi
 

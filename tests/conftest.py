@@ -3,6 +3,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from fanbranch.exact_linalg import (
     RationalMatrix,
@@ -24,9 +25,11 @@ from fanbranch.fan_core import (
     stellar_subdivision,
     wall_relation,
 )
+from fanbranch.cover_poset import CoverCell, CoverPoset, validate_cover
 from fanbranch.klyachko import (
     Filtration,
     KlyachkoData,
+    KlyachkoError,
     SplittingCertificate,
     VerifyResult,
     _induced_filtration,
@@ -39,6 +42,7 @@ from fanbranch.monodromy import (
     spanning_tree,
 )
 from fanbranch.pl_group import (
+    PLFunction,
     _kernel_keys,
     _lifts,
     _max_cell_geometry,
@@ -211,6 +215,119 @@ def reference_verify(data: KlyachkoData, cert: SplittingCertificate) -> VerifyRe
                     reason="splitting does not reproduce the stored filtration",
                 )
     return VerifyResult(True)
+
+
+# -- the associated cover from every carrier ----------------------------------
+#
+# `ChernData` evaluates each maximal cone's functionals once at its rays and
+# reads every restriction from that table; `branched_cover_of` takes each
+# cone's classes from one carrier.  This is the construction they are tested
+# against: each restriction recomputed from dot products, face agreement on
+# the shared face's cone, and the classes over every cone cross-checked
+# against every carrier.
+
+
+def _restriction_multiset(fan: Fan, pos: int, entries, cone_id: int):
+    """Multiset of restricted functional classes of a maximal cone's
+    splitting on a face, keyed by value tuples at the face's rays."""
+    face_rays = fan.cones[cone_id].ray_indices
+    acc: dict[tuple, int] = {}
+    for u, mult in entries:
+        key = tuple([sum(map(mul, u, fan.rays[ray])) for ray in face_rays])
+        acc[key] = acc.get(key, 0) + mult
+    return tuple(sorted(acc.items()))
+
+
+def reference_face_agreement(fan: Fan, multisets: dict) -> None:
+    """Raise `KlyachkoError` naming the first pair of maximal cones whose
+    multisets restrict differently to their shared face."""
+    for a in range(len(fan.max_cones)):
+        for b in range(a + 1, len(fan.max_cones)):
+            common = tuple(
+                sorted(
+                    set(fan.max_cones[a].ray_indices)
+                    & set(fan.max_cones[b].ray_indices)
+                )
+            )
+            if not common:
+                continue
+            cone_id = fan.cone_id(common)
+            ra = _restriction_multiset(fan, a, multisets[a], cone_id)
+            rb = _restriction_multiset(fan, b, multisets[b], cone_id)
+            if ra != rb:
+                raise KlyachkoError(
+                    f"multisets of cones {a} and {b} disagree on their shared face"
+                )
+
+
+def reference_branched_cover_of(cdata):
+    """(cover, tautological function) of a `ChernData`, every carrier of a
+    cone cross-checked."""
+    fan = cdata.fan
+
+    max_pos_of_base = {
+        fan.cone_id(c.ray_indices): pos for pos, c in enumerate(fan.max_cones)
+    }
+    # classes over every cone, from the first incident maximal cone by id,
+    # cross-checked against all others
+    classes: dict[int, tuple] = {}
+    for cone_id in range(len(fan.cones)):
+        carriers = [max_pos_of_base[i] for i in fan.coface_ids(cone_id) if i in max_pos_of_base]
+        if not carriers:
+            raise KlyachkoError(f"cone {cone_id} is not a face of any maximal cone")
+        first = _restriction_multiset(fan, carriers[0], cdata.multisets[carriers[0]], cone_id)
+        for other in carriers[1:]:
+            if _restriction_multiset(fan, other, cdata.multisets[other], cone_id) != first:
+                raise KlyachkoError(
+                    f"restriction multisets disagree over cone {cone_id}"
+                )
+        classes[cone_id] = first
+
+    cells = []
+    cell_index: dict[tuple, int] = {}
+    for cone_id in range(len(fan.cones)):
+        for copy, (key, mult) in enumerate(classes[cone_id]):
+            cell_index[(cone_id, key)] = len(cells)
+            cells.append(CoverCell(cone_id, copy, mult))
+
+    pairs = []
+    for cone_id in range(len(fan.cones)):
+        face_sets = {
+            fid: fan.cones[fid].ray_indices
+            for fid in fan.face_ids(cone_id)
+            if fid != cone_id
+        }
+        cone_rays = fan.cones[cone_id].ray_indices
+        for key, mult in classes[cone_id]:
+            hi = cell_index[(cone_id, key)]
+            value_at = dict(zip(cone_rays, key))
+            for fid, frays in face_sets.items():
+                fkey = tuple(value_at[rr] for rr in frays)
+                pairs.append((cell_index[(fid, fkey)], hi))
+
+    cover = CoverPoset(fan, cells, pairs, _closed=True)
+    report = validate_cover(cover)
+    if not report.ok:
+        raise KlyachkoError(f"associated cover is invalid: {report.describe()}")
+
+    # the tautological function: each maximal cell carries its functional
+    cell_values = {}
+    lookup = {(c.base, c.copy): i for i, c in enumerate(cover.cells)}
+    for cone_id in range(len(fan.cones)):
+        if fan.cones[cone_id].dim != fan.rank:
+            continue
+        pos = max_pos_of_base[cone_id]
+        by_key = {}
+        for u, m in cdata.multisets[pos]:
+            key = tuple(
+                sum(a * b for a, b in zip(u, fan.rays[ray]))
+                for ray in fan.cones[cone_id].ray_indices
+            )
+            by_key[key] = u
+        for copy, (key, mult) in enumerate(classes[cone_id]):
+            cell_values[lookup[(cone_id, copy)]] = by_key[key]
+    psi = PLFunction(cover, cell_values)
+    return cover, psi
 
 
 # -- PL functions as `Fraction` dicts ----------------------------------------

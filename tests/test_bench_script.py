@@ -3,8 +3,9 @@ only if its last two lines are strict-JSON facts and a correct result with
 exactly the benchmark's per-layer metrics and no traced function absent.
 `test_every_traced_name_is_present` checks the absent list ahead of any
 run: every name that `perfbench/tracer.py` traces must exist in the loaded
-package.  The last tests check the bytecode state the report records, the
-sweep cache pins and the timed sweep rows."""
+package.  Later tests check the bytecode state the report records, the
+sweep cache pins, the timed sweep rows, and the regression verdict of each
+end-to-end metric against its bound, on synthetic runs."""
 
 import importlib
 import importlib.util
@@ -131,3 +132,50 @@ def test_every_sweep_row_names_a_pinned_cache():
     assert {(fan, degree) for fan, degree, _ in bench.SWEEPS} == set(bench.SWEEP_PINS)
     assert len(set(bench.SWEEPS)) == len(bench.SWEEPS)
     assert {("sigma_prime", 3, 1), ("sigma_prime", 3, 2)} <= set(bench.SWEEPS)
+
+
+END_TO_END = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def runs(values, name="peak_rss_mb"):
+    return [{name: v} for v in values]
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    # quartiles 33.0-33.2 MB, bound 10% of 33.1: a 1 MB rise is none, a 4 MB one worse
+    ([33.0, 33.1, 33.2] * 3 + [33.1], [34.0, 34.1, 34.2] * 3 + [34.1], "none"),
+    ([33.0, 33.1, 33.2] * 3 + [33.1], [37.0, 37.1, 37.2] * 3 + [37.1], "worse"),
+    # the parent's quartiles, 30-36 MB, lie further apart than 10% of its median
+    ([28.0, 30.0, 36.0, 38.0] * 2 + [33.0, 33.0], [30.0, 32.0, 34.0, 36.0] * 2 + [33.0, 33.0],
+     "unresolved"),
+    # as wide, but every change run is lower than every parent run
+    ([40.0, 44.0, 48.0, 52.0] * 2 + [46.0, 46.0], [30.0, 32.0, 34.0, 36.0] * 2 + [33.0, 33.0],
+     "none"),
+], ids=["within-bound", "worse", "unresolved", "wide-but-every-run-better"])
+def test_regression_verdict(parent, change, verdict):
+    """`compare` records the regression verdict against the metric's bound
+    in `BENCHMARK.json`: 10% for `peak_rss_mb`."""
+    got = bench.compare(runs(parent), runs(change), {"peak_rss_mb": END_TO_END["peak_rss_mb"]})
+    assert got["peak_rss_mb"]["bound"] == 0.1
+    assert got["peak_rss_mb"]["regression"] == verdict
+
+
+def test_regression_follows_the_direction_of_better():
+    """A rate that falls by more than its 25% bound is worse; one that rises
+    as much is not."""
+    rate = {"rate_per_s": END_TO_END["rate_per_s"]}
+    parent = runs([2500.0, 2510.0, 2490.0] * 3 + [2500.0], "rate_per_s")
+    lower = runs([1800.0, 1810.0, 1790.0] * 3 + [1800.0], "rate_per_s")
+    higher = runs([3300.0, 3310.0, 3290.0] * 3 + [3300.0], "rate_per_s")
+    assert bench.compare(parent, lower, rate)["rate_per_s"]["regression"] == "worse"
+    assert bench.compare(parent, higher, rate)["rate_per_s"]["regression"] == "none"
+    assert bench.compare(parent, higher, rate)["rate_per_s"]["gain_rule_met"]
+
+
+def test_regression_line_names_worse_and_unresolved_metrics():
+    compared = {"wall_s": {"regression": "worse"}, "cpu_s": {"regression": "none"},
+                "peak_rss_mb": {"regression": "unresolved"}, "setup_s": {"regression": "worse"}}
+    assert bench.regression_line("sigma3-stride:1", compared) == (
+        "sigma3-stride:1 regression: worse wall_s, setup_s; unresolved peak_rss_mb")
+    assert bench.regression_line("library-mix:1", {"wall_s": {"regression": "none"}}) == (
+        "library-mix:1 regression: worse none; unresolved none")

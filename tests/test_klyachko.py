@@ -1,13 +1,22 @@
+import importlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanbranch.cover_poset import are_isomorphic, degree, is_maximal, validate_cover
+from fanbranch.cover_poset import (
+    are_isomorphic,
+    cover_to_dict,
+    degree,
+    is_maximal,
+    validate_cover,
+)
 from fanbranch.exact_linalg import (
     SubspaceBasis,
     annihilator,
@@ -50,6 +59,8 @@ from conftest import (
     forced_chain,
     forced_collision,
     random_bundle,
+    reference_branched_cover_of,
+    reference_face_agreement,
     reference_verify,
 )
 
@@ -745,6 +756,109 @@ class TestBranchedCover:
             assert got == cd.multisets[m.cone_position]
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _cover_cases(lines=range(-2, 3)):
+    """(label, data, certificate): every bundled bundle and its dual, each
+    alone and plus the line bundle of every u in `lines`^n."""
+    for name in BUNDLED_BUNDLES:
+        data, cert = load_bundle(name)
+        for label, d, c in ((name, data, cert),
+                            (f"dual {name}", dual(data), _dual_certificate(cert, data.rank))):
+            yield label, d, c
+            for u in product(lines, repeat=d.fan.rank):
+                line, line_cert = line_bundle(d.fan, u)
+                yield f"{label} + L{u}", *direct_sum(d, line, c, line_cert)
+
+
+def _library_mix_bundles():
+    """(label, data, certificate) of the bundle calls in the `library-mix`
+    rounds of seeds 1, 7 and 3, drawn by the benchmark's own workload."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+    for seed in (1, 7, 3):
+        for k, r in enumerate(workloads.LibraryMix(seed, None).rounds):
+            yield f"library-mix seed {seed} round {k}", r.data, r.cert
+
+
+def _perturbed(cd: ChernData, rng, every=False):
+    """(kind, multisets) from a `ChernData`'s multisets: per cone, one
+    coordinate of one functional moved by 1 (with `every`, each coordinate
+    of each functional by +1 and by -1), and one functional replaced by one
+    of another cone's; and every functional of every cone plus the same
+    unit vector, which keeps the multisets agreeing."""
+    multisets = cd.multisets
+    n = cd.fan.rank
+
+    def moved(pos, k, u):
+        entries = list(multisets[pos])
+        entries[k] = (u, entries[k][1])
+        return {**multisets, pos: tuple(entries)}
+
+    for pos, entries in multisets.items():
+        if every:
+            for k, (u, _) in enumerate(entries):
+                for j, step in product(range(n), (1, -1)):
+                    yield "coordinate moved", moved(pos, k, u[:j] + (u[j] + step,) + u[j + 1:])
+        else:
+            k, j = rng.randrange(len(entries)), rng.randrange(n)
+            u = entries[k][0]
+            yield "coordinate moved", moved(pos, k, u[:j] + (u[j] + rng.choice((-1, 1)),) + u[j + 1:])
+        other = rng.choice([p for p in multisets if p != pos])
+        yield "another cone's functional", moved(pos, rng.randrange(len(entries)),
+                                                 rng.choice(multisets[other])[0])
+    j = rng.randrange(n)
+    yield "twisted everywhere", {pos: tuple((tuple(x + (i == j) for i, x in enumerate(u)), m)
+                                            for u, m in entries)
+                                 for pos, entries in multisets.items()}
+
+
+def _refusal(check, fan, multisets) -> str | None:
+    try:
+        check(fan, multisets)
+    except KlyachkoError as exc:
+        return str(exc)
+    return None
+
+
+class TestCoverEqualsReference:
+    """`branched_cover_of` reads every restriction from `ChernData`'s value
+    tables and each cone's classes from its first carrier;
+    `conftest.reference_branched_cover_of` computes each restriction from
+    dot products and cross-checks every carrier.  The covers and the
+    tautological functions agree byte for byte, and face agreement accepts
+    and refuses the same multisets with the same message."""
+
+    @pytest.mark.parametrize("cases, count", [(_cover_cases, 556), (_library_mix_bundles, 324)],
+                             ids=["bundled-duals-and-lines", "library-mix"])
+    def test_same_cover_and_function(self, cases, count):
+        seen = 0
+        for label, data, cert in cases():
+            cover, psi = branched_cover_of(data, cert)
+            want_cover, want_psi = reference_branched_cover_of(chern(data, cert))
+            assert cover_to_dict(cover) == cover_to_dict(want_cover), label
+            assert psi.to_dict() == want_psi.to_dict(), label
+            seen += 1
+        assert seen == count
+
+    def test_face_agreement_on_perturbed_multisets(self):
+        rng = random.Random(31)
+        verdicts = Counter()
+        for label, data, cert in _cover_cases(lines=range(-1, 2)):
+            cd = chern(data, cert)
+            for kind, multisets in _perturbed(cd, rng, every=" + L" not in label):
+                got = _refusal(ChernData, data.fan, multisets)
+                assert got == _refusal(reference_face_agreement, data.fan, multisets), (label, kind)
+                verdicts[kind, got is None] += 1
+        # 132 cases: 6 alone, 2 * 27 on each rank-3 fan and 2 * 9 on P^2
+        assert verdicts["twisted everywhere", True] == 132
+        assert verdicts["coordinate moved", False] > 1000
+        assert verdicts["another cone's functional", True] > 0
+        assert verdicts["another cone's functional", False] > 0
+
+
 class TestChern:
     def test_printed_fulton_multisets_face_consistent_but_nontrivial(self):
         fan = load_fan("fulton")
@@ -788,6 +902,73 @@ class TestChern:
         with pytest.raises(KlyachkoError, match=r"^cone 0 has a non-integral functional "
                                                 r"\(-18223/2, 8025/2, -3627/2\)$"):
             ChernData(fan, witness)
+
+    @pytest.mark.parametrize("entry, message", [
+        pytest.param(((-1, 0), 0), r"multiplicity 0 is not a positive integer", id="zero"),
+        pytest.param(((-1, 0), -1), r"multiplicity -1 is not a positive integer", id="negative"),
+        pytest.param(((-1, 0), 1.0), r"multiplicity 1\.0 is not a positive integer", id="float"),
+        pytest.param(((-1, 0), True), r"multiplicity True is not a positive integer", id="bool"),
+        pytest.param(((-1, 0), Fraction(1)),
+                     r"multiplicity Fraction\(1, 1\) is not a positive integer", id="Fraction"),
+        pytest.param(((True, 0), 1), r"functional \(True, 0\) is not 2 ints or Fractions",
+                     id="bool-coordinate"),
+        pytest.param(((-1.0, 0), 1), r"functional \(-1\.0, 0\) is not 2 ints or Fractions",
+                     id="float-coordinate"),
+        pytest.param((("-1", 0), 1), r"functional \('-1', 0\) is not 2 ints or Fractions",
+                     id="str-coordinate"),
+        pytest.param(((-1, 0, 0), 1), r"functional \(-1, 0, 0\) is not 2 ints or Fractions",
+                     id="too-long"),
+        pytest.param(((-1,), 1), r"functional \(-1,\) is not 2 ints or Fractions",
+                     id="too-short"),
+        pytest.param(((-1, 0),),
+                     r"\(\(-1, 0\),\) is not a pair \(functional, multiplicity\)",
+                     id="not-a-pair"),
+    ])
+    def test_malformed_entry_refused_by_cone_and_entry(self, p2_bundle, entry, message):
+        data, cert = p2_bundle
+        multisets = dict(chern(data, cert).multisets)
+        multisets[1] = (multisets[1][0], entry)
+        with pytest.raises(KlyachkoError, match=rf"^cone 1 entry 1: {message}$"):
+            ChernData(data.fan, multisets)
+
+    def test_integral_fractions_read_as_integers(self, p2_bundle):
+        data, cert = p2_bundle
+        cd = chern(data, cert)
+        as_fractions = {pos: [(tuple(map(Fraction, u)), m) for u, m in ms]
+                        for pos, ms in cd.multisets.items()}
+        assert ChernData(data.fan, as_fractions) == cd
+
+    def test_repeated_functionals_merge(self, p2_bundle):
+        # every summand listed once per dimension, in reverse, and a global
+        # twist w listed twice on every cone: one entry each, w's of weight 2
+        data, cert = p2_bundle
+        cd = chern(data, cert)
+        w = (5, 7)
+        listed = {pos: [(u, 1) for u, m in ms for _ in range(m)][::-1] + [(w, 1), (w, 1)]
+                  for pos, ms in cd.multisets.items()}
+        merged = ChernData(data.fan, listed)
+        assert merged.rank == 4
+        assert merged.multisets == {pos: tuple(sorted(ms + ((w, 2),)))
+                                    for pos, ms in cd.multisets.items()}
+        assert equal_chern(merged, ChernData(data.fan, {pos: ms + ((w, 2),)
+                                                        for pos, ms in cd.multisets.items()}))
+
+    def test_twice_a_line_written_unevenly_is_trivial(self):
+        fan = load_fan("fulton")
+        u = (1, -2, 3)
+        uneven = {pos: ((u, 2),) if pos % 2 else ((u, 1), (u, 1))
+                  for pos in range(len(fan.max_cones))}
+        cd = ChernData(fan, uneven)
+        assert cd.is_trivial()
+        d1, c1 = line_bundle(fan, u)
+        assert equal_chern(cd, chern(*direct_sum(d1, d1, c1, c1)))
+
+    def test_missing_certificate_refused_by_name(self, p2_bundle):
+        data, _ = p2_bundle
+        for call in (lambda: chern(data, None), lambda: branched_cover_of(data),
+                     lambda: is_trivial_chern(data, None)):
+            with pytest.raises(KlyachkoError, match=r"^no splitting certificate"):
+                call()
 
     def test_integral_witness_passes_face_agreement(self):
         fan = load_fan("eikelberg")

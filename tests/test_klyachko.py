@@ -1,6 +1,5 @@
 import importlib
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product

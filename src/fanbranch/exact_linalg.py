@@ -18,9 +18,14 @@ Which routine answers which question:
   Klyachko screen's threshold grid) eliminate it once.  `rank` and
   `right_nullspace` clear each rational row of denominators first, which
   keeps the row space;
-* `Fraction` Gauss-Jordan (`_rref_rows`) runs only where the reduced form is
-  itself the result: `rref`, the canonical `SubspaceBasis`, and
-  `solve_linear`.  `annihilator` reads its kernel straight off that form;
+* `Fraction` Gauss-Jordan (`_rref_rows`) runs only where the reduced form
+  over Q is itself the result: `rref` and `solve_linear`;
+* a `SubspaceBasis` stores its reduced basis as integer rows, and every
+  subspace reaches that form by one integer path, `_primitive_rref`
+  (`_int_echelon`, back-substitution, primitive scaling): the constructor,
+  `subspace_sum`, and `annihilator`, whose spanning vectors
+  `_annihilator_rows` reads off the stored rows with no elimination, as
+  the Klyachko checks do;
 * one Hermite loop, `_row_hnf`, answers the lattice questions that need
   it: `hermite_normal_form`, the k-column duality step of `_saturate`, and
   `integer_solve`, the one caller that needs the unimodular transform,
@@ -39,7 +44,8 @@ Determinism conventions, fixed once for the whole package:
   first nonzero entry positive, ordered by their free column;
 * integer kernels are returned as the row Hermite normal form of the kernel
   lattice, which is a canonical basis;
-* subspaces are stored in reduced row-echelon form, so subspace equality is
+* subspaces are stored in reduced row-echelon form, each row scaled to a
+  primitive integer vector with a positive pivot, so subspace equality is
   representation equality.
 """
 
@@ -486,57 +492,145 @@ def integer_solve(a_rows, b) -> IntVector | None:
 
 
 class SubspaceBasis:
-    """Subspace of Q^n stored as a reduced row-echelon basis.
+    """Subspace of Q^n stored as its reduced row-echelon basis, each row
+    scaled to a primitive integer vector with a positive pivot (`rows`).
 
-    Canonical form makes equality of subspaces equal representation
-    equality, which the rest of the package relies on.
+    The reduced form is unique, so this one is too: equality of subspaces
+    is equality of `rows`, which the rest of the package relies on.  `basis`
+    is the same form as `Fraction` rows with pivot 1, built when read.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "rows")
 
     def __init__(self, ambient_dim: int, basis=()):
-        rows = [list(r) for r in _fraction_rows(basis)]
+        rows = _cleared_rows([[x if type(x) is int else Fraction(x) for x in r] for r in basis])
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("basis vector of wrong length")
-        rows, pivots = _rref_rows(rows, ambient_dim)
+        self._set(ambient_dim, rows)
+
+    @classmethod
+    def _of_int_rows(cls, ambient_dim: int, rows) -> "SubspaceBasis":
+        """The span of integer vectors of length `ambient_dim`, unchecked."""
+        s = cls.__new__(cls)
+        s._set(ambient_dim, list(rows))
+        return s
+
+    def _set(self, ambient_dim: int, rows: list) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in rows[: len(pivots)]))
+        object.__setattr__(self, "rows", _primitive_rref(rows, ambient_dim))
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
 
     @property
+    def basis(self) -> tuple[Vector, ...]:
+        return tuple(tuple([Fraction(x, p) for x in row])
+                     for row, p in zip(self.rows, _pivot_entries(self.rows)))
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, SubspaceBasis)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         rows = "; ".join("(" + ", ".join(str(x) for x in r) + ")" for r in self.basis)
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient_dim}: {rows})"
 
+    def _spans(self, vec) -> bool:
+        """Whether the integer vector `vec` lies in the subspace: cancelled
+        against each row at its pivot, it vanishes."""
+        for row, p in zip(self.rows, _pivots(self.rows)):
+            if vec[p]:
+                vec = _cancel(vec, row, p)
+        return not any(vec)
+
     def contains(self, v) -> bool:
         vec = [Fraction(x) for x in v]
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x == 1)
-            if vec[p] != 0:
-                f = vec[p]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        return all(x == 0 for x in vec)
+        return self._spans(_cleared_rows([vec])[0])
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(r) for r in other.basis)
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return all(self._spans(r) for r in other.rows)
+
+
+def _pivot_entries(rows) -> list[int]:
+    """The pivot entry, the first nonzero one, of each echelon row."""
+    return [next(filter(None, row)) for row in rows]
+
+
+def _pivots(rows) -> list[int]:
+    """The pivot column of each echelon row: where its pivot entry first
+    occurs, every entry before it being 0."""
+    return [row.index(a) for row, a in zip(rows, _pivot_entries(rows))]
+
+
+def _primitive_rref(rows: list, ncols: int) -> tuple[IntVector, ...]:
+    """The reduced row-echelon basis of the span of integer `rows`, each row
+    scaled to a primitive integer vector with a positive pivot.
+
+    `_int_echelon`, then back-substitution bottom-up: each row above pivot
+    row j is cancelled against it at its pivot column.  Row j is then zero
+    at every other pivot (at the later ones by the earlier steps, at the
+    earlier ones being an echelon row), and the cancellation keeps the
+    zeros of the row above at the later pivots.  So row i ends zero at
+    every pivot but its own, as the reduced row i is, and both lie in the
+    row space, where a vector is fixed by its entries at the pivots: row i
+    is a multiple of the reduced row i.  Scaling it to be primitive with a
+    positive pivot leaves the reduced row times the lcm of its denominators
+    (that vector is primitive: a prime dividing the lcm divides the
+    denominator of some entry as often, and so not its scaled numerator).
+    The list `rows` is reordered; its rows are not changed."""
+    ech, pivots = _int_echelon(rows, ncols)
+    for j in range(len(ech) - 1, 0, -1):
+        prow, p = ech[j], pivots[j]
+        for i in range(j):
+            if ech[i][p]:
+                ech[i] = _cancel(ech[i], prow, p)
+    out = []
+    for row, p in zip(ech, pivots):
+        g = gcd(*row)
+        out.append(tuple([x // g for x in row] if row[p] > 0 else [-x // g for x in row]))
+    return tuple(out)
+
+
+def _annihilator_rows(rows, ncols: int) -> list[list[int]]:
+    """Integer vectors spanning the annihilator of the subspace with
+    `SubspaceBasis.rows` `rows`, read off them with no elimination: one per
+    non-pivot column f, D at f and -row_i[f] * D / pivot_i at each row's
+    pivot, D the lcm of the pivot entries pivot_i.
+
+    This is D times the reduced form's kernel vector (1 at f, -row_i[f] /
+    pivot_i at pivot i).  It pairs to 0 with row i, which is zero at every
+    other pivot, and the vectors are independent, one per free column and
+    zero at the others: n - dim of them, the annihilator's dimension."""
+    entries = _pivot_entries(rows)
+    pivots = [row.index(a) for row, a in zip(rows, entries)]
+    big = lcm(*entries)
+    scaled = [(p, row, big // a) for row, p, a in zip(rows, pivots, entries)]
+    pivset = set(pivots)
+    vectors = []
+    for free in range(ncols):
+        if free in pivset:
+            continue
+        x = [0] * ncols
+        x[free] = big
+        for p, row, k in scaled:
+            x[p] = -row[free] * k
+        vectors.append(x)
+    return vectors
 
 
 def span(vectors, ambient_dim: int) -> SubspaceBasis:
@@ -546,26 +640,14 @@ def span(vectors, ambient_dim: int) -> SubspaceBasis:
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return SubspaceBasis(a.ambient_dim, a.basis + b.basis)
+    return SubspaceBasis._of_int_rows(a.ambient_dim, a.rows + b.rows)
 
 
 def annihilator(a: SubspaceBasis) -> SubspaceBasis:
-    """The subspace {u : u.v = 0 for all v in a} under the standard pairing.
-
-    Read off the reduced basis: one vector per non-pivot column `free`, with
-    1 there and -row[free] at each row's pivot.
-    """
-    pivots = [next(k for k, x in enumerate(row) if x) for row in a.basis]
-    vectors = []
-    for free in range(a.ambient_dim):
-        if free in pivots:
-            continue
-        x = [0] * a.ambient_dim
-        x[free] = 1
-        for p, row in zip(pivots, a.basis):
-            x[p] = -row[free]
-        vectors.append(x)
-    return SubspaceBasis(a.ambient_dim, vectors)
+    """The subspace {u : u.v = 0 for all v in a} under the standard pairing:
+    the span of `_annihilator_rows`, put in the stored form by
+    `_primitive_rref`."""
+    return SubspaceBasis._of_int_rows(a.ambient_dim, _annihilator_rows(a.rows, a.ambient_dim))
 
 
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:

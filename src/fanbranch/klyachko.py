@@ -9,12 +9,12 @@ make compatibility a finite, exactly checkable statement, while
 never claimed sufficient).
 
 Both decide in integers.  Each question about a subspace is asked of its
-rows cleared of denominators, or of the integer rows of its annihilator,
-computed once per ray and threshold in each call (`_annihilators`): a rank
-for a sum or an intersection, a zero pairing for an inclusion.  No subspace
-sum or intersection is built; the proofs are in the docstrings.  The
-screen's elimination of each cone's rays is a constant of the fan and is
-cached on it.
+stored integer rows (`SubspaceBasis.rows`), or of the integer rows of its
+annihilator, read off the stored rows with no elimination
+(`_annihilators`): a rank for a sum or an intersection, a zero pairing for
+an inclusion.  No subspace sum or intersection is built; the proofs are in
+the docstrings.  The screen's elimination of each cone's rays is a
+constant of the fan and is cached on it.
 
 The associated branched cover glues one cell per restricted functional class
 over every cone, weighted by multiplicity, and carries the tautological
@@ -36,12 +36,11 @@ from operator import mul
 from .cover_poset import CoverCell, CoverPoset, validate_cover
 from .exact_linalg import (
     SubspaceBasis,
-    _cleared_rows,
+    _annihilator_rows,
     _extend_echelon,
     _rref_rows,
     annihilator,
     integer_solve,
-    nullspace_of_int_rows,
     rank_of_int_rows,
     subspace_sum,
 )
@@ -101,8 +100,10 @@ class Filtration:
         return f
 
     def value(self, i) -> SubspaceBasis:
-        """The subspace at index i (full below all thresholds, 0 above)."""
-        i = Fraction(i)
+        """The subspace at index i, exactly an `int` or a `Fraction` (full
+        below all thresholds, 0 above)."""
+        if type(i) is not int and type(i) is not Fraction:  # no float, bool or str
+            raise KlyachkoError(f"index {i!r} is not an int or a Fraction")
         for t, s in self.steps:
             if i <= t:
                 return s
@@ -110,14 +111,6 @@ class Filtration:
 
     def thresholds(self) -> list[int]:
         return [t for t, _ in self.steps]
-
-    def drop_multiset(self) -> list[tuple[int, int]]:
-        """(threshold, dimension drop) pairs; drops sum to the ambient dim."""
-        out = []
-        dims = [s.dim for _, s in self.steps] + [0]
-        for (t, _), d0, d1 in zip(self.steps, dims, dims[1:]):
-            out.append((t, d0 - d1))
-        return out
 
     def __eq__(self, other):
         return (
@@ -207,17 +200,16 @@ def _induced_filtration(rank: int, pairs) -> Filtration:
 
 def _annihilators(data: KlyachkoData):
     """(ray, t) -> integer rows spanning the annihilator of the stored step
-    of `ray` at t, each computed once per ray and threshold.  The memo lives
-    as long as the function returned, which is one call of its caller."""
+    of `ray` at t, read off its stored rows (`_annihilator_rows`) once per
+    ray and threshold.  The memo lives as long as the function returned,
+    which is one call of its caller."""
     r = data.rank
     memo: dict[tuple[int, int], list[list[int]]] = {}
 
     def rows(ray: int, t: int) -> list[list[int]]:
         key = (ray, t)
         if key not in memo:
-            step = data.filtrations[ray].value(t)
-            memo[key] = [list(v) for v in
-                         nullspace_of_int_rows(_cleared_rows(step.basis), r)]
+            memo[key] = _annihilator_rows(data.filtrations[ray].value(t).rows, r)
         return memo[key]
 
     return rows
@@ -245,8 +237,8 @@ def verify(data: KlyachkoData, cert: SplittingCertificate) -> VerifyResult:
     direct sum of the E_u with <u, v> >= t, so F(t) = S(t) exactly when
     those dimensions add up to dim S(t) and each such E_u lies in S(t): a
     subspace of S(t) of dimension dim S(t) is S(t).  E_u lies in S(t)
-    exactly when every integer row of the annihilator of S(t) (computed once
-    per ray and threshold) pairs to 0 with every cleared row of E_u.
+    exactly when every integer row of the annihilator of S(t) (read off its
+    stored rows) pairs to 0 with every stored row of E_u.
     """
     fan = data.fan
     r = data.rank
@@ -266,7 +258,7 @@ def verify(data: KlyachkoData, cert: SplittingCertificate) -> VerifyResult:
         for u, s in (e for e in entries if e[1].ambient_dim != r):
             return VerifyResult(False, cone=pos, reason=f"the summand of u = {u} is a "
                                 f"subspace of Q^{s.ambient_dim}, not of Q^{r}")
-        blocks = [_cleared_rows(s.basis) for _, s in entries]
+        blocks = [s.rows for _, s in entries]
         dim_sum = sum(map(len, blocks))
         spanned = rank_of_int_rows([row for block in blocks for row in block], r)
         if dim_sum != r or spanned != r:
@@ -719,9 +711,21 @@ def _cover_plan(fan: Fan) -> tuple:
     """Per cone: the position of its first carrier (the maximal cone of
     least id having it as a face), the cone's ray positions in that
     carrier, and each proper face as (id, its ray positions in the cone).
-    A constant of the fan, cached on it like `_cone_elimination`."""
+    A constant of the fan, cached on it like `_cone_elimination`.
+
+    A fan with a ray in no full-dimensional maximal cone is refused, naming
+    a maximal cone of lower dimension through that ray: the tautological
+    function is defined on the full-dimensional cones only, so it would
+    have no value at that ray."""
     cache = _fan_cache(fan)
     if "cover plan" not in cache:
+        n = fan.rank
+        covered = {ray for cone in fan.max_cones if cone.dim == n for ray in cone.ray_indices}
+        for pos, cone in enumerate(fan.max_cones):
+            for ray in (ray for ray in cone.ray_indices if ray not in covered):
+                raise KlyachkoError(f"maximal cone {pos} has dimension {cone.dim} < {n}, and its "
+                                    f"ray {ray} lies in no maximal cone of dimension {n}, where "
+                                    "the tautological function is defined")
         max_pos = fan._max_positions  # cone id -> position in fan.max_cones
         plan = []
         for cone_id, cone in enumerate(fan.cones):
@@ -740,8 +744,11 @@ def branched_cover_of(data_or_chern, cert: SplittingCertificate | None = None):
 
     Accepts (KlyachkoData, cert) or a ChernData; cells are (cone, restricted
     functional class) pairs weighted by multiplicity, the function restricts
-    to the defining functional on each maximal cell.  The result passes
-    validate_cover with degree equal to the rank, in any lattice rank.
+    to the defining functional on each cell over a full-dimensional maximal
+    cone.  The result passes validate_cover with degree equal to the rank.
+    The fan need not be pure, but each of its rays must lie in a
+    full-dimensional maximal cone (`_cover_plan` refuses it otherwise, up
+    front).
 
     The classes over a cone c are read from one carrier only: the maximal
     cone of least id among those having c as a face, its value table
@@ -756,13 +763,12 @@ def branched_cover_of(data_or_chern, cert: SplittingCertificate | None = None):
     classes that exist: a class of c projected onto a face f of c is a
     restriction of c's carrier to f, which equals that of f's carrier.
     """
+    fan = data_or_chern.fan
+    plan = _cover_plan(fan)
     if isinstance(data_or_chern, ChernData):
         cdata = data_or_chern
     else:
         cdata = chern(data_or_chern, cert)
-    fan = cdata.fan
-
-    plan = _cover_plan(fan)
     classes = [_restriction(cdata._tables[carrier], at) for carrier, at, _ in plan]
 
     cells = []
@@ -817,10 +823,10 @@ def direct_sum(a: KlyachkoData, b: KlyachkoData,
     r = ra + rb
 
     def embed_a(s: SubspaceBasis) -> list:
-        return [list(row) + [0] * rb for row in s.basis]
+        return [list(row) + [0] * rb for row in s.rows]
 
     def embed_b(s: SubspaceBasis) -> list:
-        return [[0] * ra + list(row) for row in s.basis]
+        return [[0] * ra + list(row) for row in s.rows]
 
     filtrations = {}
     for ray in range(len(a.fan.rays)):
@@ -845,7 +851,7 @@ def direct_sum(a: KlyachkoData, b: KlyachkoData,
             merged[u] = SubspaceBasis(r, embed_a(s))
         for u, s in cert_b.cone(pos):
             if u in merged:
-                merged[u] = SubspaceBasis(r, list(merged[u].basis) + embed_b(s))
+                merged[u] = SubspaceBasis(r, list(merged[u].rows) + embed_b(s))
             else:
                 merged[u] = SubspaceBasis(r, embed_b(s))
         entries[pos] = tuple(sorted(merged.items()))

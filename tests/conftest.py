@@ -8,6 +8,8 @@ from operator import mul
 from fanbranch.exact_linalg import (
     RationalMatrix,
     SubspaceBasis,
+    _fraction_rows,
+    _rref_rows,
     independent_rows,
     integer_kernel,
     rank,
@@ -164,6 +166,55 @@ def reference_fan_from_data(rank, rays, max_cones, name=None) -> Fan:
     cones = tuple(Cone(t, rank_of_int_rows([prim[i] for i in t], rank))
                   for t in sorted(all_faces, key=lambda t: (len(t), t)))
     return Fan(lattice, prim, tuple(max_list), cones, name=name)
+
+
+# -- subspaces as `Fraction` reduced row-echelon bases ------------------------
+#
+# `SubspaceBasis` stores its reduced basis as primitive integer rows, reached
+# by a fraction-free elimination, and `annihilator` puts the vectors it reads
+# off those rows through the same path.  These are the `Fraction` Gauss-Jordan
+# construction and the annihilator it is tested against, as they stood before.
+
+
+def reference_subspace_basis(ambient_dim: int, basis=()) -> tuple:
+    """The `Fraction` reduced row-echelon basis of the span of `basis`."""
+    rows = [list(r) for r in _fraction_rows(basis)]
+    for r in rows:
+        if len(r) != ambient_dim:
+            raise ValueError("basis vector of wrong length")
+    rows, pivots = _rref_rows(rows, ambient_dim)
+    return tuple(tuple(r) for r in rows[: len(pivots)])
+
+
+def reference_annihilator(ambient_dim: int, basis) -> tuple:
+    """The reference basis of the annihilator of the subspace with reference
+    basis `basis`, read off it: one vector per non-pivot column `free`, with
+    1 there and -row[free] at each row's pivot."""
+    pivots = [next(k for k, x in enumerate(row) if x) for row in basis]
+    vectors = []
+    for free in range(ambient_dim):
+        if free in pivots:
+            continue
+        x = [0] * ambient_dim
+        x[free] = 1
+        for p, row in zip(pivots, basis):
+            x[p] = -row[free]
+        vectors.append(x)
+    return reference_subspace_basis(ambient_dim, vectors)
+
+
+def reference_dual(data: KlyachkoData) -> dict:
+    """ray -> the dual's steps as (threshold, reference basis): (-t_k, Q^r),
+    then (-t_{j-1}, the reference annihilator of S_j) for j = k, ..., 2."""
+    r = data.rank
+    full = reference_subspace_basis(r, [[int(i == j) for j in range(r)] for i in range(r)])
+    out = {}
+    for ray, f in data.filtrations.items():
+        steps = f.steps
+        out[ray] = [(-steps[-1][0], full)] + [
+            (-steps[j - 1][0], reference_annihilator(r, reference_subspace_basis(r, steps[j][1].basis)))
+            for j in range(len(steps) - 1, 0, -1)]
+    return out
 
 
 # -- compatibility by rebuilding each induced filtration ----------------------

@@ -18,6 +18,7 @@ from fanbranch.cover_poset import (
 )
 from fanbranch.exact_linalg import (
     SubspaceBasis,
+    _cleared_rows,
     annihilator,
     integer_solve,
     intersect,
@@ -58,8 +59,12 @@ from conftest import (
     forced_chain,
     forced_collision,
     random_bundle,
+    random_filtration,
+    reference_annihilator,
     reference_branched_cover_of,
+    reference_dual,
     reference_face_agreement,
+    reference_subspace_basis,
     reference_verify,
 )
 
@@ -90,11 +95,30 @@ class TestFiltration:
         assert f.value(3) == L
         assert f.value(4).dim == 0
 
+    def test_value_at_a_fraction(self):
+        E = SubspaceBasis(2, [[1, 0], [0, 1]])
+        L = SubspaceBasis(2, [[1, 0]])
+        f = Filtration(2, [(-1, E), (3, L)])
+        assert f.value(Fraction(-3, 2)) == E
+        assert f.value(Fraction(5, 2)) == L
+        assert f.value(Fraction(7, 2)).dim == 0
+
+    @pytest.mark.parametrize("index", [0.1, 2.0, True, "x", "3/2", None, [1], float("nan")],
+                             ids=repr)
+    def test_value_refuses_an_index_that_is_not_an_int_or_a_fraction(self, eikelberg_bundle,
+                                                                     index):
+        # 0.1 and True used to answer (0.1 read as a binary fraction), "3/2"
+        # was parsed, and the rest ended in a bare ValueError or TypeError
+        f = eikelberg_bundle[0].filtrations[0]
+        with pytest.raises(KlyachkoError, match="is not an int or a Fraction") as exc:
+            f.value(index)
+        assert repr(index) in str(exc.value)
+
     def test_drop_multiset(self):
         E = SubspaceBasis(2, [[1, 0], [0, 1]])
         L = SubspaceBasis(2, [[1, 0]])
-        assert Filtration(2, [(-1, E), (3, L)]).drop_multiset() == [(-1, 1), (3, 1)]
-        assert Filtration(2, [(6, E)]).drop_multiset() == [(6, 2)]
+        assert drop_multiset(Filtration(2, [(-1, E), (3, L)])) == [(-1, 1), (3, 1)]
+        assert drop_multiset(Filtration(2, [(6, E)])) == [(6, 2)]
 
     def test_rejects_bad_chains(self):
         E = SubspaceBasis(2, [[1, 0], [0, 1]])
@@ -326,6 +350,13 @@ class TestNecessaryDimensionCheck:
         assert necessary_dimension_check(data).status == "violation"
 
 
+def drop_multiset(f: Filtration) -> list[tuple[int, int]]:
+    """(threshold, dimension drop) pairs of a filtration; drops sum to the
+    ambient dim."""
+    dims = [s.dim for _, s in f.steps] + [0]
+    return [(t, d0 - d1) for (t, _), d0, d1 in zip(f.steps, dims, dims[1:])]
+
+
 def reference_necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
     """The screen with one `solve_linear` and one `integer_solve` per
     threshold combination and dimensions from `Fraction` intersections."""
@@ -344,7 +375,7 @@ def reference_necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
             if solve_linear(ray_matrix, combo) is not None
             and integer_solve(ray_matrix, combo) is not None
         )
-        drops = [dict(f.drop_multiset()) for f in filts]
+        drops = [dict(drop_multiset(f)) for f in filts]
         dims = {}
         for combo in grid:
             acc = full
@@ -692,6 +723,13 @@ class TestPullbackInterpolationFlag:
         assert flag(data, cert, a) == flag(data, cert, b)
 
 
+def _two_lines(fan):
+    """(data, certificate) of the sum of the line bundles (1, 2, 3) and
+    (0, 1, -1)."""
+    (a, cert_a), (b, cert_b) = line_bundle(fan, (1, 2, 3)), line_bundle(fan, (0, 1, -1))
+    return direct_sum(a, b, cert_a, cert_b)
+
+
 class TestBranchedCover:
     def test_p2_tangent(self, p2_bundle):
         data, cert = p2_bundle
@@ -746,6 +784,26 @@ class TestBranchedCover:
             assert got == cd.multisets[m.cone_position]
         assert not is_trivial_function(psi)
 
+    def test_refuses_a_ray_in_no_full_dimensional_cone_by_cone(self):
+        # cone 1 = [2, 3] has dimension 2 and ray 3 lies in no other cone, so
+        # the tautological function has no value there; this used to end in
+        # a bare PLError('ray cell 7 lies under no maximal cell')
+        data, cert = _two_lines(_lower_dimensional_fan())
+        for args in ((data, cert), (chern(data, cert),)):
+            with pytest.raises(KlyachkoError, match="maximal cone 1 has dimension 2 < 3, and "
+                               "its ray 3 lies in no maximal cone of dimension 3"):
+                branched_cover_of(*args)
+
+    def test_non_pure_fan_with_every_ray_in_a_full_cone(self):
+        # cone 2 = [0, 3] has dimension 2, but rays 0 and 3 lie in the
+        # full-dimensional cones 0 and 1, so the cover is built
+        fan = fan_from_data(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                            [[0, 1, 2], [1, 2, 3], [0, 3]])
+        assert [c.dim for c in fan.max_cones] == [3, 3, 2]
+        data, cert = _two_lines(fan)
+        cover, psi = branched_cover_of(data, cert)
+        assert validate_cover(cover).ok and degree(cover) == 2
+
     def test_psi_multisets_equal_chern_everywhere(self, p2_bundle):
         data, cert = p2_bundle
         cover, psi = branched_cover_of(data, cert)
@@ -780,6 +838,108 @@ def _library_mix_bundles():
     for seed in (1, 7, 3):
         for k, r in enumerate(workloads.LibraryMix(seed, None).rounds):
             yield f"library-mix seed {seed} round {k}", r.data, r.cert
+
+
+def _random_bundles():
+    """(label, data): rank 1 to 4 bundles of `random_filtration` draws."""
+    rng = random.Random(28)
+    fans = [load_fan("fulton"), load_fan("eikelberg")]
+    for i in range(40):
+        yield f"random bundle {i}", random_bundle(fans[i % 2], rng.randint(1, 4), rng)
+
+
+def _subspace_cases():
+    """(label, data) of the bundles whose subspaces are compared with the
+    reference: every bundled bundle and its dual, the random bundles, and
+    the `library-mix` rounds of seeds 1, 7 and 3 with their certificates'
+    summands as a one-ray bundle each."""
+    for name in BUNDLED_BUNDLES:
+        data, _ = load_bundle(name)
+        yield name, data
+        yield f"dual {name}", dual(data)
+    yield from _random_bundles()
+    for label, data, cert in _library_mix_bundles():
+        yield label, data
+        summands = [s for entries in cert.entries.values() for _, s in entries]
+        yield f"{label} summands", summands
+
+
+def _steps(case) -> list:
+    if isinstance(case, list):
+        return case
+    return [s for f in case.filtrations.values() for _, s in f.steps]
+
+
+def _generators(rng, s: SubspaceBasis) -> list:
+    """A random spanning list of `s`, not reduced: random rational
+    combinations of its basis, one more than its dimension, and a zero row."""
+    rows = [[sum((Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * x for x in col), Fraction(0))
+             for col in zip(*[[c * v for v in row] for c, row in
+                              zip([rng.randint(-2, 2) or 1 for _ in s.basis], s.basis)])]
+            for _ in range(s.dim + 1)] if s.dim else []
+    return rows + [[0] * s.ambient_dim]
+
+
+class TestSubspaceBasisEqualsReference:
+    """`SubspaceBasis` stores primitive integer rows reached in integers;
+    `conftest.reference_subspace_basis` is the `Fraction` Gauss-Jordan
+    construction.  `basis`, `dim` and `==` agree with it, and the stored
+    rows are the reference basis cleared of denominators."""
+
+    def test_bundled_random_and_library_mix_steps(self):
+        rng = random.Random(7)
+        seen = set()
+        for label, case in _subspace_cases():
+            for s in _steps(case):
+                r = s.ambient_dim
+                ref = reference_subspace_basis(r, s.basis)
+                if (r, ref) in seen:
+                    continue
+                assert s.basis == ref and s.dim == len(ref), label
+                assert s.rows == tuple(map(tuple, _cleared_rows(ref))), label
+                gens = _generators(rng, s)
+                rebuilt = SubspaceBasis(r, gens)
+                ref_rebuilt = reference_subspace_basis(r, gens)
+                assert rebuilt.basis == ref_rebuilt and rebuilt.dim == len(ref_rebuilt), label
+                assert (rebuilt == s) == (ref_rebuilt == ref), label
+                assert rebuilt.rows == tuple(map(tuple, _cleared_rows(ref_rebuilt))), label
+                seen.add((r, ref))
+        assert len(seen) == 325
+
+    def test_random_filtration_draws(self):
+        rng = random.Random(3)
+        for _ in range(150):
+            r = rng.randint(1, 5)
+            f = random_filtration(rng, r)
+            for (_, a), (_, b) in zip(f.steps, f.steps[1:] + f.steps[:1]):
+                for s in (a, b):
+                    gens = _generators(rng, s)
+                    assert SubspaceBasis(r, gens).basis == reference_subspace_basis(r, gens)
+                assert (a == b) == (reference_subspace_basis(r, a.basis) ==
+                                    reference_subspace_basis(r, b.basis))
+                assert (a == b) == (hash(a) == hash(b) and a.rows == b.rows)
+
+    def test_random_integer_and_rational_spans(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            r = rng.randint(1, 5)
+            gens = [[Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6))) for _ in range(r)]
+                    for _ in range(rng.randint(0, r + 1))]
+            s, ref = SubspaceBasis(r, gens), reference_subspace_basis(r, gens)
+            assert s.basis == ref and s.dim == len(ref)
+            assert s.rows == tuple(map(tuple, _cleared_rows(ref)))
+            assert annihilator(s).basis == reference_annihilator(r, ref)
+
+    def test_dual_equals_reference_dual(self):
+        seen = 0
+        for label, case in _subspace_cases():
+            if isinstance(case, list):
+                continue
+            got = {ray: [(t, s.basis) for t, s in f.steps]
+                   for ray, f in dual(case).filtrations.items()}
+            assert got == reference_dual(case), label
+            seen += 1
+        assert seen == 2 * len(BUNDLED_BUNDLES) + 40 + 324
 
 
 def _perturbed(cd: ChernData, rng, every=False):

@@ -497,17 +497,25 @@ class SubspaceBasis:
 
     The reduced form is unique, so this one is too: equality of subspaces
     is equality of `rows`, which the rest of the package relies on.  `basis`
-    is the same form as `Fraction` rows with pivot 1, built when read.
+    is the same form as `Fraction` rows with pivot 1, built when read.  The
+    spanning vectors given hold exactly `int`s and `Fraction`s.  A copy or
+    an unpickled subspace is rebuilt from `rows`.
     """
 
     __slots__ = ("ambient_dim", "rows")
 
     def __init__(self, ambient_dim: int, basis=()):
-        rows = _cleared_rows([[x if type(x) is int else Fraction(x) for x in r] for r in basis])
-        for r in rows:
+        basis = [list(r) for r in basis]
+        for i, r in enumerate(basis):
+            for x in r:
+                if type(x) is not int and type(x) is not Fraction:  # no float, bool or str
+                    raise ValueError(f"basis row {i} has entry {x!r}, not an int or a Fraction")
             if len(r) != ambient_dim:
                 raise ValueError("basis vector of wrong length")
-        self._set(ambient_dim, rows)
+        self._set(ambient_dim, _cleared_rows(basis))
+
+    def __reduce__(self):
+        return SubspaceBasis._of_int_rows, (self.ambient_dim, self.rows)
 
     @classmethod
     def _of_int_rows(cls, ambient_dim: int, rows) -> "SubspaceBasis":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, islice, permutations as iter_permutations
 from math import factorial
 from operator import mul
@@ -403,45 +403,97 @@ class _RecordTables:
     """What a record reads of a fan and its spanning tree, built once per
     pair by `_record_tables`, so that no record walks the fan itself.
 
-    `walks[ray]` is the ray's link cycle as `ray_link` gives it, in two
+    `walks[ray]` is the ray's link cycle as `ray_link` gives it, in three
     parts: per incident cone, its position and the ray's place among its
-    rays; per wall crossed, its move: -1 for a tree wall (the identity), g
-    for generator g's inverse on a step from the wall's lower cone to its
-    higher one, G + g for g the other way (G generators).  `by_cell` lists
-    the maximal cone positions in the order of their base cone ids, `rays`
-    and `relations` give each position's rays and wall relations, and
-    `nrelations` counts these.  `ranks[d]` holds the `_Ranks` of S_d, built
-    when a record of degree d first needs them.
+    rays; the generators whose walls the link crosses, in the order
+    crossed; per wall crossed, its move: -1 for a tree wall (the identity),
+    j for the inverse of the j-th crossed generator's permutation on a step
+    from the wall's lower cone to its higher one, K + j for that
+    permutation the other way (K generators crossed).  `by_cell` lists the
+    maximal cone positions in the order of their base cone ids, `rays` and
+    `relations` give each position's rays and wall relations, and
+    `offsets[pos]` counts the relations of the positions before pos,
+    `offsets[-1]` all of them.  `ranks[d]` holds the `_Ranks` of S_d, built
+    when a record of degree d first needs them, and `links[d][ray]` the
+    ray's table at degree d, filled entry by entry (`_link_entry`).
     """
 
     walks: tuple
     by_cell: tuple
     rays: tuple
     relations: tuple
-    nrelations: int
+    offsets: tuple
     ranks: dict = field(default_factory=lambda: _Lazy(_Ranks), repr=False)
+    links: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "links", _Lazy(lambda d: [
+            _Lazy(partial(self._link_entry, d, walk)) for walk in self.walks]))
 
     def orbits(self, d: int, digits: list[int]) -> "RayOrbits":
         """The `RayOrbits` of the assignment whose permutations have ranks
-        `digits`, with one lookup per wall crossed around each ray's link."""
-        ranks = self.ranks[d]
-        compose, loops = ranks.compose, ranks.loops
-        moves = [ranks.inverse[r] for r in digits] + digits
+        `digits`, with one lookup per ray, keyed by the digits of the
+        generators its link crosses."""
         at = [[None] * len(rays) for rays in self.rays]
-        walked = []
-        for cones, steps in self.walks:
-            t = 0  # the identity: sheet s here lies over sheet s at the reference cone
-            transports = [t]
-            for m in steps:
-                if m >= 0:
-                    t = compose[t][moves[m]]
-                transports.append(t)
-            loop = transports.pop()  # the inverse of the ray monodromy: the same orbits
-            walked.append(loops[loop])
-            orbit_at = ranks.at[loop]
-            for (pos, place), u in zip(cones, transports):
-                at[pos][place] = orbit_at[u]
-        return RayOrbits(d, digits, [w.lengths for w in walked], at, walked, self)
+        entries = []
+        for link, (_, crossed, _) in zip(self.links[d], self.walks):
+            entry = link[tuple([digits[g] for g in crossed])]
+            entries.append(entry)
+            for pos, place, orbit in entry[1]:
+                at[pos][place] = orbit
+        loops = [loop for loop, _, _ in entries]
+        return RayOrbits(d, digits, [loop.lengths for loop in loops], at, loops, self,
+                         [block for _, _, block in entries])
+
+    def _link_entry(self, d: int, walk: tuple, key: tuple) -> tuple:
+        """(`_Loop`, (cone position, place, orbit tuple) per incident cone,
+        block of sum-zero columns) of the ray walked by `walk` at degree d,
+        for the permutations of ranks `key` on the generators it crosses.
+
+        Why the key decides the entry.  Transport around the link composes
+        only the maps of the walls it crosses, the identity at a tree wall
+        and a generator's permutation, or its inverse, at a generator wall;
+        so the transports to the reference cone, the ray monodromy, its
+        orbits and the orbit under each sheet over each incident cone depend
+        only on the ranks in `key`.  The ray's sum-zero columns stand for
+        values on its own cells, and a row meets them only over a cone of
+        its link, with the coefficient of the ray's place in a relation of
+        that cone, at the orbit under the row's sheet there: so the block
+        depends on nothing else either.  The table of a ray whose link
+        crosses k generator walls thus holds at most (d!)^k entries: 528
+        over the 8 rays of `sigma_prime` at degree 3 (k = 1, 1, 1, 1, 2, 2,
+        3, 3), as many for `fulton`, 306 for `eikelberg`, and 32 for
+        `fulton` at degree 2.
+
+        The block is the ray's columns of `RayOrbits.sum_zero_columns`,
+        with rows laid out cone by cone, then by sheet 0, ..., d-2, then by
+        relation.  Every record that reads the entry shares it, so no
+        caller may change it.
+        """
+        ranks = self.ranks[d]
+        compose = ranks.compose
+        moves = [ranks.inverse[a] for a in key] + list(key)
+        cones, _, steps = walk
+        t = 0  # the identity: sheet s here lies over sheet s at the reference cone
+        transports = [t]
+        for m in steps:
+            if m >= 0:
+                t = compose[t][moves[m]]
+            transports.append(t)
+        loop = transports.pop()  # the inverse of the ray monodromy: the same orbits
+        orbit_at = ranks.at[loop]
+        entries = tuple((pos, place, orbit_at[u]) for (pos, place), u in zip(cones, transports))
+        loop = ranks.loops[loop]
+        block = [[0] * ((d - 1) * self.offsets[-1]) for _ in loop.spread[1:]]
+        for pos, place, orbits in entries:
+            rels = self.relations[pos]
+            row = (d - 1) * self.offsets[pos]
+            for k in orbits[:-1]:
+                for rel in rels:
+                    for col, factor in loop.spread[k]:
+                        block[col][row] = rel[place] * factor
+                    row += 1
+        return loop, entries, block
 
 
 def _record_tables(fan: Fan, tree: DualSpanningTree) -> _RecordTables:
@@ -453,16 +505,17 @@ def _record_tables(fan: Fan, tree: DualSpanningTree) -> _RecordTables:
         walks = []
         for ray in range(len(fan.rays)):
             cones, walls = ray_link(fan, ray)
-            steps = tuple(-1 if w not in slot else slot[w] + tree.generators * (
+            crossed = tuple(dict.fromkeys(slot[w] for w in walls if w in slot))
+            steps = tuple(-1 if w not in slot else crossed.index(slot[w]) + len(crossed) * (
                 tree.orientations[w] != (a, b)) for w, a, b in zip(walls, cones, cones[1:] + cones))
-            walks.append((tuple((pos, rays[pos].index(ray)) for pos in cones), steps))
+            walks.append((tuple((pos, rays[pos].index(ray)) for pos in cones), crossed, steps))
         relations = tuple(tuple(wall_relation(fan, pos)) for pos in range(len(rays)))
         tables = _RecordTables(
             tuple(walks),
             tuple(sorted(range(len(rays)), key=lambda pos: fan.cone_id(rays[pos]))),
             rays,
             relations,
-            sum(map(len, relations)),
+            tuple(accumulate(map(len, relations), initial=0)),
         )
         fan._tree_tables[key] = tables
     return tables
@@ -470,15 +523,17 @@ def _record_tables(fan: Fan, tree: DualSpanningTree) -> _RecordTables:
 
 @dataclass(frozen=True)
 class RayOrbits:
-    """The cells over the rays of an assignment's cover, read off one walk
-    around each ray's link (`ray_orbits`, `orbits_at`).
+    """The cells over the rays of an assignment's cover, read off each ray's
+    table of `_record_tables` (`ray_orbits`, `orbits_at`).
 
     `digits` are the ranks of the assignment's permutations, `loops[ray]`
     the ray's `_Loop`.  `lengths[ray]` holds the lengths of the ray
     monodromy's orbits, numbered by least sheet over the ray's reference
     cone: the cover's cells over the ray, in order, with their weights.
     `at[pos][i][s]` is the orbit under sheet s over maximal cone `pos`, over
-    the cone's i-th ray."""
+    the cone's i-th ray.  `blocks[ray]` holds the ray's sum-zero columns
+    (`sum_zero_columns`), shared with every record whose digits on the
+    generators that the ray's link crosses are the same: never changed."""
 
     degree: int
     digits: list[int]
@@ -486,6 +541,7 @@ class RayOrbits:
     at: list[list[tuple[int, ...]]]
     loops: list[_Loop] = field(repr=False)
     tables: _RecordTables = field(repr=False)
+    blocks: list[list[list[int]]] = field(repr=False)
 
     @property
     def assignment(self) -> MonodromyAssignment:
@@ -550,23 +606,15 @@ class RayOrbits:
         one relation sum to 0.  The columns, not the rows, are handed back:
         over all 47,449 `sigma_prime` degree-3 classes, the rank took 2.2 s
         by columns and 4.4 s in row form (one core, Python 3.11.7).
+
+        The columns are the rays' `blocks` in ray order, each built once per
+        key of the ray's table (`_RecordTables._link_entry`), and the very
+        lists that the table holds: a caller may reorder or replace them in
+        the returned list, as `_int_echelon` does with its rows, but must
+        not change a column in place.
         """
-        tables = self.tables
-        nrows = (self.degree - 1) * tables.nrelations
-        blocks = [[[0] * nrows for _ in loop.spread[1:]] for loop in self.loops]
-        spreads = [loop.spread for loop in self.loops]
-        row = 0
-        for rays, rels, over in zip(tables.rays, tables.relations, self.at):
-            if not rels:
-                continue
-            for orbits in list(zip(*over))[:-1]:
-                for rel in rels:
-                    for coeff, ray, k in zip(rel, rays, orbits):
-                        block = blocks[ray]
-                        for col, factor in spreads[ray][k]:
-                            block[col][row] = coeff * factor
-                    row += 1
-        return [col for block in blocks for col in block], nrows
+        nrows = (self.degree - 1) * self.tables.offsets[-1]
+        return [col for block in self.blocks for col in block], nrows
 
 
 def orbits_at(fan: Fan, d: int, index: int, tree: DualSpanningTree | None = None) -> RayOrbits:

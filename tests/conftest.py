@@ -3,6 +3,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from operator import mul
 
 from fanbranch.exact_linalg import (
@@ -24,6 +25,7 @@ from fanbranch.fan_core import (
     Lattice,
     linear_functional_witness,
     load_fan,
+    ray_link,
     stellar_subdivision,
     wall_relation,
 )
@@ -36,7 +38,11 @@ from fanbranch.klyachko import (
     VerifyResult,
     _induced_filtration,
 )
+from fanbranch.cli import SweepRecord
 from fanbranch.monodromy import (
+    RayOrbits,
+    _digits,
+    _record_tables,
     assignment_at,
     build_cover,
     count_assignments,
@@ -51,6 +57,7 @@ from fanbranch.pl_group import (
     _per_cell_rows,
     _pullback_z,
     _ray_value_kernel,
+    split_triviality,
 )
 
 # The per-cone functional multisets printed for the rank-3 example on the
@@ -475,6 +482,67 @@ def ray_value_rows(fan, assignment, tree=None) -> RayValueSystem:
     cover's entry for entry, and row block i, labelled i in `cells`, is the
     cover's `max_cells[i]`."""
     return value_system(fan, ray_orbits(fan, assignment, tree))
+
+
+# -- a record's ray orbits, walked and built per record ---------------------
+#
+# Records read each ray's loop, orbits and sum-zero columns off the ray's
+# table in `monodromy._RecordTables`, keyed by the digits of the generators
+# its link crosses.  This is the per-record path that the tables replace,
+# and the reference they are tested against.
+
+
+def reference_orbits(fan, d, index, tree=None) -> RayOrbits:
+    """`orbits_at(fan, d, index, tree)` with every ray's link walked on the
+    rank tables of S_d, and the sum-zero columns built cone by cone, sheet
+    by sheet and relation by relation for this record alone."""
+    tree = tree or spanning_tree(fan)
+    tables = _record_tables(fan, tree)
+    ranks = tables.ranks[d]
+    digits = _digits(index, factorial(d), tree.generators)
+    slot = {w: g for g, w in enumerate(tree.nontree_walls)}
+    at = [[None] * len(cone.ray_indices) for cone in fan.max_cones]
+    loops = []
+    for ray in range(len(fan.rays)):
+        cones, walls = ray_link(fan, ray)
+        t = 0
+        transports = [t]
+        for w, a, b in zip(walls, cones, cones[1:] + cones):
+            if w in slot:
+                r = digits[slot[w]]
+                t = ranks.compose[t][ranks.inverse[r] if tree.orientations[w] == (a, b) else r]
+            transports.append(t)
+        loop = transports.pop()
+        loops.append(ranks.loops[loop])
+        for pos, u in zip(cones, transports):
+            at[pos][fan.max_cones[pos].ray_indices.index(ray)] = ranks.at[loop][u]
+    relations = [wall_relation(fan, pos) for pos in range(len(fan.max_cones))]
+    nrows = (d - 1) * sum(map(len, relations))
+    blocks = [[[0] * nrows for _ in loop.spread[1:]] for loop in loops]
+    row = 0
+    for cone, rels, over in zip(fan.max_cones, relations, at):
+        for orbits in list(zip(*over))[:-1]:
+            for rel in rels:
+                for coeff, ray, k in zip(rel, cone.ray_indices, orbits):
+                    for col, factor in loops[ray].spread[k]:
+                        blocks[ray][col][row] = coeff * factor
+                row += 1
+    return RayOrbits(d, digits, [loop.lengths for loop in loops], at, loops, tables, blocks)
+
+
+def reference_split_record(fan, tree, d, index) -> str:
+    """The record line of `cli.evaluate_assignment`, from `reference_orbits`
+    and `split_triviality`."""
+    orbits = reference_orbits(fan, d, index, tree)
+    verdict = split_triviality(fan, orbits)
+    return SweepRecord(
+        index=index,
+        branch_rays=orbits.branch_rays,
+        profile=orbits.profile,
+        dim_pl=verdict.dim,
+        verdict="AllTrivial" if verdict.all_trivial else "Nontrivial",
+        cert=verdict.tag,
+    ).to_json()
 
 
 # -- the forced-equality chase ----------------------------------------------

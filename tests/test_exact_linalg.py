@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from fanbranch.exact_linalg import (
     RationalMatrix,
+    SubspaceBasis,
     _int_echelon,
     _row_hnf_transform,
     annihilator,
@@ -275,6 +279,29 @@ class TestSubspaces:
             vecs = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(rng.randint(0, 3))]
             a = span(vecs, 4)
             assert annihilator(annihilator(a)) == a
+
+    @pytest.mark.parametrize("entry", [0.1, True, "1/3", None, float("nan")],
+                             ids=["float", "bool", "str", "None", "nan"])
+    def test_entry_not_int_or_fraction_refused(self, entry):
+        with pytest.raises(ValueError, match=re.escape(f"basis row 1 has entry {entry!r}, not an int")):
+            SubspaceBasis(2, [[1, 0], [entry, 1]])
+
+    def test_fraction_entries_read(self):
+        s = SubspaceBasis(3, [[Fraction(1, 2), Fraction(-1, 3), 0], [0, 0, Fraction(5, 7)]])
+        assert s.rows == ((3, -2, 0), (0, 0, 1))
+        assert s == span([(3, -2, 0), (0, 0, 1)], 3)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_round_trip(self, clone):
+        s = span([(1, Fraction(1, 2), 0), (0, 2, 4)], 3)
+        got = clone(s)
+        assert type(got) is SubspaceBasis
+        assert got == s and hash(got) == hash(s)
+        assert (got.ambient_dim, got.rows, got.basis) == (s.ambient_dim, s.rows, s.basis)
+        with pytest.raises(AttributeError, match="immutable"):
+            got.rows = ()
 
 
 class TestSolvers:

@@ -1,4 +1,6 @@
+import copy
 import importlib
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -84,6 +86,20 @@ def fulton_bundle():
     return load_bundle("fulton_rank3")
 
 
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("name", sorted(BUNDLED_BUNDLES))
+def test_loaded_bundle_copies_and_pickles(name, clone):
+    """A bundle's data and certificate survive a deep copy and a pickle round
+    trip (a `SubspaceBasis` used to refuse both as immutable)."""
+    data, cert = load_bundle(name)
+    got_data, got_cert = clone((data, cert))
+    assert got_data.filtrations == data.filtrations
+    assert got_cert.entries == cert.entries
+    assert bundle_to_dict(got_data, got_cert) == bundle_to_dict(data, cert)
+    assert verify(got_data, got_cert) == verify(data, cert)
+
+
 class TestFiltration:
     def test_value_lookup(self):
         E = SubspaceBasis(2, [[1, 0], [0, 1]])
@@ -129,6 +145,11 @@ class TestFiltration:
             Filtration(2, [(0, E), (0, L)])  # thresholds not increasing
         with pytest.raises(KlyachkoError):
             Filtration(2, [(0, E), (1, E)])  # not strictly decreasing
+
+    def test_refuses_a_raw_float_row(self):
+        # 1.5 used to be read into the subspace as 3/2
+        with pytest.raises(ValueError, match=r"basis row 1 has entry 1\.5, not an int"):
+            Filtration(2, [(0, [[1, 0], [0, 1.5]])])
 
     @pytest.mark.parametrize("threshold", [Fraction(1, 2), Fraction(2), 2.7, 2.0, True],
                              ids=repr)

@@ -5,17 +5,17 @@ Runs the records of the benchmark's `sigma3-stride` workload in process,
 with the workload imported from `perfbench/workloads.py` and left unchanged,
 and prints the ms per record of each step: `orbits_at`, `sum_zero_columns`,
 `_int_echelon`, `_pattern_verdict`, `SweepRecord.to_json`, and the rest of
-`evaluate_assignment`.  Each step is timed by a wrapper rebound in every
-`fanbranch` module that holds it, as `perfbench/tracer.py` rebinds its
-names, and a step's own time leaves out the steps timed inside it.  Times
-are normalised to the reference host speed, as perfbench reports them, one
+`evaluate_assignment`.  The steps are traced by perfbench's `Tracer`, which
+rebinds each one in every `fanbranch` module that holds it, and a step's
+time is its self time, leaving out the steps traced inside it.  Times are
+normalised to the reference host speed, as perfbench reports them, one
 stretch of records at a time.
 
 One untimed pass of the workload's own record function comes first: it
 fills the tables that the timed passes read, as the benchmark's first pass
 does, and gives the digest of the workload's records.  The script exits
-with code 1 if a timed pass's records have another digest, or, for the
-whole sample at the default seed, if that digest is not the one stored.
+with code 1 if, at the default seed, that digest is not the stored one, or
+if a timed pass's records have another digest.
 
     python3 scripts/sweepsteps.py --passes 3 --seed 1
 """
@@ -26,7 +26,6 @@ import argparse
 import os
 import platform
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,79 +33,47 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import checks  # noqa: E402
 import speed  # noqa: E402
+import tracer  # noqa: E402
 import workloads  # noqa: E402
-from fanbranch import cli, exact_linalg, monodromy, pl_group  # noqa: E402
 
-# (row label, owner, attribute): a module's function is rebound in every
-# fanbranch module that holds it, a method on its class.
-STEPS = (
-    ("orbits_at", monodromy, "orbits_at"),
-    ("sum_zero_columns", monodromy.RayOrbits, "sum_zero_columns"),
-    ("_int_echelon", exact_linalg, "_int_echelon"),
-    ("_pattern_verdict", pl_group, "_pattern_verdict"),
-    ("SweepRecord.to_json", cli.SweepRecord, "to_json"),
-    ("rest of evaluate_assignment", cli, "evaluate_assignment"),
-)
-
-
-class StepTimer:
-    """Own time per step, from wrappers around the steps' functions."""
-
-    def __init__(self):
-        self.own = dict.fromkeys([label for label, *_ in STEPS], 0.0)
-        self._inner = [0.0]  # per open step, the time of the steps timed inside it
-        self._undo: list[tuple[object, str, object]] = []
-
-    def wrap(self, label: str, fn):
-        own, inner, clock = self.own, self._inner, time.perf_counter
-
-        def timed(*args, **kwargs):
-            inner.append(0.0)
-            t0 = clock()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                span = clock() - t0
-                own[label] += span - inner.pop()
-                inner[-1] += span
-
-        return timed
-
-    def install(self) -> None:
-        modules = [m for name, m in list(sys.modules.items())
-                   if m is not None and (name == "fanbranch" or name.startswith("fanbranch."))]
-        for label, owner, attr in STEPS:
-            original = getattr(owner, attr)
-            wrapper = self.wrap(label, original)
-            holders = [owner] if isinstance(owner, type) else modules
-            for holder in holders:
-                for key, value in list(vars(holder).items()):
-                    if value is original:
-                        setattr(holder, key, wrapper)
-                        self._undo.append((holder, key, original))
-
-    def uninstall(self) -> None:
-        while self._undo:
-            holder, key, original = self._undo.pop()
-            setattr(holder, key, original)
+# Traced names, by module of definition, and the row each one is shown in.
+STEPS = {
+    "monodromy": ("orbits_at", "RayOrbits.sum_zero_columns"),
+    "exact_linalg": ("_int_echelon",),
+    "pl_group": ("_pattern_verdict",),
+    "cli": ("SweepRecord.to_json", "evaluate_assignment"),
+}
+ROWS = {
+    "monodromy.orbits_at": "orbits_at",
+    "monodromy.RayOrbits.sum_zero_columns": "sum_zero_columns",
+    "exact_linalg._int_echelon": "_int_echelon",
+    "pl_group._pattern_verdict": "_pattern_verdict",
+    "cli.SweepRecord.to_json": "SweepRecord.to_json",
+    "cli.evaluate_assignment": "rest of evaluate_assignment",
+}
 
 
-def run_records(w, timer: StepTimer | None = None) -> tuple[list[str], dict[str, float]]:
-    """The workload's record lines over its indices, and, with a timer, the
+def run_records(w, timed: bool = False) -> tuple[list[str], dict[str, float]]:
+    """The workload's record lines over its indices, and, if `timed`, the
     normalised seconds of each step, scaled stretch by stretch."""
-    lines, norm = [], dict.fromkeys(timer.own if timer else (), 0.0)
-    stretch = w.STRETCH
+    lines, norm = [], dict.fromkeys(ROWS.values() if timed else (), 0.0)
     ref = speed.reference_s()
-    for k in range(0, len(w.indices), stretch):
-        if timer:
-            timer.own.update(dict.fromkeys(timer.own, 0.0))
-        for index in w.indices[k:k + stretch]:
-            lines.append(w._record(w.fan, w.tree, w.DEGREE, index)[1])
-        if timer:
+    for k in range(0, len(w.indices), w.STRETCH):
+        t = tracer.Tracer()
+        if timed:
+            t.install(traced=STEPS)
+            if t.absent:
+                raise SystemExit(f"not found to trace: {', '.join(t.absent)}")
+        try:
+            for index in w.indices[k:k + w.STRETCH]:
+                lines.append(w._record(w.fan, w.tree, w.DEGREE, index)[1])
+        finally:
+            t.uninstall()
+        if timed:
             ref, before = speed.reference_s(), ref
             f = speed.factor([before, ref])
-            for label, s in timer.own.items():
-                norm[label] += s * f
+            for name, (ns, _) in tracer.self_times(t.spans()).items():
+                norm[ROWS[name]] += ns * 1e-9 * f
     return lines, norm
 
 
@@ -114,43 +81,32 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--passes", type=int, default=3, help="timed passes (default 3)")
     parser.add_argument("--seed", type=int, default=1, help="sigma3-stride seed (default 1)")
-    parser.add_argument("--records", type=int, default=None,
-                        help="time only the first N records of the sample (default all)")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    if args.records is not None and args.records < 1:
-        parser.error("--records must be at least 1")
     w = workloads.Sigma3Stride(args.seed, None)
-    w.indices = w.indices[:args.records]
-    whole = len(w.indices) == w.SAMPLE
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {speed.bench_cpu()})
     try:
         lines, _ = run_records(w)
         expected = checks.digest(lines)
-        if whole and args.seed == checks.SIGMA3_DEFAULT_SEED and expected != checks.SIGMA3_SEED1_SHA256:
+        if args.seed == checks.SIGMA3_DEFAULT_SEED and expected != checks.SIGMA3_SEED1_SHA256:
             print("records differ from the stored digest for the default seed")
             return 1
-        timer = StepTimer()
-        timer.install()
-        try:
-            runs = [run_records(w, timer) for _ in range(args.passes)]
-        finally:
-            timer.uninstall()
+        runs = [run_records(w, timed=True) for _ in range(args.passes)]
     finally:
         os.sched_setaffinity(0, allowed)
     if any(checks.digest(lines) != expected for lines, _ in runs):
         print("timed records differ from the workload's")
         return 1
     n = len(w.indices) * args.passes
-    per_record = {label: sum(norm[label] for _, norm in runs) / n * 1e3 for label in timer.own}
+    per_record = {row: sum(norm[row] for _, norm in runs) / n * 1e3 for row in ROWS.values()}
     total = sum(per_record.values())
     print(f"sigma3-stride seed {args.seed}, {len(w.indices)} records x {args.passes} passes, "
           f"Python {platform.python_version()}, {len(allowed)} cores; times normalised")
     print(f"{'step':<30}{'ms/record':>10}{'share':>8}")
-    for label, ms in per_record.items():
-        print(f"{label:<30}{ms:>10.4f}{ms / total:>8.1%}")
+    for row, ms in per_record.items():
+        print(f"{row:<30}{ms:>10.4f}{ms / total:>8.1%}")
     print(f"{'total':<30}{total:>10.4f}")
     return 0
 

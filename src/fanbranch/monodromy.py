@@ -362,6 +362,21 @@ class _Lazy(dict):
         return value
 
 
+class _Unkept(_Lazy):
+    """A `_Lazy` that builds an entry on every lookup and keeps none."""
+
+    def __missing__(self, key):
+        return self.fill(key)
+
+
+# The most entries a ray's table may come to, (d!)^k for k generator walls
+# crossed, for the table to be kept: at about 0.6 KB an entry, 16,384 is
+# some 10 MB.  A larger table (d >= 5 with k >= 3, d >= 6 with k >= 2) would
+# grow by an entry a record as long as a sweep runs, with few records
+# sharing one, so such a ray builds its entry on each lookup instead.
+_LINK_TABLE_MAX = 1 << 14
+
+
 _Loop = namedtuple("_Loop", "orbit lengths profile spread")
 
 
@@ -415,7 +430,9 @@ class _RecordTables:
     `offsets[pos]` counts the relations of the positions before pos,
     `offsets[-1]` all of them.  `ranks[d]` holds the `_Ranks` of S_d, built
     when a record of degree d first needs them, and `links[d][ray]` the
-    ray's table at degree d, filled entry by entry (`_link_entry`).
+    ray's table at degree d, filled entry by entry (`_link_entry`), or, if
+    it could come to more than `_LINK_TABLE_MAX` entries, an `_Unkept`
+    one that keeps none.
     """
 
     walks: tuple
@@ -428,7 +445,8 @@ class _RecordTables:
 
     def __post_init__(self):
         object.__setattr__(self, "links", _Lazy(lambda d: [
-            _Lazy(partial(self._link_entry, d, walk)) for walk in self.walks]))
+            (_Lazy if factorial(d) ** len(walk[1]) <= _LINK_TABLE_MAX else _Unkept)(
+                partial(self._link_entry, d, walk)) for walk in self.walks]))
 
     def orbits(self, d: int, digits: list[int]) -> "RayOrbits":
         """The `RayOrbits` of the assignment whose permutations have ranks
@@ -463,7 +481,8 @@ class _RecordTables:
         crosses k generator walls thus holds at most (d!)^k entries: 528
         over the 8 rays of `sigma_prime` at degree 3 (k = 1, 1, 1, 1, 2, 2,
         3, 3), as many for `fulton`, 306 for `eikelberg`, and 32 for
-        `fulton` at degree 2.
+        `fulton` at degree 2.  A ray whose bound passes `_LINK_TABLE_MAX`
+        keeps no entry.
 
         The block is the ray's columns of `RayOrbits.sum_zero_columns`,
         with rows laid out cone by cone, then by sheet 0, ..., d-2, then by

@@ -7,9 +7,10 @@ which walks every link and builds every column for the record alone, check
 that no record changes what the next one reads, and bound the tables' size.
 """
 
-import hashlib
+import importlib
 import random
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from fanbranch.cli import evaluate_assignment, run_sweep
 from fanbranch.exact_linalg import _int_echelon
 from fanbranch.fan_core import load_fan, stellar_subdivision
 from fanbranch.monodromy import (
+    _LINK_TABLE_MAX,
     _record_tables,
     class_representatives,
     count_assignments,
@@ -27,18 +29,23 @@ from fanbranch.pl_group import split_triviality
 
 from conftest import reference_orbits, reference_split_record
 
-# sha256 of the records of the benchmark's `sigma3-stride` workload at seed 1
-# (`perfbench/checks.py`): one JSON line each, in sample order.
-SIGMA3_SEED1_SHA256 = "294d70a5d04833d7f4a8fbd4b4b4ccf535fd9ea2ca03225b241e72f18ddc74df"
+ROOT = Path(__file__).resolve().parents[1]
+
+# The benchmark's `sigma3-stride` workload and its stored digest, read from
+# `perfbench/` unchanged.
+with pytest.MonkeyPatch.context() as mp:
+    mp.syspath_prepend(str(ROOT / "perfbench"))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
 
 
 def _cases():
     """(id, fan, degree, indices) of every record compared with the reference."""
     rng = random.Random(29)
-    sigma = load_fan("sigma_prime")
     yield "eikelberg-3-all", load_fan("eikelberg"), 3, range(7776)
     yield "fulton-2-all", load_fan("fulton"), 2, range(count_assignments(load_fan("fulton"), 2))
-    yield "sigma3-stride-seed1", sigma, 3, sorted(random.Random(1).sample(range(279936), 3000))
+    w = workloads.Sigma3Stride(checks.SIGMA3_DEFAULT_SEED, None)
+    yield "sigma3-stride-seed1", w.fan, w.DEGREE, w.indices
     for name in ("fulton", "eikelberg", "sigma_prime"):
         base = load_fan(name)
         for pos in range(len(base.max_cones)):
@@ -60,8 +67,7 @@ def test_records_equal_reference(case):
         lines.append(evaluate_assignment(fan, tree, d, i).to_json())
         assert lines[-1] == reference_split_record(fan, tree, d, i), i
     if case == "sigma3-stride-seed1":
-        digest = hashlib.sha256("".join(x + "\n" for x in lines).encode()).hexdigest()
-        assert digest == SIGMA3_SEED1_SHA256
+        assert checks.digest(lines) == checks.SIGMA3_SEED1_SHA256
 
 
 def _class_records(fan, order) -> list[str]:
@@ -115,3 +121,18 @@ def test_table_size_bound(name, d, bound):
     for (_, crossed, _), link in zip(tables.walks, tables.links[d]):
         assert 0 < len(link) <= factorial(d) ** len(crossed)
     assert sum(map(len, tables.links[d])) <= bound
+
+
+def test_rays_past_the_cap_keep_no_entry():
+    """At degree 5 the eikelberg ray whose link crosses three generator
+    walls could come to 120^3 entries, so its table keeps none; the other
+    rays keep theirs, and the records still equal the reference."""
+    fan = load_fan("eikelberg")
+    tree = spanning_tree(fan)
+    for i in random.Random(5).sample(range(count_assignments(fan, 5)), 20):
+        assert orbits_at(fan, 5, i, tree) == reference_orbits(fan, 5, i, tree), i
+        assert evaluate_assignment(fan, tree, 5, i).to_json() == reference_split_record(fan, tree, 5, i), i
+    tables = _record_tables(fan, tree)
+    kept = sorted((len(crossed), len(link) > 0) for (_, crossed, _), link in zip(tables.walks, tables.links[5]))
+    assert kept == [(1, True)] * 3 + [(2, True)] * 2 + [(3, False)]
+    assert 120 ** 2 <= _LINK_TABLE_MAX < 120 ** 3

@@ -7,11 +7,12 @@ NaN or infinities), with `correct` true, exactly the per-layer metrics that
 `BENCHMARK.json` lists and no traced function reported absent; otherwise it
 exits with code 1.  Then, for each side, in alternating order, it times
 the fulton degree-2, eikelberg degree-3 and full sigma_prime degree-3
-sweeps through the CLI at --jobs 2, and the sigma_prime one again at
---jobs 1 as the one-worker baseline (wall seconds, cache sha256, summary
-counts), and exits with code 1 as soon as a cache's sha256 differs from its
-pin; then it runs
-ten alternating pairs of perfbench runs per workload and seed.  It writes
+sweeps through the CLI at --jobs 2, and the eikelberg and sigma_prime ones
+again at --jobs 1 as the one-worker baseline, which shows whether the pool
+pays for a small sweep and for the large one (wall seconds, cache sha256,
+summary counts), and exits with code 1 as soon as a cache's sha256 differs
+from its pin; then it runs ten alternating pairs of perfbench runs per
+workload and seed.  It writes
 one JSON file: core count, Python version and both commits; whether
 bytecode writing is off and whether each checkout held compiled bytecode
 before any run (with writing off and no bytecode, every interpreter
@@ -54,8 +55,10 @@ SWEEP_PINS = {
     ("sigma_prime", 3): "bcc117809b5034804373d7ac9a7e55e77f9f0889591382a03351ad37169b9018",
 }
 # (fan, degree, --jobs) of each timed sweep: every pinned sweep with two
-# workers, and the criterion-5 sweep with one beside it
-SWEEPS = [("fulton", 2, 2), ("eikelberg", 3, 2), ("sigma_prime", 3, 2), ("sigma_prime", 3, 1)]
+# workers, and the benchmark's eikelberg sweep and the criterion-5 sweep
+# with one beside it
+SWEEPS = [("fulton", 2, 2), ("eikelberg", 3, 2), ("eikelberg", 3, 1), ("sigma_prime", 3, 2),
+          ("sigma_prime", 3, 1)]
 SWEEP_PAIRS = 2
 BENCH_PAIRS = 10
 BENCH_SECONDS = 20

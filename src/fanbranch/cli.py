@@ -48,8 +48,20 @@ class SweepRecord:
     cert: str
 
     def to_json(self) -> str:
-        return json.dumps({name: getattr(self, name) for name in _RECORD_FIELDS},
-                          sort_keys=True, separators=(",", ":"))
+        """The record's cache line, written directly in sorted key order.
+
+        It is the string that `json.dumps` gives for the record's fields
+        with `sort_keys=True` and `separators=(",", ":")`, for any record
+        whose `index` and `dim_pl` are ints, `branch_rays` a list of ints,
+        `profile` a list of lists of ints and (verdict, cert) a pair of
+        `_VERDICT_CERTS`, as every record of `evaluate_assignment` is:
+        `str` writes an int as `json.dumps` does, and a list with ", "
+        between its items, while the pair's strings hold no space and
+        nothing to escape; so dropping every space leaves that line.
+        """
+        return (f'{{"branch_rays":{self.branch_rays},"cert":"{self.cert}",'
+                f'"dim_pl":{self.dim_pl},"index":{self.index},"profile":{self.profile},'
+                f'"verdict":"{self.verdict}"}}').replace(" ", "")
 
 
 # The fields of a record line, and the (verdict, cert) pairs it may hold.

@@ -171,15 +171,14 @@ def primitive(v) -> IntVector:
 def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
     """`row` with its column-c entry cancelled against `prow` (whose entry
     there is nonzero): cross-multiplied, then divided by the gcd of its
-    entries to control coefficient growth."""
+    entries to control coefficient growth.
+
+    The gcd is one `gcd(*new)`, the same value as folding `gcd` over the
+    entries: zeros leave the fold unchanged, so an all-zero row gives 0
+    and is returned as it is."""
     a, b = prow[c], row[c]
     new = [a * x - b * y for x, y in zip(row, prow)]
-    g = 0
-    for x in new:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                break
+    g = gcd(*new)
     return [x // g for x in new] if g > 1 else new
 
 

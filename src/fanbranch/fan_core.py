@@ -343,6 +343,12 @@ class Fan:
         self._face_ids: tuple[tuple[int, ...], ...] | None = None
         self._coface_ids: tuple[tuple[int, ...], ...] | None = None
 
+    def __getstate__(self) -> dict:
+        """The fan's state for pickles and copies, without the record tables
+        of `_tree_tables`: they fill through local functions, which do not
+        pickle, and the next record on the copy builds them again."""
+        return {**self.__dict__, "_tree_tables": {}}
+
     # -- basic queries ------------------------------------------------------
 
     @property

@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, islice, permutations as iter_permutations
 from math import factorial
 from operator import mul
@@ -452,16 +452,9 @@ class _RecordTables:
         """The `RayOrbits` of the assignment whose permutations have ranks
         `digits`, with one lookup per ray, keyed by the digits of the
         generators its link crosses."""
-        at = [[None] * len(rays) for rays in self.rays]
-        entries = []
-        for link, (_, crossed, _) in zip(self.links[d], self.walks):
-            entry = link[tuple([digits[g] for g in crossed])]
-            entries.append(entry)
-            for pos, place, orbit in entry[1]:
-                at[pos][place] = orbit
-        loops = [loop for loop, _, _ in entries]
-        return RayOrbits(d, digits, [loop.lengths for loop in loops], at, loops, self,
-                         [block for _, _, block in entries])
+        return RayOrbits(d, digits, self, [
+            link[tuple([digits[g] for g in crossed])]
+            for link, (_, crossed, _) in zip(self.links[d], self.walks)])
 
     def _link_entry(self, d: int, walk: tuple, key: tuple) -> tuple:
         """(`_Loop`, (cone position, place, orbit tuple) per incident cone,
@@ -545,22 +538,38 @@ class RayOrbits:
     """The cells over the rays of an assignment's cover, read off each ray's
     table of `_record_tables` (`ray_orbits`, `orbits_at`).
 
-    `digits` are the ranks of the assignment's permutations, `loops[ray]`
-    the ray's `_Loop`.  `lengths[ray]` holds the lengths of the ray
+    `digits` are the ranks of the assignment's permutations, and
+    `links[ray]` the ray's entry of its table (`_RecordTables._link_entry`):
+    its `_Loop`, per incident cone the orbit under each sheet, and its
+    block of sum-zero columns (`sum_zero_columns`), shared with every record
+    whose digits on the generators that the ray's link crosses are the
+    same: never changed.  `lengths[ray]` holds the lengths of the ray
     monodromy's orbits, numbered by least sheet over the ray's reference
     cone: the cover's cells over the ray, in order, with their weights.
+
     `at[pos][i][s]` is the orbit under sheet s over maximal cone `pos`, over
-    the cone's i-th ray.  `blocks[ray]` holds the ray's sum-zero columns
-    (`sum_zero_columns`), shared with every record whose digits on the
-    generators that the ray's link crosses are the same: never changed."""
+    the cone's i-th ray.  It is built from the links' cone entries on its
+    first read, which only `cells` makes, on the pattern rung: a record that
+    stops at a lower rung never builds it.  It is the same table as one
+    filled when the record is made, since the entries are never changed,
+    and equality, which compares the links, covers it."""
 
     degree: int
     digits: list[int]
-    lengths: list[tuple[int, ...]]
-    at: list[list[tuple[int, ...]]]
-    loops: list[_Loop] = field(repr=False)
     tables: _RecordTables = field(repr=False)
-    blocks: list[list[list[int]]] = field(repr=False)
+    links: list[tuple] = field(repr=False)
+
+    @property
+    def lengths(self) -> list[tuple[int, ...]]:
+        return [loop.lengths for loop, _, _ in self.links]
+
+    @cached_property
+    def at(self) -> list[list[tuple[int, ...]]]:
+        at = [[None] * len(rays) for rays in self.tables.rays]
+        for _, entries, _ in self.links:
+            for pos, place, orbit in entries:
+                at[pos][place] = orbit
+        return at
 
     @property
     def assignment(self) -> MonodromyAssignment:
@@ -570,7 +579,7 @@ class RayOrbits:
     @property
     def profile(self) -> list[list[int]]:
         """Per ray, its orbit lengths in descending order."""
-        return [list(loop.profile) for loop in self.loops]
+        return [list(loop.profile) for loop, _, _ in self.links]
 
     @property
     def branch_rays(self) -> list[int]:
@@ -626,14 +635,14 @@ class RayOrbits:
         over all 47,449 `sigma_prime` degree-3 classes, the rank took 2.2 s
         by columns and 4.4 s in row form (one core, Python 3.11.7).
 
-        The columns are the rays' `blocks` in ray order, each built once per
-        key of the ray's table (`_RecordTables._link_entry`), and the very
-        lists that the table holds: a caller may reorder or replace them in
-        the returned list, as `_int_echelon` does with its rows, but must
-        not change a column in place.
+        The columns are the blocks of the rays' `links`, in ray order, each
+        built once per key of the ray's table (`_RecordTables._link_entry`),
+        and the very lists that the table holds: a caller may reorder or
+        replace them in the returned list, as `_int_echelon` does with its
+        rows, but must not change a column in place.
         """
         nrows = (self.degree - 1) * self.tables.offsets[-1]
-        return [col for block in self.blocks for col in block], nrows
+        return [col for _, _, block in self.links for col in block], nrows
 
 
 def orbits_at(fan: Fan, d: int, index: int, tree: DualSpanningTree | None = None) -> RayOrbits:

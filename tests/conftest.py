@@ -502,7 +502,7 @@ def reference_orbits(fan, d, index, tree=None) -> RayOrbits:
     digits = _digits(index, factorial(d), tree.generators)
     slot = {w: g for g, w in enumerate(tree.nontree_walls)}
     at = [[None] * len(cone.ray_indices) for cone in fan.max_cones]
-    loops = []
+    loops, entries = [], []
     for ray in range(len(fan.rays)):
         cones, walls = ray_link(fan, ray)
         t = 0
@@ -514,8 +514,10 @@ def reference_orbits(fan, d, index, tree=None) -> RayOrbits:
             transports.append(t)
         loop = transports.pop()
         loops.append(ranks.loops[loop])
-        for pos, u in zip(cones, transports):
-            at[pos][fan.max_cones[pos].ray_indices.index(ray)] = ranks.at[loop][u]
+        entries.append(tuple((pos, fan.max_cones[pos].ray_indices.index(ray), ranks.at[loop][u])
+                             for pos, u in zip(cones, transports)))
+        for pos, place, orbit in entries[-1]:
+            at[pos][place] = orbit
     relations = [wall_relation(fan, pos) for pos in range(len(fan.max_cones))]
     nrows = (d - 1) * sum(map(len, relations))
     blocks = [[[0] * nrows for _ in loop.spread[1:]] for loop in loops]
@@ -527,7 +529,7 @@ def reference_orbits(fan, d, index, tree=None) -> RayOrbits:
                     for col, factor in loops[ray].spread[k]:
                         blocks[ray][col][row] = coeff * factor
                 row += 1
-    return RayOrbits(d, digits, [loop.lengths for loop in loops], at, loops, tables, blocks)
+    return RayOrbits(d, digits, tables, list(zip(loops, entries, blocks)))
 
 
 def reference_split_record(fan, tree, d, index) -> str:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fanbranch.exact_linalg import (
     RationalMatrix,
     SubspaceBasis,
+    _cancel,
     _int_echelon,
     _row_hnf_transform,
     annihilator,
@@ -525,3 +526,34 @@ def test_row_hnf_transform_equals_the_carried_transform(case):
     before = [row[:] for row in a]
     assert _row_hnf_transform(a, ncols) == reference_row_hnf_transform(a, ncols)
     assert a == before
+
+
+def reference_cancel(row, prow, c):
+    """`_cancel` with the gcd folded entry by entry, stopping at 1."""
+    new = [prow[c] * x - row[c] * y for x, y in zip(row, prow)]
+    g = 0
+    for x in new:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                break
+    return [x // g for x in new] if g > 1 else new
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+            st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+            st.integers(0, n - 1),
+            st.integers(-3, 3),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cancel_equals_the_folded_gcd(case):
+    # also on a row that is a multiple of the pivot row, which cancels to 0
+    row, prow, c, k = case
+    prow[c] = prow[c] or 1
+    for r in (row, [k * x for x in prow]):
+        assert _cancel(r, prow, c) == reference_cancel(r, prow, c)

@@ -8,33 +8,23 @@ vectors, and canonical subspace algebra.
 
 Which routine answers which question:
 
-* rank, kernel and independence questions are read off one fraction-free
-  elimination, `_int_echelon`, whose row step is `_cancel`: the rank is its
-  pivot count (`rank_of_int_rows`), the kernel its back-substitution
-  (`_echelon_kernel`, after `nullspace_of_int_rows` eliminates), and the
-  first-come independent vectors the pivot columns of the vectors taken as
-  columns (`independent_rows`).  `_extend_echelon` grows such independent
-  rows by further rows, so that echelons sharing a prefix of rows (the
-  Klyachko screen's threshold grid) eliminate it once.  `rank` and
-  `right_nullspace` clear each rational row of denominators first, which
-  keeps the row space;
-* `Fraction` Gauss-Jordan (`_rref_rows`) runs only where the reduced form
-  over Q is itself the result: `rref` and `solve_linear`;
-* a `SubspaceBasis` stores its reduced basis as integer rows, and every
-  subspace reaches that form by one integer path, `_primitive_rref`
-  (`_int_echelon`, back-substitution, primitive scaling): the constructor,
-  `subspace_sum`, and `annihilator`, whose spanning vectors
-  `_annihilator_rows` reads off the stored rows with no elimination, as
-  the Klyachko checks do;
-* one Hermite loop, `_row_hnf`, answers the lattice questions that need
-  it: `hermite_normal_form`, the k-column duality step of `_saturate`, and
-  `integer_solve`, the one caller that needs the unimodular transform,
-  which it reads off the reduction of [A | I] (`_row_hnf_transform`);
-* `_saturate` gives the integral points of a rational span from k spanning
-  vectors, each nonzero at its own free column: `integer_kernel` is
-  `_echelon_kernel` then `_saturate`, never a transform of the whole
-  system, and `pl_group.solve` saturates the lifted values-at-rays kernel
-  the same way.
+* one elimination over Q, the fraction-free `_int_echelon` (row step
+  `_cancel`), on integer rows; a rational row is first cleared of
+  denominators (`_cleared_rows`), which keeps the row space.  A rank is
+  its pivot count (`rank_of_int_rows`), a kernel its back-substitution
+  (`nullspace_of_int_rows`, `_echelon_kernel`), first-come independent
+  vectors its pivot columns (`independent_rows`), and `_extend_echelon`
+  grows it by further rows.  The reduced row-echelon form, unique, is
+  `_primitive_rref` (back-substitution, then primitive rows): `rref`,
+  `solve_linear`, every `SubspaceBasis` (`subspace_sum`, `annihilator`)
+  and the inverse of a maximal cone's rays, read off [V | I]
+  (`pl_group._lifts`, the Klyachko screen's `_cone_elimination`);
+* one Hermite loop, `_row_hnf`, for every lattice question:
+  `hermite_normal_form`, `integer_solve` (its transform, from [A | I],
+  `_row_hnf_transform`), and the duality step of `_saturate`, which gives
+  the integral points of a rational span (`integer_kernel`, the integral
+  `pl_group.solve`).  These take integer entries only (`_integer_rows`):
+  a non-integral entry or a ragged row is refused, never truncated.
 
 Determinism conventions, fixed once for the whole package:
 
@@ -69,12 +59,10 @@ class RationalMatrix:
 
     def __init__(self, entries):
         ent = _fraction_rows(entries)
-        if ent:
-            width = len(ent[0])
-            if any(len(r) != width for r in ent):
-                raise ValueError("ragged matrix")
-        else:
-            width = 0
+        width = len(ent[0]) if ent else 0
+        for i, r in enumerate(ent):
+            if len(r) != width:
+                raise ValueError(f"matrix row {i} has {len(r)} entries, row 0 has {width}")
         object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "rows", len(ent))
         object.__setattr__(self, "cols", width)
@@ -96,9 +84,6 @@ class RationalMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.entries)) if self.entries else [])
 
@@ -109,45 +94,16 @@ class RationalMatrix:
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
-
-
-def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan; returns (rows, pivot column list)."""
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, int]:
-    """Reduced row-echelon form and rank, with deterministic pivoting."""
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref_rows(rows, m.cols)
-    return RationalMatrix(rows), len(pivots)
+    """Reduced row-echelon form and rank, with deterministic pivoting: the
+    rows of `_primitive_rref` of the denominator-cleared rows, each divided
+    by its pivot, then zero rows.  The reduced form is unique."""
+    rows = _fraction_basis(_primitive_rref(_cleared_rows(m.entries), m.cols))
+    zero = (Fraction(0),) * m.cols
+    return RationalMatrix(rows + (zero,) * (m.rows - len(rows))), len(rows)
 
 
 def primitive(v) -> IntVector:
@@ -155,16 +111,10 @@ def primitive(v) -> IntVector:
 
     Direction is preserved; the result has gcd of entries equal to 1.
     """
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
+    (ints,) = _cleared_rows([[Fraction(x) for x in v]])
+    if not any(ints):
         raise ValueError("zero vector has no primitive form")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -305,18 +255,20 @@ def _cleared_rows(rows) -> list[list[int]]:
     return out
 
 
-def rank(m: RationalMatrix) -> int:
-    return rank_of_int_rows(_cleared_rows(m.entries), m.cols)
-
-
-def right_nullspace(m: RationalMatrix) -> list[IntVector]:
-    """Basis of {x : m.x = 0}, one primitive integer vector per free column."""
-    return nullspace_of_int_rows(_cleared_rows(m.entries), m.cols)
-
-
-def left_nullspace(m: RationalMatrix) -> list[IntVector]:
-    """Basis of {c : c.m = 0}, normalized as in right_nullspace."""
-    return right_nullspace(m.transpose())
+def _integer_rows(rows, what: str = "matrix", error=ValueError) -> list[list[int]]:
+    """`rows` as lists of ints of one length.  An entry is taken when `int`
+    keeps its value, as for an integral `Fraction`; a non-integral entry or
+    a row of another length is refused with `error`, naming it."""
+    out = []
+    for i, row in enumerate(map(list, rows)):
+        ints = [int(x) for x in row]
+        if ints != row:
+            bad = next(x for a, x in zip(ints, row) if a != x)
+            raise error(f"{what} row {i} has entry {bad!r}, not an integer")
+        if out and len(ints) != len(out[0]):
+            raise error(f"{what} row {i} has {len(ints)} entries, row 0 has {len(out[0])}")
+        out.append(ints)
+    return out
 
 
 def _row_hnf(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -371,8 +323,13 @@ def _row_hnf_transform(a: list[list[int]], ncols: int) -> tuple[list[list[int]],
 
 
 def hermite_normal_form(rows) -> list[IntVector]:
-    """Canonical row Hermite normal form of the lattice spanned by the rows."""
-    a = [[int(x) for x in row] for row in rows]
+    """Canonical row Hermite normal form of the lattice spanned by the rows,
+    whose entries must be integers."""
+    return _hnf(_integer_rows(rows))
+
+
+def _hnf(a: list[list[int]]) -> list[IntVector]:
+    """`hermite_normal_form` of integer rows, unchecked."""
     if not a:
         return []
     h, pivots = _row_hnf(a, len(a[0]))
@@ -414,7 +371,7 @@ def _saturate(kernel: list[list[int]], free: list[int], others) -> list[IntVecto
                 acc = [p - g[j][i] * q for p, q in zip(acc, x[j])]
         d = g[i][i]
         x.append([p // d for p in acc])
-    return hermite_normal_form(x)
+    return _hnf(x)
 
 
 def integer_kernel(rows) -> list[IntVector]:
@@ -428,7 +385,7 @@ def integer_kernel(rows) -> list[IntVector]:
     entries elsewhere only at pivot columns, so `_saturate` reads the
     lattice off it.
     """
-    a = [[int(x) for x in row] for row in rows]
+    a = _integer_rows(rows)
     if not a:
         raise ValueError("integer_kernel needs at least one row to fix the column count")
     ncols = len(a[0])
@@ -439,31 +396,30 @@ def integer_kernel(rows) -> list[IntVector]:
 
 
 def solve_linear(a_rows, b) -> Vector | None:
-    """One exact solution of A.x = b (free variables set to 0), or None."""
-    arows = _fraction_rows(a_rows)
-    bvec = tuple(Fraction(x) for x in b)
-    if len(arows) != len(bvec):
+    """One exact solution of A.x = b (free variables set to 0), or None: read
+    off `_primitive_rref` of the denominator-cleared [A | b], which has a
+    pivot in the last column exactly when the system is inconsistent."""
+    a = RationalMatrix(a_rows)
+    bvec = [Fraction(x) for x in b]
+    if a.rows != len(bvec):
         raise ValueError("dimension mismatch")
-    if not arows:
-        return ()
-    ncols = len(arows[0])
-    aug = [list(r) + [bv] for r, bv in zip(arows, bvec)]
-    aug, pivots = _rref_rows(aug, ncols)
-    # inconsistent iff a pivot appears in the augmented column
-    npiv = len(pivots)
-    for i in range(npiv, len(aug)):
-        if aug[i][ncols] != 0:
+    n = a.cols
+    rows = _primitive_rref(_cleared_rows([r + (x,) for r, x in zip(a.entries, bvec)]), n + 1)
+    x = [Fraction(0)] * n
+    for row, p in zip(rows, _pivots(rows)):
+        if p == n:
             return None
-    x = [Fraction(0)] * ncols
-    for j, p in enumerate(pivots):
-        x[p] = aug[j][ncols]
+        x[p] = Fraction(row[n], row[p])
     return tuple(x)
 
 
 def integer_solve(a_rows, b) -> IntVector | None:
-    """One integer solution of A.x = b, or None if no integral solution exists."""
-    a = [[int(x) for x in row] for row in a_rows]
+    """One integer solution of A.x = b, or None if no integral solution
+    exists.  The entries of A must be integers."""
+    a = _integer_rows(a_rows)
     bvec = [Fraction(x) for x in b]
+    if len(bvec) != len(a):
+        raise ValueError(f"dimension mismatch: {len(a)} rows, {len(bvec)} right-hand sides")
     if any(x.denominator != 1 for x in bvec):
         return None
     bint = [int(x) for x in bvec]
@@ -532,8 +488,7 @@ class SubspaceBasis:
 
     @property
     def basis(self) -> tuple[Vector, ...]:
-        return tuple(tuple([Fraction(x, p) for x in row])
-                     for row, p in zip(self.rows, _pivot_entries(self.rows)))
+        return _fraction_basis(self.rows)
 
     @property
     def dim(self) -> int:
@@ -576,6 +531,11 @@ class SubspaceBasis:
 def _pivot_entries(rows) -> list[int]:
     """The pivot entry, the first nonzero one, of each echelon row."""
     return [next(filter(None, row)) for row in rows]
+
+
+def _fraction_basis(rows) -> tuple[Vector, ...]:
+    """Echelon integer rows as `Fraction` rows, each divided by its pivot."""
+    return tuple(tuple([Fraction(x, p) for x in row]) for row, p in zip(rows, _pivot_entries(rows)))
 
 
 def _pivots(rows) -> list[int]:

@@ -38,7 +38,10 @@ from .exact_linalg import (
     SubspaceBasis,
     _annihilator_rows,
     _extend_echelon,
-    _rref_rows,
+    _integer_rows,
+    _pivot_entries,
+    _pivots,
+    _primitive_rref,
     annihilator,
     integer_solve,
     rank_of_int_rows,
@@ -124,9 +127,10 @@ class Filtration:
         return f"Filtration({parts})"
 
 
-@dataclass
+@dataclass(eq=False)
 class KlyachkoData:
-    """One filtration of Q^rank per ray of the fan."""
+    """One filtration of Q^rank per ray of the fan.  Equality reads the fan
+    by its rays and maximal cones, so a copy equals the original."""
 
     fan: Fan
     rank: int
@@ -138,6 +142,11 @@ class KlyachkoData:
         for f in self.filtrations.values():
             if f.ambient_dim != self.rank:
                 raise KlyachkoError("filtration dimension does not match rank")
+
+    def __eq__(self, other):
+        return isinstance(other, KlyachkoData) and (
+            (self.fan.rays, self.fan.max_cones, self.rank, self.filtrations)
+            == (other.fan.rays, other.fan.max_cones, other.rank, other.filtrations))
 
 
 class SplittingCertificate:
@@ -293,20 +302,21 @@ class NecessityReport:
 
 
 def _cone_elimination(fan: Fan, pos: int):
-    """(V, pivots, den, T') of maximal cone `pos`, V its ray matrix:
-    the elimination that `_integral_solutions` reads, a constant of the
-    fan's rays, cached on the fan like `pl_group._lifts`."""
+    """(V, pivots, den, T') of maximal cone `pos`, V its ray matrix, cached
+    on the fan like `pl_group._lifts`: of the reduced form of [V | I_m],
+    by `_primitive_rref`, the pivots in V's block and the right block T
+    times den as integers T', den the lcm of the rows' pivot entries."""
     cache = _fan_cache(fan)
     key = ("screen", pos)
     if key not in cache:
         ray_matrix = [list(fan.rays[ray]) for ray in fan.max_cones[pos].ray_indices]
         m, n = len(ray_matrix), fan.rank
-        rows = [[Fraction(x) for x in v] + [Fraction(int(i == j)) for j in range(m)]
-                for i, v in enumerate(ray_matrix)]
-        rows, pivots = _rref_rows(rows, n)
-        den = lcm(*(x.denominator for row in rows for x in row[n:]))
-        t = [[x.numerator * (den // x.denominator) for x in row[n:]] for row in rows]
-        cache[key] = (ray_matrix, pivots, den, t)
+        rows = _primitive_rref([v + [int(i == j) for j in range(m)]
+                                for i, v in enumerate(ray_matrix)], n + m)
+        entries = _pivot_entries(rows)
+        den = lcm(*entries)
+        t = [[x * (den // a) for x in row[n:]] for row, a in zip(rows, entries)]
+        cache[key] = (ray_matrix, [p for p in _pivots(rows) if p < n], den, t)
     return cache[key]
 
 
@@ -316,15 +326,15 @@ def _integral_solutions(fan: Fan, pos: int, combos) -> dict:
     `Fraction`s): the only solution when V has full column rank, and
     `integer_solve`'s otherwise.
 
-    One `_rref_rows` of [V | I_m] serves every b (`_cone_elimination`): its
-    row operations are those of `solve_linear`'s elimination of [V | b]
-    whatever b is, so its right block T, cleared to integers T' = den.T,
-    turns b into the last column of that elimination, T'.b / den: the
-    solution at the pivots, and zeros below the rank exactly when the
-    system is consistent.  When V has full column rank the solution is
-    unique, so an integral solution exists exactly when it is integral;
-    otherwise `integer_solve` decides, and its solution is the one
-    reported, since the one with free variables 0 need not be integral.
+    One reduced form of [V | I_m] serves every b (`_cone_elimination`): it
+    is [R | T] = T.[V | I_m], T invertible, so V.u = b iff R.u = T.b.  Its
+    rows below the rank r of V are [0 | C], and C.V = 0 with C of rank
+    m - r, so the system is consistent iff C.b = 0.  Row j < r then reads
+    u at its pivot, plus R's non-pivot entries times u, equals (T.b)_j =
+    (T'.b)_j / den.  With full column rank there are no non-pivot columns:
+    the solution is unique, and integral solutions exist iff it is
+    integral.  Otherwise `integer_solve` decides, as the solution with free
+    variables 0 need not be integral.
     """
     ray_matrix, pivots, den, t = _cone_elimination(fan, pos)
     rank, n = len(pivots), fan.rank
@@ -497,7 +507,7 @@ def pullback(data: KlyachkoData, lattice_map, target_fan: Fan,
     the pulled-back filtration at a target ray is the source interpolation
     at the image of its primitive generator, read at integer thresholds.
     """
-    rows = [tuple(int(x) for x in row) for row in lattice_map]
+    rows = _integer_rows(lattice_map, "lattice map", KlyachkoError)
     if len(rows) != data.fan.rank:
         raise KlyachkoError("lattice map has wrong target rank")
 
@@ -861,7 +871,7 @@ def direct_sum(a: KlyachkoData, b: KlyachkoData,
 def line_bundle(fan: Fan, functional) -> tuple[KlyachkoData, SplittingCertificate]:
     """The rank-1 bundle of a global linear functional (trivial line bundle
     twisted by the character)."""
-    u = tuple(int(x) for x in functional)
+    (u,) = map(tuple, _integer_rows([functional], "functional", KlyachkoError))
     full = _full_space(1)
     filtrations = {}
     for ray in range(len(fan.rays)):

@@ -19,6 +19,7 @@ from math import factorial
 from operator import mul
 
 from .cover_poset import CoverCell, CoverPoset, components
+from .exact_linalg import integer_solve
 from .fan_core import Fan, FanError, is_complete, ray_link, wall_relation
 
 
@@ -713,45 +714,27 @@ def class_representatives(d: int, generators: int) -> array:
 def assignment_for_branch_set(fan: Fan, rays: list[int],
                               tree: DualSpanningTree | None = None) -> MonodromyAssignment:
     """The degree-2 assignment whose monodromy is the transposition exactly
-    at the given rays (well-defined for degree 2), solved over GF(2)."""
+    at the given rays: mod 2, ray i's monodromy sums the generators at the
+    non-tree walls of its link, so x solves A.x = b mod 2, A the rays' wall
+    counts and b the branch set, and x is `integer_solve` of [A | 2I] mod 2.
+    It is unique: by tree-cotree duality on the sphere, the non-tree walls
+    of a dual spanning tree form a spanning tree of the rays, whose
+    incidence matrix A has full column rank mod 2."""
     tree = tree or spanning_tree(fan)
-    n = tree.generators
+    n, nrays = tree.generators, len(fan.rays)
     nontree_index = {w: i for i, w in enumerate(tree.nontree_walls)}
-    rows = []
-    rhs = []
     target = set(rays)
-    if not target <= set(range(len(fan.rays))):
+    if not target <= set(range(nrays)):
         raise ValueError("branch ray index out of range")
-    for ray in range(len(fan.rays)):
-        _, walls = ray_link(fan, ray)
-        row = [0] * n
-        for w in walls:
+    rows = []
+    for ray in range(nrays):
+        row = [0] * n + [2 * (i == ray) for i in range(nrays)]
+        for w in ray_link(fan, ray)[1]:
             if w in nontree_index:
-                row[nontree_index[w]] ^= 1
+                row[nontree_index[w]] += 1
         rows.append(row)
-        rhs.append(1 if ray in target else 0)
-    # Gaussian elimination over GF(2)
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                aug[i] = [x ^ y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n]:
-            raise ValueError(
-                "no degree-2 cover has that branch set (parity obstruction)"
-            )
-    x = [0] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    swap = Permutation((1, 0))
-    ident = Permutation.identity(2)
-    return MonodromyAssignment(2, tuple(swap if xi else ident for xi in x))
+    x = integer_solve(rows, [int(ray in target) for ray in range(nrays)])
+    if x is None:
+        raise ValueError("no degree-2 cover has that branch set (parity obstruction)")
+    swap, ident = Permutation((1, 0)), Permutation.identity(2)
+    return MonodromyAssignment(2, tuple(swap if xi % 2 else ident for xi in x[:n]))

@@ -41,10 +41,10 @@ from .exact_linalg import (
     RationalMatrix,
     _echelon_kernel,
     _int_echelon,
+    _primitive_rref,
     _saturate,
     independent_rows,
     rank_of_int_rows,
-    solve_linear,
 )
 from .fan_core import cone_contains_point, is_complete, read_rational, wall_relation
 from .monodromy import sheet_components
@@ -66,7 +66,10 @@ def _lifts(fan) -> tuple[int, list]:
     """(L, per maximal cone: the local positions of 3 independent rays and
     L times the inverse of their matrix), cached per fan.  L is the lcm of
     the inverses' denominators, so every lifted matrix is integral, and
-    u = lifted . z / L solves V.u = z on the chosen rays V."""
+    u = lifted . z / L solves V.u = z on the chosen rays V.  The reduced
+    form of [V | I] is [I | V^-1], and `_primitive_rref` gives its row i
+    times a_i, the lcm of the row's denominators, at column i: so L is the
+    lcm of the a_i, and row i of L.V^-1 is the right block times L / a_i."""
     cache = _fan_cache(fan)
     if "lifts" not in cache:
         n = fan.rank
@@ -76,13 +79,13 @@ def _lifts(fan) -> tuple[int, list]:
             chosen = independent_rows(gens, n)
             if len(chosen) != n:
                 raise PLError("maximal cone is not full-dimensional")
-            v = [gens[i] for i in chosen]
-            cols = [solve_linear(v, [int(k == j) for k in range(n)]) for j in range(n)]
-            inverses.append((tuple(chosen), cols))
-        big = lcm(*(x.denominator for _, cols in inverses for col in cols for x in col))
+            rows = _primitive_rref([list(gens[c]) + [int(i == j) for j in range(n)]
+                                    for i, c in enumerate(chosen)], 2 * n)
+            inverses.append((tuple(chosen), rows))
+        big = lcm(*(row[i] for _, rows in inverses for i, row in enumerate(rows)))
         cache["lifts"] = big, [
-            (chosen, tuple(tuple(int(cols[j][i] * big) for j in range(n)) for i in range(n)))
-            for chosen, cols in inverses]
+            (chosen, tuple(tuple([x * (big // row[i]) for x in row[n:]]) for i, row in enumerate(rows)))
+            for chosen, rows in inverses]
     return cache["lifts"]
 
 
@@ -604,32 +607,37 @@ def system_triviality(fan, rows: list[list[int]], ncols: int, cells) -> Triviali
     maximal cell, in row-block order.  `rows` is eliminated in place, and
     `_ladder` decides on that one `_int_echelon`."""
     ech, pivots = _int_echelon(rows, ncols)
-    return _ladder(fan, cells, ncols, ncols - len(pivots),
-                   lambda: _kernel_keys(fan, cells, _echelon_kernel(ech, pivots, ncols)))
+    return _ladder(fan, ncols - len(pivots), lambda: _column_summands(ncols, cells),
+                   lambda: (cells, _kernel_keys(fan, cells, _echelon_kernel(ech, pivots, ncols))))
 
 
-def _ladder(fan, cells, ncols: int, d: int, keys) -> TrivialityVerdict:
-    """The decision ladder on an eliminated values-at-rays system of corank
-    d, the dimension of the PL group; `keys()` gives the cells'
-    `_kernel_keys` on vectors spanning the group, for rung 3.
+def _column_summands(ncols: int, cells) -> int:
+    """Rung 2's k, the classes of columns that the cells' columns join: a
+    column under no cell is a class of its own, not a summand."""
+    return sum(len(s) > 1 for s in components(ncols, [cols for *_, cols in cells]))
+
+
+def _ladder(fan, d: int, summands, pattern) -> TrivialityVerdict:
+    """The decision ladder for a PL group of dimension d.  `summands()` gives
+    the number k of wedge summands, for rung 2, and `pattern()` the maximal
+    cells and their `_kernel_keys` on vectors spanning the group, for rung
+    3; each is called only when its rung is reached.
 
     1. d = 3 means the pullbacks only.
     2. A wedge all of whose summands have dimension 3 carries only
        summand-wise pullbacks, and that is a count: k > 1 summands and
-       d = 3k.  A summand's columns are a class that the cells' columns
-       join, every row lies in one class, so the PL group is the summands'
-       direct sum, and each summand has a cell over 3 independent rays, so
-       its own pullbacks give it dimension at least 3.  A column under no
-       cell is a free class of its own, not a summand; it makes d exceed 3k.
-    3. Otherwise the common pattern of `keys()` decides (`_pattern_verdict`).
+       d = 3k.  Every row lies in one summand, so the PL group is the
+       summands' direct sum, and each summand has a cell over 3 independent
+       rays, so its own pullbacks give it dimension at least 3.
+    3. Otherwise the common pattern of the keys decides (`_pattern_verdict`).
     """
     _check_pullbacks(fan)
     if d == 3:
         return TrivialityVerdict(True, "pullbacks-only", None, d)
-    k = sum(len(s) > 1 for s in components(ncols, [cols for *_, cols in cells]))
+    k = summands()
     if k > 1 and d == 3 * k:
         return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
-    return _pattern_verdict(fan, cells, keys(), d)
+    return _pattern_verdict(fan, *pattern(), d)
 
 
 def _pattern_verdict(fan, cells, keys: list[tuple], d: int) -> TrivialityVerdict:
@@ -664,7 +672,7 @@ def _pattern_verdict(fan, cells, keys: list[tuple], d: int) -> TrivialityVerdict
 
 
 def split_triviality(fan, orbits) -> TrivialityVerdict:
-    """`system_triviality`'s ladder and verdict for the assignment's cover,
+    """`system_triviality`'s verdict for the assignment's cover, by `_ladder`
     on the sheet-averaging split (`RayOrbits.sum_zero_columns`) and with no
     cover: one elimination of the sum-zero system M, as columns, gives d,
     `base_dimension(fan)` plus M's corank.  Rung 2's wedge summands are the
@@ -681,21 +689,19 @@ def split_triviality(fan, orbits) -> TrivialityVerdict:
     M, so M_P has the same row space as M.  So it has the same pivot columns
     and the same `_echelon_kernel`, byte for byte, which the row space fixes.
     """
-    _check_pullbacks(fan)
     columns, nrows = orbits.sum_zero_columns()
     pivots = _int_echelon(columns[:], nrows)[1]
     ncols = len(columns)
-    d = base_dimension(fan) + ncols - len(pivots)
-    if d == 3:
-        return TrivialityVerdict(True, "pullbacks-only", None, d)
-    k = len(sheet_components(orbits.assignment))
-    if k > 1 and d == 3 * k:
-        return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
-    rows = [[col[p] for col in columns] for p in pivots]
-    base = _base_kernel(fan) if base_dimension(fan) > 3 else ()
-    kernel = orbits.lift(_echelon_kernel(*_int_echelon(rows, ncols), ncols), base)
-    cells = orbits.cells()
-    return _pattern_verdict(fan, cells, _kernel_keys(fan, cells, kernel), d)
+
+    def pattern():
+        rows = [[col[p] for col in columns] for p in pivots]
+        base = _base_kernel(fan) if base_dimension(fan) > 3 else ()
+        kernel = orbits.lift(_echelon_kernel(*_int_echelon(rows, ncols), ncols), base)
+        cells = orbits.cells()
+        return cells, _kernel_keys(fan, cells, kernel)
+
+    return _ladder(fan, base_dimension(fan) + ncols - len(pivots),
+                   lambda: len(sheet_components(orbits.assignment)), pattern)
 
 
 def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> TrivialityVerdict:
@@ -710,7 +716,7 @@ def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> Trivial
     ncols = len(cover.ray_cells)
     if basis is not None and basis.elimination is not None and basis.elimination[0] is cover:
         _, d, keys = basis.elimination
-        verdict = _ladder(cover.fan, cells, ncols, d, lambda: keys)
+        verdict = _ladder(cover.fan, d, lambda: _column_summands(ncols, cells), lambda: (cells, keys))
     else:
         verdict = system_triviality(cover.fan, ray_value_system(cover)[0], ncols, cells)
     if basis is not None and (basis.cover is not cover or basis.dim != verdict.dim):

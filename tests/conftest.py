@@ -10,10 +10,8 @@ from fanbranch.exact_linalg import (
     RationalMatrix,
     SubspaceBasis,
     _fraction_rows,
-    _rref_rows,
     independent_rows,
     integer_kernel,
-    rank,
     rank_of_int_rows,
     subspace_sum,
 )
@@ -75,7 +73,7 @@ FULTON_PRINTED_MULTISETS = {
 def random_filtration(rng, r) -> Filtration:
     while True:
         m = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
-        if rank(RationalMatrix(m)) == r:
+        if rank_of_int_rows(m, r) == r:
             break
     dims = sorted(rng.sample(range(1, r + 1), rng.randint(1, r)), reverse=True)
     if dims[0] != r:
@@ -173,6 +171,72 @@ def reference_fan_from_data(rank, rays, max_cones, name=None) -> Fan:
     cones = tuple(Cone(t, rank_of_int_rows([prim[i] for i in t], rank))
                   for t in sorted(all_faces, key=lambda t: (len(t), t)))
     return Fan(lattice, prim, tuple(max_list), cones, name=name)
+
+
+# -- the `Fraction` Gauss-Jordan elimination -----------------------------------
+#
+# `rref` and `solve_linear` read the reduced form off the fraction-free
+# `_primitive_rref`.  This is the `Fraction` Gauss-Jordan they ran before,
+# kept as the independent reference for them and for the tests that read a
+# rank or a kernel off a reduced form.
+
+
+def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place Gauss-Jordan; returns (rows, pivot column list)."""
+    pivots: list[int] = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        if inv != 1:
+            rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def reference_rref(m: RationalMatrix) -> tuple[RationalMatrix, int]:
+    """`rref` by the `Fraction` Gauss-Jordan."""
+    rows = [list(r) for r in m.entries]
+    rows, pivots = _rref_rows(rows, m.cols)
+    return RationalMatrix(rows), len(pivots)
+
+
+def reference_solve_linear(a_rows, b):
+    """`solve_linear` by the `Fraction` Gauss-Jordan."""
+    arows = _fraction_rows(a_rows)
+    bvec = tuple(Fraction(x) for x in b)
+    if len(arows) != len(bvec):
+        raise ValueError("dimension mismatch")
+    if not arows:
+        return ()
+    ncols = len(arows[0])
+    aug = [list(r) + [bv] for r, bv in zip(arows, bvec)]
+    aug, pivots = _rref_rows(aug, ncols)
+    # inconsistent iff a pivot appears in the augmented column
+    npiv = len(pivots)
+    for i in range(npiv, len(aug)):
+        if aug[i][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for j, p in enumerate(pivots):
+        x[p] = aug[j][ncols]
+    return tuple(x)
 
 
 # -- subspaces as `Fraction` reduced row-echelon bases ------------------------

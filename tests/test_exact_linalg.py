@@ -1,19 +1,23 @@
+import ast
 import copy
+import importlib.util
 import pickle
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanbranch.exact_linalg import (
     RationalMatrix,
     SubspaceBasis,
     _cancel,
+    _cleared_rows,
     _int_echelon,
     _row_hnf_transform,
     annihilator,
@@ -22,12 +26,9 @@ from fanbranch.exact_linalg import (
     integer_kernel,
     integer_solve,
     intersect,
-    left_nullspace,
     nullspace_of_int_rows,
     primitive,
-    rank,
     rank_of_int_rows,
-    right_nullspace,
     rref,
     solve_linear,
     span,
@@ -35,7 +36,7 @@ from fanbranch.exact_linalg import (
 )
 from fanbranch.pl_group import per_cell_system
 
-from conftest import stellar_covers
+from conftest import reference_rref, reference_solve_linear, stellar_covers
 
 # The 12x12 constraint matrix of the degree-2 computation on the Fulton-type
 # fan, copied verbatim; rank 9 and a 3-dimensional kernel are fixed values.
@@ -109,24 +110,24 @@ class TestRref:
     def test_random_rank_against_minor_oracle(self):
         rng = random.Random(20240531)
         for _ in range(8):
-            entries = [[Fraction(rng.randint(-3, 3)) for _ in range(7)] for _ in range(5)]
-            assert rank(RationalMatrix(entries)) == rank_by_minors(entries)
+            entries = [[rng.randint(-3, 3) for _ in range(7)] for _ in range(5)]
+            assert rank_of_int_rows(entries, 7) == rank_by_minors(entries)
 
 
 class TestNullspaces:
     def test_fulton_matrix_kernel_is_three_dimensional(self):
         m = RationalMatrix(FULTON_12x12)
-        basis = right_nullspace(m)
+        basis = nullspace_of_int_rows(FULTON_12x12, 12)
         assert len(basis) == 3
         for v in basis:
             assert all(x == 0 for x in m.mul_vector(v))
 
     def test_identity_kernel_empty(self):
-        assert right_nullspace(RationalMatrix.identity(4)) == []
-        assert left_nullspace(RationalMatrix.identity(4)) == []
+        identity = [[int(i == j) for j in range(4)] for i in range(4)]
+        assert nullspace_of_int_rows(identity, 4) == []
 
     def test_row_of_ones(self):
-        basis = right_nullspace(RationalMatrix([[1, 1, 1]]))
+        basis = nullspace_of_int_rows([[1, 1, 1]], 3)
         assert len(basis) == 2
         for v in basis:
             assert sum(v) == 0
@@ -136,24 +137,24 @@ class TestNullspaces:
         for _ in range(25):
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 6)
-            m = RationalMatrix([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
-            assert rank(m) + len(right_nullspace(m)) == cols
+            m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            assert rank_of_int_rows(m, cols) + len(nullspace_of_int_rows(m, cols)) == cols
 
     def test_ray_relation_of_fulton_cone(self):
         # generating relation among the four rays of the first maximal cone
-        m = RationalMatrix(FULTON_RAYS)
-        basis = left_nullspace(m)
+        # the left kernel of the rays is the kernel of their transpose
+        basis = nullspace_of_int_rows([list(col) for col in zip(*FULTON_RAYS)], 4)
         assert basis == [(2, -4, 3, -5)]
 
     def test_left_nullspace_generic_3x2(self):
         m = RationalMatrix([[1, 0], [0, 1], [2, 3]])
-        basis = left_nullspace(m)
+        basis = nullspace_of_int_rows([[1, 0, 2], [0, 1, 3]], 3)
         assert len(basis) == 1
         c = basis[0]
         assert all(x == 0 for x in m.transpose().mul_vector(c))
 
     def test_normalization(self):
-        basis = right_nullspace(RationalMatrix([[Fraction(1, 2), Fraction(1, 3)]]))
+        basis = nullspace_of_int_rows(_cleared_rows([[Fraction(1, 2), Fraction(1, 3)]]), 2)
         assert len(basis) == 1
         v = basis[0]
         assert all(isinstance(x, int) for x in v)
@@ -176,7 +177,7 @@ class TestIntegerKernel:
         for _ in range(15):
             m = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]
             basis = integer_kernel(m)
-            rat = right_nullspace(RationalMatrix(m))
+            rat = nullspace_of_int_rows(m, 4)
             assert len(basis) == len(rat)
             for v in basis:
                 assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
@@ -198,7 +199,7 @@ class TestIntegerKernel:
         m = [[1, 2, 3, 4], [0, 5, 0, 5]]
         basis = integer_kernel(m)
         # 5*(rational solution) must decompose integrally over the basis
-        rat = right_nullspace(RationalMatrix(m))
+        rat = nullspace_of_int_rows(m, 4)
         for v in rat:
             sol = integer_solve([list(col) for col in zip(*basis)], v)
             assert sol is not None
@@ -250,7 +251,7 @@ class TestSubspaces:
             if a.dim and b.dim:
                 stacked = [list(ar) + [-x for x in br] for ar, br in
                            zip([list(r) for r in zip(*a.basis)], [list(r) for r in zip(*b.basis)])]
-                pairs = right_nullspace(RationalMatrix(stacked))
+                pairs = nullspace_of_int_rows(_cleared_rows(stacked), len(stacked[0]))
                 got = intersect(a, b).dim
                 expect = span(
                     [tuple(sum(Fraction(p[i]) * Fraction(x) for i, x in enumerate(col)) for col in zip(*a.basis))
@@ -323,6 +324,76 @@ class TestSolvers:
         assert h1 == h2 == [(2, 0), (0, 2)]
 
 
+class TestRefusals:
+    """A non-integral entry or a ragged row is refused, naming it; before,
+    `int` truncated each entry and `zip` cut each row to the shortest."""
+
+    def test_integer_solve_refuses_a_fraction(self):
+        with pytest.raises(ValueError, match=re.escape("matrix row 0 has entry Fraction(3, 2), not an integer")):
+            integer_solve([[Fraction(3, 2)]], [1])
+
+    def test_integer_kernel_refuses_a_fraction(self):
+        with pytest.raises(ValueError, match=re.escape("matrix row 0 has entry Fraction(1, 2), not an integer")):
+            integer_kernel([[Fraction(1, 2), 1]])
+
+    def test_hermite_normal_form_refuses_a_float(self):
+        with pytest.raises(ValueError, match=re.escape("matrix row 1 has entry 0.5, not an integer")):
+            hermite_normal_form([[1, 0], [0.5, 1]])
+
+    def test_ragged_rows_refused(self):
+        for call in (lambda: integer_kernel([[1, 2], [1]]), lambda: integer_solve([[1, 2], [1]], [0, 0]),
+                     lambda: hermite_normal_form([[1, 2], [1]])):
+            with pytest.raises(ValueError, match="matrix row 1 has 1 entries, row 0 has 2"):
+                call()
+        with pytest.raises(ValueError, match="matrix row 1 has 2 entries, row 0 has 1"):
+            solve_linear([[1], [1, 2]], [1, 2])
+
+    def test_integer_solve_refuses_a_short_right_hand_side(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 rows, 1 right-hand sides"):
+            integer_solve([[1, 0], [0, 1]], [1])
+
+    def test_integral_fractions_pass(self):
+        assert integer_solve([[Fraction(2), 0], [0, Fraction(6, 2)]], [4, 9]) == (2, 3)
+        assert integer_kernel([[Fraction(2), Fraction(-2)]]) == [(1, 1)]
+        assert hermite_normal_form([[Fraction(4, 2), 4], [2, 2]]) == [(2, 0), (0, 2)]
+
+
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def linear_systems(draw):
+    """[A | b] over Q: A of 0-6 columns, with rows that combine earlier ones
+    (so A may be rank-deficient), and b either A.x or drawn freely (so the
+    system may be inconsistent)."""
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(small_fractions, min_size=n, max_size=n), max_size=5))
+    for coeffs in draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)),
+                                max_size=3 if rows else 0)):
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)])
+    if draw(st.booleans()):
+        x = draw(st.lists(small_fractions, min_size=n, max_size=n))
+        b = [sum(a * y for a, y in zip(row, x)) for row in rows]
+    else:
+        b = draw(st.lists(small_fractions, min_size=len(rows), max_size=len(rows)))
+    return rows, b
+
+
+@given(linear_systems())
+@example(([], []))
+@example(([[]], [1]))
+@example(([[0, 0], [0, 0]], [0, 0]))
+@example(([[0, 0], [0, 0]], [0, 1]))
+@example(([[1, 2], [2, 4]], [1, 3]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_rref_and_solve_linear_equal_the_fraction_gauss_jordan(case):
+    rows, b = case
+    m = RationalMatrix(rows)
+    (red, r), (want, want_r) = rref(m), reference_rref(m)
+    assert (repr(red.entries), r) == (repr(want.entries), want_r)
+    assert repr(solve_linear(rows, b)) == repr(reference_solve_linear(rows, b))
+
+
 @given(
     st.integers(1, 7).flatmap(
         lambda n: st.tuples(
@@ -388,7 +459,7 @@ def kernel_off_rref(m: RationalMatrix) -> list[tuple[int, ...]]:
     """Kernel read off the reduced form: for each free column, 1 there and
     minus that column's entry of each row at the row's pivot; primitive,
     first nonzero entry positive."""
-    red, r = rref(m)
+    red, r = reference_rref(m)
     pivots = [next(k for k, x in enumerate(row) if x) for row in red.entries[:r]]
     out = []
     for free in range(m.cols):
@@ -406,8 +477,9 @@ def kernel_off_rref(m: RationalMatrix) -> list[tuple[int, ...]]:
 @given(rational_matrices)
 @settings(max_examples=200, deadline=None)
 def test_right_nullspace_and_rank_read_off_rref(m):
-    assert right_nullspace(m) == kernel_off_rref(m)
-    assert rank(m) == rref(m)[1]
+    rows = _cleared_rows(m.entries)
+    assert nullspace_of_int_rows(rows, m.cols) == kernel_off_rref(m)
+    assert rank_of_int_rows(rows, m.cols) == reference_rref(m)[1]
 
 
 @given(rational_matrices)
@@ -430,7 +502,7 @@ def test_independent_rows_raise_the_rank_of_their_prefix(case):
     vectors, ncols = case
 
     def prefix_rank(k):
-        return rref(RationalMatrix(vectors[:k]))[1] if k else 0
+        return reference_rref(RationalMatrix(vectors[:k]))[1] if k else 0
 
     raising = [i for i in range(len(vectors)) if prefix_rank(i + 1) > prefix_rank(i)]
     assert independent_rows(vectors, ncols) == raising
@@ -557,3 +629,37 @@ def test_cancel_equals_the_folded_gcd(case):
     prow[c] = prow[c] or 1
     for r in (row, [k * x for x in prow]):
         assert _cancel(r, prow, c) == reference_cancel(r, prow, c)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public names of `exact_linalg` kept with no caller in the repository's
+# code, and why: the traced ones are timed by name in perfbench, and these
+# are the documented subspace and matrix API.
+UNCALLED_API = {"span", "intersect", "RationalMatrix"}
+
+
+def _traced_linalg_names() -> set[str]:
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return set(tracer.TRACED["exact_linalg"])
+
+
+def test_every_public_linalg_function_has_a_caller():
+    """Each public function or class of `exact_linalg` is read by name (not
+    only imported) somewhere in `src/`, `scripts/` or `perfbench/` outside
+    the module itself, or is on the allowlist: so a wrapper that nothing
+    calls does not come back."""
+    tree = ast.parse((ROOT / "src" / "fanbranch" / "exact_linalg.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    used = set()
+    for path in chain.from_iterable((ROOT / d).rglob("*.py") for d in ("src", "scripts", "perfbench")):
+        if path.name != "exact_linalg.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert sorted(public - used - UNCALLED_API - _traced_linalg_names()) == []

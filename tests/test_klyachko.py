@@ -2,6 +2,7 @@ import copy
 import importlib
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -25,7 +26,6 @@ from fanbranch.exact_linalg import (
     integer_solve,
     intersect,
     rank_of_int_rows,
-    solve_linear,
 )
 from fanbranch.fan_core import BUNDLED_FANS, fan_from_data, load_fan
 from fanbranch.klyachko import (
@@ -66,6 +66,7 @@ from conftest import (
     reference_branched_cover_of,
     reference_dual,
     reference_face_agreement,
+    reference_solve_linear,
     reference_subspace_basis,
     reference_verify,
 )
@@ -98,6 +99,22 @@ def test_loaded_bundle_copies_and_pickles(name, clone):
     assert got_cert.entries == cert.entries
     assert bundle_to_dict(got_data, got_cert) == bundle_to_dict(data, cert)
     assert verify(got_data, got_cert) == verify(data, cert)
+    assert got_data == data and data == got_data
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_BUNDLES))
+def test_bundle_equality_reads_the_fan_by_rays_and_cones(name):
+    data, _ = load_bundle(name)
+    renamed = copy.deepcopy(data)
+    renamed.fan.name = "renamed"
+    assert renamed == data
+    cones = copy.deepcopy(data)
+    cones.fan.max_cones = (cones.fan.max_cones[1],) + cones.fan.max_cones[1:]
+    assert cones != data
+    moved = copy.deepcopy(data)
+    f = moved.filtrations[0]
+    moved.filtrations[0] = Filtration(f.ambient_dim, [(t + 1, s) for t, s in f.steps])
+    assert moved != data
 
 
 class TestFiltration:
@@ -379,8 +396,9 @@ def drop_multiset(f: Filtration) -> list[tuple[int, int]]:
 
 
 def reference_necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
-    """The screen with one `solve_linear` and one `integer_solve` per
-    threshold combination and dimensions from `Fraction` intersections."""
+    """The screen with one `Fraction` Gauss-Jordan solve and one
+    `integer_solve` per threshold combination and dimensions from `Fraction`
+    intersections."""
     fan = data.fan
     r = data.rank
     full = SubspaceBasis(r, [[int(j == i) for j in range(r)] for i in range(r)])
@@ -393,7 +411,7 @@ def reference_necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
         grid = list(product(*threshold_sets))
         candidates = sorted(
             combo for combo in grid
-            if solve_linear(ray_matrix, combo) is not None
+            if reference_solve_linear(ray_matrix, combo) is not None
             and integer_solve(ray_matrix, combo) is not None
         )
         drops = [dict(drop_multiset(f)) for f in filts]
@@ -432,7 +450,7 @@ def reference_necessary_dimension_check(data: KlyachkoData) -> NecessityReport:
         counts: dict = {}
         for combo in solution:
             # the unique solution of a full-dimensional cone, else an integral one
-            key = solve_linear(ray_matrix, combo)
+            key = reference_solve_linear(ray_matrix, combo)
             if rank_of_int_rows(ray_matrix, fan.rank) < fan.rank:
                 key = tuple(Fraction(x) for x in integer_solve(ray_matrix, combo))
             counts[key] = counts.get(key, 0) + 1
@@ -679,6 +697,16 @@ class TestPullbackInterpolationFlag:
         for ray in range(4):
             image = square.rays[ray][0]
             assert pb.filtrations[ray].thresholds() == [support((image,))]
+
+    def test_non_integral_lattice_map_refused(self, p2_bundle):
+        data, cert = p2_bundle
+        with pytest.raises(KlyachkoError, match=re.escape(
+                "lattice map row 1 has entry Fraction(1, 2), not an integer")):
+            pullback(data, [[1, 0], [0, Fraction(1, 2)]], data.fan, cert)
+        with pytest.raises(KlyachkoError, match="lattice map row 1 has 1 entries, row 0 has 2"):
+            pullback(data, [[1, 0], [1]], data.fan, cert)
+        integral = pullback(data, [[Fraction(1), 0], [0, Fraction(2, 2)]], data.fan, cert)
+        assert integral.filtrations == data.filtrations
 
     def test_incompatible_projection_rejected(self):
         data, cert = load_bundle("p2_tangent")
@@ -1238,6 +1266,15 @@ class TestDirectSum:
             for u, m in cd_data.multisets[pos] + cd_line.multisets[pos]:
                 merged[u] = merged.get(u, 0) + m
             assert cd_total.multisets[pos] == tuple(sorted(merged.items()))
+
+    def test_non_integral_functional_refused(self):
+        fan = load_fan("eikelberg")
+        with pytest.raises(KlyachkoError, match=re.escape(
+                "functional row 0 has entry Fraction(1, 2), not an integer")):
+            line_bundle(fan, (Fraction(1, 2), 0, 0))
+        data, cert = line_bundle(fan, (Fraction(4, 2), 0, -1))
+        want, want_cert = line_bundle(fan, (2, 0, -1))
+        assert data == want and cert.entries == want_cert.entries
 
     def test_dual_commutes_with_direct_sum(self):
         rng = random.Random(7)

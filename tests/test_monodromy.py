@@ -220,6 +220,27 @@ class TestRayMonodromy:
         with pytest.raises(ValueError, match="parity"):
             assignment_for_branch_set(fulton, [0])
 
+    @pytest.mark.parametrize("name", ["fulton", "sigma_prime", "eikelberg"])
+    def test_branch_set_solve_inverts_branch_rays(self, name):
+        # the solve is unique, so every degree-2 assignment is recovered from
+        # its branch set, and so is every even ray subset; an odd one is refused
+        fan = load_fan(name)
+        tree = spanning_tree(fan)
+        for i in range(count_assignments(fan, 2)):
+            a = assignment_at(fan, 2, i, tree)
+            assert assignment_for_branch_set(fan, branch_rays(fan, a, tree), tree).perms == a.perms
+        rays = range(len(fan.rays))
+        for k in range(len(fan.rays) + 1):
+            for subset in combinations(rays, k):
+                if k % 2:
+                    with pytest.raises(ValueError) as refused:
+                        assignment_for_branch_set(fan, list(subset), tree)
+                    assert str(refused.value) == (
+                        "no degree-2 cover has that branch set (parity obstruction)")
+                else:
+                    a = assignment_for_branch_set(fan, list(subset), tree)
+                    assert branch_rays(fan, a, tree) == list(subset)
+
 
 class TestCanonicalClass:
     def test_degree2_identity_map(self, fulton):

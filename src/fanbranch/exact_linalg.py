@@ -84,9 +84,6 @@ class RationalMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.entries)) if self.entries else [])
-
     def mul_vector(self, v) -> Vector:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
@@ -257,11 +254,15 @@ def _cleared_rows(rows) -> list[list[int]]:
 
 def _integer_rows(rows, what: str = "matrix", error=ValueError) -> list[list[int]]:
     """`rows` as lists of ints of one length.  An entry is taken when `int`
-    keeps its value, as for an integral `Fraction`; a non-integral entry or
-    a row of another length is refused with `error`, naming it."""
+    keeps its value, as for an integral `Fraction`; an entry that `int`
+    changes or cannot take (1/2, nan, None), or a row of another length, is
+    refused with `error`, naming the row."""
     out = []
     for i, row in enumerate(map(list, rows)):
-        ints = [int(x) for x in row]
+        try:
+            ints = [int(x) for x in row]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{what} row {i} has an entry that int cannot take: {exc}") from None
         if ints != row:
             bad = next(x for a, x in zip(ints, row) if a != x)
             raise error(f"{what} row {i} has entry {bad!r}, not an integer")

@@ -871,7 +871,7 @@ def direct_sum(a: KlyachkoData, b: KlyachkoData,
 def line_bundle(fan: Fan, functional) -> tuple[KlyachkoData, SplittingCertificate]:
     """The rank-1 bundle of a global linear functional (trivial line bundle
     twisted by the character)."""
-    (u,) = map(tuple, _integer_rows([functional], "functional", KlyachkoError))
+    u = tuple(_integer_rows([functional], "functional", KlyachkoError)[0])
     full = _full_space(1)
     filtrations = {}
     for ray in range(len(fan.rays)):

@@ -582,14 +582,14 @@ class TestWallRelation:
         rels = wall_relation(fulton, 2)
         assert len(rels) == 1
         gens = [fulton.rays[i] for i in fulton.max_cones[2].ray_indices]
-        m = RationalMatrix(gens).transpose()
+        m = RationalMatrix(list(zip(*gens)))
         assert all(x == 0 for x in m.mul_vector(rels[0]))
 
     def test_all_relations_annihilate(self, fulton, sigma_prime):
         for fan in (fulton, sigma_prime):
             for i in range(len(fan.max_cones)):
                 gens = [fan.rays[j] for j in fan.max_cones[i].ray_indices]
-                m = RationalMatrix(gens).transpose()
+                m = RationalMatrix(list(zip(*gens)))
                 for rel in wall_relation(fan, i):
                     assert all(x == 0 for x in m.mul_vector(rel))
 

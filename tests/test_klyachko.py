@@ -1272,6 +1272,8 @@ class TestDirectSum:
         with pytest.raises(KlyachkoError, match=re.escape(
                 "functional row 0 has entry Fraction(1, 2), not an integer")):
             line_bundle(fan, (Fraction(1, 2), 0, 0))
+        with pytest.raises(KlyachkoError, match="functional row 0 has an entry that int cannot take"):
+            line_bundle(fan, (0, None, 0))
         data, cert = line_bundle(fan, (Fraction(4, 2), 0, -1))
         want, want_cert = line_bundle(fan, (2, 0, -1))
         assert data == want and cert.entries == want_cert.entries

@@ -42,7 +42,6 @@ from fanbranch.pl_group import (
     group_triviality,
     is_trivial_function,
     multisets,
-    per_cell_system,
     ray_value_system,
     solve,
     wedge_summands,

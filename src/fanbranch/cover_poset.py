@@ -89,6 +89,7 @@ class CoverPoset:
         for i, c in enumerate(self.cells):
             by_base.setdefault(c.base, []).append(i)
         self.by_base = by_base
+        self._derived: dict = {}  # what other modules derive from it: `fan_core.derived`
         seen = set()
         for c in self.cells:
             key = (c.base, c.copy)

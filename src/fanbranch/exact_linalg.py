@@ -18,7 +18,7 @@ Which routine answers which question:
   `_primitive_rref` (back-substitution, then primitive rows): `rref`,
   `solve_linear`, every `SubspaceBasis` (`subspace_sum`, `annihilator`)
   and the inverse of a maximal cone's rays, read off [V | I]
-  (`pl_group._lifts`, the Klyachko screen's `_cone_elimination`);
+  (`pl_group._lifts`, the Klyachko screen's `_cone_eliminations`);
 * one Hermite loop, `_row_hnf`, for every lattice question:
   `hermite_normal_form`, `integer_solve` (its transform, from [A | I],
   `_row_hnf_transform`), and the duality step of `_saturate`, which gives
@@ -83,15 +83,6 @@ class RationalMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
-    def mul_vector(self, v) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, int]:
@@ -509,24 +500,17 @@ class SubspaceBasis:
         rows = "; ".join("(" + ", ".join(str(x) for x in r) + ")" for r in self.basis)
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient_dim}: {rows})"
 
-    def _spans(self, vec) -> bool:
-        """Whether the integer vector `vec` lies in the subspace: cancelled
-        against each row at its pivot, it vanishes."""
-        for row, p in zip(self.rows, _pivots(self.rows)):
-            if vec[p]:
-                vec = _cancel(vec, row, p)
-        return not any(vec)
-
-    def contains(self, v) -> bool:
-        vec = [Fraction(x) for x in v]
-        if len(vec) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return self._spans(_cleared_rows([vec])[0])
-
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self._spans(r) for r in other.rows)
+        pivots = _pivots(self.rows)
+        for vec in other.rows:  # in the subspace iff cancelled at each pivot, it vanishes
+            for row, p in zip(self.rows, pivots):
+                if vec[p]:
+                    vec = _cancel(vec, row, p)
+            if any(vec):
+                return False
+        return True
 
 
 def _pivot_entries(rows) -> list[int]:

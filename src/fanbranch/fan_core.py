@@ -2,13 +2,12 @@
 
 A fan is stored combinatorially: a table of primitive ray generators plus the
 ray-index sets of its maximal cones.  The full face poset, walls and the
-dual graph are derived at construction time by exact arithmetic;
-completeness and ray links are derived from them on first use.  The face
+dual graph are derived at construction time by exact arithmetic.  The face
 tables (each cone's faces and cofaces, as bitmasks over cone ids) are
 derived once in `Fan.__init__` from the ray-to-cone incidence, so
-`Fan.is_face` is a lookup.  `Fan.face_ids` and `Fan.coface_ids` are
-lookups too: the masks are decoded into tuples of ids once per fan, on the
-first call.
+`Fan.is_face` is a lookup.  Every other constant of a fan (the decoded face
+ids, completeness, ray links, wall relations, and those of other modules)
+is built on first use and kept in the fan's one store, `derived`.
 
 Faces come from facet normals: every face of a cone is the whole cone or an
 intersection of facets, and each facet normal is the one-dimensional kernel
@@ -335,19 +334,12 @@ class Fan:
                          if j in self._max_positions))
             for w in self.walls
         )
-        self._complete: bool | None = None
-        self._ray_links: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] | None = None
-        self._automorphisms: tuple | None = None
-        self._max_relations: dict[int, tuple] = {}
-        self._tree_tables: dict[tuple, object] = {}  # see monodromy._record_tables
-        self._face_ids: tuple[tuple[int, ...], ...] | None = None
-        self._coface_ids: tuple[tuple[int, ...], ...] | None = None
+        self._derived: dict = {}  # builder -> what it built, see `derived`
 
     def __getstate__(self) -> dict:
-        """The fan's state for pickles and copies, without the record tables
-        of `_tree_tables`: they fill through local functions, which do not
-        pickle, and the next record on the copy builds them again."""
-        return {**self.__dict__, "_tree_tables": {}}
+        """The fan's state for pickles and copies, with an empty store, which
+        may hold local functions (the sweep's record tables): they do not pickle."""
+        return {**self.__dict__, "_derived": {}}
 
     # -- basic queries ------------------------------------------------------
 
@@ -376,15 +368,11 @@ class Fan:
 
     def face_ids(self, cone_id: int) -> tuple[int, ...]:
         """Ids of all faces of the cone, itself included, ascending."""
-        if self._face_ids is None:
-            self._face_ids = tuple(map(_bit_positions, self.faces))
-        return self._face_ids[cone_id]
+        return derived(self, _id_tables)[0][cone_id]
 
     def coface_ids(self, cone_id: int) -> tuple[int, ...]:
         """Ids of all cones having the cone as a face, itself included, ascending."""
-        if self._coface_ids is None:
-            self._coface_ids = tuple(map(_bit_positions, self.cofaces))
-        return self._coface_ids[cone_id]
+        return derived(self, _id_tables)[1][cone_id]
 
     def is_face(self, small_id: int, big_id: int) -> bool:
         return self.faces[big_id] >> small_id & 1 == 1
@@ -404,6 +392,22 @@ class Fan:
             if len(cs) == 2:
                 out.append((w, cs[0], cs[1]))
         return out
+
+
+def derived(owner, build):
+    """`build(owner)`, built once and kept in `owner._derived`: the one store
+    of what follows from a fan, or a cover, alone.  Keys are private
+    builders, which a tracer never rebinds; a build that raises keeps nothing."""
+    try:
+        return owner._derived[build]
+    except KeyError:
+        value = owner._derived[build] = build(owner)
+        return value
+
+
+def _id_tables(fan: Fan) -> tuple:
+    """Per cone, its face ids, and per cone, its coface ids."""
+    return tuple(map(_bit_positions, fan.faces)), tuple(map(_bit_positions, fan.cofaces))
 
 
 def _validate_rays(rank, rays):
@@ -637,15 +641,11 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
 # ---------------------------------------------------------------------------
 
 
-def _build_ray_links(fan: Fan) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+def _link_cycles(fan: Fan) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
     links = {}
     for ray in range(len(fan.rays)):
         carriers = fan.cones_containing_ray(ray)
-        walls_here = [
-            w
-            for w, wid in enumerate(fan.walls)
-            if ray in fan.cones[wid].ray_indices
-        ]
+        walls_here = [w for w, wid in enumerate(fan.walls) if ray in fan.cones[wid].ray_indices]
         incident = {c: [] for c in carriers}
         for w in walls_here:
             for c in fan.wall_cones[w]:
@@ -692,16 +692,15 @@ def is_complete(fan: Fan) -> bool:
     is any boundary point and w the ray through it; in rank 1 the one wall
     is the origin, and its two maximal cones are the two half-lines.
     """
-    if fan._complete is not None:
-        return fan._complete
+    return derived(fan, _fills_space)
+
+
+def _fills_space(fan: Fan) -> bool:
     if fan.rank > 3:
         raise FanError("completeness check requires rank <= 3")
-    fan._complete = (
-        bool(fan.max_cones)
-        and all(c.dim == fan.rank for c in fan.max_cones)
-        and all(len(cs) == 2 for cs in fan.wall_cones)
-    )
-    return fan._complete
+    return (bool(fan.max_cones)
+            and all(c.dim == fan.rank for c in fan.max_cones)
+            and all(len(cs) == 2 for cs in fan.wall_cones))
 
 
 def ray_link(fan: Fan, ray_index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -713,9 +712,7 @@ def ray_link(fan: Fan, ray_index: int) -> tuple[tuple[int, ...], tuple[int, ...]
     """
     if fan.rank != 3 or not is_complete(fan):
         raise FanError("ray links require a complete rank-3 fan")
-    if fan._ray_links is None:
-        fan._ray_links = _build_ray_links(fan)
-    return fan._ray_links[ray_index]
+    return derived(fan, _link_cycles)[ray_index]
 
 
 # ---------------------------------------------------------------------------
@@ -729,16 +726,19 @@ def wall_relation(fan: Fan, max_cone_position: int) -> list[IntVector]:
     Returns the left kernel of the generator matrix, one primitive integer
     vector per excess ray (k rays in rank 3 give k-3 relations).
     """
-    cached = fan._max_relations.get(max_cone_position)
-    if cached is not None:
-        return list(cached)
-    cone = fan.max_cones[max_cone_position]
-    if cone.dim != fan.rank:
+    relations = derived(fan, _wall_relations)[max_cone_position]
+    if relations is None:
         raise FanError("wall relations are defined for full-dimensional maximal cones")
-    rel = nullspace_of_int_rows(list(zip(*(fan.rays[i] for i in cone.ray_indices))),
-                                len(cone.ray_indices))
-    fan._max_relations[max_cone_position] = tuple(rel)
-    return rel
+    return list(relations)
+
+
+def _wall_relations(fan: Fan) -> tuple:
+    """Per maximal cone, its relations, or None if it is not full-dimensional."""
+    return tuple(
+        tuple(nullspace_of_int_rows(list(zip(*(fan.rays[i] for i in cone.ray_indices))),
+                                    len(cone.ray_indices)))
+        if cone.dim == fan.rank else None
+        for cone in fan.max_cones)
 
 
 def stellar_subdivision(fan: Fan, position: int) -> Fan:
@@ -761,18 +761,16 @@ def stellar_subdivision(fan: Fan, position: int) -> Fan:
 
 def combinatorial_automorphisms(fan: Fan) -> tuple[tuple[int, ...], ...]:
     """Ray permutations preserving the set of maximal cones (brute force)."""
-    if fan._automorphisms is not None:
-        return fan._automorphisms
+    return derived(fan, _ray_symmetries)
+
+
+def _ray_symmetries(fan: Fan) -> tuple[tuple[int, ...], ...]:
     n = len(fan.rays)
     if n > 10:
         raise FanError("automorphism search is limited to fans with at most 10 rays")
     cone_sets = {frozenset(c.ray_indices) for c in fan.max_cones}
-    autos = []
-    for perm in permutations(range(n)):
-        if {frozenset(perm[i] for i in s) for s in cone_sets} == cone_sets:
-            autos.append(perm)
-    fan._automorphisms = tuple(autos)
-    return fan._automorphisms
+    return tuple(perm for perm in permutations(range(n))
+                 if {frozenset(perm[i] for i in s) for s in cone_sets} == cone_sets)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ annihilator, read off the stored rows with no elimination
 (`_annihilators`): a rank for a sum or an intersection, a zero pairing for
 an inclusion.  No subspace sum or intersection is built; the proofs are in
 the docstrings.  The screen's elimination of each cone's rays is a
-constant of the fan and is cached on it.
+constant of the fan, kept in its store (`fan_core.derived`).
 
 The associated branched cover glues one cell per restricted functional class
 over every cone, weighted by multiplicity, and carries the tautological
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import lcm
 from operator import mul
 
@@ -47,8 +47,8 @@ from .exact_linalg import (
     rank_of_int_rows,
     subspace_sum,
 )
-from .fan_core import Fan, cone_contains_point, load_fan, read_json, read_rational
-from .pl_group import PLFunction, _fan_cache
+from .fan_core import Fan, cone_contains_point, derived, load_fan, read_json, read_rational
+from .pl_group import PLFunction
 
 
 class KlyachkoError(ValueError):
@@ -301,23 +301,23 @@ class NecessityReport:
         return self.status == "ok"
 
 
-def _cone_elimination(fan: Fan, pos: int):
-    """(V, pivots, den, T') of maximal cone `pos`, V its ray matrix, cached
-    on the fan like `pl_group._lifts`: of the reduced form of [V | I_m],
-    by `_primitive_rref`, the pivots in V's block and the right block T
-    times den as integers T', den the lcm of the rows' pivot entries."""
-    cache = _fan_cache(fan)
-    key = ("screen", pos)
-    if key not in cache:
-        ray_matrix = [list(fan.rays[ray]) for ray in fan.max_cones[pos].ray_indices]
-        m, n = len(ray_matrix), fan.rank
+def _cone_eliminations(fan: Fan) -> tuple:
+    """Per maximal cone, a constant of the fan: (V, pivots, den, T'), V its
+    ray matrix, of the reduced form of [V | I_m] by `_primitive_rref`, the
+    pivots in V's block and the right block T times den as integers T', den
+    the lcm of the rows' pivot entries."""
+    out = []
+    n = fan.rank
+    for cone in fan.max_cones:
+        ray_matrix = [list(fan.rays[ray]) for ray in cone.ray_indices]
+        m = len(ray_matrix)
         rows = _primitive_rref([v + [int(i == j) for j in range(m)]
                                 for i, v in enumerate(ray_matrix)], n + m)
         entries = _pivot_entries(rows)
         den = lcm(*entries)
         t = [[x * (den // a) for x in row[n:]] for row, a in zip(rows, entries)]
-        cache[key] = (ray_matrix, [p for p in _pivots(rows) if p < n], den, t)
-    return cache[key]
+        out.append((ray_matrix, [p for p in _pivots(rows) if p < n], den, t))
+    return tuple(out)
 
 
 def _integral_solutions(fan: Fan, pos: int, combos) -> dict:
@@ -326,7 +326,7 @@ def _integral_solutions(fan: Fan, pos: int, combos) -> dict:
     `Fraction`s): the only solution when V has full column rank, and
     `integer_solve`'s otherwise.
 
-    One reduced form of [V | I_m] serves every b (`_cone_elimination`): it
+    One reduced form of [V | I_m] serves every b (`_cone_eliminations`): it
     is [R | T] = T.[V | I_m], T invertible, so V.u = b iff R.u = T.b.  Its
     rows below the rank r of V are [0 | C], and C.V = 0 with C of rank
     m - r, so the system is consistent iff C.b = 0.  Row j < r then reads
@@ -336,7 +336,7 @@ def _integral_solutions(fan: Fan, pos: int, combos) -> dict:
     integral.  Otherwise `integer_solve` decides, as the solution with free
     variables 0 need not be integral.
     """
-    ray_matrix, pivots, den, t = _cone_elimination(fan, pos)
+    ray_matrix, pivots, den, t = derived(fan, _cone_eliminations)[pos]
     rank, n = len(pivots), fan.rank
     out = {}
     for b in combos:
@@ -574,19 +574,14 @@ def _positions(rays, face_rays) -> list[int]:
 def _shared_faces(fan: Fan) -> tuple:
     """(a, b, positions in a, positions in b) of the rays that maximal cones
     a < b share, for each pair that shares one.  A constant of the fan,
-    cached on it like `_cone_elimination`."""
-    cache = _fan_cache(fan)
-    if "shared faces" not in cache:
-        cones = fan.max_cones
-        shared = []
-        for a, ca in enumerate(cones):
-            for b in range(a + 1, len(cones)):
-                rb = cones[b].ray_indices
-                common = [ray for ray in ca.ray_indices if ray in rb]
-                if common:
-                    shared.append((a, b, _positions(ca.ray_indices, common), _positions(rb, common)))
-        cache["shared faces"] = tuple(shared)
-    return cache["shared faces"]
+    read through `derived`."""
+    shared = []
+    for (a, ca), (b, cb) in combinations(enumerate(fan.max_cones), 2):
+        common = [ray for ray in ca.ray_indices if ray in cb.ray_indices]
+        if common:
+            shared.append((a, b, _positions(ca.ray_indices, common),
+                           _positions(cb.ray_indices, common)))
+    return tuple(shared)
 
 
 def _lattice_point(pos: int, u) -> tuple[int, ...]:
@@ -642,19 +637,13 @@ class ChernData:
             raise KlyachkoError("multiset sizes differ between cones")
         (self.rank,) = ranks
         rays = fan.rays
-        self._tables = tuple(
+        tables = self._tables = tuple(
             tuple((tuple([sum(map(mul, u, rays[ray])) for ray in cone.ray_indices]), m)
                   for u, m in self.multisets[pos])
             for pos, cone in enumerate(fan.max_cones))
-        self._check_face_agreement()
-
-    def _check_face_agreement(self):
-        tables = self._tables
-        for a, b, at_a, at_b in _shared_faces(self.fan):
+        for a, b, at_a, at_b in derived(fan, _shared_faces):
             if _restriction(tables[a], at_a) != _restriction(tables[b], at_b):
-                raise KlyachkoError(
-                    f"multisets of cones {a} and {b} disagree on their shared face"
-                )
+                raise KlyachkoError(f"multisets of cones {a} and {b} disagree on their shared face")
 
     def c1(self, pos: int):
         ms = self.multisets[pos]
@@ -721,32 +710,29 @@ def _cover_plan(fan: Fan) -> tuple:
     """Per cone: the position of its first carrier (the maximal cone of
     least id having it as a face), the cone's ray positions in that
     carrier, and each proper face as (id, its ray positions in the cone).
-    A constant of the fan, cached on it like `_cone_elimination`.
+    A constant of the fan, read through `derived`.
 
     A fan with a ray in no full-dimensional maximal cone is refused, naming
     a maximal cone of lower dimension through that ray: the tautological
     function is defined on the full-dimensional cones only, so it would
     have no value at that ray."""
-    cache = _fan_cache(fan)
-    if "cover plan" not in cache:
-        n = fan.rank
-        covered = {ray for cone in fan.max_cones if cone.dim == n for ray in cone.ray_indices}
-        for pos, cone in enumerate(fan.max_cones):
-            for ray in (ray for ray in cone.ray_indices if ray not in covered):
-                raise KlyachkoError(f"maximal cone {pos} has dimension {cone.dim} < {n}, and its "
-                                    f"ray {ray} lies in no maximal cone of dimension {n}, where "
-                                    "the tautological function is defined")
-        max_pos = fan._max_positions  # cone id -> position in fan.max_cones
-        plan = []
-        for cone_id, cone in enumerate(fan.cones):
-            carrier = next((max_pos[i] for i in fan.coface_ids(cone_id) if i in max_pos), None)
-            if carrier is None:
-                raise KlyachkoError(f"cone {cone_id} is not a face of any maximal cone")
-            plan.append((carrier, _positions(fan.max_cones[carrier].ray_indices, cone.ray_indices),
-                         [(fid, _positions(cone.ray_indices, fan.cones[fid].ray_indices))
-                          for fid in fan.face_ids(cone_id) if fid != cone_id]))
-        cache["cover plan"] = tuple(plan)
-    return cache["cover plan"]
+    n = fan.rank
+    covered = {ray for cone in fan.max_cones if cone.dim == n for ray in cone.ray_indices}
+    for pos, cone in enumerate(fan.max_cones):
+        for ray in (ray for ray in cone.ray_indices if ray not in covered):
+            raise KlyachkoError(f"maximal cone {pos} has dimension {cone.dim} < {n}, and its "
+                                f"ray {ray} lies in no maximal cone of dimension {n}, where "
+                                "the tautological function is defined")
+    max_pos = fan._max_positions  # cone id -> position in fan.max_cones
+    plan = []
+    for cone_id, cone in enumerate(fan.cones):
+        carrier = next((max_pos[i] for i in fan.coface_ids(cone_id) if i in max_pos), None)
+        if carrier is None:
+            raise KlyachkoError(f"cone {cone_id} is not a face of any maximal cone")
+        plan.append((carrier, _positions(fan.max_cones[carrier].ray_indices, cone.ray_indices),
+                     [(fid, _positions(cone.ray_indices, fan.cones[fid].ray_indices))
+                      for fid in fan.face_ids(cone_id) if fid != cone_id]))
+    return tuple(plan)
 
 
 def branched_cover_of(data_or_chern, cert: SplittingCertificate | None = None):
@@ -774,7 +760,7 @@ def branched_cover_of(data_or_chern, cert: SplittingCertificate | None = None):
     restriction of c's carrier to f, which equals that of f's carrier.
     """
     fan = data_or_chern.fan
-    plan = _cover_plan(fan)
+    plan = derived(fan, _cover_plan)
     if isinstance(data_or_chern, ChernData):
         cdata = data_or_chern
     else:

@@ -20,7 +20,7 @@ from operator import mul
 
 from .cover_poset import CoverCell, CoverPoset, components
 from .exact_linalg import integer_solve
-from .fan_core import Fan, FanError, is_complete, ray_link, wall_relation
+from .fan_core import Fan, FanError, derived, is_complete, ray_link, wall_relation
 
 
 class Permutation:
@@ -116,12 +116,16 @@ class DualSpanningTree:
 
 
 def spanning_tree(fan: Fan) -> DualSpanningTree:
-    """Deterministic BFS tree from the lowest-index maximal cone.
+    """Deterministic BFS tree from the lowest-index maximal cone, one per fan (`derived`).
 
     Incident walls are explored in wall-index order; non-tree walls, each
     oriented from its lower-indexed to its higher-indexed maximal cone, are
     the free generators of the covering monodromy.
     """
+    return derived(fan, _spanning_tree)
+
+
+def _spanning_tree(fan: Fan) -> DualSpanningTree:
     if fan.rank != 3 or not is_complete(fan):
         raise FanError(f"{fan.name or 'the fan'!r} has no monodromy covers: "
                        "spanning trees are built over complete rank-3 fans")
@@ -416,8 +420,8 @@ class _Ranks:
 
 @dataclass(frozen=True)
 class _RecordTables:
-    """What a record reads of a fan and its spanning tree, built once per
-    pair by `_record_tables`, so that no record walks the fan itself.
+    """What a record reads of a fan and of its spanning tree `tree`, built
+    once per fan by `_record_tables`, so that no record walks the fan itself.
 
     `walks[ray]` is the ray's link cycle as `ray_link` gives it, in three
     parts: per incident cone, its position and the ray's place among its
@@ -436,6 +440,7 @@ class _RecordTables:
     one that keeps none.
     """
 
+    tree: DualSpanningTree
     walks: tuple
     by_cell: tuple
     rays: tuple
@@ -509,29 +514,27 @@ class _RecordTables:
         return loop, entries, block
 
 
-def _record_tables(fan: Fan, tree: DualSpanningTree) -> _RecordTables:
-    key = (tree.root, tree.tree_walls, tree.nontree_walls)
-    tables = fan._tree_tables.get(key)
-    if tables is None:
-        slot = {w: g for g, w in enumerate(tree.nontree_walls)}
-        rays = tuple(c.ray_indices for c in fan.max_cones)
-        walks = []
-        for ray in range(len(fan.rays)):
-            cones, walls = ray_link(fan, ray)
-            crossed = tuple(dict.fromkeys(slot[w] for w in walls if w in slot))
-            steps = tuple(-1 if w not in slot else crossed.index(slot[w]) + len(crossed) * (
-                tree.orientations[w] != (a, b)) for w, a, b in zip(walls, cones, cones[1:] + cones))
-            walks.append((tuple((pos, rays[pos].index(ray)) for pos in cones), crossed, steps))
-        relations = tuple(tuple(wall_relation(fan, pos)) for pos in range(len(rays)))
-        tables = _RecordTables(
-            tuple(walks),
-            tuple(sorted(range(len(rays)), key=lambda pos: fan.cone_id(rays[pos]))),
-            rays,
-            relations,
-            tuple(accumulate(map(len, relations), initial=0)),
-        )
-        fan._tree_tables[key] = tables
-    return tables
+def _record_tables(fan: Fan) -> _RecordTables:
+    """The fan's `_RecordTables`, on its `spanning_tree`: a constant of the fan."""
+    tree = spanning_tree(fan)
+    slot = {w: g for g, w in enumerate(tree.nontree_walls)}
+    rays = tuple(c.ray_indices for c in fan.max_cones)
+    walks = []
+    for ray in range(len(fan.rays)):
+        cones, walls = ray_link(fan, ray)
+        crossed = tuple(dict.fromkeys(slot[w] for w in walls if w in slot))
+        steps = tuple(-1 if w not in slot else crossed.index(slot[w]) + len(crossed) * (
+            tree.orientations[w] != (a, b)) for w, a, b in zip(walls, cones, cones[1:] + cones))
+        walks.append((tuple((pos, rays[pos].index(ray)) for pos in cones), crossed, steps))
+    relations = tuple(tuple(wall_relation(fan, pos)) for pos in range(len(rays)))
+    return _RecordTables(
+        tree,
+        tuple(walks),
+        tuple(sorted(range(len(rays)), key=lambda pos: fan.cone_id(rays[pos]))),
+        rays,
+        relations,
+        tuple(accumulate(map(len, relations), initial=0)),
+    )
 
 
 @dataclass(frozen=True)
@@ -648,21 +651,25 @@ class RayOrbits:
 
 def orbits_at(fan: Fan, d: int, index: int, tree: DualSpanningTree | None = None) -> RayOrbits:
     """`ray_orbits` of `assignment_at(fan, d, index, tree)`, with no assignment built."""
-    tree = tree or spanning_tree(fan)
-    return _record_tables(fan, tree).orbits(d, _digits(index, factorial(_degree(d)), tree.generators))
+    tables = derived(fan, _record_tables)
+    if tree not in (tables.tree, None):
+        raise ValueError("the tree is not the fan's spanning tree")
+    return tables.orbits(d, _digits(index, factorial(_degree(d)), tables.tree.generators))
 
 
 def ray_orbits(fan: Fan, assignment: MonodromyAssignment,
                tree: DualSpanningTree | None = None) -> RayOrbits:
     """The cells over every ray of the assignment's cover, as `build_cover`
-    numbers them, from the fan's and tree's constants (`_record_tables`)."""
-    tree = tree or spanning_tree(fan)
-    if len(assignment.perms) != tree.generators:
+    numbers them, from the fan's constants (`_record_tables`), refusing a
+    `tree` other than the fan's `spanning_tree`, which they are built on."""
+    tables = derived(fan, _record_tables)
+    if tree not in (tables.tree, None):
+        raise ValueError("the tree is not the fan's spanning tree")
+    if len(assignment.perms) != tables.tree.generators:
         raise ValueError(
             f"assignment has {len(assignment.perms)} permutations, but the fan's"
-            f" spanning tree has {tree.generators} generators"
+            f" spanning tree has {tables.tree.generators} generators"
         )
-    tables = _record_tables(fan, tree)
     rank = tables.ranks[assignment.degree].rank
     return tables.orbits(assignment.degree, [rank[p.images] for p in assignment.perms])
 
@@ -726,6 +733,8 @@ def assignment_for_branch_set(fan: Fan, rays: list[int],
     target = set(rays)
     if not target <= set(range(nrays)):
         raise ValueError("branch ray index out of range")
+    for ray in (ray for i, ray in enumerate(rays) if ray in rays[:i]):
+        raise ValueError(f"branch ray {ray} is given twice")
     rows = []
     for ray in range(nrays):
         row = [0] * n + [2 * (i == ray) for i in range(nrays)]

@@ -46,7 +46,7 @@ from .exact_linalg import (
     independent_rows,
     rank_of_int_rows,
 )
-from .fan_core import cone_contains_point, is_complete, read_rational, wall_relation
+from .fan_core import cone_contains_point, derived, is_complete, read_rational, wall_relation
 from .monodromy import sheet_components
 
 
@@ -54,39 +54,28 @@ class PLError(ValueError):
     pass
 
 
-def _fan_cache(fan) -> dict:
-    cache = getattr(fan, "_pl_cache", None)
-    if cache is None:
-        cache = {}
-        fan._pl_cache = cache
-    return cache
-
-
 def _lifts(fan) -> tuple[int, list]:
     """(L, per maximal cone: the local positions of 3 independent rays and
-    L times the inverse of their matrix), cached per fan.  L is the lcm of
-    the inverses' denominators, so every lifted matrix is integral, and
-    u = lifted . z / L solves V.u = z on the chosen rays V.  The reduced
+    L times the inverse of their matrix), a constant of the fan.  L is the
+    lcm of the inverses' denominators, so every lifted matrix is integral,
+    and u = lifted . z / L solves V.u = z on the chosen rays V.  The reduced
     form of [V | I] is [I | V^-1], and `_primitive_rref` gives its row i
     times a_i, the lcm of the row's denominators, at column i: so L is the
     lcm of the a_i, and row i of L.V^-1 is the right block times L / a_i."""
-    cache = _fan_cache(fan)
-    if "lifts" not in cache:
-        n = fan.rank
-        inverses = []
-        for cone in fan.max_cones:
-            gens = [fan.rays[i] for i in cone.ray_indices]
-            chosen = independent_rows(gens, n)
-            if len(chosen) != n:
-                raise PLError("maximal cone is not full-dimensional")
-            rows = _primitive_rref([list(gens[c]) + [int(i == j) for j in range(n)]
-                                    for i, c in enumerate(chosen)], 2 * n)
-            inverses.append((tuple(chosen), rows))
-        big = lcm(*(row[i] for _, rows in inverses for i, row in enumerate(rows)))
-        cache["lifts"] = big, [
-            (chosen, tuple(tuple([x * (big // row[i]) for x in row[n:]]) for i, row in enumerate(rows)))
-            for chosen, rows in inverses]
-    return cache["lifts"]
+    n = fan.rank
+    inverses = []
+    for cone in fan.max_cones:
+        gens = [fan.rays[i] for i in cone.ray_indices]
+        chosen = independent_rows(gens, n)
+        if len(chosen) != n:
+            raise PLError("maximal cone is not full-dimensional")
+        rows = _primitive_rref([list(gens[c]) + [int(i == j) for j in range(n)]
+                                for i, c in enumerate(chosen)], 2 * n)
+        inverses.append((tuple(chosen), rows))
+    big = lcm(*(row[i] for _, rows in inverses for i, row in enumerate(rows)))
+    return big, [
+        (chosen, tuple(tuple([x * (big // row[i]) for x in row[n:]]) for i, row in enumerate(rows)))
+        for chosen, rows in inverses]
 
 
 def _kernel_keys(fan, cells, kernel: list[list[int]]) -> list[tuple[int, ...]]:
@@ -96,7 +85,7 @@ def _kernel_keys(fan, cells, kernel: list[list[int]]) -> list[tuple[int, ...]]:
     values become per-cell functionals."""
     if not kernel:
         return [()] * len(cells)
-    lifts = _lifts(fan)[1]
+    lifts = derived(fan, _lifts)[1]
     columns = list(zip(*kernel))
     keys = []
     # Tuples are built from lists, at their final length: tuple() of a
@@ -115,12 +104,9 @@ def _max_cell_geometry(cover: CoverPoset):
     in `cover.ray_cells` of the ray cell per base ray), the cells that
     `system_triviality` reads.
 
-    Cached on the cover; this is the bridge between poset cells and the base
-    cone geometry.
+    Read through `derived`, which keeps it in the cover's store; this is
+    the bridge between poset cells and the base cone geometry.
     """
-    cached = getattr(cover, "_plgeo", None)
-    if cached is not None:
-        return cached
     fan = cover.fan
     ray_of_cell = {r: (fan.cones[cover.cells[r].base].ray_indices[0], col)
                    for col, r in enumerate(cover.ray_cells)}
@@ -136,7 +122,6 @@ def _max_cell_geometry(cover: CoverPoset):
         if sorted(cols) != sorted(rays_needed):
             raise PLError(f"maximal cell {m} is missing ray cells")
         geo.append((m, pos, cover.cells[m].weight, [cols[r] for r in rays_needed]))
-    cover._plgeo = geo
     return geo
 
 
@@ -167,7 +152,7 @@ class PLFunction:
         fan = cover.fan
         zvars = cover.ray_cells
         rays: list = [None] * len(zvars)
-        for u, (_, pos, _, cols) in zip(cells, _max_cell_geometry(cover)):
+        for u, (_, pos, _, cols) in zip(cells, derived(cover, _max_cell_geometry)):
             for ray, c in zip(fan.max_cones[pos].ray_indices, cols):
                 val = sum(map(mul, u, fan.rays[ray]))
                 old = rays[c]
@@ -273,7 +258,7 @@ def _cone_counts(plf: PLFunction) -> list[dict]:
     """Per base maximal cone, the weights of its cells summed by numerator
     tuple: the multiset of functionals times the positive denominator."""
     counts: list[dict] = [{} for _ in plf.cover.fan.max_cones]
-    for u, (_, pos, weight, _) in zip(plf._cells, _max_cell_geometry(plf.cover)):
+    for u, (_, pos, weight, _) in zip(plf._cells, derived(plf.cover, _max_cell_geometry)):
         counts[pos][u] = counts[pos].get(u, 0) + weight
     return counts
 
@@ -325,7 +310,7 @@ def ray_value_system(cover: CoverPoset) -> tuple[list[list[int]], list[int]]:
     fan = cover.fan
     zvars = cover.ray_cells
     rows: list[list[int]] = []
-    for _, pos, _, cols in _max_cell_geometry(cover):
+    for _, pos, _, cols in derived(cover, _max_cell_geometry):
         for rel in wall_relation(fan, pos):
             row = [0] * len(zvars)
             for coeff, c in zip(rel, cols):
@@ -335,8 +320,8 @@ def ray_value_system(cover: CoverPoset) -> tuple[list[list[int]], list[int]]:
 
 
 def _check_pullbacks(fan) -> None:
-    """Check, once per fan, that the pullbacks of the coordinate functionals
-    are independent solutions of every values-at-rays system over it.
+    """Check, once per fan (`derived`), that the pullbacks of the coordinate
+    functionals are independent solutions of every values-at-rays system.
 
     A row is one relation `rel` of a maximal cone with the cone's rays sent
     to distinct ray cells over them (what `_max_cell_geometry` checks of
@@ -345,9 +330,6 @@ def _check_pullbacks(fan) -> None:
     pullbacks' values are the rays' coordinates, repeated over their cells,
     so they are independent iff the rays span Q^rank.
     """
-    cache = _fan_cache(fan)
-    if "pullbacks" in cache:
-        return
     for pos, cone in enumerate(fan.max_cones):
         for rel in wall_relation(fan, pos):
             for j in range(fan.rank):
@@ -355,28 +337,24 @@ def _check_pullbacks(fan) -> None:
                     raise RuntimeError("pullback fails the ray-value system")
     if rank_of_int_rows([list(v) for v in fan.rays], fan.rank) != fan.rank:
         raise RuntimeError("pullback functionals are not independent")
-    cache["pullbacks"] = True
 
 
 def _base_kernel(fan) -> list[list[int]]:
     """The kernel of the fan's own values-at-rays system, one column per ray
-    and each maximal cone's wall relations as rows, computed once per fan."""
-    cache = _fan_cache(fan)
-    if "base_kernel" not in cache:
-        rows = []
-        for pos, cone in enumerate(fan.max_cones):
-            for rel in wall_relation(fan, pos):
-                row = [0] * len(fan.rays)
-                for coeff, ray in zip(rel, cone.ray_indices):
-                    row[ray] = coeff
-                rows.append(row)
-        cache["base_kernel"] = _echelon_kernel(*_int_echelon(rows, len(fan.rays)), len(fan.rays))
-    return cache["base_kernel"]
+    and each maximal cone's wall relations as rows, a constant of the fan."""
+    rows = []
+    for pos, cone in enumerate(fan.max_cones):
+        for rel in wall_relation(fan, pos):
+            row = [0] * len(fan.rays)
+            for coeff, ray in zip(rel, cone.ray_indices):
+                row[ray] = coeff
+            rows.append(row)
+    return _echelon_kernel(*_int_echelon(rows, len(fan.rays)), len(fan.rays))
 
 
 def base_dimension(fan) -> int:
     """The dimension of the fan's own PL group, 3 iff all are linear."""
-    return len(_base_kernel(fan))
+    return len(derived(fan, _base_kernel))
 
 
 def per_cell_system(cover: CoverPoset) -> RationalMatrix:
@@ -394,7 +372,7 @@ def _per_cell_rows(cover: CoverPoset) -> list[list[int]]:
     col_of_cell = {m: n * i for i, m in enumerate(maxcells)}
     width = n * len(maxcells) + len(zvars)
     rows = []
-    for m, pos, _, cols in _max_cell_geometry(cover):
+    for m, pos, _, cols in derived(cover, _max_cell_geometry):
         for ray, c in zip(fan.max_cones[pos].ray_indices, cols):
             row = [0] * width
             for k, x in enumerate(fan.rays[ray]):
@@ -414,10 +392,10 @@ def _lift(cover: CoverPoset, zs: list[list[int]], den: int = 1, keys=None) -> li
     """The PL functions with ray-cell values z / den, z in `zs`, lifted in one
     `_kernel_keys` call unless its `keys` are given: functionals key / L.den."""
     fan = cover.fan
-    big = _lifts(fan)[0]
+    big = derived(fan, _lifts)[0]
     n = fan.rank
     if keys is None:
-        keys = _kernel_keys(fan, _max_cell_geometry(cover), zs)
+        keys = _kernel_keys(fan, derived(cover, _max_cell_geometry), zs)
     return [PLFunction._of_numerators(cover, [key[n * i:n * i + n] for key in keys],
                                       [big * x for x in z], big * den)
             for i, z in enumerate(zs)]
@@ -499,9 +477,9 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
         raise ValueError(f"unknown mode {mode!r}")
     kernel, free = _ray_value_kernel(cover)
     n = fan.rank
-    cells = _max_cell_geometry(cover)
+    cells = derived(cover, _max_cell_geometry)
     if mode == "rational":
-        _check_pullbacks(fan)
+        derived(fan, _check_pullbacks)
         ordered = [_pullback_z(cover, j) for j in range(n)] + kernel
         picked = independent_rows([[z[c] for c in free] for z in ordered], len(free))
         if picked[:n] != list(range(n)):
@@ -514,7 +492,7 @@ def solve(cover: CoverPoset, mode: str = "rational") -> PLBasis:
                        (cover, len(kernel), keys))
 
     keys = _kernel_keys(fan, cells, kernel)
-    big = _lifts(fan)[0]
+    big = derived(fan, _lifts)[0]
     lifted = [[x for key in keys for x in key[n * i:n * i + n]] + [big * x for x in z]
               for i, z in enumerate(kernel)]
     zstart = n * len(cover.max_cells)
@@ -567,7 +545,7 @@ class TrivialityVerdict:
         pl = self.basis if self.basis is not None else solve(cover)
         den = lcm(*(f._den for f in pl.functions))
         zs = [[x * (den // f._den) for x in f._rays] for f in pl.functions]
-        t = _generic_parameter(_kernel_keys(cover.fan, _max_cell_geometry(cover), zs), len(zs))
+        t = _generic_parameter(_kernel_keys(cover.fan, derived(cover, _max_cell_geometry), zs), len(zs))
         (candidate,) = _lift(cover, [[sum(t**i * x for i, x in enumerate(col))
                                       for col in zip(*zs)]], den)
         if is_trivial_function(candidate):
@@ -607,21 +585,32 @@ def system_triviality(fan, rows: list[list[int]], ncols: int, cells) -> Triviali
     maximal cell, in row-block order.  `rows` is eliminated in place, and
     `_ladder` decides on that one `_int_echelon`."""
     ech, pivots = _int_echelon(rows, ncols)
-    return _ladder(fan, ncols - len(pivots), lambda: _column_summands(ncols, cells),
-                   lambda: (cells, _kernel_keys(fan, cells, _echelon_kernel(ech, pivots, ncols))))
+    return _ladder(fan, ncols - len(pivots), _column_summands, _echelon_pattern,
+                   cells, ncols, ech, pivots)
 
 
-def _column_summands(ncols: int, cells) -> int:
+def _column_summands(cells, ncols: int, *_) -> int:
     """Rung 2's k, the classes of columns that the cells' columns join: a
     column under no cell is a class of its own, not a summand."""
     return sum(len(s) > 1 for s in components(ncols, [cols for *_, cols in cells]))
 
 
-def _ladder(fan, d: int, summands, pattern) -> TrivialityVerdict:
-    """The decision ladder for a PL group of dimension d.  `summands()` gives
-    the number k of wedge summands, for rung 2, and `pattern()` the maximal
-    cells and their `_kernel_keys` on vectors spanning the group, for rung
-    3; each is called only when its rung is reached.
+def _echelon_pattern(fan, cells, ncols: int, ech, pivots) -> tuple:
+    """Rung 3's cells and their keys on the kernel of the echelon `ech`."""
+    return cells, _kernel_keys(fan, cells, _echelon_kernel(ech, pivots, ncols))
+
+
+def _kept_pattern(fan, cells, ncols: int, keys) -> tuple:
+    """Rung 3's cells and the keys that `solve` kept."""
+    return cells, keys
+
+
+def _ladder(fan, d: int, summands, pattern, *args) -> TrivialityVerdict:
+    """The decision ladder for a PL group of dimension d.  `summands(*args)`
+    gives the number k of wedge summands, for rung 2, and
+    `pattern(fan, *args)` the maximal cells and their `_kernel_keys` on
+    vectors spanning the group, for rung 3: module-level functions, each
+    called only when its rung is reached.
 
     1. d = 3 means the pullbacks only.
     2. A wedge all of whose summands have dimension 3 carries only
@@ -631,13 +620,13 @@ def _ladder(fan, d: int, summands, pattern) -> TrivialityVerdict:
        rays, so its own pullbacks give it dimension at least 3.
     3. Otherwise the common pattern of the keys decides (`_pattern_verdict`).
     """
-    _check_pullbacks(fan)
+    derived(fan, _check_pullbacks)
     if d == 3:
         return TrivialityVerdict(True, "pullbacks-only", None, d)
-    k = summands()
+    k = summands(*args)
     if k > 1 and d == 3 * k:
         return TrivialityVerdict(True, "wedge-of-pullbacks", None, d)
-    return _pattern_verdict(fan, *pattern(), d)
+    return _pattern_verdict(fan, *pattern(fan, *args), d)
 
 
 def _pattern_verdict(fan, cells, keys: list[tuple], d: int) -> TrivialityVerdict:
@@ -691,17 +680,24 @@ def split_triviality(fan, orbits) -> TrivialityVerdict:
     """
     columns, nrows = orbits.sum_zero_columns()
     pivots = _int_echelon(columns[:], nrows)[1]
+    return _ladder(fan, base_dimension(fan) + len(columns) - len(pivots),
+                   _sheet_summands, _split_pattern, orbits, columns, pivots)
+
+
+def _sheet_summands(orbits, *_) -> int:
+    """`split_triviality`'s rung 2: the orbits of the assignment's group."""
+    return len(sheet_components(orbits.assignment))
+
+
+def _split_pattern(fan, orbits, columns, pivots) -> tuple:
+    """`split_triviality`'s rung 3: the cells, keyed on M_P's and the base kernel."""
     ncols = len(columns)
-
-    def pattern():
-        rows = [[col[p] for col in columns] for p in pivots]
-        base = _base_kernel(fan) if base_dimension(fan) > 3 else ()
-        kernel = orbits.lift(_echelon_kernel(*_int_echelon(rows, ncols), ncols), base)
-        cells = orbits.cells()
-        return cells, _kernel_keys(fan, cells, kernel)
-
-    return _ladder(fan, base_dimension(fan) + ncols - len(pivots),
-                   lambda: len(sheet_components(orbits.assignment)), pattern)
+    rows = [[col[p] for col in columns] for p in pivots]
+    base = derived(fan, _base_kernel)
+    kernel = orbits.lift(_echelon_kernel(*_int_echelon(rows, ncols), ncols),
+                         base if len(base) > 3 else ())
+    cells = orbits.cells()
+    return cells, _kernel_keys(fan, cells, kernel)
 
 
 def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> TrivialityVerdict:
@@ -709,17 +705,21 @@ def group_triviality(cover: CoverPoset, basis: PLBasis | None = None) -> Trivial
     on the cover's values-at-rays system, labelled by its maximal cells,
     read off `basis.elimination` when `solve` made it for this cover.  A
     supplied `basis` also seeds the witness of a nontrivial verdict, which
-    keeps it and the cover; a basis not solved on this cover, or not of the
-    group's dimension, is refused.
+    keeps it and the cover.  A basis is refused unless it is of this cover
+    and of the group's dimension, and, unless `solve` made it, its functions'
+    ray values, which fix them, have that rank on this cover.
     """
-    cells = _max_cell_geometry(cover)
+    cells = derived(cover, _max_cell_geometry)
     ncols = len(cover.ray_cells)
-    if basis is not None and basis.elimination is not None and basis.elimination[0] is cover:
-        _, d, keys = basis.elimination
-        verdict = _ladder(cover.fan, d, lambda: _column_summands(ncols, cells), lambda: (cells, keys))
+    kept = basis is not None and basis.elimination is not None and basis.elimination[0] is cover
+    if kept:
+        verdict = _ladder(cover.fan, basis.elimination[1], _column_summands, _kept_pattern,
+                          cells, ncols, basis.elimination[2])
     else:
         verdict = system_triviality(cover.fan, ray_value_system(cover)[0], ncols, cells)
-    if basis is not None and (basis.cover is not cover or basis.dim != verdict.dim):
+    if basis is not None and (basis.cover is not cover or basis.dim != verdict.dim or not kept and (
+            any(f.cover is not cover for f in basis.functions)
+            or rank_of_int_rows([f._rays for f in basis.functions], ncols) != verdict.dim)):
         raise PLError(
             f"the basis does not span this cover's PL group of dimension {verdict.dim}")
     if not verdict.all_trivial:

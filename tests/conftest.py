@@ -21,6 +21,7 @@ from fanbranch.fan_core import (
     Fan,
     FanError,
     Lattice,
+    derived,
     linear_functional_witness,
     load_fan,
     ray_link,
@@ -561,7 +562,7 @@ def reference_orbits(fan, d, index, tree=None) -> RayOrbits:
     rank tables of S_d, and the sum-zero columns built cone by cone, sheet
     by sheet and relation by relation for this record alone."""
     tree = tree or spanning_tree(fan)
-    tables = _record_tables(fan, tree)
+    tables = derived(fan, _record_tables)
     ranks = tables.ranks[d]
     digits = _digits(index, factorial(d), tree.generators)
     slot = {w: g for g, w in enumerate(tree.nontree_walls)}

@@ -219,11 +219,14 @@ class TestSolveCommand:
         (["--branch-rays", "a"], None, "--branch-rays takes comma-separated ray indices, got 'a'"),
         (["--branch-rays", "99"], None, "branch rays [99]: branch ray index out of range"),
         (["--branch-rays", "0"], None, "branch rays [0]: no degree-2 cover has that branch set"),
+        (["--branch-rays", "0,0,2,2,5,7"], None,
+         "branch rays [0, 0, 2, 2, 5, 7]: branch ray 0 is given twice"),
         ([], [[1, 0]] + [[0, 0]] * 6, "(0, 0) is not a permutation"),
         ([], [[1, 0]] * 9, "9 permutations, but the fan's spanning tree has 7 generators"),
         ([], [[1, 0]], "1 permutations, but the fan's spanning tree has 7 generators"),
     ],
-    ids=["letter", "out-of-range", "parity", "non-permutation", "nine-perms", "one-perm"],
+    ids=["letter", "out-of-range", "parity", "repeated-ray", "non-permutation", "nine-perms",
+         "one-perm"],
 )
 def test_solve_input_refused_in_one_line(runner, tmp_path, args, perms, message):
     if perms is not None:

@@ -92,7 +92,7 @@ class TestRref:
 
     def test_identity(self):
         for n in (1, 2, 5):
-            m = RationalMatrix.identity(n)
+            m = RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
             red, r = rref(m)
             assert r == n
             assert red == m
@@ -114,13 +114,17 @@ class TestRref:
             assert rank_of_int_rows(entries, 7) == rank_by_minors(entries)
 
 
+def _annihilates(rows, v) -> bool:
+    """Whether every row has dot product 0 with v."""
+    return all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+
 class TestNullspaces:
     def test_fulton_matrix_kernel_is_three_dimensional(self):
-        m = RationalMatrix(FULTON_12x12)
         basis = nullspace_of_int_rows(FULTON_12x12, 12)
         assert len(basis) == 3
         for v in basis:
-            assert all(x == 0 for x in m.mul_vector(v))
+            assert _annihilates(FULTON_12x12, v)
 
     def test_identity_kernel_empty(self):
         identity = [[int(i == j) for j in range(4)] for i in range(4)]
@@ -147,11 +151,9 @@ class TestNullspaces:
         assert basis == [(2, -4, 3, -5)]
 
     def test_left_nullspace_generic_3x2(self):
-        m = RationalMatrix([[1, 0, 2], [0, 1, 3]])
         basis = nullspace_of_int_rows([[1, 0, 2], [0, 1, 3]], 3)
         assert len(basis) == 1
-        c = basis[0]
-        assert all(x == 0 for x in m.mul_vector(c))
+        assert _annihilates([[1, 0, 2], [0, 1, 3]], basis[0])
 
     def test_normalization(self):
         basis = nullspace_of_int_rows(_cleared_rows([[Fraction(1, 2), Fraction(1, 3)]]), 2)
@@ -265,15 +267,15 @@ class TestSubspaces:
         b = span([(0, 1, 0)], 3)
         s = subspace_sum(a, b)
         assert s.dim == 2
-        assert s.contains((3, -7, 0))
-        assert not s.contains((0, 0, 1))
+        assert s.contains_subspace(span([(3, -7, 0)], 3))
+        assert not s.contains_subspace(span([(0, 0, 1)], 3))
         assert s.contains_subspace(a)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             subspace_sum(span([(1, 0)], 2), span([(1, 0, 0)], 3))
         with pytest.raises(ValueError):
-            span([(1, 0)], 2).contains((1, 0, 0))
+            span([(1, 0)], 2).contains_subspace(span([(1, 0, 0)], 3))
 
     def test_annihilator_involution(self):
         rng = random.Random(3)
@@ -662,7 +664,9 @@ def _traced_linalg_names() -> set[str]:
 def _linalg_names_read(path: Path) -> set[str]:
     """The `exact_linalg` names that the module at `path` reads: a name it
     imports from `exact_linalg` and then loads, or an attribute it reads
-    off the module itself."""
+    off the module itself; an attribute read off such a class, as
+    "Class.attribute"; and every attribute it reads off anything else, as
+    ".attribute"."""
     tree = ast.parse(path.read_text())
     imported, modules = {}, set()
     for node in ast.walk(tree):
@@ -678,17 +682,38 @@ def _linalg_names_read(path: Path) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in imported:
             read.add(imported[node.id])
-        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id in modules):
-            read.add(node.attr)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if owner in modules:
+                read.add(node.attr)
+            elif owner in imported:
+                read.add(f"{imported[owner]}.{node.attr}")
+            else:
+                read.add(f".{node.attr}")
     return read
 
 
+def _public_methods(tree: ast.Module) -> set[str]:
+    """"Class.method" for each public method of a public class, properties
+    included.  A static or class method is read as an attribute of its
+    class; any other as ".method", an attribute of that name read off
+    anything, so it passes when it shares its name with one that is read."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    bound = not any(isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+                                    for d in item.decorator_list)
+                    out.add(f".{item.name}" if bound else f"{node.name}.{item.name}")
+    return out
+
+
 def test_every_public_linalg_function_has_a_caller():
-    """Each public function or class of `exact_linalg` is read (not only
-    imported) by some module of `src/`, `scripts/` or `perfbench/` other
-    than itself, or is on the allowlist: so a wrapper that nothing calls
-    does not come back."""
+    """Each public function or class of `exact_linalg`, and each public
+    method of a public class, is read (not only imported) by some module of
+    `src/`, `scripts/` or `perfbench/` other than itself, or is on the
+    allowlist: so a wrapper that nothing calls does not come back."""
     tree = ast.parse((ROOT / "src" / "fanbranch" / "exact_linalg.py").read_text())
     public = {node.name for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
@@ -697,3 +722,19 @@ def test_every_public_linalg_function_has_a_caller():
         if path.name != "exact_linalg.py":
             read |= _linalg_names_read(path)
     assert sorted(public - read - UNCALLED_API - _traced_linalg_names()) == []
+    assert sorted(_public_methods(tree) - read) == []
+
+
+def test_the_caller_guard_sees_methods(tmp_path):
+    """An uncalled method is reported by the guard's reading: a static one
+    unless it is read off its class, any other unless its name is read."""
+    module = tmp_path / "reader.py"
+    module.write_text("from fanbranch.exact_linalg import RationalMatrix\n"
+                      "RationalMatrix.identity(2).rows\nx.contains_subspace\n")
+    tree = ast.parse("class RationalMatrix:\n"
+                     "    @staticmethod\n    def identity(n): pass\n"
+                     "    @staticmethod\n    def zero(n): pass\n"
+                     "    def mul_vector(self, v): pass\n"
+                     "class SubspaceBasis:\n    def contains_subspace(self, o): pass\n")
+    assert sorted(_public_methods(tree) - _linalg_names_read(module)) == [
+        ".mul_vector", "RationalMatrix.zero"]

@@ -9,6 +9,7 @@ that no record changes what the next one reads, and bound the tables' size.
 
 import importlib
 import random
+from dataclasses import replace
 from math import factorial
 from pathlib import Path
 
@@ -16,13 +17,15 @@ import pytest
 
 from fanbranch.cli import evaluate_assignment, run_sweep
 from fanbranch.exact_linalg import _int_echelon
-from fanbranch.fan_core import load_fan, stellar_subdivision
+from fanbranch.fan_core import derived, load_fan, stellar_subdivision
 from fanbranch.monodromy import (
     _LINK_TABLE_MAX,
     _record_tables,
+    assignment_at,
     class_representatives,
     count_assignments,
     orbits_at,
+    ray_orbits,
     spanning_tree,
 )
 from fanbranch.pl_group import split_triviality
@@ -84,7 +87,7 @@ def test_no_state_leaks_between_records():
     up = _class_records(fan, "up")
     assert _class_records(fan, "down") == up
     assert _class_records(load_fan("eikelberg"), "down") == up
-    tables = _record_tables(fan, spanning_tree(fan))
+    tables = derived(fan, _record_tables)
     stored = 0
     for walk, link in zip(tables.walks, tables.links[3]):
         for key, entry in link.items():
@@ -116,7 +119,7 @@ def test_table_size_bound(name, d, bound):
     generator walls its link crosses."""
     fan = load_fan(name)
     run_sweep(fan, d)
-    tables = _record_tables(fan, spanning_tree(fan))
+    tables = derived(fan, _record_tables)
     assert sum(factorial(d) ** len(crossed) for _, crossed, _ in tables.walks) == bound
     for (_, crossed, _), link in zip(tables.walks, tables.links[d]):
         assert 0 < len(link) <= factorial(d) ** len(crossed)
@@ -132,7 +135,22 @@ def test_rays_past_the_cap_keep_no_entry():
     for i in random.Random(5).sample(range(count_assignments(fan, 5)), 20):
         assert orbits_at(fan, 5, i, tree) == reference_orbits(fan, 5, i, tree), i
         assert evaluate_assignment(fan, tree, 5, i).to_json() == reference_split_record(fan, tree, 5, i), i
-    tables = _record_tables(fan, tree)
+    tables = derived(fan, _record_tables)
     kept = sorted((len(crossed), len(link) > 0) for (_, crossed, _), link in zip(tables.walks, tables.links[5]))
     assert kept == [(1, True)] * 3 + [(2, True)] * 2 + [(3, False)]
     assert 120 ** 2 <= _LINK_TABLE_MAX < 120 ** 3
+
+
+def test_only_the_fans_own_tree_is_taken():
+    """The tables are built on the fan's `spanning_tree`, so a record reads
+    the tree it is given only when it is that tree or equal to it: another
+    tree, or another fan's, is refused."""
+    fan = load_fan("fulton")
+    tree = spanning_tree(fan)
+    a = assignment_at(fan, 2, 5)
+    assert orbits_at(fan, 2, 5, spanning_tree(load_fan("fulton"))) == orbits_at(fan, 2, 5, tree)
+    assert ray_orbits(fan, a, spanning_tree(load_fan("fulton"))) == ray_orbits(fan, a)
+    for other in (replace(tree, root=1), spanning_tree(load_fan("eikelberg"))):
+        for call in (lambda: orbits_at(fan, 2, 5, other), lambda: ray_orbits(fan, a, other)):
+            with pytest.raises(ValueError, match="^the tree is not the fan's spanning tree$"):
+                call()

@@ -241,6 +241,15 @@ class TestRayMonodromy:
                     a = assignment_for_branch_set(fan, list(subset), tree)
                     assert branch_rays(fan, a, tree) == list(subset)
 
+    @pytest.mark.parametrize("rays, repeated", [
+        ([0, 0, 2, 2, 5, 7], 0), ([0, 2, 5, 7, 5], 5), ([1, 4, 4, 1], 4), ([3, 3], 3)])
+    def test_branch_set_refuses_a_repeated_ray(self, fulton, rays, repeated):
+        # a ray given twice is refused by name, not read as the set of rays,
+        # whatever the parity of the list or of the set
+        with pytest.raises(ValueError) as refused:
+            assignment_for_branch_set(fulton, rays)
+        assert str(refused.value) == f"branch ray {repeated} is given twice"
+
 
 class TestCanonicalClass:
     def test_degree2_identity_map(self, fulton):

@@ -622,6 +622,24 @@ class TestSharedElimination:
                     group_triviality(cover, wrong)
                 assert builds == eliminated
 
+    def test_basis_that_does_not_span_refused(self, covers, builds):
+        """A hand-built basis of the group's dimension is refused unless its
+        functions are of this cover and independent; a spanning one, in any
+        order, passes."""
+        for cover in covers:
+            basis = solve(cover)
+            f, g, *rest = basis.functions
+            twin = cover_from_dict(cover.fan, json.loads(json.dumps(cover_to_dict(cover))))
+            for functions in ([f] * basis.dim, [f, f + g, *rest[:-1], f.scale(2)],
+                              [*solve(twin).functions[:-1], f]):
+                del builds[:]
+                with pytest.raises(PLError, match="^the basis does not span this cover's PL "
+                                                  f"group of dimension {basis.dim}$"):
+                    group_triviality(cover, PLBasis(cover, functions, "rational"))
+                assert builds == [cover]
+            spanning = [f + g, *reversed(rest), g]
+            assert group_triviality(cover, PLBasis(cover, spanning, "rational")) == group_triviality(cover)
+
 
 def _differential_covers():
     """`conftest.stellar_covers`, every fulton degree-2 cover and 24 seeded

@@ -20,7 +20,7 @@ import pytest
 from fanbranch.cli import _VERDICT_CERTS, SweepRecord, evaluate_assignment, run_sweep
 from fanbranch.fan_core import load_fan
 from fanbranch.klyachko import load_bundle, verify
-from fanbranch.monodromy import count_assignments, orbits_at, spanning_tree
+from fanbranch.monodromy import _record_tables, count_assignments, orbits_at, spanning_tree
 from fanbranch.pl_group import split_triviality
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,7 +100,7 @@ def test_swept_fan_copies_and_pickles(clone):
     fan = load_fan("fulton")
     run_sweep(fan, 2)
     got = CLONES[clone](fan)
-    assert fan._tree_tables and not got._tree_tables
+    assert _record_tables in fan._derived and not got._derived
     lines = [[evaluate_assignment(f, spanning_tree(f), 2, i).to_json() for i in range(128)]
              for f in (fan, got)]
     assert lines[1] == lines[0]

@@ -2,6 +2,7 @@
 
 Library layout:
 
+* :mod:`fanbranch.fields` -- the one rule for each kind of input field.
 * :mod:`fanbranch.exact_linalg` -- exact rational/integer linear algebra.
 * :mod:`fanbranch.fan_core` -- fans as cone complexes in poset form.
 * :mod:`fanbranch.cover_poset` -- branched covers as weighted posets.

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 from itertools import chain
 
 from .fan_core import combinatorial_automorphisms
+from .fields import has_exact_keys, is_int, is_int_list, read_json
 from .monodromy import (
     class_representatives,
     count_assignments,
@@ -75,15 +76,15 @@ def _record_problem(rec: dict, nrays: int, d: int) -> str | None:
     rays at degree d, or None; no check costs a solve."""
     profile, branch, dim, cert = rec["profile"], rec["branch_rays"], rec["dim_pl"], rec["cert"]
     if not (isinstance(profile, list) and len(profile) == nrays and all(
-            isinstance(p, list) and all(type(k) is int and k > 0 for k in p)
-            and sum(p) == d and p == sorted(p, reverse=True) for p in profile)):
+            is_int_list(p, low=1) and sum(p) == d and p == sorted(p, reverse=True)
+            for p in profile)):
         return f"does not fit {nrays} rays at degree {d}"
-    if not (isinstance(branch, list) and all(type(r) is int for r in branch)
+    if not (is_int_list(branch)
             and branch == [ray for ray, p in enumerate(profile) if len(p) < d]):
         return f"has branch rays {branch!r}, which are not those of its profile"
     if (rec["verdict"], cert) not in _VERDICT_CERTS:
         return f"has verdict {rec['verdict']!r} with cert {cert!r}"
-    if not (type(dim) is int and dim >= 3 and (dim == 3) == (cert == "pullbacks-only")
+    if not (is_int(dim, 3) and (dim == 3) == (cert == "pullbacks-only")
             and (cert != "wedge-of-pullbacks" or dim % 3 == 0)):
         return f"has dim_pl {dim!r} with cert {cert!r}"
     return None
@@ -189,25 +190,13 @@ def _sweep_meta(fan, d: int, tree) -> dict:
 
 
 def _check_sidecar(cache_path: str, meta: dict) -> None:
-    """Refuse to resume a cache whose sidecar is missing, unreadable, or
-    names another sweep, by the first field that differs."""
+    """Refuse a cache whose sidecar is missing, unreadable, or names another
+    sweep, by the first field that differs."""
     path = sidecar_path(cache_path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            found = json.load(fh)
-    except FileNotFoundError:
-        raise CacheError(f"cache {cache_path} has no sidecar {path}; refusing to resume")
-    except OSError as exc:  # a directory, a file without read permission
-        raise CacheError(f"cannot read sidecar {path}: {exc.strerror or exc}; "
-                         "refusing to resume") from None
-    except ValueError:
-        found = None
-    if not isinstance(found, dict):
-        raise CacheError(f"sidecar {path} is not a JSON object; refusing to resume")
+    found = read_json(path, "sidecar", CacheError)
     for key, value in meta.items():
         if found.get(key) != value:
-            raise CacheError(
-                f"sidecar {path} differs from this sweep in {key!r}; refusing to resume")
+            raise CacheError(f"sidecar {path} differs from this sweep in {key!r}")
 
 
 def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,
@@ -215,7 +204,7 @@ def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,
     """(records, verdict counts, nontrivial records, records of dim > 3) of
     an existing cache; refuses anything but a clean index prefix of whole
     records that pass `_record_problem`, and then a sidecar that does not
-    match `meta`.
+    match `meta`; `run_sweep` adds "; refusing to resume" to each refusal.
 
     An unterminated last line is what a kill mid-write leaves behind: it is
     dropped, and once the rest and the sidecar have passed, the file is
@@ -236,29 +225,23 @@ def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,
             rec = json.loads(raw)
             idx = rec["index"]
         except (json.JSONDecodeError, KeyError, TypeError):
-            raise CacheError(
-                f"cache corruption at line {lineno + 1}; refusing to resume"
-            )
-        if type(idx) is not int or idx != count or idx >= total:
-            raise CacheError(
-                f"cache is not a clean index prefix at line {lineno + 1}; refusing to resume"
-            )
+            raise CacheError(f"cache corruption at line {lineno + 1}")
+        if not is_int(idx) or idx != count or idx >= total:
+            raise CacheError(f"cache is not a clean index prefix at line {lineno + 1}")
         count += 1
-        if rec.keys() != _RECORD_FIELDS:
+        if not has_exact_keys(rec, _RECORD_FIELDS):
             incomplete = incomplete or lineno + 1
             continue
         problem = _record_problem(rec, nrays, d)
         if problem:
-            raise CacheError(f"cache record at line {lineno + 1} {problem}; refusing to resume")
+            raise CacheError(f"cache record at line {lineno + 1} {problem}")
         tag = _summary_tag(rec["verdict"], rec["cert"])
         verdicts[tag] = verdicts.get(tag, 0) + 1
         high_dim += rec["dim_pl"] > 3
         if rec["verdict"] == "Nontrivial":
             nontrivial.append(rec)
     if incomplete:
-        raise CacheError(
-            f"cache corruption at line {incomplete}; refusing to resume"
-        )
+        raise CacheError(f"cache corruption at line {incomplete}")
     _check_sidecar(path, meta)
     if whole < len(data):
         with open(path, "r+b") as fh:
@@ -308,8 +291,11 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
             raise CacheError(
                 f"cache file {cache_path} exists; pass --resume to continue it"
             )
-        start, verdicts, nontrivial, high_dim = _read_cache_prefix(
-            cache_path, total, len(fan.rays), d, _sweep_meta(fan, d, tree), echo)
+        try:
+            start, verdicts, nontrivial, high_dim = _read_cache_prefix(
+                cache_path, total, len(fan.rays), d, _sweep_meta(fan, d, tree), echo)
+        except CacheError as exc:
+            raise CacheError(f"{exc}; refusing to resume") from None
         if echo:
             echo(f"resuming: {start} records already cached")
     elif cache_path:

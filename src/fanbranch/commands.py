@@ -16,7 +16,6 @@ click's usage errors.  A command catches an error only to add context.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -30,9 +29,9 @@ from .fan_core import (
     fan_to_dict,
     is_complete,
     load_fan,
-    read_json,
     wall_relation,
 )
+from .fields import is_decimal, read_json
 from .klyachko import (
     KlyachkoError,
     branched_cover_of,
@@ -63,7 +62,7 @@ def _default_jobs() -> int:
     env = os.environ.get("FANBRANCH_JOBS")
     if not env:
         return os.cpu_count() or 1
-    if not env.isdecimal() or int(env) < 1:
+    if not is_decimal(env) or int(env) < 1:
         raise click.ClickException(f"FANBRANCH_JOBS must be a positive integer, got {env!r}")
     return int(env)
 
@@ -287,7 +286,7 @@ def _branch_rays(cover) -> list[int]:
 def _expected() -> dict:
     from importlib.resources import files
 
-    return json.loads(files("fanbranch.data").joinpath("expected.json").read_text())
+    return read_json(files("fanbranch.data") / "expected.json", "expected values", ValueError)
 
 
 class _Diff:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fan_core import Fan, is_complete
+from .fields import is_int_list
 
 
 class CoverError(ValueError):
@@ -96,6 +97,10 @@ class CoverPoset:
             if key in seen:
                 raise CoverError(f"two cells share base {c.base} and copy {c.copy}")
             seen.add(key)
+
+    def __getstate__(self) -> dict:
+        """As `Fan.__getstate__`: a copy or a pickle starts with an empty store."""
+        return {**self.__dict__, "_derived": {}}
 
     # -- structural queries --------------------------------------------------
 
@@ -510,8 +515,9 @@ def cover_to_dict(cover: CoverPoset) -> dict:
 
 def cover_from_dict(fan: Fan, data: dict) -> CoverPoset:
     try:
-        cells = [CoverCell(d["base"], d["copy"], d["weight"]) for d in data["cells"]]
-        if not all(type(c.base) is type(c.copy) is type(c.weight) is int for c in cells):
+        rows = [(d["base"], d["copy"], d["weight"]) for d in data["cells"]]
+        cells = [CoverCell(*row) for row in rows]
+        if not all(map(is_int_list, rows)):
             raise TypeError
     except (KeyError, TypeError):
         raise CoverError("a cover needs 'cells', each an object with 'base', 'copy' and "

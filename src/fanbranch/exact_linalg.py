@@ -23,8 +23,9 @@ Which routine answers which question:
   `hermite_normal_form`, `integer_solve` (its transform, from [A | I],
   `_row_hnf_transform`), and the duality step of `_saturate`, which gives
   the integral points of a rational span (`integer_kernel`, the integral
-  `pl_group.solve`).  These take integer entries only (`_integer_rows`):
-  a non-integral entry or a ragged row is refused, never truncated.
+  `pl_group.solve`).  These take integer values only (`_integer_rows`):
+  any other entry, a bool or a float included, or a ragged row is refused,
+  never truncated.
 
 Determinism conventions, fixed once for the whole package:
 
@@ -43,6 +44,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .fields import is_int_list, is_integer_row, is_rational, is_rational_row
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -244,22 +247,24 @@ def _cleared_rows(rows) -> list[list[int]]:
 
 
 def _integer_rows(rows, what: str = "matrix", error=ValueError) -> list[list[int]]:
-    """`rows` as lists of ints of one length.  An entry is taken when `int`
-    keeps its value, as for an integral `Fraction`; an entry that `int`
-    changes or cannot take (1/2, nan, None), or a row of another length, is
-    refused with `error`, naming the row."""
+    """`rows` as lists of ints of one length.  Each entry must be an integer
+    value (`fields.is_integer_row`): an `int`, or a `Fraction` equal to an
+    integer.  Anything else (True, 2.0, 1/2, nan, None), or a row of another
+    length, is refused with `error`, naming the row."""
     out = []
     for i, row in enumerate(map(list, rows)):
-        try:
-            ints = [int(x) for x in row]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise error(f"{what} row {i} has an entry that int cannot take: {exc}") from None
-        if ints != row:
-            bad = next(x for a, x in zip(ints, row) if a != x)
-            raise error(f"{what} row {i} has entry {bad!r}, not an integer")
-        if out and len(ints) != len(out[0]):
-            raise error(f"{what} row {i} has {len(ints)} entries, row 0 has {len(out[0])}")
-        out.append(ints)
+        if not is_int_list(row):
+            try:
+                ints = [int(x) for x in row]
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise error(f"{what} row {i} has an entry that int cannot take: {exc}") from None
+            if not is_integer_row(row):
+                bad = next(x for x in row if not is_integer_row([x]))
+                raise error(f"{what} row {i} has entry {bad!r}, not an integer")
+            row = ints
+        if out and len(row) != len(out[0]):
+            raise error(f"{what} row {i} has {len(row)} entries, row 0 has {len(out[0])}")
+        out.append(row)
     return out
 
 
@@ -454,9 +459,9 @@ class SubspaceBasis:
     def __init__(self, ambient_dim: int, basis=()):
         basis = [list(r) for r in basis]
         for i, r in enumerate(basis):
-            for x in r:
-                if type(x) is not int and type(x) is not Fraction:  # no float, bool or str
-                    raise ValueError(f"basis row {i} has entry {x!r}, not an int or a Fraction")
+            if not is_rational_row(r):
+                x = next(x for x in r if not is_rational(x))
+                raise ValueError(f"basis row {i} has entry {x!r}, not an int or a Fraction")
             if len(r) != ambient_dim:
                 raise ValueError("basis vector of wrong length")
         self._set(ambient_dim, _cleared_rows(basis))

@@ -24,9 +24,7 @@ vector.
 
 from __future__ import annotations
 
-import json
 import os
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -39,6 +37,7 @@ from .exact_linalg import (
     primitive,
     rank_of_int_rows,
 )
+from .fields import is_int, is_int_list, missing_key, read_json
 
 IntVector = tuple[int, ...]
 
@@ -267,7 +266,7 @@ class Lattice:
     rank: int
 
     def __post_init__(self):
-        if type(self.rank) is not int:
+        if not is_int(self.rank):
             raise FanError(f"lattice rank must be an integer, got {self.rank!r}")
         if self.rank < 1:
             raise FanError("lattice rank must be at least 1")
@@ -416,7 +415,7 @@ def _validate_rays(rank, rays):
     prim = []
     seen = {}
     for i, r in enumerate(rays):
-        if not isinstance(r, (list, tuple)) or not all(type(x) is int for x in r):
+        if not is_int_list(r):
             raise FanError(f"ray {i} is not a list of integers: {r!r}")
         if len(r) != rank:
             raise FanError(f"ray {i} has wrong length for rank {rank}")
@@ -557,7 +556,7 @@ def fan_from_data(rank, rays, max_cones, name=None) -> Fan:
     max_list = []
     max_coords = []
     for ci, idxs in enumerate(max_cones):
-        if not isinstance(idxs, (list, tuple)) or not all(type(i) is int for i in idxs):
+        if not is_int_list(idxs):
             raise FanError(f"maximal cone {ci} is not a list of ray indices: {idxs!r}")
         t = tuple(sorted(idxs))
         if len(set(t)) != len(t):
@@ -789,45 +788,13 @@ def fan_to_dict(fan: Fan) -> dict:
 def fan_from_dict(data: dict, name=None) -> Fan:
     if not isinstance(data, dict):
         raise FanError("a fan is an object with keys 'rank', 'rays' and 'max_cones'")
-    for key in ("rank", "rays", "max_cones"):
-        if key not in data:
-            raise FanError(f"fan data has no {key!r} key")
+    key = missing_key(data, ("rank", "rays", "max_cones"))
+    if key:
+        raise FanError(f"fan data has no {key!r} key")
     return fan_from_data(data["rank"], data["rays"], data["max_cones"], name=name)
 
 
 BUNDLED_FANS = ("fulton", "eikelberg", "sigma_prime", "p2")
-
-
-def read_json(path, kind: str, error: type[ValueError]) -> dict:
-    """The JSON object in the `kind` file at `path`; a file that is missing, unreadable,
-    not UTF-8 JSON or not an object raises `error` with a whole one-line message."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise error(f"no such {kind}: {str(path)!r}") from None
-    except OSError as exc:
-        raise error(f"cannot read {kind} {str(path)!r}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise error(f"invalid {kind}: {path} is not JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise error(f"invalid {kind}: {path} does not hold a JSON object")
-    return data
-
-
-# an ASCII integer, or a fraction whose denominator has a nonzero digit
-_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
-
-
-def read_rational(x) -> Fraction:
-    """An exact rational of an input file: an exact `int`, or an ASCII
-    string "p" or "p/q" matching `-?[0-9]+(/[0-9]+)?` with q nonzero.
-    Anything else raises `ValueError`: a float or a bool, and strings such
-    as "1.5", "1e3", "1_000", " 3/2 ", "+2", "3/-2", "1/0" or non-ASCII
-    digits, which `Fraction` alone would read or fail on otherwise."""
-    if type(x) is int or type(x) is str and _RATIONAL.fullmatch(x):
-        return Fraction(x)
-    raise ValueError(x)
 
 
 def load_fan(source, beside=None) -> Fan:
@@ -836,8 +803,8 @@ def load_fan(source, beside=None) -> Fan:
     if source in BUNDLED_FANS:
         from importlib.resources import files
 
-        text = files("fanbranch.data").joinpath(f"{source}.fan.json").read_text()
-        return fan_from_dict(json.loads(text), name=source)
+        return fan_from_dict(read_json(files("fanbranch.data") / f"{source}.fan.json",
+                                       "fan", FanError), name=source)
     path = os.path.join(os.path.dirname(beside), source) if beside else source
     data = read_json(path, "fan", FanError)
     try:

@@ -47,7 +47,17 @@ from .exact_linalg import (
     rank_of_int_rows,
     subspace_sum,
 )
-from .fan_core import Fan, cone_contains_point, derived, load_fan, read_json, read_rational
+from .fan_core import Fan, cone_contains_point, derived, load_fan
+from .fields import (
+    is_int,
+    is_int_list,
+    is_integer_row,
+    is_rational,
+    is_rational_row,
+    read_json,
+    read_rational,
+    write_rational,
+)
 from .pl_group import PLFunction
 
 
@@ -77,7 +87,7 @@ class Filtration:
         )
         if not steps:
             raise KlyachkoError("a filtration needs at least one step")
-        for t in (t for t, _ in steps if type(t) is not int):  # no Fraction, float or bool
+        for t in (t for t, _ in steps if not is_int(t)):
             raise KlyachkoError(f"threshold {t!r} is not an integer")
         if any(s.ambient_dim != ambient_dim for _, s in steps):
             raise KlyachkoError("subspace ambient dimension mismatch")
@@ -105,7 +115,7 @@ class Filtration:
     def value(self, i) -> SubspaceBasis:
         """The subspace at index i, exactly an `int` or a `Fraction` (full
         below all thresholds, 0 above)."""
-        if type(i) is not int and type(i) is not Fraction:  # no float, bool or str
+        if not is_rational(i):
             raise KlyachkoError(f"index {i!r} is not an int or a Fraction")
         for t, s in self.steps:
             if i <= t:
@@ -159,7 +169,7 @@ class SplittingCertificate:
     def __init__(self, entries: dict):
         self.entries = {pos: tuple((tuple(u), s) for u, s in es) for pos, es in entries.items()}
         for u, _ in chain.from_iterable(self.entries.values()):
-            if any(type(x) is not int for x in u):  # no Fraction, float or bool
+            if not is_int_list(u):
                 raise KlyachkoError(f"u {u!r} is not a vector of integers")
 
     def cone(self, pos: int):
@@ -584,18 +594,10 @@ def _shared_faces(fan: Fan) -> tuple:
     return tuple(shared)
 
 
-def _lattice_point(pos: int, u) -> tuple[int, ...]:
-    point = tuple(map(int, u))
-    if point != tuple(u):
-        raise KlyachkoError(f"cone {pos} has a non-integral functional ({', '.join(map(str, u))})")
-    return point
-
-
 def _multiset(fan: Fan, pos: int, entries) -> tuple:
     """A cone's entries as sorted (functional, multiplicity) pairs, the
     multiplicities of a repeated functional summed.  Each multiplicity must
-    be exactly an `int` >= 1, and each functional `fan.rank` entries, each
-    exactly an `int` or a `Fraction`, with an integral value."""
+    be an exact `int` >= 1, and each functional `fan.rank` integer values."""
     acc: dict[tuple, int] = {}
     for i, entry in enumerate(entries):
         try:
@@ -604,13 +606,16 @@ def _multiset(fan: Fan, pos: int, entries) -> tuple:
         except (TypeError, ValueError):
             raise KlyachkoError(f"cone {pos} entry {i}: {entry!r} is not a pair "
                                 "(functional, multiplicity)") from None
-        if type(mult) is not int or mult < 1:
+        if not is_int(mult, 1):
             raise KlyachkoError(f"cone {pos} entry {i}: multiplicity {mult!r} "
                                 "is not a positive integer")
-        if size != fan.rank or any(type(x) is not int and type(x) is not Fraction for x in u):
-            raise KlyachkoError(f"cone {pos} entry {i}: functional {u!r} is not "
-                                f"{fan.rank} ints or Fractions")
-        point = _lattice_point(pos, u)
+        if size != fan.rank or not is_integer_row(u):
+            if size != fan.rank or not is_rational_row(u):
+                raise KlyachkoError(f"cone {pos} entry {i}: functional {u!r} is not "
+                                    f"{fan.rank} ints or Fractions")
+            raise KlyachkoError(f"cone {pos} has a non-integral functional "
+                                f"({', '.join(map(str, u))})")
+        point = tuple(map(int, u))
         acc[point] = acc.get(point, 0) + mult
     return tuple(sorted(acc.items()))
 
@@ -875,37 +880,16 @@ def line_bundle(fan: Fan, functional) -> tuple[KlyachkoData, SplittingCertificat
 # ---------------------------------------------------------------------------
 
 
-def _encode_fraction(x: Fraction):
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def bundle_to_dict(data: KlyachkoData, cert: SplittingCertificate | None = None) -> dict:
-    out = {
-        "fan": data.fan.name or "inline",
-        "rank": data.rank,
-        "filtrations": {
-            str(ray): [
-                {
-                    "threshold": t,
-                    "subspace": [[_encode_fraction(x) for x in row] for row in s.basis],
-                }
-                for t, s in f.steps
-            ]
-            for ray, f in data.filtrations.items()
-        },
-    }
+    def rows(s: SubspaceBasis) -> list:
+        return [list(map(write_rational, row)) for row in s.basis]
+
+    out = {"fan": data.fan.name or "inline", "rank": data.rank, "filtrations": {
+        str(ray): [{"threshold": t, "subspace": rows(s)} for t, s in f.steps]
+        for ray, f in data.filtrations.items()}}
     if cert is not None:
-        out["splittings"] = {
-            str(pos): [
-                {
-                    "u": list(u),
-                    "subspace": [[_encode_fraction(x) for x in row] for row in s.basis],
-                }
-                for u, s in entries
-            ]
-            for pos, entries in cert.entries.items()
-        }
+        out["splittings"] = {str(pos): [{"u": list(u), "subspace": rows(s)} for u, s in entries]
+                             for pos, entries in cert.entries.items()}
     return out
 
 
@@ -934,12 +918,13 @@ def _position(key: str, n: int, where: str, what: str) -> int:
 
 def bundle_from_dict(fan: Fan, data: dict):
     """(data, certificate) from the bundle format, refusing by name a field
-    that breaks it: the rank, thresholds and `u` entries are exact ints, `u`
-    has the fan's lattice rank, subspace rows have `rank` entries, every
+    that breaks it: the rank, thresholds and `u` entries are exact integers
+    and subspace entries rationals of a file (`fanbranch.fields`), `u` has
+    the fan's lattice rank, subspace rows have `rank` entries, every
     splitting summand is nonzero, and keys are positions of the fan's rays
     and maximal cones."""
     r = data["rank"]
-    if type(r) is not int or r < 1:
+    if not is_int(r, 1):
         raise KlyachkoError(f"rank {r!r} is not a positive integer")
     filtrations = {}
     for key, steps in data["filtrations"].items():
@@ -955,7 +940,7 @@ def bundle_from_dict(fan: Fan, data: dict):
     for key, lst in data.get("splittings", {}).items():
         where = f"splitting of cone {key!r}:"
         for u in (e["u"] for e in lst):
-            if not isinstance(u, list) or len(u) != fan.rank or any(type(x) is not int for x in u):
+            if not (isinstance(u, list) and is_int_list(u, fan.rank)):
                 raise KlyachkoError(f"{where} u {u!r} is not a list of {fan.rank} integers")
         entries[_position(key, len(fan.max_cones), where, "maximal cone")] = [
             (tuple(e["u"]), _summand(e["subspace"], r, where, i)) for i, e in enumerate(lst)]

@@ -14,13 +14,14 @@ from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, chain, islice, permutations as iter_permutations
+from itertools import accumulate, islice, permutations as iter_permutations
 from math import factorial
 from operator import mul
 
 from .cover_poset import CoverCell, CoverPoset, components
 from .exact_linalg import integer_solve
 from .fan_core import Fan, FanError, derived, is_complete, ray_link, wall_relation
+from .fields import is_int, is_int_list
 
 
 class Permutation:
@@ -30,7 +31,7 @@ class Permutation:
 
     def __init__(self, images):
         images = tuple(images)
-        if any(type(x) is not int for x in images) or sorted(images) != list(range(len(images))):
+        if not is_int_list(images) or sorted(images) != list(range(len(images))):
             raise ValueError(f"{images} is not a permutation")
         self.images = images
 
@@ -172,7 +173,7 @@ class MonodromyAssignment:
     def from_dict(cls, data: dict) -> "MonodromyAssignment":
         try:
             degree, perms = data["degree"], [tuple(p) for p in data["perms"]]
-            if any(type(x) is not int for x in (degree, *chain(*perms))):  # no float, no bool
+            if not (is_int(degree) and all(map(is_int_list, perms))):
                 raise TypeError
         except (KeyError, TypeError):
             raise ValueError(
@@ -183,7 +184,7 @@ class MonodromyAssignment:
 
 def _degree(d) -> int:
     """`d`, refused unless it is an `int` of at least 1."""
-    if type(d) is not int or d < 1:
+    if not is_int(d, 1):
         raise ValueError("degree must be a positive integer")
     return d
 
@@ -727,6 +728,8 @@ def assignment_for_branch_set(fan: Fan, rays: list[int],
     It is unique: by tree-cotree duality on the sphere, the non-tree walls
     of a dual spanning tree form a spanning tree of the rays, whose
     incidence matrix A has full column rank mod 2."""
+    if not is_int_list(rays):
+        raise ValueError(f"branch rays {rays!r} are not a list of ray indices")
     tree = tree or spanning_tree(fan)
     n, nrays = tree.generators, len(fan.rays)
     nontree_index = {w: i for i, w in enumerate(tree.nontree_walls)}

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .cover_poset import CoverPoset, components
@@ -46,7 +46,15 @@ from .exact_linalg import (
     independent_rows,
     rank_of_int_rows,
 )
-from .fan_core import cone_contains_point, derived, is_complete, read_rational, wall_relation
+from .fan_core import cone_contains_point, derived, is_complete, wall_relation
+from .fields import (
+    is_int_list,
+    is_rational,
+    is_rational_row,
+    missing_key,
+    read_rational,
+    write_rational,
+)
 from .monodromy import sheet_components
 
 
@@ -141,9 +149,9 @@ class PLFunction:
         for m, u in cell_values.items():
             if len(u) != rank:
                 raise PLError(f"maximal cell {m}: {len(u)} entries, not {rank}")
-            for x in u:
-                if type(x) is not int and type(x) is not Fraction:
-                    raise PLError(f"maximal cell {m}: entry {x!r} is not an int or a Fraction")
+            if not is_rational_row(u):
+                x = next(x for x in u if not is_rational(x))
+                raise PLError(f"maximal cell {m}: entry {x!r} is not an int or a Fraction")
         if set(cell_values) != set(cover.max_cells):
             raise PLError("need exactly one functional per maximal cell")
         den = lcm(*(x.denominator for u in cell_values.values() for x in u))
@@ -194,7 +202,7 @@ class PLFunction:
             [a * x + b * y for x, y in zip(self._rays, other._rays)], den)
 
     def scale(self, c) -> "PLFunction":
-        if type(c) is not int and type(c) is not Fraction:
+        if not is_rational(c):
             raise PLError(f"scalar {c!r} is not an int or a Fraction")
         p = c.numerator
         return PLFunction._of_numerators(
@@ -202,14 +210,9 @@ class PLFunction:
             [p * x for x in self._rays], self._den * c.denominator)
 
     def to_dict(self) -> dict:
-        den = self._den
-
-        def enc(x: int):
-            g = gcd(x, den)
-            return x // den if g == den else f"{x // g}/{den // g}"
-
-        cells = self.cover.cells
-        return {"cells": [{"base": cells[m].base, "copy": cells[m].copy, "u": [enc(x) for x in u]}
+        den, cells = self._den, self.cover.cells
+        return {"cells": [{"base": cells[m].base, "copy": cells[m].copy,
+                           "u": [write_rational(Fraction(x, den)) for x in u]}
                           for m, u in sorted(zip(self.cover.max_cells, self._cells))]}
 
     @classmethod
@@ -222,11 +225,11 @@ class PLFunction:
         lookup = {(c.base, c.copy): i for i, c in enumerate(cover.cells)}
         values = {}
         for n, entry in enumerate(data["cells"]):
-            for key in ("base", "copy", "u"):
-                if not isinstance(entry, dict) or key not in entry:
-                    raise PLError(f"cell entry {n} has no {key!r} key")
+            key = missing_key(entry, ("base", "copy", "u"))
+            if key:
+                raise PLError(f"cell entry {n} has no {key!r} key")
             base, copy, u = entry["base"], entry["copy"], entry["u"]
-            m = lookup.get((base, copy)) if type(base) is type(copy) is int else None
+            m = lookup.get((base, copy)) if is_int_list((base, copy)) else None
             if m is None:
                 raise PLError(f"cell entry {n}: the cover has no cell with base {base!r} "
                               f"and copy {copy!r}")
@@ -234,16 +237,12 @@ class PLFunction:
                 raise PLError(f"cell entry {n}: cell ({base}, {copy}) is given twice")
             if not isinstance(u, list):
                 raise PLError(f"cell entry {n}: u is not a list: {u!r}")
-            values[m] = tuple(_read_value(x, n) for x in u)
+            try:
+                values[m] = tuple(map(read_rational, u))
+            except ValueError as exc:
+                raise PLError(f"cell entry {n}: entry {exc.args[0]!r} is not an int "
+                              "or a 'p/q' string") from None
         return cls(cover, values)
-
-
-def _read_value(x, n: int) -> Fraction:
-    """A functional entry of `PLFunction.from_dict`, read by `read_rational`."""
-    try:
-        return read_rational(x)
-    except ValueError:
-        raise PLError(f"cell entry {n}: entry {x!r} is not an int or a 'p/q' string") from None
 
 
 @dataclass

@@ -294,7 +294,7 @@ class TestJobCounts:
         assert result.exit_code == 2
         assert "Invalid value for '--jobs'" in result.output
 
-    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
+    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5", "\u0661", "\uff13"])
     def test_bad_environment_value_refused(self, runner, command, env):
         result = runner.invoke(main, command, env={"FANBRANCH_JOBS": env})
         assert result.exit_code == 1
@@ -573,7 +573,7 @@ class TestSweep:
         os.remove(sidecar_path(str(cache)))
         self._refused_untouched(
             runner, cache, ["fulton", "-d", "2"],
-            f"cache {cache} has no sidecar {sidecar_path(str(cache))}")
+            f"no such sidecar: {sidecar_path(str(cache))!r}")
 
     def test_unreadable_sidecar_refused(self, fulton, tmp_path, runner):
         cache = tmp_path / "fulton.jsonl"
@@ -581,7 +581,7 @@ class TestSweep:
         Path(sidecar_path(str(cache))).write_text('["schema", 1]\n')
         self._refused_untouched(
             runner, cache, ["fulton", "-d", "2"],
-            f"sidecar {sidecar_path(str(cache))} is not a JSON object")
+            f"invalid sidecar: {sidecar_path(str(cache))} does not hold a JSON object")
 
     def test_directory_sidecar_refused_as_unreadable(self, fulton, tmp_path, runner):
         # it used to be reported as "not a JSON object"
@@ -596,7 +596,7 @@ class TestSweep:
                                       "--cache", str(cache), "--resume"])
         assert result.exit_code == 1
         assert result.output.splitlines() == [
-            f"Error: cannot read sidecar {meta}: Is a directory; refusing to resume"]
+            f"Error: cannot read sidecar {str(meta)!r}: Is a directory; refusing to resume"]
         assert cache.read_bytes() == before
         assert [p.name for p in meta.iterdir()] == ["kept"] and (meta / "kept").read_text() == "x"
 

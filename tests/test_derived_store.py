@@ -4,7 +4,8 @@ Everything derived from a fan alone is built on first use and kept in the
 fan's one store, `Fan._derived`, keyed by its private builder
 (`fan_core.derived`); what `pl_group` derives from a cover is kept in the
 cover's own store.  Nothing else is attached to either object, and a copy
-or a pickle of a fan starts with an empty store and gives the same results.
+or a pickle of a fan, or of a cover, starts with an empty store and gives
+the same results.
 """
 
 import copy
@@ -101,3 +102,20 @@ def test_a_copy_starts_empty_and_agrees(bundle, clone):
     assert set(vars(got)) == set(vars(fan))
     assert _results(got, data, cert)[0] == results
     assert set(got._derived) == BUILDERS
+
+
+@pytest.mark.parametrize("clone", list(CLONES))
+def test_a_cover_copy_starts_empty_and_agrees(bundle, clone):
+    # a shallow copy used to share the original's store
+    fan = bundle[0].fan
+    cover = build_cover(fan, assignment_at(fan, 2, INDEX))
+    bases = [solve(cover, mode) for mode in ("rational", "integral")]
+    got = CLONES[clone](cover)
+    assert got._derived == {} and set(cover._derived) == {pl_group._max_cell_geometry}
+    assert set(vars(got)) == set(vars(cover))
+    again = [solve(got, mode) for mode in ("rational", "integral")]
+    assert [[f.to_dict() for f in b.functions] for b in again] == \
+        [[f.to_dict() for f in b.functions] for b in bases]
+    assert group_triviality(got, again[0]).tag == group_triviality(cover, bases[0]).tag
+    assert got._derived.keys() == cover._derived.keys()
+    assert got._derived is not cover._derived

@@ -327,8 +327,9 @@ class TestSolvers:
 
 
 class TestRefusals:
-    """A non-integral entry or a ragged row is refused, naming it; before,
-    `int` truncated each entry and `zip` cut each row to the shortest."""
+    """An entry that is no integer value, or a ragged row, is refused, naming
+    it; before, `int` truncated each entry and `zip` cut each row to the
+    shortest, and later still read a bool or an integral float."""
 
     def test_integer_solve_refuses_a_fraction(self):
         with pytest.raises(ValueError, match=re.escape("matrix row 0 has entry Fraction(3, 2), not an integer")):
@@ -348,6 +349,8 @@ class TestRefusals:
         (None, "has an entry that int cannot take: int() argument must be"),
         ("x", "has an entry that int cannot take: invalid literal for int()"),
         ("1", "has entry '1', not an integer"),
+        (True, "has entry True, not an integer"),
+        (2.0, "has entry 2.0, not an integer"),
     ])
     def test_entries_int_cannot_take_refused(self, bad, says):
         for call in (lambda: integer_solve([[1, 0], [0, bad]], [0, 0]),

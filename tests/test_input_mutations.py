@@ -1,12 +1,17 @@
 """Malformed input files never end in a traceback.
 
 A valid file of each input format -- a fan, a cover given by its cells, a
-cover given by its monodromy, and a bundle -- is mutated at one place and run
-through the command line in process.  Every run exits 0, or exits 1 with
-exactly one line, which starts with `Error:` (`bundle verify` may instead
-report a violation, its verdict).  A mutation that keeps every value (key
-order, whitespace, `"n/1"` for an integer n where rationals are allowed)
-gives byte-identical output.  Seeds are fixed (`derandomize`).
+cover given by its monodromy, a bundle, a line of a sweep cache and the
+cache's sidecar -- is mutated at one place and run through the command line
+in process; a sweep cache and its sidecar through `pl sweep --resume`.
+Every run exits 0, or exits 1 with exactly one line, which starts with
+`Error:` (`bundle verify` may instead report a violation, its verdict).  A
+mutation that keeps every value (key order, whitespace, `"n/1"` for an
+integer n where rationals are allowed) gives byte-identical output, apart
+from a sweep's wall-clock line.  A PL function's dict, which no command
+reads, is mutated the same way and read by `PLFunction.from_dict`: it is
+read, or refused by a one-line `PLError`, and a mutation that keeps every
+value reads the same function.  Seeds are fixed (`derandomize`).
 
 A rational in a file is an exact int or an ASCII string "p" or "p/q" with q
 nonzero.  Strings that `Fraction` would read otherwise, or fail on, are
@@ -24,19 +29,30 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanbranch.cli import main
+from fanbranch.cli import _sweep_meta, evaluate_assignment, main, sidecar_path
 from fanbranch.cover_poset import cover_from_dict, cover_to_dict
 from fanbranch.fan_core import load_fan
-from fanbranch.monodromy import assignment_at, assignment_for_branch_set, build_cover
+from fanbranch.monodromy import (
+    assignment_at,
+    assignment_for_branch_set,
+    build_cover,
+    spanning_tree,
+)
 from fanbranch.pl_group import PLError, PLFunction, solve
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "fanbranch" / "data"
 FILE = "<file>"  # stands for the mutated file's path in a command
 BIG = 10**39 + 7  # a 40-digit integer
+RESUME = ["pl", "sweep", "fulton", "-d", "2", "--jobs", "1", "--cache", FILE, "--resume"]
+FULTON = load_fan("fulton")
+# the first five records of a fulton degree-2 sweep; the last, a
+# matched-pattern record with two branch rays, is the mutated cache line
+RECORDS = [evaluate_assignment(FULTON, spanning_tree(FULTON), 2, i).to_json() for i in range(5)]
+SIDECAR = _sweep_meta(FULTON, 2, spanning_tree(FULTON))
 
 
 def _fixtures() -> dict:
-    fulton = load_fan("fulton")
+    fulton = FULTON
     cells = cover_to_dict(build_cover(fulton, assignment_for_branch_set(fulton, [0, 2, 5, 7])))
     solve = ["pl", "solve", "fulton", "--cover", FILE]
     return {
@@ -47,10 +63,21 @@ def _fixtures() -> dict:
             {"fan": "fulton", "monodromy": assignment_at(fulton, 3, 1234).to_dict()}, [solve]),
         "bundle": (json.loads((DATA / "eikelberg.bundle.json").read_text()),
                    [["bundle", command, FILE] for command in ("verify", "chern", "cover")]),
+        "cache line": (json.loads(RECORDS[-1]), [RESUME]),
+        "sidecar": (SIDECAR, [RESUME]),
     }
 
 
 FIXTURES = _fixtures()
+
+
+def _files(name: str, text: str) -> tuple:
+    """(the input file, its sidecar) holding `text` as fixture `name`'s content."""
+    if name == "cache line":
+        return "\n".join([*RECORDS[:-1], text]) + "\n", json.dumps(SIDECAR)
+    if name == "sidecar":
+        return "\n".join(RECORDS) + "\n", text
+    return text, None
 
 
 def _nodes(value, path=()):
@@ -102,8 +129,11 @@ def run(tmp_path_factory):
     runner = CliRunner()
     path = tmp_path_factory.mktemp("mutants") / "input.json"
 
-    def run(text: str, command: list[str]):
+    def run(files: tuple, command: list[str]):
+        text, sidecar = files
         path.write_text(text)
+        if sidecar is not None:
+            Path(sidecar_path(str(path))).write_text(sidecar)
         return runner.invoke(main, [str(path) if arg == FILE else arg for arg in command])
     return run
 
@@ -128,7 +158,7 @@ def test_mutant_fails_in_one_line_or_runs(run, name, data):
     content, commands = FIXTURES[name]
     mutant = _mutated(content, *data.draw(st.sampled_from(_mutations(content))))
     for command in commands:
-        _check_outcome(run(json.dumps(mutant), command), command)
+        _check_outcome(run(_files(name, json.dumps(mutant)), command), command)
 
 
 def _reordered(value):
@@ -147,18 +177,26 @@ def _as_fractions(bundle):
     return bundle
 
 
+def _timeless(output: str) -> str:
+    return re.sub(r"(?m)^wall-clock: .*$", "wall-clock:", output)
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_value_keeping_mutant_gives_identical_output(run, name):
     content, commands = FIXTURES[name]
-    same = [json.dumps(_reordered(content)), json.dumps(content, indent=3)]
+    # a cache record is one line: spaces, but no line break
+    layout = {"indent": None, "separators": (", ", ": ")} if name == "cache line" \
+        else {"indent": 3}
+    same = [json.dumps(_reordered(content)), json.dumps(content, **layout)]
     if name == "bundle":
         same.append(json.dumps(_as_fractions(content)))
     for command in commands:
-        expected = run(json.dumps(content), command)
+        expected = run(_files(name, json.dumps(content, separators=(",", ":"))), command)
         assert expected.exit_code == 0, expected.output
         for text in same:
-            result = run(text, command)
-            assert (result.exit_code, result.output) == (0, expected.output)
+            result = run(_files(name, text), command)
+            assert (result.exit_code, _timeless(result.output)) == \
+                (0, _timeless(expected.output))
 
 
 def test_every_fixture_is_mutated_at_every_kind():
@@ -182,7 +220,7 @@ def test_bundle_entry_not_a_rational_string_refused(run, text):
     rows = bundle["filtrations"]["1"][1]["subspace"]
     rows[0][0] = text
     for command in commands:
-        result = run(json.dumps(bundle), command)
+        result = run((json.dumps(bundle), None), command)
         assert result.exit_code == 1
         assert result.output.startswith("Error: invalid bundle: ")
         assert result.output.endswith(
@@ -204,6 +242,25 @@ def test_pl_function_entry_not_a_rational_string_refused(pl_blob, text):
     with pytest.raises(PLError, match=f"^cell entry 1: entry {re.escape(repr(text))} "
                                       r"is not an int or a 'p/q' string$"):
         PLFunction.from_dict(cover, blob)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pl_function_mutant_read_or_refused_in_one_line(pl_blob, data):
+    cover, blob = pl_blob
+    mutant = _mutated(blob, *data.draw(st.sampled_from(_mutations(blob))))
+    try:
+        PLFunction.from_dict(cover, json.loads(json.dumps(mutant)))
+    except PLError as exc:
+        assert str(exc) and "\n" not in str(exc)
+
+
+def test_pl_function_value_keeping_mutant_reads_the_same(pl_blob):
+    cover, blob = pl_blob
+    f = PLFunction.from_dict(cover, blob)
+    for same in (_reordered(blob), json.loads(json.dumps(blob, indent=3))):
+        g = PLFunction.from_dict(cover, same)
+        assert (g.cell_values, g.ray_values) == (f.cell_values, f.ray_values)
 
 
 def test_pl_function_rational_strings_keep_their_values(pl_blob):

@@ -708,6 +708,12 @@ class TestPullbackInterpolationFlag:
         integral = pullback(data, [[Fraction(1), 0], [0, Fraction(2, 2)]], data.fan, cert)
         assert integral.filtrations == data.filtrations
 
+    def test_bool_lattice_map_refused(self, p2_bundle):
+        data, cert = p2_bundle
+        with pytest.raises(KlyachkoError, match=re.escape(
+                "lattice map row 0 has entry True, not an integer")):
+            pullback(data, [[True, 0], [0, 1]], data.fan, cert)
+
     def test_incompatible_projection_rejected(self):
         data, cert = load_bundle("p2_tangent")
         # the reflection sends the cone over (0,1), (-1,-1) across a ray
@@ -1277,6 +1283,16 @@ class TestDirectSum:
         data, cert = line_bundle(fan, (Fraction(4, 2), 0, -1))
         want, want_cert = line_bundle(fan, (2, 0, -1))
         assert data == want and cert.entries == want_cert.entries
+
+    def test_bool_and_float_functional_refused(self):
+        # they used to pass, `int` keeping their values: the character (1, 2, 0)
+        fan = load_fan("fulton")
+        with pytest.raises(KlyachkoError, match=re.escape(
+                "functional row 0 has entry True, not an integer")):
+            line_bundle(fan, [True, 2.0, 0])
+        with pytest.raises(KlyachkoError, match=re.escape(
+                "functional row 0 has entry 2.0, not an integer")):
+            line_bundle(fan, [1, 2.0, 0])
 
     def test_dual_commutes_with_direct_sum(self):
         rng = random.Random(7)

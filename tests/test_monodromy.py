@@ -250,6 +250,13 @@ class TestRayMonodromy:
             assignment_for_branch_set(fulton, rays)
         assert str(refused.value) == f"branch ray {repeated} is given twice"
 
+    @pytest.mark.parametrize("rays", [[True, 4], [1.0, 4], ["1", 4], [None], 1])
+    def test_branch_set_refuses_what_is_no_ray_index(self, fulton, rays):
+        # `True` was read as ray 1, as `fan_from_data` never reads a bool
+        with pytest.raises(ValueError) as refused:
+            assignment_for_branch_set(fulton, rays)
+        assert str(refused.value) == f"branch rays {rays!r} are not a list of ray indices"
+
 
 class TestCanonicalClass:
     def test_degree2_identity_map(self, fulton):

@@ -20,13 +20,8 @@ from dataclasses import dataclass, fields
 from itertools import chain
 
 from .fan_core import combinatorial_automorphisms
-from .fields import has_exact_keys, is_int, is_int_list, read_json
-from .monodromy import (
-    class_representatives,
-    count_assignments,
-    orbits_at,
-    spanning_tree,
-)
+from .fields import is_int, is_int_list, read_json
+from .monodromy import class_representatives, count_assignments, orbits_at, spanning_tree
 from .pl_group import split_triviality
 
 
@@ -229,7 +224,7 @@ def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,
         if not is_int(idx) or idx != count or idx >= total:
             raise CacheError(f"cache is not a clean index prefix at line {lineno + 1}")
         count += 1
-        if not has_exact_keys(rec, _RECORD_FIELDS):
+        if rec.keys() != _RECORD_FIELDS:
             incomplete = incomplete or lineno + 1
             continue
         problem = _record_problem(rec, nrays, d)

@@ -24,14 +24,8 @@ import click
 from .cli import CacheError, branch_census, run_sweep
 from .cover_poset import CoverError, cover_from_dict, degree as cover_degree, validate_cover
 from .exact_linalg import rank_of_int_rows
-from .fan_core import (
-    FanError,
-    fan_to_dict,
-    is_complete,
-    load_fan,
-    wall_relation,
-)
-from .fields import is_decimal, read_json
+from .fan_core import FanError, fan_to_dict, is_complete, load_fan, wall_relation
+from .fields import read_json
 from .klyachko import (
     KlyachkoError,
     branched_cover_of,
@@ -62,7 +56,7 @@ def _default_jobs() -> int:
     env = os.environ.get("FANBRANCH_JOBS")
     if not env:
         return os.cpu_count() or 1
-    if not is_decimal(env) or int(env) < 1:
+    if not (env.isascii() and env.isdecimal()) or int(env) < 1:
         raise click.ClickException(f"FANBRANCH_JOBS must be a positive integer, got {env!r}")
     return int(env)
 

@@ -502,27 +502,20 @@ def are_isomorphic(c1: CoverPoset, c2: CoverPoset, labels1=None, labels2=None) -
 
 
 def cover_to_dict(cover: CoverPoset) -> dict:
-    return {
-        "fan": cover.fan.name or "inline",
-        "cells": [
-            {"base": c.base, "copy": c.copy, "weight": c.weight} for c in cover.cells
-        ],
-        "faces": sorted(
-            [lo, hi] for hi in range(len(cover.cells)) for lo in cover.below[hi]
-        ),
-    }
+    return {"fan": cover.fan.name or "inline",
+            "cells": [{"base": c.base, "copy": c.copy, "weight": c.weight} for c in cover.cells],
+            "faces": sorted([lo, hi] for hi in range(len(cover.cells)) for lo in cover.below[hi])}
 
 
 def cover_from_dict(fan: Fan, data: dict) -> CoverPoset:
     try:
         rows = [(d["base"], d["copy"], d["weight"]) for d in data["cells"]]
-        cells = [CoverCell(*row) for row in rows]
         if not all(map(is_int_list, rows)):
             raise TypeError
     except (KeyError, TypeError):
         raise CoverError("a cover needs 'cells', each an object with 'base', 'copy' and "
                          "'weight' integers")
-    bad = [c.base for c in cells if c.base not in range(len(fan.cones))]
+    bad = [base for base, _, _ in rows if base not in range(len(fan.cones))]
     if bad:
         raise CoverError(f"cell base {bad[0]!r} is not a cone id of the fan")
-    return CoverPoset(fan, cells, data.get("faces", ()))
+    return CoverPoset(fan, [CoverCell(*row) for row in rows], data.get("faces", ()))

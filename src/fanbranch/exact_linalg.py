@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import is_int_list, is_integer_row, is_rational, is_rational_row
+from .fields import is_integer_row, is_rational_row
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -253,18 +253,16 @@ def _integer_rows(rows, what: str = "matrix", error=ValueError) -> list[list[int
     length, is refused with `error`, naming the row."""
     out = []
     for i, row in enumerate(map(list, rows)):
-        if not is_int_list(row):
-            try:
-                ints = [int(x) for x in row]
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise error(f"{what} row {i} has an entry that int cannot take: {exc}") from None
-            if not is_integer_row(row):
-                bad = next(x for x in row if not is_integer_row([x]))
-                raise error(f"{what} row {i} has entry {bad!r}, not an integer")
-            row = ints
-        if out and len(row) != len(out[0]):
-            raise error(f"{what} row {i} has {len(row)} entries, row 0 has {len(out[0])}")
-        out.append(row)
+        try:
+            ints = [int(x) for x in row]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{what} row {i} has an entry that int cannot take: {exc}") from None
+        if not is_integer_row(row):
+            bad = next(x for x in row if not is_integer_row([x]))
+            raise error(f"{what} row {i} has entry {bad!r}, not an integer")
+        if out and len(ints) != len(out[0]):
+            raise error(f"{what} row {i} has {len(ints)} entries, row 0 has {len(out[0])}")
+        out.append(ints)
     return out
 
 
@@ -460,7 +458,7 @@ class SubspaceBasis:
         basis = [list(r) for r in basis]
         for i, r in enumerate(basis):
             if not is_rational_row(r):
-                x = next(x for x in r if not is_rational(x))
+                x = next(x for x in r if not is_rational_row([x]))
                 raise ValueError(f"basis row {i} has entry {x!r}, not an int or a Fraction")
             if len(r) != ambient_dim:
                 raise ValueError("basis vector of wrong length")

@@ -31,12 +31,7 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 from operator import mul
 
-from .exact_linalg import (
-    independent_rows,
-    nullspace_of_int_rows,
-    primitive,
-    rank_of_int_rows,
-)
+from .exact_linalg import independent_rows, nullspace_of_int_rows, primitive, rank_of_int_rows
 from .fields import is_int, is_int_list, missing_key, read_json
 
 IntVector = tuple[int, ...]

@@ -1,16 +1,5 @@
-"""The one rule for each kind of input field (README, "File formats").
-
-An exact integer is an `int`, never a bool, a float or a `Fraction`
-(`is_int`, `is_int_list`).  A rational built in Python is exactly an `int`
-or a `Fraction` (`is_rational`, `is_rational_row`); a rational in a file is
-read by `read_rational` and written by `write_rational`.  An integer value
-is an `int` or a `Fraction` equal to an integer (`is_integer_row`).  A
-record has its required keys (`missing_key`), or exactly its keys where its
-format is closed (`has_exact_keys`).  A check takes a whole row and answers
-yes or no; the caller keeps its own message and error class.  `read_json`
-is the one reader of a JSON file.  Nothing here imports from the package,
-so every module may use it.
-"""
+"""The one rule for each kind of input field (README, "File formats").  It
+imports nothing from the package, so every module may use it."""
 
 from __future__ import annotations
 
@@ -33,10 +22,6 @@ def is_int_list(x, n: int | None = None, low: int | None = None) -> bool:
     return True
 
 
-def is_rational(x) -> bool:
-    return type(x) is int or type(x) is Fraction
-
-
 def is_rational_row(row) -> bool:
     for x in row:
         if type(x) is not int and type(x) is not Fraction:
@@ -52,20 +37,10 @@ def is_integer_row(row) -> bool:
 
 
 def missing_key(data, keys):
-    """The first of `keys` that the dict `data` lacks (the first of all when
-    `data` is no dict), or None."""
+    """The first of `keys` that `data` lacks (the first of all if it is no dict), or None."""
     if not isinstance(data, dict):
         return keys[0]
     return next((key for key in keys if key not in data), None)
-
-
-def has_exact_keys(data, keys) -> bool:
-    return isinstance(data, dict) and data.keys() == keys
-
-
-def is_decimal(text) -> bool:
-    """A nonempty string of ASCII digits, which "３" and "١" are not."""
-    return type(text) is str and text.isascii() and text.isdecimal()
 
 
 # an ASCII integer, or a fraction whose denominator has a nonzero digit

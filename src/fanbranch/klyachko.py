@@ -52,7 +52,6 @@ from .fields import (
     is_int,
     is_int_list,
     is_integer_row,
-    is_rational,
     is_rational_row,
     read_json,
     read_rational,
@@ -115,7 +114,7 @@ class Filtration:
     def value(self, i) -> SubspaceBasis:
         """The subspace at index i, exactly an `int` or a `Fraction` (full
         below all thresholds, 0 above)."""
-        if not is_rational(i):
+        if not is_rational_row([i]):
             raise KlyachkoError(f"index {i!r} is not an int or a Fraction")
         for t, s in self.steps:
             if i <= t:
@@ -609,12 +608,14 @@ def _multiset(fan: Fan, pos: int, entries) -> tuple:
         if not is_int(mult, 1):
             raise KlyachkoError(f"cone {pos} entry {i}: multiplicity {mult!r} "
                                 "is not a positive integer")
-        if size != fan.rank or not is_integer_row(u):
-            if size != fan.rank or not is_rational_row(u):
-                raise KlyachkoError(f"cone {pos} entry {i}: functional {u!r} is not "
-                                    f"{fan.rank} ints or Fractions")
-            raise KlyachkoError(f"cone {pos} has a non-integral functional "
-                                f"({', '.join(map(str, u))})")
+        if size != fan.rank:
+            raise KlyachkoError(f"cone {pos} entry {i}: functional {u!r} is not "
+                                f"{fan.rank} ints or Fractions")
+        if not is_integer_row(u):
+            raise KlyachkoError(
+                f"cone {pos} has a non-integral functional ({', '.join(map(str, u))})"
+                if is_rational_row(u) else
+                f"cone {pos} entry {i}: functional {u!r} is not {fan.rank} ints or Fractions")
         point = tuple(map(int, u))
         acc[point] = acc.get(point, 0) + mult
     return tuple(sorted(acc.items()))

@@ -47,14 +47,7 @@ from .exact_linalg import (
     rank_of_int_rows,
 )
 from .fan_core import cone_contains_point, derived, is_complete, wall_relation
-from .fields import (
-    is_int_list,
-    is_rational,
-    is_rational_row,
-    missing_key,
-    read_rational,
-    write_rational,
-)
+from .fields import is_int_list, is_rational_row, missing_key, read_rational, write_rational
 from .monodromy import sheet_components
 
 
@@ -150,7 +143,7 @@ class PLFunction:
             if len(u) != rank:
                 raise PLError(f"maximal cell {m}: {len(u)} entries, not {rank}")
             if not is_rational_row(u):
-                x = next(x for x in u if not is_rational(x))
+                x = next(x for x in u if not is_rational_row([x]))
                 raise PLError(f"maximal cell {m}: entry {x!r} is not an int or a Fraction")
         if set(cell_values) != set(cover.max_cells):
             raise PLError("need exactly one functional per maximal cell")
@@ -202,7 +195,7 @@ class PLFunction:
             [a * x + b * y for x, y in zip(self._rays, other._rays)], den)
 
     def scale(self, c) -> "PLFunction":
-        if not is_rational(c):
+        if not is_rational_row([c]):
             raise PLError(f"scalar {c!r} is not an int or a Fraction")
         p = c.numerator
         return PLFunction._of_numerators(

@@ -14,12 +14,9 @@ import pytest
 
 from fanbranch import fields
 from fanbranch.fields import (
-    has_exact_keys,
-    is_decimal,
     is_int,
     is_int_list,
     is_integer_row,
-    is_rational,
     is_rational_row,
     missing_key,
 )
@@ -42,9 +39,9 @@ def test_int_bounds_and_lengths():
 
 
 def test_rationals_and_integer_values():
-    assert is_rational(Fraction(1, 2)) and is_rational(-3)
-    assert not any(map(is_rational, [True, 0.5, "1/2", None]))
-    assert is_rational_row([1, Fraction(1, 2)]) and not is_rational_row([1, 0.5])
+    assert is_rational_row([-3, Fraction(1, 2)]) and is_rational_row([])
+    for bad in (True, 0.5, "1/2", None):
+        assert not is_rational_row([1, bad])
     assert is_integer_row([1, Fraction(4, 2)]) and is_integer_row([])
     for bad in (Fraction(1, 2), True, 2.0, "2"):
         assert not is_integer_row([1, bad])
@@ -54,14 +51,6 @@ def test_key_sets():
     assert missing_key({"a": 1, "b": 2}, ("a", "b")) is None
     assert missing_key({"b": 2}, ("a", "b")) == "a"
     assert missing_key([("a", 1)], ("a", "b")) == "a"
-    assert has_exact_keys({"a": 1}, {"a"}) and not has_exact_keys({"a": 1, "b": 2}, {"a"})
-    assert not has_exact_keys([], set())
-
-
-@pytest.mark.parametrize("text", ["", "+1", " 1", "1.0", "-1", "３", "١"], ids=ascii)
-def test_a_decimal_is_ascii_digits(text):
-    assert not is_decimal(text)
-    assert is_decimal("007")
 
 
 def _policy_sites(tree) -> list[int]:

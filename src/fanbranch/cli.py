@@ -186,12 +186,15 @@ def _sweep_meta(fan, d: int, tree) -> dict:
 
 def _check_sidecar(cache_path: str, meta: dict) -> None:
     """Refuse a cache whose sidecar is missing, unreadable, or names another
-    sweep, by the first field that differs."""
+    sweep, by the first field whose JSON text differs (so `true` or `1.0`
+    does not pass for `1`), or by a key that no sweep writes."""
     path = sidecar_path(cache_path)
     found = read_json(path, "sidecar", CacheError)
     for key, value in meta.items():
-        if found.get(key) != value:
+        if json.dumps(found.get(key)) != json.dumps(value):
             raise CacheError(f"sidecar {path} differs from this sweep in {key!r}")
+    for key in (key for key in found if key not in meta):
+        raise CacheError(f"sidecar {path} holds {key!r}, which no sweep writes")
 
 
 def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,

@@ -52,13 +52,24 @@ from .pl_group import (
 )
 
 
+class _Digits(click.IntRange):
+    """The one rule for an integer on the command line: `IntRange` over
+    ASCII digits, so "２", " 2" and "+2" are refused."""
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str) and not (value.isascii() and value.isdecimal()):
+            self.fail(f"{value!r} is not written in ASCII digits", param, ctx)
+        return super().convert(value, param, ctx)
+
+
 def _default_jobs() -> int:
     env = os.environ.get("FANBRANCH_JOBS")
     if not env:
         return os.cpu_count() or 1
-    if not (env.isascii() and env.isdecimal()) or int(env) < 1:
-        raise click.ClickException(f"FANBRANCH_JOBS must be a positive integer, got {env!r}")
-    return int(env)
+    try:
+        return _Digits(min=1).convert(env, None, None)
+    except click.BadParameter:
+        raise click.ClickException(f"FANBRANCH_JOBS must be a positive integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +117,7 @@ def covers():
 
 @covers.command("enumerate")
 @click.argument("source")
-@click.option("--degree", "-d", type=click.IntRange(min=1), required=True)
+@click.option("--degree", "-d", type=_Digits(min=1), required=True)
 @click.option("--classes", is_flag=True, help="count conjugacy classes as well")
 @click.option("--branch-report", is_flag=True, help="tabulate degree-2 branch sets")
 def covers_enumerate(source, degree, classes, branch_report):
@@ -138,8 +149,8 @@ def pl():
 
 @pl.command("sweep")
 @click.argument("source")
-@click.option("--degree", "-d", type=click.IntRange(min=1), required=True)
-@click.option("--jobs", "-j", type=click.IntRange(min=1), default=None,
+@click.option("--degree", "-d", type=_Digits(min=1), required=True)
+@click.option("--jobs", "-j", type=_Digits(min=1), default=None,
               help="worker processes")
 @click.option("--cache", type=click.Path(), default=None, help="record file")
 @click.option("--resume", is_flag=True, help="skip indices already cached")
@@ -167,8 +178,8 @@ def pl_solve(source, cover_file, branch):
         raise click.ClickException("pass exactly one of --cover or --branch-rays")
     if branch is not None:
         try:
-            rays = [int(x) for x in branch.split(",") if x.strip() != ""]
-        except ValueError:
+            rays = [_Digits().convert(x, None, None) for x in branch.split(",") if x.strip() != ""]
+        except click.BadParameter:
             raise click.ClickException(
                 f"--branch-rays takes comma-separated ray indices, got {branch!r}"
             )
@@ -389,7 +400,7 @@ def paper_group():
         ["eikelberg", "fulton-deg2", "fulton-rank3", "sigma-prime-deg3", "p2-tangent"]
     ),
 )
-@click.option("--jobs", "-j", type=click.IntRange(min=1), default=None)
+@click.option("--jobs", "-j", type=_Digits(min=1), default=None)
 def paper_reproduce(name, jobs):
     """Re-run a known computation and diff against bundled expected values."""
     jobs = jobs or _default_jobs()

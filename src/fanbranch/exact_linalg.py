@@ -2,15 +2,18 @@
 
 Everything in this package runs on arbitrary-precision rationals
 (`fractions.Fraction`) and Python integers; there is no floating point
-anywhere.  This module provides the shared substrate: dense matrices over Q,
-deterministic row reduction, rational and integer kernels, primitive integer
+anywhere.  This module provides the shared substrate: deterministic row
+reduction, rational and integer kernels, primitive integer
 vectors, and canonical subspace algebra.
 
 Which routine answers which question:
 
 * one elimination over Q, the fraction-free `_int_echelon` (row step
-  `_cancel`), on integer rows; a rational row is first cleared of
-  denominators (`_cleared_rows`), which keeps the row space.  A rank is
+  `_cancel`), on integer rows.  A caller's rational rows or point are read
+  by `_rational_rows` (`rref`, `solve_linear`, `primitive`, `SubspaceBasis`,
+  `integer_solve`'s right-hand side, `fan_core.cone_contains_point`): each
+  entry exactly an `int` or a `Fraction`, else refused by name, and each
+  row cleared of denominators, which keeps the row space.  A rank is
   its pivot count (`rank_of_int_rows`), a kernel its back-substitution
   (`nullspace_of_int_rows`, `_echelon_kernel`), first-come independent
   vectors its pivot columns (`independent_rows`), and `_extend_echelon`
@@ -51,50 +54,14 @@ Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 
 
-def _fraction_rows(entries) -> tuple[Vector, ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in entries)
-
-
-class RationalMatrix:
-    """Immutable dense matrix over Q, entries kept in lowest terms."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        ent = _fraction_rows(entries)
-        width = len(ent[0]) if ent else 0
-        for i, r in enumerate(ent):
-            if len(r) != width:
-                raise ValueError(f"matrix row {i} has {len(r)} entries, row 0 has {width}")
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "rows", len(ent))
-        object.__setattr__(self, "cols", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalMatrix)
-            and self.entries == other.entries
-            and self.cols == other.cols
-        )
-
-    def __hash__(self):
-        return hash((self.cols, self.entries))
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
-        return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
-
-def rref(m: RationalMatrix) -> tuple[RationalMatrix, int]:
+def rref(rows) -> tuple[tuple[Vector, ...], int]:
     """Reduced row-echelon form and rank, with deterministic pivoting: the
     rows of `_primitive_rref` of the denominator-cleared rows, each divided
     by its pivot, then zero rows.  The reduced form is unique."""
-    rows = _fraction_basis(_primitive_rref(_cleared_rows(m.entries), m.cols))
-    zero = (Fraction(0),) * m.cols
-    return RationalMatrix(rows + (zero,) * (m.rows - len(rows))), len(rows)
+    ints = _rational_rows(rows)
+    ncols = len(ints[0]) if ints else 0
+    reduced = _fraction_basis(_primitive_rref(ints, ncols))
+    return reduced + ((Fraction(0),) * ncols,) * (len(ints) - len(reduced)), len(reduced)
 
 
 def primitive(v) -> IntVector:
@@ -102,7 +69,7 @@ def primitive(v) -> IntVector:
 
     Direction is preserved; the result has gcd of entries equal to 1.
     """
-    (ints,) = _cleared_rows([[Fraction(x) for x in v]])
+    (ints,) = _rational_rows([v], "vector")
     if not any(ints):
         raise ValueError("zero vector has no primitive form")
     g = gcd(*ints)
@@ -236,11 +203,19 @@ def _echelon_kernel(ech: list[list[int]], pivots: list[int], ncols: int) -> list
     return basis
 
 
-def _cleared_rows(rows) -> list[list[int]]:
-    """Each row of `Fraction`s times the lcm of its denominators: same row
-    space."""
+def _rational_rows(rows, what: str = "matrix", error=ValueError) -> list[list[int]]:
+    """`rows` cleared of denominators, as lists of ints of one length: each
+    row times the lcm of its denominators, which keeps the row space.  Each
+    entry must be exactly an `int` or a `Fraction` (`fields.is_rational_row`);
+    anything else (True, 0.5, "1/3", None), or a row of another length, is
+    refused with `error`, naming the row."""
     out = []
-    for row in rows:
+    for i, row in enumerate(map(list, rows)):
+        if not is_rational_row(row):
+            bad = next(x for x in row if not is_rational_row([x]))
+            raise error(f"{what} row {i} has entry {bad!r}, not an int or a Fraction")
+        if out and len(row) != len(out[0]):
+            raise error(f"{what} row {i} has {len(row)} entries, row 0 has {len(out[0])}")
         den = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
@@ -394,12 +369,11 @@ def solve_linear(a_rows, b) -> Vector | None:
     """One exact solution of A.x = b (free variables set to 0), or None: read
     off `_primitive_rref` of the denominator-cleared [A | b], which has a
     pivot in the last column exactly when the system is inconsistent."""
-    a = RationalMatrix(a_rows)
-    bvec = [Fraction(x) for x in b]
-    if a.rows != len(bvec):
+    a, bvec = [list(r) for r in a_rows], list(b)
+    n = len(_rational_rows(a)[0]) if a else 0  # A's own entries and lengths first
+    if len(a) != len(bvec):
         raise ValueError("dimension mismatch")
-    n = a.cols
-    rows = _primitive_rref(_cleared_rows([r + (x,) for r, x in zip(a.entries, bvec)]), n + 1)
+    rows = _primitive_rref(_rational_rows([r + [x] for r, x in zip(a, bvec)], "right-hand side"), n + 1)
     x = [Fraction(0)] * n
     for row, p in zip(rows, _pivots(rows)):
         if p == n:
@@ -410,12 +384,14 @@ def solve_linear(a_rows, b) -> Vector | None:
 
 def integer_solve(a_rows, b) -> IntVector | None:
     """One integer solution of A.x = b, or None if no integral solution
-    exists.  The entries of A must be integers."""
+    exists.  The entries of A must be integers, those of b exactly `int`s or
+    `Fraction`s."""
     a = _integer_rows(a_rows)
-    bvec = [Fraction(x) for x in b]
+    bvec = list(b)
+    _rational_rows([[x] for x in bvec], "right-hand side")
     if len(bvec) != len(a):
         raise ValueError(f"dimension mismatch: {len(a)} rows, {len(bvec)} right-hand sides")
-    if any(x.denominator != 1 for x in bvec):
+    if not is_integer_row(bvec):
         return None
     bint = [int(x) for x in bvec]
     if not a:
@@ -455,14 +431,10 @@ class SubspaceBasis:
     __slots__ = ("ambient_dim", "rows")
 
     def __init__(self, ambient_dim: int, basis=()):
-        basis = [list(r) for r in basis]
-        for i, r in enumerate(basis):
-            if not is_rational_row(r):
-                x = next(x for x in r if not is_rational_row([x]))
-                raise ValueError(f"basis row {i} has entry {x!r}, not an int or a Fraction")
-            if len(r) != ambient_dim:
-                raise ValueError("basis vector of wrong length")
-        self._set(ambient_dim, _cleared_rows(basis))
+        rows = _rational_rows(basis, "basis")
+        if rows and len(rows[0]) != ambient_dim:
+            raise ValueError("basis vector of wrong length")
+        self._set(ambient_dim, rows)
 
     def __reduce__(self):
         return SubspaceBasis._of_int_rows, (self.ambient_dim, self.rows)

@@ -28,10 +28,10 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
-from .exact_linalg import independent_rows, nullspace_of_int_rows, primitive, rank_of_int_rows
+from .exact_linalg import _rational_rows, independent_rows, nullspace_of_int_rows, primitive, rank_of_int_rows
 from .fields import is_int, is_int_list, missing_key, read_json
 
 IntVector = tuple[int, ...]
@@ -231,16 +231,15 @@ def linear_functional_witness(zero_on, positive_on, negative_on=()):
 
 def cone_contains_point(generators, point) -> bool:
     """Exact membership of a rational point in the cone of integer generators,
-    via Farkas.  The point is first scaled by the lcm of its denominators,
-    which keeps membership.  A point of another length than the generators
-    is refused."""
-    pt = [Fraction(x) for x in point]
+    via Farkas.  The point, exactly `int`s and `Fraction`s, is first scaled
+    by the lcm of its denominators (`_rational_rows`), which keeps
+    membership.  A point of another length than the generators is
+    refused."""
+    (pt,) = _rational_rows([point], "point")
     lengths = {len(g) for g in generators} - {len(pt)}
     if lengths:
         raise ValueError(f"a point of length {len(pt)} against generators of length "
                          f"{', '.join(map(str, sorted(lengths)))}")
-    den = lcm(*(x.denominator for x in pt))
-    pt = [x.numerator * (den // x.denominator) for x in pt]
     if not any(pt):
         return True
     if not generators:

@@ -42,6 +42,7 @@ from .exact_linalg import (
     _pivot_entries,
     _pivots,
     _primitive_rref,
+    _rational_rows,
     annihilator,
     integer_solve,
     rank_of_int_rows,
@@ -201,19 +202,6 @@ class VerifyResult:
             where.append(f"threshold {self.threshold}")
         loc = ", ".join(where)
         return f"violation at {loc}: {self.reason}"
-
-
-def _induced_filtration(rank: int, pairs) -> Filtration:
-    """Filtration generated by (value, subspace) summands: sum over value >= i."""
-    values = sorted({v for v, _ in pairs})
-    steps = []
-    for t in values:
-        acc = SubspaceBasis(rank)
-        for v, s in pairs:
-            if v >= t:
-                acc = subspace_sum(acc, s)
-        steps.append((t, acc))
-    return Filtration(rank, steps)
 
 
 def _annihilators(data: KlyachkoData):
@@ -472,37 +460,44 @@ def dual(data: KlyachkoData) -> KlyachkoData:
     return KlyachkoData(data.fan, r, out)
 
 
-def _containing_max_cone(fan: Fan, v) -> int:
-    for pos in range(len(fan.max_cones)):
-        gens = [fan.rays[i] for i in fan.max_cones[pos].ray_indices]
-        if cone_contains_point(gens, v):
-            return pos
-    raise KlyachkoError(f"point {tuple(v)} lies outside the fan's support")
+def _point(v, n: int) -> tuple:
+    """A caller's point of Q^n, read by `_rational_rows`, which names a bad entry."""
+    v = tuple(v)
+    _rational_rows([v], "point", KlyachkoError)
+    if len(v) != n:
+        raise KlyachkoError(f"point {v} has {len(v)} entries, not {n}")
+    return v
+
+
+def _splitting_at(data: KlyachkoData, cert: SplittingCertificate, v) -> list:
+    """The filtration that the splitting induces at a point v, as ascending
+    steps (t, F(t)) over the distinct values t of the functionals at v:
+    F(t) the span of the summands whose functional is at least t there.  The
+    splitting is that of the first maximal cone containing v."""
+    v, fan = _point(v, data.fan.rank), data.fan
+    pos = next((pos for pos, cone in enumerate(fan.max_cones)
+                if cone_contains_point([fan.rays[i] for i in cone.ray_indices], v)), None)
+    if pos is None:
+        raise KlyachkoError(f"point {v} lies outside the fan's support")
+    values = [(sum(map(mul, u, v)), s.rows) for u, s in cert.cone(pos)]
+    return [(t, SubspaceBasis(data.rank, [row for value, rows in values if value >= t for row in rows]))
+            for t in sorted({t for t, _ in values})]
 
 
 def interpolate(data: KlyachkoData, cert: SplittingCertificate, v, t) -> SubspaceBasis:
     """The interpolated filtration at a point: sum of certified summands
-    whose functional is at least t at v."""
-    pos = _containing_max_cone(data.fan, v)
-    t = Fraction(t)
-    acc = SubspaceBasis(data.rank)
-    for u, s in cert.cone(pos):
-        if sum(Fraction(a) * b for a, b in zip(u, v)) >= t:
-            acc = subspace_sum(acc, s)
-    return acc
+    whose functional is at least t at v, t exactly an `int` or a
+    `Fraction`."""
+    steps = _splitting_at(data, cert, v)
+    if not is_rational_row([t]):
+        raise KlyachkoError(f"threshold {t!r} is not an int or a Fraction")
+    return next((s for value, s in steps if t <= value), SubspaceBasis(data.rank))
 
 
 def flag(data: KlyachkoData, cert: SplittingCertificate, v) -> list[SubspaceBasis]:
     """Distinct nonzero interpolated subspaces at v, ordered by inclusion."""
-    pos = _containing_max_cone(data.fan, v)
-    entries = cert.cone(pos)
-    values = sorted(
-        {sum(Fraction(a) * b for a, b in zip(u, v)) for u, _ in entries},
-        reverse=True,
-    )
     out = []
-    for t in values:
-        s = interpolate(data, cert, v, t)
+    for _, s in reversed(_splitting_at(data, cert, v)):
         if s.dim > 0 and (not out or s != out[-1]):
             out.append(s)
     return out
@@ -514,7 +509,8 @@ def pullback(data: KlyachkoData, lattice_map, target_fan: Fan,
 
     Every cone of the target fan must map into some cone of the source fan;
     the pulled-back filtration at a target ray is the source interpolation
-    at the image of its primitive generator, read at integer thresholds.
+    at the image of its primitive generator.  Its thresholds are integers,
+    as the image and each certified functional are integer vectors.
     """
     rows = _integer_rows(lattice_map, "lattice map", KlyachkoError)
     if len(rows) != data.fan.rank:
@@ -523,39 +519,14 @@ def pullback(data: KlyachkoData, lattice_map, target_fan: Fan,
     def apply(v):
         return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
 
-    for pos in range(len(target_fan.max_cones)):
-        images = [apply(target_fan.rays[i]) for i in target_fan.max_cones[pos].ray_indices]
-        landed = False
-        for spos in range(len(data.fan.max_cones)):
-            gens = [data.fan.rays[i] for i in data.fan.max_cones[spos].ray_indices]
-            if all(cone_contains_point(gens, img) for img in images):
-                landed = True
-                break
-        if not landed:
-            raise KlyachkoError(
-                f"target cone {pos} does not map into a cone of the source fan"
-            )
-
-    r = data.rank
-    out = {}
-    for ray in range(len(target_fan.rays)):
-        w = apply(target_fan.rays[ray])
-        if all(x == 0 for x in w):
-            # constant interpolation: full space for t <= 0
-            out[ray] = Filtration(r, [(0, _full_space(r))])
-            continue
-        pos = _containing_max_cone(data.fan, w)
-        pairs = []
-        for u, s in cert.cone(pos):
-            val = sum(Fraction(a) * b for a, b in zip(u, w))
-            if val.denominator != 1:
-                raise KlyachkoError("non-integral threshold in pullback")
-            pairs.append((int(val), s))
-        merged: dict[int, SubspaceBasis] = {}
-        for val, s in pairs:
-            merged[val] = subspace_sum(merged.get(val, SubspaceBasis(r)), s)
-        out[ray] = _induced_filtration(r, list(merged.items()))
-    return KlyachkoData(target_fan, r, out)
+    sources = [[data.fan.rays[i] for i in cone.ray_indices] for cone in data.fan.max_cones]
+    for pos, cone in enumerate(target_fan.max_cones):
+        images = [apply(target_fan.rays[i]) for i in cone.ray_indices]
+        if not any(all(cone_contains_point(gens, img) for img in images) for gens in sources):
+            raise KlyachkoError(f"target cone {pos} does not map into a cone of the source fan")
+    return KlyachkoData(target_fan, data.rank, {
+        ray: Filtration(data.rank, _splitting_at(data, cert, apply(v)))
+        for ray, v in enumerate(target_fan.rays)})
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +632,10 @@ class ChernData:
 
     def elementary_symmetric(self, pos: int, i: int, v):
         """e_i of the pairings of the cone's multiset against a point."""
+        v = _point(v, self.fan.rank)
         values = []
         for u, m in self.multisets[pos]:
-            values.extend([sum(Fraction(a) * b for a, b in zip(u, v))] * m)
+            values.extend([sum(map(mul, u, v))] * m)
         if i < 0 or i > len(values):
             raise KlyachkoError("elementary symmetric index out of range")
         # e_i via the generating polynomial prod(1 + x t)
@@ -716,7 +688,8 @@ def _cover_plan(fan: Fan) -> tuple:
     """Per cone: the position of its first carrier (the maximal cone of
     least id having it as a face), the cone's ray positions in that
     carrier, and each proper face as (id, its ray positions in the cone).
-    A constant of the fan, read through `derived`.
+    A constant of the fan, read through `derived`.  Every cone has a
+    carrier: `fan_from_data` makes the cones the faces of the maximal ones.
 
     A fan with a ray in no full-dimensional maximal cone is refused, naming
     a maximal cone of lower dimension through that ray: the tautological
@@ -732,9 +705,7 @@ def _cover_plan(fan: Fan) -> tuple:
     max_pos = fan._max_positions  # cone id -> position in fan.max_cones
     plan = []
     for cone_id, cone in enumerate(fan.cones):
-        carrier = next((max_pos[i] for i in fan.coface_ids(cone_id) if i in max_pos), None)
-        if carrier is None:
-            raise KlyachkoError(f"cone {cone_id} is not a face of any maximal cone")
+        carrier = next(max_pos[i] for i in fan.coface_ids(cone_id) if i in max_pos)
         plan.append((carrier, _positions(fan.max_cones[carrier].ray_indices, cone.ray_indices),
                      [(fid, _positions(cone.ray_indices, fan.cones[fid].ray_indices))
                       for fid in fan.face_ids(cone_id) if fid != cone_id]))

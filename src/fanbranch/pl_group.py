@@ -12,9 +12,10 @@ an exact 3x3 solve, a linear isomorphism between the two solution spaces.
 `_kernel_keys` is the one place that lift is applied, in integers over one
 denominator per fan; both modes of `solve`, the pullbacks, the common
 pattern and the witness read it.  The integral lattice is read through it
-too: `solve` saturates the lifted kernel, so the per-cell form
-(`per_cell_system`) is kept only as the independent check.  A `PLFunction`
-is integer numerators over one denominator, read as `Fraction`s on demand.
+too: `solve` saturates the lifted kernel, so the per-cell form, the
+integer rows of `per_cell_system`, is kept only as the independent check.
+A `PLFunction` is integer numerators over one denominator, read as
+`Fraction`s on demand.
 
 Triviality of the whole group is decided on one fraction-free echelon of
 the values-at-rays system: its corank is the group's dimension, and its
@@ -38,7 +39,6 @@ from operator import mul
 
 from .cover_poset import CoverPoset, components
 from .exact_linalg import (
-    RationalMatrix,
     _echelon_kernel,
     _int_echelon,
     _primitive_rref,
@@ -270,7 +270,8 @@ def is_trivial_function(plf: PLFunction) -> bool:
 
 
 def evaluate(plf: PLFunction, cell: int, point) -> Fraction:
-    """Value of the function on a cell at a point of its base cone."""
+    """Value of the function on a cell at a point of its base cone, whose
+    entries are exactly `int`s or `Fraction`s (`cone_contains_point`)."""
     cover = plf.cover
     base = cover.cells[cell].base
     gens = cover.fan.generators(base)
@@ -285,7 +286,7 @@ def evaluate(plf: PLFunction, cell: int, point) -> Fraction:
                 return Fraction(0)
             raise PLError("cell has no maximal cell above it")
         u = plf.cell_values[carrier]
-    return sum(Fraction(a) * b for a, b in zip(point, u))
+    return sum(a * b for a, b in zip(point, u))
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +350,10 @@ def base_dimension(fan) -> int:
     return len(derived(fan, _base_kernel))
 
 
-def per_cell_system(cover: CoverPoset) -> RationalMatrix:
-    """The incidence form: variables are all per-cell functionals plus one
-    value per ray cell, constraints <u_c, v_ray> = z_ray per incidence."""
-    return RationalMatrix(_per_cell_rows(cover))
-
-
-def _per_cell_rows(cover: CoverPoset) -> list[list[int]]:
-    """The rows of `per_cell_system`, as integer lists."""
+def per_cell_system(cover: CoverPoset) -> list[list[int]]:
+    """The incidence form, as integer rows: variables are all per-cell
+    functionals plus one value per ray cell, constraints <u_c, v_ray> =
+    z_ray per incidence."""
     fan = cover.fan
     n = fan.rank
     maxcells = cover.max_cells

@@ -7,9 +7,7 @@ from math import factorial
 from operator import mul
 
 from fanbranch.exact_linalg import (
-    RationalMatrix,
     SubspaceBasis,
-    _fraction_rows,
     independent_rows,
     integer_kernel,
     rank_of_int_rows,
@@ -35,7 +33,6 @@ from fanbranch.klyachko import (
     KlyachkoError,
     SplittingCertificate,
     VerifyResult,
-    _induced_filtration,
 )
 from fanbranch.cli import SweepRecord
 from fanbranch.monodromy import (
@@ -53,9 +50,9 @@ from fanbranch.pl_group import (
     _kernel_keys,
     _lifts,
     _max_cell_geometry,
-    _per_cell_rows,
     _pullback_z,
     _ray_value_kernel,
+    per_cell_system,
     split_triviality,
 )
 
@@ -211,16 +208,20 @@ def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fracti
     return rows, pivots
 
 
-def reference_rref(m: RationalMatrix) -> tuple[RationalMatrix, int]:
+def _fractions(rows) -> tuple:
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def reference_rref(rows) -> tuple[tuple, int]:
     """`rref` by the `Fraction` Gauss-Jordan."""
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref_rows(rows, m.cols)
-    return RationalMatrix(rows), len(pivots)
+    rows = [list(r) for r in _fractions(rows)]
+    rows, pivots = _rref_rows(rows, len(rows[0]) if rows else 0)
+    return _fractions(rows), len(pivots)
 
 
 def reference_solve_linear(a_rows, b):
     """`solve_linear` by the `Fraction` Gauss-Jordan."""
-    arows = _fraction_rows(a_rows)
+    arows = _fractions(a_rows)
     bvec = tuple(Fraction(x) for x in b)
     if len(arows) != len(bvec):
         raise ValueError("dimension mismatch")
@@ -250,7 +251,7 @@ def reference_solve_linear(a_rows, b):
 
 def reference_subspace_basis(ambient_dim: int, basis=()) -> tuple:
     """The `Fraction` reduced row-echelon basis of the span of `basis`."""
-    rows = [list(r) for r in _fraction_rows(basis)]
+    rows = [list(r) for r in _fractions(basis)]
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("basis vector of wrong length")
@@ -294,6 +295,19 @@ def reference_dual(data: KlyachkoData) -> dict:
 # `klyachko.verify` decides in integers, with no subspace sum built.  This is
 # the direct reading it is tested against: per cone and ray, the validated
 # `Filtration` that the summands induce, compared with the stored one.
+
+
+def _induced_filtration(rank: int, pairs) -> Filtration:
+    """Filtration generated by (value, subspace) summands: sum over value >= i."""
+    values = sorted({v for v, _ in pairs})
+    steps = []
+    for t in values:
+        acc = SubspaceBasis(rank)
+        for v, s in pairs:
+            if v >= t:
+                acc = subspace_sum(acc, s)
+        steps.append((t, acc))
+    return Filtration(rank, steps)
 
 
 def reference_verify(data: KlyachkoData, cert: SplittingCertificate) -> VerifyResult:
@@ -485,7 +499,7 @@ def reference_basis(cover, mode: str) -> tuple[list, list]:
     functions = [({m: tuple(map(Fraction, vec[n * i:n * i + n]))
                    for i, m in enumerate(cover.max_cells)},
                   {r: Fraction(x) for r, x in zip(cover.ray_cells, vec[zstart:])})
-                 for vec in integer_kernel(_per_cell_rows(cover))]
+                 for vec in integer_kernel(per_cell_system(cover))]
     return functions, pullbacks
 
 

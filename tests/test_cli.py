@@ -318,6 +318,37 @@ def test_degree_below_one_refused(runner, command, degree):
     assert "Invalid value for '--degree'" in result.output
 
 
+# An integer option is ASCII digits: `int` used to read the fullwidth and
+# Arabic-Indic digits, and a sign or surrounding spaces.
+NOT_ASCII_DIGITS = ["\uff12", "\u0662", " 2", "2 ", "+2"]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(["pl", "sweep", "fulton", "-d"], "--degree"), (["covers", "enumerate", "fulton", "-d"], "--degree"),
+     (["pl", "sweep", "fulton", "-d", "2", "--jobs"], "--jobs"),
+     (["paper", "reproduce", "p2-tangent", "--jobs"], "--jobs")],
+    ids=["sweep-degree", "enumerate-degree", "sweep-jobs", "reproduce-jobs"],
+)
+@pytest.mark.parametrize("value", NOT_ASCII_DIGITS, ids=ascii)
+def test_integer_option_not_in_ascii_digits_refused(runner, command, option, value):
+    result = runner.invoke(main, [*command, value])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"Invalid value for '{option}'" in result.output
+    assert f"{value!r} is not written in ASCII digits" in result.output
+
+
+@pytest.mark.parametrize("value", [",".join(x.replace("2", d) for x in ["0", "2", "5", "7"])
+                                   for d in NOT_ASCII_DIGITS] + ["\uff10,\uff12,\uff15,\uff17"],
+                         ids=ascii)
+def test_branch_ray_not_in_ascii_digits_refused(runner, value):
+    result = runner.invoke(main, ["pl", "solve", "fulton", "--branch-rays", value])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: --branch-rays takes comma-separated ray indices, got {value!r}\n"
+
+
 class TestSweep:
     def test_jobs_do_not_change_cache(self, fulton, tmp_path):
         c1 = tmp_path / "one.jsonl"

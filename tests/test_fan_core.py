@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -647,6 +648,15 @@ class TestSymmetriesAndIO:
         assert cone_contains_point(gens, [Fraction(x, 3) for x in gens[1]])
         assert not cone_contains_point(gens, [-x for x in inside])
         assert cone_contains_point(gens, [Fraction(0), Fraction(0), Fraction(0)])
+
+    @pytest.mark.parametrize("point, bad", [((0.5, "1", True), 0.5), ((1, "1", True), "'1'"),
+                                            ((1, 2, True), True), ((1, 0.0, 3), 0.0)],
+                             ids=["float", "str", "bool", "zero-float"])
+    def test_cone_membership_refuses_an_entry_not_int_or_fraction(self, fulton, point, bad):
+        gens = [fulton.rays[i] for i in fulton.max_cones[0].ray_indices]
+        with pytest.raises(ValueError, match=re.escape(
+                f"point row 0 has entry {bad}, not an int or a Fraction")):
+            cone_contains_point(gens, point)
 
     @pytest.mark.parametrize("point, length", [((1, 1), 2), ((1, 1, 1, 5), 4)])
     def test_cone_membership_refuses_a_point_of_another_length(self, fulton, point, length):

@@ -199,6 +199,29 @@ def test_value_keeping_mutant_gives_identical_output(run, name):
                 (0, _timeless(expected.output))
 
 
+def _equal_value_mutants(content) -> list:
+    """`content` with one int replaced by its float, one 1 by true, or one
+    key added: each keeps every value equal under Python's `==`."""
+    out = [_mutated(content, (), "add", "unknown")]
+    for path, node in _nodes(content):
+        if type(node) is int:
+            out.append(_mutated(content, path, "replace", float(node)))
+            if node == 1:
+                out.append(_mutated(content, path, "replace", True))
+    return out
+
+
+def test_sidecar_with_an_equal_but_other_value_refused(run):
+    # each of these used to resume, the sidecar compared by `==`
+    mutants = _equal_value_mutants(SIDECAR)
+    assert len(mutants) > 40
+    for mutant in mutants:
+        result = run(_files("sidecar", json.dumps(mutant)), RESUME)
+        assert result.exit_code == 1, json.dumps(mutant)
+        assert result.output.startswith("Error: sidecar ") and result.output.count("\n") == 1, \
+            result.output
+
+
 def test_every_fixture_is_mutated_at_every_kind():
     for content, _ in FIXTURES.values():
         kinds = {(kind, type(argument)) for _, kind, argument in _mutations(content)}

@@ -21,7 +21,7 @@ from fanbranch.cover_poset import (
 )
 from fanbranch.exact_linalg import (
     SubspaceBasis,
-    _cleared_rows,
+    _rational_rows,
     annihilator,
     integer_solve,
     intersect,
@@ -778,6 +778,133 @@ class TestPullbackInterpolationFlag:
         assert flag(data, cert, a) == flag(data, cert, b)
 
 
+class TestCallersPoint:
+    """A point or threshold given to `interpolate`, `flag`, `pullback` or
+    `elementary_symmetric` holds exactly `int`s and `Fraction`s.  A float
+    used to give a float or a binary fraction, and a bool or a string a
+    bare `TypeError` or a value read through `Fraction`."""
+
+    @pytest.mark.parametrize("v, says", [
+        ((True, 0, "1"), "point row 0 has entry True, not an int or a Fraction"),
+        ((0, 1, 6.0), "point row 0 has entry 6.0, not an int or a Fraction"),
+        ((0, "1", 6), "point row 0 has entry '1', not an int or a Fraction"),
+        ((0, 1), "point (0, 1) has 2 entries, not 3"),
+    ], ids=["bool", "float", "str", "short"])
+    def test_interpolate_and_flag_refuse_the_point(self, fulton_bundle, v, says):
+        data, cert = fulton_bundle
+        for call in (lambda: flag(data, cert, v), lambda: interpolate(data, cert, v, 0)):
+            with pytest.raises(KlyachkoError, match=f"^{re.escape(says)}$"):
+                call()
+
+    @pytest.mark.parametrize("t", [0.5, True, "1", None], ids=repr)
+    def test_interpolate_refuses_the_threshold(self, fulton_bundle, t):
+        data, cert = fulton_bundle
+        with pytest.raises(KlyachkoError, match=f"^threshold {re.escape(repr(t))} is not an int "
+                                                "or a Fraction$"):
+            interpolate(data, cert, (0, 1, 6), t)
+
+    def test_interpolate_at_fractions(self, fulton_bundle):
+        data, cert = fulton_bundle
+        v = (0, Fraction(1, 2), 3)
+        values = sorted({sum(a * b for a, b in zip(u, v)) for u, _ in cert.cone(0)})
+        assert interpolate(data, cert, v, values[0]).dim == 3
+        assert interpolate(data, cert, v, values[-1] + Fraction(1, 7)).dim == 0
+        assert [s.dim for s in flag(data, cert, v)] == [1, 2, 3]
+
+    @pytest.mark.parametrize("v, says", [
+        ((0.1, 0, 0), "point row 0 has entry 0.1, not an int or a Fraction"),
+        ((1, 1, True), "point row 0 has entry True, not an int or a Fraction"),
+        ((1, 1), "point (1, 1) has 2 entries, not 3"),
+    ], ids=["float", "bool", "short"])
+    def test_elementary_symmetric_refuses_the_point(self, eikelberg_bundle, v, says):
+        cd = chern(*eikelberg_bundle)
+        with pytest.raises(KlyachkoError, match=f"^{re.escape(says)}$"):
+            cd.elementary_symmetric(0, 1, v)
+        assert cd.elementary_symmetric(0, 1, (Fraction(1, 10), 0, 0)) == \
+            Fraction(sum(m * u[0] for u, m in cd.multisets[0]), 10)
+
+    def test_flag_searches_the_cones_once(self, fulton_bundle, monkeypatch):
+        # it used to search for the containing cone once more per value at v
+        from fanbranch import klyachko
+        data, cert = fulton_bundle
+        calls = []
+        real = klyachko.cone_contains_point
+        monkeypatch.setattr(klyachko, "cone_contains_point",
+                            lambda gens, v: calls.append(v) or real(gens, v))
+        assert len(flag(data, cert, (0, 1, 6))) == 3
+        assert len(calls) == 1  # (0, 1, 6) lies in the first maximal cone
+
+
+class TestRefusalsNamed:
+    """Each refusal of the Klyachko module that no other test reaches, with
+    its message."""
+
+    def test_filtration_needs_a_step(self):
+        with pytest.raises(KlyachkoError, match="^a filtration needs at least one step$"):
+            Filtration(2, [])
+
+    def test_filtration_subspace_of_another_space(self):
+        with pytest.raises(KlyachkoError, match="^subspace ambient dimension mismatch$"):
+            Filtration(2, [(0, SubspaceBasis(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))])
+
+    def test_filtration_zero_last_step(self):
+        with pytest.raises(KlyachkoError, match="^zero subspaces are implicit above the last "
+                                                "threshold$"):
+            Filtration(1, [(0, SubspaceBasis(1, [[1]])), (1, SubspaceBasis(1))])
+
+    def test_data_filtration_of_another_rank(self, p2_bundle):
+        data, _ = p2_bundle
+        filtrations = dict(data.filtrations)
+        filtrations[1] = Filtration(1, [(0, SubspaceBasis(1, [[1]]))])
+        with pytest.raises(KlyachkoError, match="^filtration dimension does not match rank$"):
+            KlyachkoData(data.fan, data.rank, filtrations)
+
+    def test_certificate_without_the_cone(self, p2_bundle):
+        with pytest.raises(KlyachkoError, match="^certificate does not cover maximal cone 7$"):
+            p2_bundle[1].cone(7)
+
+    def test_pullback_map_of_another_rank(self, p2_bundle):
+        data, cert = p2_bundle
+        with pytest.raises(KlyachkoError, match="^lattice map has wrong target rank$"):
+            pullback(data, [[1, 0]], data.fan, cert)
+
+    def test_chern_data_without_every_cone(self):
+        fan = load_fan("fulton")
+        multisets = {pos: tuple((u, 1) for u in ms) for pos, ms in FULTON_PRINTED_MULTISETS.items()}
+        del multisets[5]
+        with pytest.raises(KlyachkoError, match="^need one multiset per maximal cone$"):
+            ChernData(fan, multisets)
+
+    def test_chern_data_of_two_sizes(self):
+        fan = load_fan("fulton")
+        multisets = {pos: tuple((u, 1) for u in ms) for pos, ms in FULTON_PRINTED_MULTISETS.items()}
+        multisets[2] = multisets[2][:2]
+        with pytest.raises(KlyachkoError, match="^multiset sizes differ between cones$"):
+            ChernData(fan, multisets)
+
+    def test_direct_sum_of_two_fans(self):
+        a, b = line_bundle(load_fan("fulton"), (1, 0, 0)), line_bundle(load_fan("eikelberg"),
+                                                                       (1, 0, 0))
+        with pytest.raises(KlyachkoError, match="^direct sum requires bundles on the same fan$"):
+            direct_sum(a[0], b[0])
+
+    @pytest.mark.parametrize("rank", [0, "2", 2.0, True], ids=repr)
+    def test_bundle_rank_not_positive(self, eikelberg_bundle, rank):
+        raw = bundle_to_dict(*eikelberg_bundle)
+        raw["rank"] = rank
+        with pytest.raises(KlyachkoError, match=f"^rank {re.escape(repr(rank))} is not a "
+                                                "positive integer$"):
+            bundle_from_dict(eikelberg_bundle[0].fan, raw)
+
+    def test_bundle_subspace_row_not_a_list(self, p2_bundle):
+        raw = bundle_to_dict(*p2_bundle)
+        raw["filtrations"]["1"][0]["subspace"] = [[1, 0], 1]
+        with pytest.raises(KlyachkoError, match=re.escape(
+                "filtration of ray '1': subspace [[1, 0], 1] is not a list of rows of 2 "
+                "integers or 'p/q' strings")):
+            bundle_from_dict(p2_bundle[0].fan, raw)
+
+
 def _two_lines(fan):
     """(data, certificate) of the sum of the line bundles (1, 2, 3) and
     (0, 1, -1)."""
@@ -953,13 +1080,13 @@ class TestSubspaceBasisEqualsReference:
                 if (r, ref) in seen:
                     continue
                 assert s.basis == ref and s.dim == len(ref), label
-                assert s.rows == tuple(map(tuple, _cleared_rows(ref))), label
+                assert s.rows == tuple(map(tuple, _rational_rows(ref))), label
                 gens = _generators(rng, s)
                 rebuilt = SubspaceBasis(r, gens)
                 ref_rebuilt = reference_subspace_basis(r, gens)
                 assert rebuilt.basis == ref_rebuilt and rebuilt.dim == len(ref_rebuilt), label
                 assert (rebuilt == s) == (ref_rebuilt == ref), label
-                assert rebuilt.rows == tuple(map(tuple, _cleared_rows(ref_rebuilt))), label
+                assert rebuilt.rows == tuple(map(tuple, _rational_rows(ref_rebuilt))), label
                 seen.add((r, ref))
         assert len(seen) == 325
 
@@ -983,7 +1110,7 @@ class TestSubspaceBasisEqualsReference:
                     for _ in range(rng.randint(0, r + 1))]
             s, ref = SubspaceBasis(r, gens), reference_subspace_basis(r, gens)
             assert s.basis == ref and s.dim == len(ref)
-            assert s.rows == tuple(map(tuple, _cleared_rows(ref)))
+            assert s.rows == tuple(map(tuple, _rational_rows(ref)))
             assert annihilator(s).basis == reference_annihilator(r, ref)
 
     def test_dual_equals_reference_dual(self):

@@ -16,7 +16,7 @@ from fanbranch.cover_poset import (
     identity_cover,
     wedge_power,
 )
-from fanbranch.exact_linalg import RationalMatrix, integer_kernel, nullspace_of_int_rows, rref
+from fanbranch.exact_linalg import integer_kernel, nullspace_of_int_rows, rref
 from fanbranch.fan_core import fan_from_data, load_fan
 from fanbranch.klyachko import (
     BUNDLED_BUNDLES,
@@ -37,11 +37,11 @@ from fanbranch.pl_group import (
     PLBasis,
     PLError,
     PLFunction,
-    _per_cell_rows,
     evaluate,
     group_triviality,
     is_trivial_function,
     multisets,
+    per_cell_system,
     ray_value_system,
     solve,
     wedge_summands,
@@ -114,7 +114,7 @@ class TestSolve:
     def test_type_c_system_is_12x12_rank9(self, type_c):
         rows, zvars = ray_value_system(type_c)
         assert len(rows) == 12 and len(zvars) == 12
-        _, r = rref(RationalMatrix(rows))
+        _, r = rref(rows)
         assert r == 9
         # row shapes match the published matrix: six rows of each relation type
         shapes = sorted(tuple(sorted(map(abs, (x for x in row if x)))) for row in rows)
@@ -143,7 +143,7 @@ class TestSolve:
         for s in summands:
             idx = [i for i, r in enumerate(zvars) if r in set(s)]
             sub = [[row[i] for i in idx] for row in rows if any(row[i] for i in idx)]
-            nullity = len(idx) - rref(RationalMatrix(sub))[1]
+            nullity = len(idx) - rref(sub)[1]
             assert nullity == 3
 
     def test_pullbacks_solve_the_system(self, type_c):
@@ -170,7 +170,7 @@ class TestSolve:
         for i in range(count_assignments(fulton, 2)):
             cov = build_cover(fulton, assignment_at(fulton, 2, i, tree), tree)
             dim_z = solve(cov).dim
-            rows = _per_cell_rows(cov)
+            rows = per_cell_system(cov)
             dim_full = len(nullspace_of_int_rows(rows, len(rows[0])))
             assert dim_z == dim_full
 
@@ -271,7 +271,7 @@ def test_integral_basis_equals_per_cell_kernel(case):
             + tuple(f.ray_values[r] for r in cover.ray_cells)
             for f in solve(cover, mode="integral").functions
         ]
-        assert got == integer_kernel(_per_cell_rows(cover))
+        assert got == integer_kernel(per_cell_system(cover))
 
 
 # sha256 of one JSON line per cover: the integral `solve` basis; pinned
@@ -409,6 +409,19 @@ class TestEvaluate:
         gens = type_c.fan.generators(type_c.cells[m].base)
         point = tuple(sum(c) for c in zip(*gens))
         assert evaluate(pb, m, point) == point[2]
+
+    def test_point_not_of_ints_or_fractions_refused(self, type_c):
+        # a float point used to give a binary fraction
+        pb = solve(type_c).pullbacks[2]
+        m = type_c.max_cells[0]
+        gens = type_c.fan.generators(type_c.cells[m].base)
+        point = tuple(sum(c) for c in zip(*gens))
+        for bad, entry in (([x / 10 for x in point], point[0] / 10), ([True, *point[1:]], True)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"point row 0 has entry {entry!r}, not an int or a Fraction")):
+                evaluate(pb, m, bad)
+        value = evaluate(pb, m, [Fraction(x, 10) for x in point])
+        assert (type(value), value) == (Fraction, Fraction(point[2], 10))
 
     def test_outside_cone_rejected(self, type_c):
         pb = solve(type_c).pullbacks[0]

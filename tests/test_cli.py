@@ -325,7 +325,8 @@ NOT_ASCII_DIGITS = ["\uff12", "\u0662", " 2", "2 ", "+2"]
 
 @pytest.mark.parametrize(
     "command, option",
-    [(["pl", "sweep", "fulton", "-d"], "--degree"), (["covers", "enumerate", "fulton", "-d"], "--degree"),
+    [(["pl", "sweep", "fulton", "-d"], "--degree"),
+     (["covers", "enumerate", "fulton", "-d"], "--degree"),
      (["pl", "sweep", "fulton", "-d", "2", "--jobs"], "--jobs"),
      (["paper", "reproduce", "p2-tangent", "--jobs"], "--jobs")],
     ids=["sweep-degree", "enumerate-degree", "sweep-jobs", "reproduce-jobs"],

@@ -2,7 +2,8 @@
 
 Sweeps are deterministic: records are written in assignment-index order and
 contain nothing run-dependent, so the cache bytes are identical for any
-worker count, and an interrupted run resumes into the same file.
+worker count.  A sweep that stops early, on an interrupt, a lost worker or a
+write that fails, leaves whole records that `--resume` continues.
 
 The subcommands themselves (fan validation, cover enumeration with a
 branch-set census, sweeps, single-cover solving, bundle operations and the
@@ -16,8 +17,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, fields
-from itertools import chain
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, fields
+from itertools import chain, combinations
 
 from .fan_core import combinatorial_automorphisms
 from .fields import is_int, is_int_list, read_json
@@ -26,7 +28,7 @@ from .pl_group import split_triviality
 
 
 class CacheError(ValueError):
-    """A sweep cache that cannot be resumed or must not be overwritten."""
+    """A sweep cache that cannot be resumed, overwritten or written, or a lost worker."""
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +110,7 @@ def _summary_tag(verdict: str, cert: str) -> str:
     return f"{verdict}({cert})" if verdict == "AllTrivial" else verdict
 
 
-# One sweep's fan, tree and degree; forked workers inherit them.
+# One sweep's (fan, tree, degree) under "sweep"; forked workers inherit it.
 _WORKER_STATE: dict = {}
 
 _INDEX_KEY = '"index":'
@@ -118,9 +120,7 @@ def _sweep_chunk(reps: list[int]) -> list[tuple[str, str, str, bool]]:
     """For each class representative, its record line cut around the index
     value (the line of any index of the class is head + index + tail), its
     summary tag, and whether its dimension exceeds 3."""
-    fan = _WORKER_STATE["fan"]
-    tree = _WORKER_STATE["tree"]
-    d = _WORKER_STATE["degree"]
+    fan, tree, d = _WORKER_STATE["sweep"]
     out = []
     for r in reps:
         rec = evaluate_assignment(fan, tree, d, r)
@@ -133,30 +133,36 @@ def _sweep_chunk(reps: list[int]) -> list[tuple[str, str, str, bool]]:
 
 @dataclass
 class SweepSummary:
-    """Verdict counts over the whole cache; `high_dim` counts its records of
-    dim > 3, `solved` the classes of dim > 3 that this run evaluated."""
+    """The tally of a sweep over its whole cache, fed by `add` alone;
+    `high_dim` counts its records of dim > 3, `solved` the classes of
+    dim > 3 that this run evaluated."""
 
     total: int
-    processed: int
-    verdicts: dict
-    nontrivial: list
-    seconds: float
-    high_dim: int
-    solved: int
+    verdicts: dict = field(default_factory=dict)
+    nontrivial: list = field(default_factory=list)
+    high_dim: int = 0
+    solved: int = 0
+    seconds: float = 0.0
+
+    @property
+    def processed(self) -> int:
+        return sum(self.verdicts.values())
+
+    def add(self, line: str, tag: str, high: bool) -> None:
+        """Count one record by its summary tag and dim > 3; keep it as a dict if Nontrivial."""
+        self.verdicts[tag] = self.verdicts.get(tag, 0) + 1
+        self.high_dim += high
+        if tag == "Nontrivial":
+            self.nontrivial.append(json.loads(line))
 
     def describe(self) -> str:
-        lines = [
-            f"assignments processed: {self.processed} / {self.total}",
-            f"verdicts: "
-            + ", ".join(f"{k}: {v}" for k, v in sorted(self.verdicts.items())),
-            f"dim > 3 records: {self.high_dim}, solved: {self.solved}, "
-            f"reused: {self.high_dim - self.solved}",
-            f"nontrivial findings: {len(self.nontrivial)}",
-        ]
-        for rec in self.nontrivial:
-            lines.append(
-                f"  index {rec['index']}: branch rays {rec['branch_rays']}, dim {rec['dim_pl']}"
-            )
+        counts = ", ".join(f"{k}: {v}" for k, v in sorted(self.verdicts.items()))
+        lines = [f"assignments processed: {self.processed} / {self.total}", f"verdicts: {counts}",
+                 f"dim > 3 records: {self.high_dim}, solved: {self.solved}, "
+                 f"reused: {self.high_dim - self.solved}",
+                 f"nontrivial findings: {len(self.nontrivial)}"]
+        lines += [f"  index {rec['index']}: branch rays {rec['branch_rays']}, dim {rec['dim_pl']}"
+                  for rec in self.nontrivial]
         lines.append(f"wall-clock: {self.seconds:.1f}s")
         return "\n".join(lines)
 
@@ -197,12 +203,12 @@ def _check_sidecar(cache_path: str, meta: dict) -> None:
         raise CacheError(f"sidecar {path} holds {key!r}, which no sweep writes")
 
 
-def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,
-                       echo=None) -> tuple[int, dict, list, int]:
-    """(records, verdict counts, nontrivial records, records of dim > 3) of
-    an existing cache; refuses anything but a clean index prefix of whole
-    records that pass `_record_problem`, and then a sidecar that does not
-    match `meta`; `run_sweep` adds "; refusing to resume" to each refusal.
+def _read_cache_prefix(path: str, tally: SweepSummary, nrays: int, d: int, meta: dict,
+                       echo=None) -> None:
+    """Add the records of an existing cache to an empty `tally`; refuses
+    anything but a clean index prefix of whole records that pass
+    `_record_problem`, and then a sidecar that does not match `meta`;
+    `run_sweep` adds "; refusing to resume" to each refusal.
 
     An unterminated last line is what a kill mid-write leaves behind: it is
     dropped, and once the rest and the sidecar have passed, the file is
@@ -214,9 +220,6 @@ def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,
     with open(path, "rb") as fh:
         data = fh.read()
     whole = data.rfind(b"\n") + 1
-    count = high_dim = 0
-    verdicts: dict = {}
-    nontrivial = []
     incomplete = None
     for lineno, raw in enumerate(data[:whole].decode(errors="replace").split("\n")[:-1]):
         try:
@@ -224,32 +227,62 @@ def _read_cache_prefix(path: str, total: int, nrays: int, d: int, meta: dict,
             idx = rec["index"]
         except (json.JSONDecodeError, KeyError, TypeError):
             raise CacheError(f"cache corruption at line {lineno + 1}")
-        if not is_int(idx) or idx != count or idx >= total:
+        if not is_int(idx) or idx != lineno or idx >= tally.total:
             raise CacheError(f"cache is not a clean index prefix at line {lineno + 1}")
-        count += 1
         if rec.keys() != _RECORD_FIELDS:
             incomplete = incomplete or lineno + 1
             continue
         problem = _record_problem(rec, nrays, d)
         if problem:
             raise CacheError(f"cache record at line {lineno + 1} {problem}")
-        tag = _summary_tag(rec["verdict"], rec["cert"])
-        verdicts[tag] = verdicts.get(tag, 0) + 1
-        high_dim += rec["dim_pl"] > 3
-        if rec["verdict"] == "Nontrivial":
-            nontrivial.append(rec)
+        tally.add(raw, _summary_tag(rec["verdict"], rec["cert"]), rec["dim_pl"] > 3)
     if incomplete:
         raise CacheError(f"cache corruption at line {incomplete}")
     _check_sidecar(path, meta)
     if whole < len(data):
-        with open(path, "r+b") as fh:
-            fh.truncate(whole)
+        os.truncate(path, whole)
         if echo:
             echo(f"dropped an unterminated last line of {len(data) - whole} bytes")
-    return count, verdicts, nontrivial, high_dim
 
 
-_FLUSH_EVERY = 4096
+def _records(rep, start: int, tally: SweepSummary, map_, jobs: int):
+    """A sweep's record stream from index `start` up: (index, line, summary
+    tag, dim > 3), each line read off its representative's with the index
+    filled in.  `map_` evaluates the representatives that the stream needs,
+    in increasing order and in chunks sized for `jobs` workers, and
+    `tally.solved` counts those of dim > 3."""
+    needed = sorted(set(rep[start:]))
+    chunk = max(64, min(4096, len(needed) // (jobs * 8) or 64))
+    chunks = [needed[k:k + chunk] for k in range(0, len(needed), chunk)]
+    pending = zip(needed, chain.from_iterable(map_(_sweep_chunk, chunks)))
+    settled: dict = {}
+    for index in range(start, len(rep)):
+        r = rep[index]
+        if r not in settled:
+            for got, entry in pending:
+                settled[got] = entry
+                tally.solved += entry[3]
+                if got == r:
+                    break
+        head, tail, tag, high = settled[r]
+        yield index, head + str(index) + tail, tag, high
+
+
+@contextmanager
+def _pool_map(jobs: int):
+    """The `map` of a pool of `jobs` forked workers, whose queued chunks are
+    cancelled however the sweep ends; a lost worker breaks the pool, and is refused."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    except BrokenProcessPool:
+        raise CacheError("a worker process was lost") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
@@ -269,88 +302,60 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
     monodromy, and thus every record field except `index`.
 
     `class_representatives` gives each index the smallest index of its
-    class.  The workers evaluate the representatives the run needs in
-    increasing order; the parent walks the indices upward and writes each
-    one's record from its representative's, with the index filled in.  A
-    representative is never larger than the indices of its class, so
-    without a resume point each one is evaluated by the time its class is
-    first met.  Representatives below a resume point are evaluated again,
-    not read from the cache.
+    class, which is never larger than the indices of its class; so the
+    stream of `_records` has evaluated it by the time the class is first
+    met, unless it lies below a resume point, and then it is evaluated
+    again.  One loop writes each line of the stream to the cache (or to a
+    null sink) and adds it to the tally, which a resume has fed the cached
+    records; `--jobs` picks only the `map` the stream is given.
 
     A new cache gets a sidecar (`sidecar_path`) naming the sweep, written
     before the first record, and a resume refuses a cache whose sidecar
-    does not name this one, leaving both files as they are.
+    does not name this one, leaving both files as they are.  A lost worker
+    or a file that cannot be opened or written ends the sweep with a
+    `CacheError`, and an interrupt passes through; either way the cache
+    is closed on whole records first, and `--resume` continues it.
     """
     tree = spanning_tree(fan)
-    total = count_assignments(fan, d)
-    start, verdicts, nontrivial, high_dim = 0, {}, [], 0
-    if cache_path and os.path.exists(cache_path):
-        if not resume:
-            raise CacheError(
-                f"cache file {cache_path} exists; pass --resume to continue it"
-            )
-        try:
-            start, verdicts, nontrivial, high_dim = _read_cache_prefix(
-                cache_path, total, len(fan.rays), d, _sweep_meta(fan, d, tree), echo)
-        except CacheError as exc:
-            raise CacheError(f"{exc}; refusing to resume") from None
-        if echo:
-            echo(f"resuming: {start} records already cached")
-    elif cache_path:
-        with open(sidecar_path(cache_path), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_sweep_meta(fan, d, tree), separators=(",", ":")) + "\n")
+    tally = SweepSummary(count_assignments(fan, d))
+    try:
+        if cache_path and os.path.exists(cache_path):
+            if not resume:
+                raise CacheError(f"cache file {cache_path} exists; pass --resume to continue it")
+            try:
+                _read_cache_prefix(cache_path, tally, len(fan.rays), d,
+                                   _sweep_meta(fan, d, tree), echo)
+            except CacheError as exc:
+                raise CacheError(f"{exc}; refusing to resume") from None
+            if echo:
+                echo(f"resuming: {tally.processed} records already cached")
+        elif cache_path:
+            with open(sidecar_path(cache_path), "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(_sweep_meta(fan, d, tree), separators=(",", ":")) + "\n")
+    except OSError as exc:
+        raise CacheError(f"cannot open {exc.filename!r}: {exc.strerror}") from None
 
     t0 = time.perf_counter()
-    out = open(cache_path, "a") if cache_path else None
-    solved = 0
+    start = tally.processed
+    rep = class_representatives(d, tree.generators) if start < tally.total else []
+    mapper = nullcontext(map) if jobs <= 1 else _pool_map(jobs)
+    _WORKER_STATE["sweep"] = fan, tree, d
     try:
-        if start < total:
-            rep = class_representatives(d, tree.generators)
-            needed = sorted(set(rep[start:]))
-            chunk = max(64, min(4096, len(needed) // (jobs * 8) or 64))
-            chunks = [needed[k:k + chunk] for k in range(0, len(needed), chunk)]
-
-            def walk(chunk_results):
-                nonlocal high_dim, solved
-                pending = zip(needed, chain.from_iterable(chunk_results))
-                settled: dict = {}
-                for index in range(start, total):
-                    r = rep[index]
-                    if r not in settled:
-                        for got, entry in pending:
-                            settled[got] = entry
-                            solved += entry[3]
-                            if got == r:
-                                break
-                    head, tail, tag, high = settled[r]
-                    line = head + str(index) + tail
-                    if out:
-                        out.write(line)
-                    verdicts[tag] = verdicts.get(tag, 0) + 1
-                    high_dim += high
-                    if tag == "Nontrivial":
-                        nontrivial.append(json.loads(line))
-                    emitted = index + 1
-                    if out and emitted % _FLUSH_EVERY == 0:
-                        out.flush()
-                    if echo and emitted % 25000 == 0:
-                        echo(f"  ... {emitted}/{total}")
-
-            _WORKER_STATE.update(fan=fan, tree=tree, degree=d)
-            if jobs <= 1:
-                walk(map(_sweep_chunk, chunks))
-            else:
-                import multiprocessing
-
-                with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                    walk(pool.imap(_sweep_chunk, chunks))
+        with mapper as map_, open(cache_path or os.devnull, "a", encoding="utf-8") as out:
+            for index, line, tag, high in _records(rep, start, tally, map_, jobs):
+                out.write(line)
+                tally.add(line, tag, high)
+                if echo and (index + 1) % 25000 == 0:
+                    echo(f"  ... {index + 1}/{tally.total}")
+    except (OSError, CacheError) as exc:  # the cache file's, or the pool's lost worker
+        reason = (exc if isinstance(exc, CacheError)
+                  else f"cannot write {cache_path!r}: {exc.strerror or exc}")
+        resumable = "; the cache holds them, and --resume continues it" if cache_path else ""
+        raise CacheError(f"{reason} after {tally.processed} records{resumable}") from None
     finally:
         _WORKER_STATE.clear()
-        if out:
-            out.close()
-
-    return SweepSummary(total, total, verdicts, nontrivial,
-                        time.perf_counter() - t0, high_dim, solved)
+    tally.seconds = time.perf_counter() - t0
+    return tally
 
 
 def branch_census(fan) -> dict:
@@ -358,22 +363,13 @@ def branch_census(fan) -> dict:
     two rays of a wall, grouped into orbits under the fan's combinatorial
     symmetries.  Orbits are keyed by (set size, orbit size)."""
     tree = spanning_tree(fan)
-    wall_pairs = {
-        tuple(sorted(fan.cones[w].ray_indices)) for w in fan.walls
-    }
+    wall_pairs = {tuple(sorted(fan.cones[w].ray_indices)) for w in fan.walls}
     admissible = set()
     total = count_assignments(fan, 2)
     for i in range(total):
-        b = tuple(orbits_at(fan, 2, i, tree).branch_rays)
-        if not b:
-            continue
-        if any(
-            tuple(sorted((x, y))) in wall_pairs
-            for k, x in enumerate(b)
-            for y in b[k + 1 :]
-        ):
-            continue
-        admissible.add(b)
+        b = tuple(orbits_at(fan, 2, i, tree).branch_rays)  # increasing, so are its pairs
+        if b and wall_pairs.isdisjoint(combinations(b, 2)):
+            admissible.add(b)
     autos = combinatorial_automorphisms(fan)
     orbits = []
     remaining = set(admissible)

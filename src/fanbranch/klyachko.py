@@ -636,8 +636,8 @@ class ChernData:
         values = []
         for u, m in self.multisets[pos]:
             values.extend([sum(map(mul, u, v))] * m)
-        if i < 0 or i > len(values):
-            raise KlyachkoError("elementary symmetric index out of range")
+        if not is_int(i, 0) or i > len(values):
+            raise KlyachkoError(f"elementary symmetric index {i!r} is not an int in 0..{len(values)}")
         # e_i via the generating polynomial prod(1 + x t)
         coeffs = [Fraction(1)] + [Fraction(0)] * len(values)
         for x in values:

@@ -6,11 +6,18 @@ isomorphic covers).  The digest pins the full eikelberg degree-3 cache as
 the sweep wrote it when every record was solved.
 """
 
+import errno
 import hashlib
 import json
 import multiprocessing
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -177,3 +184,143 @@ def test_conjugate_records_agree_but_for_index(name, d, data):
     event(f"dim {mine['dim_pl']}")
     assert mine.pop("index") == index and theirs.pop("index") == other
     assert mine == theirs
+
+
+# -- A sweep that stops early: each fault ends it at once on whole records,
+# -- and a resume writes the pinned cache.
+
+SIGMA_PRIME_DEG3_CACHE_SHA256 = "bcc117809b5034804373d7ac9a7e55e77f9f0889591382a03351ad37169b9018"
+RESUMABLE = "the cache holds them, and --resume continues it"
+
+
+def _whole_records(cache) -> int:
+    """The number of records in `cache`, which must be whole and in index order."""
+    data = cache.read_bytes()
+    assert not data or data.endswith(b"\n")
+    lines = data.decode().splitlines()
+    assert [json.loads(x)["index"] for x in lines] == list(range(len(lines)))
+    return len(lines)
+
+
+def _resume_writes_the_pin(cache, name="eikelberg", d=3):
+    summary = run_sweep(load_fan(name), d, jobs=2, cache_path=str(cache), resume=True)
+    pin = EIKELBERG_DEG3_CACHE_SHA256 if name == "eikelberg" else SIGMA_PRIME_DEG3_CACHE_SHA256
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == pin
+    return summary
+
+
+def _fault_at(monkeypatch, first_index, fault):
+    """Make the forked workers, and only them, call `fault` on reaching a
+    representative at or above `first_index`."""
+    parent = os.getpid()
+    real = cli.evaluate_assignment
+
+    def evaluate(fan, tree, d, index):
+        if index >= first_index and os.getpid() != parent:
+            fault()
+        return real(fan, tree, d, index)
+
+    monkeypatch.setattr(cli, "evaluate_assignment", evaluate)
+
+
+@pytest.mark.parametrize("first_index", [0, 2000], ids=["first-chunk", "later-chunk"])
+def test_lost_worker_ends_the_sweep_with_one_error_line(tmp_path, monkeypatch, first_index):
+    """A worker that exits (as one killed for memory would) breaks the pool:
+    the sweep used to wait for its chunk for ever."""
+    cache = tmp_path / "eik3.jsonl"
+    _fault_at(monkeypatch, first_index, lambda: os._exit(3))
+    t0 = time.perf_counter()
+    result = CliRunner().invoke(
+        main, ["pl", "sweep", "eikelberg", "-d", "3", "--jobs", "2", "--cache", str(cache)])
+    assert time.perf_counter() - t0 < 5
+    assert result.exit_code == 1
+    written = _whole_records(cache)
+    assert result.output == (f"Error: a worker process was lost after {written} records; "
+                             f"{RESUMABLE}\n")
+    assert written < first_index or written == first_index == 0
+    assert not multiprocessing.active_children()
+    monkeypatch.undo()
+    _resume_writes_the_pin(cache)
+
+
+def test_interrupt_in_a_worker_ends_the_sweep(tmp_path, monkeypatch):
+    """A `KeyboardInterrupt` raised in a worker reaches the caller at once,
+    with the cache closed on whole records and the pool gone."""
+    cache = tmp_path / "eik3.jsonl"
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    _fault_at(monkeypatch, 2000, interrupt)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(load_fan("eikelberg"), 3, jobs=2, cache_path=str(cache))
+    assert time.perf_counter() - t0 < 5
+    assert 0 < _whole_records(cache) <= 2000
+    assert not multiprocessing.active_children() and not cli._WORKER_STATE
+    monkeypatch.undo()
+    _resume_writes_the_pin(cache)
+
+
+class _FullDisk:
+    """A cache file whose writes fail with ENOSPC after `room` lines."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, line):
+        if not self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= 1
+        return self.fh.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_full_disk_ends_the_sweep_with_one_error_line(tmp_path, monkeypatch, jobs):
+    cache = tmp_path / "eik3.jsonl"
+    monkeypatch.setattr(cli, "open", lambda path, mode="r", **kw: (
+        _FullDisk(open(path, mode, **kw), 1000) if mode == "a" else open(path, mode, **kw)),
+        raising=False)
+    t0 = time.perf_counter()
+    result = CliRunner().invoke(
+        main, ["pl", "sweep", "eikelberg", "-d", "3", "--jobs", str(jobs), "--cache", str(cache)])
+    assert time.perf_counter() - t0 < 5
+    assert result.exit_code == 1
+    assert result.output == (f"Error: cannot write {str(cache)!r}: No space left on device "
+                             f"after 1000 records; {RESUMABLE}\n")
+    assert _whole_records(cache) == 1000
+    monkeypatch.undo()
+    _resume_writes_the_pin(cache)
+
+
+def test_sigint_to_the_process_group_leaves_a_resumable_cache(tmp_path):
+    """Ctrl-C at a terminal: SIGINT reaches the parent and every worker."""
+    cache = tmp_path / "sigma3.jsonl"
+    root = Path(__file__).resolve().parents[1]
+    sweep = subprocess.Popen(
+        [sys.executable, "-m", "fanbranch.cli", "pl", "sweep", "sigma_prime", "-d", "3",
+         "--jobs", "2", "--cache", str(cache)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.perf_counter() + 60
+        while not (cache.exists() and cache.stat().st_size) and time.perf_counter() < deadline:
+            assert sweep.poll() is None
+            time.sleep(0.02)
+        os.killpg(sweep.pid, signal.SIGINT)
+        t0 = time.perf_counter()
+        sweep.communicate(timeout=10)
+        assert time.perf_counter() - t0 < 5
+    finally:
+        if sweep.poll() is None:
+            os.killpg(sweep.pid, signal.SIGKILL)
+            sweep.wait()
+    assert sweep.returncode == 1
+    assert 0 < _whole_records(cache) < 279936
+    assert _resume_writes_the_pin(cache, "sigma_prime", 3).processed == 279936

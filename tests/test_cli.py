@@ -2,6 +2,8 @@ import errno
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -666,6 +668,24 @@ class TestSweep:
         assert result.exit_code != 0
         assert "--resume" in result.output
 
+    def test_cache_in_a_missing_directory_refused_in_one_line(self, tmp_path, runner):
+        # it used to end in a FileNotFoundError traceback from the sidecar
+        cache = tmp_path / "no" / "such" / "x.jsonl"
+        result = runner.invoke(main, ["pl", "sweep", "fulton", "-d", "2", "--cache", str(cache)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (f"Error: cannot open {sidecar_path(str(cache))!r}: "
+                                 "No such file or directory\n")
+        assert not cache.parent.exists()
+
+    def test_directory_as_cache_refused_in_one_line(self, tmp_path, runner):
+        # it used to end in an IsADirectoryError traceback
+        result = runner.invoke(
+            main, ["pl", "sweep", "fulton", "-d", "2", "--cache", str(tmp_path), "--resume"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: cannot open {str(tmp_path)!r}: Is a directory\n"
+
     def test_eikelberg_sweep_finds_nontrivial(self):
         fan = load_fan("eikelberg")
         summary = run_sweep(fan, 2, jobs=2)
@@ -967,3 +987,15 @@ class TestReproduce:
         assert result.exit_code == 1
         assert "MISMATCH" in result.output
         assert "inconsistent" in result.output
+
+
+def test_importing_the_engine_loads_neither_commands_nor_a_pool():
+    """`fanbranch.cli` loads `click` and the subcommands only when `main` is
+    asked for, and the worker pool's modules only for a sweep of two jobs or
+    more: a module-level pool import costs a cold start about 20%."""
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, fanbranch.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(DATA.parents[1])},
+        capture_output=True, text=True, check=True).stdout.split()
+    assert "fanbranch.cli" in loaded
+    assert not {"click", "fanbranch.commands", "multiprocessing", "concurrent.futures"} & set(loaded)

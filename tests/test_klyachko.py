@@ -6,6 +6,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -822,6 +823,18 @@ class TestCallersPoint:
             cd.elementary_symmetric(0, 1, v)
         assert cd.elementary_symmetric(0, 1, (Fraction(1, 10), 0, 0)) == \
             Fraction(sum(m * u[0] for u, m in cd.multisets[0]), 10)
+
+    @pytest.mark.parametrize("i", [True, 1.0, -1, "len + 1"])
+    def test_elementary_symmetric_refuses_the_index(self, eikelberg_bundle, i):
+        # True used to answer as 1, and 1.0 ended in a bare TypeError
+        cd = chern(*eikelberg_bundle)
+        rank = sum(m for _, m in cd.multisets[0])
+        i = rank + 1 if i == "len + 1" else i
+        says = f"elementary symmetric index {i!r} is not an int in 0..{rank}"
+        with pytest.raises(KlyachkoError, match=f"^{re.escape(says)}$"):
+            cd.elementary_symmetric(0, i, (1, 0, 0))
+        assert cd.elementary_symmetric(0, rank, (1, 0, 0)) == \
+            prod(u[0] ** m for u, m in cd.multisets[0])
 
     def test_flag_searches_the_cones_once(self, fulton_bundle, monkeypatch):
         # it used to search for the containing cone once more per value at v

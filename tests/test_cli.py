@@ -992,7 +992,7 @@ class TestReproduce:
 def test_importing_the_engine_loads_neither_commands_nor_a_pool():
     """`fanbranch.cli` loads `click` and the subcommands only when `main` is
     asked for, and the worker pool's modules only for a sweep of two jobs or
-    more: a module-level pool import costs a cold start about 20%."""
+    more, so that neither weighs on a cold start that does not use it."""
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, fanbranch.cli; print(*sorted(sys.modules))"],
         env={**os.environ, "PYTHONPATH": str(DATA.parents[1])},

@@ -319,6 +319,8 @@ def run_sweep(fan, d: int, jobs: int = 1, cache_path: str | None = None,
     tree = spanning_tree(fan)
     tally = SweepSummary(count_assignments(fan, d))
     try:
+        if cache_path and os.path.isdir(cache_path):
+            raise CacheError(f"cannot open {cache_path!r}: Is a directory")
         if cache_path and os.path.exists(cache_path):
             if not resume:
                 raise CacheError(f"cache file {cache_path} exists; pass --resume to continue it")

@@ -4,8 +4,10 @@ Over a complete rank-3 fan, maximal covers correspond to assignments of one
 degree-d permutation per non-tree edge of the dual graph (the fundamental
 cycles of the sphere minus the ray points), up to simultaneous conjugacy.
 This module fixes the generator conventions, streams the raw assignments in
-lexicographic order, builds the cover determined by an assignment, and
-canonicalizes assignments under conjugation.
+lexicographic order, builds the cover determined by an assignment (the cells
+over a ray are the sheets around it, glued across the walls of its link),
+reads the same cells off per-fan tables for sweep records, and canonicalizes
+assignments under conjugation.
 """
 
 from __future__ import annotations
@@ -210,84 +212,49 @@ def _digits(index: int, base: int, places: int) -> list[int]:
     return [index // base ** k % base for k in range(places - 1, -1, -1)]
 
 
-class _Transitions:
-    """Wall-crossing sheet maps for one assignment, as raw image tuples."""
-
-    def __init__(self, fan: Fan, tree: DualSpanningTree, assignment: MonodromyAssignment):
-        if len(assignment.perms) != tree.generators:
-            raise ValueError(
-                f"assignment has {len(assignment.perms)} permutations, but the fan's"
-                f" spanning tree has {tree.generators} generators"
-            )
-        self.fan = fan
-        self.tree = tree
-        self.assignment = assignment
-        d = assignment.degree
-        ident = tuple(range(d))
-        self.forward = {}
-        nontree_index = {w: i for i, w in enumerate(tree.nontree_walls)}
-        for w, (a, b) in tree.orientations.items():
-            if w in nontree_index:
-                self.forward[w] = assignment.perms[nontree_index[w]].images
-            else:
-                self.forward[w] = ident
-
-    def crossing(self, wall: int, from_cone: int, to_cone: int) -> tuple[int, ...]:
-        a, b = self.tree.orientations[wall]
-        fwd = self.forward[wall]
-        if (from_cone, to_cone) == (a, b):
-            return fwd
-        if (from_cone, to_cone) == (b, a):
-            inv = [0] * len(fwd)
-            for i, j in enumerate(fwd):
-                inv[j] = i
-            return tuple(inv)
-        raise ValueError("wall does not join those cones")
+def _sheet_maps(tree: DualSpanningTree, assignment: MonodromyAssignment) -> dict:
+    """Each dual-graph wall's sheet map, as an image tuple: sheet s over the
+    wall's lower cone is glued to sheet `map[s]` over its higher cone, by
+    the generator's permutation at a non-tree wall, the identity at a tree wall."""
+    if len(assignment.perms) != tree.generators:
+        raise ValueError(
+            f"assignment has {len(assignment.perms)} permutations, but the fan's"
+            f" spanning tree has {tree.generators} generators"
+        )
+    maps = dict.fromkeys(tree.orientations, tuple(range(assignment.degree)))
+    maps.update(zip(tree.nontree_walls, (p.images for p in assignment.perms)))
+    return maps
 
 
-def _ray_transports(fan: Fan, trans: _Transitions, ray: int):
-    """(transport-to-reference maps per incident cone, ray monodromy images).
+def _glued_sheets(fan: Fan, tree: DualSpanningTree, maps: dict, d: int,
+                  ray: int) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The cells over `ray`: the cones of its link (`ray_link`), and the
+    classes of the d sheets over each, glued across each wall of the link by
+    its sheet map (`_sheet_maps`), sheet s over the link's j-th cone being
+    numbered j * d + s.
 
-    transport[cone position] sends a sheet over that cone to the sheet over
-    the ray's reference cone obtained by walking back along the link cycle.
-    """
+    Each map is a bijection and the link is one cycle, so a class meets
+    every cone of the link in as many sheets, its cell's weight, and its
+    least member lies over the link's first cone.  `components` lists the
+    classes by least member, so by least sheet over that cone, which is how
+    `_loop` numbers the orbits of the ray monodromy, whose cells they are."""
     cones, walls = ray_link(fan, ray)
-    d = trans.assignment.degree
-    t = tuple(range(d))  # sheets at reference -> sheets at current cone
-    inv_transport = {cones[0]: tuple(range(d))}
-    for j, w in enumerate(walls):
-        frm = cones[j]
-        to = cones[(j + 1) % len(cones)]
-        step = trans.crossing(w, frm, to)
-        t = tuple(step[x] for x in t)
-        if to != cones[0]:
-            inv = [0] * d
-            for i, x in enumerate(t):
-                inv[x] = i
-            inv_transport[to] = tuple(inv)
-    return inv_transport, t  # t is now the full loop = ray monodromy
-
-
-def ray_monodromy(fan: Fan, assignment: MonodromyAssignment, ray: int,
-                  tree: DualSpanningTree | None = None) -> Permutation:
-    """Product of wall transitions around the ray's link cycle."""
-    tree = tree or spanning_tree(fan)
-    trans = _Transitions(fan, tree, assignment)
-    _, loop = _ray_transports(fan, trans, ray)
-    return Permutation(loop)
+    place = {pos: j * d for j, pos in enumerate(cones)}
+    glue = []
+    for w in walls:
+        a, b = tree.orientations[w]
+        glue += [(place[a] + s, place[b] + t) for s, t in enumerate(maps[w])]
+    return cones, components(len(cones) * d, glue)
 
 
 def branch_rays(fan: Fan, assignment: MonodromyAssignment,
                 tree: DualSpanningTree | None = None) -> list[int]:
-    """Rays with nontrivial monodromy (the branch set on the sphere)."""
+    """Rays with nontrivial monodromy (the branch set on the sphere): those
+    with fewer cells over them than sheets."""
     tree = tree or spanning_tree(fan)
-    trans = _Transitions(fan, tree, assignment)
-    out = []
-    for ray in range(len(fan.rays)):
-        _, loop = _ray_transports(fan, trans, ray)
-        if any(i != x for i, x in enumerate(loop)):
-            out.append(ray)
-    return out
+    maps, d = _sheet_maps(tree, assignment), assignment.degree
+    return [ray for ray in range(len(fan.rays))
+            if len(_glued_sheets(fan, tree, maps, d, ray)[1]) < d]
 
 
 def build_cover(fan: Fan, assignment: MonodromyAssignment,
@@ -296,63 +263,42 @@ def build_cover(fan: Fan, assignment: MonodromyAssignment,
 
     Maximal cells are (cone, sheet) pairs of weight 1, wall cells glue sheet
     s of the lower cone to its image sheet of the higher cone, and the cells
-    over a ray are the orbits of the ray monodromy, weighted by orbit length.
+    over a ray are the sheets over the cones of its link glued across its
+    walls (`_glued_sheets`), numbered by least sheet over the link's first
+    cone, each weighted by the sheets it holds over one cone.
     """
     if fan.rank != 3 or not is_complete(fan):
         raise FanError("covers are built over complete rank-3 fans")
     tree = tree or spanning_tree(fan)
     d = assignment.degree
-    trans = _Transitions(fan, tree, assignment)
+    maps = _sheet_maps(tree, assignment)
 
     cells: list[CoverCell] = [CoverCell(0, 0, d)]
     pairs: list[tuple[int, int]] = []
+    ray_cell_at = {}  # (ray, maximal cone position, sheet) -> the cell over the ray
+    for ray in range(len(fan.rays)):
+        cones, classes = _glued_sheets(fan, tree, maps, d, ray)
+        for k, members in enumerate(classes):
+            for m in members:
+                ray_cell_at[ray, cones[m // d], m % d] = len(cells)
+            pairs.append((0, len(cells)))
+            cells.append(CoverCell(fan.cone_id((ray,)), k, len(members) // len(cones)))
 
     max_cell_id = {}
-    for pos in range(len(fan.max_cones)):
-        base = fan.cone_id(fan.max_cones[pos].ray_indices)
+    for pos, cone in enumerate(fan.max_cones):
         for s in range(d):
-            max_cell_id[(pos, s)] = len(cells)
-            cells.append(CoverCell(base, s, 1))
-
-    # ray cells: orbits of the ray monodromy, indexed by minimal member
-    ray_cell_id = {}
-    orbit_of: dict[int, list[int]] = {}
-    inv_transports = {}
-    for ray in range(len(fan.rays)):
-        inv_transports[ray], loop = _ray_transports(fan, trans, ray)
-        orbit_of[ray], lengths = _loop(loop)[:2]
-        base = fan.cone_id((ray,))
-        for k, length in enumerate(lengths):
-            ray_cell_id[(ray, k)] = len(cells)
-            cells.append(CoverCell(base, k, length))
-
-    def ray_cell_at(ray: int, cone_pos: int, sheet: int) -> int:
-        ref_sheet = inv_transports[ray][cone_pos][sheet]
-        return ray_cell_id[(ray, orbit_of[ray][ref_sheet])]
+            mid = max_cell_id[pos, s] = len(cells)
+            cells.append(CoverCell(fan.cone_id(cone.ray_indices), s, 1))
+            pairs += [(0, mid)] + [(ray_cell_at[ray, pos, s], mid) for ray in cone.ray_indices]
 
     # wall cells, with sheet measured over the lower-position cone
     for w, (a, b) in tree.orientations.items():
         base = fan.walls[w]
-        wall_rays = fan.cones[base].ray_indices
-        fwd = trans.forward[w]
         for s in range(d):
             wid = len(cells)
             cells.append(CoverCell(base, s, 1))
-            pairs.append((0, wid))
-            pairs.append((wid, max_cell_id[(a, s)]))
-            pairs.append((wid, max_cell_id[(b, fwd[s])]))
-            for ray in wall_rays:
-                pairs.append((ray_cell_at(ray, a, s), wid))
-
-    for pos in range(len(fan.max_cones)):
-        rays_here = fan.max_cones[pos].ray_indices
-        for s in range(d):
-            mid = max_cell_id[(pos, s)]
-            pairs.append((0, mid))
-            for ray in rays_here:
-                pairs.append((ray_cell_at(ray, pos, s), mid))
-    for rid in ray_cell_id.values():
-        pairs.append((0, rid))
+            pairs += [(0, wid), (wid, max_cell_id[a, s]), (wid, max_cell_id[b, maps[w][s]])]
+            pairs += [(ray_cell_at[ray, a, s], wid) for ray in fan.cones[base].ray_indices]
 
     return CoverPoset(fan, cells, pairs, _closed=True)
 
@@ -388,9 +334,9 @@ _Loop = namedtuple("_Loop", "orbit lengths profile spread")
 
 def _loop(images) -> _Loop:
     """A loop's `_Loop`: the orbit of each sheet, numbered by least sheet as
-    `build_cover` numbers a ray's cells, the orbit lengths, unsorted and in
-    descending order, and per orbit, the (column, factor) pairs of its value
-    in the ray's sum-zero columns.  Orbit lengths l_1, ..., l_k give columns
+    `build_cover` numbers the cells it glues over a ray (`_glued_sheets`),
+    the orbit lengths, unsorted and in descending order, and per orbit, the
+    (column, factor) pairs of its value in the ray's sum-zero columns.  Orbit lengths l_1, ..., l_k give columns
     x_i (i < k) for l_k x_i on orbit i and -(l_1 x_1 + ...) on orbit k."""
     cycles = Permutation(images).cycles()  # by least point
     orbit, lengths = [0] * len(images), [len(c) for c in cycles]
@@ -550,7 +496,8 @@ class RayOrbits:
     whose digits on the generators that the ray's link crosses are the
     same: never changed.  `lengths[ray]` holds the lengths of the ray
     monodromy's orbits, numbered by least sheet over the ray's reference
-    cone: the cover's cells over the ray, in order, with their weights.
+    cone: the weights of the cells that `build_cover` glues over the ray,
+    in its order, read off the loop rather than glued.
 
     `at[pos][i][s]` is the orbit under sheet s over maximal cone `pos`, over
     the cone's i-th ray.  It is built from the links' cone entries on its

@@ -36,6 +36,7 @@ from fanbranch.klyachko import (
 )
 from fanbranch.cli import SweepRecord
 from fanbranch.monodromy import (
+    Permutation,
     RayOrbits,
     _digits,
     _record_tables,
@@ -561,6 +562,29 @@ def ray_value_rows(fan, assignment, tree=None) -> RayValueSystem:
     cover's entry for entry, and row block i, labelled i in `cells`, is the
     cover's `max_cells[i]`."""
     return value_system(fan, ray_orbits(fan, assignment, tree))
+
+
+# -- a ray's monodromy, walked around its link --------------------------------
+#
+# `build_cover` and `branch_rays` glue the sheets over a ray's link across
+# its walls (`monodromy._glued_sheets`) and never walk the link.  This walk
+# is the reference they are tested against.
+
+
+def ray_monodromy(fan, assignment, ray, tree=None) -> Permutation:
+    """The product of the wall-crossing maps around the ray's link cycle
+    (`ray_link`), from its first cone: each sheet there goes to the sheet
+    that it comes back to.  Its cycles, by least point, are the cells over
+    the ray in `build_cover`'s order, each of weight its length."""
+    tree = tree or spanning_tree(fan)
+    identity = Permutation.identity(assignment.degree)
+    crossing = dict(zip(tree.nontree_walls, assignment.perms))
+    cones, walls = ray_link(fan, ray)
+    loop = identity
+    for w, a, b in zip(walls, cones, cones[1:] + cones):
+        step = crossing.get(w, identity)
+        loop = (step if tree.orientations[w] == (a, b) else step.inverse()) * loop
+    return loop
 
 
 # -- a record's ray orbits, walked and built per record ---------------------

@@ -48,7 +48,6 @@ from fanbranch.monodromy import (
     assignment_for_branch_set,
     build_cover,
     count_assignments,
-    ray_monodromy,
     spanning_tree,
 )
 from fanbranch.pl_group import (
@@ -66,6 +65,7 @@ from conftest import (
     forced_chain,
     forced_collision,
     random_bundle,
+    ray_monodromy,
 )
 
 EIKELBERG_TABLE = {

@@ -685,6 +685,15 @@ class TestSweep:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output == f"Error: cannot open {str(tmp_path)!r}: Is a directory\n"
+        assert not os.path.exists(sidecar_path(str(tmp_path)))
+
+    def test_directory_as_cache_refused_without_resume(self, tmp_path, runner):
+        # it used to answer "exists; pass --resume", which then failed on the directory
+        result = runner.invoke(main, ["pl", "sweep", "fulton", "-d", "2", "--cache", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: cannot open {str(tmp_path)!r}: Is a directory\n"
+        assert not os.path.exists(sidecar_path(str(tmp_path)))
 
     def test_eikelberg_sweep_finds_nontrivial(self):
         fan = load_fan("eikelberg")

@@ -697,7 +697,7 @@ UNCALLED_API = {
     # pullbacks, interpolated filtrations, partial flags and Chern classes
     "klyachko": {"interpolate", "flag", "pullback", "equal_chern", "is_trivial_chern",
                  ".c1", ".elementary_symmetric"},
-    "monodromy": {"ray_monodromy", "ray_orbits", ".cycle_type", ".is_identity", ".to_dict"},
+    "monodromy": {"ray_orbits", ".cycle_type", ".is_identity", ".to_dict"},
     # a function's value at a point, its pullbacks, scaling and dict form
     "pl_group": {"evaluate", ".pullbacks", ".ray_values", ".scale", ".to_dict",
                  "PLFunction.from_dict"},

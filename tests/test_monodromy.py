@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -5,14 +7,16 @@ import pytest
 
 from fanbranch.cli import evaluate_assignment
 from fanbranch.cover_poset import (
+    CoverCell,
     are_isomorphic,
+    cover_to_dict,
     degree,
     euler_characteristic,
     is_maximal,
     validate_cover,
     wedge_power,
 )
-from fanbranch.fan_core import fan_from_data, load_fan
+from fanbranch.fan_core import FanError, fan_from_data, load_fan, ray_link
 from fanbranch.monodromy import (
     MonodromyAssignment,
     Permutation,
@@ -25,12 +29,11 @@ from fanbranch.monodromy import (
     class_representatives,
     count_assignments,
     orbits_at,
-    ray_monodromy,
     sheet_components,
     spanning_tree,
 )
 
-from conftest import ray_value_rows
+from conftest import ray_monodromy, ray_value_rows
 
 
 @pytest.fixture(scope="module")
@@ -171,17 +174,56 @@ class TestBuildCover:
         with pytest.raises(ValueError, match=f"{count} permutations, but .* 7 generators"):
             build(fulton, a)
 
-    def test_fiber_sizes_match_monodromy_orbits(self, fulton):
-        a = assignment_for_branch_set(fulton, [0, 2, 5, 7])
-        cov = build_cover(fulton, a)
-        for ray in range(len(fulton.rays)):
-            orbits = ray_monodromy(fulton, a, ray).cycles()
-            cells = [
-                cov.cells[i]
-                for i in cov.ray_cells
-                if fulton.cones[cov.cells[i].base].ray_indices == (ray,)
-            ]
-            assert sorted(c.weight for c in cells) == sorted(len(o) for o in orbits)
+    def test_fiber_sizes_match_monodromy_orbits(self, fulton, sigma_prime):
+        """The cells that `build_cover` glues over each ray are the cycles of
+        the monodromy walked around the ray's link, in order (by least sheet
+        over the link's first cone) and by weight, the sheets over that cone
+        lie over the cell of their cycle, and `branch_rays` are the rays
+        whose walked monodromy moves a sheet: on every `fulton` degree-2
+        assignment and a seeded sample of `sigma_prime` degree-3 ones."""
+        rng = random.Random(37)
+        for fan, d, indices in [
+            (fulton, 2, range(count_assignments(fulton, 2))),
+            (sigma_prime, 3, rng.sample(range(count_assignments(sigma_prime, 3)), 150)),
+        ]:
+            tree = spanning_tree(fan)
+            for i in indices:
+                a = assignment_at(fan, d, i, tree)
+                cov = build_cover(fan, a, tree)
+                walked = [ray_monodromy(fan, a, ray, tree) for ray in range(len(fan.rays))]
+                assert branch_rays(fan, a, tree) == [
+                    ray for ray, loop in enumerate(walked) if not loop.is_identity]
+                for ray, loop in enumerate(walked):
+                    cycles = loop.cycles()
+                    over = fan.cone_id((ray,))
+                    assert [cov.cells[c] for c in cov.cells_over(over)] == [
+                        CoverCell(over, k, len(cycle)) for k, cycle in enumerate(cycles)]
+                    first = fan.max_cones[ray_link(fan, ray)[0][0]].ray_indices
+                    for cycle_no, cycle in enumerate(cycles):
+                        for s in cycle:
+                            top = cov.cells_over(fan.cone_id(first))[s]
+                            assert [cov.cells[c].copy for c in cov.below[top]
+                                    if cov.cells[c].base == over] == [cycle_no]
+
+    def test_cover_bytes_pinned(self):
+        """The covers and branch sets of every `fulton` degree-2 index, every
+        7th `eikelberg` and every 389th `sigma_prime` degree-3 index (1,959
+        assignments) hash as they did when the cells over a ray were found by
+        walking its link."""
+        digest = hashlib.sha256()
+        for name, d, step in [("fulton", 2, 1), ("eikelberg", 3, 7), ("sigma_prime", 3, 389)]:
+            fan = load_fan(name)
+            tree = spanning_tree(fan)
+            for i in range(0, count_assignments(fan, d), step):
+                a = assignment_at(fan, d, i, tree)
+                digest.update(json.dumps([cover_to_dict(build_cover(fan, a, tree)),
+                                          branch_rays(fan, a, tree)], sort_keys=True).encode())
+        assert digest.hexdigest() == \
+            "78cc9463300c4bb3fea32d5742463b349d6107ca805a8a31e7a277b84c3e68e2"
+
+    def test_rank_two_fan_refused_before_the_assignment_is_read(self):
+        with pytest.raises(FanError, match="covers are built over complete rank-3 fans"):
+            build_cover(load_fan("p2"), None)
 
 
 class TestRayMonodromy:

@@ -64,6 +64,9 @@ class TestPermutation:
         assert Permutation((1, 0, 2)).cycle_type() == (2, 1)
         assert Permutation((1, 2, 0)).cycle_type() == (3,)
 
+    def test_repr_shows_the_images(self):
+        assert repr(Permutation((1, 2, 0))) == "Permutation([1, 2, 0])"
+
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
